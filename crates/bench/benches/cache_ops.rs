@@ -84,13 +84,13 @@ fn bench_steady_state_reclaim(c: &mut Criterion) {
     g.finish();
 }
 
-/// Batched lookups through `op_batch` versus the scalar `op` loop on
-/// the same mixed stream — measures what the prefetch pipeline buys
-/// when outcomes are byte-identical by contract.
+/// Batched lookups through `op_batch_into` versus `ops.map(op)` on the
+/// same mixed stream — measures what the prefetch pipeline buys when
+/// outcomes are byte-identical by contract.
 fn bench_op_batch(c: &mut Criterion) {
     const BATCH: usize = 256;
     let mut g = c.benchmark_group("flashcache_op_batch");
-    for (tag, pipeline) in [("pipelined", true), ("scalar_loop", false)] {
+    for (tag, pipelined) in [("pipelined", true), ("map_op", false)] {
         let mut cache = FlashCache::new(FlashCacheConfig {
             flash: FlashConfig {
                 geometry: FlashGeometry {
@@ -100,7 +100,6 @@ fn bench_op_batch(c: &mut Criterion) {
                 },
                 ..FlashConfig::default()
             },
-            batch_pipeline: pipeline,
             ..FlashCacheConfig::default()
         })
         .expect("valid config");
@@ -119,7 +118,11 @@ fn bench_op_batch(c: &mut Criterion) {
                     p = p.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
                     ops.push(CacheOp::read(p % 3000));
                 }
-                cache.op_batch_into(&ops, &mut outs);
+                if pipelined {
+                    cache.op_batch_into(&ops, &mut outs);
+                } else {
+                    outs.extend(ops.iter().map(|&op| cache.op(op)));
+                }
                 std::hint::black_box(outs.len())
             })
         });

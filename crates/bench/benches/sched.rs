@@ -1,32 +1,21 @@
 //! Criterion micro-benchmarks of the NAND event scheduler: schedule +
-//! drain cycles at queue depths 1, 8, and 64, on both the timer-wheel
-//! default and the retained heap oracle. The heap-vs-wheel pairs at
-//! each depth quantify what the calendar-queue rebuild buys on the
-//! scheduler hot path itself, isolated from the cache layers above it.
+//! drain cycles at queue depths 1, 8, and 64, plus the serial bypass —
+//! the scheduler hot path itself, isolated from the cache layers above
+//! it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use nand_flash::sched::{
-    ChannelConfig, EventDriven, OpClass, OpRequest, SchedBackend, TimingModel,
-};
+use nand_flash::sched::{ChannelConfig, EventDriven, OpClass, OpRequest, TimingModel};
 use nand_flash::{CellMode, FlashTiming};
 
 const CHANNELS: u32 = 4;
 const PLANES: u32 = 2;
 
-fn backend_name(backend: SchedBackend) -> &'static str {
-    match backend {
-        SchedBackend::Heap => "heap",
-        SchedBackend::Wheel => "wheel",
-    }
-}
-
-fn config(backend: SchedBackend, queue_depth: u32) -> ChannelConfig {
+fn config(queue_depth: u32) -> ChannelConfig {
     ChannelConfig::builder()
         .channels(CHANNELS)
         .planes(PLANES)
         .queue_depth(queue_depth)
-        .sched_backend(backend)
         .build()
         .expect("bench channel config is valid")
 }
@@ -63,13 +52,10 @@ fn cycle(timing: FlashTiming, cfg: ChannelConfig, burst: u32) -> f64 {
 fn bench_sched(c: &mut Criterion) {
     let timing = FlashTiming::default();
     for depth in [1u32, 8, 64] {
-        for backend in [SchedBackend::Heap, SchedBackend::Wheel] {
-            let cfg = config(backend, depth);
-            let name = format!("sched_cycle_{}_depth{}", backend_name(backend), depth);
-            c.bench_function(&name, |b| {
-                b.iter(|| std::hint::black_box(cycle(timing, cfg, 256)))
-            });
-        }
+        let cfg = config(depth);
+        c.bench_function(&format!("sched_cycle_wheel_depth{depth}"), |b| {
+            b.iter(|| std::hint::black_box(cycle(timing, cfg, 256)))
+        });
     }
     // The serial no-contention bypass: the configuration every
     // closed-form-shaped replay hits when it flips to the event backend.

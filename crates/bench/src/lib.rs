@@ -40,6 +40,10 @@ impl RunArgs {
     /// process-global [`flash_obs::ObsSink`], so every cache the
     /// experiment builds afterwards reports into it; call
     /// [`RunArgs::finish`] at the end of `main` to write the snapshot.
+    ///
+    /// An unknown or malformed argument prints the usage line and exits
+    /// with status 2 — a mistyped `--scale` must not silently run the
+    /// default experiment.
     pub fn parse(default_scale: u64) -> RunArgs {
         let mut scale = default_scale;
         let mut seed = 0x1507_2008u64;
@@ -96,9 +100,7 @@ impl RunArgs {
                         .unwrap_or_else(|| die("--trace-events needs a non-negative integer"));
                 }
                 "--bench" | "--quiet" => {} // passed through by `cargo bench`
-                other => {
-                    eprintln!("ignoring unknown argument: {other}");
-                }
+                other => die(&format!("unknown argument `{other}`")),
             }
             i += 1;
         }
@@ -169,8 +171,11 @@ impl RunArgs {
     }
 }
 
+const USAGE: &str = "usage: [--scale N | --paper] [--seed S] [--out DIR] [--threads N] \
+                     [--json-metrics FILE] [--trace-events N]";
+
 fn die<T>(msg: &str) -> T {
-    eprintln!("error: {msg}");
+    eprintln!("error: {msg}\n{USAGE}");
     std::process::exit(2);
 }
 

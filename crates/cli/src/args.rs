@@ -51,7 +51,6 @@ const VALUE_KEYS: &[&str] = &[
     "planes",
     "writeback-us",
     "queue-depth",
-    "sched-backend",
     "admission",
     "longevity-buckets",
 ];

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use flashcache::nand::FlashConfig;
 use flashcache::nand::FlashGeometry;
-use flashcache::nand::{ChannelConfig, SchedBackend, TimingBackend};
+use flashcache::nand::{ChannelConfig, TimingBackend};
 use flashcache::obs;
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
 use flashcache::trace::spc::{write_spc, SpcReader};
@@ -62,8 +62,6 @@ switches flash timing to the event-driven backend):
   --queue-depth N     outstanding ops admitted per channel (default 4)
   --writeback-us T    write-buffer flush delay in µs; rewrites within the
                       window coalesce (default 0 = write-through)
-  --sched-backend B   event-queue implementation: wheel (default, timer
-                      wheel) or heap (the differential oracle)
 
 SWEEP:
   --sizes-mb A,B,C    flash sizes to evaluate (default 8,16,32,64)
@@ -102,15 +100,9 @@ fn load_workload(args: &super::Args) -> Result<WorkloadSpec, String> {
 /// built [`ChannelConfig`] that switches the device to the event-driven
 /// backend.
 fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
-    let given = [
-        "channels",
-        "planes",
-        "writeback-us",
-        "queue-depth",
-        "sched-backend",
-    ]
-    .iter()
-    .any(|k| args.get(k).is_some());
+    let given = ["channels", "planes", "writeback-us", "queue-depth"]
+        .iter()
+        .any(|k| args.get(k).is_some());
     if !given {
         return Ok(None);
     }
@@ -120,21 +112,11 @@ fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
     let writeback_us: f64 = args
         .num("writeback-us", 0.0f64)
         .map_err(|e| e.to_string())?;
-    let sched_backend = match args.get("sched-backend").unwrap_or("wheel") {
-        "heap" => SchedBackend::Heap,
-        "wheel" => SchedBackend::Wheel,
-        other => {
-            return Err(format!(
-                "--sched-backend must be heap or wheel, got {other}"
-            ))
-        }
-    };
     ChannelConfig::builder()
         .channels(channels)
         .planes(planes)
         .queue_depth(queue_depth)
         .writeback_us(writeback_us)
-        .sched_backend(sched_backend)
         .build()
         .map(Some)
         .map_err(|e| e.to_string())

@@ -157,3 +157,19 @@ fn bad_input_fails_with_nonzero_status() {
     assert!(!ok3);
     assert!(stderr3.contains("needs a value"));
 }
+
+#[test]
+fn retired_scheduler_flag_is_rejected_with_usage() {
+    let exe = env!("CARGO_BIN_EXE_flashcache");
+    let out = Command::new(exe)
+        .args(["simulate", "--sched-backend", "heap"])
+        .output()
+        .expect("spawn CLI");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option --sched-backend"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE"), "{stderr}");
+}

@@ -18,7 +18,7 @@
 use std::fmt;
 
 use crate::config::AdmissionPolicyConfig;
-use crate::fxhash::FxHashMap;
+use nand_flash::fxhash::FxHashMap;
 
 /// Decides, per access, whether a page may occupy flash space.
 ///

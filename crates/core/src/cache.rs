@@ -30,9 +30,8 @@ pub enum CacheOpKind {
     Write,
 }
 
-/// One typed request against the cache: the unified entry point that
-/// replaces the `read`/`write`/`try_read`/`try_write` sprawl. Build
-/// with [`CacheOp::read`]/[`CacheOp::write`] and submit through
+/// One typed request against the cache. Build with
+/// [`CacheOp::read`]/[`CacheOp::write`] and submit through
 /// [`FlashCache::op`] or [`FlashCache::try_op`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheOp {
@@ -92,8 +91,7 @@ pub enum AdmissionDecision {
 /// admission stage decided.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheOutcome {
-    /// The access outcome (hit/tier/latency/disk obligations) — the
-    /// same contract as the legacy entry points returned.
+    /// The access outcome (hit/tier/latency/disk obligations).
     pub access: AccessOutcome,
     /// The admission stage's decision for this op.
     pub admission: AdmissionDecision,
@@ -290,8 +288,7 @@ impl FlashCache {
             config.counter_decay_interval
         };
         // One mapping per slot at most: sized so lookups never rehash.
-        let mut fcht = Fcht::with_capacity(usable_slots as usize);
-        fcht.set_swar_probe(config.fcht_swar_probe);
+        let fcht = Fcht::with_capacity(usable_slots as usize);
         Ok(FlashCache {
             live_strength: vec![config.initial_ecc; usable_slots as usize],
             device,
@@ -375,7 +372,6 @@ impl FlashCache {
             ("flash.ecc_us", s.ecc_us.round() as u64),
             ("flash.reclaim.index_queries", s.reclaim_index_queries),
             ("flash.reclaim.index_hits", s.reclaim_index_hits),
-            ("flash.reclaim.scan_fallbacks", s.reclaim_scan_fallbacks),
             ("flash.reclaim.index_skips", self.reclaim.skips()),
             ("flash.admission.rejected_fills", s.admission_rejected_fills),
             (
@@ -685,8 +681,7 @@ impl FlashCache {
     /// scalar loop for every batch size. What the batch adds is a
     /// software-pipelined *lookup front*: while op `j` executes, the
     /// FCHT lines of op `j + K` are prefetched (a pure hint — see
-    /// DESIGN.md §17), overlapping the LLC misses of independent
-    /// requests. Gated by [`FlashCacheConfig::batch_pipeline`].
+    /// DESIGN.md), overlapping the LLC misses of independent requests.
     ///
     /// # Examples
     ///
@@ -709,12 +704,6 @@ impl FlashCache {
     /// not cleared), so hot loops can reuse one allocation.
     pub fn op_batch_into(&mut self, ops: &[CacheOp], out: &mut Vec<CacheOutcome>) {
         out.reserve(ops.len());
-        if !self.config.batch_pipeline {
-            for &op in ops {
-                out.push(self.op(op));
-            }
-            return;
-        }
         // Pipeline window: far enough ahead to cover an LLC miss at
         // replay op rates, small enough that the prefetched lines are
         // still resident when their op executes. Swept 4/8/16/32 on the
@@ -730,28 +719,6 @@ impl FlashCache {
             }
             out.push(self.op(op));
         }
-    }
-
-    /// Services a read of `disk_page` (§5.1 read path).
-    #[deprecated(
-        since = "0.9.0",
-        note = "use FlashCache::op(CacheOp::read(lba)).access"
-    )]
-    pub fn read(&mut self, disk_page: u64) -> AccessOutcome {
-        self.op(CacheOp::read(disk_page)).access
-    }
-
-    /// Services a read of `disk_page`, surfacing internal errors.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlashCache::try_op`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "use FlashCache::try_op(CacheOp::read(lba)) and take `.access`"
-    )]
-    pub fn try_read(&mut self, disk_page: u64) -> Result<AccessOutcome, CacheError> {
-        self.try_op(CacheOp::read(disk_page)).map(|o| o.access)
     }
 
     /// §5.1 read path with the admission gate on the two fill points.
@@ -858,31 +825,9 @@ impl FlashCache {
         }
     }
 
-    /// Services a write of `disk_page` (§5.1 write path): always an
-    /// out-of-place write into the write region.
-    #[deprecated(
-        since = "0.9.0",
-        note = "use FlashCache::op(CacheOp::write(lba)).access"
-    )]
-    pub fn write(&mut self, disk_page: u64) -> AccessOutcome {
-        self.op(CacheOp::write(disk_page)).access
-    }
-
-    /// Services a write of `disk_page`, surfacing internal errors.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlashCache::try_op`].
-    #[deprecated(
-        since = "0.9.0",
-        note = "use FlashCache::try_op(CacheOp::write(lba)) and take `.access`"
-    )]
-    pub fn try_write(&mut self, disk_page: u64) -> Result<AccessOutcome, CacheError> {
-        self.try_op(CacheOp::write(disk_page)).map(|o| o.access)
-    }
-
-    /// §5.1 write path with the admission gate, dirty-page coalescing,
-    /// and longevity-bucketed placement in front of the program.
+    /// §5.1 write path — always an out-of-place write into the write
+    /// region — with the admission gate, dirty-page coalescing, and
+    /// longevity-bucketed placement in front of the program.
     fn op_write(&mut self, op: CacheOp) -> Result<CacheOutcome, CacheError> {
         let disk_page = op.lba;
         self.begin_op();

@@ -2,13 +2,11 @@
 //! writes, GC, eviction, wear levelling, controller reconfiguration, and
 //! full structural invariants after heavy churn.
 
-#![allow(deprecated)] // legacy entry-point shims are intentionally exercised
-
 use nand_flash::{CellMode, FlashConfig, FlashGeometry, WearConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cache::FlashCache;
+use crate::cache::{CacheOp, FlashCache};
 use crate::config::{ControllerPolicy, FlashCacheConfig, SplitPolicy};
 
 /// A small cache: 16 blocks × 8 physical pages = 256 slots.
@@ -33,10 +31,10 @@ fn small_cache() -> FlashCache {
 #[test]
 fn read_miss_then_hit() {
     let mut c = small_cache();
-    let first = c.read(100);
+    let first = c.op(CacheOp::read(100)).access;
     assert!(!first.hit);
     assert!(first.needs_disk_read);
-    let second = c.read(100);
+    let second = c.op(CacheOp::read(100)).access;
     assert!(second.hit);
     assert!(!second.needs_disk_read);
     // MLC read (50µs) plus ECC decode at t=1.
@@ -49,19 +47,19 @@ fn read_miss_then_hit() {
 #[test]
 fn write_then_read_hits() {
     let mut c = small_cache();
-    let w = c.write(55);
+    let w = c.op(CacheOp::write(55)).access;
     assert!(!w.hit);
     assert!(!w.needs_disk_read, "writes never need a disk fetch");
-    assert!(c.read(55).hit);
+    assert!(c.op(CacheOp::read(55)).access.hit);
     c.check_invariants().unwrap();
 }
 
 #[test]
 fn overwrite_is_out_of_place() {
     let mut c = small_cache();
-    c.write(7);
+    c.op(CacheOp::write(7));
     let programs_before = c.stats().flash_programs;
-    let w = c.write(7);
+    let w = c.op(CacheOp::write(7)).access;
     assert!(w.hit);
     // A second write programs a fresh slot rather than updating in place.
     assert_eq!(c.stats().flash_programs, programs_before + 1);
@@ -73,11 +71,11 @@ fn overwrite_is_out_of_place() {
 #[test]
 fn write_invalidates_read_copy() {
     let mut c = small_cache();
-    c.read(9); // fills read region
-    let w = c.write(9); // §5.1: invalidate read copy, write region copy
+    c.op(CacheOp::read(9)); // fills read region
+    let w = c.op(CacheOp::write(9)).access; // §5.1: invalidate read copy, write region copy
     assert!(w.hit);
     assert_eq!(c.cached_pages(), 1);
-    assert!(c.read(9).hit);
+    assert!(c.op(CacheOp::read(9)).access.hit);
     c.check_invariants().unwrap();
 }
 
@@ -86,7 +84,7 @@ fn capacity_misses_trigger_eviction_not_growth() {
     let mut c = small_cache();
     // Touch far more pages than the cache holds.
     for p in 0..2_000u64 {
-        c.read(p);
+        c.op(CacheOp::read(p));
     }
     let stats = c.stats();
     assert!(stats.evictions > 0, "evictions must have happened");
@@ -102,7 +100,7 @@ fn write_churn_triggers_gc() {
     // overwrites generate invalid pages, so the write region must
     // garbage collect rather than evict.
     for _ in 0..5_000 {
-        c.write(rng.gen_range(0..12));
+        c.op(CacheOp::write(rng.gen_range(0..12)));
     }
     let stats = c.stats();
     assert!(stats.gc_runs > 0, "write churn must trigger GC");
@@ -128,9 +126,9 @@ fn unified_and_split_both_survive_mixed_churn() {
         for _ in 0..4_000 {
             let p = rng.gen_range(0..300u64);
             if rng.gen_bool(0.3) {
-                c.write(p);
+                c.op(CacheOp::write(p));
             } else {
-                c.read(p);
+                c.op(CacheOp::read(p));
             }
         }
         c.check_invariants()
@@ -161,9 +159,9 @@ fn split_beats_unified_miss_rate_under_write_pressure() {
         // Zipf-ish: hot reads over 600 pages, scattered writes.
         for _ in 0..30_000 {
             if rng.gen_bool(0.25) {
-                c.write(rng.gen_range(0..3_000u64));
+                c.op(CacheOp::write(rng.gen_range(0..3_000u64)));
             } else {
-                c.read(rng.gen_range(0..600u64));
+                c.op(CacheOp::read(rng.gen_range(0..600u64)));
             }
         }
         c.check_invariants().unwrap();
@@ -183,7 +181,7 @@ fn split_beats_unified_miss_rate_under_write_pressure() {
 fn flush_writes_cleans_dirty_pages() {
     let mut c = small_cache();
     for p in 0..10 {
-        c.write(p);
+        c.op(CacheOp::write(p));
     }
     let flushed = c.flush_writes();
     assert_eq!(flushed, 10);
@@ -202,7 +200,7 @@ fn eviction_of_dirty_block_reports_flushes() {
     .unwrap();
     let mut total_flushed = 0u64;
     for p in 0..4_000u64 {
-        let out = c.write(p); // all distinct: no invalidation, pure pressure
+        let out = c.op(CacheOp::write(p)).access; // all distinct: no invalidation, pure pressure
         total_flushed += out.flushed_dirty as u64;
     }
     assert!(
@@ -216,17 +214,17 @@ fn eviction_of_dirty_block_reports_flushes() {
 #[test]
 fn hot_pages_get_promoted_to_slc() {
     let mut c = small_cache();
-    c.read(1);
+    c.op(CacheOp::read(1));
     let threshold = c.config().hot_threshold as usize;
     for _ in 0..threshold + 2 {
-        c.read(1);
+        c.op(CacheOp::read(1));
     }
     let stats = c.stats();
     assert_eq!(stats.hot_promotions, 1, "exactly one promotion");
     assert_eq!(stats.reconfig_density, 1);
     assert!(c.slc_fraction() > 0.0);
     // Promotion preserves the cached data.
-    assert!(c.read(1).hit);
+    assert!(c.op(CacheOp::read(1)).access.hit);
     c.check_invariants().unwrap();
 }
 
@@ -238,7 +236,7 @@ fn fixed_controller_never_reconfigures() {
     })
     .unwrap();
     for p in 0..200u64 {
-        c.read(p % 20);
+        c.op(CacheOp::read(p % 20));
     }
     let stats = c.stats();
     assert_eq!(stats.reconfig_ecc, 0);
@@ -271,9 +269,9 @@ fn worn_device_reconfigures_and_eventually_retires() {
     while !c.is_dead() && steps < 3_000_000 {
         let p = rng.gen_range(0..200u64);
         if rng.gen_bool(0.6) {
-            c.write(p);
+            c.op(CacheOp::write(p));
         } else {
-            c.read(p);
+            c.op(CacheOp::read(p));
         }
         steps += 1;
     }
@@ -284,8 +282,14 @@ fn worn_device_reconfigures_and_eventually_retires() {
     );
     assert!(stats.retired_blocks > 0, "blocks must retire under wear");
     assert!(c.is_dead(), "device must die within the step budget");
-    assert!(c.read(1).bypassed, "dead cache passes reads to disk");
-    assert!(c.write(1).bypassed, "dead cache passes writes to disk");
+    assert!(
+        c.op(CacheOp::read(1)).access.bypassed,
+        "dead cache passes reads to disk"
+    );
+    assert!(
+        c.op(CacheOp::write(1)).access.bypassed,
+        "dead cache passes writes to disk"
+    );
 }
 
 #[test]
@@ -315,9 +319,9 @@ fn bch1_dies_much_sooner_than_programmable() {
         while !c.is_dead() && steps < 5_000_000 {
             let p = rng.gen_range(0..200u64);
             if rng.gen_bool(0.6) {
-                c.write(p);
+                c.op(CacheOp::write(p));
             } else {
-                c.read(p);
+                c.op(CacheOp::read(p));
             }
             steps += 1;
         }
@@ -341,11 +345,11 @@ fn wear_levelling_migrates_cold_blocks() {
     })
     .unwrap();
     for p in 0..100u64 {
-        c.read(p);
+        c.op(CacheOp::read(p));
     }
     let mut rng = StdRng::seed_from_u64(5);
     for _ in 0..30_000 {
-        c.write(rng.gen_range(0..30u64));
+        c.op(CacheOp::write(rng.gen_range(0..30u64)));
     }
     assert!(
         c.stats().wear_migrations > 0,
@@ -357,10 +361,13 @@ fn wear_levelling_migrates_cold_blocks() {
 #[test]
 fn stats_reset_keeps_contents() {
     let mut c = small_cache();
-    c.read(5);
+    c.op(CacheOp::read(5));
     c.reset_stats();
     assert_eq!(c.stats().reads, 0);
-    assert!(c.read(5).hit, "contents survive a stats reset");
+    assert!(
+        c.op(CacheOp::read(5)).access.hit,
+        "contents survive a stats reset"
+    );
 }
 
 #[test]
@@ -378,9 +385,9 @@ fn ecc_only_policy_never_switches_density() {
     for _ in 0..100_000 {
         let p = rng.gen_range(0..100u64);
         if rng.gen_bool(0.5) {
-            c.write(p);
+            c.op(CacheOp::write(p));
         } else {
-            c.read(p);
+            c.op(CacheOp::read(p));
         }
         if c.is_dead() {
             break;
@@ -404,10 +411,10 @@ fn invariants_hold_under_long_random_churn() {
         let p = rng.gen_range(0..500u64);
         match rng.gen_range(0..10) {
             0..=5 => {
-                c.read(p);
+                c.op(CacheOp::read(p));
             }
             6..=8 => {
-                c.write(p);
+                c.op(CacheOp::write(p));
             }
             _ => {
                 c.flush_writes();
@@ -424,8 +431,8 @@ fn invariants_hold_under_long_random_churn() {
 fn cached_pages_unique_per_disk_page() {
     let mut c = small_cache();
     for _ in 0..50 {
-        c.write(11);
-        c.read(11);
+        c.op(CacheOp::write(11));
+        c.op(CacheOp::read(11));
     }
     assert_eq!(c.cached_pages(), 1, "one mapping per disk page, ever");
 }
@@ -438,16 +445,16 @@ fn slc_default_mode_halves_capacity_but_works() {
     })
     .unwrap();
     for p in 0..300u64 {
-        c.read(p);
+        c.op(CacheOp::read(p));
     }
     c.check_invariants().unwrap();
-    assert!(c.read(299).hit);
+    assert!(c.op(CacheOp::read(299)).access.hit);
     // SLC hit latency (25µs + decode) is lower than the MLC default.
     let mut mlc = small_cache();
     for p in 0..300u64 {
-        mlc.read(p);
+        mlc.op(CacheOp::read(p));
     }
-    let slc_hit = c.read(299).latency_us;
-    let mlc_hit = mlc.read(299).latency_us;
+    let slc_hit = c.op(CacheOp::read(299)).access.latency_us;
+    let mlc_hit = mlc.op(CacheOp::read(299)).access.latency_us;
     assert!(slc_hit < mlc_hit);
 }

@@ -162,12 +162,6 @@ pub struct FlashCacheConfig {
     /// counter, so "frequently accessed" means *recent* frequency
     /// (§5.2.2). `0` selects one cache-capacity of accesses.
     pub counter_decay_interval: u64,
-    /// Serve reclaim victim queries (GC, eviction, wear levelling) from
-    /// the incremental reclaim index instead of O(blocks) FBST scans.
-    /// The index is maintained and verified either way; disabling only
-    /// changes which side answers queries (kept for before/after
-    /// benchmarking).
-    pub use_reclaim_index: bool,
     /// Admission policy gating fills and host writes out of the flash
     /// (default [`AdmissionPolicyConfig::AdmitAll`], the paper's
     /// behaviour).
@@ -177,18 +171,6 @@ pub struct FlashCacheConfig {
     /// interval. `1` (default) disables bucketing — the pre-admission
     /// single open block. Ignored under [`SplitPolicy::Unified`].
     pub longevity_buckets: u32,
-    /// Probe the FCHT eight control bytes at a time (SWAR group
-    /// probing) instead of byte-at-a-time. Probe order — and therefore
-    /// every table decision, layout, and outcome — is identical either
-    /// way; disabling keeps the byte-wise probe as a differential
-    /// oracle (kept for before/after benchmarking).
-    pub fcht_swar_probe: bool,
-    /// Software-pipeline the lookup stage of
-    /// [`crate::cache::FlashCache::op_batch`]: hash and prefetch the
-    /// FCHT lines of ops a window ahead while executing the current op.
-    /// Prefetches are pure hints, so outcomes, snapshots, stats, and
-    /// exported metrics are byte-identical with the gate off.
-    pub batch_pipeline: bool,
 }
 
 impl Default for FlashCacheConfig {
@@ -210,11 +192,8 @@ impl Default for FlashCacheConfig {
             disk_latency_us: 4200.0,
             reconfig_margin: 0,
             counter_decay_interval: 0,
-            use_reclaim_index: true,
             admission: AdmissionPolicyConfig::default(),
             longevity_buckets: 1,
-            fcht_swar_probe: true,
-            batch_pipeline: true,
         }
     }
 }
@@ -458,12 +437,6 @@ impl FlashCacheConfigBuilder {
         self
     }
 
-    /// Selects whether reclaim victim queries use the incremental index.
-    pub fn use_reclaim_index(mut self, use_reclaim_index: bool) -> Self {
-        self.config.use_reclaim_index = use_reclaim_index;
-        self
-    }
-
     /// Sets the flash admission policy gating fills and host writes.
     pub fn admission(mut self, admission: AdmissionPolicyConfig) -> Self {
         self.config.admission = admission;
@@ -474,20 +447,6 @@ impl FlashCacheConfigBuilder {
     /// (`1..=16`; `1` disables bucketing).
     pub fn longevity_buckets(mut self, longevity_buckets: u32) -> Self {
         self.config.longevity_buckets = longevity_buckets;
-        self
-    }
-
-    /// Selects SWAR group probing (`true`, default) or the byte-wise
-    /// differential-oracle probe for the FCHT.
-    pub fn fcht_swar_probe(mut self, fcht_swar_probe: bool) -> Self {
-        self.config.fcht_swar_probe = fcht_swar_probe;
-        self
-    }
-
-    /// Enables (default) or disables the prefetch-pipelined lookup
-    /// stage of `FlashCache::op_batch`.
-    pub fn batch_pipeline(mut self, batch_pipeline: bool) -> Self {
-        self.config.batch_pipeline = batch_pipeline;
         self
     }
 
@@ -569,14 +528,12 @@ mod tests {
             .max_ecc(16)
             .hot_threshold(4)
             .wear_weights(0.25, 4.0)
-            .use_reclaim_index(false)
             .build()
             .unwrap();
         assert_eq!(c.split, SplitPolicy::Unified);
         assert_eq!(c.initial_ecc, 2);
         assert_eq!(c.max_ecc, 16);
         assert_eq!(c.hot_threshold, 4);
-        assert!(!c.use_reclaim_index);
 
         // Invalid combinations are rejected at build time.
         assert!(FlashCacheConfig::builder()
@@ -642,22 +599,6 @@ mod tests {
         let c = FlashCacheConfig::default();
         assert_eq!(c.admission, AdmissionPolicyConfig::AdmitAll);
         assert_eq!(c.longevity_buckets, 1);
-    }
-
-    #[test]
-    fn probe_and_pipeline_gates_default_on() {
-        // The bench and CI smoke assume the shipped configuration is
-        // the fast one; the oracles are opt-in.
-        let c = FlashCacheConfig::default();
-        assert!(c.fcht_swar_probe);
-        assert!(c.batch_pipeline);
-        let oracle = FlashCacheConfig::builder()
-            .fcht_swar_probe(false)
-            .batch_pipeline(false)
-            .build()
-            .unwrap();
-        assert!(!oracle.fcht_swar_probe);
-        assert!(!oracle.batch_pipeline);
     }
 
     #[test]

@@ -2,13 +2,11 @@
 //! geometries, soft-error storms, region exhaustion, mode interactions,
 //! and recovery behaviour.
 
-#![allow(deprecated)] // legacy entry-point shims are intentionally exercised
-
 use nand_flash::{CellMode, FlashConfig, FlashGeometry, WearConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cache::FlashCache;
+use crate::cache::{CacheOp, FlashCache};
 use crate::config::{ControllerPolicy, FlashCacheConfig, SplitPolicy};
 
 fn geometry(blocks: u32, pages_per_block: u32) -> FlashGeometry {
@@ -31,11 +29,11 @@ fn minimum_viable_geometry_works() {
     })
     .unwrap();
     for p in 0..50u64 {
-        c.read(p);
-        c.write(p + 100);
+        c.op(CacheOp::read(p));
+        c.op(CacheOp::write(p + 100));
     }
     c.check_invariants().unwrap();
-    assert!(c.read(49).hit || c.read(49).needs_disk_read);
+    assert!(c.op(CacheOp::read(49)).access.hit || c.op(CacheOp::read(49)).access.needs_disk_read);
 }
 
 #[test]
@@ -58,7 +56,7 @@ fn soft_error_storm_is_survivable() {
     .unwrap();
     let mut disk_refetches = 0u64;
     for i in 0..20_000u64 {
-        let out = c.read(i % 64);
+        let out = c.op(CacheOp::read(i % 64)).access;
         if out.uncorrectable {
             disk_refetches += 1;
         }
@@ -74,7 +72,7 @@ fn soft_error_storm_is_survivable() {
     assert_eq!(s.retired_blocks, 0);
     c.check_invariants().unwrap();
     // And the data is re-fetchable: reads still succeed afterwards.
-    assert!(c.read(1).hit || c.read(1).needs_disk_read);
+    assert!(c.op(CacheOp::read(1)).access.hit || c.op(CacheOp::read(1)).access.needs_disk_read);
 }
 
 #[test]
@@ -96,9 +94,9 @@ fn uncorrectable_dirty_page_is_counted_as_lost_not_flushed() {
         ..FlashCacheConfig::default()
     })
     .unwrap();
-    c.write(5);
+    c.op(CacheOp::write(5));
     let before_flush = c.stats().flushed_dirty_pages;
-    let out = c.read(5);
+    let out = c.op(CacheOp::read(5)).access;
     if out.uncorrectable {
         // The lost dirty copy must not appear in the flushed count.
         assert_eq!(c.stats().flushed_dirty_pages, before_flush);
@@ -120,7 +118,7 @@ fn write_only_workload_never_touches_read_region_blocks() {
     })
     .unwrap();
     for i in 0..5_000u64 {
-        c.write(i % 64);
+        c.op(CacheOp::write(i % 64));
     }
     // Read-region blocks must have zero erases: all churn is contained.
     let mut read_region_erases = 0u64;
@@ -148,7 +146,7 @@ fn read_only_workload_never_flushes() {
     .unwrap();
     let mut flushed = 0u64;
     for i in 0..10_000u64 {
-        flushed += c.read(i % 2_000).flushed_dirty as u64;
+        flushed += c.op(CacheOp::read(i % 2_000)).access.flushed_dirty as u64;
     }
     assert_eq!(flushed, 0, "clean pages never owe disk writes");
     assert_eq!(c.stats().flushed_dirty_pages, 0);
@@ -171,9 +169,9 @@ fn slc_default_with_density_only_policy_is_stable() {
     .unwrap();
     for i in 0..3_000u64 {
         if i % 3 == 0 {
-            c.write(i % 100);
+            c.op(CacheOp::write(i % 100));
         } else {
-            c.read(i % 100);
+            c.op(CacheOp::read(i % 100));
         }
     }
     assert_eq!(c.slc_fraction(), 1.0);
@@ -194,9 +192,9 @@ fn interleaved_read_write_same_page_yields_single_mapping() {
     let mut rng = StdRng::seed_from_u64(9);
     for _ in 0..5_000 {
         if rng.gen_bool(0.5) {
-            c.read(7);
+            c.op(CacheOp::read(7));
         } else {
-            c.write(7);
+            c.op(CacheOp::write(7));
         }
         assert!(c.cached_pages() <= 1);
     }
@@ -219,18 +217,18 @@ fn wear_migration_across_regions_keeps_data_reachable() {
     .unwrap();
     // Cold read content.
     for p in 0..40u64 {
-        c.read(p);
+        c.op(CacheOp::read(p));
     }
     // Hammer writes to age the write region far beyond the read blocks.
     let mut rng = StdRng::seed_from_u64(10);
     for _ in 0..40_000 {
-        c.write(40 + rng.gen_range(0..10u64));
+        c.op(CacheOp::write(40 + rng.gen_range(0..10u64)));
     }
     assert!(c.stats().wear_migrations > 0, "imbalance must trigger §3.6");
     c.check_invariants().unwrap();
     // All write-set pages still readable (hit or honest miss, no panic).
     for p in 40..50u64 {
-        let out = c.read(p);
+        let out = c.op(CacheOp::read(p)).access;
         assert!(out.hit || out.needs_disk_read);
     }
 }
@@ -249,7 +247,7 @@ fn counter_decay_prevents_everything_going_hot() {
     })
     .unwrap();
     for i in 0..100_000u64 {
-        c.read(i % 1_500); // uniform scan over more pages than slots/4
+        c.op(CacheOp::read(i % 1_500)); // uniform scan over more pages than slots/4
     }
     assert!(
         c.slc_fraction() < 0.5,
@@ -278,7 +276,7 @@ fn zipf_traffic_promotes_only_the_hot_head() {
         } else {
             rng.gen_range(8..1_000u64)
         };
-        c.read(p);
+        c.op(CacheOp::read(p));
     }
     let s = c.stats();
     assert!(s.hot_promotions >= 8, "the head must be promoted");
@@ -288,7 +286,7 @@ fn zipf_traffic_promotes_only_the_hot_head() {
         "promotion must be selective, got {frac:.2}"
     );
     // Hot page reads now run at SLC latency (25µs + decode < MLC 50µs + decode).
-    let hot = c.read(0).latency_us;
+    let hot = c.op(CacheOp::read(0)).access.latency_us;
     assert!(
         hot < 50.0 + c.config().ecc_latency.decode_us(1),
         "hot={hot}"
@@ -307,7 +305,7 @@ fn flush_interacts_correctly_with_eviction_accounting() {
     .unwrap();
     let mut flushed_during_writes = 0u64;
     for p in 0..30u64 {
-        flushed_during_writes += c.write(p).flushed_dirty as u64;
+        flushed_during_writes += c.op(CacheOp::write(p)).access.flushed_dirty as u64;
     }
     let explicit = c.flush_writes();
     // Every dirty page was flushed exactly once: either pushed out by
@@ -316,7 +314,7 @@ fn flush_interacts_correctly_with_eviction_accounting() {
     // After the flush, evictions of those pages owe no further writes.
     let flushed_before = c.stats().flushed_dirty_pages;
     for p in 1_000..4_000u64 {
-        c.read(p); // pressure out the old write pages
+        c.op(CacheOp::read(p)); // pressure out the old write pages
     }
     let flushed_by_eviction = c.stats().flushed_dirty_pages - flushed_before;
     assert_eq!(
@@ -340,9 +338,9 @@ fn stats_latency_accounting_is_internally_consistent() {
     let mut background = 0.0;
     for i in 0..2_000u64 {
         let out = if i % 4 == 0 {
-            c.write(i % 300)
+            c.op(CacheOp::write(i % 300)).access
         } else {
-            c.read(i % 300)
+            c.op(CacheOp::read(i % 300)).access
         };
         foreground += out.latency_us;
         background += out.background_us;
@@ -379,9 +377,9 @@ fn write_heavy_device_reaches_total_failure_without_orphans() {
     while !c.is_dead() && steps < 4_000_000 {
         let p = rng.gen_range(0..400u64);
         if rng.gen_bool(0.77) {
-            c.write(p);
+            c.op(CacheOp::write(p));
         } else {
-            c.read(p);
+            c.op(CacheOp::read(p));
         }
         steps += 1;
     }

@@ -40,7 +40,6 @@ pub mod descriptor;
 #[cfg(test)]
 mod edge_tests;
 pub mod error;
-pub mod fxhash;
 pub mod lru;
 mod maint;
 pub mod overheads;

@@ -6,7 +6,7 @@
 //! up front (one key per flash block) by indexing the links directly
 //! with the key, removing the hash lookup from the replay hot path.
 
-use crate::fxhash::FxHashMap;
+use nand_flash::fxhash::FxHashMap;
 
 const NIL: usize = usize::MAX;
 

@@ -201,13 +201,8 @@ impl FlashCache {
         ((spb as f64 * self.config.gc_min_invalid_fraction).ceil() as u32).max(1)
     }
 
-    /// A fully invalidated block of `kind`, from the reclaim index (or
-    /// the scan oracle when the index is disabled).
+    /// A fully invalidated block of `kind`, from the reclaim index.
     fn find_fully_invalid(&mut self, kind: RegionKind) -> Option<BlockId> {
-        if !self.config.use_reclaim_index {
-            self.stats.reclaim_scan_fallbacks += 1;
-            return self.find_fully_invalid_scan(kind);
-        }
         self.stats.reclaim_index_queries += 1;
         let region = self.storage_kind(kind);
         let found = self
@@ -218,7 +213,7 @@ impl FlashCache {
     }
 
     /// O(blocks) ground-truth oracle for [`Self::find_fully_invalid`],
-    /// retained for `check_invariants` and the differential tests.
+    /// replayed by `check_invariants`.
     fn find_fully_invalid_scan(&self, kind: RegionKind) -> Option<BlockId> {
         self.fbst
             .iter()
@@ -238,10 +233,6 @@ impl FlashCache {
     /// (`gc_min_invalid_fraction`) — otherwise `None`, and eviction is
     /// the better reclaim.
     fn find_gc_victim(&mut self, kind: RegionKind) -> Option<BlockId> {
-        if !self.config.use_reclaim_index {
-            self.stats.reclaim_scan_fallbacks += 1;
-            return self.find_gc_victim_scan(kind);
-        }
         self.stats.reclaim_index_queries += 1;
         let region = self.storage_kind(kind);
         self.reclaim.trim_gc_cursor(region);
@@ -271,10 +262,6 @@ impl FlashCache {
 
     /// The least recently used block of `kind` with content.
     fn find_lru_victim(&mut self, kind: RegionKind) -> Option<BlockId> {
-        if !self.config.use_reclaim_index {
-            self.stats.reclaim_scan_fallbacks += 1;
-            return self.find_lru_victim_scan(kind);
-        }
         self.stats.reclaim_index_queries += 1;
         let region = self.storage_kind(kind);
         let found = self
@@ -303,10 +290,6 @@ impl FlashCache {
     /// set of Flash blocks"), restricted to blocks whose content can be
     /// migrated.
     fn find_newest_block(&mut self, exclude: BlockId) -> Option<BlockId> {
-        if !self.config.use_reclaim_index {
-            self.stats.reclaim_scan_fallbacks += 1;
-            return self.find_newest_block_scan(exclude);
-        }
         self.stats.reclaim_index_queries += 1;
         let found = self
             .reclaim
@@ -798,7 +781,7 @@ impl FlashCache {
             ));
         }
         // The incremental reclaim index must mirror the FBST exactly
-        // (membership and keys), whether or not queries are routed to it.
+        // (membership and keys).
         self.reclaim
             .verify(&self.fbst, self.config.wear_k1, self.config.wear_k2)?;
         // Differential: every index query must return a victim with the

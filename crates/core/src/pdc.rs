@@ -2,8 +2,8 @@
 //! the flash secondary cache (Figure 2). Managed by the OS as a
 //! write-back LRU over 2KB disk pages.
 
-use crate::fxhash::FxHashMap;
 use crate::lru::LruTracker;
+use nand_flash::fxhash::FxHashMap;
 
 /// Result of a PDC insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

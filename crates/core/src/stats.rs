@@ -55,12 +55,9 @@ pub struct CacheStats {
     pub reclaim_index_queries: u64,
     /// Index-answered queries that produced a victim.
     pub reclaim_index_hits: u64,
-    /// Reclaim victim queries answered by the O(blocks) FBST scan
-    /// (index disabled via `use_reclaim_index: false`).
-    pub reclaim_scan_fallbacks: u64,
     /// Internal errors degraded into bypassed outcomes by the infallible
-    /// entry points (`read`/`write` catching a
-    /// [`CacheError`](crate::CacheError) from their `try_` twins).
+    /// entry point (`op` catching a [`CacheError`](crate::CacheError)
+    /// from `try_op`).
     pub internal_errors: u64,
     /// Read-miss fills the admission policy kept out of flash (the
     /// request was still served from disk; nothing was cached).
@@ -129,7 +126,6 @@ impl CacheStats {
         self.ecc_us += other.ecc_us;
         self.reclaim_index_queries += other.reclaim_index_queries;
         self.reclaim_index_hits += other.reclaim_index_hits;
-        self.reclaim_scan_fallbacks += other.reclaim_scan_fallbacks;
         self.internal_errors += other.internal_errors;
         self.admission_rejected_fills += other.admission_rejected_fills;
         self.admission_rejected_writes += other.admission_rejected_writes;

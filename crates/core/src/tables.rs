@@ -32,6 +32,7 @@ const LSB: u64 = 0x0101_0101_0101_0101;
 const MSB: u64 = 0x8080_8080_8080_8080;
 
 /// Where a probe for a key terminated.
+#[derive(Debug, PartialEq, Eq)]
 enum Probe {
     /// The key is resident at this bucket.
     Found(usize),
@@ -57,14 +58,11 @@ enum Probe {
 /// and backward-shift deletion instead of tombstones keep churn from
 /// degrading probe lengths.
 ///
-/// Probing comes in two gauge-identical flavours, selected by
-/// [`Fcht::set_swar_probe`]: the default SWAR probe loads eight control
-/// bytes per `u64` and finds tag candidates and empties with bitwise
-/// tricks, while the byte-wise probe walks one bucket at a time. Both
-/// visit candidate buckets in the same order, so every table decision
-/// (which bucket an insert lands in, which entries a deletion shifts
-/// back) — and hence the table layout and the probe counters — is
-/// byte-identical across the gate.
+/// Probing is SWAR: eight control bytes are loaded per `u64`, and tag
+/// candidates and empties are found with bitwise tricks. Candidate
+/// buckets are visited in ascending probe order, exactly as a
+/// byte-at-a-time walk would — the in-crate tests pin every probe
+/// against that walk.
 #[derive(Debug)]
 pub struct Fcht {
     /// Per-bucket control byte: [`CTRL_EMPTY`] or the hash fragment.
@@ -77,14 +75,11 @@ pub struct Fcht {
     /// `64 - log2(buckets)`: maps a 64-bit hash to a bucket.
     shift: u32,
     len: usize,
-    /// Probe eight control bytes per load (SWAR) instead of one.
-    swar: bool,
     /// Packed probe statistics (`Cell`: lookups are `&self`), updated
     /// with a single load/store per probe to keep the counters off the
     /// hot path's critical cost. Bits 16.. count 8-byte control groups
     /// touched by probes; bits ..16 hold the longest probe observed in
-    /// buckets (saturating at `u16::MAX`). Identical across probe
-    /// modes.
+    /// buckets (saturating at `u16::MAX`).
     probe_stats: Cell<u64>,
 }
 
@@ -95,7 +90,7 @@ impl Default for Fcht {
 }
 
 /// Multiplicative hash constant (2^64 / golden ratio, forced odd) —
-/// the same one [`crate::fxhash::FxHasher`] uses.
+/// the same one [`nand_flash::fxhash::FxHasher`] uses.
 const FCHT_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 impl Fcht {
@@ -119,21 +114,8 @@ impl Fcht {
             locs: vec![0; buckets],
             shift: 64 - buckets.trailing_zeros(),
             len: 0,
-            swar: true,
             probe_stats: Cell::new(0),
         }
-    }
-
-    /// Selects SWAR group probing (`true`, the default) or the
-    /// byte-wise differential-oracle probe. Purely an execution-mode
-    /// switch: layout and results never depend on it.
-    pub fn set_swar_probe(&mut self, swar: bool) {
-        self.swar = swar;
-    }
-
-    /// `true` when probes run the SWAR group path.
-    pub fn swar_probe(&self) -> bool {
-        self.swar
     }
 
     /// Lifetime count of 8-byte control groups touched by probes.
@@ -192,11 +174,9 @@ impl Fcht {
 
     /// Credits one finished probe that ended at bucket `i` after
     /// starting at `home`. Both counters derive O(1) from those two
-    /// positions — the walk is contiguous (mod table size) in both
-    /// probe flavours, so `aligned-group span` = groups touched and
-    /// `bucket span` = probe length — keeping the probe loops
-    /// instrumentation-free and the two flavours' counters identical
-    /// by construction.
+    /// positions — the walk is contiguous (mod table size), so
+    /// `aligned-group span` = groups touched and `bucket span` = probe
+    /// length — keeping the probe loop instrumentation-free.
     #[inline]
     fn note_probe(&self, home: usize, i: usize) {
         let mask = self.ctrl.len() - 1;
@@ -216,32 +196,29 @@ impl Fcht {
         u64::from_le_bytes(self.ctrl[g * GROUP..(g + 1) * GROUP].try_into().unwrap())
     }
 
-    /// Byte-at-a-time probe: the original loop, retained as the
-    /// differential oracle for the SWAR path. Reads only control bytes
-    /// until the fragment matches; keys stay untouched on the common
-    /// advance steps.
-    #[inline]
+    /// Byte-at-a-time probe: the lock-step reference for
+    /// [`Fcht::probe`] (same terminating bucket for every key in every
+    /// table state; counters derive from that bucket alone).
+    #[cfg(test)]
     fn probe_bytewise(&self, disk_page: u64) -> Probe {
         let mask = self.ctrl.len() - 1;
         let h = Self::hash(disk_page);
-        let frag = Self::frag(h);
-        let home = (h >> self.shift) as usize;
-        let mut i = home;
+        let mut i = (h >> self.shift) as usize;
         loop {
             let c = self.ctrl[i];
             if c == CTRL_EMPTY {
-                self.note_probe(home, i);
                 return Probe::Vacant(i);
             }
-            if c == frag && self.keys[i] == disk_page {
-                self.note_probe(home, i);
+            if c == Self::frag(h) && self.keys[i] == disk_page {
                 return Probe::Found(i);
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// SWAR group probe: loads eight control bytes per `u64`. Empties
+    /// Probes for `disk_page`, loading eight control bytes per `u64`
+    /// (terminates because the load factor never reaches 1 — inserts
+    /// grow at 7/8). Empties
     /// are exact (`word & MSB`, see [`MSB`]); tag candidates come from
     /// the classic zero-byte trick on `word ^ broadcast(frag)`, which
     /// never misses a true zero byte and only false-positives *above*
@@ -251,14 +228,14 @@ impl Fcht {
     /// tile the table exactly and wrap-around lands on a group
     /// boundary.
     #[inline]
-    fn probe_swar(&self, disk_page: u64) -> Probe {
+    fn probe(&self, disk_page: u64) -> Probe {
         let gmask = self.ctrl.len() / GROUP - 1;
         let h = Self::hash(disk_page);
         let frag = Self::frag(h);
         let home = (h >> self.shift) as usize;
         let mut g = home / GROUP;
         // The first group may start mid-chain: ignore lanes before the
-        // home bucket so the probe semantics match the byte-wise walk.
+        // home bucket so the probe is the byte-wise walk from `home`.
         let mut live = !0u64 << ((home % GROUP) * 8);
         loop {
             let word = self.load_group(g);
@@ -284,17 +261,6 @@ impl Fcht {
             }
             g = (g + 1) & gmask;
             live = !0;
-        }
-    }
-
-    /// Probes for `disk_page` through the configured mode. Terminates
-    /// because the load factor never reaches 1 (inserts grow at 7/8).
-    #[inline]
-    fn probe(&self, disk_page: u64) -> Probe {
-        if self.swar {
-            self.probe_swar(disk_page)
-        } else {
-            self.probe_bytewise(disk_page)
         }
     }
 
@@ -353,8 +319,7 @@ impl Fcht {
         // and pull back every entry whose home bucket lies at or before
         // the hole, so chains stay contiguous without tombstones. The
         // walk is bucket-wise and oblivious to SWAR group boundaries —
-        // a chain (or the hole it compacts) may span groups freely, and
-        // the resulting layout is what both probe flavours then see.
+        // a chain (or the hole it compacts) may span groups freely.
         let mut hole = i;
         let mut j = i;
         loop {
@@ -820,6 +785,9 @@ impl Fgst {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AdmissionPolicyConfig, CacheOp, FlashCache, FlashCacheConfig};
+    use nand_flash::FlashConfig;
+    use proptest::prelude::*;
 
     fn geom() -> FlashGeometry {
         FlashGeometry {
@@ -860,16 +828,21 @@ mod tests {
         assert_eq!(t.lookup(42), None);
     }
 
+    /// Asserts the SWAR probe and the byte-wise reference terminate at
+    /// the same bucket for every key in `keys`. Inserts and removals
+    /// act only on that bucket, so agreement in every reachable state
+    /// means a byte-wise table would hold the identical layout.
+    fn assert_probes_agree(t: &Fcht, keys: impl IntoIterator<Item = u64>) {
+        for k in keys {
+            assert_eq!(t.probe(k), t.probe_bytewise(k), "key {k}");
+        }
+    }
+
     #[test]
     fn swar_and_bytewise_probes_stay_in_lock_step() {
-        // Deterministic churn at high load: every mutation and every
-        // lookup must agree between the two probe flavours, including
-        // the layout left behind (compared via the counters, which
-        // count groups identically) and the lookup answers.
-        let mut swar = Fcht::with_capacity(64);
-        let mut byte = Fcht::with_capacity(64);
-        byte.set_swar_probe(false);
-        assert!(swar.swar_probe() && !byte.swar_probe());
+        // Deterministic churn at high load: after every mutation the
+        // two probes must agree on every key of the (dense) key space.
+        let mut t = Fcht::with_capacity(64);
         let mut state = 0x1234_5678u64;
         let mut step = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -878,49 +851,39 @@ mod tests {
         for round in 0..2_000 {
             let k = step() % 96; // dense key space => real collisions
             let addr = PageAddr::new(BlockId((round % 7) as u32), (round % 5) as u32);
-            match round % 3 {
-                0 => assert_eq!(swar.insert(k, addr), byte.insert(k, addr), "round {round}"),
-                1 => assert_eq!(swar.remove(k), byte.remove(k), "round {round}"),
-                _ => assert_eq!(swar.lookup(k), byte.lookup(k), "round {round}"),
-            }
-            assert_eq!(swar.len(), byte.len());
+            let _ = match round % 3 {
+                0 => t.insert(k, addr),
+                1 => t.remove(k),
+                _ => t.lookup(k),
+            };
+            assert_probes_agree(&t, 0..96);
         }
-        for k in 0..96 {
-            assert_eq!(swar.lookup(k), byte.lookup(k), "final state, key {k}");
-        }
-        assert_eq!(swar.probe_groups(), byte.probe_groups());
-        assert_eq!(swar.max_probe_len(), byte.max_probe_len());
-        assert!(swar.probe_groups() > 0);
-        assert!(swar.max_probe_len() >= 1);
+        assert!(t.probe_groups() > 0);
+        assert!(t.max_probe_len() >= 1);
     }
 
     #[test]
     fn backward_shift_across_group_boundary() {
         // A chain that starts in group 0 (bucket 6) and spills across
         // the boundary into group 1: deleting the head must pull the
-        // spilled entries back across the boundary, in both modes.
-        for swar_mode in [true, false] {
-            let mut t = sized(16);
-            t.set_swar_probe(swar_mode);
-            let keys = keys_with_home(16, 6, 4);
-            for (s, &k) in keys.iter().enumerate() {
-                t.insert(k, PageAddr::new(BlockId(9), s as u32));
-            }
-            // Chain occupies buckets 6, 7 (group 0), 8, 9 (group 1).
-            assert_eq!(
-                t.ctrl[6..10].iter().filter(|&&c| c != CTRL_EMPTY).count(),
-                4
-            );
-            assert_eq!(t.remove(keys[0]), Some(PageAddr::new(BlockId(9), 0)));
-            // Survivors shifted back; bucket 9 is the new hole.
-            assert_eq!(t.ctrl[9], CTRL_EMPTY, "swar={swar_mode}");
-            for (s, &k) in keys.iter().enumerate().skip(1) {
-                assert_eq!(
-                    t.lookup(k),
-                    Some(PageAddr::new(BlockId(9), s as u32)),
-                    "swar={swar_mode}"
-                );
-            }
+        // spilled entries back across the boundary.
+        let mut t = sized(16);
+        let keys = keys_with_home(16, 6, 4);
+        for (s, &k) in keys.iter().enumerate() {
+            t.insert(k, PageAddr::new(BlockId(9), s as u32));
+        }
+        // Chain occupies buckets 6, 7 (group 0), 8, 9 (group 1).
+        assert_eq!(
+            t.ctrl[6..10].iter().filter(|&&c| c != CTRL_EMPTY).count(),
+            4
+        );
+        assert_probes_agree(&t, keys.iter().copied());
+        assert_eq!(t.remove(keys[0]), Some(PageAddr::new(BlockId(9), 0)));
+        // Survivors shifted back; bucket 9 is the new hole.
+        assert_eq!(t.ctrl[9], CTRL_EMPTY);
+        assert_probes_agree(&t, keys.iter().copied());
+        for (s, &k) in keys.iter().enumerate().skip(1) {
+            assert_eq!(t.lookup(k), Some(PageAddr::new(BlockId(9), s as u32)));
         }
     }
 
@@ -929,28 +892,22 @@ mod tests {
         // Home in the last group, chain wrapping to bucket 0: the group
         // cursor must wrap too (capacity is a multiple of the group
         // size, so the wrap lands exactly on a group boundary).
-        for swar_mode in [true, false] {
-            let mut t = sized(16);
-            t.set_swar_probe(swar_mode);
-            let keys = keys_with_home(16, 14, 4);
-            for (s, &k) in keys.iter().enumerate() {
-                t.insert(k, PageAddr::new(BlockId(1), s as u32));
-            }
-            assert!(t.ctrl[0] != CTRL_EMPTY && t.ctrl[1] != CTRL_EMPTY);
-            for (s, &k) in keys.iter().enumerate() {
-                assert_eq!(
-                    t.lookup(k),
-                    Some(PageAddr::new(BlockId(1), s as u32)),
-                    "swar={swar_mode}"
-                );
-            }
-            // Absent key with the same home walks the whole wrapped
-            // chain and still terminates at the first empty.
-            let absent = keys_with_home(16, 14, 5)[4];
-            assert_eq!(t.lookup(absent), None, "swar={swar_mode}");
-            assert_eq!(t.remove(keys[1]), Some(PageAddr::new(BlockId(1), 1)));
-            assert_eq!(t.lookup(keys[3]), Some(PageAddr::new(BlockId(1), 3)));
+        let mut t = sized(16);
+        let keys = keys_with_home(16, 14, 5);
+        for (s, &k) in keys.iter().enumerate().take(4) {
+            t.insert(k, PageAddr::new(BlockId(1), s as u32));
         }
+        assert!(t.ctrl[0] != CTRL_EMPTY && t.ctrl[1] != CTRL_EMPTY);
+        assert_probes_agree(&t, keys.iter().copied());
+        for (s, &k) in keys.iter().enumerate().take(4) {
+            assert_eq!(t.lookup(k), Some(PageAddr::new(BlockId(1), s as u32)));
+        }
+        // Absent key with the same home walks the whole wrapped
+        // chain and still terminates at the first empty.
+        assert_eq!(t.lookup(keys[4]), None);
+        assert_eq!(t.remove(keys[1]), Some(PageAddr::new(BlockId(1), 1)));
+        assert_eq!(t.lookup(keys[3]), Some(PageAddr::new(BlockId(1), 3)));
+        assert_probes_agree(&t, keys.iter().copied());
     }
 
     #[test]
@@ -1130,5 +1087,83 @@ mod tests {
         assert!(m.miss_rate > a.miss_rate && m.miss_rate < b.miss_rate);
         // Empty merge yields the default table.
         assert_eq!(Fgst::merged(&[]), Fgst::default());
+    }
+
+    // ------------------------------------------------------------------
+    // Lock-step reference under real cache traffic: fills, evictions,
+    // reclaim and backward-shift deletion drive the table through the
+    // states the product reaches.
+    // ------------------------------------------------------------------
+
+    fn tiny_cache(admission: AdmissionPolicyConfig, longevity_buckets: u32) -> FlashCache {
+        let config = FlashCacheConfig::builder()
+            .flash(FlashConfig {
+                geometry: FlashGeometry {
+                    blocks: 8,
+                    pages_per_block: 4,
+                    ..FlashGeometry::default()
+                },
+                ..FlashConfig::default()
+            })
+            .admission(admission)
+            .longevity_buckets(longevity_buckets)
+            .build()
+            .expect("valid config");
+        FlashCache::new(config).expect("valid cache")
+    }
+
+    fn admission_strategy() -> impl Strategy<Value = AdmissionPolicyConfig> {
+        prop_oneof![
+            Just(AdmissionPolicyConfig::AdmitAll),
+            Just(AdmissionPolicyConfig::ReReference { k: 1, window: 64 }),
+            Just(AdmissionPolicyConfig::WriteCap {
+                pages_per_window: 8,
+                window: 32,
+                coalesce: true,
+            }),
+        ]
+    }
+
+    fn op_strategy(pages: u64) -> impl Strategy<Value = CacheOp> {
+        prop_oneof![
+            (0..pages).prop_map(CacheOp::read),
+            (0..pages).prop_map(CacheOp::write),
+        ]
+    }
+
+    /// Runs `ops` through `cache`, checking after every op that both
+    /// probes agree on every page of the op universe.
+    fn run_in_lock_step(mut cache: FlashCache, ops: &[CacheOp], pages: u64) {
+        for &op in ops {
+            cache.op(op);
+            assert_probes_agree(&cache.fcht, 0..pages);
+        }
+        cache.check_invariants().expect("tables stay consistent");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The SWAR probe matches the byte-at-a-time reference through
+        /// arbitrary op sequences under every admission policy and
+        /// longevity-bucket setting.
+        #[test]
+        fn swar_probe_matches_bytewise_oracle(
+            ops in prop::collection::vec(op_strategy(120), 1..300),
+            admission in admission_strategy(),
+            longevity_buckets in prop_oneof![Just(1u32), Just(4u32)],
+        ) {
+            run_in_lock_step(tiny_cache(admission, longevity_buckets), &ops, 120);
+        }
+
+        /// Densely hammering a small page range forces FCHT chains
+        /// across group boundaries and exercises backward-shift
+        /// deletion under reclaim.
+        #[test]
+        fn dense_churn_keeps_probe_flavours_in_lock_step(
+            ops in prop::collection::vec(op_strategy(40), 50..400),
+        ) {
+            run_in_lock_step(tiny_cache(AdmissionPolicyConfig::AdmitAll, 1), &ops, 40);
+        }
     }
 }

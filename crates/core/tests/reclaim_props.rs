@@ -95,18 +95,6 @@ proptest! {
         let cache = FlashCache::new(tiny_config(blocks, true)).unwrap();
         run_workload(cache, &ops)?;
     }
-
-    /// Disabling query routing must not change behaviour: scans answer,
-    /// the index is still maintained, and both stay consistent.
-    #[test]
-    fn scan_dispatch_keeps_index_consistent(
-        ops in prop::collection::vec(op_strategy(120), 50..250),
-    ) {
-        let mut config = tiny_config(12, false);
-        config.use_reclaim_index = false;
-        let cache = FlashCache::new(config).unwrap();
-        run_workload(cache, &ops)?;
-    }
 }
 
 /// Driving a tiny cache to total wear-out keeps index and oracles in

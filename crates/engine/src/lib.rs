@@ -13,9 +13,8 @@
 //!   total capacity is conserved);
 //! * a batched submission API ([`ShardedCache::submit`]) groups each
 //!   batch by owning shard and executes the shards on a persistent
-//!   runtime of pinned worker threads fed by SPSC rings (with the
-//!   per-batch scoped pool, [`pool::par_map`], kept as a config-gated
-//!   differential oracle — see [`EngineConfig`]);
+//!   runtime of pinned worker threads fed by SPSC rings (in place on
+//!   the submitter when only one worker resolves);
 //! * results stay **paper-faithful and deterministic**: merged
 //!   [`CacheStats`](flashcache_core::CacheStats) /
 //!   [`Fgst`](flashcache_core::tables::Fgst) across shards, and

@@ -1,10 +1,9 @@
-//! Scoped thread pool primitives shared by the engine and the bench
-//! sweep runners.
+//! Scoped thread pool primitives for the bench sweep runners, plus the
+//! engine's default worker count.
 //!
 //! [`par_map`] fans independent work items across OS threads with
 //! `std::thread::scope` — no external dependencies — while preserving
-//! input order in the results. The engine uses it to execute cache
-//! shards concurrently; the bench crate re-exports it (as
+//! input order in the results. The bench crate re-exports it (as
 //! `flashcache_bench::parallel`) for its embarrassingly parallel figure
 //! sweeps, where every point is an independent simulation with its own
 //! seed.
@@ -37,11 +36,10 @@ unsafe impl<V: Send> Sync for Slots<V> {}
 ///
 /// Work is distributed dynamically (each worker claims the next pending
 /// index from an atomic counter), so uneven per-item cost — e.g.
-/// short-lived vs long-lived workloads in a lifetime sweep, or
-/// imbalanced shard groups in a cache batch — balances automatically,
-/// and neither the claim nor the result write takes a lock. With
-/// `threads <= 1` or a single item, runs inline with no thread
-/// overhead.
+/// short-lived vs long-lived workloads in a lifetime sweep — balances
+/// automatically, and neither the claim nor the result write takes a
+/// lock. With `threads <= 1` or a single item, runs inline with no
+/// thread overhead.
 ///
 /// # Panics
 ///

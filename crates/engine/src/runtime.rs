@@ -22,11 +22,11 @@
 //!
 //! # Panic hygiene
 //!
-//! Each operation runs under `catch_unwind`: a panicking shard is
-//! poisoned (subsequent operations degrade without touching it), the
-//! panic is counted in [`Runtime::internal_errors`], and a degraded
-//! disk-bound completion keeps the request/completion counts matched —
-//! the submitter never deadlocks on a lost completion.
+//! Each popped chunk runs under `catch_unwind`: a panicking shard is
+//! poisoned (subsequent chunks degrade without touching it), every
+//! degraded operation is counted in [`Runtime::internal_errors`], and a
+//! degraded disk-bound completion keeps the request/completion counts
+//! matched — the submitter never deadlocks on a lost completion.
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,7 +41,7 @@ use flashcache_core::{AccessOutcome, CacheOp, CacheOutcome, FlashCache};
 
 use crate::ring::{self, Consumer, Producer};
 
-/// One queued operation: (request index, disk page, op).
+/// One staged operation: (request index, disk page, op).
 pub(crate) type Req = (u32, u64, OpKind);
 
 /// One completed operation: (request index, outcome).
@@ -63,6 +63,30 @@ const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 /// pipeline, small enough that completions keep flowing back while a
 /// batch is in flight.
 const CHUNK: usize = 64;
+
+/// Staging buffers one executor reuses across chunks: the typed ops
+/// handed to [`FlashCache::op_batch_into`] and the outcomes it fills.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    ops: Vec<CacheOp>,
+    pub(crate) outs: Vec<CacheOutcome>,
+}
+
+/// Runs `reqs` through `cache` in order as one pipelined batch, leaving
+/// one outcome per completed op in `scratch.outs`. Both executors — the
+/// submitter's in-place loop and the workers — service ops through
+/// this, so per-shard op order and arithmetic are identical.
+pub(crate) fn run_chunk(cache: &mut FlashCache, reqs: &[Req], scratch: &mut Scratch) {
+    scratch.ops.clear();
+    scratch.outs.clear();
+    scratch
+        .ops
+        .extend(reqs.iter().map(|&(_, page, op)| match op {
+            OpKind::Read => CacheOp::read(page),
+            OpKind::Write => CacheOp::write(page),
+        }));
+    cache.op_batch_into(&scratch.ops, &mut scratch.outs);
+}
 
 /// The engine's shards, shared between the submitter and the workers.
 ///
@@ -113,8 +137,8 @@ struct WorkerShard {
     cache: *mut FlashCache,
     req: Consumer<Req>,
     done: Producer<Done>,
-    /// Set when an operation on this shard panicked; later operations
-    /// degrade without touching the (possibly inconsistent) shard.
+    /// Set when a chunk on this shard panicked; later chunks degrade
+    /// without touching the (possibly inconsistent) shard.
     poisoned: bool,
 }
 
@@ -124,7 +148,6 @@ struct WorkerCtx {
     shutdown: Arc<AtomicBool>,
     sleeping: Arc<AtomicBool>,
     errors: Arc<AtomicU64>,
-    panic_page: Option<u64>,
 }
 
 // SAFETY: the pointers target slab elements owned (at runtime, by ring
@@ -163,7 +186,7 @@ impl fmt::Debug for Runtime {
 impl Runtime {
     /// Spawns `workers` threads over the slab's shards (shard `s` is
     /// owned by worker `s % workers`).
-    pub(crate) fn spawn(slab: &Arc<ShardSlab>, workers: usize, panic_page: Option<u64>) -> Runtime {
+    pub(crate) fn spawn(slab: &Arc<ShardSlab>, workers: usize) -> Runtime {
         // SAFETY: construction happens before any worker exists.
         let n = unsafe { slab.shards() }.len();
         let workers = workers.max(1).min(n.max(1));
@@ -178,7 +201,6 @@ impl Runtime {
                 shutdown: Arc::clone(&shutdown),
                 sleeping: Arc::new(AtomicBool::new(false)),
                 errors: Arc::clone(&errors),
-                panic_page,
             })
             .collect();
         // SAFETY: the vec is fully built and will not reallocate again.
@@ -232,20 +254,38 @@ impl Runtime {
         self.errors.load(Ordering::Acquire)
     }
 
-    /// Enqueues as many of `items` for shard `s` as fit right now,
-    /// returning how many were taken. One Release store publishes the
-    /// whole prefix; the caller drains completions and retries the
-    /// remainder — that retry-after-drain is what guarantees progress
-    /// when a ring fills.
-    #[inline]
-    pub(crate) fn push_slice(&mut self, s: usize, items: &[Req]) -> usize {
-        self.req[s].push_slice(items)
+    /// Services one staged batch: streams each shard's group into its
+    /// request ring as contiguous slices (one Release store per slice),
+    /// draining completions whenever a ring fills — which is what makes
+    /// backpressure deadlock-free — then drains until every pushed
+    /// operation has completed. Completions land in `done` per shard in
+    /// submission order.
+    pub(crate) fn execute(&mut self, groups: &[Vec<Req>], done: &mut [Vec<Done>]) {
+        let mut pushed = 0usize;
+        let mut completed = 0usize;
+        for (s, ops) in groups.iter().enumerate() {
+            let mut sent = 0usize;
+            while sent < ops.len() {
+                let took = self.req[s].push_slice(&ops[sent..]);
+                sent += took;
+                pushed += took;
+                self.wake(s);
+                if took == 0 {
+                    // Ring full: drain completions so the worker can
+                    // retire in-flight work and free slots.
+                    completed += self.drain(done);
+                }
+            }
+        }
+        while completed < pushed {
+            completed += self.drain(done);
+        }
     }
 
     /// Unparks the worker owning shard `s` if it is (about to go)
     /// sleeping. Cheap when the worker is busy: one relaxed load.
     #[inline]
-    pub(crate) fn wake(&self, s: usize) {
+    fn wake(&self, s: usize) {
         let w = self.shard_worker[s];
         if self.sleeping[w].load(Ordering::Relaxed)
             && self.sleeping[w].swap(false, Ordering::AcqRel)
@@ -256,14 +296,18 @@ impl Runtime {
 
     /// Pops every currently available completion into `bufs` (one
     /// buffer per shard, in arrival = per-shard submission order) and
-    /// returns how many were moved.
-    pub(crate) fn drain(&mut self, bufs: &mut [Vec<Done>]) -> usize {
+    /// returns how many were moved, yielding the timeslice when there
+    /// were none (on one CPU the owning worker cannot run otherwise).
+    fn drain(&mut self, bufs: &mut [Vec<Done>]) -> usize {
         let mut moved = 0;
         for (s, ring) in self.done.iter_mut().enumerate() {
             while let Some(d) = ring.pop() {
                 bufs[s].push(d);
                 moved += 1;
             }
+        }
+        if moved == 0 {
+            std::thread::yield_now();
         }
         moved
     }
@@ -286,8 +330,8 @@ impl Drop for Runtime {
 
 /// Outcome reported for an operation whose shard panicked: the access
 /// bypasses the cache and the caller goes to disk, mirroring the
-/// degraded outcome `FlashCache::read`/`write` produce for internal
-/// [`CacheError`]s.
+/// degraded outcome `FlashCache::op` produces for an internal
+/// `CacheError`.
 fn degraded(op: OpKind) -> AccessOutcome {
     AccessOutcome {
         hit: false,
@@ -302,8 +346,7 @@ fn worker_loop(mut ctx: WorkerCtx) {
     let mut idle_sweeps = 0u32;
     // Reused scratch: the hot path allocates nothing after warm-up.
     let mut reqs: Vec<Req> = Vec::with_capacity(CHUNK);
-    let mut ops: Vec<CacheOp> = Vec::with_capacity(CHUNK);
-    let mut outs: Vec<CacheOutcome> = Vec::with_capacity(CHUNK);
+    let mut scratch = Scratch::default();
     let mut done: Vec<Done> = Vec::with_capacity(CHUNK);
     loop {
         let mut serviced = 0usize;
@@ -315,15 +358,7 @@ fn worker_loop(mut ctx: WorkerCtx) {
                 }
                 serviced += reqs.len();
                 done.clear();
-                if ctx.panic_page.is_some() || sh.poisoned {
-                    // Op-at-a-time fallback: keeps the panic-injection
-                    // hook and poisoned-shard accounting exact per op.
-                    for &(ri, page, op) in &reqs {
-                        done.push((ri, service(sh, page, op, ctx.panic_page, &ctx.errors)));
-                    }
-                } else {
-                    service_chunk(sh, &reqs, &mut ops, &mut outs, &mut done, &ctx.errors);
-                }
+                service_chunk(sh, &reqs, &mut scratch, &mut done, &ctx.errors);
                 // The submitter drains completions whenever it stalls,
                 // so a full ring always makes progress; yielding lets
                 // it run when cores are scarce.
@@ -371,85 +406,132 @@ fn worker_loop(mut ctx: WorkerCtx) {
     }
 }
 
-/// Services a popped chunk through [`FlashCache::op_batch_into`] under
-/// one `catch_unwind`. Because the batch executes ops sequentially in
+/// Services a popped chunk through [`run_chunk`] under one
+/// `catch_unwind`. Because the batch executes ops sequentially in
 /// order, a panic at op `k` leaves exactly `k` completed outcomes in
-/// `outs`; those are reported as-is and the rest degrade — the same
-/// completions and error count the op-at-a-time path would produce.
+/// the scratch buffer; those are reported as-is and the rest degrade.
+/// Every later chunk on the poisoned shard degrades whole.
 fn service_chunk(
     sh: &mut WorkerShard,
     reqs: &[Req],
-    ops: &mut Vec<CacheOp>,
-    outs: &mut Vec<CacheOutcome>,
+    scratch: &mut Scratch,
     done: &mut Vec<Done>,
     errors: &AtomicU64,
 ) {
-    ops.clear();
-    outs.clear();
-    for &(_, page, op) in reqs {
-        ops.push(match op {
-            OpKind::Read => CacheOp::read(page),
-            OpKind::Write => CacheOp::write(page),
-        });
+    scratch.outs.clear();
+    if !sh.poisoned {
+        // SAFETY: ring handoff gives this worker exclusive access to the
+        // shard for the duration of the chunk (quiescence contract).
+        let cache = unsafe { &mut *sh.cache };
+        sh.poisoned = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(test)]
+            if let Some(k) = reqs.iter().position(|r| r.1 == tests::PANIC_PAGE) {
+                run_chunk(cache, &reqs[..k], scratch);
+                panic!("injected worker panic");
+            }
+            run_chunk(cache, reqs, scratch)
+        }))
+        .is_err();
     }
-    // SAFETY: ring handoff gives this worker exclusive access to the
-    // shard for the duration of the chunk (quiescence contract).
-    let cache = unsafe { &mut *sh.cache };
-    let result = catch_unwind(AssertUnwindSafe(|| cache.op_batch_into(ops, outs)));
-    match result {
-        Ok(()) => {
-            for (&(ri, _, _), out) in reqs.iter().zip(outs.iter()) {
-                done.push((ri, out.access));
-            }
-        }
-        Err(_) => {
-            sh.poisoned = true;
-            errors.fetch_add((reqs.len() - outs.len()) as u64, Ordering::AcqRel);
-            for (k, &(ri, _, op)) in reqs.iter().enumerate() {
-                done.push((
-                    ri,
-                    if k < outs.len() {
-                        outs[k].access
-                    } else {
-                        degraded(op)
-                    },
-                ));
-            }
-        }
+    let real = scratch.outs.len();
+    if real < reqs.len() {
+        errors.fetch_add((reqs.len() - real) as u64, Ordering::AcqRel);
+    }
+    for (k, &(ri, _, op)) in reqs.iter().enumerate() {
+        let out = scratch
+            .outs
+            .get(k)
+            .map_or_else(|| degraded(op), |o| o.access);
+        done.push((ri, out));
     }
 }
 
-/// Runs one operation on the worker's shard, converting a panic into a
-/// degraded completion and poisoning the shard.
-fn service(
-    sh: &mut WorkerShard,
-    page: u64,
-    op: OpKind,
-    panic_page: Option<u64>,
-    errors: &AtomicU64,
-) -> AccessOutcome {
-    if sh.poisoned {
-        errors.fetch_add(1, Ordering::AcqRel);
-        return degraded(op);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flashcache_core::FlashCacheConfig;
+    use nand_flash::{FlashConfig, FlashGeometry};
+
+    /// Injection point: a worker panics when a chunk reaches this page
+    /// (see `service_chunk`). No other in-crate test touches it.
+    pub(super) const PANIC_PAGE: u64 = u64::MAX;
+
+    fn slab(shards: usize) -> Arc<ShardSlab> {
+        let config = FlashCacheConfig::builder()
+            .flash(FlashConfig {
+                geometry: FlashGeometry {
+                    blocks: 8,
+                    pages_per_block: 8,
+                    ..FlashGeometry::default()
+                },
+                ..FlashConfig::default()
+            })
+            .build()
+            .expect("valid config");
+        ShardSlab::new(
+            (0..shards)
+                .map(|_| FlashCache::new(config.clone()).expect("valid cache"))
+                .collect(),
+        )
     }
-    // SAFETY: ring handoff gives this worker exclusive access to the
-    // shard for the duration of the operation (quiescence contract).
-    let cache = unsafe { &mut *sh.cache };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if panic_page == Some(page) {
-            panic!("injected worker panic (test hook)");
-        }
-        match op {
-            OpKind::Read => cache.op(CacheOp::read(page)).access,
-            OpKind::Write => cache.op(CacheOp::write(page)).access,
-        }
-    }));
-    match result {
-        Ok(out) => out,
-        Err(_) => {
-            sh.poisoned = true;
-            errors.fetch_add(1, Ordering::AcqRel);
-            degraded(op)
+
+    fn reads(pages: impl IntoIterator<Item = u64>) -> Vec<Req> {
+        pages
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| (i as u32, p, OpKind::Read))
+            .collect()
+    }
+
+    /// One batch through the runtime: shard `s` gets `groups[s]`.
+    fn execute(rt: &mut Runtime, groups: &[Vec<Req>]) -> Vec<Vec<Done>> {
+        let mut done = vec![Vec::new(); groups.len()];
+        rt.execute(groups, &mut done);
+        done
+    }
+
+    /// A worker panic at op `k` of a chunk reports `k` real outcomes
+    /// and degrades the rest; every later chunk on the poisoned shard
+    /// degrades whole, counted op for op in `internal_errors`; other
+    /// shards keep servicing; the submitter never deadlocks.
+    #[test]
+    fn worker_panic_degrades_without_deadlock() {
+        for workers in [1, 2] {
+            let slab = slab(2);
+            let mut rt = Runtime::spawn(&slab, workers);
+            let k = 3;
+            let mut poisoned = reads(0..10);
+            poisoned[k].1 = PANIC_PAGE;
+            let healthy = reads(0..10);
+
+            let done = execute(&mut rt, &[healthy.clone(), poisoned.clone()]);
+            assert_eq!(done[1].len(), poisoned.len(), "every op completes");
+            for (i, &(ri, out)) in done[1].iter().enumerate() {
+                assert_eq!(ri as usize, i, "per-shard submission order");
+                assert_eq!(
+                    out.bypassed,
+                    i >= k,
+                    "op {i}: real before the panic, degraded after"
+                );
+                assert!(out.needs_disk_read && !out.hit);
+            }
+            assert_eq!(rt.internal_errors(), (poisoned.len() - k) as u64);
+            assert!(done[0]
+                .iter()
+                .all(|(_, o)| !o.bypassed && o.needs_disk_read));
+
+            // The poisoned shard degrades every later chunk whole; the
+            // healthy shard now hits what it filled.
+            let done = execute(&mut rt, &[healthy.clone(), healthy.clone()]);
+            assert!(done[1].iter().all(|(_, o)| o.bypassed && !o.hit));
+            assert_eq!(
+                rt.internal_errors(),
+                (poisoned.len() - k + healthy.len()) as u64
+            );
+            assert!(
+                done[0].iter().all(|(_, o)| o.hit),
+                "other shards keep servicing"
+            );
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use disk_trace::{DiskRequest, OpKind};
+use disk_trace::DiskRequest;
 use flash_obs::{ObsSink, Registry, ServiceTier};
 use flashcache_core::tables::Fgst;
 use flashcache_core::{
@@ -12,28 +12,18 @@ use flashcache_core::{
 };
 
 use crate::pool;
-use crate::runtime::{Done, Runtime, ShardSlab};
+use crate::runtime::{run_chunk, Done, Req, Runtime, Scratch, ShardSlab};
 
 /// Golden-ratio increment decorrelating per-shard RNG seeds.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Execution policy of a [`ShardedCache`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Service batches on the persistent shard runtime (pinned worker
-    /// threads fed by SPSC rings) instead of the per-batch scoped
-    /// thread pool. Default `true`; turning it off keeps the scoped
-    /// pool as a differential oracle. Either way results are
-    /// byte-identical — only wall-clock time changes.
-    pub persistent_workers: bool,
     /// Worker-thread override. `None` uses the machine's available
-    /// parallelism (capped by the shard count).
+    /// parallelism (capped by the shard count). Results never depend on
+    /// it — only wall-clock time does.
     pub workers: Option<usize>,
-    /// Test hook: a worker panics when servicing this disk page,
-    /// exercising the poisoning/degraded-completion path. Only honored
-    /// by the persistent runtime.
-    #[doc(hidden)]
-    pub panic_page: Option<u64>,
     /// Admission-policy override applied to every shard's configuration
     /// (each shard gets its own independent policy state). `None` keeps
     /// whatever the [`FlashCacheConfig`] carries.
@@ -41,18 +31,6 @@ pub struct EngineConfig {
     /// Longevity-bucket override applied to every shard's write region.
     /// `None` keeps the [`FlashCacheConfig`] value.
     pub longevity_buckets: Option<u32>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            persistent_workers: true,
-            workers: None,
-            panic_page: None,
-            admission: None,
-            longevity_buckets: None,
-        }
-    }
 }
 
 /// A sharded-engine construction error.
@@ -105,10 +83,6 @@ impl From<ConfigError> for EngineError {
     }
 }
 
-/// One shard's slice of a batch: `(request index, disk page, op)` in
-/// submission order.
-type ShardOps = Vec<(u32, u64, OpKind)>;
-
 /// Folds a later page's outcome into a multi-page request's merged
 /// outcome: latencies sum, `hit` requires every page to hit, and the
 /// tier degrades to [`ServiceTier::Disk`] if any page needs the disk.
@@ -134,6 +108,17 @@ fn mix(page: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The shard of `n` that owns `page`; one shard owns everything without
+/// hashing.
+#[inline]
+fn route(page: u64, n: usize) -> usize {
+    if n == 1 {
+        0
+    } else {
+        (mix(page) % n as u64) as usize
+    }
 }
 
 /// N independent [`FlashCache`] shards hash-partitioning the disk-page
@@ -178,21 +163,18 @@ pub struct ShardedCache {
     slab: Arc<ShardSlab>,
     /// Shard count (the slab's length, cached).
     n: usize,
-    engine: EngineConfig,
     /// Worker threads used per batch (capped by the shard count).
     threads: usize,
-    /// Reused per-batch partition buffers (inline/scoped paths).
-    groups: Vec<ShardOps>,
-    /// Reused per-batch completion buffers (runtime path), one per
-    /// shard in per-shard submission order.
+    /// Reused per-batch partition buffers: each shard's slice of the
+    /// batch in submission order.
+    groups: Vec<Vec<Req>>,
+    /// Reused per-batch completion buffers, one per shard in per-shard
+    /// submission order.
     done_bufs: Vec<Vec<Done>>,
-    /// Reused per-batch GC-time snapshots (runtime path).
+    /// Reused per-batch GC-time snapshots.
     gc_before: Vec<f64>,
-    /// Reused typed-op staging buffer (single/inline paths): the batch
-    /// handed to [`FlashCache::op_batch_into`].
-    op_buf: Vec<CacheOp>,
-    /// Reused outcome buffer filled by [`FlashCache::op_batch_into`].
-    out_buf: Vec<CacheOutcome>,
+    /// Reused staging buffers of the in-place executor.
+    scratch: Scratch,
     /// Accumulated per-shard flash busy time over batched submissions,
     /// µs (foreground + background + GC).
     shard_busy_us: Vec<f64>,
@@ -209,7 +191,7 @@ pub struct ShardedCache {
 impl ShardedCache {
     /// Builds `shards` independent caches, splitting the configured
     /// device's blocks evenly among them, with the default
-    /// [`EngineConfig`] (persistent workers on, auto-sized).
+    /// [`EngineConfig`] (workers auto-sized).
     ///
     /// Shard `i` derives its RNG seed as `base + i * stride` (shard 0 =
     /// base), so different shards sample independent error/quality
@@ -264,13 +246,11 @@ impl ShardedCache {
             runtime: None,
             slab: ShardSlab::new(built),
             n: shards,
-            engine,
             threads,
             groups: vec![Vec::new(); shards],
             done_bufs: vec![Vec::new(); shards],
             gc_before: Vec::with_capacity(shards),
-            op_buf: Vec::new(),
-            out_buf: Vec::new(),
+            scratch: Scratch::default(),
             shard_busy_us: vec![0.0; shards],
             makespan_us: 0.0,
             batches: 0,
@@ -280,9 +260,8 @@ impl ShardedCache {
 
     /// Sets the worker-thread cap for batched submission (default: the
     /// machine's available parallelism). Thread count never affects
-    /// results, only wall-clock time. On the persistent runtime a
-    /// change takes effect at the next batch (the old workers are
-    /// joined and a fresh set spawned).
+    /// results, only wall-clock time. A change takes effect at the next
+    /// batch (any running workers are joined and a fresh set spawned).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
         if let Some(rt) = &self.runtime {
@@ -322,19 +301,14 @@ impl ShardedCache {
 
     /// The shard that owns `disk_page`.
     pub fn shard_of(&self, disk_page: u64) -> usize {
-        if self.n == 1 {
-            0
-        } else {
-            (mix(disk_page) % self.n as u64) as usize
-        }
+        route(disk_page, self.n)
     }
 
     /// Submits a batch, executing the shards concurrently, and returns
     /// one merged [`AccessOutcome`] per request (in batch order).
     ///
     /// Requests are decomposed into pages, grouped by owning shard, and
-    /// each shard services its group in batch order on a pool of up to
-    /// [`set_threads`](ShardedCache::set_threads) workers. A multi-page
+    /// each shard services its group in batch order. A multi-page
     /// request spanning shards merges its page outcomes: latencies sum,
     /// `hit` requires every page to hit, and the tier degrades to
     /// [`ServiceTier::Disk`] if any page needs the disk.
@@ -342,248 +316,68 @@ impl ShardedCache {
     /// The batch's *modeled* duration — the busiest shard's flash time —
     /// accumulates into [`modeled_time_us`](ShardedCache::modeled_time_us).
     ///
-    /// Three execution paths produce byte-identical results (only
-    /// wall-clock time differs): the persistent shard runtime when
-    /// [`EngineConfig::persistent_workers`] is on and more than one
-    /// worker resolves; an allocation-light inline loop when only one
-    /// worker resolves (single-core hosts); and the per-batch scoped
-    /// pool when the gate is off (the differential oracle).
+    /// The staged groups run on one of two executors with byte-identical
+    /// results (only wall-clock time differs): an in-place loop over the
+    /// shards when one worker resolves (one shard, or a single-core
+    /// host), the persistent shard runtime (pinned workers fed by SPSC
+    /// rings) otherwise. Either way each shard sees its ops in batch
+    /// order and the per-shard busy sums run in the same arithmetic
+    /// order, so modeled times are bit-identical across worker counts.
     pub fn submit(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
-        if self.n == 1 {
-            return self.submit_single(batch);
-        }
-        if self.engine.persistent_workers {
-            if self.resolved_workers() > 1 {
-                self.ensure_runtime();
-                return self.submit_runtime(batch);
-            }
-            return self.submit_inline(batch);
-        }
-        self.submit_scoped(batch)
-    }
-
-    /// The pre-runtime submission path: partition, scatter onto a
-    /// per-batch scoped thread pool, reassemble. Kept verbatim as the
-    /// differential oracle for `persistent_workers = false`.
-    fn submit_scoped(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
         let n = self.n;
-        let mut groups: Vec<ShardOps> = vec![Vec::new(); n];
-        for (ri, req) in batch.iter().enumerate() {
-            for page in req.pages() {
-                let s = if n == 1 {
-                    0
-                } else {
-                    (mix(page) % n as u64) as usize
-                };
-                groups[s].push((ri as u32, page, req.op));
-            }
-        }
-        // SAFETY: no runtime batch is in flight (`&mut self`), so the
-        // slab is quiescent.
-        let shards = unsafe { self.slab.shards_mut() };
-        let work: Vec<(&mut FlashCache, ShardOps)> = shards.iter_mut().zip(groups).collect();
-        let results = pool::par_map(work, self.threads, |(shard, ops)| {
-            let gc_before = shard.stats().gc_time_us;
-            let mut busy = 0.0;
-            let mut outs = Vec::with_capacity(ops.len());
-            for (ri, page, op) in ops {
-                let out = match op {
-                    OpKind::Read => shard.op(CacheOp::read(page)).access,
-                    OpKind::Write => shard.op(CacheOp::write(page)).access,
-                };
-                busy += out.latency_us + out.background_us;
-                outs.push((ri, out));
-            }
-            busy += shard.stats().gc_time_us - gc_before;
-            (busy, outs)
-        });
-
-        let mut merged = vec![AccessOutcome::default(); batch.len()];
-        let mut seen = vec![false; batch.len()];
-        let mut makespan = 0.0f64;
-        for (si, (busy, outs)) in results.into_iter().enumerate() {
-            self.shard_busy_us[si] += busy;
-            makespan = makespan.max(busy);
-            for (ri, out) in outs {
-                let slot = &mut merged[ri as usize];
-                if !seen[ri as usize] {
-                    *slot = out;
-                    seen[ri as usize] = true;
-                } else {
-                    merge_outcome(slot, out);
-                }
-            }
-        }
-        self.makespan_us += makespan;
-        self.batches += 1;
-        merged
-    }
-
-    /// Single-worker inline path: same partition, same per-shard op
-    /// order, same arithmetic order as the scoped path — but reusing
-    /// the engine's partition buffers and running shards in place, so a
-    /// one-core host pays no scatter/reassembly allocations.
-    fn submit_inline(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
-        let n = self.n;
-        for g in &mut self.groups {
+        for (g, d) in self.groups.iter_mut().zip(&mut self.done_bufs) {
             g.clear();
+            d.clear();
         }
         for (ri, req) in batch.iter().enumerate() {
             for page in req.pages() {
-                let s = (mix(page) % n as u64) as usize;
-                self.groups[s].push((ri as u32, page, req.op));
+                self.groups[route(page, n)].push((ri as u32, page, req.op));
             }
         }
-        let ShardedCache {
-            slab,
-            groups,
-            op_buf,
-            out_buf,
-            shard_busy_us,
-            ..
-        } = self;
-        // SAFETY: `&mut self` and no in-flight runtime batch.
-        let shards = unsafe { slab.shards_mut() };
-        let mut merged = vec![AccessOutcome::default(); batch.len()];
-        let mut seen = vec![false; batch.len()];
-        let mut makespan = 0.0f64;
-        for (si, ops) in groups.iter().enumerate() {
-            let shard = &mut shards[si];
-            let gc_before = shard.stats().gc_time_us;
-            op_buf.clear();
-            for &(_, page, op) in ops.iter() {
-                op_buf.push(match op {
-                    OpKind::Read => CacheOp::read(page),
-                    OpKind::Write => CacheOp::write(page),
-                });
-            }
-            out_buf.clear();
-            shard.op_batch_into(op_buf, out_buf);
-            let mut busy = 0.0;
-            for (&(ri, _, _), out) in ops.iter().zip(out_buf.iter()) {
-                let out = out.access;
-                busy += out.latency_us + out.background_us;
-                let slot = &mut merged[ri as usize];
-                if !seen[ri as usize] {
-                    *slot = out;
-                    seen[ri as usize] = true;
-                } else {
-                    merge_outcome(slot, out);
-                }
-            }
-            busy += shard.stats().gc_time_us - gc_before;
-            shard_busy_us[si] += busy;
-            makespan = makespan.max(busy);
-        }
-        self.makespan_us += makespan;
-        self.batches += 1;
-        merged
-    }
-
-    /// Spawns (or respawns) the persistent runtime for the current
-    /// worker resolution.
-    fn ensure_runtime(&mut self) {
-        let workers = self.resolved_workers();
-        let stale = self
-            .runtime
-            .as_ref()
-            .is_some_and(|rt| rt.workers() != workers);
-        if stale {
-            self.runtime = None;
-        }
-        if self.runtime.is_none() {
-            self.runtime = Some(Runtime::spawn(&self.slab, workers, self.engine.panic_page));
-        }
-    }
-
-    /// Persistent-runtime path: stream operations into the per-shard
-    /// request rings (draining completions whenever one fills, which is
-    /// what makes backpressure deadlock-free), then drain until every
-    /// pushed operation has completed. Completions arrive per shard in
-    /// submission order, so the merge below replays exactly the scoped
-    /// path's shard-major order — and the per-shard busy sums run in
-    /// the same arithmetic order, keeping modeled times bit-identical.
-    fn submit_runtime(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
-        let n = self.n;
         self.gc_before.clear();
         {
-            // SAFETY: quiescent — the previous batch fully drained.
+            // SAFETY: quiescent — `&mut self`, and the previous batch
+            // fully drained.
             let shards = unsafe { self.slab.shards() };
             self.gc_before
                 .extend(shards.iter().map(|s| s.stats().gc_time_us));
         }
-        let ShardedCache {
-            runtime,
-            done_bufs,
-            groups,
-            ..
-        } = self;
-        for b in done_bufs.iter_mut() {
-            b.clear();
-        }
-        // Partition up front so each shard's work goes into its ring as
-        // contiguous slices — one Release store per slice instead of
-        // one per operation. Per-shard order is unchanged (groups keep
-        // batch order), so completions and merges stay byte-identical
-        // to the streaming path.
-        for g in groups.iter_mut() {
-            g.clear();
-        }
-        for (ri, req) in batch.iter().enumerate() {
-            for page in req.pages() {
-                let s = (mix(page) % n as u64) as usize;
-                groups[s].push((ri as u32, page, req.op));
+        let workers = self.resolved_workers();
+        if workers > 1 {
+            // `set_threads` drops a runtime sized for another worker
+            // count, so one that exists here is current.
+            self.runtime
+                .get_or_insert_with(|| Runtime::spawn(&self.slab, workers))
+                .execute(&self.groups, &mut self.done_bufs);
+        } else {
+            // SAFETY: `&mut self` and no runtime batch in flight.
+            let shards = unsafe { self.slab.shards_mut() };
+            let work = shards.iter_mut().zip(&self.groups).zip(&mut self.done_bufs);
+            for ((shard, ops), done) in work {
+                run_chunk(shard, ops, &mut self.scratch);
+                let outs = self.scratch.outs.iter();
+                done.extend(ops.iter().zip(outs).map(|(&(ri, _, _), o)| (ri, o.access)));
             }
-        }
-        let rt = runtime.as_mut().expect("runtime spawned");
-        let mut total_pushed = 0usize;
-        let mut total_done = 0usize;
-        for (s, ops) in groups.iter().enumerate() {
-            let mut sent = 0usize;
-            while sent < ops.len() {
-                let took = rt.push_slice(s, &ops[sent..]);
-                sent += took;
-                total_pushed += took;
-                if took > 0 {
-                    rt.wake(s);
-                } else {
-                    // Ring full: drain completions so the worker can
-                    // retire in-flight work and free slots.
-                    rt.wake(s);
-                    let moved = rt.drain(done_bufs);
-                    total_done += moved;
-                    if moved == 0 {
-                        // One CPU: the owning worker cannot run until
-                        // we yield our timeslice.
-                        std::thread::yield_now();
-                    }
-                }
-            }
-        }
-        while total_done < total_pushed {
-            let moved = rt.drain(done_bufs);
-            if moved == 0 {
-                std::thread::yield_now();
-            }
-            total_done += moved;
         }
         // Quiescent again: every completion's Release/Acquire pair
-        // ordered the workers' shard writes before these reads.
+        // ordered the workers' shard writes before these reads. Shards
+        // merge in partition order, completions in per-shard submission
+        // order — the one arithmetic order both executors share.
+        // SAFETY: drained above.
+        let shards = unsafe { self.slab.shards() };
         let mut merged = vec![AccessOutcome::default(); batch.len()];
         let mut seen = vec![false; batch.len()];
         let mut makespan = 0.0f64;
-        // SAFETY: drained above.
-        let shards = unsafe { self.slab.shards() };
         for (si, outs) in self.done_bufs.iter().enumerate() {
             let mut busy = 0.0;
-            for &(ri, ref out) in outs {
+            for &(ri, out) in outs {
                 busy += out.latency_us + out.background_us;
                 let slot = &mut merged[ri as usize];
-                if !seen[ri as usize] {
-                    *slot = *out;
-                    seen[ri as usize] = true;
+                if seen[ri as usize] {
+                    merge_outcome(slot, out);
                 } else {
-                    merge_outcome(slot, *out);
+                    *slot = out;
+                    seen[ri as usize] = true;
                 }
             }
             busy += shards[si].stats().gc_time_us - self.gc_before[si];
@@ -591,63 +385,6 @@ impl ShardedCache {
             makespan = makespan.max(busy);
         }
         self.makespan_us += makespan;
-        self.batches += 1;
-        merged
-    }
-
-    /// [`ShardedCache::submit`] specialized for one shard: no page
-    /// partitioning, no worker handoff, no request-index regrouping —
-    /// the batch streams straight through the single [`FlashCache`].
-    /// Outcomes, stats, and modeled times are identical to the general
-    /// path (one group, batch order); only the allocations go away,
-    /// which matters because `shards = 1` is the replay fast path's
-    /// single-threaded hot loop.
-    fn submit_single(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
-        let ShardedCache {
-            slab,
-            op_buf,
-            out_buf,
-            ..
-        } = self;
-        // SAFETY: `&mut self` and no in-flight runtime batch.
-        let shard = &mut unsafe { slab.shards_mut() }[0];
-        let gc_before = shard.stats().gc_time_us;
-        op_buf.clear();
-        for req in batch {
-            for page in req.pages() {
-                op_buf.push(match req.op {
-                    OpKind::Read => CacheOp::read(page),
-                    OpKind::Write => CacheOp::write(page),
-                });
-            }
-        }
-        out_buf.clear();
-        // One pipelined batch through the shard: ops execute in the
-        // same order the scalar loop ran them, so outcomes and busy
-        // sums below are byte-identical to the pre-batch path.
-        shard.op_batch_into(op_buf, out_buf);
-        let mut busy = 0.0;
-        let mut merged = Vec::with_capacity(batch.len());
-        let mut k = 0usize;
-        for req in batch {
-            let mut slot = AccessOutcome::default();
-            let mut seen = false;
-            for _ in req.pages() {
-                let out = out_buf[k].access;
-                k += 1;
-                busy += out.latency_us + out.background_us;
-                if seen {
-                    merge_outcome(&mut slot, out);
-                } else {
-                    slot = out;
-                    seen = true;
-                }
-            }
-            merged.push(slot);
-        }
-        busy += shard.stats().gc_time_us - gc_before;
-        self.shard_busy_us[0] += busy;
-        self.makespan_us += busy;
         self.batches += 1;
         merged
     }
@@ -667,35 +404,6 @@ impl ShardedCache {
     pub fn try_op(&mut self, op: CacheOp) -> Result<CacheOutcome, CacheError> {
         let s = self.shard_of(op.lba);
         self.shards_mut()[s].try_op(op)
-    }
-
-    /// Reads one page through its owning shard (serial path; does not
-    /// contribute to the modeled batch times).
-    pub fn read(&mut self, disk_page: u64) -> AccessOutcome {
-        self.op(CacheOp::read(disk_page)).access
-    }
-
-    /// Writes one page through its owning shard (serial path).
-    pub fn write(&mut self, disk_page: u64) -> AccessOutcome {
-        self.op(CacheOp::write(disk_page)).access
-    }
-
-    /// Fallible single-page read exposing the typed [`CacheError`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the owning shard's [`CacheError`].
-    pub fn try_read(&mut self, disk_page: u64) -> Result<AccessOutcome, CacheError> {
-        self.try_op(CacheOp::read(disk_page)).map(|o| o.access)
-    }
-
-    /// Fallible single-page write exposing the typed [`CacheError`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the owning shard's [`CacheError`].
-    pub fn try_write(&mut self, disk_page: u64) -> Result<AccessOutcome, CacheError> {
-        self.try_op(CacheOp::write(disk_page)).map(|o| o.access)
     }
 
     /// Marks every dirty page clean across all shards and returns the
@@ -883,6 +591,7 @@ fn prefixed(i: usize, reg: &Registry) -> Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use disk_trace::OpKind;
     use flashcache_core::AdmissionDecision;
     use nand_flash::{FlashConfig, FlashGeometry};
 

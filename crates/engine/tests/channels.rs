@@ -4,9 +4,9 @@
 //! event configuration must agree with the closed-form oracle.
 
 use disk_trace::{OpKind, WorkloadSpec};
-use flashcache_core::FlashCacheConfig;
+use flashcache_core::{CacheOp, FlashCacheConfig};
 use flashcache_engine::ShardedCache;
-use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry, SchedBackend, TimingBackend};
+use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry, TimingBackend};
 
 fn config(backend: TimingBackend, channels: u32) -> FlashCacheConfig {
     let channel = ChannelConfig::builder()
@@ -40,10 +40,10 @@ fn makespan(cfg: FlashCacheConfig, n: usize) -> f64 {
         .take_requests(n);
     for req in &reqs {
         for page in req.pages() {
-            match req.op {
-                OpKind::Read => engine.read(page),
-                OpKind::Write => engine.write(page),
-            };
+            engine.op(match req.op {
+                OpKind::Read => CacheOp::read(page),
+                OpKind::Write => CacheOp::write(page),
+            });
         }
     }
     engine.device_makespan_us()
@@ -82,26 +82,4 @@ fn event_makespan_at_one_channel_matches_closed_form_modeled_time() {
         closed.to_bits(),
         "serial event makespan must equal the closed-form clock bit-for-bit"
     );
-}
-
-#[test]
-fn wheel_and_heap_schedulers_agree_through_the_full_engine() {
-    // The timer-wheel default and the retained heap oracle must price an
-    // entire engine replay — cache hits, misses, GC, wear — to the same
-    // drained makespan, bit for bit. This covers the whole device stack
-    // above the scheduler, not just the op stream `sched_props` drives.
-    let n = 20_000;
-    for channels in [1, 4] {
-        let mut heap_cfg = config(TimingBackend::EventDriven, channels);
-        heap_cfg.flash.channel.sched_backend = SchedBackend::Heap;
-        let mut wheel_cfg = config(TimingBackend::EventDriven, channels);
-        wheel_cfg.flash.channel.sched_backend = SchedBackend::Wheel;
-        let heap = makespan(heap_cfg, n);
-        let wheel = makespan(wheel_cfg, n);
-        assert_eq!(
-            heap.to_bits(),
-            wheel.to_bits(),
-            "heap and wheel makespans diverged at {channels} channels: {heap} vs {wheel}"
-        );
-    }
 }

@@ -8,11 +8,11 @@
 //! existing single-cache experiment adopt the engine without changing
 //! its numbers.
 //!
-//! The execution-invariance tests extend that contract across the
-//! engine's execution paths: for every shard count, submission results
-//! must be byte-identical whether batches run on the persistent shard
-//! runtime (any worker count) or the scoped-pool oracle
-//! (`persistent_workers = false`).
+//! The execution-invariance test extends that contract across the
+//! engine's two executors: for every shard count, submission results
+//! must be byte-identical whether the staged groups run in place on the
+//! submitter (one worker) or on the persistent shard runtime (any
+//! larger worker count).
 //!
 //! The proptest then pins the N>1 aggregation: merged [`CacheStats`]
 //! totals equal the fieldwise sum of the per-shard stats for arbitrary
@@ -129,11 +129,12 @@ fn serial_entry_points_match_bare_cache() {
     let mut bare = FlashCache::new(config()).expect("same config");
     for page in 0..2_000u64 {
         let p = page * 7 % 4_096;
-        if page % 4 == 0 {
-            assert_eq!(engine.write(p), bare.op(CacheOp::write(p)).access);
+        let op = if page % 4 == 0 {
+            CacheOp::write(p)
         } else {
-            assert_eq!(engine.read(p), bare.op(CacheOp::read(p)).access);
-        }
+            CacheOp::read(p)
+        };
+        assert_eq!(engine.op(op), bare.op(op));
     }
     assert_eq!(engine.stats(), bare.stats());
 }
@@ -144,7 +145,6 @@ fn serial_entry_points_match_bare_cache() {
 #[allow(clippy::type_complexity)]
 fn run_variant(
     shards: usize,
-    persistent: bool,
     workers: usize,
 ) -> (
     Vec<AccessOutcome>,
@@ -155,12 +155,12 @@ fn run_variant(
     f64,
 ) {
     let engine_cfg = EngineConfig {
-        persistent_workers: persistent,
         workers: Some(workers),
         ..EngineConfig::default()
     };
     let mut engine = ShardedCache::with_engine_config(config(), shards, engine_cfg)
         .expect("128 blocks divide by 1/2/4/8");
+    assert_eq!(engine.workers(), workers.min(shards));
     let sink = Arc::new(ObsSink::with_capacity(256));
     engine.attach_sink(Arc::clone(&sink));
     let reqs = trace(0x1AC3, 4_000);
@@ -177,72 +177,25 @@ fn run_variant(
     (outs, stats, snaps, sink.registry(), modeled, serial)
 }
 
-/// Satellite invariance contract: identical results for every worker
-/// count {1, 2, 8} and for `persistent_workers` on/off, at every shard
-/// count — the execution substrate must never leak into the physics.
+/// Invariance contract: identical results for every worker count
+/// {1, 2, 8} at every shard count — one worker runs the in-place
+/// executor, more run the persistent runtime, and the execution
+/// substrate must never leak into the physics.
 #[test]
 fn results_invariant_across_workers_and_execution_paths() {
     for shards in [1usize, 2, 4, 8] {
-        let baseline = run_variant(shards, false, 1);
+        let baseline = run_variant(shards, 1);
         for workers in [1usize, 2, 8] {
-            for persistent in [false, true] {
-                let got = run_variant(shards, persistent, workers);
-                let label = format!("shards={shards} persistent={persistent} workers={workers}");
-                assert_eq!(baseline.0, got.0, "outcomes diverged: {label}");
-                assert_eq!(baseline.1, got.1, "stats diverged: {label}");
-                assert_eq!(baseline.2, got.2, "snapshots diverged: {label}");
-                assert_eq!(baseline.3, got.3, "obs registry diverged: {label}");
-                assert_eq!(baseline.4, got.4, "modeled time diverged: {label}");
-                assert_eq!(baseline.5, got.5, "serial time diverged: {label}");
-            }
+            let got = run_variant(shards, workers);
+            let label = format!("shards={shards} workers={workers}");
+            assert_eq!(baseline.0, got.0, "outcomes diverged: {label}");
+            assert_eq!(baseline.1, got.1, "stats diverged: {label}");
+            assert_eq!(baseline.2, got.2, "snapshots diverged: {label}");
+            assert_eq!(baseline.3, got.3, "obs registry diverged: {label}");
+            assert_eq!(baseline.4, got.4, "modeled time diverged: {label}");
+            assert_eq!(baseline.5, got.5, "serial time diverged: {label}");
         }
     }
-}
-
-/// Satellite panic hygiene: a worker panic mid-batch must not deadlock
-/// the submitter — the poisoned shard degrades its operations to
-/// disk-bound bypasses, every request still gets an outcome, and the
-/// failures surface in `internal_errors`.
-#[test]
-fn worker_panic_degrades_without_deadlock() {
-    // Find a page owned by a nonzero shard so other shards keep working.
-    let probe = ShardedCache::new(config(), 4).expect("4 shards");
-    let poison_page = (0u64..1000).find(|&p| probe.shard_of(p) != 0).unwrap();
-    let poisoned_shard = probe.shard_of(poison_page);
-    drop(probe);
-
-    let engine_cfg = EngineConfig {
-        persistent_workers: true,
-        workers: Some(2),
-        panic_page: Some(poison_page),
-        ..EngineConfig::default()
-    };
-    let mut engine = ShardedCache::with_engine_config(config(), 4, engine_cfg).expect("4 shards");
-    let batch: Vec<DiskRequest> = (0..256u64).map(DiskRequest::read).collect();
-    let outs = engine.submit(&batch);
-    assert_eq!(outs.len(), batch.len(), "every request completes");
-    let poisoned = outs[poison_page as usize];
-    assert!(poisoned.bypassed, "panicked op degrades to a bypass");
-    assert!(poisoned.needs_disk_read, "degraded read goes to disk");
-    assert!(!poisoned.hit);
-    let errors_after_first = engine.stats().internal_errors;
-    assert!(errors_after_first >= 1, "panic surfaces in internal_errors");
-
-    // The poisoned shard keeps degrading; the other shards keep
-    // servicing — and nothing deadlocks on repeated submission.
-    let outs2 = engine.submit(&batch);
-    assert_eq!(outs2.len(), batch.len());
-    assert!(
-        engine.stats().internal_errors > errors_after_first,
-        "later ops on the poisoned shard degrade too"
-    );
-    let healthy_hits = batch
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| engine.shard_of(*i as u64) != poisoned_shard)
-        .filter(|(i, _)| outs2[*i].hit)
-        .count();
-    assert!(healthy_hits > 0, "unpoisoned shards still serve hits");
 }
 
 proptest! {
@@ -285,7 +238,7 @@ proptest! {
             reconfig_ecc: u64, reconfig_density: u64, hot_promotions: u64,
             uncorrectable_reads: u64, retired_blocks: u64,
             reclaim_index_queries: u64, reclaim_index_hits: u64,
-            reclaim_scan_fallbacks: u64, internal_errors: u64,
+            internal_errors: u64,
         );
         for (m, sum) in [
             (merged.gc_time_us, parts.iter().map(|s| s.gc_time_us).sum::<f64>()),

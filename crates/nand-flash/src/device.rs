@@ -6,8 +6,8 @@
 use std::error::Error;
 use std::fmt;
 
-use rand::rngs::{SmallRng, StdRng};
-use rand::{RngCore, SeedableRng};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 use crate::geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 use crate::sampling::NormalSource;
@@ -208,17 +208,9 @@ pub struct FlashConfig {
     pub store_payloads: bool,
     /// RNG seed for quality sampling and error injection.
     pub seed: u64,
-    /// Replay fast-path gate: drive error injection with the
-    /// minimal-state [`SmallRng`] and sample build-time page qualities
-    /// through a pair-keeping [`NormalSource`]. Deterministic per seed
-    /// either way; off reproduces the pre-fast-path `StdRng` streams.
-    pub fast_rng: bool,
     /// Which timing implementation the device resolves at construction.
     pub timing_backend: TimingBackend,
-    /// Channel/plane/queue parameters for the event-driven backend,
-    /// including which scheduler core runs it
-    /// ([`ChannelConfig::sched_backend`]: the timer wheel by default,
-    /// the heap oracle for differential testing).
+    /// Channel/plane/queue parameters for the event-driven backend.
     pub channel: ChannelConfig,
 }
 
@@ -231,27 +223,8 @@ impl Default for FlashConfig {
             wear: WearConfig::default(),
             store_payloads: false,
             seed: 0x1507_2008,
-            fast_rng: true,
             timing_backend: TimingBackend::default(),
             channel: ChannelConfig::default(),
-        }
-    }
-}
-
-/// The device's error-injection RNG: gated choice between the workspace
-/// default and the fast-path minimal-state generator.
-#[derive(Debug, Clone)]
-enum DeviceRng {
-    Std(StdRng),
-    Small(SmallRng),
-}
-
-impl RngCore for DeviceRng {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        match self {
-            DeviceRng::Std(r) => r.next_u64(),
-            DeviceRng::Small(r) => r.next_u64(),
         }
     }
 }
@@ -283,7 +256,8 @@ pub struct FlashDevice {
     /// The device-timing model, resolved once from
     /// `config.timing_backend`; all op latencies flow through it.
     model: Box<dyn TimingModel + Send>,
-    rng: DeviceRng,
+    /// Error-injection RNG (minimal-state: one draw per page read).
+    rng: SmallRng,
     /// Per-block erase counts.
     erase_counts: Vec<u64>,
     /// Worst (slowest-erasing) mode programmed since the last erase.
@@ -314,23 +288,12 @@ impl FlashDevice {
     pub fn new(config: FlashConfig) -> Self {
         let geometry = config.geometry;
         let wear_model = WearModel::new(config.wear);
-        let mut rng = if config.fast_rng {
-            DeviceRng::Small(SmallRng::seed_from_u64(config.seed))
-        } else {
-            DeviceRng::Std(StdRng::seed_from_u64(config.seed))
-        };
+        let mut rng = SmallRng::seed_from_u64(config.seed);
         let phys = geometry.total_physical_pages() as usize;
         let slots = geometry.total_slots() as usize;
         let mut normals = NormalSource::new();
         let wear = (0..phys)
-            .map(|_| {
-                let q = if config.fast_rng {
-                    wear_model.sample_quality_with(&mut normals, &mut rng)
-                } else {
-                    wear_model.sample_quality(&mut rng)
-                };
-                PageWearState::with_quality(q)
-            })
+            .map(|_| PageWearState::with_quality(wear_model.sample_quality(&mut normals, &mut rng)))
             .collect();
         FlashDevice {
             wear_model,

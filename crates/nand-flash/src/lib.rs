@@ -8,7 +8,7 @@
 //! injection backed by the `flash-reliability` lifetime model.
 //!
 //! * [`fxhash`] — vendored deterministic hasher for integer-keyed hot
-//!   paths (re-exported by `flashcache-core`);
+//!   paths;
 //! * [`geometry`] — blocks, physical pages, slots, capacity math;
 //! * [`timing`] — per-operation latency and energy constants;
 //! * [`sched`] — the device-timing API: the [`TimingModel`] trait, the
@@ -55,7 +55,7 @@ pub use device::{
 pub use geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 pub use sched::{
     ChannelConfig, ChannelConfigBuilder, ChannelConfigError, ClosedForm, EventDriven, OpClass,
-    OpRequest, OpTiming, SchedBackend, TimingBackend, TimingModel, TraceEntry, TraceKind,
+    OpRequest, OpTiming, TimingBackend, TimingModel, TraceEntry, TraceKind,
 };
 pub use timing::{FlashPower, FlashTiming};
 pub use verified::{VerifiedError, VerifiedFlash, VerifiedRead};

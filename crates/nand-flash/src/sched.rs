@@ -11,19 +11,12 @@
 //!   coalescing write buffer, in the spirit of FTL-SIM's event loop and
 //!   the multi-channel interleaving literature.
 //!
-//! The event-driven scheduler itself has two compiled-in
-//! implementations, selected by [`ChannelConfig::sched_backend`]:
-//!
-//! * [`SchedBackend::Wheel`] (default) — the fast core: a bucketed
-//!   calendar queue (timer wheel) with a slab event arena for the
-//!   global timeline, flat per-channel admission windows, and a
-//!   no-contention bypass that materializes no event at all when
-//!   nothing can observe it (tracing off). Steady-state scheduling
-//!   allocates nothing.
-//! * [`SchedBackend::Heap`] — the original `BinaryHeap`-based
-//!   scheduler, retained as a differential oracle. Both backends must
-//!   produce byte-identical per-op timings, drained makespans, and
-//!   event traces; `tests/sched_props.rs` pins this.
+//! The event-driven scheduler is one core — flat per-channel admission
+//! windows, channel/plane placement, and a no-contention bypass that
+//! materializes no event at all when nothing can observe it (tracing
+//! off) — over a global timeline that is a bucketed calendar queue
+//! (timer wheel) with a slab event arena. Steady-state scheduling
+//! allocates nothing.
 //!
 //! Events are keyed on `(time, seq)` — ties broken by submission
 //! sequence — so replaying the same op stream always pops events in the
@@ -31,7 +24,8 @@
 //! quantizes event *placement* (bucket index) but never event *times*:
 //! within a bucket the exact `(time, seq)` minimum is selected, and
 //! bucket order is consistent with time order because the tick mapping
-//! is monotone, so drained times stay bit-identical to the heap.
+//! is monotone, so drained times are bit-identical to a total-order
+//! heap; the in-crate tests pin this against a `BinaryHeap` queue.
 //!
 //! # Oracle contract
 //!
@@ -62,14 +56,15 @@
 //!   channel and plane time without advancing the foreground clock, so
 //!   later foreground ops observe genuine queue wait.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
 
 use crate::fxhash::FxHashMap;
 use crate::geometry::CellMode;
 use crate::timing::FlashTiming;
+
+mod queue;
+use queue::{Ev, EvKind, EventQueue, TimerWheel};
 
 /// Which timing implementation a device resolves at construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,23 +74,6 @@ pub enum TimingBackend {
     ClosedForm,
     /// Discrete-event scheduler with channel/plane parallelism.
     EventDriven,
-}
-
-/// Which event-queue implementation the event-driven scheduler uses.
-///
-/// Both backends implement exactly the same scheduling disciplines and
-/// must agree bit-for-bit on every per-op timing, trace entry, and
-/// drained makespan; the heap is retained purely as a differential
-/// oracle for the wheel's cache-friendly structures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedBackend {
-    /// `BinaryHeap` event queue + per-channel admission heaps (the
-    /// original implementation; the oracle).
-    Heap,
-    /// Bucketed timer wheel + slab event arena + flat admission
-    /// windows (the fast default).
-    #[default]
-    Wheel,
 }
 
 /// Channel-level geometry and scheduling parameters for the
@@ -115,9 +93,6 @@ pub struct ChannelConfig {
     pub xfer_us: f64,
     /// Maximum retained event-trace entries (0 disables tracing).
     pub trace_capacity: u32,
-    /// Event-queue implementation (wheel by default; heap is the
-    /// differential oracle).
-    pub sched_backend: SchedBackend,
 }
 
 impl Default for ChannelConfig {
@@ -129,7 +104,6 @@ impl Default for ChannelConfig {
             writeback_us: 0.0,
             xfer_us: 0.0,
             trace_capacity: 0,
-            sched_backend: SchedBackend::default(),
         }
     }
 }
@@ -262,12 +236,6 @@ impl ChannelConfigBuilder {
     /// Sets the event-trace retention limit.
     pub fn trace_capacity(mut self, trace_capacity: u32) -> Self {
         self.config.trace_capacity = trace_capacity;
-        self
-    }
-
-    /// Selects the event-queue implementation (wheel by default).
-    pub fn sched_backend(mut self, sched_backend: SchedBackend) -> Self {
-        self.config.sched_backend = sched_backend;
         self
     }
 
@@ -462,71 +430,6 @@ impl TimingModel for ClosedForm {
     }
 }
 
-/// Total-ordered `f64` for heap keys.
-#[derive(Debug, Clone, Copy)]
-struct OrdF64(f64);
-
-impl PartialEq for OrdF64 {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == Ordering::Equal
-    }
-}
-
-impl Eq for OrdF64 {}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-enum EvKind {
-    Complete {
-        channel: u32,
-    },
-    WbFlush {
-        lba: u64,
-        generation: u64,
-        mode: CellMode,
-        block: u32,
-    },
-}
-
-/// Timeline event, min-ordered on `(time, seq)`.
-#[derive(Debug, Clone, Copy)]
-struct Ev {
-    t: f64,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Ev {}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.t.total_cmp(&other.t).then(self.seq.cmp(&other.seq))
-    }
-}
-
 #[inline]
 fn channel_of(cfg: &ChannelConfig, block: u32) -> usize {
     (block % cfg.channels) as usize
@@ -536,88 +439,6 @@ fn channel_of(cfg: &ChannelConfig, block: u32) -> usize {
 fn plane_of(cfg: &ChannelConfig, block: u32) -> usize {
     let ch = channel_of(cfg, block);
     ch * cfg.planes as usize + ((block / cfg.channels) % cfg.planes) as usize
-}
-
-/// Places one admitted op on the channel/plane timelines and returns
-/// `(service, end)`, accumulating stall terms into `wait_us`.
-///
-/// Shared by both event backends so the stall arithmetic is *textually*
-/// identical — each stall term is a `max(ready, free) - ready`, never
-/// `end - arrival - service`, which is what keeps serial-mode waits
-/// exactly `0.0` and the heap/wheel comparison byte-exact. The wide
-/// parameter list is the point: both callers hand over exactly the
-/// resource state the arithmetic reads, nothing behind a struct that
-/// would differ between them.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn place_op(
-    timing: &FlashTiming,
-    xfer: f64,
-    bus_free_us: &mut [f64],
-    plane_free_us: &mut [f64],
-    class: OpClass,
-    mode: CellMode,
-    ch: usize,
-    plane: usize,
-    admit_us: f64,
-    wait_us: &mut f64,
-) -> (f64, f64) {
-    let (service_us, end);
-    match class {
-        OpClass::Read => {
-            let cell = table_read(timing, mode);
-            let cell_start = if plane_free_us[plane] > admit_us {
-                plane_free_us[plane]
-            } else {
-                admit_us
-            };
-            *wait_us += cell_start - admit_us;
-            let cell_end = cell_start + cell;
-            let bus_start = if bus_free_us[ch] > cell_end {
-                bus_free_us[ch]
-            } else {
-                cell_end
-            };
-            *wait_us += bus_start - cell_end;
-            end = bus_start + xfer;
-            bus_free_us[ch] = end;
-            plane_free_us[plane] = end;
-            service_us = cell + xfer;
-        }
-        OpClass::Program => {
-            let cell = table_program(timing, mode);
-            let bus_start = if bus_free_us[ch] > admit_us {
-                bus_free_us[ch]
-            } else {
-                admit_us
-            };
-            *wait_us += bus_start - admit_us;
-            let bus_end = bus_start + xfer;
-            bus_free_us[ch] = bus_end;
-            let cell_start = if plane_free_us[plane] > bus_end {
-                plane_free_us[plane]
-            } else {
-                bus_end
-            };
-            *wait_us += cell_start - bus_end;
-            end = cell_start + cell;
-            plane_free_us[plane] = end;
-            service_us = xfer + cell;
-        }
-        OpClass::Erase => {
-            let cell = table_erase(timing, mode);
-            let cell_start = if plane_free_us[plane] > admit_us {
-                plane_free_us[plane]
-            } else {
-                admit_us
-            };
-            *wait_us += cell_start - admit_us;
-            end = cell_start + cell;
-            plane_free_us[plane] = end;
-            service_us = cell;
-        }
-    }
-    (service_us, end)
 }
 
 /// Internal dispatch result.
@@ -632,529 +453,11 @@ struct OpSpan {
 ///
 /// See the module docs for the scheduling disciplines and the oracle
 /// contract. The scheduler is RNG-free: determinism is structural. The
-/// internal event-queue implementation is selected by
-/// [`ChannelConfig::sched_backend`]; both produce byte-identical
-/// timings, traces, and makespans.
+/// core is generic over its event timeline ([`EventQueue`]); the
+/// product always runs the [`TimerWheel`], and steady-state scheduling
+/// allocates nothing.
 #[derive(Debug)]
-pub struct EventDriven {
-    inner: EventImpl,
-}
-
-// One `EventDriven` exists per device (already boxed behind
-// `dyn TimingModel`), so the variant size gap is irrelevant and an
-// extra indirection would cost on every op.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum EventImpl {
-    Heap(EventHeap),
-    Wheel(EventWheel),
-}
-
-impl EventDriven {
-    /// An event-driven model over the given latency table and channel
-    /// configuration.
-    pub fn new(timing: FlashTiming, cfg: ChannelConfig) -> Self {
-        let inner = match cfg.sched_backend {
-            SchedBackend::Heap => EventImpl::Heap(EventHeap::new(timing, cfg)),
-            SchedBackend::Wheel => EventImpl::Wheel(EventWheel::new(timing, cfg)),
-        };
-        EventDriven { inner }
-    }
-
-    /// The channel configuration in force.
-    pub fn channel_config(&self) -> &ChannelConfig {
-        match &self.inner {
-            EventImpl::Heap(m) => &m.cfg,
-            EventImpl::Wheel(m) => &m.cfg,
-        }
-    }
-
-    /// Pending (not yet flushed or coalesced) write-buffer entries.
-    pub fn buffered_writes(&self) -> usize {
-        match &self.inner {
-            EventImpl::Heap(m) => m.wb_pending.len(),
-            EventImpl::Wheel(m) => m.wb_pending.len(),
-        }
-    }
-}
-
-impl TimingModel for EventDriven {
-    fn op(&mut self, req: &OpRequest) -> OpTiming {
-        match &mut self.inner {
-            EventImpl::Heap(m) => m.op(req),
-            EventImpl::Wheel(m) => m.op(req),
-        }
-    }
-
-    fn read_us(&self, mode: CellMode) -> f64 {
-        match &self.inner {
-            EventImpl::Heap(m) => table_read(&m.timing, mode),
-            EventImpl::Wheel(m) => table_read(&m.timing, mode),
-        }
-    }
-
-    fn program_us(&self, mode: CellMode) -> f64 {
-        match &self.inner {
-            EventImpl::Heap(m) => table_program(&m.timing, mode),
-            EventImpl::Wheel(m) => table_program(&m.timing, mode),
-        }
-    }
-
-    fn erase_us(&self, mode: CellMode) -> f64 {
-        match &self.inner {
-            EventImpl::Heap(m) => table_erase(&m.timing, mode),
-            EventImpl::Wheel(m) => table_erase(&m.timing, mode),
-        }
-    }
-
-    fn now_us(&self) -> f64 {
-        match &self.inner {
-            EventImpl::Heap(m) => m.now_us,
-            EventImpl::Wheel(m) => m.now_us,
-        }
-    }
-
-    fn drain(&mut self) -> f64 {
-        match &mut self.inner {
-            EventImpl::Heap(m) => m.drain(),
-            EventImpl::Wheel(m) => m.drain(),
-        }
-    }
-
-    fn trace(&self) -> &[TraceEntry] {
-        match &self.inner {
-            EventImpl::Heap(m) => &m.trace,
-            EventImpl::Wheel(m) => &m.trace,
-        }
-    }
-}
-
-/// The original heap-based event scheduler, retained verbatim as the
-/// differential oracle for [`EventWheel`].
-#[derive(Debug)]
-struct EventHeap {
-    timing: FlashTiming,
-    cfg: ChannelConfig,
-    serial: bool,
-    now_us: f64,
-    seq: u64,
-    events: BinaryHeap<Reverse<Ev>>,
-    /// Per-channel time at which the bus falls idle.
-    bus_free_us: Vec<f64>,
-    /// Per-plane (channel-major) time at which the cell array falls idle.
-    plane_free_us: Vec<f64>,
-    /// Per-channel completion times of outstanding ops (queue-depth
-    /// admission window).
-    outstanding: Vec<BinaryHeap<Reverse<OrdF64>>>,
-    /// Write buffer: LBA → generation of the pending flush.
-    wb_pending: FxHashMap<u64, u64>,
-    wb_generation: u64,
-    trace: Vec<TraceEntry>,
-}
-
-impl EventHeap {
-    fn new(timing: FlashTiming, cfg: ChannelConfig) -> Self {
-        let channels = cfg.channels.max(1) as usize;
-        let planes = channels * cfg.planes.max(1) as usize;
-        EventHeap {
-            timing,
-            serial: cfg.is_serial(),
-            now_us: 0.0,
-            seq: 0,
-            events: BinaryHeap::new(),
-            bus_free_us: vec![0.0; channels],
-            plane_free_us: vec![0.0; planes],
-            outstanding: (0..channels).map(|_| BinaryHeap::new()).collect(),
-            wb_pending: FxHashMap::default(),
-            wb_generation: 0,
-            trace: Vec::new(),
-            cfg,
-        }
-    }
-
-    fn push_trace(&mut self, kind: TraceKind, t: f64, seq: u64, channel: u32) {
-        if self.trace.len() < self.cfg.trace_capacity as usize {
-            self.trace.push(TraceEntry {
-                t_bits: t.to_bits(),
-                seq,
-                kind,
-                channel,
-            });
-        }
-    }
-
-    fn push_event(&mut self, t: f64, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Reverse(Ev { t, seq, kind }));
-    }
-
-    /// Places one op on the channel/plane timeline starting no earlier
-    /// than `arrival_us`, returning `(wait, service, end)`.
-    fn dispatch(&mut self, class: OpClass, mode: CellMode, block: u32, arrival_us: f64) -> OpSpan {
-        let ch = channel_of(&self.cfg, block);
-        let plane = plane_of(&self.cfg, block);
-        // FIFO queue-depth admission: completed ops leave the window,
-        // then stall until the window has room.
-        let depth = self.cfg.queue_depth.max(1) as usize;
-        let q = &mut self.outstanding[ch];
-        while matches!(q.peek(), Some(&Reverse(OrdF64(t))) if t <= arrival_us) {
-            q.pop();
-        }
-        let mut admit_us = arrival_us;
-        while q.len() >= depth {
-            let Reverse(OrdF64(t)) = q.pop().expect("len >= depth > 0");
-            if t > admit_us {
-                admit_us = t;
-            }
-        }
-        let mut wait_us = admit_us - arrival_us;
-        let (service_us, end) = place_op(
-            &self.timing,
-            self.cfg.xfer_us,
-            &mut self.bus_free_us,
-            &mut self.plane_free_us,
-            class,
-            mode,
-            ch,
-            plane,
-            admit_us,
-            &mut wait_us,
-        );
-        self.outstanding[ch].push(Reverse(OrdF64(end)));
-        let seq = self.seq;
-        self.push_trace(TraceKind::Dispatch, end, seq, ch as u32);
-        self.push_event(end, EvKind::Complete { channel: ch as u32 });
-        OpSpan {
-            wait_us,
-            service_us,
-            end_us: end,
-        }
-    }
-
-    /// Fires every event due at or before `t_us`.
-    fn run_until(&mut self, t_us: f64) {
-        while matches!(self.events.peek(), Some(&Reverse(ev)) if ev.t <= t_us) {
-            let Reverse(ev) = self.events.pop().expect("peeked non-empty");
-            self.fire(ev);
-        }
-    }
-
-    fn fire(&mut self, ev: Ev) {
-        match ev.kind {
-            EvKind::Complete { channel } => {
-                self.push_trace(TraceKind::Complete, ev.t, ev.seq, channel);
-            }
-            EvKind::WbFlush {
-                lba,
-                generation,
-                mode,
-                block,
-            } => {
-                if self.wb_pending.get(&lba) == Some(&generation) {
-                    self.wb_pending.remove(&lba);
-                    self.push_trace(
-                        TraceKind::WbFlush,
-                        ev.t,
-                        ev.seq,
-                        channel_of(&self.cfg, block) as u32,
-                    );
-                    self.dispatch(OpClass::Program, mode, block, ev.t);
-                } else {
-                    self.push_trace(
-                        TraceKind::WbCoalesce,
-                        ev.t,
-                        ev.seq,
-                        channel_of(&self.cfg, block) as u32,
-                    );
-                }
-            }
-        }
-    }
-
-    fn op(&mut self, req: &OpRequest) -> OpTiming {
-        let arrival_us = self.now_us;
-        self.run_until(arrival_us);
-        let blocking = self.serial || !req.background;
-        if !blocking && req.class == OpClass::Program && self.cfg.writeback_us > 0.0 {
-            if let Some(lba) = req.lba {
-                // Buffer the write: the NAND occupancy happens at flush
-                // time (or never, if a rewrite supersedes it), but the
-                // service cost is reported now so device stats stay
-                // monotone and backend-independent.
-                self.wb_generation += 1;
-                self.wb_pending.insert(lba, self.wb_generation);
-                self.push_event(
-                    arrival_us + self.cfg.writeback_us,
-                    EvKind::WbFlush {
-                        lba,
-                        generation: self.wb_generation,
-                        mode: req.mode,
-                        block: req.block,
-                    },
-                );
-                return OpTiming {
-                    wait_us: 0.0,
-                    service_us: table_program(&self.timing, req.mode) + self.cfg.xfer_us,
-                };
-            }
-        }
-        let span = self.dispatch(req.class, req.mode, req.block, arrival_us);
-        if blocking {
-            self.run_until(span.end_us);
-            self.now_us = span.end_us;
-        }
-        OpTiming {
-            wait_us: span.wait_us,
-            service_us: span.service_us,
-        }
-    }
-
-    fn drain(&mut self) -> f64 {
-        // Fire everything still scheduled — buffered writes flush at
-        // their writeback deadlines and their dispatches enqueue further
-        // completion events, all consumed here in (time, seq) order.
-        while let Some(Reverse(ev)) = self.events.pop() {
-            self.fire(ev);
-        }
-        let mut makespan = self.now_us;
-        for &t in &self.bus_free_us {
-            if t > makespan {
-                makespan = t;
-            }
-        }
-        for &t in &self.plane_free_us {
-            if t > makespan {
-                makespan = t;
-            }
-        }
-        self.now_us = makespan;
-        makespan
-    }
-}
-
-/// Ring size of the calendar queue (one wrap of the wheel).
-const WHEEL_BUCKETS: usize = 1024;
-/// Bitmap words covering the ring.
-const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
-/// Bucket width, µs. Sized so one wrap (16.4 ms) covers the event
-/// horizon of deep queues of the slowest op (MLC erase, 3.3 ms) plus
-/// any realistic writeback window; farther events overflow to a side
-/// list that is cascaded back in when the ring empties.
-const WHEEL_QUANTUM_US: f64 = 16.0;
-const WHEEL_INV_QUANTUM: f64 = 1.0 / WHEEL_QUANTUM_US;
-/// Null link in the slab arena.
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct EvNode {
-    ev: Ev,
-    next: u32,
-}
-
-/// Bucketed calendar queue (timer wheel) over a slab event arena.
-///
-/// Events are binned by quantized time (`tick = floor(t / quantum)`)
-/// into a ring of singly linked buckets; freed nodes return to a free
-/// list, so steady-state push/pop allocates nothing. The quantization
-/// contract: bucketing affects only *placement* — the tick mapping is
-/// monotone (so an event in an earlier bucket never has a later time),
-/// and within a bucket the exact `(t, seq)` minimum is selected — so
-/// pop order, and therefore every drained time, is bit-identical to a
-/// total-order heap. Events beyond one wrap land on an unsorted
-/// overflow list and cascade into the ring when it empties; all ring
-/// events hold ticks inside `[base_tick, base_tick + WHEEL_BUCKETS)`,
-/// which keeps every bucket single-ticked (no wrap collisions).
-#[derive(Debug)]
-struct TimerWheel {
-    nodes: Vec<EvNode>,
-    free_head: u32,
-    heads: Vec<u32>,
-    occupied: [u64; WHEEL_WORDS],
-    /// Quantized time of the ring window start. Events pushed with an
-    /// earlier tick are clamped into the base bucket (see
-    /// [`TimerWheel::push`]); everything else in the ring holds ticks
-    /// inside `[base_tick, base_tick + WHEEL_BUCKETS)`.
-    base_tick: u64,
-    ring_len: usize,
-    overflow: Vec<Ev>,
-    len: usize,
-}
-
-impl TimerWheel {
-    fn new() -> Self {
-        TimerWheel {
-            nodes: Vec::new(),
-            free_head: NIL,
-            heads: vec![NIL; WHEEL_BUCKETS],
-            occupied: [0; WHEEL_WORDS],
-            base_tick: 0,
-            ring_len: 0,
-            overflow: Vec::new(),
-            len: 0,
-        }
-    }
-
-    /// Quantized bucket index of an event time. Monotone: `t1 <= t2`
-    /// implies `tick_of(t1) <= tick_of(t2)` (IEEE multiplication by a
-    /// positive constant and the truncating cast are both monotone), so
-    /// bucket order can never contradict time order.
-    #[inline]
-    fn tick_of(t: f64) -> u64 {
-        (t * WHEEL_INV_QUANTUM) as u64
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn push(&mut self, ev: Ev) {
-        let tick = Self::tick_of(ev.t);
-        if self.len == 0 {
-            self.base_tick = tick;
-        }
-        self.len += 1;
-        // An event can land before the window start when the wheel was
-        // seeded by a *later* event (a distant writeback deadline, say,
-        // followed by a near completion). Clamping it into the base
-        // bucket preserves exact pop order: the base bucket is scanned
-        // first, every clamped event's time precedes every event in a
-        // later bucket (`t < base_tick * quantum <= later bucket
-        // start`), and within the bucket selection compares exact
-        // `(t, seq)`.
-        let tick = tick.max(self.base_tick);
-        if tick - self.base_tick >= WHEEL_BUCKETS as u64 {
-            self.overflow.push(ev);
-        } else {
-            self.insert_ring(tick, ev);
-        }
-    }
-
-    fn insert_ring(&mut self, tick: u64, ev: Ev) {
-        let slot = (tick % WHEEL_BUCKETS as u64) as usize;
-        let node = EvNode {
-            ev,
-            next: self.heads[slot],
-        };
-        let idx = if self.free_head != NIL {
-            let idx = self.free_head;
-            self.free_head = self.nodes[idx as usize].next;
-            self.nodes[idx as usize] = node;
-            idx
-        } else {
-            let idx = self.nodes.len() as u32;
-            self.nodes.push(node);
-            idx
-        };
-        self.heads[slot] = idx;
-        self.occupied[slot / 64] |= 1u64 << (slot % 64);
-        self.ring_len += 1;
-    }
-
-    /// Pops the globally earliest `(t, seq)` event if its time is at or
-    /// before `limit`.
-    fn pop_due(&mut self, limit: f64) -> Option<Ev> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.ring_len == 0 {
-            self.refill_from_overflow();
-        }
-        let slot = self.first_occupied_slot();
-        // Exact (t, seq) minimum within the bucket: quantization decides
-        // placement, never order.
-        let head = self.heads[slot];
-        let mut min_idx = head;
-        let mut min_prev = NIL;
-        let mut prev = head;
-        let mut cur = self.nodes[head as usize].next;
-        while cur != NIL {
-            let c = &self.nodes[cur as usize].ev;
-            let m = &self.nodes[min_idx as usize].ev;
-            if c.cmp(m) == Ordering::Less {
-                min_idx = cur;
-                min_prev = prev;
-            }
-            prev = cur;
-            cur = self.nodes[cur as usize].next;
-        }
-        let ev = self.nodes[min_idx as usize].ev;
-        if ev.t > limit {
-            return None;
-        }
-        // Unlink and recycle the node.
-        let after = self.nodes[min_idx as usize].next;
-        if min_prev == NIL {
-            self.heads[slot] = after;
-        } else {
-            self.nodes[min_prev as usize].next = after;
-        }
-        self.nodes[min_idx as usize].next = self.free_head;
-        self.free_head = min_idx;
-        if self.heads[slot] == NIL {
-            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-        }
-        self.ring_len -= 1;
-        self.len -= 1;
-        self.base_tick = self.base_tick.max(Self::tick_of(ev.t));
-        Some(ev)
-    }
-
-    /// First occupied bucket in cyclic order from the window start;
-    /// caller guarantees the ring is non-empty.
-    fn first_occupied_slot(&self) -> usize {
-        debug_assert!(self.ring_len > 0);
-        let base_slot = (self.base_tick % WHEEL_BUCKETS as u64) as usize;
-        let word0 = base_slot / 64;
-        let bit0 = base_slot % 64;
-        let masked = self.occupied[word0] & (!0u64 << bit0);
-        if masked != 0 {
-            return word0 * 64 + masked.trailing_zeros() as usize;
-        }
-        for i in 1..=WHEEL_WORDS {
-            let w = (word0 + i) % WHEEL_WORDS;
-            let bits = if w == word0 {
-                // Wrapped back to the base word: only the low bits.
-                self.occupied[w] & !(!0u64 << bit0)
-            } else {
-                self.occupied[w]
-            };
-            if bits != 0 {
-                return w * 64 + bits.trailing_zeros() as usize;
-            }
-        }
-        unreachable!("non-empty ring always has an occupied bucket")
-    }
-
-    /// Advances the window to the earliest overflow event and moves
-    /// every overflow event now inside one wrap into the ring.
-    fn refill_from_overflow(&mut self) {
-        debug_assert!(self.ring_len == 0 && !self.overflow.is_empty());
-        let mut min_tick = u64::MAX;
-        for ev in &self.overflow {
-            min_tick = min_tick.min(Self::tick_of(ev.t));
-        }
-        self.base_tick = self.base_tick.max(min_tick);
-        let mut i = 0;
-        while i < self.overflow.len() {
-            let tick = Self::tick_of(self.overflow[i].t).max(self.base_tick);
-            if tick - self.base_tick < WHEEL_BUCKETS as u64 {
-                let ev = self.overflow.swap_remove(i);
-                self.insert_ring(tick, ev);
-            } else {
-                i += 1;
-            }
-        }
-        debug_assert!(self.ring_len > 0, "refill must land the earliest event");
-    }
-}
-
-/// The fast event scheduler: timer-wheel timeline, flat per-channel
-/// admission windows, slab arena, and a no-contention bypass. Produces
-/// timings, traces, and makespans byte-identical to [`EventHeap`].
-#[derive(Debug)]
-struct EventWheel {
+pub struct EventDriven<Q: EventQueue = TimerWheel> {
     timing: FlashTiming,
     cfg: ChannelConfig,
     serial: bool,
@@ -1164,7 +467,7 @@ struct EventWheel {
     trace_on: bool,
     now_us: f64,
     seq: u64,
-    wheel: TimerWheel,
+    queue: Q,
     /// Per-channel time at which the bus falls idle.
     bus_free_us: Vec<f64>,
     /// Per-plane (channel-major) time at which the cell array falls idle.
@@ -1181,18 +484,26 @@ struct EventWheel {
     trace: Vec<TraceEntry>,
 }
 
-impl EventWheel {
-    fn new(timing: FlashTiming, cfg: ChannelConfig) -> Self {
+impl EventDriven {
+    /// An event-driven model over the given latency table and channel
+    /// configuration.
+    pub fn new(timing: FlashTiming, cfg: ChannelConfig) -> Self {
+        Self::with_queue(timing, cfg)
+    }
+}
+
+impl<Q: EventQueue> EventDriven<Q> {
+    fn with_queue(timing: FlashTiming, cfg: ChannelConfig) -> Self {
         let channels = cfg.channels.max(1) as usize;
         let planes = channels * cfg.planes.max(1) as usize;
         let depth = cfg.queue_depth.max(1) as usize;
-        EventWheel {
+        EventDriven {
             timing,
             serial: cfg.is_serial(),
             trace_on: cfg.trace_capacity > 0,
             now_us: 0.0,
             seq: 0,
-            wheel: TimerWheel::new(),
+            queue: Q::default(),
             bus_free_us: vec![0.0; channels],
             plane_free_us: vec![0.0; planes],
             out_ends: vec![0.0; channels * depth],
@@ -1203,6 +514,16 @@ impl EventWheel {
             trace: Vec::new(),
             cfg,
         }
+    }
+
+    /// The channel configuration in force.
+    pub fn channel_config(&self) -> &ChannelConfig {
+        &self.cfg
+    }
+
+    /// Pending (not yet flushed or coalesced) write-buffer entries.
+    pub fn buffered_writes(&self) -> usize {
+        self.wb_pending.len()
     }
 
     fn push_trace(&mut self, kind: TraceKind, t: f64, seq: u64, channel: u32) {
@@ -1219,13 +540,12 @@ impl EventWheel {
     fn push_event(&mut self, t: f64, kind: EvKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.wheel.push(Ev { t, seq, kind });
+        self.queue.push(Ev { t, seq, kind });
     }
 
-    /// Admission over the flat window: drop completions at or before
-    /// `arrival_us`, then, if the window is still full, free the
-    /// earliest completion and stall to it — value-identical to the
-    /// oracle's heap pops.
+    /// FIFO queue-depth admission over the flat window: drop
+    /// completions at or before `arrival_us`, then, while the window is
+    /// still full, free the earliest completion and stall to it.
     #[inline]
     fn admit(&mut self, ch: usize, arrival_us: f64) -> f64 {
         let n = self.out_len[ch] as usize;
@@ -1260,6 +580,81 @@ impl EventWheel {
         admit_us
     }
 
+    /// Places one admitted op on the channel/plane timelines and
+    /// returns `(service, end)`, accumulating stall terms into
+    /// `wait_us`. Each stall term is a `max(ready, free) - ready`,
+    /// never `end - arrival - service`, which is what keeps serial-mode
+    /// waits exactly `0.0`.
+    #[inline]
+    fn place_op(
+        &mut self,
+        class: OpClass,
+        mode: CellMode,
+        ch: usize,
+        plane: usize,
+        admit_us: f64,
+        wait_us: &mut f64,
+    ) -> (f64, f64) {
+        let xfer = self.cfg.xfer_us;
+        let (bus_free_us, plane_free_us) = (&mut self.bus_free_us, &mut self.plane_free_us);
+        let (service_us, end);
+        match class {
+            OpClass::Read => {
+                let cell = table_read(&self.timing, mode);
+                let cell_start = if plane_free_us[plane] > admit_us {
+                    plane_free_us[plane]
+                } else {
+                    admit_us
+                };
+                *wait_us += cell_start - admit_us;
+                let cell_end = cell_start + cell;
+                let bus_start = if bus_free_us[ch] > cell_end {
+                    bus_free_us[ch]
+                } else {
+                    cell_end
+                };
+                *wait_us += bus_start - cell_end;
+                end = bus_start + xfer;
+                bus_free_us[ch] = end;
+                plane_free_us[plane] = end;
+                service_us = cell + xfer;
+            }
+            OpClass::Program => {
+                let cell = table_program(&self.timing, mode);
+                let bus_start = if bus_free_us[ch] > admit_us {
+                    bus_free_us[ch]
+                } else {
+                    admit_us
+                };
+                *wait_us += bus_start - admit_us;
+                let bus_end = bus_start + xfer;
+                bus_free_us[ch] = bus_end;
+                let cell_start = if plane_free_us[plane] > bus_end {
+                    plane_free_us[plane]
+                } else {
+                    bus_end
+                };
+                *wait_us += cell_start - bus_end;
+                end = cell_start + cell;
+                plane_free_us[plane] = end;
+                service_us = xfer + cell;
+            }
+            OpClass::Erase => {
+                let cell = table_erase(&self.timing, mode);
+                let cell_start = if plane_free_us[plane] > admit_us {
+                    plane_free_us[plane]
+                } else {
+                    admit_us
+                };
+                *wait_us += cell_start - admit_us;
+                end = cell_start + cell;
+                plane_free_us[plane] = end;
+                service_us = cell;
+            }
+        }
+        (service_us, end)
+    }
+
     /// Places one op on the channel/plane timeline starting no earlier
     /// than `arrival_us`, returning `(wait, service, end)`.
     fn dispatch(&mut self, class: OpClass, mode: CellMode, block: u32, arrival_us: f64) -> OpSpan {
@@ -1267,26 +662,13 @@ impl EventWheel {
         let plane = plane_of(&self.cfg, block);
         let admit_us = self.admit(ch, arrival_us);
         let mut wait_us = admit_us - arrival_us;
-        let (service_us, end) = place_op(
-            &self.timing,
-            self.cfg.xfer_us,
-            &mut self.bus_free_us,
-            &mut self.plane_free_us,
-            class,
-            mode,
-            ch,
-            plane,
-            admit_us,
-            &mut wait_us,
-        );
+        let (service_us, end) = self.place_op(class, mode, ch, plane, admit_us, &mut wait_us);
         let n = self.out_len[ch] as usize;
         self.out_ends[ch * self.depth + n] = end;
         self.out_len[ch] = (n + 1) as u32;
         if self.trace_on {
             // Trace retention makes completion events observable: emit
-            // the dispatch record and materialize the completion so the
-            // trace stream (and its seq numbering) is byte-identical to
-            // the heap oracle's.
+            // the dispatch record and materialize the completion.
             let seq = self.seq;
             self.push_trace(TraceKind::Dispatch, end, seq, ch as u32);
             self.push_event(end, EvKind::Complete { channel: ch as u32 });
@@ -1301,7 +683,7 @@ impl EventWheel {
     /// Fires every event due at or before `t_us`.
     #[inline]
     fn run_until(&mut self, t_us: f64) {
-        while let Some(ev) = self.wheel.pop_due(t_us) {
+        while let Some(ev) = self.queue.pop_due(t_us) {
             self.fire(ev);
         }
     }
@@ -1337,7 +719,9 @@ impl EventWheel {
             }
         }
     }
+}
 
+impl<Q: EventQueue> TimingModel for EventDriven<Q> {
     fn op(&mut self, req: &OpRequest) -> OpTiming {
         let arrival_us = self.now_us;
         if self.serial && !self.trace_on {
@@ -1349,7 +733,7 @@ impl EventWheel {
             // The admission window and free-time arrays are skipped
             // too: every entry they would hold is <= the advanced clock
             // and therefore unobservable.
-            debug_assert!(self.wheel.len() == 0);
+            debug_assert!(self.queue.len() == 0);
             let (service_us, end) = match req.class {
                 OpClass::Read => {
                     let cell = table_read(&self.timing, req.mode);
@@ -1374,7 +758,7 @@ impl EventWheel {
                 service_us,
             };
         }
-        if self.wheel.len() != 0 {
+        if self.queue.len() != 0 {
             self.run_until(arrival_us);
         }
         let blocking = self.serial || !req.background;
@@ -1403,7 +787,7 @@ impl EventWheel {
         }
         let span = self.dispatch(req.class, req.mode, req.block, arrival_us);
         if blocking {
-            if self.wheel.len() != 0 {
+            if self.queue.len() != 0 {
                 self.run_until(span.end_us);
             }
             self.now_us = span.end_us;
@@ -1412,34 +796,6 @@ impl EventWheel {
             wait_us: span.wait_us,
             service_us: span.service_us,
         }
-    }
-
-    fn drain(&mut self) -> f64 {
-        // Fire everything still scheduled — buffered writes flush at
-        // their writeback deadlines and their dispatches enqueue further
-        // completion events, all consumed here in (time, seq) order.
-        while let Some(ev) = self.wheel.pop_due(f64::INFINITY) {
-            self.fire(ev);
-        }
-        let mut makespan = self.now_us;
-        for &t in &self.bus_free_us {
-            if t > makespan {
-                makespan = t;
-            }
-        }
-        for &t in &self.plane_free_us {
-            if t > makespan {
-                makespan = t;
-            }
-        }
-        self.now_us = makespan;
-        makespan
-    }
-}
-
-impl TimingModel for EventWheel {
-    fn op(&mut self, req: &OpRequest) -> OpTiming {
-        EventWheel::op(self, req)
     }
 
     fn read_us(&self, mode: CellMode) -> f64 {
@@ -1459,7 +815,23 @@ impl TimingModel for EventWheel {
     }
 
     fn drain(&mut self) -> f64 {
-        EventWheel::drain(self)
+        // Fire everything still scheduled — buffered writes flush at
+        // their writeback deadlines and their dispatches enqueue further
+        // completion events, all consumed here in (time, seq) order.
+        self.run_until(f64::INFINITY);
+        let mut makespan = self.now_us;
+        for &t in &self.bus_free_us {
+            if t > makespan {
+                makespan = t;
+            }
+        }
+        for &t in &self.plane_free_us {
+            if t > makespan {
+                makespan = t;
+            }
+        }
+        self.now_us = makespan;
+        makespan
     }
 
     fn trace(&self) -> &[TraceEntry] {
@@ -1469,7 +841,9 @@ impl TimingModel for EventWheel {
 
 #[cfg(test)]
 mod tests {
+    use super::queue::{HeapQueue, WHEEL_BUCKETS, WHEEL_QUANTUM_US};
     use super::*;
+    use proptest::prelude::*;
 
     fn fg(class: OpClass, mode: CellMode, block: u32) -> OpRequest {
         OpRequest {
@@ -1505,18 +879,11 @@ mod tests {
             .writeback_us(500.0)
             .xfer_us(40.0)
             .trace_capacity(64)
-            .sched_backend(SchedBackend::Heap)
             .build()
             .unwrap();
         assert_eq!((cfg.channels, cfg.planes, cfg.queue_depth), (4, 2, 8));
-        assert_eq!(cfg.sched_backend, SchedBackend::Heap);
         assert!(!cfg.is_serial());
         assert!(ChannelConfig::default().is_serial());
-        assert_eq!(
-            ChannelConfig::default().sched_backend,
-            SchedBackend::Wheel,
-            "the wheel is the default scheduler"
-        );
     }
 
     #[test]
@@ -1530,14 +897,10 @@ mod tests {
             bg(OpClass::Program, CellMode::Slc, 2, Some(42)),
             fg(OpClass::Read, CellMode::Slc, 2),
         ];
-        for backend in [SchedBackend::Heap, SchedBackend::Wheel] {
+        fn check<Q: EventQueue>(timing: FlashTiming, ops: &[OpRequest]) {
             let mut oracle = ClosedForm::new(timing);
-            let cfg = ChannelConfig {
-                sched_backend: backend,
-                ..ChannelConfig::default()
-            };
-            let mut event = EventDriven::new(timing, cfg);
-            for op in &ops {
+            let mut event = EventDriven::<Q>::with_queue(timing, ChannelConfig::default());
+            for op in ops {
                 let a = oracle.op(op);
                 let b = event.op(op);
                 assert_eq!(a.wait_us.to_bits(), b.wait_us.to_bits());
@@ -1546,6 +909,8 @@ mod tests {
             assert_eq!(oracle.drain().to_bits(), event.drain().to_bits());
             assert_eq!(oracle.now_us().to_bits(), event.now_us().to_bits());
         }
+        check::<HeapQueue>(timing, &ops);
+        check::<TimerWheel>(timing, &ops);
     }
 
     #[test]
@@ -1619,17 +984,15 @@ mod tests {
 
     #[test]
     fn write_buffer_coalesces_rewrites() {
-        let timing = FlashTiming::default();
-        for backend in [SchedBackend::Heap, SchedBackend::Wheel] {
+        fn check<Q: EventQueue>() {
             let cfg = ChannelConfig::builder()
                 .channels(1)
                 .queue_depth(8)
                 .writeback_us(500.0)
                 .trace_capacity(64)
-                .sched_backend(backend)
                 .build()
                 .unwrap();
-            let mut event = EventDriven::new(timing, cfg);
+            let mut event = EventDriven::<Q>::with_queue(FlashTiming::default(), cfg);
             // Three rewrites of the same LBA inside the window: only the
             // last flushes; the first two coalesce away.
             for block in 0..3 {
@@ -1652,6 +1015,8 @@ mod tests {
                 .count();
             assert_eq!((flushes, coalesced), (1, 2));
         }
+        check::<HeapQueue>();
+        check::<TimerWheel>();
     }
 
     #[test]
@@ -1688,20 +1053,17 @@ mod tests {
     #[test]
     fn heap_and_wheel_traces_are_byte_identical() {
         let timing = FlashTiming::default();
-        let build = |backend| {
-            ChannelConfig::builder()
-                .channels(3)
-                .planes(2)
-                .queue_depth(4)
-                .writeback_us(250.0)
-                .xfer_us(10.0)
-                .trace_capacity(4096)
-                .sched_backend(backend)
-                .build()
-                .unwrap()
-        };
-        let mut heap = EventDriven::new(timing, build(SchedBackend::Heap));
-        let mut wheel = EventDriven::new(timing, build(SchedBackend::Wheel));
+        let cfg = ChannelConfig::builder()
+            .channels(3)
+            .planes(2)
+            .queue_depth(4)
+            .writeback_us(250.0)
+            .xfer_us(10.0)
+            .trace_capacity(4096)
+            .build()
+            .unwrap();
+        let mut heap = EventDriven::<HeapQueue>::with_queue(timing, cfg);
+        let mut wheel = EventDriven::new(timing, cfg);
         for i in 0..200u32 {
             let op = match i % 5 {
                 0 => fg(OpClass::Read, CellMode::Slc, i % 17),
@@ -1769,7 +1131,7 @@ mod tests {
             "edge and edge-ulp must quantize to different buckets"
         );
         assert_eq!(TimerWheel::tick_of(edge), TimerWheel::tick_of(above));
-        let mut wheel = TimerWheel::new();
+        let mut wheel = TimerWheel::default();
         // Push out of order.
         for (t, seq) in [
             (above, 4),
@@ -1797,7 +1159,7 @@ mod tests {
     #[test]
     fn wheel_pop_due_respects_the_limit_at_the_boundary() {
         let q = WHEEL_QUANTUM_US;
-        let mut wheel = TimerWheel::new();
+        let mut wheel = TimerWheel::default();
         wheel.push(ev(2.0 * q, 0));
         // An event exactly at the limit fires; one ULP past it does not.
         assert!(wheel
@@ -1813,7 +1175,7 @@ mod tests {
         // and must still pop in exact global order once the ring
         // empties into their window.
         let horizon = WHEEL_QUANTUM_US * WHEEL_BUCKETS as f64;
-        let mut wheel = TimerWheel::new();
+        let mut wheel = TimerWheel::default();
         let times = [
             (0.5 * horizon, 0u64),
             (1.5 * horizon, 1),
@@ -1834,7 +1196,7 @@ mod tests {
 
     #[test]
     fn wheel_steady_state_reuses_arena_nodes() {
-        let mut wheel = TimerWheel::new();
+        let mut wheel = TimerWheel::default();
         let mut t = 0.0;
         for seq in 0..64u64 {
             t += 7.0;
@@ -1850,5 +1212,91 @@ mod tests {
         assert_eq!(wheel.nodes.len(), arena, "free list must recycle nodes");
         while wheel.pop_due(f64::INFINITY).is_some() {}
         assert_eq!(wheel.len(), 0);
+    }
+
+    // ------------------------------------------------------------------
+    // Lock-step reference: the wheel against the `BinaryHeap` queue.
+    // ------------------------------------------------------------------
+
+    fn op_strategy() -> impl Strategy<Value = OpRequest> {
+        (
+            prop_oneof![
+                4 => Just(OpClass::Read),
+                4 => Just(OpClass::Program),
+                1 => Just(OpClass::Erase),
+            ],
+            any::<bool>(),
+            0..64u32,
+            (any::<bool>(), 0..16u64),
+            any::<bool>(),
+        )
+            .prop_map(
+                |(class, slc, block, (with_lba, lba), background)| OpRequest {
+                    class,
+                    mode: if slc { CellMode::Slc } else { CellMode::Mlc },
+                    block,
+                    lba: with_lba.then_some(lba),
+                    background,
+                },
+            )
+    }
+
+    fn channel_strategy() -> impl Strategy<Value = ChannelConfig> {
+        (
+            1..6u32,
+            1..4u32,
+            1..8u32,
+            prop_oneof![Just(0.0f64), Just(100.0), Just(750.0)],
+            prop_oneof![Just(0.0f64), Just(10.0)],
+        )
+            .prop_map(|(channels, planes, queue_depth, writeback_us, xfer_us)| {
+                ChannelConfig::builder()
+                    .channels(channels)
+                    .planes(planes)
+                    .queue_depth(queue_depth)
+                    .writeback_us(writeback_us)
+                    .xfer_us(xfer_us)
+                    .trace_capacity(4096)
+                    .build()
+                    .expect("strategy only emits valid configs")
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The timer wheel *is* a total-order heap, bit for bit —
+        /// per-op waits and services, the clock after every op, the
+        /// full event trace, and the drained makespan — across
+        /// arbitrary op mixes, queue depths, writeback windows, and
+        /// channel shapes.
+        #[test]
+        fn wheel_backend_matches_the_heap_oracle(
+            ops in prop::collection::vec(op_strategy(), 1..200),
+            cfg in channel_strategy(),
+        ) {
+            let timing = FlashTiming::default();
+            let mut heap = EventDriven::<HeapQueue>::with_queue(timing, cfg);
+            let mut wheel = EventDriven::new(timing, cfg);
+            for (i, op) in ops.iter().enumerate() {
+                let a = heap.op(op);
+                let b = wheel.op(op);
+                prop_assert_eq!(
+                    a.wait_us.to_bits(), b.wait_us.to_bits(),
+                    "wait diverged at op {} ({:?})", i, op
+                );
+                prop_assert_eq!(
+                    a.service_us.to_bits(), b.service_us.to_bits(),
+                    "service diverged at op {} ({:?})", i, op
+                );
+                prop_assert_eq!(
+                    heap.now_us().to_bits(), wheel.now_us().to_bits(),
+                    "clock diverged at op {}", i
+                );
+            }
+            prop_assert_eq!(heap.buffered_writes(), wheel.buffered_writes());
+            prop_assert_eq!(heap.drain().to_bits(), wheel.drain().to_bits(), "makespan diverged");
+            prop_assert_eq!(heap.trace(), wheel.trace(), "event trace diverged");
+        }
     }
 }

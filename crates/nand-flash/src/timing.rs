@@ -1,7 +1,5 @@
 //! Flash operation timing and power constants (Table 2 / Table 3).
 
-use crate::geometry::CellMode;
-
 /// Per-operation latencies in microseconds, by cell mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlashTiming {
@@ -29,45 +27,6 @@ impl Default for FlashTiming {
             mlc_program_us: 680.0,
             slc_erase_us: 1500.0,
             mlc_erase_us: 3300.0,
-        }
-    }
-}
-
-impl FlashTiming {
-    /// Page read latency in `mode`, µs.
-    #[deprecated(
-        note = "query the device's TimingModel (e.g. FlashDevice::timing_model().read_us) \
-                so queueing backends stay in the loop; this free-function shim will go away"
-    )]
-    pub fn read_us(&self, mode: CellMode) -> f64 {
-        match mode {
-            CellMode::Slc => self.slc_read_us,
-            CellMode::Mlc => self.mlc_read_us,
-        }
-    }
-
-    /// Page program latency in `mode`, µs.
-    #[deprecated(
-        note = "query the device's TimingModel (e.g. FlashDevice::timing_model().program_us) \
-                so queueing backends stay in the loop; this free-function shim will go away"
-    )]
-    pub fn program_us(&self, mode: CellMode) -> f64 {
-        match mode {
-            CellMode::Slc => self.slc_program_us,
-            CellMode::Mlc => self.mlc_program_us,
-        }
-    }
-
-    /// Block erase latency, µs. A block containing any MLC page pays the
-    /// MLC erase cost; pure-SLC blocks erase faster.
-    #[deprecated(
-        note = "query the device's TimingModel (e.g. FlashDevice::timing_model().erase_us) \
-                so queueing backends stay in the loop; this free-function shim will go away"
-    )]
-    pub fn erase_us(&self, worst_mode: CellMode) -> f64 {
-        match worst_mode {
-            CellMode::Slc => self.slc_erase_us,
-            CellMode::Mlc => self.mlc_erase_us,
         }
     }
 }
@@ -108,24 +67,19 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(deprecated)]
     fn table2_defaults() {
         let t = FlashTiming::default();
-        assert_eq!(t.read_us(CellMode::Slc), 25.0);
-        assert_eq!(t.read_us(CellMode::Mlc), 50.0);
-        assert_eq!(t.program_us(CellMode::Slc), 200.0);
-        assert_eq!(t.program_us(CellMode::Mlc), 680.0);
-        assert_eq!(t.erase_us(CellMode::Slc), 1500.0);
-        assert_eq!(t.erase_us(CellMode::Mlc), 3300.0);
+        assert_eq!((t.slc_read_us, t.mlc_read_us), (25.0, 50.0));
+        assert_eq!((t.slc_program_us, t.mlc_program_us), (200.0, 680.0));
+        assert_eq!((t.slc_erase_us, t.mlc_erase_us), (1500.0, 3300.0));
     }
 
     #[test]
-    #[allow(deprecated)]
     fn slc_is_strictly_faster() {
         let t = FlashTiming::default();
-        assert!(t.read_us(CellMode::Slc) < t.read_us(CellMode::Mlc));
-        assert!(t.program_us(CellMode::Slc) < t.program_us(CellMode::Mlc));
-        assert!(t.erase_us(CellMode::Slc) < t.erase_us(CellMode::Mlc));
+        assert!(t.slc_read_us < t.mlc_read_us);
+        assert!(t.slc_program_us < t.mlc_program_us);
+        assert!(t.slc_erase_us < t.mlc_erase_us);
     }
 
     #[test]

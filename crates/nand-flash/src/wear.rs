@@ -33,15 +33,6 @@ pub struct WearConfig {
     /// Uniform lifetime acceleration factor for tractable whole-lifetime
     /// simulations (Figure 12); 1.0 = real endurance.
     pub acceleration: f64,
-    /// Replay fast-path gate: memoize per-page wear evaluation between
-    /// erase-count changes, use the precomputed `10^-delta` quality
-    /// factor, and skip the lifetime-model transcendentals entirely
-    /// while a page sits below the failure onset (expected failures
-    /// < [`NEGLIGIBLE_FAILURES`]). Observed failure counts match the
-    /// direct evaluation except with probability ~1e-12 per skipped
-    /// draw; kept as a gate so differential tests can exercise the
-    /// slow oracle.
-    pub cache_evaluations: bool,
 }
 
 impl Default for WearConfig {
@@ -52,7 +43,6 @@ impl Default for WearConfig {
             cells_per_page: flash_reliability::CELLS_PER_PAGE as u32,
             transient_errors_per_read: 1e-4,
             acceleration: 1.0,
-            cache_evaluations: true,
         }
     }
 }
@@ -67,11 +57,11 @@ impl WearConfig {
     }
 }
 
-/// Expected-failure level per page below which the fast path treats a
-/// wear evaluation as exactly zero. A skipped Poisson draw at λ below
-/// this bound changes the observed failure count with probability
-/// < 1e-12, so even million-erase replays diverge from the direct
-/// oracle with probability ~1e-6.
+/// Expected-failure level per page below which a wear evaluation is
+/// treated as exactly zero. A skipped Poisson draw at λ below this
+/// bound changes the observed failure count with probability < 1e-12,
+/// so even million-erase replays diverge from evaluating every draw
+/// with probability ~1e-6.
 pub const NEGLIGIBLE_FAILURES: f64 = 1e-12;
 
 /// Runtime wear model shared by all pages of a device.
@@ -85,8 +75,8 @@ pub struct WearModel {
     transient: PoissonSource,
     /// Effective cycle count below which even the weaker (MLC) curve's
     /// expected page failures stay under [`NEGLIGIBLE_FAILURES`] — the
-    /// fast path's transcendental-free early-out. Young blocks (the
-    /// common case in cache replay) never reach the lognormal CDF.
+    /// transcendental-free early-out. Young blocks (the common case in
+    /// cache replay) never reach the lognormal CDF.
     onset_effective: f64,
 }
 
@@ -110,19 +100,10 @@ impl WearModel {
         &self.config
     }
 
-    /// Samples a page quality offset (decades) for device construction.
-    pub fn sample_quality<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.config.spatial_sigma_decades * crate::sampling::normal(rng)
-    }
-
-    /// [`WearModel::sample_quality`] drawing from a [`NormalSource`], so
-    /// bulk construction (one draw per physical page) keeps Box–Muller's
-    /// second variate instead of discarding it.
-    pub fn sample_quality_with<R: Rng + ?Sized>(
-        &self,
-        normals: &mut NormalSource,
-        rng: &mut R,
-    ) -> f64 {
+    /// Samples a page quality offset (decades) for device construction,
+    /// drawing from a [`NormalSource`] so bulk construction (one draw
+    /// per physical page) keeps Box–Muller's second variate.
+    pub fn sample_quality<R: Rng + ?Sized>(&self, normals: &mut NormalSource, rng: &mut R) -> f64 {
         self.config.spatial_sigma_decades * normals.sample(rng)
     }
 
@@ -158,17 +139,16 @@ impl WearModel {
 
 /// Per-physical-page wear state.
 ///
-/// Lambdas are held in `f64` so that re-evaluating the model at an
-/// unchanged erase count reproduces the stored value *exactly* — the
-/// property that makes the fast path's erase-count memo bit-exact
-/// (with `f32` storage, round-off manufactured spurious tiny-λ Poisson
-/// draws on repeat reads).
+/// Lambdas are held in `f64` so that the expected-failure budget a
+/// page has consumed is compared against later evaluations without
+/// round-off (with `f32` storage, round-off manufactured spurious
+/// tiny-λ Poisson draws).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageWearState {
     /// Quality offset in decades (positive = better than average).
     pub quality_delta: f32,
     /// `10^-quality_delta`, precomputed so the per-read path avoids
-    /// `powf` (used when `WearConfig::cache_evaluations` is on).
+    /// `powf`.
     quality_factor: f64,
     /// Erase count the lambdas were last evaluated at.
     last_erases: u64,
@@ -191,8 +171,8 @@ impl Default for PageWearState {
 impl PageWearState {
     /// Creates a fresh page with the given quality offset.
     pub fn with_quality(delta: f64) -> Self {
-        // Round through f32 first so the precomputed factor matches what
-        // the direct path derives back from the stored `quality_delta`.
+        // Round through f32 first so the precomputed factor matches the
+        // stored `quality_delta`.
         let delta = delta as f32;
         PageWearState {
             quality_delta: delta,
@@ -224,54 +204,33 @@ impl PageWearState {
         rng: &mut R,
     ) -> u32 {
         self.advance(model, erases, rng);
-        let transient = if model.config.cache_evaluations {
-            model.transient.sample(rng) as u32
-        } else {
-            poisson(rng, model.config.transient_errors_per_read) as u32
-        };
+        let transient = model.transient.sample(rng) as u32;
         let cap = model.config.cells_per_page;
         (self.permanent_failures(mode) + transient).min(cap)
     }
 
     /// Grows failure counts monotonically to match `erases` cycles.
     ///
-    /// With `WearConfig::cache_evaluations` on, two shortcuts apply:
-    ///
     /// * **Erase-count memo** — failures only grow when a block is
     ///   erased, so re-reads at an unchanged (or lower) count return
-    ///   immediately. Bit-exact with the direct path, including RNG
-    ///   stream position: the direct evaluation draws nothing when the
-    ///   expected-failure budget has not grown (lambdas are stored in
-    ///   `f64`, so re-evaluation reproduces them exactly).
+    ///   immediately, drawing nothing from `rng`.
     /// * **Failure onset** — below the effective cycle count where
     ///   expected failures reach [`NEGLIGIBLE_FAILURES`], the lognormal
-    ///   CDF is not evaluated and no Poisson draw is made. The direct
-    ///   oracle burns one uniform on a λ < 1e-12 draw there, so the two
-    ///   gate settings consume *different RNG streams* below onset, but
-    ///   the drawn failure count differs only with probability ~1e-12
-    ///   per skip. Each gate setting remains fully deterministic.
+    ///   CDF is not evaluated and no Poisson draw is made.
     pub fn advance<R: Rng + ?Sized>(&mut self, model: &WearModel, erases: u64, rng: &mut R) {
-        if model.config.cache_evaluations {
-            if erases <= self.last_erases {
-                return;
-            }
-            self.last_erases = erases;
-            let effective = erases as f64 * self.quality_factor;
-            if effective < model.onset_effective {
-                return;
-            }
-            self.grow(model, effective, rng);
-        } else {
-            let effective = erases as f64 * 10f64.powf(-(self.quality_delta as f64));
-            if erases > self.last_erases {
-                self.last_erases = erases;
-            }
-            self.grow(model, effective, rng);
+        if erases <= self.last_erases {
+            return;
         }
+        self.last_erases = erases;
+        let effective = erases as f64 * self.quality_factor;
+        if effective < model.onset_effective {
+            return;
+        }
+        self.grow(model, effective, rng);
     }
 
-    /// The monotone lambda/failure growth step shared by both gate
-    /// settings of [`PageWearState::advance`].
+    /// The monotone lambda/failure growth step of
+    /// [`PageWearState::advance`].
     fn grow<R: Rng + ?Sized>(&mut self, model: &WearModel, effective: f64, rng: &mut R) {
         let lm_new = model.expected_failures_effective(CellMode::Mlc, effective);
         let ls_new = model.expected_failures_effective(CellMode::Slc, effective);
@@ -424,8 +383,9 @@ mod tests {
             ..WearConfig::default()
         });
         let mut rng = StdRng::seed_from_u64(6);
+        let mut normals = NormalSource::new();
         for _ in 0..10 {
-            assert_eq!(model.sample_quality(&mut rng), 0.0);
+            assert_eq!(model.sample_quality(&mut normals, &mut rng), 0.0);
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests of the device-timing API (`nand_flash::sched`).
 //!
-//! Three contracts are pinned here:
+//! Two contracts are pinned here (the wheel-vs-heap queue lock-step
+//! lives in-crate, next to the `#[cfg(test)]` heap queue):
 //!
 //! 1. **Oracle**: for *any* operation sequence, the event-driven backend
 //!    under the serial default config reports byte-identical `(wait,
@@ -9,16 +10,11 @@
 //!    channel configuration, replaying the run yields a byte-identical
 //!    event trace and makespan — the scheduler is RNG-free and its
 //!    event queue pops in `(time, seq)` order.
-//! 3. **Backend equivalence**: for *any* operation sequence and channel
-//!    configuration, the timer-wheel scheduler reports byte-identical
-//!    per-op timings, clock, trace, and makespan to the retained
-//!    heap-based oracle — quantized bucketing never alters event order.
 
 use proptest::prelude::*;
 
 use nand_flash::{
-    CellMode, ChannelConfig, ClosedForm, EventDriven, FlashTiming, OpClass, OpRequest,
-    SchedBackend, TimingModel,
+    CellMode, ChannelConfig, ClosedForm, EventDriven, FlashTiming, OpClass, OpRequest, TimingModel,
 };
 
 fn op_strategy() -> impl Strategy<Value = OpRequest> {
@@ -51,22 +47,18 @@ fn channel_strategy() -> impl Strategy<Value = ChannelConfig> {
         1..8u32,
         prop_oneof![Just(0.0f64), Just(100.0), Just(750.0)],
         prop_oneof![Just(0.0f64), Just(10.0)],
-        prop_oneof![Just(SchedBackend::Heap), Just(SchedBackend::Wheel)],
     )
-        .prop_map(
-            |(channels, planes, queue_depth, writeback_us, xfer_us, sched_backend)| {
-                ChannelConfig::builder()
-                    .channels(channels)
-                    .planes(planes)
-                    .queue_depth(queue_depth)
-                    .writeback_us(writeback_us)
-                    .xfer_us(xfer_us)
-                    .trace_capacity(4096)
-                    .sched_backend(sched_backend)
-                    .build()
-                    .expect("strategy only emits valid configs")
-            },
-        )
+        .prop_map(|(channels, planes, queue_depth, writeback_us, xfer_us)| {
+            ChannelConfig::builder()
+                .channels(channels)
+                .planes(planes)
+                .queue_depth(queue_depth)
+                .writeback_us(writeback_us)
+                .xfer_us(xfer_us)
+                .trace_capacity(4096)
+                .build()
+                .expect("strategy only emits valid configs")
+        })
 }
 
 proptest! {
@@ -79,50 +71,11 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..200),
     ) {
         let timing = FlashTiming::default();
-        for backend in [SchedBackend::Heap, SchedBackend::Wheel] {
-            let mut oracle = ClosedForm::new(timing);
-            let cfg = ChannelConfig { sched_backend: backend, ..ChannelConfig::default() };
-            let mut event = EventDriven::new(timing, cfg);
-            for (i, op) in ops.iter().enumerate() {
-                let a = oracle.op(op);
-                let b = event.op(op);
-                prop_assert_eq!(
-                    a.wait_us.to_bits(), b.wait_us.to_bits(),
-                    "wait diverged at op {} ({:?}) on {:?}", i, op, backend
-                );
-                prop_assert_eq!(
-                    a.service_us.to_bits(), b.service_us.to_bits(),
-                    "service diverged at op {} ({:?}) on {:?}", i, op, backend
-                );
-                prop_assert_eq!(oracle.now_us().to_bits(), event.now_us().to_bits());
-            }
-            prop_assert_eq!(oracle.drain().to_bits(), event.drain().to_bits());
-            prop_assert_eq!(oracle.now_us().to_bits(), event.now_us().to_bits());
-        }
-    }
-
-    /// Backend-equivalence contract: the timer-wheel scheduler *is* the
-    /// heap scheduler, bit for bit — per-op waits and services, the
-    /// clock after every op, the full event trace, and the drained
-    /// makespan — across arbitrary op mixes, queue depths, writeback
-    /// windows, and channel shapes.
-    #[test]
-    fn wheel_backend_matches_the_heap_oracle(
-        ops in prop::collection::vec(op_strategy(), 1..200),
-        cfg in channel_strategy(),
-    ) {
-        let timing = FlashTiming::default();
-        let mut heap = EventDriven::new(
-            timing,
-            ChannelConfig { sched_backend: SchedBackend::Heap, ..cfg },
-        );
-        let mut wheel = EventDriven::new(
-            timing,
-            ChannelConfig { sched_backend: SchedBackend::Wheel, ..cfg },
-        );
+        let mut oracle = ClosedForm::new(timing);
+        let mut event = EventDriven::new(timing, ChannelConfig::default());
         for (i, op) in ops.iter().enumerate() {
-            let a = heap.op(op);
-            let b = wheel.op(op);
+            let a = oracle.op(op);
+            let b = event.op(op);
             prop_assert_eq!(
                 a.wait_us.to_bits(), b.wait_us.to_bits(),
                 "wait diverged at op {} ({:?})", i, op
@@ -131,14 +84,10 @@ proptest! {
                 a.service_us.to_bits(), b.service_us.to_bits(),
                 "service diverged at op {} ({:?})", i, op
             );
-            prop_assert_eq!(
-                heap.now_us().to_bits(), wheel.now_us().to_bits(),
-                "clock diverged at op {}", i
-            );
+            prop_assert_eq!(oracle.now_us().to_bits(), event.now_us().to_bits());
         }
-        prop_assert_eq!(heap.buffered_writes(), wheel.buffered_writes());
-        prop_assert_eq!(heap.drain().to_bits(), wheel.drain().to_bits(), "makespan diverged");
-        prop_assert_eq!(heap.trace(), wheel.trace(), "event trace diverged");
+        prop_assert_eq!(oracle.drain().to_bits(), event.drain().to_bits());
+        prop_assert_eq!(oracle.now_us().to_bits(), event.now_us().to_bits());
     }
 
     /// Determinism contract: same config + same ops ⇒ byte-identical

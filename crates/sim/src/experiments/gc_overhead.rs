@@ -50,7 +50,6 @@ pub fn gc_overhead_curve(
                 popularity: Popularity::Uniform,
                 mean_run_pages: 1.0,
                 rw_overlap: 1.0,
-                fast_sampling: true,
             };
             let mut cache = FlashCache::new(config).expect("valid config");
             let mut generator = workload.generator(seed);

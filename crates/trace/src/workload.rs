@@ -10,8 +10,8 @@
 //! stream, and the paper itself argues (§6.2) that its macro traces
 //! behave like tailed (Zipf/exponential) distributions.
 
-use rand::rngs::{SmallRng, StdRng};
-use rand::{Rng, RngCore, SeedableRng};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use crate::popularity::{Popularity, PopularitySampler};
 use crate::request::{DiskRequest, OpKind, PAGE_BYTES};
@@ -46,12 +46,6 @@ pub struct WorkloadSpec {
     /// set — logs, checkpoints — is largely disjoint from the read-hot
     /// set. `1.0` = fully shared.
     pub rw_overlap: f64,
-    /// Replay fast-path gate: draw pages through the O(1) Walker alias
-    /// table with the minimal-state `SmallRng` instead of inverse-CDF
-    /// binary search over `StdRng`. Identical distribution and
-    /// per-seed determinism either way; off reproduces the
-    /// pre-fast-path request streams.
-    pub fast_sampling: bool,
 }
 
 const MIB: u64 = 1 << 20;
@@ -69,7 +63,6 @@ impl WorkloadSpec {
             popularity,
             mean_run_pages: 1.0,
             rw_overlap: 1.0,
-            fast_sampling: true,
         }
     }
 
@@ -116,7 +109,6 @@ impl WorkloadSpec {
             popularity: Popularity::Zipf { alpha: 1.2 },
             mean_run_pages: 4.0,
             rw_overlap: 0.2,
-            fast_sampling: true,
         }
     }
 
@@ -131,7 +123,6 @@ impl WorkloadSpec {
             popularity: Popularity::Zipf { alpha: 1.2 },
             mean_run_pages: 8.0,
             rw_overlap: 0.1,
-            fast_sampling: true,
         }
     }
 
@@ -147,7 +138,6 @@ impl WorkloadSpec {
             popularity: Popularity::Zipf { alpha: 0.8 },
             mean_run_pages: 8.0,
             rw_overlap: 0.5,
-            fast_sampling: true,
         }
     }
 
@@ -161,7 +151,6 @@ impl WorkloadSpec {
             popularity: Popularity::Zipf { alpha: 0.9 },
             mean_run_pages: 8.0,
             rw_overlap: 0.5,
-            fast_sampling: true,
         }
     }
 
@@ -178,7 +167,6 @@ impl WorkloadSpec {
             popularity: Popularity::Exponential { lambda: 3e-4 },
             mean_run_pages: 2.0,
             rw_overlap: 0.5,
-            fast_sampling: true,
         }
     }
 
@@ -196,7 +184,6 @@ impl WorkloadSpec {
             popularity: Popularity::Exponential { lambda: 1e-4 },
             mean_run_pages: 2.0,
             rw_overlap: 0.5,
-            fast_sampling: true,
         }
     }
 
@@ -249,31 +236,16 @@ impl WorkloadSpec {
     }
 }
 
-/// The generator's RNG, gated by `WorkloadSpec::fast_sampling`.
-#[derive(Debug)]
-enum ReplayRng {
-    Std(StdRng),
-    Small(SmallRng),
-}
-
-impl RngCore for ReplayRng {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        match self {
-            ReplayRng::Std(r) => r.next_u64(),
-            ReplayRng::Small(r) => r.next_u64(),
-        }
-    }
-}
-
 /// Infinite iterator of [`DiskRequest`]s following a [`WorkloadSpec`].
+/// Pages are drawn through the O(1) Walker alias table
+/// ([`PopularitySampler::sample`]) with the minimal-state `SmallRng`.
 #[derive(Debug)]
 pub struct TraceGenerator {
     spec: WorkloadSpec,
     sampler: PopularitySampler,
     /// Independently permuted ranking for the disjoint share of writes.
     write_sampler: Option<PopularitySampler>,
-    rng: ReplayRng,
+    rng: SmallRng,
 }
 
 impl TraceGenerator {
@@ -288,12 +260,7 @@ impl TraceGenerator {
                 seed ^ 0x57A7_E0F0_57A7_E0F0,
             )
         });
-        let state = seed.wrapping_mul(0xA24B_AED4_963E_E407);
-        let rng = if spec.fast_sampling {
-            ReplayRng::Small(SmallRng::seed_from_u64(state))
-        } else {
-            ReplayRng::Std(StdRng::seed_from_u64(state))
-        };
+        let rng = SmallRng::seed_from_u64(seed.wrapping_mul(0xA24B_AED4_963E_E407));
         TraceGenerator {
             spec,
             sampler,
@@ -308,49 +275,22 @@ impl TraceGenerator {
     }
 
     /// Generates the next request.
-    ///
-    /// The RNG variant is matched once per request (not once per draw)
-    /// so the hot fast path runs a fully monomorphized `SmallRng`.
     pub fn next_request(&mut self) -> DiskRequest {
-        let fast = self.spec.fast_sampling;
-        match &mut self.rng {
-            ReplayRng::Small(r) => {
-                Self::gen_request(&self.spec, &self.sampler, &self.write_sampler, fast, r)
-            }
-            ReplayRng::Std(r) => {
-                Self::gen_request(&self.spec, &self.sampler, &self.write_sampler, fast, r)
-            }
-        }
-    }
-
-    fn gen_request<R: RngCore>(
-        spec: &WorkloadSpec,
-        sampler: &PopularitySampler,
-        write_sampler: &Option<PopularitySampler>,
-        fast: bool,
-        rng: &mut R,
-    ) -> DiskRequest {
-        let sample = |s: &PopularitySampler, rng: &mut R| {
-            if fast {
-                s.sample(rng)
-            } else {
-                s.sample_cdf(rng)
-            }
-        };
+        let (spec, rng) = (&self.spec, &mut self.rng);
         let op = if rng.gen::<f64>() < spec.write_fraction {
             OpKind::Write
         } else {
             OpKind::Read
         };
-        let page = match (write_sampler, op) {
-            (Some(ws), OpKind::Write) if rng.gen::<f64>() >= spec.rw_overlap => sample(ws, rng),
-            _ => sample(sampler, rng),
+        let page = match (&self.write_sampler, op) {
+            (Some(ws), OpKind::Write) if rng.gen::<f64>() >= spec.rw_overlap => ws.sample(rng),
+            _ => self.sampler.sample(rng),
         };
         let len = Self::sample_run_length(spec, page, rng);
         DiskRequest::new(page, len, op)
     }
 
-    fn sample_run_length<R: RngCore>(spec: &WorkloadSpec, page: u64, rng: &mut R) -> u32 {
+    fn sample_run_length(spec: &WorkloadSpec, page: u64, rng: &mut SmallRng) -> u32 {
         let mean = spec.mean_run_pages;
         let max = (spec.footprint_pages - page).min(256) as u32;
         if mean <= 1.0 {
@@ -368,38 +308,12 @@ impl TraceGenerator {
         (0..n).map(|_| self.next_request()).collect()
     }
 
-    /// Appends `n` requests to `out` (not cleared), matching the RNG
-    /// variant once for the whole batch instead of once per request so
-    /// replay loops refill their reusable buffer without per-request
-    /// dispatch. Draw order is identical to `n` calls of
-    /// [`TraceGenerator::next_request`], so the generated trace is too.
+    /// Appends `n` requests to `out` (not cleared) so replay loops
+    /// refill their reusable buffer. Draw order is identical to `n`
+    /// calls of [`TraceGenerator::next_request`], so the generated
+    /// trace is too.
     pub fn fill(&mut self, n: usize, out: &mut Vec<DiskRequest>) {
-        out.reserve(n);
-        let fast = self.spec.fast_sampling;
-        match &mut self.rng {
-            ReplayRng::Small(r) => {
-                for _ in 0..n {
-                    out.push(Self::gen_request(
-                        &self.spec,
-                        &self.sampler,
-                        &self.write_sampler,
-                        fast,
-                        r,
-                    ));
-                }
-            }
-            ReplayRng::Std(r) => {
-                for _ in 0..n {
-                    out.push(Self::gen_request(
-                        &self.spec,
-                        &self.sampler,
-                        &self.write_sampler,
-                        fast,
-                        r,
-                    ));
-                }
-            }
-        }
+        out.extend((0..n).map(|_| self.next_request()));
     }
 }
 
@@ -483,11 +397,8 @@ mod tests {
     #[test]
     fn fill_matches_per_request_generation() {
         // Batch refill must replay the exact same trace as the
-        // one-at-a-time path, across both RNG flavours and odd chunk
-        // splits.
-        let mut slow = WorkloadSpec::alpha1();
-        slow.fast_sampling = false; // exercise the StdRng/CDF variant too
-        for spec in [WorkloadSpec::dbt2(), slow] {
+        // one-at-a-time path, across odd chunk splits.
+        for spec in [WorkloadSpec::dbt2(), WorkloadSpec::alpha1()] {
             let scalar = spec.clone().scaled(16).generator(7).take_requests(1_000);
             let mut g = spec.clone().scaled(16).generator(7);
             let mut batched = Vec::new();

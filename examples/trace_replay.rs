@@ -56,9 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("round trip verified: {} records identical", parsed.len());
 
     // 4. Replay the trace through the full hierarchy — streamed
-    //    straight off the SPC reader in batches (the same streaming
-    //    iterator pattern `bench_replay` uses on the generator), so an
-    //    arbitrarily long trace file never has to fit in memory.
+    //    straight off the SPC reader in batches, so an arbitrarily
+    //    long trace file never has to fit in memory. (For replay
+    //    performance numbers see `benchmark/README.md`.)
     let mut hierarchy = Hierarchy::try_new(HierarchyConfig {
         dram_bytes: 1 << 20,
         flash_shards: shards,

@@ -5,7 +5,9 @@
 //! must be byte-identical to a default-configured cache on any trace.
 //! On top of that, structural invariants must survive every policy and
 //! bucket count, and `WriteCap` must actually bound the admitted write
-//! bytes while leaving read caching untouched.
+//! bytes while leaving read caching untouched. The typed-op surface the
+//! stage reports through — `CacheOutcome::admission` and the `ctx`
+//! round trip — is pinned at the end.
 
 use proptest::prelude::*;
 
@@ -186,4 +188,71 @@ fn write_cap_bounds_flash_write_bytes_under_storm() {
         );
     }
     cache.check_invariants().unwrap();
+}
+
+#[test]
+fn outcome_reports_admission_decisions() {
+    use flashcache::AdmissionDecision;
+
+    // Default (AdmitAll): fills and writes are admitted; flash read
+    // hits never reach the admission stage.
+    let mut cache = FlashCache::new(small_config()).unwrap();
+    assert_eq!(
+        cache.op(CacheOp::read(3)).admission,
+        AdmissionDecision::Admitted,
+        "cold fill is admitted"
+    );
+    assert_eq!(
+        cache.op(CacheOp::read(3)).admission,
+        AdmissionDecision::NotApplicable,
+        "flash hit bypasses admission"
+    );
+    assert_eq!(
+        cache.op(CacheOp::write(4)).admission,
+        AdmissionDecision::Admitted
+    );
+    assert_eq!(cache.stats().admission_rejected_fills, 0);
+    assert_eq!(cache.stats().admission_rejected_writes, 0);
+
+    // ReReference: the first touch of a page is rejected.
+    let mut config = small_config();
+    config.admission = AdmissionPolicyConfig::ReReference { k: 1, window: 1024 };
+    let mut cache = FlashCache::new(config).unwrap();
+    let first = cache.op(CacheOp::read(9));
+    assert_eq!(first.admission, AdmissionDecision::Rejected);
+    assert!(first.access.needs_disk_read, "rejected fill still serves");
+    assert!(!first.access.hit);
+    let second = cache.op(CacheOp::read(9));
+    assert_eq!(second.admission, AdmissionDecision::Admitted);
+    assert_eq!(cache.stats().admission_rejected_fills, 1);
+
+    // WriteCap with coalescing: a dirty overwrite is absorbed in place.
+    let mut config = small_config();
+    config.admission = AdmissionPolicyConfig::WriteCap {
+        pages_per_window: 64,
+        window: 1024,
+        coalesce: true,
+    };
+    let mut cache = FlashCache::new(config).unwrap();
+    assert_eq!(
+        cache.op(CacheOp::write(5)).admission,
+        AdmissionDecision::Admitted
+    );
+    let again = cache.op(CacheOp::write(5));
+    assert_eq!(again.admission, AdmissionDecision::Coalesced);
+    assert!(again.access.hit, "coalesced overwrite is a flash hit");
+    assert_eq!(cache.stats().admission_coalesced_writes, 1);
+}
+
+#[test]
+fn cache_op_constructors_roundtrip() {
+    use flashcache::CacheOpKind;
+
+    let r = CacheOp::read(42);
+    assert_eq!(r.lba, 42);
+    assert_eq!(r.kind, CacheOpKind::Read);
+    let w = CacheOp::write(7);
+    assert_eq!(w.kind, CacheOpKind::Write);
+    let ctx = flashcache::nand::OpContext::background();
+    assert_eq!(w.with_ctx(ctx).ctx, ctx);
 }

@@ -1,20 +1,13 @@
 //! Property-based byte-identity tests for the batched cache-op path.
 //!
-//! Two contracts are pinned here:
-//!
-//! 1. **Batch = scalar.** [`FlashCache::op_batch`] with the prefetch
-//!    pipeline enabled must be byte-identical to looping
-//!    [`FlashCache::op`] — same outcomes in the same order, same
-//!    snapshot, same stats, same exported metrics — for *every* batch
-//!    size and every admission-policy × longevity-bucket combination.
-//!    The pipeline only issues prefetch hints, so nothing observable
-//!    may change (DESIGN.md §17).
-//!
-//! 2. **SWAR = bytewise.** The SWAR group probe and the byte-at-a-time
-//!    oracle probe must visit candidate buckets in the same order, so
-//!    two caches differing only in `fcht_swar_probe` stay in lock-step
-//!    through arbitrary op sequences — including the probe counters,
-//!    which are derived identically in both flavours.
+//! **Batch = scalar.** [`FlashCache::op_batch`] must be byte-identical
+//! to looping [`FlashCache::op`] — same outcomes in the same order,
+//! same snapshot, same stats, same exported metrics — for *every* batch
+//! size and every admission-policy × longevity-bucket combination. The
+//! pipeline only issues prefetch hints, so nothing observable may
+//! change (DESIGN.md, core tables). The SWAR-vs-bytewise probe
+//! lock-step lives in `flashcache-core`'s `tables` unit tests, next to
+//! the `#[cfg(test)]` byte-wise reference.
 
 use proptest::prelude::*;
 
@@ -23,12 +16,7 @@ use flashcache::{AdmissionPolicyConfig, CacheOp, FlashCache, FlashCacheConfig};
 
 /// A small cache so arbitrary op sequences exercise fills, evictions,
 /// reclaim, and FCHT backward-shift deletion, not just cold inserts.
-fn tiny_cache(
-    admission: AdmissionPolicyConfig,
-    longevity_buckets: u32,
-    swar: bool,
-    pipeline: bool,
-) -> FlashCache {
+fn tiny_cache(admission: AdmissionPolicyConfig, longevity_buckets: u32) -> FlashCache {
     let config = FlashCacheConfig::builder()
         .flash(FlashConfig {
             geometry: FlashGeometry {
@@ -40,8 +28,6 @@ fn tiny_cache(
         })
         .admission(admission)
         .longevity_buckets(longevity_buckets)
-        .fcht_swar_probe(swar)
-        .batch_pipeline(pipeline)
         .build()
         .expect("valid config");
     FlashCache::new(config).expect("valid cache")
@@ -79,9 +65,9 @@ fn assert_observably_equal(a: &FlashCache, b: &FlashCache) -> Result<(), TestCas
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `op_batch` with the pipeline on is byte-identical to the scalar
-    /// `op` loop for every chunking of the op stream, under every
-    /// admission policy and longevity-bucket setting.
+    /// `op_batch` is byte-identical to the scalar `op` loop for every
+    /// chunking of the op stream, under every admission policy and
+    /// longevity-bucket setting.
     #[test]
     fn op_batch_matches_scalar_for_all_batch_sizes(
         ops in prop::collection::vec(op_strategy(120), 1..300),
@@ -91,8 +77,8 @@ proptest! {
         // window; usize::MAX clamps to a single whole-trace batch.
         chunk in prop_oneof![Just(1usize), Just(2), Just(7), Just(usize::MAX)],
     ) {
-        let mut scalar = tiny_cache(admission, longevity_buckets, true, false);
-        let mut batched = tiny_cache(admission, longevity_buckets, true, true);
+        let mut scalar = tiny_cache(admission, longevity_buckets);
+        let mut batched = tiny_cache(admission, longevity_buckets);
 
         let mut scalar_outs = Vec::with_capacity(ops.len());
         for &op in &ops {
@@ -108,47 +94,6 @@ proptest! {
         prop_assert_eq!(scalar_outs, batched_outs);
         assert_observably_equal(&scalar, &batched)?;
     }
-
-    /// Two caches differing only in the FCHT probe flavour (SWAR group
-    /// probe vs the byte-at-a-time oracle) stay in lock-step through
-    /// arbitrary op sequences: identical outcomes, tables, stats, and
-    /// probe counters.
-    #[test]
-    fn swar_probe_matches_bytewise_oracle(
-        ops in prop::collection::vec(op_strategy(120), 1..300),
-        admission in admission_strategy(),
-        longevity_buckets in prop_oneof![Just(1u32), Just(4u32)],
-    ) {
-        let mut swar = tiny_cache(admission, longevity_buckets, true, true);
-        let mut bytewise = tiny_cache(admission, longevity_buckets, false, false);
-
-        let swar_outs = swar.op_batch(&ops);
-        let mut bytewise_outs = Vec::with_capacity(ops.len());
-        for &op in &ops {
-            bytewise_outs.push(bytewise.op(op));
-        }
-
-        prop_assert_eq!(swar_outs, bytewise_outs);
-        assert_observably_equal(&swar, &bytewise)?;
-    }
-
-    /// Densely hammering a small page range forces FCHT chains across
-    /// group boundaries and exercises backward-shift deletion under
-    /// reclaim; the cross-gate registries (including probe-counter
-    /// metrics) must still match exactly.
-    #[test]
-    fn dense_churn_keeps_probe_flavours_in_lock_step(
-        ops in prop::collection::vec(op_strategy(40), 50..400),
-    ) {
-        let mut swar = tiny_cache(AdmissionPolicyConfig::AdmitAll, 1, true, true);
-        let mut bytewise = tiny_cache(AdmissionPolicyConfig::AdmitAll, 1, false, false);
-
-        let swar_outs = swar.op_batch(&ops);
-        let bytewise_outs = bytewise.op_batch(&ops);
-
-        prop_assert_eq!(swar_outs, bytewise_outs);
-        assert_observably_equal(&swar, &bytewise)?;
-    }
 }
 
 /// Deterministic spot-check that `op_batch_into` appends (does not
@@ -156,7 +101,7 @@ proptest! {
 /// rely on when reusing one outcome buffer across chunks.
 #[test]
 fn op_batch_into_appends_and_handles_empty() {
-    let mut cache = tiny_cache(AdmissionPolicyConfig::AdmitAll, 1, true, true);
+    let mut cache = tiny_cache(AdmissionPolicyConfig::AdmitAll, 1);
     let mut out = Vec::new();
     cache.op_batch_into(&[], &mut out);
     assert!(out.is_empty());

@@ -1,19 +1,17 @@
-//! Replay fast-path guarantees, end to end:
+//! Replay-path guarantees, end to end:
 //!
 //! * fixed-seed determinism — two identical runs produce byte-identical
-//!   metric snapshots and identical hierarchy reports, with the fast
-//!   gates on *and* with the slow oracles forced;
+//!   metric snapshots and identical hierarchy reports;
 //! * the O(1) alias sampler draws from the same distribution as the
-//!   binary-search CDF oracle (two-sample chi-square);
-//! * cached wear evaluation observes the same failure counts as the
-//!   direct evaluation at every erase-count crossing.
+//!   binary-search CDF reference (two-sample chi-square);
+//! * the wear memo contract — a re-read at an unchanged erase count
+//!   draws nothing from the RNG and changes nothing; crossing an erase
+//!   count re-evaluates.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use flashcache::nand::{
-    CellMode, FlashConfig, FlashGeometry, PageWearState, WearConfig, WearModel,
-};
+use flashcache::nand::{FlashConfig, FlashGeometry, PageWearState, WearConfig, WearModel};
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
 use flashcache::trace::{Popularity, PopularitySampler};
 use flashcache::{FlashCacheConfig, WorkloadSpec};
@@ -21,7 +19,7 @@ use flashcache::{FlashCacheConfig, WorkloadSpec};
 const REQUESTS: u64 = 20_000;
 
 /// A small, worn flash tier so GC and the wear model both fire.
-fn flash_config(fast: bool) -> FlashCacheConfig {
+fn flash_config() -> FlashCacheConfig {
     FlashCacheConfig {
         flash: FlashConfig {
             geometry: FlashGeometry {
@@ -29,12 +27,7 @@ fn flash_config(fast: bool) -> FlashCacheConfig {
                 pages_per_block: 16,
                 ..FlashGeometry::default()
             },
-            wear: WearConfig {
-                cache_evaluations: fast,
-                ..WearConfig::default()
-            }
-            .accelerated(2e5),
-            fast_rng: fast,
+            wear: WearConfig::default().accelerated(2e5),
             ..FlashConfig::default()
         },
         ..FlashCacheConfig::default()
@@ -42,16 +35,13 @@ fn flash_config(fast: bool) -> FlashCacheConfig {
 }
 
 /// Replays a seeded workload and returns (metrics JSON, report text).
-fn replay(seed: u64, fast: bool) -> (String, String) {
+fn replay(seed: u64) -> (String, String) {
     let mut hierarchy = Hierarchy::new(HierarchyConfig {
         dram_bytes: 256 * 2048,
-        flash: Some(flash_config(fast)),
+        flash: Some(flash_config()),
         ..HierarchyConfig::default()
     });
-    let workload = WorkloadSpec {
-        fast_sampling: fast,
-        ..WorkloadSpec::financial1().scaled(512)
-    };
+    let workload = WorkloadSpec::financial1().scaled(512);
     let mut generator = workload.generator(seed);
     for _ in 0..REQUESTS {
         hierarchy.submit(generator.next_request());
@@ -64,27 +54,13 @@ fn replay(seed: u64, fast: bool) -> (String, String) {
 
 #[test]
 fn fast_path_replay_is_deterministic() {
-    let (metrics_a, report_a) = replay(7, true);
-    let (metrics_b, report_b) = replay(7, true);
-    assert_eq!(
-        metrics_a, metrics_b,
-        "fast-path metrics must be byte-identical"
-    );
-    assert_eq!(report_a, report_b, "fast-path reports must be identical");
+    let (metrics_a, report_a) = replay(7);
+    let (metrics_b, report_b) = replay(7);
+    assert_eq!(metrics_a, metrics_b, "metrics must be byte-identical");
+    assert_eq!(report_a, report_b, "reports must be identical");
     // Different seeds must not collapse onto the same trajectory.
-    let (metrics_c, _) = replay(8, true);
+    let (metrics_c, _) = replay(8);
     assert_ne!(metrics_a, metrics_c, "seed must steer the run");
-}
-
-#[test]
-fn slow_oracle_replay_is_deterministic() {
-    let (metrics_a, report_a) = replay(7, false);
-    let (metrics_b, report_b) = replay(7, false);
-    assert_eq!(
-        metrics_a, metrics_b,
-        "slow-path metrics must be byte-identical"
-    );
-    assert_eq!(report_a, report_b, "slow-path reports must be identical");
 }
 
 /// Two-sample chi-square between the alias sampler and the CDF oracle.
@@ -135,52 +111,52 @@ fn alias_sampler_matches_cdf_oracle_exponential() {
     );
 }
 
-/// Cached and direct wear evaluation observe the same permanent-failure
-/// counts at every erase-count crossing. The two gate settings consume
-/// different RNG *streams* below onset (the direct oracle burns a
-/// uniform on each negligible-lambda draw), so each crossing drives
-/// both pages with freshly equal-seeded RNGs — what must agree is the
-/// drawn failure count, and it does, from far below onset to deep wear.
+/// The wear memo contract. A re-read at an unchanged (or lower) erase
+/// count returns the same failure counts and draws nothing from the
+/// RNG; crossing to a higher erase count re-evaluates — it consumes the
+/// RNG and, on this schedule, grows the counts from far below onset to
+/// deep wear.
 #[test]
-fn cached_wear_matches_direct_at_erase_crossings() {
-    let fast_model = WearModel::new(WearConfig::default().accelerated(1e4));
-    let slow_model = WearModel::new(
-        WearConfig {
-            cache_evaluations: false,
-            ..WearConfig::default()
-        }
-        .accelerated(1e4),
-    );
+fn wear_memo_holds_until_an_erase_count_crossing() {
+    let model = WearModel::new(WearConfig::default().accelerated(1e4));
     for quality in [-0.3f64, 0.0, 0.3] {
-        let mut fast_page = PageWearState::with_quality(quality);
-        let mut slow_page = PageWearState::with_quality(quality);
-        for (i, erases) in [1u64, 10, 50, 100, 200, 400, 800, 1_600, 3_200, 6_400]
-            .into_iter()
-            .enumerate()
-        {
-            let seed = 500 + i as u64;
-            fast_page.advance(&fast_model, erases, &mut StdRng::seed_from_u64(seed));
-            slow_page.advance(&slow_model, erases, &mut StdRng::seed_from_u64(seed));
-            assert_eq!(
-                fast_page.permanent_failures(CellMode::Mlc),
-                slow_page.permanent_failures(CellMode::Mlc),
-                "MLC failures diverge at {erases} erases (quality {quality})"
+        let mut rng = StdRng::seed_from_u64(500);
+        let mut page = PageWearState::with_quality(quality);
+        let mut evaluations = 0;
+        let mut last = 0u64;
+        for erases in [1u64, 10, 50, 100, 200, 400, 800, 1_600, 3_200, 6_400] {
+            let before = (page.fail_mlc, page.fail_slc);
+            let next_draw = rng.clone().gen::<u64>();
+            page.advance(&model, erases, &mut rng);
+            evaluations += u32::from(rng.clone().gen::<u64>() != next_draw);
+            assert!(
+                page.fail_mlc >= before.0 && page.fail_slc >= before.1,
+                "failures shrank at {erases} erases (quality {quality})"
             );
+            // Unchanged and lower erase counts: nothing drawn, nothing
+            // changed.
+            let settled = (page.fail_mlc, page.fail_slc);
+            let next_draw = rng.clone().gen::<u64>();
+            for reread in [erases, last, 0] {
+                page.advance(&model, reread, &mut rng);
+            }
+            assert_eq!((page.fail_mlc, page.fail_slc), settled);
             assert_eq!(
-                fast_page.permanent_failures(CellMode::Slc),
-                slow_page.permanent_failures(CellMode::Slc),
-                "SLC failures diverge at {erases} erases (quality {quality})"
+                rng.clone().gen::<u64>(),
+                next_draw,
+                "re-read at {erases} erases drew from the RNG (quality {quality})"
             );
+            last = erases;
         }
         assert!(
-            fast_page.fail_mlc > 0,
-            "schedule must reach real wear (quality {quality})"
+            evaluations > 0 && page.fail_mlc > 0,
+            "schedule must cross onset and reach real wear (quality {quality})"
         );
     }
 }
 
-/// Re-reads at an unchanged erase count are free in the cached path and
-/// must not perturb the observed counts.
+/// Re-reads at an unchanged erase count must not perturb the observed
+/// counts.
 #[test]
 fn cached_wear_rereads_are_stable() {
     let model = WearModel::new(WearConfig::default().accelerated(1e4));
@@ -192,14 +168,4 @@ fn cached_wear_rereads_are_stable() {
         page.advance(&model, 3_000, &mut rng);
     }
     assert_eq!((page.fail_mlc, page.fail_slc), (mlc, slc));
-}
-
-/// The fast-path gates must default on — the bench and CI smoke assume
-/// the shipped configuration is the fast one.
-#[test]
-fn fast_path_gates_default_on() {
-    assert!(WearConfig::default().cache_evaluations);
-    assert!(FlashConfig::default().fast_rng);
-    assert!(WorkloadSpec::financial1().fast_sampling);
-    assert!(WorkloadSpec::websearch1().fast_sampling);
 }
