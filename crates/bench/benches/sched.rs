@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use nand_flash::sched::{ChannelConfig, EventDriven, OpClass, OpRequest, TimingModel};
+use nand_flash::sched::{ChannelConfig, EventDriven, OpClass, OpRequest};
 use nand_flash::{CellMode, FlashTiming};
 
 const CHANNELS: u32 = 4;

@@ -96,7 +96,7 @@ fn load_workload(args: &super::Args) -> Result<WorkloadSpec, String> {
 }
 
 /// Reads the device-parallelism options. Returns `None` when no channel
-/// flag was given (keep the closed-form oracle backend); otherwise the
+/// flag was given (keep the closed-form backend); otherwise the
 /// built [`ChannelConfig`] that switches the device to the event-driven
 /// backend.
 fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
@@ -230,7 +230,6 @@ pub fn simulate(args: &super::Args) -> Result<(), String> {
     };
     let engine_cfg = EngineConfig {
         workers: (workers > 0).then_some(workers),
-        ..EngineConfig::default()
     };
     let mut hierarchy = Hierarchy::try_new(HierarchyConfig {
         dram_bytes: dram_mb << 20,

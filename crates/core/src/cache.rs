@@ -386,10 +386,7 @@ impl FlashCache {
             ("flash.fcht.probe_groups", self.fcht.probe_groups()),
         ];
         for (name, v) in c {
-            // Pre-resolved handle + indexed add: the export burst does
-            // its string work exactly once per name.
-            let id = reg.handle(name);
-            reg.add(id, *v);
+            reg.counter_add(name, *v);
         }
         let d = self.device.stats();
         let n: &[(&str, u64)] = &[
@@ -402,8 +399,7 @@ impl FlashCache {
             ("nand.energy_uj", (d.energy_mj * 1000.0).round() as u64),
         ];
         for (name, v) in n {
-            let id = reg.handle(name);
-            reg.add(id, *v);
+            reg.counter_add(name, *v);
         }
         reg.gauge_set("flash.cached_pages", self.cached_pages() as f64);
         reg.gauge_set("flash.usable_slots", self.usable_slots as f64);
@@ -423,8 +419,7 @@ impl FlashCache {
                 self.longevity_writes.len() as f64,
             );
             for (i, &w) in self.longevity_writes.iter().enumerate() {
-                let id = reg.handle(&format!("flash.longevity.bucket.{i}.writes"));
-                reg.add(id, w);
+                reg.counter_add(&format!("flash.longevity.bucket.{i}.writes"), w);
             }
         }
         reg
@@ -1109,8 +1104,8 @@ impl FlashCache {
                 let d_code = self.config.ecc_latency.decode_us(cfg_t as usize + 1)
                     - self.config.ecc_latency.decode_us(cfg_t as usize);
                 let d_tcs = freq * d_code;
-                let model = self.device.timing_model();
-                let d_slc = model.read_us(CellMode::Slc) - model.read_us(CellMode::Mlc);
+                let timing = &self.device.config().timing;
+                let d_slc = timing.slc_read_us - timing.mlc_read_us;
                 let d_miss = if self.usable_slots == 0 {
                     0.0
                 } else {

@@ -52,9 +52,9 @@ impl Default for SplitPolicy {
 /// Which flash admission policy gates DRAM-evicted pages (fills and
 /// host writes) out of the flash cache.
 ///
-/// All parameters are integers so configs stay `Eq` (the sharded
-/// engine's [`EngineConfig`] relies on it); windows are measured in
-/// cache accesses — the same logical clock as the FPST counter decay.
+/// All parameters are integers so the config stays `Eq`; windows are
+/// measured in cache accesses — the same logical clock as the FPST
+/// counter decay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicyConfig {
     /// Admit every fill and write — the paper-faithful baseline.

@@ -1,13 +1,13 @@
-//! Pinned differential: the oracle contract at the cache layer.
+//! Pinned differentials of the device clock at the cache layer.
 //!
-//! A [`FlashCache`] whose device runs the event-driven timing backend in
-//! the serial-mimic configuration (1 channel, 1 plane, depth 1, no
-//! transfer time, no write buffering) must be **byte-identical** to the
-//! same cache on the closed-form backend: same per-access outcomes
-//! (latency bits included), same stats, same table snapshot, same
-//! exported metrics, same observability registry. This is what makes the
-//! closed-form arithmetic the differential oracle for every scheduler
-//! change.
+//! A [`FlashCache`] on a serial channel configuration must be
+//! **byte-identical** whichever way its ops go through the scheduler:
+//! the closed-form arm (`TimingBackend::ClosedForm`, trace off) or the
+//! general event path (`TimingBackend::EventDriven` with the serial
+//! config and tracing on). Same per-access outcomes (latency bits
+//! included), same stats, same table snapshot, same exported metrics,
+//! same observability registry. `ClosedForm` also ignores the
+//! configured `channel`: that is what the retained enum means.
 
 use std::sync::Arc;
 
@@ -18,8 +18,12 @@ use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry, TimingBackend};
 
 /// Small geometry so the trace overflows the cache and exercises fills,
 /// eviction, GC, and erase traffic — every maintenance path that now
-/// routes through the timing model.
+/// routes through the scheduler.
 fn config(backend: TimingBackend) -> FlashCacheConfig {
+    config_with(backend, ChannelConfig::default())
+}
+
+fn config_with(backend: TimingBackend, channel: ChannelConfig) -> FlashCacheConfig {
     FlashCacheConfig::builder()
         .flash(FlashConfig {
             geometry: FlashGeometry {
@@ -28,7 +32,7 @@ fn config(backend: TimingBackend) -> FlashCacheConfig {
                 ..FlashGeometry::default()
             },
             timing_backend: backend,
-            channel: ChannelConfig::default(),
+            channel,
             ..FlashConfig::default()
         })
         .build()
@@ -52,10 +56,11 @@ fn drive(cache: &mut FlashCache, seed: u64, n: usize) -> Vec<AccessOutcome> {
     outs
 }
 
-#[test]
-fn serial_event_backend_is_byte_identical_to_closed_form() {
+/// Replays one trace through the closed-form arm and through `other`,
+/// and demands byte-identical outcomes, stats, snapshot and registries.
+fn assert_byte_identical_to_closed_form(other: FlashCacheConfig) {
     let mut oracle = FlashCache::new(config(TimingBackend::ClosedForm)).expect("valid config");
-    let mut event = FlashCache::new(config(TimingBackend::EventDriven)).expect("valid config");
+    let mut event = FlashCache::new(other).expect("valid config");
     let oracle_sink = Arc::new(ObsSink::with_capacity(256));
     let event_sink = Arc::new(ObsSink::with_capacity(256));
     oracle.attach_sink(Arc::clone(&oracle_sink));
@@ -98,6 +103,28 @@ fn serial_event_backend_is_byte_identical_to_closed_form() {
         event_sink.registry(),
         "observability registries must match"
     );
+}
+
+#[test]
+fn serial_event_backend_is_byte_identical_to_closed_form() {
+    // Tracing on keeps a serial config off the closed-form arm.
+    let traced = ChannelConfig::builder()
+        .trace_capacity(64)
+        .build()
+        .expect("valid channel config");
+    assert!(traced.is_serial());
+    assert_byte_identical_to_closed_form(config_with(TimingBackend::EventDriven, traced));
+}
+
+#[test]
+fn closed_form_backend_ignores_the_channel_config() {
+    let eight = ChannelConfig::builder()
+        .channels(8)
+        .planes(2)
+        .queue_depth(8)
+        .build()
+        .expect("valid channel config");
+    assert_byte_identical_to_closed_form(config_with(TimingBackend::ClosedForm, eight));
 }
 
 /// The non-serial event backend keeps the same *functional* behaviour

@@ -25,10 +25,11 @@
 //!
 //! Because each shard owns a disjoint slice of both the address space
 //! and the device, garbage collection, wear levelling and controller
-//! reconfiguration run per shard. Throughput is reported in *modeled*
-//! time: a batch's makespan is the busiest shard's flash time, i.e. the
-//! shards are modeled as concurrently operating flash channels. That
-//! keeps scaling results machine-independent (see `bench_shard`).
+//! reconfiguration run per shard. The engine keeps no clock of its
+//! own: modeled time lives in each shard device's scheduler, and
+//! [`ShardedCache::device_makespan_us`] drains those timelines and
+//! reports the busiest device — the shards are concurrently operating
+//! flash devices — so scaling results are machine-independent.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

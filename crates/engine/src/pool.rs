@@ -8,12 +8,13 @@
 //! sweeps, where every point is an independent simulation with its own
 //! seed.
 //!
-//! Distribution is lock-free: workers claim indices from one atomic
-//! counter and write results into pre-split per-index slots, so figure
-//! sweeps never serialize on a queue or results mutex.
+//! Workers claim `(index, item)` pairs from one shared queue and keep
+//! their `(index, result)` pairs to themselves; the pairs are merged
+//! into input order after the scope joins. The queue lock is held for
+//! one `next()` per item, and every item is an independent simulation,
+//! so sweeps never serialize on it.
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Default worker count: the machine's available parallelism, 1 if it
 /// cannot be determined.
@@ -23,23 +24,14 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Per-index slots shared across workers without a lock. Safe because
-/// the claim counter hands each index to exactly one worker, and the
-/// scope join orders every slot write before the final collection.
-struct Slots<V>(Vec<UnsafeCell<Option<V>>>);
-
-// SAFETY: disjoint-index access only (see above).
-unsafe impl<V: Send> Sync for Slots<V> {}
-
 /// Maps `f` over `items` on up to `threads` worker threads, returning
 /// results in input order.
 ///
 /// Work is distributed dynamically (each worker claims the next pending
-/// index from an atomic counter), so uneven per-item cost — e.g.
+/// item from a shared queue), so uneven per-item cost — e.g.
 /// short-lived vs long-lived workloads in a lifetime sweep — balances
-/// automatically, and neither the claim nor the result write takes a
-/// lock. With `threads <= 1` or a single item, runs inline with no
-/// thread overhead.
+/// automatically. With `threads <= 1` or a single item, runs inline
+/// with no thread overhead.
 ///
 /// # Panics
 ///
@@ -55,38 +47,38 @@ where
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let items: Slots<T> = Slots(
-        items
-            .into_iter()
-            .map(|t| UnsafeCell::new(Some(t)))
-            .collect(),
-    );
-    let results: Slots<R> = Slots((0..n).map(|_| UnsafeCell::new(None)).collect());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        // Shared by reference to the whole `Slots` wrappers (not their
-        // inner vectors), which is what carries the `Sync` promise.
-        let (items, results, next, f) = (&items, &results, &next, &f);
-        for _ in 0..threads {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // SAFETY: the fetch_add above hands index `i` to this
-                // worker exclusively, so no other thread touches either
-                // slot `i`.
-                let item = unsafe { (*items.0[i].get()).take() }.expect("item claimed once");
-                let r = f(item);
-                unsafe { *results.0[i].get() = Some(r) };
-            });
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let (queue, f) = (&queue, &f);
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard drops before `f` runs, so a
+                        // panicking item cannot poison the queue.
+                        let claimed = queue.lock().expect("queue lock is never poisoned").next();
+                        let Some((i, item)) = claimed else {
+                            break done;
+                        };
+                        done.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        let mut done = Vec::with_capacity(n);
+        for worker in workers {
+            match worker.join() {
+                Ok(part) => done.extend(part),
+                // The scope joins the remaining workers before this
+                // leaves it.
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
+        done
     });
-    results
-        .0
-        .into_iter()
-        .map(|c| c.into_inner().expect("every item was processed"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -124,6 +116,15 @@ mod tests {
         for (i, (x, _)) in got.iter().enumerate() {
             assert_eq!(*x, i as u64);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 5 failed")]
+    fn propagates_a_worker_panic() {
+        par_map((0..16u32).collect(), 4, |x| {
+            assert!(x != 5, "item {x} failed");
+            x
+        });
     }
 
     #[test]

@@ -244,11 +244,6 @@ impl Runtime {
         }
     }
 
-    /// Worker threads backing this runtime.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Operations degraded by worker panics so far.
     pub(crate) fn internal_errors(&self) -> u64 {
         self.errors.load(Ordering::Acquire)

@@ -7,8 +7,8 @@ use disk_trace::DiskRequest;
 use flash_obs::{ObsSink, Registry, ServiceTier};
 use flashcache_core::tables::Fgst;
 use flashcache_core::{
-    AccessOutcome, AdmissionPolicyConfig, CacheError, CacheOp, CacheOutcome, CacheStats,
-    ConfigError, FlashCache, FlashCacheConfig,
+    AccessOutcome, CacheError, CacheOp, CacheOutcome, CacheStats, ConfigError, FlashCache,
+    FlashCacheConfig,
 };
 
 use crate::pool;
@@ -24,13 +24,6 @@ pub struct EngineConfig {
     /// parallelism (capped by the shard count). Results never depend on
     /// it — only wall-clock time does.
     pub workers: Option<usize>,
-    /// Admission-policy override applied to every shard's configuration
-    /// (each shard gets its own independent policy state). `None` keeps
-    /// whatever the [`FlashCacheConfig`] carries.
-    pub admission: Option<AdmissionPolicyConfig>,
-    /// Longevity-bucket override applied to every shard's write region.
-    /// `None` keeps the [`FlashCacheConfig`] value.
-    pub longevity_buckets: Option<u32>,
 }
 
 /// A sharded-engine construction error.
@@ -135,7 +128,7 @@ fn route(page: u64, n: usize) -> usize {
 /// # Determinism
 ///
 /// For a fixed (configuration seed, shard count), every query — merged
-/// stats, outcomes, modeled times — is reproducible regardless of the
+/// stats, outcomes, device makespan — is reproducible regardless of the
 /// worker-thread count: batches partition deterministically (splitmix64
 /// of the page number, mod N), each shard consumes its slice in batch
 /// order, and result slots are keyed by request index.
@@ -164,24 +157,15 @@ pub struct ShardedCache {
     /// Shard count (the slab's length, cached).
     n: usize,
     /// Worker threads used per batch (capped by the shard count).
-    threads: usize,
+    workers: usize,
     /// Reused per-batch partition buffers: each shard's slice of the
     /// batch in submission order.
     groups: Vec<Vec<Req>>,
     /// Reused per-batch completion buffers, one per shard in per-shard
     /// submission order.
     done_bufs: Vec<Vec<Done>>,
-    /// Reused per-batch GC-time snapshots.
-    gc_before: Vec<f64>,
     /// Reused staging buffers of the in-place executor.
     scratch: Scratch,
-    /// Accumulated per-shard flash busy time over batched submissions,
-    /// µs (foreground + background + GC).
-    shard_busy_us: Vec<f64>,
-    /// Accumulated modeled batch makespans, µs: each batch contributes
-    /// its busiest shard's time, modelling shards as concurrently
-    /// operating flash channels.
-    makespan_us: f64,
     /// Batches submitted.
     batches: u64,
     /// Guards the Drop-time per-shard metric flush.
@@ -233,51 +217,28 @@ impl ShardedCache {
                 .flash
                 .seed
                 .wrapping_add((i as u64).wrapping_mul(SEED_STRIDE));
-            if let Some(a) = engine.admission {
-                c.admission = a;
-            }
-            if let Some(b) = engine.longevity_buckets {
-                c.longevity_buckets = b;
-            }
             built.push(FlashCache::new(c)?);
         }
-        let threads = engine.workers.unwrap_or_else(pool::default_threads).max(1);
+        let workers = engine
+            .workers
+            .unwrap_or_else(pool::default_threads)
+            .clamp(1, shards);
         Ok(ShardedCache {
             runtime: None,
             slab: ShardSlab::new(built),
             n: shards,
-            threads,
+            workers,
             groups: vec![Vec::new(); shards],
             done_bufs: vec![Vec::new(); shards],
-            gc_before: Vec::with_capacity(shards),
             scratch: Scratch::default(),
-            shard_busy_us: vec![0.0; shards],
-            makespan_us: 0.0,
             batches: 0,
             obs_flushed: false,
         })
     }
 
-    /// Sets the worker-thread cap for batched submission (default: the
-    /// machine's available parallelism). Thread count never affects
-    /// results, only wall-clock time. A change takes effect at the next
-    /// batch (any running workers are joined and a fresh set spawned).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-        if let Some(rt) = &self.runtime {
-            if rt.workers() != self.resolved_workers() {
-                self.runtime = None;
-            }
-        }
-    }
-
-    /// Worker threads a multi-shard batch would use right now.
+    /// Worker threads a multi-shard batch uses.
     pub fn workers(&self) -> usize {
-        self.resolved_workers()
-    }
-
-    fn resolved_workers(&self) -> usize {
-        self.threads.min(self.n)
+        self.workers
     }
 
     /// Number of shards.
@@ -313,16 +274,18 @@ impl ShardedCache {
     /// `hit` requires every page to hit, and the tier degrades to
     /// [`ServiceTier::Disk`] if any page needs the disk.
     ///
-    /// The batch's *modeled* duration — the busiest shard's flash time —
-    /// accumulates into [`modeled_time_us`](ShardedCache::modeled_time_us).
+    /// Three steps: stage the pages into per-shard groups, execute the
+    /// groups, merge the completions into per-request outcomes. Modeled
+    /// time is not accounted here: each shard's device keeps its own
+    /// clock, read through
+    /// [`device_makespan_us`](ShardedCache::device_makespan_us).
     ///
     /// The staged groups run on one of two executors with byte-identical
     /// results (only wall-clock time differs): an in-place loop over the
     /// shards when one worker resolves (one shard, or a single-core
     /// host), the persistent shard runtime (pinned workers fed by SPSC
     /// rings) otherwise. Either way each shard sees its ops in batch
-    /// order and the per-shard busy sums run in the same arithmetic
-    /// order, so modeled times are bit-identical across worker counts.
+    /// order.
     pub fn submit(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
         let n = self.n;
         for (g, d) in self.groups.iter_mut().zip(&mut self.done_bufs) {
@@ -334,18 +297,8 @@ impl ShardedCache {
                 self.groups[route(page, n)].push((ri as u32, page, req.op));
             }
         }
-        self.gc_before.clear();
-        {
-            // SAFETY: quiescent — `&mut self`, and the previous batch
-            // fully drained.
-            let shards = unsafe { self.slab.shards() };
-            self.gc_before
-                .extend(shards.iter().map(|s| s.stats().gc_time_us));
-        }
-        let workers = self.resolved_workers();
+        let workers = self.workers();
         if workers > 1 {
-            // `set_threads` drops a runtime sized for another worker
-            // count, so one that exists here is current.
             self.runtime
                 .get_or_insert_with(|| Runtime::spawn(&self.slab, workers))
                 .execute(&self.groups, &mut self.done_bufs);
@@ -359,19 +312,13 @@ impl ShardedCache {
                 done.extend(ops.iter().zip(outs).map(|(&(ri, _, _), o)| (ri, o.access)));
             }
         }
-        // Quiescent again: every completion's Release/Acquire pair
-        // ordered the workers' shard writes before these reads. Shards
-        // merge in partition order, completions in per-shard submission
-        // order — the one arithmetic order both executors share.
-        // SAFETY: drained above.
-        let shards = unsafe { self.slab.shards() };
+        // Shards merge in partition order, completions in per-shard
+        // submission order, so a multi-page request's latency sum runs
+        // in the same arithmetic order on both executors.
         let mut merged = vec![AccessOutcome::default(); batch.len()];
         let mut seen = vec![false; batch.len()];
-        let mut makespan = 0.0f64;
-        for (si, outs) in self.done_bufs.iter().enumerate() {
-            let mut busy = 0.0;
+        for outs in &self.done_bufs {
             for &(ri, out) in outs {
-                busy += out.latency_us + out.background_us;
                 let slot = &mut merged[ri as usize];
                 if seen[ri as usize] {
                     merge_outcome(slot, out);
@@ -380,17 +327,12 @@ impl ShardedCache {
                     seen[ri as usize] = true;
                 }
             }
-            busy += shards[si].stats().gc_time_us - self.gc_before[si];
-            self.shard_busy_us[si] += busy;
-            makespan = makespan.max(busy);
         }
-        self.makespan_us += makespan;
         self.batches += 1;
         merged
     }
 
-    /// Services one typed operation through its owning shard (serial
-    /// path; does not contribute to the modeled batch times).
+    /// Services one typed operation through its owning shard.
     pub fn op(&mut self, op: CacheOp) -> CacheOutcome {
         let s = self.shard_of(op.lba);
         self.shards_mut()[s].op(op)
@@ -454,27 +396,12 @@ impl ShardedCache {
         self.shards().iter().all(|s| s.is_dead())
     }
 
-    /// Accumulated modeled time of all batched submissions, µs: the sum
-    /// over batches of the busiest shard's flash time. With one shard
-    /// this equals [`serial_time_us`](ShardedCache::serial_time_us);
-    /// with N balanced shards it approaches `serial / N` — the
-    /// concurrent-flash-channel model behind `bench_shard`'s scaling
-    /// figures.
-    pub fn modeled_time_us(&self) -> f64 {
-        self.makespan_us
-    }
-
-    /// Accumulated flash busy time across all shards and batches, µs —
-    /// what a single serial channel would have spent.
-    pub fn serial_time_us(&self) -> f64 {
-        self.shard_busy_us.iter().sum()
-    }
-
-    /// Drains every shard device's event timeline (flushing buffered
-    /// writes) and returns the largest device makespan, µs. Under the
-    /// closed-form backend this is the busiest shard's busy-time sum;
-    /// under the event-driven backend it is the channel-level completion
-    /// time, where multi-channel overlap shows up as a shorter makespan
+    /// The engine's only modeled time: drains every shard device's
+    /// event timeline (flushing buffered writes) and returns the largest
+    /// device makespan, µs — the shards are concurrently operating
+    /// devices, so the busiest one bounds the run. Under a serial
+    /// channel configuration that is the busiest shard's sum of service
+    /// times; with more channels, overlap shows up as a shorter makespan
     /// for the same op mix.
     pub fn device_makespan_us(&mut self) -> f64 {
         let mut makespan: f64 = 0.0;
@@ -482,11 +409,6 @@ impl ShardedCache {
             makespan = makespan.max(s.device_mut().drain_timing());
         }
         makespan
-    }
-
-    /// Accumulated busy time of each shard, µs, in partition order.
-    pub fn shard_busy_us(&self) -> &[f64] {
-        &self.shard_busy_us
     }
 
     /// Batches submitted so far.
@@ -577,8 +499,7 @@ fn prefixed(i: usize, reg: &Registry) -> Registry {
         let suffix = name.strip_prefix("flash.").unwrap_or(name);
         let pname = format!("flash.shard.{i}.{suffix}");
         if let Some(v) = metric.as_counter() {
-            let id = out.handle(&pname);
-            out.add(id, v);
+            out.counter_add(&pname, v);
         } else if let Some(v) = metric.as_gauge() {
             out.gauge_set(&pname, v);
         } else if let Some(h) = metric.as_histogram() {
@@ -592,7 +513,7 @@ fn prefixed(i: usize, reg: &Registry) -> Registry {
 mod tests {
     use super::*;
     use disk_trace::OpKind;
-    use flashcache_core::AdmissionDecision;
+    use flashcache_core::{AdmissionDecision, AdmissionPolicyConfig};
     use nand_flash::{FlashConfig, FlashGeometry};
 
     fn config(blocks: u32) -> FlashCacheConfig {
@@ -631,14 +552,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_config_overrides_admission_on_every_shard() {
+    fn admission_config_reaches_every_shard() {
         let reref = AdmissionPolicyConfig::ReReference { k: 1, window: 512 };
-        let engine = EngineConfig {
-            admission: Some(reref),
-            longevity_buckets: Some(2),
-            ..EngineConfig::default()
-        };
-        let mut e = ShardedCache::with_engine_config(config(32), 4, engine).unwrap();
+        let mut cfg = config(32);
+        cfg.admission = reref;
+        cfg.longevity_buckets = 2;
+        let mut e = ShardedCache::new(cfg, 4).unwrap();
         for shard in e.shards() {
             assert_eq!(shard.config().admission, reref);
             assert_eq!(shard.config().longevity_buckets, 2);
@@ -681,8 +600,6 @@ mod tests {
         assert_eq!(st.reads, 200);
         assert_eq!(st.read_hits, 100);
         assert_eq!(e.batches(), 2);
-        assert!(e.modeled_time_us() > 0.0);
-        assert!(e.modeled_time_us() <= e.serial_time_us());
     }
 
     #[test]
@@ -701,8 +618,10 @@ mod tests {
     #[test]
     fn determinism_across_thread_counts() {
         let run = |threads: usize| {
-            let mut e = ShardedCache::new(config(32), 4).unwrap();
-            e.set_threads(threads);
+            let engine = EngineConfig {
+                workers: Some(threads),
+            };
+            let mut e = ShardedCache::with_engine_config(config(32), 4, engine).unwrap();
             let batch: Vec<DiskRequest> = (0..300)
                 .map(|i| {
                     if i % 3 == 0 {
@@ -713,7 +632,7 @@ mod tests {
                 })
                 .collect();
             let outs = e.submit(&batch);
-            (outs, e.stats(), e.modeled_time_us())
+            (outs, e.stats(), e.device_makespan_us())
         };
         let (o1, s1, m1) = run(1);
         let (o8, s8, m8) = run(8);

@@ -11,7 +11,7 @@ use rand::SeedableRng;
 
 use crate::geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 use crate::sampling::NormalSource;
-use crate::sched::{build_model, ChannelConfig, OpClass, OpRequest, TimingBackend, TimingModel};
+use crate::sched::{ChannelConfig, EventDriven, OpClass, OpRequest, TimingBackend};
 use crate::timing::{FlashPower, FlashTiming};
 use crate::wear::{PageWearState, WearConfig, WearModel};
 
@@ -90,8 +90,8 @@ enum SlotState {
     Unusable,
 }
 
-/// Caller context for a device operation, threaded into the timing
-/// model: foreground ops block and advance the modeled clock, while
+/// Caller context for a device operation, threaded into the
+/// scheduler: foreground ops block and advance the modeled clock, while
 /// background work (GC traffic, cache fills, write-buffer flushes)
 /// consumes device time that later foreground ops wait out. The
 /// logical address, when known, enables write-buffer coalescing.
@@ -208,9 +208,11 @@ pub struct FlashConfig {
     pub store_payloads: bool,
     /// RNG seed for quality sampling and error injection.
     pub seed: u64,
-    /// Which timing implementation the device resolves at construction.
+    /// Which channel configuration the device's scheduler is built
+    /// with: the serial default (`ClosedForm`) or `channel`.
     pub timing_backend: TimingBackend,
-    /// Channel/plane/queue parameters for the event-driven backend.
+    /// Channel/plane/queue parameters under
+    /// [`TimingBackend::EventDriven`]; ignored under `ClosedForm`.
     pub channel: ChannelConfig,
 }
 
@@ -253,9 +255,9 @@ impl Default for FlashConfig {
 pub struct FlashDevice {
     config: FlashConfig,
     wear_model: WearModel,
-    /// The device-timing model, resolved once from
-    /// `config.timing_backend`; all op latencies flow through it.
-    model: Box<dyn TimingModel + Send>,
+    /// The device's one modeled clock; all op latencies flow through
+    /// it.
+    model: EventDriven,
     /// Error-injection RNG (minimal-state: one draw per page read).
     rng: SmallRng,
     /// Per-block erase counts.
@@ -295,9 +297,13 @@ impl FlashDevice {
         let wear = (0..phys)
             .map(|_| PageWearState::with_quality(wear_model.sample_quality(&mut normals, &mut rng)))
             .collect();
+        let channel = match config.timing_backend {
+            TimingBackend::ClosedForm => ChannelConfig::default(),
+            TimingBackend::EventDriven => config.channel,
+        };
         FlashDevice {
             wear_model,
-            model: build_model(config.timing_backend, config.timing, config.channel),
+            model: EventDriven::new(config.timing, channel),
             rng,
             erase_counts: vec![0; geometry.blocks as usize],
             block_worst_mode: vec![None; geometry.blocks as usize],
@@ -329,15 +335,9 @@ impl FlashDevice {
         self.stats
     }
 
-    /// The device-timing model, for latency-table queries and trace
-    /// inspection.
-    pub fn timing_model(&self) -> &dyn TimingModel {
-        self.model.as_ref()
-    }
-
-    /// Current modeled device clock, µs. Under the closed-form backend
-    /// this is the running sum of service times; under the event
-    /// backend it is the foreground completion time.
+    /// Current modeled device clock, µs: the foreground completion
+    /// time, which under a serial channel configuration is the running
+    /// sum of service times.
     pub fn modeled_time_us(&self) -> f64 {
         self.model.now_us()
     }

@@ -11,8 +11,8 @@
 //!   paths;
 //! * [`geometry`] — blocks, physical pages, slots, capacity math;
 //! * [`timing`] — per-operation latency and energy constants;
-//! * [`sched`] — the device-timing API: the [`TimingModel`] trait, the
-//!   closed-form oracle, and the event-driven channel/plane scheduler;
+//! * [`sched`] — device timing: the one event-driven channel/plane
+//!   scheduler, whose serial configuration is the closed-form model;
 //! * [`wear`] — permanent/transient bit-error injection as erase counts
 //!   grow, with MLC-vs-SLC endurance coupling;
 //! * [`device`] — the [`FlashDevice`] state machine tying it together;
@@ -54,8 +54,8 @@ pub use device::{
 };
 pub use geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 pub use sched::{
-    ChannelConfig, ChannelConfigBuilder, ChannelConfigError, ClosedForm, EventDriven, OpClass,
-    OpRequest, OpTiming, TimingBackend, TimingModel, TraceEntry, TraceKind,
+    ChannelConfig, ChannelConfigBuilder, ChannelConfigError, EventDriven, OpClass, OpRequest,
+    OpTiming, TimingBackend, TraceEntry, TraceKind,
 };
 pub use timing::{FlashPower, FlashTiming};
 pub use verified::{VerifiedError, VerifiedFlash, VerifiedRead};

@@ -1,18 +1,16 @@
-//! Device-timing API and deterministic discrete-event NAND scheduler.
+//! Device timing: one deterministic discrete-event NAND scheduler.
 //!
-//! This module fronts all operation timing behind the [`TimingModel`]
-//! trait, resolved once at device construction:
+//! [`EventDriven`] is the only modeled clock. It prices every operation
+//! from the Table 2/3 latency table and places it on per-channel bus
+//! and per-plane cell timelines, with bounded queue depth and a
+//! coalescing write buffer, in the spirit of FTL-SIM's event loop and
+//! the multi-channel interleaving literature. [`TimingBackend`] selects
+//! the scheduler's *configuration*, not an implementation:
+//! `ClosedForm` builds it with the serial [`ChannelConfig::default`],
+//! `EventDriven` with the device's configured channel shape.
 //!
-//! * [`ClosedForm`] — the original Table 2/3 arithmetic: every op costs
-//!   its table latency, no queueing, wait is always zero. Bit-for-bit
-//!   identical to the pre-trait free-function sums.
-//! * [`EventDriven`] — a discrete-event scheduler with per-channel bus
-//!   arbitration, per-plane cell occupancy, bounded queue depth, and a
-//!   coalescing write buffer, in the spirit of FTL-SIM's event loop and
-//!   the multi-channel interleaving literature.
-//!
-//! The event-driven scheduler is one core — flat per-channel admission
-//! windows, channel/plane placement, and a no-contention bypass that
+//! The scheduler is one core — flat per-channel admission windows,
+//! channel/plane placement, and a no-contention bypass that
 //! materializes no event at all when nothing can observe it (tracing
 //! off) — over a global timeline that is a bucketed calendar queue
 //! (timer wheel) with a slab event arena. Steady-state scheduling
@@ -27,13 +25,16 @@
 //! is monotone, so drained times are bit-identical to a total-order
 //! heap; the in-crate tests pin this against a `BinaryHeap` queue.
 //!
-//! # Oracle contract
+//! # Closed-form contract
 //!
 //! With [`ChannelConfig::is_serial`] (1 channel, 1 plane, queue depth 1,
 //! zero transfer time, zero writeback delay) every operation — fore- or
 //! background — blocks and advances the clock, every stall term is
-//! exactly `0.0`, and the reported `(wait, service)` pairs are
-//! byte-identical to [`ClosedForm`]. Differential tests pin this.
+//! exactly `0.0`, service is the table latency and the clock is the
+//! running sum of service times: the paper's closed-form model. With
+//! tracing off, [`EventDriven::op`] takes a dedicated arm that is that
+//! arithmetic and nothing else. Tests pin both the arm and the general
+//! event path against an in-test running sum over the table.
 //!
 //! # Scheduling disciplines
 //!
@@ -66,18 +67,19 @@ use crate::timing::FlashTiming;
 mod queue;
 use queue::{Ev, EvKind, EventQueue, TimerWheel};
 
-/// Which timing implementation a device resolves at construction.
+/// Which channel configuration a device builds its scheduler with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimingBackend {
-    /// Closed-form per-op sums (the original model, and the oracle).
+    /// The serial [`ChannelConfig::default`], whatever the device's
+    /// `channel` says: per-op table sums, wait always zero.
     #[default]
     ClosedForm,
-    /// Discrete-event scheduler with channel/plane parallelism.
+    /// The device's configured `channel`: channel/plane parallelism,
+    /// queueing, write buffering.
     EventDriven,
 }
 
-/// Channel-level geometry and scheduling parameters for the
-/// event-driven backend.
+/// Channel-level geometry and scheduling parameters of the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
     /// Independent channels (each with its own bus).
@@ -183,7 +185,7 @@ impl ChannelConfig {
 
     /// Whether this configuration mimics serial execution: one channel,
     /// one plane, depth one, free bus, no write buffering. In this mode
-    /// the event backend is the closed-form oracle, byte for byte.
+    /// the scheduler is the closed-form model, byte for byte.
     pub fn is_serial(&self) -> bool {
         self.channels == 1
             && self.planes == 1
@@ -262,7 +264,7 @@ pub enum OpClass {
     Erase,
 }
 
-/// One operation submitted to a [`TimingModel`].
+/// One operation submitted to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpRequest {
     /// What the op does.
@@ -282,8 +284,8 @@ pub struct OpRequest {
 /// The timing verdict for one operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpTiming {
-    /// Queueing delay before service began, µs. Exactly `0.0` under
-    /// [`ClosedForm`] and under serial-mimic [`EventDriven`].
+    /// Queueing delay before service began, µs. Exactly `0.0` under a
+    /// serial [`ChannelConfig`].
     pub wait_us: f64,
     /// Device service time (cell phase plus bus transfer), µs.
     pub service_us: f64,
@@ -316,42 +318,6 @@ pub struct TraceEntry {
     pub channel: u32,
 }
 
-/// The redesigned device-timing API: a single object, resolved at
-/// device construction, that prices every operation.
-///
-/// Implementations must be deterministic: the same op sequence yields
-/// the same timings, clock, and trace.
-pub trait TimingModel: fmt::Debug + Send {
-    /// Prices one operation and advances internal state.
-    fn op(&mut self, req: &OpRequest) -> OpTiming;
-    /// Table read latency in `mode`, µs (no queueing).
-    fn read_us(&self, mode: CellMode) -> f64;
-    /// Table program latency in `mode`, µs (no queueing).
-    fn program_us(&self, mode: CellMode) -> f64;
-    /// Table erase latency for a block whose worst mode is `mode`, µs.
-    fn erase_us(&self, mode: CellMode) -> f64;
-    /// Current modeled clock, µs.
-    fn now_us(&self) -> f64;
-    /// Runs all pending events (including scheduled write-buffer
-    /// flushes) and returns the makespan: the time at which every
-    /// resource falls idle. Advances the clock to it.
-    fn drain(&mut self) -> f64;
-    /// The retained event trace (empty unless tracing is enabled).
-    fn trace(&self) -> &[TraceEntry];
-}
-
-/// Builds the configured timing model.
-pub fn build_model(
-    backend: TimingBackend,
-    timing: FlashTiming,
-    channel: ChannelConfig,
-) -> Box<dyn TimingModel + Send> {
-    match backend {
-        TimingBackend::ClosedForm => Box::new(ClosedForm::new(timing)),
-        TimingBackend::EventDriven => Box::new(EventDriven::new(timing, channel)),
-    }
-}
-
 fn table_read(t: &FlashTiming, mode: CellMode) -> f64 {
     match mode {
         CellMode::Slc => t.slc_read_us,
@@ -370,63 +336,6 @@ fn table_erase(t: &FlashTiming, mode: CellMode) -> f64 {
     match mode {
         CellMode::Slc => t.slc_erase_us,
         CellMode::Mlc => t.mlc_erase_us,
-    }
-}
-
-/// The original arithmetic model: wait is always zero, service is the
-/// Table 2/3 latency, the clock is the running sum of service times.
-#[derive(Debug, Clone)]
-pub struct ClosedForm {
-    timing: FlashTiming,
-    clock_us: f64,
-}
-
-impl ClosedForm {
-    /// A closed-form model over the given latency table.
-    pub fn new(timing: FlashTiming) -> Self {
-        ClosedForm {
-            timing,
-            clock_us: 0.0,
-        }
-    }
-}
-
-impl TimingModel for ClosedForm {
-    fn op(&mut self, req: &OpRequest) -> OpTiming {
-        let service_us = match req.class {
-            OpClass::Read => table_read(&self.timing, req.mode),
-            OpClass::Program => table_program(&self.timing, req.mode),
-            OpClass::Erase => table_erase(&self.timing, req.mode),
-        };
-        self.clock_us += service_us;
-        OpTiming {
-            wait_us: 0.0,
-            service_us,
-        }
-    }
-
-    fn read_us(&self, mode: CellMode) -> f64 {
-        table_read(&self.timing, mode)
-    }
-
-    fn program_us(&self, mode: CellMode) -> f64 {
-        table_program(&self.timing, mode)
-    }
-
-    fn erase_us(&self, mode: CellMode) -> f64 {
-        table_erase(&self.timing, mode)
-    }
-
-    fn now_us(&self) -> f64 {
-        self.clock_us
-    }
-
-    fn drain(&mut self) -> f64 {
-        self.clock_us
-    }
-
-    fn trace(&self) -> &[TraceEntry] {
-        &[]
     }
 }
 
@@ -451,11 +360,11 @@ struct OpSpan {
 
 /// Discrete-event NAND scheduler with channel/plane parallelism.
 ///
-/// See the module docs for the scheduling disciplines and the oracle
-/// contract. The scheduler is RNG-free: determinism is structural. The
-/// core is generic over its event timeline ([`EventQueue`]); the
-/// product always runs the [`TimerWheel`], and steady-state scheduling
-/// allocates nothing.
+/// See the module docs for the scheduling disciplines and the
+/// closed-form contract. The scheduler is RNG-free: determinism is
+/// structural. The core is generic over its event timeline
+/// ([`EventQueue`]); the product always runs the [`TimerWheel`], and
+/// steady-state scheduling allocates nothing.
 #[derive(Debug)]
 pub struct EventDriven<Q: EventQueue = TimerWheel> {
     timing: FlashTiming,
@@ -514,11 +423,6 @@ impl<Q: EventQueue> EventDriven<Q> {
             trace: Vec::new(),
             cfg,
         }
-    }
-
-    /// The channel configuration in force.
-    pub fn channel_config(&self) -> &ChannelConfig {
-        &self.cfg
     }
 
     /// Pending (not yet flushed or coalesced) write-buffer entries.
@@ -719,13 +623,13 @@ impl<Q: EventQueue> EventDriven<Q> {
             }
         }
     }
-}
 
-impl<Q: EventQueue> TimingModel for EventDriven<Q> {
-    fn op(&mut self, req: &OpRequest) -> OpTiming {
+    /// Prices one operation and advances internal state. Deterministic:
+    /// the same op sequence yields the same timings, clock, and trace.
+    pub fn op(&mut self, req: &OpRequest) -> OpTiming {
         let arrival_us = self.now_us;
         if self.serial && !self.trace_on {
-            // Serial bypass: a serial config forbids write buffering
+            // The closed-form arm: a serial config forbids write buffering
             // (is_serial ⇒ writeback_us == 0) and with tracing off no
             // completion event is ever materialized, so the timeline is
             // permanently empty, every stall term is exactly 0.0, and
@@ -798,23 +702,15 @@ impl<Q: EventQueue> TimingModel for EventDriven<Q> {
         }
     }
 
-    fn read_us(&self, mode: CellMode) -> f64 {
-        table_read(&self.timing, mode)
-    }
-
-    fn program_us(&self, mode: CellMode) -> f64 {
-        table_program(&self.timing, mode)
-    }
-
-    fn erase_us(&self, mode: CellMode) -> f64 {
-        table_erase(&self.timing, mode)
-    }
-
-    fn now_us(&self) -> f64 {
+    /// Current modeled clock, µs: the foreground completion time.
+    pub fn now_us(&self) -> f64 {
         self.now_us
     }
 
-    fn drain(&mut self) -> f64 {
+    /// Runs all pending events (including scheduled write-buffer
+    /// flushes) and returns the makespan: the time at which every
+    /// resource falls idle. Advances the clock to it.
+    pub fn drain(&mut self) -> f64 {
         // Fire everything still scheduled — buffered writes flush at
         // their writeback deadlines and their dispatches enqueue further
         // completion events, all consumed here in (time, seq) order.
@@ -834,7 +730,8 @@ impl<Q: EventQueue> TimingModel for EventDriven<Q> {
         makespan
     }
 
-    fn trace(&self) -> &[TraceEntry] {
+    /// The retained event trace (empty unless tracing is enabled).
+    pub fn trace(&self) -> &[TraceEntry] {
         &self.trace
     }
 }
@@ -886,6 +783,20 @@ mod tests {
         assert!(ChannelConfig::default().is_serial());
     }
 
+    /// The paper's closed-form model as a reference: service is the
+    /// Table 2/3 latency (wait is zero, the clock is the running sum of
+    /// these).
+    fn table_us(t: &FlashTiming, op: &OpRequest) -> f64 {
+        match (op.class, op.mode) {
+            (OpClass::Read, CellMode::Slc) => t.slc_read_us,
+            (OpClass::Read, CellMode::Mlc) => t.mlc_read_us,
+            (OpClass::Program, CellMode::Slc) => t.slc_program_us,
+            (OpClass::Program, CellMode::Mlc) => t.mlc_program_us,
+            (OpClass::Erase, CellMode::Slc) => t.slc_erase_us,
+            (OpClass::Erase, CellMode::Mlc) => t.mlc_erase_us,
+        }
+    }
+
     #[test]
     fn serial_event_model_matches_closed_form_bitwise() {
         let timing = FlashTiming::default();
@@ -897,20 +808,31 @@ mod tests {
             bg(OpClass::Program, CellMode::Slc, 2, Some(42)),
             fg(OpClass::Read, CellMode::Slc, 2),
         ];
-        fn check<Q: EventQueue>(timing: FlashTiming, ops: &[OpRequest]) {
-            let mut oracle = ClosedForm::new(timing);
-            let mut event = EventDriven::<Q>::with_queue(timing, ChannelConfig::default());
+        // Trace off takes the closed-form arm of `op`; trace on sends
+        // the same serial config through the general event path.
+        fn check<Q: EventQueue>(timing: FlashTiming, ops: &[OpRequest], trace_capacity: u32) {
+            let cfg = ChannelConfig::builder()
+                .trace_capacity(trace_capacity)
+                .build()
+                .unwrap();
+            assert!(cfg.is_serial());
+            let mut clock_us = 0.0;
+            let mut event = EventDriven::<Q>::with_queue(timing, cfg);
             for op in ops {
-                let a = oracle.op(op);
-                let b = event.op(op);
-                assert_eq!(a.wait_us.to_bits(), b.wait_us.to_bits());
-                assert_eq!(a.service_us.to_bits(), b.service_us.to_bits());
+                let service_us = table_us(&timing, op);
+                clock_us += service_us;
+                let got = event.op(op);
+                assert_eq!(got.wait_us.to_bits(), 0.0f64.to_bits());
+                assert_eq!(got.service_us.to_bits(), service_us.to_bits());
+                assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
             }
-            assert_eq!(oracle.drain().to_bits(), event.drain().to_bits());
-            assert_eq!(oracle.now_us().to_bits(), event.now_us().to_bits());
+            assert_eq!(clock_us.to_bits(), event.drain().to_bits());
+            assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
         }
-        check::<HeapQueue>(timing, &ops);
-        check::<TimerWheel>(timing, &ops);
+        for trace_capacity in [0, 64] {
+            check::<HeapQueue>(timing, &ops, trace_capacity);
+            check::<TimerWheel>(timing, &ops, trace_capacity);
+        }
     }
 
     #[test]
@@ -1092,15 +1014,12 @@ mod tests {
 
     #[test]
     fn closed_form_clock_sums_services() {
-        let mut model = ClosedForm::new(FlashTiming::default());
+        let mut model = EventDriven::new(FlashTiming::default(), ChannelConfig::default());
         model.op(&fg(OpClass::Read, CellMode::Slc, 0));
         model.op(&fg(OpClass::Program, CellMode::Mlc, 0));
         assert_eq!(model.now_us(), 25.0 + 680.0);
         assert_eq!(model.drain(), 25.0 + 680.0);
         assert!(model.trace().is_empty());
-        assert_eq!(model.read_us(CellMode::Mlc), 50.0);
-        assert_eq!(model.program_us(CellMode::Slc), 200.0);
-        assert_eq!(model.erase_us(CellMode::Mlc), 3300.0);
     }
 
     // ------------------------------------------------------------------

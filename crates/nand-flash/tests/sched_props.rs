@@ -1,11 +1,13 @@
-//! Property-based tests of the device-timing API (`nand_flash::sched`).
+//! Property-based tests of the device scheduler (`nand_flash::sched`).
 //!
 //! Two contracts are pinned here (the wheel-vs-heap queue lock-step
 //! lives in-crate, next to the `#[cfg(test)]` heap queue):
 //!
-//! 1. **Oracle**: for *any* operation sequence, the event-driven backend
-//!    under the serial default config reports byte-identical `(wait,
-//!    service)` pairs, clock, and makespan to the closed-form model.
+//! 1. **Closed form**: for *any* operation sequence, the scheduler
+//!    under a serial config — through the closed-form arm of `op`
+//!    (trace off) and through the general event path (trace on) —
+//!    reports `(wait, service)` pairs, clock, and makespan
+//!    byte-identical to a running sum over the latency table.
 //! 2. **Determinism**: for *any* operation sequence and *any* valid
 //!    channel configuration, replaying the run yields a byte-identical
 //!    event trace and makespan — the scheduler is RNG-free and its
@@ -13,9 +15,20 @@
 
 use proptest::prelude::*;
 
-use nand_flash::{
-    CellMode, ChannelConfig, ClosedForm, EventDriven, FlashTiming, OpClass, OpRequest, TimingModel,
-};
+use nand_flash::{CellMode, ChannelConfig, EventDriven, FlashTiming, OpClass, OpRequest};
+
+/// The paper's closed-form model as a reference: service is the Table
+/// 2/3 latency (wait is zero, the clock is the running sum of these).
+fn table_us(t: &FlashTiming, op: &OpRequest) -> f64 {
+    match (op.class, op.mode) {
+        (OpClass::Read, CellMode::Slc) => t.slc_read_us,
+        (OpClass::Read, CellMode::Mlc) => t.mlc_read_us,
+        (OpClass::Program, CellMode::Slc) => t.slc_program_us,
+        (OpClass::Program, CellMode::Mlc) => t.mlc_program_us,
+        (OpClass::Erase, CellMode::Slc) => t.slc_erase_us,
+        (OpClass::Erase, CellMode::Mlc) => t.mlc_erase_us,
+    }
+}
 
 fn op_strategy() -> impl Strategy<Value = OpRequest> {
     (
@@ -64,30 +77,37 @@ fn channel_strategy() -> impl Strategy<Value = ChannelConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Oracle contract: serial-mimic event scheduling *is* the closed
-    /// form, bit for bit, for arbitrary op sequences.
+    /// Closed-form contract: serial scheduling *is* the table sum, bit
+    /// for bit, for arbitrary op sequences, on both paths through `op`.
     #[test]
     fn serial_event_backend_is_the_closed_form_oracle(
         ops in prop::collection::vec(op_strategy(), 1..200),
+        trace_capacity in prop_oneof![Just(0u32), Just(4096)],
     ) {
         let timing = FlashTiming::default();
-        let mut oracle = ClosedForm::new(timing);
-        let mut event = EventDriven::new(timing, ChannelConfig::default());
+        let cfg = ChannelConfig::builder()
+            .trace_capacity(trace_capacity)
+            .build()
+            .expect("serial default is valid");
+        prop_assert!(cfg.is_serial());
+        let mut clock_us = 0.0f64;
+        let mut event = EventDriven::new(timing, cfg);
         for (i, op) in ops.iter().enumerate() {
-            let a = oracle.op(op);
-            let b = event.op(op);
+            let service_us = table_us(&timing, op);
+            clock_us += service_us;
+            let got = event.op(op);
             prop_assert_eq!(
-                a.wait_us.to_bits(), b.wait_us.to_bits(),
+                got.wait_us.to_bits(), 0.0f64.to_bits(),
                 "wait diverged at op {} ({:?})", i, op
             );
             prop_assert_eq!(
-                a.service_us.to_bits(), b.service_us.to_bits(),
+                got.service_us.to_bits(), service_us.to_bits(),
                 "service diverged at op {} ({:?})", i, op
             );
-            prop_assert_eq!(oracle.now_us().to_bits(), event.now_us().to_bits());
+            prop_assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
         }
-        prop_assert_eq!(oracle.drain().to_bits(), event.drain().to_bits());
-        prop_assert_eq!(oracle.now_us().to_bits(), event.now_us().to_bits());
+        prop_assert_eq!(clock_us.to_bits(), event.drain().to_bits());
+        prop_assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
     }
 
     /// Determinism contract: same config + same ops ⇒ byte-identical

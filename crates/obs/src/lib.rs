@@ -47,7 +47,7 @@ pub mod snapshot;
 pub use event::{Event, EventKind, EventRing};
 pub use hist::LatencyHistogram;
 pub use json::{JsonError, JsonValue};
-pub use registry::{CounterId, Metric, Registry};
+pub use registry::{Metric, Registry};
 pub use sink::{global_sink, install_global_sink, ObsSink};
 pub use snapshot::Snapshot;
 

@@ -5,15 +5,10 @@
 //! abstraction: components keep their own cheap plain-struct counters
 //! (e.g. `CacheStats`) and *export* them into a registry when a
 //! snapshot is taken. Names are dotted paths (`flash.reads`,
-//! `hierarchy.request_latency`). Metrics live in an insertion-ordered
-//! arena indexed by a name→slot `BTreeMap`; iteration and
-//! serialization walk the map, so snapshot bytes stay deterministic
-//! (name-sorted) regardless of registration order.
-//!
-//! Callers that touch the same counter repeatedly can pre-resolve the
-//! name once with [`Registry::handle`] and then use the O(1), string-
-//! free [`Registry::add`] — the handle-based half of the replay fast
-//! path's export pipeline.
+//! `hierarchy.request_latency`). Metrics live in a name-keyed
+//! `BTreeMap`; iteration and serialization walk the map, so snapshot
+//! bytes stay deterministic (name-sorted) regardless of registration
+//! order.
 
 use std::collections::BTreeMap;
 
@@ -82,30 +77,10 @@ impl Metric {
     }
 }
 
-/// A pre-resolved counter slot from [`Registry::handle`].
-///
-/// Handles are only meaningful for the registry that issued them;
-/// using one against another registry indexes an unrelated slot (or
-/// panics on kind/bounds mismatch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
 /// A named collection of metrics with deterministic iteration order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
-    /// Name → arena slot. The map orders iteration; the arena makes
-    /// handle-based access an indexed load.
-    names: BTreeMap<String, usize>,
-    metrics: Vec<Metric>,
-}
-
-/// Registries are equal when they hold the same name→metric mapping;
-/// arena slot numbers (registration order) are an implementation
-/// detail and do not participate.
-impl PartialEq for Registry {
-    fn eq(&self, other: &Self) -> bool {
-        self.names.len() == other.names.len() && self.iter().eq(other.iter())
-    }
+    metrics: BTreeMap<String, Metric>,
 }
 
 impl Registry {
@@ -114,46 +89,13 @@ impl Registry {
         Registry::default()
     }
 
-    /// Resolves `name` to its arena slot, creating it with `init` if
-    /// absent.
-    fn slot_or_insert(&mut self, name: &str, init: impl FnOnce() -> Metric) -> usize {
-        if let Some(&i) = self.names.get(name) {
-            return i;
+    /// The metric registered under `name`, created with `init` if
+    /// absent. The name is copied only on first registration.
+    fn entry(&mut self, name: &str, init: impl FnOnce() -> Metric) -> &mut Metric {
+        if !self.metrics.contains_key(name) {
+            self.metrics.insert(name.to_string(), init());
         }
-        let i = self.metrics.len();
-        self.metrics.push(init());
-        self.names.insert(name.to_string(), i);
-        i
-    }
-
-    /// Pre-resolves `name` to an O(1) counter handle, creating the
-    /// counter at 0 if absent. Resolve once, then count through
-    /// [`Registry::add`] without further string hashing or tree walks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name is already registered as a different kind.
-    pub fn handle(&mut self, name: &str) -> CounterId {
-        let i = self.slot_or_insert(name, || Metric::Counter(0));
-        match self.metrics[i] {
-            Metric::Counter(_) => CounterId(i),
-            ref other => panic!("metric `{name}` is not a counter: {other:?}"),
-        }
-    }
-
-    /// Adds `delta` to a counter by pre-resolved handle: one indexed
-    /// load, no string work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` did not come from this registry's
-    /// [`Registry::handle`] (out of bounds or non-counter slot).
-    #[inline]
-    pub fn add(&mut self, id: CounterId, delta: u64) {
-        match &mut self.metrics[id.0] {
-            Metric::Counter(v) => *v += delta,
-            other => panic!("counter handle resolves to a non-counter: {other:?}"),
-        }
+        self.metrics.get_mut(name).expect("inserted above")
     }
 
     /// Adds `delta` to the named counter (created at 0).
@@ -162,8 +104,7 @@ impl Registry {
     ///
     /// Panics if the name is already registered as a different kind.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        let i = self.slot_or_insert(name, || Metric::Counter(0));
-        match &mut self.metrics[i] {
+        match self.entry(name, || Metric::Counter(0)) {
             Metric::Counter(v) => *v += delta,
             other => panic!("metric `{name}` is not a counter: {other:?}"),
         }
@@ -175,8 +116,7 @@ impl Registry {
     ///
     /// Panics if the name is already registered as a different kind.
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        let i = self.slot_or_insert(name, || Metric::Gauge(value));
-        match &mut self.metrics[i] {
+        match self.entry(name, || Metric::Gauge(value)) {
             Metric::Gauge(v) => *v = value,
             other => panic!("metric `{name}` is not a gauge: {other:?}"),
         }
@@ -188,8 +128,7 @@ impl Registry {
     ///
     /// Panics if the name is already registered as a different kind.
     pub fn histogram_merge(&mut self, name: &str, h: &LatencyHistogram) {
-        let i = self.slot_or_insert(name, || Metric::Histogram(LatencyHistogram::new()));
-        match &mut self.metrics[i] {
+        match self.entry(name, || Metric::Histogram(LatencyHistogram::new())) {
             Metric::Histogram(existing) => existing.merge(h),
             other => panic!("metric `{name}` is not a histogram: {other:?}"),
         }
@@ -197,7 +136,7 @@ impl Registry {
 
     /// Looks up a metric by name.
     pub fn get(&self, name: &str) -> Option<&Metric> {
-        self.names.get(name).map(|&i| &self.metrics[i])
+        self.metrics.get(name)
     }
 
     /// The named counter's value (0 when absent).
@@ -207,19 +146,17 @@ impl Registry {
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.metrics.len()
     }
 
     /// `true` when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.metrics.is_empty()
     }
 
     /// Iterates metrics in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
-        self.names
-            .iter()
-            .map(|(k, &i)| (k.as_str(), &self.metrics[i]))
+        self.metrics.iter().map(|(k, m)| (k.as_str(), m))
     }
 
     /// Merges another registry into this one: counters add, gauges take
@@ -237,9 +174,9 @@ impl Registry {
     /// Serializes every metric, sorted by name.
     pub fn to_json(&self) -> JsonValue {
         JsonValue::Object(
-            self.names
+            self.metrics
                 .iter()
-                .map(|(k, &i)| (k.clone(), self.metrics[i].to_json()))
+                .map(|(k, m)| (k.clone(), m.to_json()))
                 .collect(),
         )
     }
@@ -307,34 +244,6 @@ mod tests {
         r.counter_add("b", 1);
         r.counter_add("a", 2);
         assert_eq!(r.to_json().render(), r#"{"a":2,"b":1}"#);
-    }
-
-    #[test]
-    fn handles_count_without_names() {
-        let mut r = Registry::new();
-        let reads = r.handle("flash.reads");
-        let hits = r.handle("flash.read_hits");
-        r.add(reads, 3);
-        r.add(hits, 1);
-        r.add(reads, 4);
-        assert_eq!(r.counter("flash.reads"), 7);
-        assert_eq!(r.counter("flash.read_hits"), 1);
-        // A handle for an existing name resolves to the same slot.
-        let again = r.handle("flash.reads");
-        assert_eq!(again, reads);
-        r.add(again, 1);
-        assert_eq!(r.counter("flash.reads"), 8);
-        // Mixed-path updates agree.
-        r.counter_add("flash.reads", 2);
-        assert_eq!(r.counter("flash.reads"), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "is not a counter")]
-    fn handle_of_non_counter_panics() {
-        let mut r = Registry::new();
-        r.gauge_set("g", 1.0);
-        let _ = r.handle("g");
     }
 
     #[test]

@@ -140,6 +140,9 @@ pub fn run_variant(
     drive_cache(&mut cache, &mut generator, params.warmup_accesses, false);
     cache.reset_stats();
     drive_cache(&mut cache, &mut generator, params.measured_accesses, false);
+    cache
+        .check_invariants()
+        .expect("cache invariants hold after the ablation replay");
     let s = cache.stats();
     let page_bytes = u64::from(cache.device().geometry().page_data_bytes);
     let (_, _, mean_block_erases) = cache.erase_spread();

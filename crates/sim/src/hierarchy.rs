@@ -34,8 +34,8 @@ pub struct HierarchyConfig {
     /// Shards the flash cache is hash-partitioned into (1 = the
     /// unsharded baseline; see [`ShardedCache`]).
     pub flash_shards: usize,
-    /// Execution configuration of the sharded engine: persistent shard
-    /// runtime on/off and worker thread count.
+    /// Execution configuration of the sharded engine: the worker
+    /// thread count (results never depend on it).
     pub engine: EngineConfig,
 }
 
@@ -230,9 +230,7 @@ impl Hierarchy {
             ),
         ];
         for (name, v) in counters {
-            // Handle-based export: resolve each name once, count O(1).
-            let id = reg.handle(name);
-            reg.add(id, *v);
+            reg.counter_add(name, *v);
         }
         reg.histogram_merge("hierarchy.request_latency", &r.latency);
         reg.histogram_merge("hierarchy.dram_latency", &r.dram_latency);

@@ -5,7 +5,7 @@
 //!
 //! * the flash latency histogram is now split into queue wait and
 //!   service (`flash.queue_wait_us` / `flash.service_us`), and on the
-//!   closed-form oracle path the wait component is identically zero;
+//!   closed-form backend the wait component is identically zero;
 //! * under the event-driven backend, write-storm bursts create real
 //!   channel contention: tail flash latency rises versus the same read
 //!   traffic without the storm, and the queue-wait histogram records it.

@@ -3,6 +3,7 @@
 //! (Full-scale shape checks live in the drivers' own unit tests and in
 //! EXPERIMENTS.md.)
 
+use flashcache::sim::experiments::admission::{run_ablation, AblationParams};
 use flashcache::sim::experiments::curves::{decode_latency_curve, lifetime_curve};
 use flashcache::sim::experiments::density_partition::{
     density_partition_curve, DensityPartitionParams, MLC_BYTES_PER_MM2,
@@ -95,4 +96,38 @@ fn fig12_smoke() {
     };
     let rows = lifetime_comparison(&[WorkloadSpec::exp2()], &params);
     assert!(rows[0].programmable_accesses > rows[0].bch1_accesses);
+}
+
+/// The admission ablation's acceptance floors against the split
+/// baseline, on a 20k-access trace; `run_ablation` cross-checks every
+/// variant's `check_invariants` after its replay.
+#[test]
+fn admission_smoke() {
+    let rows = run_ablation(&AblationParams {
+        workload: WorkloadSpec::alpha1().scaled(512),
+        warmup_accesses: 10_000,
+        measured_accesses: 20_000,
+        reref_window: 16_384,
+        ..AblationParams::default()
+    });
+    let (split, full) = (&rows[1], &rows[3]);
+    assert_eq!(split.variant, "split");
+    assert_eq!(full.variant, "split+admission+longevity");
+    assert!(
+        full.flash_bytes_written < split.flash_bytes_written,
+        "admission must reduce flash bytes written: {} vs split {}",
+        full.flash_bytes_written,
+        split.flash_bytes_written
+    );
+    let lifetime = full.lifetime_vs(split);
+    assert!(
+        lifetime > 1.0,
+        "projected lifetime must improve vs split: {lifetime:.3}x"
+    );
+    assert!(
+        full.read_miss_rate < split.read_miss_rate + 0.02,
+        "read miss rate must stay within 2 points of split: {:.4} vs {:.4}",
+        full.read_miss_rate,
+        split.read_miss_rate
+    );
 }
