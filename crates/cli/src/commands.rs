@@ -8,6 +8,7 @@ use flashcache::nand::FlashConfig;
 use flashcache::nand::FlashGeometry;
 use flashcache::nand::{ChannelConfig, TimingBackend};
 use flashcache::obs;
+use flashcache::sim::experiments::driver::{invariant_checks_enabled, INVARIANT_CHECK_INTERVAL};
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
 use flashcache::trace::spc::{write_spc, SpcReader};
 use flashcache::EngineConfig;
@@ -52,8 +53,8 @@ ADMISSION (simulate, sweep, lifetime):
   --admission P       flash admission policy: all (default, paper-faithful)
                       | reref (admit after a re-read in a decay window)
                       | writecap (token-bucket write cap + dirty coalescing)
-  --longevity-buckets N  route writes into N longevity-bucketed open
-                      blocks in the write region (default 1 = off)
+  --longevity-buckets N  route writes into N longevity-bucketed write
+                      frontiers in the write region (default 1 = off)
 
 DEVICE PARALLELISM (simulate, sweep, lifetime — any of these flags
 switches flash timing to the event-driven backend):
@@ -79,6 +80,10 @@ OBSERVABILITY (simulate, sweep, lifetime):
   --json-metrics FILE write a deterministic JSON telemetry snapshot
                       (metrics + trace events) to FILE on completion
   --trace-events N    retain the newest N trace events (default 256)
+
+ENVIRONMENT:
+  FLASHCACHE_CHECK_INVARIANTS=1  simulate asserts the flash cache's
+                      structural invariants every 8192 requests
 ";
 
 fn workload_by_name(name: &str) -> Result<WorkloadSpec, String> {
@@ -201,6 +206,17 @@ fn write_obs(path: &str, json: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// [`FlashCache::check_invariants`] on every flash shard.
+fn check_flash_invariants(hierarchy: &Hierarchy) -> Result<(), String> {
+    let shards = hierarchy.flash_engine().map_or(&[][..], |e| e.shards());
+    for (i, shard) in shards.iter().enumerate() {
+        shard
+            .check_invariants()
+            .map_err(|e| format!("flash shard {i}: cache invariant violated: {e}"))?;
+    }
+    Ok(())
+}
+
 /// `flashcache simulate`.
 pub fn simulate(args: &super::Args) -> Result<(), String> {
     let obs_out = install_obs(args)?;
@@ -242,45 +258,57 @@ pub fn simulate(args: &super::Args) -> Result<(), String> {
 
     let batch = batch.max(1);
     let mut pending: Vec<DiskRequest> = Vec::with_capacity(batch);
-    let replayed = if let Some(path) = args.get("spc") {
+    // With FLASHCACHE_CHECK_INVARIANTS set, every flash shard's
+    // structural invariants are asserted each few thousand requests.
+    let checked = invariant_checks_enabled();
+    let mut unchecked = 0u64;
+    let mut submit = |hierarchy: &mut Hierarchy, pending: &mut Vec<DiskRequest>| {
+        hierarchy.submit_batch(pending);
+        unchecked += pending.len() as u64;
+        pending.clear();
+        if checked && unchecked >= INVARIANT_CHECK_INTERVAL {
+            unchecked = 0;
+            check_flash_invariants(hierarchy)?;
+        }
+        Ok::<(), String>(())
+    };
+    if let Some(path) = args.get("spc") {
         let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
         let mut n = 0u64;
         for record in SpcReader::new(BufReader::new(file)) {
             let record = record.map_err(|e| e.to_string())?;
             pending.push(record.to_request());
             if pending.len() >= batch {
-                hierarchy.submit_batch(&pending);
-                pending.clear();
+                submit(&mut hierarchy, &mut pending)?;
             }
             n += 1;
             if n >= requests {
                 break;
             }
         }
-        hierarchy.submit_batch(&pending);
-        pending.clear();
+        submit(&mut hierarchy, &mut pending)?;
         println!("replayed {n} SPC records from {path}");
-        n
     } else {
         let workload = load_workload(args)?;
         let mut generator = workload.generator(seed);
         for _ in 0..requests {
             pending.push(generator.next_request());
             if pending.len() >= batch {
-                hierarchy.submit_batch(&pending);
-                pending.clear();
+                submit(&mut hierarchy, &mut pending)?;
             }
         }
-        hierarchy.submit_batch(&pending);
-        pending.clear();
+        submit(&mut hierarchy, &mut pending)?;
         println!(
             "replayed {requests} requests of {} ({}MB footprint, seed {seed})",
             workload.name,
             workload.footprint_bytes() >> 20
         );
-        requests
-    };
+    }
+    if checked {
+        check_flash_invariants(&hierarchy)?;
+    }
     hierarchy.drain();
+    let device_makespan_us = hierarchy.device_makespan_us();
     let report = hierarchy.report();
     println!();
     println!("requests          : {}", report.requests);
@@ -302,6 +330,15 @@ pub fn simulate(args: &super::Args) -> Result<(), String> {
         "disk traffic      : {} page reads, {} page writes ({:.2}s busy)",
         report.disk_read_pages, report.disk_write_pages, report.disk.busy_s
     );
+    if let Some(makespan_us) = device_makespan_us {
+        println!(
+            "flash device time : makespan {:.0} us | {:.1} pages per sim-second | queue wait mean {:.1} us, p99 {:.1} us",
+            makespan_us,
+            report.pages as f64 / (makespan_us / 1e6),
+            report.flash_queue_wait.mean_us(),
+            report.flash_queue_wait.percentile_us(0.99),
+        );
+    }
     if let Some(engine) = hierarchy.flash_engine() {
         println!();
         if engine.shard_count() > 1 {
@@ -331,7 +368,6 @@ pub fn simulate(args: &super::Args) -> Result<(), String> {
     if let Some((path, _sink)) = &obs_out {
         write_obs(path, &hierarchy.obs_snapshot().to_json())?;
     }
-    let _ = replayed;
     Ok(())
 }
 

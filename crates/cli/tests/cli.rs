@@ -173,3 +173,44 @@ fn retired_scheduler_flag_is_rejected_with_usage() {
     );
     assert!(stderr.contains("USAGE"), "{stderr}");
 }
+
+/// Pages per simulated second from `simulate`'s device-time line.
+fn device_pages_per_sim_second(extra: &[&str]) -> f64 {
+    let mut args = vec![
+        "simulate",
+        "--workload",
+        "alpha1",
+        "--scale",
+        "64",
+        "--requests",
+        "20000",
+        "--dram-mb",
+        "1",
+        "--flash-mb",
+        "8",
+    ];
+    args.extend_from_slice(extra);
+    let (ok, stdout, stderr) = run(&args);
+    assert!(ok, "stderr: {stderr}");
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("flash device time :"))
+        .unwrap_or_else(|| panic!("no device-time line in:\n{stdout}"));
+    assert!(line.contains("makespan") && line.contains("queue wait mean"));
+    let (figure, _) = line
+        .split(" | ")
+        .find_map(|part| part.split_once(" pages per sim-second"))
+        .unwrap_or_else(|| panic!("no pages-per-sim-second figure in: {line}"));
+    figure.parse().expect("a number")
+}
+
+#[test]
+fn simulate_reports_device_time_and_channels_raise_it() {
+    let one = device_pages_per_sim_second(&[]);
+    let eight = device_pages_per_sim_second(&["--channels", "8", "--planes", "2"]);
+    assert!(one > 0.0);
+    assert!(
+        eight > one,
+        "8 channels x 2 planes: {eight} pages per sim-second must exceed one channel's {one}"
+    );
+}

@@ -141,9 +141,17 @@ pub(crate) struct OpenBlock {
 #[derive(Debug)]
 pub(crate) struct Region {
     pub(crate) free: VecDeque<BlockId>,
-    /// Open blocks, one per longevity bucket (index = bucket). The
-    /// read region and unbucketed write regions have exactly one.
+    /// The write frontier: `width` open-block positions per longevity
+    /// bucket, bucket-major (`bucket * width + position`). The read
+    /// region and unbucketed write regions have one bucket.
     pub(crate) open: Vec<Option<OpenBlock>>,
+    /// Per-bucket round-robin cursor: the frontier position the next
+    /// slot comes from.
+    pub(crate) cursor: Vec<usize>,
+    /// Open blocks per bucket. Derived from the device's lane count and
+    /// the region's size (see [`Region::new`]); 1 is the paper's single
+    /// log head.
+    pub(crate) width: usize,
     /// Block reserved as the GC compaction destination.
     pub(crate) spare: Option<BlockId>,
     /// Live pages across the region (for the GC watermark).
@@ -153,14 +161,27 @@ pub(crate) struct Region {
 }
 
 impl Region {
-    fn new(buckets: usize) -> Self {
+    /// An empty region of `blocks` blocks with `buckets` longevity
+    /// buckets on a device with `lanes` lanes. The frontier is as wide
+    /// as the device has lanes, capped so that open blocks never pin
+    /// more than an eighth of the region.
+    fn new(buckets: usize, blocks: u32, lanes: usize) -> Self {
+        let buckets = buckets.max(1);
+        let width = lanes.min((blocks as usize / (8 * buckets)).max(1));
         Region {
             free: VecDeque::new(),
-            open: vec![None; buckets.max(1)],
+            open: vec![None; buckets * width],
+            cursor: vec![0; buckets],
+            width,
             spare: None,
             valid_pages: 0,
             invalid_pages: 0,
         }
+    }
+
+    /// Longevity buckets in this region.
+    pub(crate) fn buckets(&self) -> usize {
+        self.cursor.len()
     }
 }
 
@@ -268,8 +289,9 @@ impl FlashCache {
         } else {
             (config.longevity_buckets.max(1)).min(write_blocks.max(1)) as usize
         };
-        let mut read_region = Region::new(1);
-        let mut write_region = Region::new(wbuckets);
+        let lanes = device.lanes();
+        let mut read_region = Region::new(1, first_write, lanes);
+        let mut write_region = Region::new(wbuckets, write_blocks, lanes);
         for b in 0..first_write {
             read_region.free.push_back(BlockId(b));
         }
@@ -579,7 +601,7 @@ impl FlashCache {
     /// Index of the last (longest-lived) longevity bucket of `kind`'s
     /// region. The read region always has exactly one bucket.
     pub(crate) fn top_bucket(&self, kind: RegionKind) -> u32 {
-        (self.region(kind).open.len() - 1) as u32
+        (self.region(kind).buckets() - 1) as u32
     }
 
     /// Reconciles the reclaim index with `b`'s FBST state. Call after

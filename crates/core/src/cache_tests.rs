@@ -458,3 +458,62 @@ fn slc_default_mode_halves_capacity_but_works() {
     let mlc_hit = mlc.op(CacheOp::read(299)).access.latency_us;
     assert!(slc_hit < mlc_hit);
 }
+
+/// 128 blocks on a 4-channel × 2-plane device: eight lanes.
+fn eight_lane_cache() -> FlashCache {
+    let mut config = small_config();
+    config.flash.geometry.blocks = 128;
+    config.flash.timing_backend = nand_flash::TimingBackend::EventDriven;
+    config.flash.channel = nand_flash::ChannelConfig::builder()
+        .channels(4)
+        .planes(2)
+        .build()
+        .unwrap();
+    FlashCache::new(config).unwrap()
+}
+
+#[test]
+fn frontier_width_follows_lanes_and_region_size() {
+    // One lane: the paper's single log head, whatever the region size.
+    let serial = small_cache();
+    assert_eq!(
+        (serial.read_region.width, serial.write_region.width),
+        (1, 1)
+    );
+    // Eight lanes: the 115-block read region opens one block per lane;
+    // the 13-block write region may pin an eighth of itself, one block.
+    let striped = eight_lane_cache();
+    assert_eq!(striped.device().lanes(), 8);
+    assert_eq!(
+        (striped.read_region.width, striped.write_region.width),
+        (8, 1)
+    );
+}
+
+#[test]
+fn consecutive_fills_stripe_across_lanes() {
+    let mut c = eight_lane_cache();
+    let lanes: Vec<usize> = (0..16u64)
+        .map(|p| {
+            c.op(CacheOp::read(p));
+            let addr = c.fcht.lookup(p).expect("fill is cached");
+            c.device().lane_of(addr.block)
+        })
+        .collect();
+    let mut first_round = lanes[..8].to_vec();
+    first_round.sort_unstable();
+    assert_eq!(first_round, (0..8).collect::<Vec<_>>(), "one fill per lane");
+    assert_eq!(lanes[..8], lanes[8..], "the cursor wraps round-robin");
+    c.check_invariants().unwrap();
+}
+
+#[test]
+fn invariants_reject_a_block_held_twice() {
+    let mut c = eight_lane_cache();
+    c.op(CacheOp::read(1));
+    c.check_invariants().unwrap();
+    let open = c.read_region.open[0].expect("first fill opened a block").id;
+    c.read_region.free.push_back(open);
+    let err = c.check_invariants().unwrap_err();
+    assert!(err.contains("held twice"), "{err}");
+}

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use flash_ecc::EccLatencyModel;
-use nand_flash::{CellMode, FlashConfig};
+use nand_flash::{CellMode, FlashConfig, TimingBackend};
 
 /// A configuration rejected by [`FlashCacheConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -274,6 +274,26 @@ impl FlashCacheConfig {
                 "cache needs at least 4 flash blocks".to_string(),
             ));
         }
+        // `ClosedForm` never reads `channel`; under `EventDriven` a bad
+        // shape would otherwise panic in the scheduler at the first op.
+        if self.flash.timing_backend == TimingBackend::EventDriven {
+            let channel = &self.flash.channel;
+            channel
+                .validate()
+                .map_err(|e| ConfigError::new(e.to_string()))?;
+            let blocks = self.flash.geometry.blocks;
+            if channel
+                .channels
+                .checked_mul(channel.planes)
+                .is_none_or(|lanes| lanes > blocks)
+            {
+                return Err(ConfigError::new(format!(
+                    "{} channels x {} planes exceed the device's {blocks} blocks \
+                     (a lane without a block can never be used)",
+                    channel.channels, channel.planes
+                )));
+            }
+        }
         match self.admission {
             AdmissionPolicyConfig::AdmitAll => {}
             AdmissionPolicyConfig::ReReference { k, window } => {
@@ -465,6 +485,7 @@ impl FlashCacheConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nand_flash::ChannelConfig;
 
     #[test]
     fn default_config_is_valid() {
@@ -510,6 +531,46 @@ mod tests {
         c.read_gc_watermark = 0.9;
         c.flash.geometry.blocks = 2;
         assert!(c.validate().is_err());
+    }
+
+    fn event_driven(channel: ChannelConfig) -> FlashCacheConfigBuilder {
+        FlashCacheConfig::builder().flash(FlashConfig {
+            timing_backend: TimingBackend::EventDriven,
+            channel,
+            ..FlashConfig::default()
+        })
+    }
+
+    #[test]
+    fn invalid_channel_shape_is_rejected_under_event_driven() {
+        // Public fields: a struct literal bypasses `ChannelConfig::builder`.
+        let zero = ChannelConfig {
+            channels: 0,
+            ..ChannelConfig::default()
+        };
+        let err = event_driven(zero).build().unwrap_err();
+        assert!(err.to_string().contains("channels must be >= 1"), "{err}");
+        // `ClosedForm` ignores `channel`, so the same literal is inert there.
+        let closed = FlashConfig {
+            channel: zero,
+            ..FlashConfig::default()
+        };
+        assert!(FlashCacheConfig::builder().flash(closed).build().is_ok());
+    }
+
+    #[test]
+    fn more_lanes_than_blocks_is_rejected() {
+        let blocks = FlashConfig::default().geometry.blocks;
+        let shape = |channels, planes| ChannelConfig {
+            channels,
+            planes,
+            ..ChannelConfig::default()
+        };
+        assert!(event_driven(shape(blocks, 1)).build().is_ok());
+        let err = event_driven(shape(blocks, 2)).build().unwrap_err();
+        assert!(err.to_string().contains("exceed the device's"), "{err}");
+        // The product is checked, not wrapped.
+        assert!(event_driven(shape(u32::MAX, 2)).build().is_err());
     }
 
     #[test]

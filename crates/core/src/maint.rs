@@ -54,12 +54,51 @@ impl FlashCache {
         ) || self.config.default_mode == CellMode::Slc
     }
 
+    /// The frontier position `bucket`'s next slot comes from (`bucket`
+    /// clamped to the region's bucket count — always 0 for the read
+    /// region).
+    fn open_index(&self, kind: RegionKind, bucket: u32) -> usize {
+        let region = self.region(kind);
+        let bi = (bucket as usize).min(region.buckets() - 1);
+        bi * region.width + region.cursor[bi]
+    }
+
+    /// Opens a fresh block at `bucket`'s current frontier position: the
+    /// first free block on a lane none of the region's open blocks
+    /// occupies (so the frontier's cell programs overlap), else the
+    /// front of `free`, else — with `allow_spare` — the reserved spare.
+    /// Returns `false` when there was no block to open.
+    fn open_next_block(&mut self, kind: RegionKind, bucket: u32, allow_spare: bool) -> bool {
+        let idx = self.open_index(kind, bucket);
+        let region = self.region(kind);
+        let lane_is_open = |b: &BlockId| {
+            let lane = self.device.lane_of(*b);
+            let mut open = region.open.iter().flatten();
+            open.any(|o| self.device.lane_of(o.id) == lane)
+        };
+        let at = region
+            .free
+            .iter()
+            .position(|b| !lane_is_open(b))
+            .unwrap_or(0);
+        let region = self.region_mut(kind);
+        let mut block = region.free.remove(at);
+        if block.is_none() && allow_spare {
+            block = region.spare.take();
+        }
+        let Some(id) = block else {
+            return false;
+        };
+        region.open[idx] = Some(OpenBlock { id, next_slot: 0 });
+        true
+    }
+
     /// Allocates the next programmable slot in `kind`, making space if
     /// needed. `want_slc` forces the destination physical page into SLC
-    /// mode (hot-page promotion); `bucket` selects which longevity open
-    /// block the slot comes from (clamped to the region's bucket count —
-    /// always 0 for the read region). Returns `None` when the device can
-    /// no longer provide space (worn out).
+    /// mode (hot-page promotion); `bucket` selects which longevity
+    /// bucket's frontier the slot comes from (see
+    /// [`Self::open_index`]). Returns `None` when the device can no
+    /// longer provide space (worn out).
     pub(crate) fn allocate_slot(
         &mut self,
         kind: RegionKind,
@@ -72,25 +111,14 @@ impl FlashCache {
             if let Some(addr) = self.take_from_open(kind, want_slc, bucket) {
                 return Ok(Some(addr));
             }
-            let region = self.region_mut(kind);
-            let bi = (bucket as usize).min(region.open.len() - 1);
-            if let Some(b) = region.free.pop_front() {
-                region.open[bi] = Some(OpenBlock {
-                    id: b,
-                    next_slot: 0,
-                });
+            if self.open_next_block(kind, bucket, false) {
                 continue;
             }
             if !self.make_space(kind)? {
                 // Last resort: consume the reserved spare so the final
                 // surviving blocks still cycle (and can retire) instead
                 // of sitting pinned forever.
-                let region = self.region_mut(kind);
-                if let Some(spare) = region.spare.take() {
-                    region.open[bi] = Some(OpenBlock {
-                        id: spare,
-                        next_slot: 0,
-                    });
+                if self.open_next_block(kind, bucket, true) {
                     continue;
                 }
                 return Ok(None);
@@ -151,24 +179,26 @@ impl FlashCache {
         None
     }
 
-    /// Advances `bucket`'s open-block pointer to the next slot compatible
-    /// with the request, honouring per-physical-page mode configuration.
+    /// Hands out the next slot compatible with the request from
+    /// `bucket`'s current frontier position, honouring per-physical-page
+    /// mode configuration, and moves the bucket's cursor on so the next
+    /// slot comes from the next position (another lane). `None` when the
+    /// position holds no block or its block is exhausted.
     fn take_from_open(
         &mut self,
         kind: RegionKind,
         want_slc: bool,
         bucket: u32,
     ) -> Option<PageAddr> {
-        let region = self.region_mut(kind);
-        let bi = (bucket as usize).min(region.open.len() - 1);
-        let mut ob = region.open[bi]?;
-        let spb = self.device.geometry().slots_per_block();
+        let idx = self.open_index(kind, bucket);
+        let mut ob = self.region(kind).open[idx]?;
         let result = self.advance_slot(ob.id, &mut ob.next_slot, want_slc);
         let region = self.region_mut(kind);
-        if result.is_none() && ob.next_slot >= spb {
-            region.open[bi] = None;
-        } else {
-            region.open[bi] = Some(ob);
+        // `advance_slot` comes back empty only from an exhausted block.
+        region.open[idx] = result.map(|_| ob);
+        if result.is_some() {
+            let bi = idx / region.width;
+            region.cursor[bi] = (region.cursor[bi] + 1) % region.width;
         }
         result
     }
@@ -444,23 +474,9 @@ impl FlashCache {
             if let Some(a) = self.take_from_open(kind, want_slc, bucket) {
                 return Some(a);
             }
-            let region = self.region_mut(kind);
-            let bi = (bucket as usize).min(region.open.len() - 1);
-            if let Some(b) = region.free.pop_front() {
-                region.open[bi] = Some(OpenBlock {
-                    id: b,
-                    next_slot: 0,
-                });
-                continue;
+            if !self.open_next_block(kind, bucket, true) {
+                return None;
             }
-            if let Some(s) = region.spare.take() {
-                region.open[bi] = Some(OpenBlock {
-                    id: s,
-                    next_slot: 0,
-                });
-                continue;
-            }
-            return None;
         }
     }
 
@@ -771,6 +787,21 @@ impl FlashCache {
         if region_invalid != invalid_programmed {
             return Err(format!(
                 "region invalid counters {region_invalid} != recount {invalid_programmed}"
+            ));
+        }
+        // The allocator holds each block at most once: in one frontier
+        // position, on a free list, or as a spare.
+        let mut held: Vec<BlockId> = Vec::new();
+        for r in [&self.read_region, &self.write_region] {
+            held.extend(r.open.iter().flatten().map(|o| o.id));
+            held.extend(&r.free);
+            held.extend(r.spare);
+        }
+        held.sort_unstable();
+        if let Some(w) = held.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!(
+                "{}: held twice by the allocator (frontier, free or spare)",
+                w[0]
             ));
         }
         if self.fcht.len() as u64 != valid[0] + valid[1] {

@@ -17,12 +17,12 @@ pub struct RegionSnapshot {
     pub kind: RegionKind,
     /// Block ids on the free list, in allocation order.
     pub free_blocks: Vec<u32>,
-    /// The first (bucket-0) open block and its next programmable slot,
-    /// if any — the whole story for single-bucket regions.
-    pub open_block: Option<(u32, u32)>,
-    /// Per-longevity-bucket open blocks (`(block, next_slot)`); entry 0
-    /// mirrors `open_block`. Length 1 unless the write region runs
-    /// bucketed placement.
+    /// The write frontier: every open-block position as
+    /// `(block, next_slot)`, `None` where a position holds no block.
+    /// Bucket-major: entries `b * width .. (b + 1) * width` are
+    /// longevity bucket `b`'s positions in round-robin order, where
+    /// `width = open_blocks.len() / buckets`. One entry for a
+    /// single-bucket region on a one-lane device.
     pub open_blocks: Vec<Option<(u32, u32)>>,
     /// The reserved GC-compaction spare, if any.
     pub spare_block: Option<u32>,
@@ -34,16 +34,14 @@ pub struct RegionSnapshot {
 
 impl RegionSnapshot {
     fn from_region(kind: RegionKind, r: &Region) -> Self {
-        let open_blocks: Vec<Option<(u32, u32)>> = r
-            .open
-            .iter()
-            .map(|o| o.map(|o| (o.id.0, o.next_slot)))
-            .collect();
         RegionSnapshot {
             kind,
             free_blocks: r.free.iter().map(|b| b.0).collect(),
-            open_block: open_blocks.first().copied().flatten(),
-            open_blocks,
+            open_blocks: r
+                .open
+                .iter()
+                .map(|o| o.map(|o| (o.id.0, o.next_slot)))
+                .collect(),
             spare_block: r.spare.map(|b| b.0),
             valid_pages: r.valid_pages,
             invalid_pages: r.invalid_pages,
@@ -180,29 +178,11 @@ impl fmt::Display for CacheSnapshot {
                 RegionKind::Read => "read",
                 RegionKind::Write => "write",
             };
-            if r.open_blocks.len() > 1 {
-                writeln!(
-                    f,
-                    "{}: free={:?} open={:?} spare={:?} valid={} invalid={}",
-                    name,
-                    r.free_blocks,
-                    r.open_blocks,
-                    r.spare_block,
-                    r.valid_pages,
-                    r.invalid_pages
-                )?;
-            } else {
-                writeln!(
-                    f,
-                    "{}: free={:?} open={:?} spare={:?} valid={} invalid={}",
-                    name,
-                    r.free_blocks,
-                    r.open_block,
-                    r.spare_block,
-                    r.valid_pages,
-                    r.invalid_pages
-                )?;
-            }
+            writeln!(
+                f,
+                "{}: free={:?} open={:?} spare={:?} valid={} invalid={}",
+                name, r.free_blocks, r.open_blocks, r.spare_block, r.valid_pages, r.invalid_pages
+            )?;
         }
         for b in &self.blocks {
             writeln!(

@@ -39,21 +39,27 @@ fn config_with(backend: TimingBackend, channel: ChannelConfig) -> FlashCacheConf
         .expect("test geometry is valid")
 }
 
-fn drive(cache: &mut FlashCache, seed: u64, n: usize) -> Vec<AccessOutcome> {
+/// The page-granular op stream of `n` requests of the scaled alpha1 trace.
+fn ops(seed: u64, n: usize) -> Vec<CacheOp> {
     let reqs = WorkloadSpec::alpha1()
         .scaled(64)
         .generator(seed)
         .take_requests(n);
-    let mut outs = Vec::new();
+    let mut ops = Vec::new();
     for req in &reqs {
         for page in req.pages() {
-            outs.push(match req.op {
-                OpKind::Read => cache.op(CacheOp::read(page)).access,
-                OpKind::Write => cache.op(CacheOp::write(page)).access,
+            ops.push(match req.op {
+                OpKind::Read => CacheOp::read(page),
+                OpKind::Write => CacheOp::write(page),
             });
         }
     }
-    outs
+    ops
+}
+
+fn drive(cache: &mut FlashCache, seed: u64, n: usize) -> Vec<AccessOutcome> {
+    let ops = ops(seed, n);
+    ops.iter().map(|&op| cache.op(op).access).collect()
 }
 
 /// Replays one trace through the closed-form arm and through `other`,
@@ -127,66 +133,102 @@ fn closed_form_backend_ignores_the_channel_config() {
     assert_byte_identical_to_closed_form(config_with(TimingBackend::ClosedForm, eight));
 }
 
-/// The non-serial event backend keeps the same *functional* behaviour
-/// (hits, misses, table contents) while the timing diverges: GC and fill
-/// traffic now overlaps across channels, so queue wait becomes visible
-/// and accumulated device wait is non-zero.
+fn lanes_4x2() -> nand_flash::ChannelConfigBuilder {
+    ChannelConfig::builder().channels(4).planes(2)
+}
+
+fn event_config(channel: nand_flash::ChannelConfigBuilder) -> FlashCacheConfig {
+    config_with(
+        TimingBackend::EventDriven,
+        channel.build().expect("valid channel config"),
+    )
+}
+
+/// Placement is a function of lane topology, never of modeled time: two
+/// event-driven devices with the same channels x planes but different
+/// queue depth, bus time and write-buffer hold put every page in the
+/// same slot. (What *does* move placement is the lane count: the write
+/// frontier is as wide as the device has lanes.)
 #[test]
-fn parallel_event_backend_preserves_functional_behaviour() {
-    let parallel = {
-        let mut cfg = config(TimingBackend::EventDriven);
-        cfg.flash.channel = ChannelConfig::builder()
-            .channels(4)
-            .planes(2)
-            .queue_depth(4)
-            .build()
-            .expect("valid channel config");
-        cfg
+fn placement_follows_lane_topology_not_modeled_time() {
+    let mut lean = FlashCache::new(event_config(lanes_4x2().queue_depth(1))).unwrap();
+    let mut deep = FlashCache::new(event_config(
+        lanes_4x2().queue_depth(8).xfer_us(25.0).writeback_us(500.0),
+    ))
+    .unwrap();
+
+    let a = drive(&mut lean, 0x0811_2026, 6_000);
+    let b = drive(&mut deep, 0x0811_2026, 6_000);
+    // Everything in an outcome but its three time sums.
+    let functional = |o: &AccessOutcome| AccessOutcome {
+        latency_us: 0.0,
+        queue_wait_us: 0.0,
+        background_us: 0.0,
+        ..*o
     };
-    let mut oracle = FlashCache::new(config(TimingBackend::ClosedForm)).expect("valid config");
-    let mut event = FlashCache::new(parallel).expect("valid config");
-
-    let a = drive(&mut oracle, 0x0811_2026, 6_000);
-    let b = drive(&mut event, 0x0811_2026, 6_000);
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x.hit, y.hit, "hit/miss diverged at access {i}");
-        assert_eq!(x.tier, y.tier, "service tier diverged at access {i}");
-        assert_eq!(
-            x.needs_disk_read, y.needs_disk_read,
-            "disk routing diverged at access {i}"
-        );
+        assert_eq!(functional(x), functional(y), "outcome diverged at {i}");
     }
-    // Placement must not depend on timing: compare the structural
-    // snapshot fields (the embedded stats/FGST legitimately differ in
-    // their time sums, since latency now includes queue wait).
-    let sa = oracle.snapshot();
-    let sb = event.snapshot();
-    assert_eq!(sa.tick, sb.tick);
-    assert_eq!(sa.cached_pages, sb.cached_pages);
-    assert_eq!(sa.usable_slots, sb.usable_slots);
-    assert_eq!(sa.slc_fraction, sb.slc_fraction);
-    assert_eq!(
-        sa.regions, sb.regions,
-        "region state must not depend on timing"
+    let (sa, sb) = (lean.snapshot(), deep.snapshot());
+    assert!(
+        sa.regions[0].open_blocks.len() > 1,
+        "eight lanes must widen the read frontier"
     );
-    assert_eq!(
-        sa.blocks, sb.blocks,
-        "block placement must not depend on timing"
-    );
+    assert_eq!(sa.regions, sb.regions, "frontier, free lists and spares");
+    assert_eq!(sa.blocks, sb.blocks, "block placement");
     assert_eq!(sa.wear, sb.wear);
+    assert_ne!(
+        lean.device_mut().drain_timing(),
+        deep.device_mut().drain_timing(),
+        "the two devices must actually differ in modeled time"
+    );
+}
 
-    let s = oracle.stats();
-    let p = event.stats();
-    assert_eq!((s.reads, s.writes, s.erases), (p.reads, p.writes, p.erases));
-    assert_eq!(s.flash_reads, p.flash_reads);
-    assert_eq!(s.flash_programs, p.flash_programs);
+/// Striping changes *where* a page lands, so once blocks are evicted
+/// (whole, in block-LRU order) a multi-lane cache and the serial one
+/// hold different pages. Until the first eviction they cannot differ in
+/// what is cached; over the whole run both stay internally consistent.
+#[test]
+fn multi_lane_cache_agrees_with_serial_until_the_first_eviction() {
+    let mut serial = FlashCache::new(config(TimingBackend::ClosedForm)).unwrap();
+    let mut striped = FlashCache::new(event_config(lanes_4x2().queue_depth(4))).unwrap();
+    let ops = ops(0x0811_2026, 6_000);
+    let mut first_eviction = None;
+    for (i, &op) in ops.iter().enumerate() {
+        let (x, y) = (serial.op(op).access, striped.op(op).access);
+        if first_eviction.is_none() {
+            assert_eq!(x.hit, y.hit, "hit/miss diverged at access {i}");
+            assert_eq!(x.tier, y.tier, "service tier diverged at access {i}");
+            assert_eq!(
+                x.needs_disk_read, y.needs_disk_read,
+                "disk routing diverged at access {i}"
+            );
+            if serial.stats().evictions + striped.stats().evictions > 0 {
+                first_eviction = Some(i);
+            }
+        }
+        if i % 1024 == 0 {
+            serial.check_invariants().unwrap();
+            striped.check_invariants().unwrap();
+        }
+    }
+    let first_eviction = first_eviction.expect("the trace overflows 128 blocks");
+    assert!(
+        first_eviction > 2_000 && first_eviction < ops.len() - 2_000,
+        "both phases must be exercised, first eviction at {first_eviction} of {}",
+        ops.len()
+    );
+    serial.check_invariants().unwrap();
+    striped.check_invariants().unwrap();
+    let (s, p) = (serial.stats(), striped.stats());
+    assert_eq!((s.reads, s.writes), (p.reads, p.writes));
     assert_eq!(
-        oracle.device().stats().wait_us,
+        serial.device().stats().wait_us,
         0.0,
         "closed form never queues"
     );
     assert!(
-        event.device().stats().wait_us > 0.0,
-        "parallel backend must observe queue wait from background traffic"
+        striped.device().stats().wait_us > 0.0,
+        "the multi-lane device must observe queue wait from background traffic"
     );
 }

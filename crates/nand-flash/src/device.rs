@@ -349,6 +349,18 @@ impl FlashDevice {
         self.model.drain()
     }
 
+    /// Number of lanes (cell arrays whose programs and erases overlap)
+    /// the scheduler places ops on: the `channels × planes` of the
+    /// channel shape it was built with, so one under `ClosedForm`.
+    pub fn lanes(&self) -> usize {
+        self.model.lanes()
+    }
+
+    /// The lane the scheduler places ops to `block` on (`< lanes()`).
+    pub fn lane_of(&self, block: BlockId) -> usize {
+        self.model.lane_of(block.0)
+    }
+
     /// Resets the operation statistics (wear state is untouched).
     pub fn reset_stats(&mut self) {
         self.stats = FlashStats::default();

@@ -40,7 +40,20 @@
 //!
 //! * Channel of a block: `block % channels`; plane within the channel:
 //!   `(block / channels) % planes` — consecutive blocks stripe across
-//!   channels first, then planes.
+//!   channels first, then planes. A *lane* is one cell array, i.e. one
+//!   (channel, plane) pair; [`EventDriven::lanes`] and
+//!   [`EventDriven::lane_of`] expose the count and this mapping, and no
+//!   other module restates it.
+//! * The scheduler places ops where their block lives; spreading work
+//!   over lanes is the allocator's job. The flash cache keeps a *write
+//!   frontier* of `width` open blocks per region and longevity bucket,
+//!   `width = min(lanes, max(1, region_blocks / (8 × buckets)))`; a
+//!   round-robin cursor hands consecutive slots to consecutive frontier
+//!   positions, and an exhausted position reopens on the first free
+//!   block whose lane no open block of the region occupies (else the
+//!   front of the free list), so consecutive programs land on different
+//!   lanes and their cell phases overlap. A serial configuration has
+//!   one lane, hence width 1: the paper's single log head.
 //! * Reads occupy the plane for the cell access, then the channel bus
 //!   for the transfer out. Programs transfer over the bus first, then
 //!   occupy the plane for the cell program. Erases occupy only the
@@ -423,6 +436,19 @@ impl<Q: EventQueue> EventDriven<Q> {
             trace: Vec::new(),
             cfg,
         }
+    }
+
+    /// Number of lanes: cell arrays (planes, across all channels) whose
+    /// program/erase phases overlap. One under a serial configuration.
+    pub fn lanes(&self) -> usize {
+        self.plane_free_us.len()
+    }
+
+    /// The lane (channel-major plane index, `< lanes()`) on which ops to
+    /// `block` are placed — the mapping `dispatch` uses, exposed so
+    /// allocators can stripe without restating it.
+    pub fn lane_of(&self, block: u32) -> usize {
+        plane_of(&self.cfg, block)
     }
 
     /// Pending (not yet flushed or coalesced) write-buffer entries.

@@ -40,7 +40,7 @@ pub fn invariant_checks_enabled() -> bool {
 }
 
 /// Access interval between mid-replay invariant checks.
-const INVARIANT_CHECK_INTERVAL: u64 = 8192;
+pub const INVARIANT_CHECK_INTERVAL: u64 = 8192;
 
 /// Replays up to `accesses` page accesses from `generator` into `cache`,
 /// stopping early if the cache dies when `stop_when_dead` is set.

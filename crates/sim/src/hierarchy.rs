@@ -277,6 +277,13 @@ impl Hierarchy {
         self.flash.as_ref()
     }
 
+    /// Modeled flash device time, µs: drains the shard devices' event
+    /// timelines and returns the busiest shard's makespan
+    /// ([`ShardedCache::device_makespan_us`]). `None` without flash.
+    pub fn device_makespan_us(&mut self) -> Option<f64> {
+        self.flash.as_mut().map(ShardedCache::device_makespan_us)
+    }
+
     /// The accumulated report.
     pub fn report(&self) -> &HierarchyReport {
         &self.report

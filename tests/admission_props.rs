@@ -12,7 +12,8 @@
 use proptest::prelude::*;
 
 use flashcache::core::AdmissionPolicyConfig;
-use flashcache::nand::{FlashConfig, FlashGeometry};
+use flashcache::core::SplitPolicy;
+use flashcache::nand::{ChannelConfig, FlashConfig, FlashGeometry, TimingBackend};
 use flashcache::{CacheOp, FlashCache, FlashCacheConfig};
 
 fn small_config() -> FlashCacheConfig {
@@ -27,6 +28,27 @@ fn small_config() -> FlashCacheConfig {
         },
         ..FlashCacheConfig::default()
     }
+}
+
+/// The same 256 slots on a 4-channel x 2-plane device, cut into 64
+/// blocks with half of them the write region, so that both regions'
+/// write frontiers are several blocks wide (4 in the read region; 4, 2
+/// or 1 per bucket in the write region).
+fn striped_config() -> FlashCacheConfig {
+    let mut config = small_config();
+    config.flash.geometry.blocks = 64;
+    config.flash.geometry.pages_per_block = 2;
+    config.flash.timing_backend = TimingBackend::EventDriven;
+    config.flash.channel = ChannelConfig::builder()
+        .channels(4)
+        .planes(2)
+        .queue_depth(4)
+        .build()
+        .unwrap();
+    config.split = SplitPolicy::Split {
+        write_fraction: 0.5,
+    };
+    config
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -112,18 +134,22 @@ proptest! {
         prop_assert_eq!(s.admission_coalesced_writes, 0);
     }
 
-    /// Structural invariants hold for every policy × bucket-count combo
-    /// under arbitrary op sequences.
+    /// Structural invariants hold for every policy × bucket-count ×
+    /// lane-shape combo (serial, and 4 channels × 2 planes with a
+    /// striped write frontier) under arbitrary op sequences.
     #[test]
     fn invariants_hold_under_any_policy(
         ops in prop::collection::vec(op_strategy(300), 1..400),
         policy in policy_strategy(),
         buckets in 1u32..6,
+        striped in any::<bool>(),
     ) {
-        let mut config = small_config();
+        let mut config = if striped { striped_config() } else { small_config() };
         config.admission = policy;
         config.longevity_buckets = buckets;
         let mut cache = FlashCache::new(config).unwrap();
+        let frontier = cache.snapshot().regions[0].open_blocks.len();
+        prop_assert_eq!(frontier, if striped { 4 } else { 1 });
         for &op in &ops {
             apply(&mut cache, op);
         }
