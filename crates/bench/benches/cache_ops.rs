@@ -1,8 +1,11 @@
 //! Criterion micro-benchmarks of the cache's hot paths: hits, misses
-//! with eviction pressure, and write churn with GC.
+//! with eviction pressure, write churn with GC, and the sharded
+//! engine's batched submit at one and two workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use disk_trace::WorkloadSpec;
 use flashcache_core::{CacheOp, FlashCache, FlashCacheConfig};
+use flashcache_engine::{EngineConfig, ShardedCache};
 use nand_flash::{FlashConfig, FlashGeometry};
 
 fn cache(blocks: u32) -> FlashCache {
@@ -130,12 +133,54 @@ fn bench_op_batch(c: &mut Criterion) {
     g.finish();
 }
 
+/// `ShardedCache::submit` end to end (stage, execute, merge) on the
+/// sysbench `shards4` shape: four shards over 512 blocks x 64 pages,
+/// the `zipf_read` trace, 512-request batches. One worker is the
+/// submitting thread alone; two adds one helper thread, which is the
+/// only multi-worker submit a 2-CPU host can exercise.
+fn bench_engine_submit(c: &mut Criterion) {
+    const BATCH: usize = 512;
+    let mut spec = WorkloadSpec::alpha1();
+    spec.write_fraction = 0.05;
+    let trace = spec.generator(24301).take_requests(BATCH * 1024);
+    let mut g = c.benchmark_group("engine_submit");
+    for workers in [1usize, 2] {
+        let config = FlashCacheConfig::builder()
+            .flash(FlashConfig {
+                geometry: FlashGeometry {
+                    blocks: 512,
+                    pages_per_block: 64,
+                    ..FlashGeometry::default()
+                },
+                ..FlashConfig::default()
+            })
+            .build()
+            .expect("valid config");
+        let engine = EngineConfig {
+            workers: Some(workers),
+        };
+        let mut cache = ShardedCache::with_engine_config(config, 4, engine).expect("valid engine");
+        let mut batches = trace.chunks_exact(BATCH).cycle();
+        g.bench_function(
+            BenchmarkId::from_parameter(format!("{workers}_workers")),
+            |b| {
+                b.iter(|| {
+                    let batch = batches.next().expect("a cycled trace never ends");
+                    std::hint::black_box(cache.submit(batch).len())
+                })
+            },
+        );
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_read_hit,
     bench_read_capacity_miss,
     bench_write_churn,
     bench_op_batch,
-    bench_steady_state_reclaim
+    bench_steady_state_reclaim,
+    bench_engine_submit
 );
 criterion_main!(benches);

@@ -156,6 +156,12 @@ fn bad_input_fails_with_nonzero_status() {
     let (ok3, _, stderr3) = run(&["simulate", "--dram-mb"]);
     assert!(!ok3);
     assert!(stderr3.contains("needs a value"));
+    let (ok4, _, stderr4) = run(&["simulate", "--shards", "0", "--requests", "2000"]);
+    assert!(!ok4, "zero shards must not run as one shard");
+    assert!(
+        stderr4.contains("shard count must be >= 1, got 0"),
+        "{stderr4}"
+    );
 }
 
 #[test]

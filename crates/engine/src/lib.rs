@@ -12,9 +12,11 @@
 //!   independent `FlashCache` shards (device geometry split N ways, so
 //!   total capacity is conserved);
 //! * a batched submission API ([`ShardedCache::submit`]) groups each
-//!   batch by owning shard and executes the shards on a persistent
-//!   runtime of pinned worker threads fed by SPSC rings (in place on
-//!   the submitter when only one worker resolves);
+//!   batch by owning shard and executes the groups as a fork-join:
+//!   the submitting thread services its share of the shards while
+//!   long-lived helper threads service theirs, each shard moved to its
+//!   thread and back over a `std::sync::mpsc` channel (no helper
+//!   when one worker resolves);
 //! * results stay **paper-faithful and deterministic**: merged
 //!   [`CacheStats`](flashcache_core::CacheStats) /
 //!   [`Fgst`](flashcache_core::tables::Fgst) across shards, and
@@ -31,11 +33,10 @@
 //! reports the busiest device — the shards are concurrently operating
 //! flash devices — so scaling results are machine-independent.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod pool;
-pub mod ring;
 mod runtime;
 pub mod sharded;
 

@@ -11,18 +11,29 @@ use flashcache_core::{
     FlashCacheConfig,
 };
 
-use crate::pool;
-use crate::runtime::{run_chunk, Done, Req, Runtime, Scratch, ShardSlab};
+use crate::runtime::{service, Group, Helper, Scratch};
 
 /// Golden-ratio increment decorrelating per-shard RNG seeds.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// Staged page operations below which a batch runs on the submitting
+/// thread alone. Handing a shard to a sleeping helper and waiting for
+/// it costs two thread wake-ups, tens of microseconds; a page operation
+/// costs a fraction of one, so a batch this small cannot repay the
+/// handoff however it splits (`flashcache simulate --shards 4`, which
+/// submits one request per batch by default, ran 25x slower without
+/// this floor). It is a floor, not an optimum: where forking starts to
+/// win depends on the host, and the worker count is the knob for that.
+pub(crate) const MIN_FORK_OPS: usize = 64;
+
 /// Execution policy of a [`ShardedCache`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Worker-thread override. `None` uses the machine's available
-    /// parallelism (capped by the shard count). Results never depend on
-    /// it — only wall-clock time does.
+    /// Threads servicing a batch, counting the submitting thread: `1`
+    /// runs every shard on the caller, `w` adds `w - 1` helper threads.
+    /// `None` uses the machine's available parallelism; either way the
+    /// count is capped by the shard count. Results never depend on it —
+    /// only wall-clock time does.
     pub workers: Option<usize>,
 }
 
@@ -149,22 +160,19 @@ fn route(page: u64, n: usize) -> usize {
 /// ```
 #[derive(Debug)]
 pub struct ShardedCache {
-    /// Persistent worker runtime (spawned lazily on the first batch
-    /// that can use it). Declared before `slab` so workers join before
-    /// the shard storage can possibly drop.
-    runtime: Option<Runtime>,
-    slab: Arc<ShardSlab>,
-    /// Shard count (the slab's length, cached).
-    n: usize,
-    /// Worker threads used per batch (capped by the shard count).
+    /// The shards, in partition order. Shorter only inside `submit`,
+    /// while the helpers' shards travel with their jobs.
+    shards: Vec<FlashCache>,
+    /// Per shard, in partition order: its slice of the current batch,
+    /// the completions, and its panic state (buffers reused per batch).
+    groups: Vec<Group>,
+    /// Threads servicing a batch, the submitter included (capped by the
+    /// shard count).
     workers: usize,
-    /// Reused per-batch partition buffers: each shard's slice of the
-    /// batch in submission order.
-    groups: Vec<Vec<Req>>,
-    /// Reused per-batch completion buffers, one per shard in per-shard
-    /// submission order.
-    done_bufs: Vec<Vec<Done>>,
-    /// Reused staging buffers of the in-place executor.
+    /// Worker threads `1..`, each spawned by the first batch that
+    /// sends it a shard.
+    helpers: Vec<Helper>,
+    /// Reused staging buffers of the submitter's share.
     scratch: Scratch,
     /// Batches submitted.
     batches: u64,
@@ -221,48 +229,44 @@ impl ShardedCache {
         }
         let workers = engine
             .workers
-            .unwrap_or_else(pool::default_threads)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
             .clamp(1, shards);
         Ok(ShardedCache {
-            runtime: None,
-            slab: ShardSlab::new(built),
-            n: shards,
+            shards: built,
+            groups: (0..shards).map(|_| Group::default()).collect(),
             workers,
-            groups: vec![Vec::new(); shards],
-            done_bufs: vec![Vec::new(); shards],
+            helpers: Vec::new(),
             scratch: Scratch::default(),
             batches: 0,
             obs_flushed: false,
         })
     }
 
-    /// Worker threads a multi-shard batch uses.
+    /// Threads a batch of at least [`MIN_FORK_OPS`] page operations is
+    /// serviced on, the submitting thread included.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.n
+        self.shards.len()
     }
 
     /// The shards, in partition order.
     pub fn shards(&self) -> &[FlashCache] {
-        // SAFETY: outside `submit` every worker is quiescent (see the
-        // runtime module's quiescence contract), so no `&mut` aliases.
-        unsafe { self.slab.shards() }
+        &self.shards
     }
 
     /// Mutable access to the shards (e.g. to drive one shard directly
     /// in a test).
     pub fn shards_mut(&mut self) -> &mut [FlashCache] {
-        // SAFETY: as in `shards`, plus `&mut self` excludes submitters.
-        unsafe { self.slab.shards_mut() }
+        &mut self.shards
     }
 
     /// The shard that owns `disk_page`.
     pub fn shard_of(&self, disk_page: u64) -> usize {
-        route(disk_page, self.n)
+        route(disk_page, self.shards.len())
     }
 
     /// Submits a batch, executing the shards concurrently, and returns
@@ -280,45 +284,63 @@ impl ShardedCache {
     /// clock, read through
     /// [`device_makespan_us`](ShardedCache::device_makespan_us).
     ///
-    /// The staged groups run on one of two executors with byte-identical
-    /// results (only wall-clock time differs): an in-place loop over the
-    /// shards when one worker resolves (one shard, or a single-core
-    /// host), the persistent shard runtime (pinned workers fed by SPSC
-    /// rings) otherwise. Either way each shard sees its ops in batch
-    /// order.
+    /// Execution is a fork-join. Each worker owns a contiguous run of
+    /// `ceil(shards / workers)` shards; worker 0 is the calling thread
+    /// and owns the first. Each other worker's shards are moved, with
+    /// their groups, over a channel to that worker's long-lived thread;
+    /// the caller services its own run in place meanwhile, then takes
+    /// the others back in partition order. With one worker, or fewer
+    /// than [`MIN_FORK_OPS`] page operations in the batch, no shard
+    /// moves at all. A shard whose group
+    /// panics is poisoned: the rest of that group and every later one
+    /// complete as disk bypasses, counted in `stats().internal_errors`.
     pub fn submit(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
-        let n = self.n;
-        for (g, d) in self.groups.iter_mut().zip(&mut self.done_bufs) {
-            g.clear();
-            d.clear();
+        let n = self.shards.len();
+        for g in &mut self.groups {
+            g.reqs.clear();
+            g.done.clear();
         }
         for (ri, req) in batch.iter().enumerate() {
             for page in req.pages() {
-                self.groups[route(page, n)].push((ri as u32, page, req.op));
+                self.groups[route(page, n)]
+                    .reqs
+                    .push((ri as u32, page, req.op));
             }
         }
-        let workers = self.workers();
-        if workers > 1 {
-            self.runtime
-                .get_or_insert_with(|| Runtime::spawn(&self.slab, workers))
-                .execute(&self.groups, &mut self.done_bufs);
+        let staged: usize = self.groups.iter().map(|g| g.reqs.len()).sum();
+        let workers = if staged < MIN_FORK_OPS {
+            1
         } else {
-            // SAFETY: `&mut self` and no runtime batch in flight.
-            let shards = unsafe { self.slab.shards_mut() };
-            let work = shards.iter_mut().zip(&self.groups).zip(&mut self.done_bufs);
-            for ((shard, ops), done) in work {
-                run_chunk(shard, ops, &mut self.scratch);
-                let outs = self.scratch.outs.iter();
-                done.extend(ops.iter().zip(outs).map(|(&(ri, _, _), o)| (ri, o.access)));
+            self.workers
+        };
+        // Shards per worker: the submitter keeps the first `share` in
+        // place, helper `h` is sent the `h`-th run of `share` after it.
+        let share = n.div_ceil(workers);
+        let away = self.shards.drain(share..).zip(self.groups.drain(share..));
+        for (i, job) in away.enumerate() {
+            let h = i / share;
+            if h == self.helpers.len() {
+                self.helpers.push(Helper::spawn(h + 1));
             }
+            self.helpers[h].send(job);
+        }
+        for (shard, group) in self.shards.iter_mut().zip(&mut self.groups) {
+            service(shard, group, &mut self.scratch);
+        }
+        // A helper returns its jobs in the order sent, so this restores
+        // partition order.
+        for i in 0..n - share {
+            let (shard, group) = self.helpers[i / share].recv();
+            self.shards.push(shard);
+            self.groups.push(group);
         }
         // Shards merge in partition order, completions in per-shard
         // submission order, so a multi-page request's latency sum runs
-        // in the same arithmetic order on both executors.
+        // in the same arithmetic order at every worker count.
         let mut merged = vec![AccessOutcome::default(); batch.len()];
         let mut seen = vec![false; batch.len()];
-        for outs in &self.done_bufs {
-            for &(ri, out) in outs {
+        for group in &self.groups {
+            for &(ri, out) in &group.done {
                 let slot = &mut merged[ri as usize];
                 if seen[ri as usize] {
                     merge_outcome(slot, out);
@@ -355,17 +377,15 @@ impl ShardedCache {
     }
 
     /// Merged statistics: the field-wise sum of every shard's counters,
-    /// plus any operations the persistent runtime degraded after a
-    /// worker panic (counted as `internal_errors`, since the poisoned
-    /// shard itself can no longer account for them).
+    /// plus any operations `submit` degraded after a shard panic
+    /// (counted as `internal_errors`, since the poisoned shard itself
+    /// can no longer account for them).
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for s in self.shards() {
             total.merge(&s.stats());
         }
-        if let Some(rt) = &self.runtime {
-            total.internal_errors += rt.internal_errors();
-        }
+        total.internal_errors += self.groups.iter().map(|g| g.degraded).sum::<u64>();
         total
     }
 
@@ -437,16 +457,17 @@ impl ShardedCache {
         for (i, s) in self.shards().iter().enumerate() {
             let shard_reg = s.export_metrics();
             reg.merge(&shard_reg);
-            if self.n > 1 {
+            if self.shards.len() > 1 {
                 reg.merge(&prefixed(i, &shard_reg));
             }
         }
-        if self.n > 1 {
+        if self.shards.len() > 1 {
             // Registry::merge overwrites gauges (last shard wins);
             // recompute them over the whole ensemble.
             reg.gauge_set("flash.cached_pages", self.cached_pages() as f64);
             reg.gauge_set("flash.usable_slots", self.usable_slots() as f64);
-            let slc = self.shards().iter().map(|s| s.slc_fraction()).sum::<f64>() / self.n as f64;
+            let slc = self.shards().iter().map(|s| s.slc_fraction()).sum::<f64>()
+                / self.shards.len() as f64;
             reg.gauge_set("flash.slc_fraction", slc);
             reg.gauge_set("flash.miss_rate", self.fgst().miss_rate);
         }
@@ -470,7 +491,7 @@ impl ShardedCache {
     /// counts, and with one shard nothing is emitted at all (keeping
     /// N = 1 observability bit-identical to a bare cache).
     fn flush_prefixed(&mut self) {
-        if self.obs_flushed || self.n <= 1 {
+        if self.obs_flushed || self.shards.len() <= 1 {
             return;
         }
         for (i, s) in self.shards().iter().enumerate() {
@@ -483,10 +504,13 @@ impl ShardedCache {
 }
 
 impl Drop for ShardedCache {
-    /// Flushes the per-shard prefixed metrics; each shard then flushes
-    /// its own totals in its own `Drop`.
+    /// Flushes the per-shard prefixed metrics (each shard then flushes
+    /// its own totals in its own `Drop`) and joins the helper threads.
     fn drop(&mut self) {
         self.flush_prefixed();
+        for helper in self.helpers.drain(..) {
+            helper.join();
+        }
     }
 }
 

@@ -185,7 +185,7 @@ impl Hierarchy {
         let flash = match config.flash.clone() {
             Some(c) => Some(ShardedCache::with_engine_config(
                 c,
-                config.flash_shards.max(1),
+                config.flash_shards,
                 config.engine.clone(),
             )?),
             None => None,
@@ -651,6 +651,19 @@ mod tests {
             flush_interval: 64,
             ..HierarchyConfig::default()
         })
+    }
+
+    #[test]
+    fn zero_flash_shards_is_rejected_not_rounded_up() {
+        let config = HierarchyConfig {
+            flash: Some(small_flash()),
+            flash_shards: 0,
+            ..HierarchyConfig::default()
+        };
+        assert_eq!(
+            Hierarchy::try_new(config).err(),
+            Some(EngineError::InvalidShardCount { shards: 0 })
+        );
     }
 
     #[test]
