@@ -1,26 +1,26 @@
-//! Criterion micro-benchmarks of the supporting data structures: LRU
-//! tracking, the DRAM page cache, popularity sampling, trace generation,
-//! and full hierarchy submission.
+//! Criterion micro-benchmarks of the supporting data structures: the
+//! DRAM page cache (hits and evicting inserts), the latency histogram,
+//! popularity sampling, trace generation, and full hierarchy submission.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use disk_trace::{DiskRequest, Popularity, PopularitySampler, WorkloadSpec};
-use flashcache_core::lru::LruTracker;
+use flash_obs::LatencyHistogram;
 use flashcache_core::PrimaryDiskCache;
 use flashcache_sim::hierarchy::{Hierarchy, HierarchyConfig};
 
-fn bench_lru(c: &mut Criterion) {
-    let mut lru = LruTracker::new();
+fn bench_pdc_hit(c: &mut Criterion) {
+    let mut pdc = PrimaryDiskCache::new(10_000);
     for k in 0..10_000u64 {
-        lru.touch(k);
+        pdc.insert(k, false);
     }
     let mut i = 0u64;
-    c.bench_function("lru_touch_10k_resident", |b| {
+    c.bench_function("pdc_access_10k_resident", |b| {
         b.iter(|| {
             i = (i * 2_654_435_761 + 1) % 10_000;
-            std::hint::black_box(lru.touch(i))
+            std::hint::black_box(pdc.access(i))
         })
     });
 }
@@ -34,6 +34,24 @@ fn bench_pdc(c: &mut Criterion) {
             std::hint::black_box(pdc.insert(i % 8_192, i.is_multiple_of(3)))
         })
     });
+}
+
+/// `Hierarchy`'s recording pattern: long runs of one value (the DRAM
+/// hit latency) broken by a fresh one (a flash or disk service time).
+fn bench_histogram(c: &mut Criterion) {
+    let mut h = LatencyHistogram::new();
+    let mut i = 0u64;
+    c.bench_function("histogram_record_repeats", |b| {
+        b.iter(|| {
+            i += 1;
+            h.record(if i.is_multiple_of(16) {
+                120.0 + (i % 1_024) as f64
+            } else {
+                0.436
+            });
+        })
+    });
+    std::hint::black_box(h.count());
 }
 
 fn bench_popularity(c: &mut Criterion) {
@@ -76,8 +94,9 @@ fn bench_hierarchy_submit(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_lru,
+    bench_pdc_hit,
     bench_pdc,
+    bench_histogram,
     bench_popularity,
     bench_trace_generation,
     bench_hierarchy_submit

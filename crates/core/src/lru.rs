@@ -1,180 +1,10 @@
-//! O(1) least-recently-used trackers.
+//! O(1) least-recently-used tracker over a dense key universe.
 //!
-//! [`LruTracker`] handles sparse `u64` keys (the primary DRAM disk
-//! cache's page LRU) with a doubly-linked list over vector slots plus a
-//! key→slot map. [`DenseLru`] handles a dense `u32` key universe known
-//! up front (one key per flash block) by indexing the links directly
-//! with the key, removing the hash lookup from the replay hot path.
-
-use nand_flash::fxhash::FxHashMap;
-
-const NIL: usize = usize::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    key: u64,
-    prev: usize,
-    next: usize,
-}
-
-/// LRU order tracker. Not a cache by itself: it only maintains recency
-/// order; callers own the associated values.
-#[derive(Debug, Default)]
-pub struct LruTracker {
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    map: FxHashMap<u64, usize>,
-    head: usize, // most recent
-    tail: usize, // least recent
-}
-
-impl LruTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        LruTracker {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            map: FxHashMap::default(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Creates an empty tracker pre-sized for `capacity` keys, so a
-    /// known population (e.g. one key per flash block) never rehashes.
-    pub fn with_capacity(capacity: usize) -> Self {
-        LruTracker {
-            nodes: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            map: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Number of tracked keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// `true` if `key` is tracked.
-    pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    /// Marks `key` as most recently used, inserting it if absent.
-    /// Returns `true` if the key was already present.
-    pub fn touch(&mut self, key: u64) -> bool {
-        if let Some(&idx) = self.map.get(&key) {
-            self.unlink(idx);
-            self.push_front(idx);
-            true
-        } else {
-            let idx = if let Some(free) = self.free.pop() {
-                self.nodes[free] = Node {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                };
-                free
-            } else {
-                self.nodes.push(Node {
-                    key,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.nodes.len() - 1
-            };
-            self.map.insert(key, idx);
-            self.push_front(idx);
-            false
-        }
-    }
-
-    /// Removes `key`; returns `true` if it was present.
-    pub fn remove(&mut self, key: u64) -> bool {
-        if let Some(idx) = self.map.remove(&key) {
-            self.unlink(idx);
-            self.free.push(idx);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The least recently used key, if any.
-    pub fn lru(&self) -> Option<u64> {
-        if self.tail == NIL {
-            None
-        } else {
-            Some(self.nodes[self.tail].key)
-        }
-    }
-
-    /// Removes and returns the least recently used key.
-    pub fn pop_lru(&mut self) -> Option<u64> {
-        let key = self.lru()?;
-        self.remove(key);
-        Some(key)
-    }
-
-    /// Iterates keys from least to most recently used.
-    pub fn iter_lru_first(&self) -> impl Iterator<Item = u64> + '_ {
-        LruIter {
-            tracker: self,
-            cur: self.tail,
-        }
-    }
-}
-
-struct LruIter<'a> {
-    tracker: &'a LruTracker,
-    cur: usize,
-}
-
-impl Iterator for LruIter<'_> {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        if self.cur == NIL {
-            return None;
-        }
-        let node = self.tracker.nodes[self.cur];
-        self.cur = node.prev;
-        Some(node.key)
-    }
-}
+//! [`DenseLru`] handles a dense `u32` key universe known up front (one
+//! key per flash block) by indexing the links directly with the key, so
+//! the replay hot path does no hash lookup. (The primary disk cache's
+//! sparse page LRU lives inside [`crate::pdc::PrimaryDiskCache`], whose
+//! nodes also carry the dirty bit.)
 
 const DNIL: u32 = u32::MAX;
 
@@ -331,18 +161,24 @@ impl DenseLru {
 mod tests {
     use super::*;
 
+    fn pop_lru(t: &mut DenseLru) -> Option<u32> {
+        let key = t.lru()?;
+        t.remove(key);
+        Some(key)
+    }
+
     #[test]
     fn empty_tracker() {
-        let mut t = LruTracker::new();
+        let mut t = DenseLru::with_capacity(4);
         assert!(t.is_empty());
         assert_eq!(t.lru(), None);
-        assert_eq!(t.pop_lru(), None);
+        assert_eq!(pop_lru(&mut t), None);
         assert!(!t.remove(1));
     }
 
     #[test]
     fn touch_orders_by_recency() {
-        let mut t = LruTracker::new();
+        let mut t = DenseLru::with_capacity(4);
         for k in [1, 2, 3] {
             assert!(!t.touch(k));
         }
@@ -354,26 +190,26 @@ mod tests {
 
     #[test]
     fn pop_lru_drains_in_order() {
-        let mut t = LruTracker::new();
+        let mut t = DenseLru::with_capacity(5);
         for k in 0..5 {
             t.touch(k);
         }
         t.touch(0);
-        let order: Vec<u64> = std::iter::from_fn(|| t.pop_lru()).collect();
+        let order: Vec<u32> = std::iter::from_fn(|| pop_lru(&mut t)).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 0]);
         assert!(t.is_empty());
     }
 
     #[test]
     fn remove_middle_keeps_links_sound() {
-        let mut t = LruTracker::new();
+        let mut t = DenseLru::with_capacity(4);
         for k in 0..4 {
             t.touch(k);
         }
         assert!(t.remove(2));
         assert_eq!(t.iter_lru_first().collect::<Vec<_>>(), vec![0, 1, 3]);
         assert!(!t.contains(2));
-        // Slot reuse after removal.
+        // A key past the initial capacity grows the link array.
         t.touch(9);
         assert_eq!(t.len(), 4);
         assert_eq!(t.lru(), Some(0));
@@ -381,14 +217,14 @@ mod tests {
 
     #[test]
     fn heavy_churn_is_consistent() {
-        let mut t = LruTracker::new();
-        for i in 0..10_000u64 {
+        let mut t = DenseLru::with_capacity(37);
+        for i in 0..10_000u32 {
             t.touch(i % 37);
             if i % 5 == 0 {
                 t.remove((i + 3) % 37);
             }
         }
-        // Internal map and list agree on length.
+        // Presence flags and list agree on length.
         assert_eq!(t.iter_lru_first().count(), t.len());
         assert!(t.len() <= 37);
     }

@@ -2,7 +2,6 @@
 //! the flash secondary cache (Figure 2). Managed by the OS as a
 //! write-back LRU over 2KB disk pages.
 
-use crate::lru::LruTracker;
 use nand_flash::fxhash::FxHashMap;
 
 /// Result of a PDC insertion.
@@ -13,6 +12,20 @@ pub struct PdcEviction {
     /// Whether it carried unwritten data (must be written to the next
     /// level — the flash write cache).
     pub dirty: bool,
+}
+
+const NIL: u32 = u32::MAX;
+
+/// One resident page: its recency links and its dirty bit, so a hit
+/// costs one hashed lookup (page → node) and touches one node.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    page: u64,
+    /// Towards the most recently used end.
+    prev: u32,
+    /// Towards the least recently used end.
+    next: u32,
+    dirty: bool,
 }
 
 /// A fixed-capacity LRU page cache standing in for the DRAM-resident
@@ -34,8 +47,14 @@ pub struct PdcEviction {
 #[derive(Debug)]
 pub struct PrimaryDiskCache {
     capacity_pages: usize,
-    lru: LruTracker,
-    dirty: FxHashMap<u64, bool>,
+    /// Doubly-linked recency list over vector slots. Pages only leave
+    /// by eviction, whose slot the incoming page takes over, so there
+    /// is no free list.
+    nodes: Vec<Node>,
+    /// page → slot in `nodes`.
+    map: FxHashMap<u64, u32>,
+    head: u32, // most recent
+    tail: u32, // least recent
 }
 
 impl PrimaryDiskCache {
@@ -48,8 +67,10 @@ impl PrimaryDiskCache {
         assert!(capacity_pages > 0, "PDC capacity must be nonzero");
         PrimaryDiskCache {
             capacity_pages,
-            lru: LruTracker::new(),
-            dirty: FxHashMap::default(),
+            nodes: Vec::new(),
+            map: FxHashMap::default(),
+            head: NIL,
+            tail: NIL,
         }
     }
 
@@ -60,56 +81,96 @@ impl PrimaryDiskCache {
 
     /// Current resident pages.
     pub fn len(&self) -> usize {
-        self.lru.len()
+        self.nodes.len()
     }
 
     /// `true` when empty.
     pub fn is_empty(&self) -> bool {
-        self.lru.is_empty()
+        self.nodes.is_empty()
+    }
+
+    fn push_front(&mut self, idx: u32) {
+        let head = self.head;
+        let node = &mut self.nodes[idx as usize];
+        node.prev = NIL;
+        node.next = head;
+        if head != NIL {
+            self.nodes[head as usize].prev = idx;
+        } else {
+            self.tail = idx;
+        }
+        self.head = idx;
+    }
+
+    /// Looks `page` up (the one hashed lookup), ORs `dirty` into its
+    /// node and makes it most recent; `false` when it is not resident.
+    #[inline]
+    fn touch(&mut self, page: u64, dirty: bool) -> bool {
+        let Some(&idx) = self.map.get(&page) else {
+            return false;
+        };
+        let node = &mut self.nodes[idx as usize];
+        node.dirty |= dirty;
+        let (prev, next) = (node.prev, node.next);
+        // `prev == NIL` is the head: already most recent, nothing to relink.
+        if prev != NIL {
+            self.nodes[prev as usize].next = next;
+            if next != NIL {
+                self.nodes[next as usize].prev = prev;
+            } else {
+                self.tail = prev;
+            }
+            self.push_front(idx);
+        }
+        true
     }
 
     /// Touches `page`; returns `true` on a hit (recency updated).
     pub fn access(&mut self, page: u64) -> bool {
-        if self.dirty.contains_key(&page) {
-            self.lru.touch(page);
-            true
-        } else {
-            false
-        }
+        self.touch(page, false)
     }
 
     /// Marks a resident page dirty; returns whether it was resident.
     pub fn mark_dirty(&mut self, page: u64) -> bool {
-        if let Some(d) = self.dirty.get_mut(&page) {
-            *d = true;
-            self.lru.touch(page);
-            true
-        } else {
-            false
-        }
+        self.touch(page, true)
     }
 
     /// Inserts `page` (dirty or clean), evicting the LRU page if at
     /// capacity. Inserting a resident page updates its dirty bit
     /// (OR-wise) and recency instead.
     pub fn insert(&mut self, page: u64, dirty: bool) -> Option<PdcEviction> {
-        if let Some(d) = self.dirty.get_mut(&page) {
-            *d |= dirty;
-            self.lru.touch(page);
+        if self.touch(page, dirty) {
             return None;
         }
-        let evicted = if self.lru.len() >= self.capacity_pages {
-            let victim = self.lru.pop_lru().expect("nonempty at capacity");
-            let was_dirty = self.dirty.remove(&victim).unwrap_or(false);
-            Some(PdcEviction {
-                page: victim,
-                dirty: was_dirty,
-            })
-        } else {
-            None
+        let node = Node {
+            page,
+            prev: NIL,
+            next: NIL,
+            dirty,
         };
-        self.lru.touch(page);
-        self.dirty.insert(page, dirty);
+        let (idx, evicted) = if self.nodes.len() >= self.capacity_pages {
+            // The victim's slot becomes the new page's.
+            let idx = self.tail;
+            let victim = std::mem::replace(&mut self.nodes[idx as usize], node);
+            self.map.remove(&victim.page);
+            self.tail = victim.prev;
+            if victim.prev != NIL {
+                self.nodes[victim.prev as usize].next = NIL;
+            } else {
+                self.head = NIL;
+            }
+            let evicted = PdcEviction {
+                page: victim.page,
+                dirty: victim.dirty,
+            };
+            (idx, Some(evicted))
+        } else {
+            assert!(self.nodes.len() < NIL as usize, "PDC slot index overflow");
+            self.nodes.push(node);
+            (self.nodes.len() as u32 - 1, None)
+        };
+        self.map.insert(page, idx);
+        self.push_front(idx);
         evicted
     }
 
@@ -118,10 +179,9 @@ impl PrimaryDiskCache {
     /// deterministic) — the periodic write-back of §5.1.
     pub fn flush_dirty(&mut self) -> Vec<u64> {
         let mut out = Vec::new();
-        for (&p, d) in self.dirty.iter_mut() {
-            if *d {
-                *d = false;
-                out.push(p);
+        for node in &mut self.nodes {
+            if std::mem::take(&mut node.dirty) {
+                out.push(node.page);
             }
         }
         out.sort_unstable();

@@ -4,58 +4,89 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-use flashcache_core::lru::LruTracker;
 use flashcache_core::pdc::PrimaryDiskCache;
 
 #[derive(Debug, Clone, Copy)]
-enum LruOp {
-    Touch(u64),
-    Remove(u64),
-    PopLru,
+enum PdcOp {
+    Access(u64),
+    MarkDirty(u64),
+    Insert(u64, bool),
+    Flush,
 }
 
-fn lru_op() -> impl Strategy<Value = LruOp> {
+fn pdc_op() -> impl Strategy<Value = PdcOp> {
     prop_oneof![
-        5 => (0u64..50).prop_map(LruOp::Touch),
-        2 => (0u64..50).prop_map(LruOp::Remove),
-        1 => Just(LruOp::PopLru),
+        5 => (0u64..40).prop_map(PdcOp::Access),
+        2 => (0u64..40).prop_map(PdcOp::MarkDirty),
+        5 => (0u64..40, any::<bool>()).prop_map(|(p, d)| PdcOp::Insert(p, d)),
+        1 => Just(PdcOp::Flush),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The O(1) LRU tracker behaves identically to a naive Vec-based
-    /// recency list.
+    /// The PDC's embedded O(1) LRU (recency links and dirty bit in one
+    /// node, one hashed lookup per operation) behaves identically to a
+    /// naive `Vec`-ordered recency list of (page, dirty): same hits,
+    /// same eviction victims with the same dirty bits, same ascending
+    /// flush output, whatever mix of operations reorders it.
     #[test]
-    fn lru_matches_naive_model(ops in prop::collection::vec(lru_op(), 1..300)) {
-        let mut fast = LruTracker::new();
-        let mut naive: Vec<u64> = Vec::new(); // front = most recent
+    fn lru_matches_naive_model(
+        capacity in 1usize..12,
+        ops in prop::collection::vec(pdc_op(), 1..300),
+    ) {
+        let mut pdc = PrimaryDiskCache::new(capacity);
+        let mut naive: Vec<(u64, bool)> = Vec::new(); // front = most recent
+        // Moves `page` to the front, OR-ing in `dirty`; false if absent.
+        let touch = |naive: &mut Vec<(u64, bool)>, page: u64, dirty: bool| {
+            let Some(at) = naive.iter().position(|&(p, _)| p == page) else {
+                return false;
+            };
+            let (_, was_dirty) = naive.remove(at);
+            naive.insert(0, (page, was_dirty | dirty));
+            true
+        };
         for op in ops {
             match op {
-                LruOp::Touch(k) => {
-                    fast.touch(k);
-                    naive.retain(|&x| x != k);
-                    naive.insert(0, k);
+                PdcOp::Access(p) => {
+                    prop_assert_eq!(pdc.access(p), touch(&mut naive, p, false));
                 }
-                LruOp::Remove(k) => {
-                    let was = fast.remove(k);
-                    let had = naive.contains(&k);
-                    naive.retain(|&x| x != k);
-                    prop_assert_eq!(was, had);
+                PdcOp::MarkDirty(p) => {
+                    prop_assert_eq!(pdc.mark_dirty(p), touch(&mut naive, p, true));
                 }
-                LruOp::PopLru => {
-                    let got = fast.pop_lru();
-                    let expect = naive.pop();
-                    prop_assert_eq!(got, expect);
+                PdcOp::Insert(p, dirty) => {
+                    let evicted = pdc.insert(p, dirty).map(|e| (e.page, e.dirty));
+                    if touch(&mut naive, p, dirty) {
+                        prop_assert_eq!(evicted, None);
+                    } else {
+                        let expect = (naive.len() >= capacity).then(|| naive.pop().unwrap());
+                        naive.insert(0, (p, dirty));
+                        prop_assert_eq!(evicted, expect);
+                    }
+                }
+                PdcOp::Flush => {
+                    let mut expect: Vec<u64> =
+                        naive.iter().filter(|&&(_, d)| d).map(|&(p, _)| p).collect();
+                    expect.sort_unstable();
+                    for entry in &mut naive {
+                        entry.1 = false;
+                    }
+                    prop_assert_eq!(pdc.flush_dirty(), expect);
                 }
             }
-            prop_assert_eq!(fast.len(), naive.len());
-            prop_assert_eq!(fast.lru(), naive.last().copied());
+            prop_assert_eq!(pdc.len(), naive.len());
+            prop_assert_eq!(pdc.is_empty(), naive.is_empty());
         }
-        let order: Vec<u64> = fast.iter_lru_first().collect();
-        let expect: Vec<u64> = naive.iter().rev().copied().collect();
-        prop_assert_eq!(order, expect);
+        // `capacity` fresh pages first fill the free slots, then evict
+        // every original page: the whole recency order, least recent
+        // first, with each dirty bit.
+        let order: Vec<(u64, bool)> = (0..capacity as u64)
+            .filter_map(|i| pdc.insert(1_000 + i, false))
+            .map(|e| (e.page, e.dirty))
+            .collect();
+        naive.reverse();
+        prop_assert_eq!(order, naive);
     }
 
     /// The PDC behaves like a naive LRU cache with dirty bits: same

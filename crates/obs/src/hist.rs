@@ -10,13 +10,31 @@
 /// Buckets are spaced at 5% multiplicative steps, bounding percentile
 /// error to one step while using a few hundred counters regardless of
 /// sample count.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A simulator records the same few values over and over (every DRAM
+/// hit costs the same), so [`LatencyHistogram::record`] remembers the
+/// bucket of the last sample and recomputes it (a division and a
+/// logarithm) only when the sample's bits change. The memo is not part
+/// of the histogram's value: equality ignores it.
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
     sum_us: f64,
     min_us: f64,
     max_us: f64,
+    /// Bits of the last recorded sample and the bucket it fell in.
+    last: (u64, usize),
+}
+
+impl PartialEq for LatencyHistogram {
+    fn eq(&self, other: &Self) -> bool {
+        self.buckets == other.buckets
+            && self.count == other.count
+            && self.sum_us == other.sum_us
+            && self.min_us == other.min_us
+            && self.max_us == other.max_us
+    }
 }
 
 const MIN_US: f64 = 0.01;
@@ -32,6 +50,7 @@ impl LatencyHistogram {
             sum_us: 0.0,
             min_us: f64::INFINITY,
             max_us: 0.0,
+            last: (0f64.to_bits(), Self::bucket_of(0.0)),
         }
     }
 
@@ -55,7 +74,11 @@ impl LatencyHistogram {
         if !us.is_finite() || us < 0.0 {
             return;
         }
-        self.buckets[Self::bucket_of(us)] += 1;
+        let bits = us.to_bits();
+        if bits != self.last.0 {
+            self.last = (bits, Self::bucket_of(us));
+        }
+        self.buckets[self.last.1] += 1;
         self.count += 1;
         self.sum_us += us;
         self.min_us = self.min_us.min(us);
@@ -261,6 +284,66 @@ mod tests {
         h.record(f64::INFINITY);
         h.record(-1.0);
         assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn equality_and_export_ignore_the_bucket_memo() {
+        // Dyadic samples, so the sum is exact in either order; the two
+        // histograms end on different last samples.
+        let samples = [0.5, 0.5, 4200.0, 0.25, 0.5, 4200.0, 64.0];
+        let (mut a, mut b) = (LatencyHistogram::new(), LatencyHistogram::new());
+        for &v in &samples {
+            a.record(v);
+        }
+        for &v in samples.iter().rev() {
+            b.record(v);
+        }
+        assert_ne!(a.last, b.last);
+        assert_eq!(a, b);
+        let json = |h: &LatencyHistogram| {
+            let mut reg = crate::registry::Registry::new();
+            reg.histogram_merge("h", h);
+            reg.to_json().render()
+        };
+        assert_eq!(json(&a), json(&b));
+        // A clone keeps the memo, and keeps recording through it.
+        let mut c = a.clone();
+        c.record(64.0);
+        b.record(64.0);
+        assert_eq!(c, b);
+        assert_ne!(a, b);
+    }
+
+    proptest::proptest! {
+        /// Through the memo, every sample of any interleaving of
+        /// repeated and fresh values lands in `bucket_of(sample)`.
+        #[test]
+        fn memoised_record_lands_every_sample_in_its_bucket(
+            samples in proptest::collection::vec(
+                proptest::prop_oneof![
+                    proptest::strategy::Just(0.0),
+                    proptest::strategy::Just(MIN_US),
+                    proptest::strategy::Just(0.436),
+                    proptest::strategy::Just(4_200.0),
+                    proptest::strategy::Just(1e12), // the top bucket
+                    0.0f64..2.0 * MIN_US,
+                    0.0f64..1e9,
+                ],
+                1..400,
+            ),
+        ) {
+            let mut h = LatencyHistogram::new();
+            let mut expect = LatencyHistogram::new();
+            for &us in &samples {
+                h.record(us);
+                expect.buckets[LatencyHistogram::bucket_of(us)] += 1;
+                expect.count += 1;
+                expect.sum_us += us;
+                expect.min_us = expect.min_us.min(us);
+                expect.max_us = expect.max_us.max(us);
+            }
+            proptest::prop_assert_eq!(h, expect);
+        }
     }
 
     #[test]

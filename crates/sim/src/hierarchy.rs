@@ -155,10 +155,28 @@ pub struct Hierarchy {
     flash: Option<ShardedCache>,
     report: HierarchyReport,
     since_flush: u64,
+    /// `config.dram.access_latency_us(PAGE_BYTES)`, the cost of every
+    /// PDC probe, and the same in seconds: computed once, `config` is
+    /// immutable from here on.
+    dram_page_us: f64,
+    dram_page_s: f64,
+    /// `submit_batch`'s staging buffers, reused across batches.
+    staging: Staging,
     /// Attached observability sink (shared with the flash cache).
     sink: Option<Arc<ObsSink>>,
     /// Guards the Drop-time metric flush against double counting.
     obs_flushed: bool,
+}
+
+/// What the staged (multi-shard) `submit_batch` collects per batch.
+#[derive(Debug, Default)]
+struct Staging {
+    /// PDC-missed read pages, bound for the flash engine.
+    flash_pages: Vec<DiskRequest>,
+    /// Index of the request each of `flash_pages` belongs to.
+    owners: Vec<u32>,
+    /// Per request, the pages that missed flash too.
+    disk_reads: Vec<u32>,
 }
 
 impl Hierarchy {
@@ -190,11 +208,15 @@ impl Hierarchy {
             )?),
             None => None,
         };
+        let dram_page_us = config.dram.access_latency_us(PAGE_BYTES);
         Ok(Hierarchy {
             pdc: PrimaryDiskCache::new(pdc_pages),
             flash,
             report: HierarchyReport::default(),
             since_flush: 0,
+            dram_page_us,
+            dram_page_s: dram_page_us / 1e6,
+            staging: Staging::default(),
             sink: flash_obs::global_sink(),
             obs_flushed: false,
             config,
@@ -395,9 +417,17 @@ impl Hierarchy {
             return reqs.iter().map(|r| self.submit(*r)).collect();
         }
         let mut outs = vec![RequestOutcome::default(); reqs.len()];
+        let mut staging = std::mem::take(&mut self.staging);
+        let Staging {
+            flash_pages,
+            owners,
+            disk_reads,
+        } = &mut staging;
+        flash_pages.clear();
+        owners.clear();
+        disk_reads.clear();
+        disk_reads.resize(reqs.len(), 0);
         // Phase 1: DRAM probes; collect the flash-bound read pages.
-        let mut flash_pages: Vec<DiskRequest> = Vec::new();
-        let mut owners: Vec<u32> = Vec::new();
         for (ri, req) in reqs.iter().enumerate() {
             for page in req.pages() {
                 match req.op {
@@ -425,17 +455,15 @@ impl Hierarchy {
             .flash
             .as_mut()
             .expect("batched path requires flash")
-            .submit(&flash_pages);
+            .submit(flash_pages);
         // Phase 3: per-page accounting and PDC installs, batch order.
-        let probe_us = self.config.dram.access_latency_us(PAGE_BYTES);
-        let mut disk_reads = vec![0u32; reqs.len()];
-        for ((fo, page_req), &ri) in flash_outs.iter().zip(&flash_pages).zip(&owners) {
+        for ((fo, page_req), &ri) in flash_outs.iter().zip(&*flash_pages).zip(&*owners) {
             let ri = ri as usize;
             outs[ri].latency_us += fo.latency_us;
             self.flush_to_disk(fo.flushed_dirty);
             if fo.tier == ServiceTier::Flash {
                 outs[ri].flash_hits += 1;
-                let lat = probe_us + fo.latency_us;
+                let lat = self.dram_page_us + fo.latency_us;
                 self.report.flash_latency.record(lat);
                 self.report.flash_queue_wait.record(fo.queue_wait_us);
                 self.report.flash_service.record(lat - fo.queue_wait_us);
@@ -471,6 +499,7 @@ impl Hierarchy {
             self.report.dram_hit_pages += outs[ri].dram_hits as u64;
             self.report.flash_hit_pages += outs[ri].flash_hits as u64;
         }
+        self.staging = staging;
         self.since_flush += reqs.len() as u64;
         if self.since_flush >= self.config.flush_interval {
             self.since_flush = 0;
@@ -480,9 +509,8 @@ impl Hierarchy {
     }
 
     fn dram_access(&mut self, write: bool) -> f64 {
-        let t = self.config.dram.access_latency_us(PAGE_BYTES);
-        self.report.dram.record(t / 1e6, PAGE_BYTES, write);
-        t
+        self.report.dram.record(self.dram_page_s, PAGE_BYTES, write);
+        self.dram_page_us
     }
 
     fn read_page(&mut self, page: u64) -> (f64, f64, ServiceTier) {

@@ -146,6 +146,7 @@ impl PopularitySampler {
     /// single indexed load of one packed [`AliasSlot`]: the uniform is
     /// split into a table row and an acceptance fraction, and both
     /// candidate pages ride in the same 16-byte slot.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match self.law {
             Popularity::Uniform => rng.gen_range(0..self.footprint),
