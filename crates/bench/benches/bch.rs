@@ -44,6 +44,33 @@ fn bench_decode(c: &mut Criterion) {
     group.finish();
 }
 
+/// The traffic `verified_rw` carries: Poisson(0.5) raw errors per page
+/// read at t = 8 is 61% clean, 30% one error, 8% two.
+fn bench_decode_workload_mix(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bch_decode_2kb_t8");
+    let code = BchCode::for_flash_page(8);
+    let data = page_data();
+    let parity = code.encode(&data);
+    for (name, flips) in [
+        ("clean", &[][..]),
+        ("1_error", &[9_001][..]),
+        ("2_errors", &[9_001, 14_777][..]),
+    ] {
+        let mut received = data.clone();
+        for &bit in flips {
+            received[bit / 8] ^= 1 << (7 - bit % 8);
+        }
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut work = received.clone();
+                code.decode(&mut work, std::hint::black_box(&parity))
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_crc(c: &mut Criterion) {
     let data = page_data();
     c.bench_function("crc32_2kb", |b| {
@@ -71,6 +98,7 @@ criterion_group!(
     benches,
     bench_encode,
     bench_decode,
+    bench_decode_workload_mix,
     bench_crc,
     bench_verified_roundtrip
 );

@@ -1,5 +1,6 @@
 //! Binary BCH codes: construction, systematic encoding, and decoding via
-//! syndrome computation, Berlekamp–Massey, and Chien search.
+//! the division remainder, Berlekamp–Massey, and closed-form roots or
+//! Chien search.
 //!
 //! This is the error-correction engine of the paper's programmable flash
 //! memory controller (§4.1). The controller corrects up to `t` bit errors
@@ -132,23 +133,16 @@ pub struct BchCode {
     /// for the bit-serial encoding LFSR (kept as the differential-test
     /// oracle for the table-driven encoder).
     feedback: Vec<u64>,
-    /// Number of 64-bit words in the left-aligned encoder register.
+    /// Number of 64-bit words in the left-aligned remainder register.
     enc_words: usize,
-    /// Byte-at-a-time remainder-update table: 256 rows of `enc_words`
-    /// words each. Empty when `parity_bits < 8` (bit-serial fallback).
+    /// Remainder-update tables of the division LFSR, eight slices of 256
+    /// rows of `enc_words` words: slice `k` row `b` is what byte `b`
+    /// entering the register contributes after `k` further zero bytes.
+    /// Slice 0 alone drives the byte step; all eight, the 8-byte step.
     enc_table: Vec<u64>,
-    /// Per odd syndrome `i = 2k+1`: exponent of the leading codeword
-    /// position, `((data_bits + parity_bits − 1)·i) mod n`.
-    syn_e0: Vec<u32>,
-    /// Per odd syndrome: exponent of the leading parity position,
-    /// `((parity_bits − 1)·i) mod n`.
-    syn_parity_e0: Vec<u32>,
-    /// Per odd syndrome: exponent consumed by one 64-bit word,
-    /// `(64·i) mod n`.
-    syn_word_step: Vec<u32>,
-    /// Per odd syndrome, per bit offset `b` in a word: `(b·i) mod n`,
-    /// laid out as `t` rows of 64.
-    syn_offsets: Vec<u32>,
+    /// `syn_alpha[p·t + k] = α^(p·(2k+1))`: what remainder coefficient
+    /// `x^p` adds to the odd syndrome `S_(2k+1)`.
+    syn_alpha: Vec<u32>,
 }
 
 impl BchCode {
@@ -187,31 +181,11 @@ impl BchCode {
             }
         }
         let enc_words = parity_bits.div_ceil(64);
-        let enc_table = if parity_bits >= 8 {
-            build_enc_table(&generator, parity_bits, enc_words)
-        } else {
-            // The byte-at-a-time step needs at least 8 remainder bits;
-            // tiny codes fall back to the bit-serial LFSR.
-            Vec::new()
-        };
-        // Syndrome kernel tables: exponents of alpha per codeword
-        // position, maintained in [0, n) so the doubled antilog table
-        // absorbs all index arithmetic without modular reduction.
-        let n = field.group_order() as u64;
-        let total_bits = (data_bits + parity_bits) as u64;
-        let mut syn_e0 = Vec::with_capacity(t);
-        let mut syn_parity_e0 = Vec::with_capacity(t);
-        let mut syn_word_step = Vec::with_capacity(t);
-        let mut syn_offsets = Vec::with_capacity(t * 64);
-        for k in 0..t {
-            let i = (2 * k + 1) as u64;
-            syn_e0.push((((total_bits - 1) * i) % n) as u32);
-            syn_parity_e0.push((((parity_bits as u64 - 1) * i) % n) as u32);
-            syn_word_step.push(((64 * i) % n) as u32);
-            for b in 0..64u64 {
-                syn_offsets.push(((b * i) % n) as u32);
-            }
-        }
+        let enc_table = build_enc_table(&generator, parity_bits, enc_words);
+        let syn_alpha = (0..parity_bits)
+            .flat_map(|p| (0..t).map(move |k| (p * (2 * k + 1)) as i64))
+            .map(|e| field.alpha_pow(e))
+            .collect();
         Ok(BchCode {
             field,
             t,
@@ -222,10 +196,7 @@ impl BchCode {
             feedback,
             enc_words,
             enc_table,
-            syn_e0,
-            syn_parity_e0,
-            syn_word_step,
-            syn_offsets,
+            syn_alpha,
         })
     }
 
@@ -295,10 +266,10 @@ impl BchCode {
     /// Encodes `data` into a caller-provided parity buffer, avoiding the
     /// per-call allocation of [`Self::encode`].
     ///
-    /// Uses a byte-at-a-time table-driven LFSR (CRC-style): the remainder
-    /// register is kept left-aligned in 64-bit words and advanced one input
-    /// byte per step through a 256-entry remainder-update table built at
-    /// construction time.
+    /// Uses the table-driven division LFSR (CRC-style, slicing-by-8): the
+    /// remainder register is kept left-aligned in 64-bit words and
+    /// advanced eight input bytes per step through remainder-update
+    /// tables built at construction time.
     ///
     /// # Panics
     ///
@@ -317,50 +288,37 @@ impl BchCode {
             "encode: parity buffer must be exactly {} bytes",
             self.parity_bytes()
         );
-        if self.enc_table.is_empty() {
-            parity_out.copy_from_slice(&self.encode_bitserial(data));
-            return;
-        }
-        // Monomorphized register widths cover every practical code
-        // (flash-page codes at t <= 12 need at most 3 words).
-        match self.enc_words {
-            1 => self.serialize_parity(&table_encode_fixed::<1>(&self.enc_table, data), parity_out),
-            2 => self.serialize_parity(&table_encode_fixed::<2>(&self.enc_table, data), parity_out),
-            3 => self.serialize_parity(&table_encode_fixed::<3>(&self.enc_table, data), parity_out),
-            4 => self.serialize_parity(&table_encode_fixed::<4>(&self.enc_table, data), parity_out),
-            w => {
-                let mut reg = vec![0u64; w];
-                for &byte in data {
-                    let idx = (byte ^ (reg[w - 1] >> 56) as u8) as usize * w;
-                    for k in (1..w).rev() {
-                        reg[k] = (reg[k] << 8) | (reg[k - 1] >> 56);
-                    }
-                    reg[0] <<= 8;
-                    for (rk, tk) in reg.iter_mut().zip(&self.enc_table[idx..idx + w]) {
-                        *rk ^= tk;
-                    }
-                }
-                self.serialize_parity(&reg, parity_out);
+        // MSB-first parity byte stream: byte 0 = highest-power
+        // coefficients. Register bits below `enc_words·64 − parity_bits`
+        // are always zero, so padding bits in the last byte come out zero.
+        self.with_remainder(data, |reg| {
+            let w = reg.len();
+            for (k, byte) in parity_out.iter_mut().enumerate() {
+                *byte = (reg[w - 1 - k / 8] >> (56 - 8 * (k % 8))) as u8;
             }
-        }
+        })
     }
 
-    /// Writes the left-aligned remainder register out as the MSB-first
-    /// parity byte stream (byte 0 = highest-power coefficients). Register
-    /// bits below `enc_words·64 − parity_bits` are always zero, so any
-    /// padding bits in the last byte come out zero.
-    fn serialize_parity(&self, reg: &[u64], out: &mut [u8]) {
-        let w = reg.len();
-        for (k, byte) in out.iter_mut().enumerate() {
-            *byte = (reg[w - 1 - k / 8] >> (56 - 8 * (k % 8))) as u8;
+    /// Runs the division LFSR over `data` and hands `f` the left-aligned
+    /// register holding `data(x)·x^r mod g(x)` — the one kernel encode
+    /// and decode share.
+    fn with_remainder<R>(&self, data: &[u8], f: impl FnOnce(&mut [u64]) -> R) -> R {
+        // A register on the stack, its width known to the inlined kernel,
+        // covers every practical code (flash-page codes at t <= 12 need at
+        // most 3 words).
+        match self.enc_words {
+            1 => f(lfsr(&mut [0; 1], &self.enc_table, data)),
+            2 => f(lfsr(&mut [0; 2], &self.enc_table, data)),
+            3 => f(lfsr(&mut [0; 3], &self.enc_table, data)),
+            4 => f(lfsr(&mut [0; 4], &self.enc_table, data)),
+            w => f(lfsr(&mut vec![0; w], &self.enc_table, data)),
         }
     }
 
     /// Reference bit-serial encoder: one LFSR step per data bit.
     ///
     /// Retained as the differential-test oracle for the table-driven
-    /// [`Self::encode_into`] (and as the fallback for codes with fewer
-    /// than 8 parity bits, where the byte-wise step does not apply).
+    /// [`Self::encode_into`].
     #[doc(hidden)]
     pub fn encode_bitserial(&self, data: &[u8]) -> Vec<u8> {
         assert_eq!(
@@ -436,16 +394,15 @@ impl BchCode {
                 which: "parity",
             });
         }
-        let syndromes = self.syndromes(data, parity);
-        if syndromes.iter().all(|&s| s == 0) {
+        let Some(syndromes) = self.remainder_syndromes(data, parity) else {
             return Ok(DecodeReport::default());
-        }
+        };
         let sigma = self.berlekamp_massey(&syndromes);
         let num_errors = sigma.len() - 1;
         if num_errors > self.t {
             return Err(DecodeError::TooManyErrors);
         }
-        let roots = self.chien_search(&sigma);
+        let roots = self.locator_roots(&sigma);
         if roots.len() != num_errors {
             return Err(DecodeError::TooManyErrors);
         }
@@ -469,83 +426,55 @@ impl BchCode {
         Ok(report)
     }
 
-    /// Computes syndromes S_1..S_2t of the received word.
+    /// Syndromes S_1..S_2t of the received word, or `None` when it is a
+    /// codeword (every syndrome zero).
     ///
-    /// Word-at-a-time kernel: the received bits are consumed as big-endian
-    /// 64-bit words (zero words skipped entirely); each odd syndrome keeps
-    /// a running exponent for the word's leading position, stepped by the
-    /// precomputed `(64·i) mod n` per word, and each set bit costs one
-    /// add plus one antilog lookup through the doubled exp table — no
-    /// multiplications or modular reductions in the inner loop. Even
-    /// syndromes come from squaring (S_2i = S_i² for binary codes).
+    /// Remainder-first: re-encode the received data, XOR the received
+    /// parity in — that is `r(x) = c'(x) mod g(x)`, zero exactly for a
+    /// codeword, found without a field operation or an allocation. Every
+    /// `α^i` is a root of `g`, so otherwise `S_i = c'(α^i) = r(α^i)` is
+    /// evaluated over the at most `m·t` bits of `r`; even syndromes come
+    /// from squaring (S_2i = S_i² for binary codes). The buffers must have
+    /// the code's lengths ([`Self::decode`] checks them).
     #[doc(hidden)]
-    pub fn syndromes(&self, data: &[u8], parity: &[u8]) -> Vec<u32> {
-        let f = &self.field;
-        let n = f.group_order();
+    pub fn remainder_syndromes(&self, data: &[u8], parity: &[u8]) -> Option<Vec<u32>> {
         let t = self.t;
-        let mut syn = vec![0u32; 2 * t];
-        // Running per-odd-syndrome exponents of the current word's bit 0
-        // (MSB). Kept in [0, n).
-        let mut e: Vec<u32> = self.syn_e0.clone();
-        let mut absorb_word = |e: &mut [u32], wval: u64, advance: bool| {
-            if wval != 0 {
-                let mut bits = wval;
+        self.with_remainder(data, |reg| {
+            let w = reg.len();
+            for (k, &byte) in parity.iter().enumerate() {
+                reg[w - 1 - k / 8] ^= u64::from(byte) << (56 - 8 * (k % 8));
+            }
+            // The remainder has no bits below the register's alignment
+            // shift: what is there now is the received padding of the last
+            // parity byte, ignored as the reference ignores positions >= r.
+            let shift = w * 64 - self.parity_bits;
+            reg[0] &= !0u64 << shift;
+            if reg.iter().all(|&word| word == 0) {
+                return None;
+            }
+            let mut syn = vec![0u32; 2 * t];
+            for (wi, &word) in reg.iter().enumerate() {
+                let mut bits = word;
                 while bits != 0 {
-                    let b = bits.leading_zeros() as usize;
-                    bits &= !(0x8000_0000_0000_0000u64 >> b);
-                    for k in 0..t {
-                        let off = self.syn_offsets[k * 64 + b];
-                        syn[2 * k] ^= f.exp_raw((e[k] + n - off) as usize);
+                    let p = wi * 64 + bits.trailing_zeros() as usize - shift;
+                    bits &= bits - 1;
+                    let row = &self.syn_alpha[p * t..][..t];
+                    for (s, &a) in syn.iter_mut().step_by(2).zip(row) {
+                        *s ^= a;
                     }
                 }
             }
-            if advance {
-                for (ek, &step) in e.iter_mut().zip(&self.syn_word_step) {
-                    let mut v = *ek + n - step;
-                    if v >= n {
-                        v -= n;
-                    }
-                    *ek = v;
-                }
+            for i in 1..=t {
+                syn[2 * i - 1] = self.field.mul(syn[i - 1], syn[i - 1]);
             }
-        };
-        let mut chunks = data.chunks_exact(8);
-        for chunk in &mut chunks {
-            let wval = u64::from_be_bytes(chunk.try_into().expect("chunk is 8 bytes"));
-            absorb_word(&mut e, wval, true);
-        }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            // Zero padding in the low bytes contributes nothing.
-            let mut buf = [0u8; 8];
-            buf[..tail.len()].copy_from_slice(tail);
-            absorb_word(&mut e, u64::from_be_bytes(buf), false);
-        }
-        // Parity is a separate MSB-first stream whose leading position has
-        // power r-1. Padding bits in the last byte are masked off, exactly
-        // as the bit-serial reference ignores positions >= r.
-        let r = self.parity_bits;
-        e.copy_from_slice(&self.syn_parity_e0);
-        let pchunks = parity.chunks(8);
-        let last_chunk = parity.len().div_ceil(8).saturating_sub(1);
-        for (ci, chunk) in pchunks.enumerate() {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            if ci == last_chunk && !r.is_multiple_of(8) {
-                buf[chunk.len() - 1] &= 0xFFu8 << (8 - r % 8);
-            }
-            absorb_word(&mut e, u64::from_be_bytes(buf), true);
-        }
-        for i in 1..=t {
-            syn[2 * i - 1] = f.mul(syn[i - 1], syn[i - 1]);
-        }
-        syn
+            Some(syn)
+        })
     }
 
     /// Reference syndrome computation: per-bit modular exponent products.
     ///
-    /// Retained as the differential-test oracle for the word-at-a-time
-    /// [`Self::syndromes`] kernel.
+    /// Retained as the differential-test oracle for
+    /// [`Self::remainder_syndromes`].
     #[doc(hidden)]
     pub fn syndromes_reference(&self, data: &[u8], parity: &[u8]) -> Vec<u32> {
         let f = &self.field;
@@ -644,6 +573,36 @@ impl BchCode {
         }
         sigma.truncate(deg + 1);
         sigma
+    }
+
+    /// Codeword powers `p` with `sigma(α^(−p)) = 0` inside the shortened
+    /// length, ascending — what [`Self::chien_search`] returns, but with
+    /// the one or two roots of a degree-1 or degree-2 locator (nearly every
+    /// read that has errors at all) found in closed form. A locator with a
+    /// zero coefficient, which Berlekamp–Massey yields for no correctable
+    /// pattern, goes to the scan.
+    #[doc(hidden)]
+    pub fn locator_roots(&self, sigma: &[u32]) -> Vec<usize> {
+        let f = &self.field;
+        // x = α^(−p)  =>  p = −log x (mod n).
+        let n = f.group_order();
+        let power = |x: u32| ((n - f.log(x)) % n) as usize;
+        let mut roots = match *sigma {
+            [c0, c1] if c0 != 0 && c1 != 0 => vec![power(f.div(c0, c1))],
+            [c0, c1, c2] if c0 != 0 && c1 != 0 && c2 != 0 => {
+                // x = (c1/c2)·y turns sigma(x) = 0 into y² + y = c0·c2/c1²,
+                // whose solutions, if the field has any, are y and y + 1.
+                let scale = f.div(c1, c2);
+                match f.solve_quadratic(f.div(f.mul(c0, c2), f.mul(c1, c1))) {
+                    Some(y) => vec![power(f.mul(scale, y)), power(f.mul(scale, y ^ 1))],
+                    None => Vec::new(),
+                }
+            }
+            _ => return self.chien_search(sigma),
+        };
+        roots.retain(|&p| p < self.data_bits + self.parity_bits);
+        roots.sort_unstable();
+        roots
     }
 
     /// Chien search: returns the codeword powers `p` (0-based exponent of
@@ -771,11 +730,13 @@ impl BchCode {
     }
 }
 
-/// Builds the 256-entry byte-at-a-time remainder-update table for the
-/// encoding LFSR: `table[b]` is the remainder contribution of byte value
-/// `b` entering the top of a left-aligned `words`-word register, computed
-/// by eight exact bit-serial steps. Linearity of the LFSR over GF(2) makes
-/// one table XOR per input byte equivalent to eight serial steps.
+/// Builds the eight remainder-update tables of the division LFSR.
+/// Slice 0 row `b` is the remainder contribution of byte value `b`
+/// entering the top of a left-aligned `words`-word register, computed by
+/// eight exact bit-serial steps; slice `k` is slice `k − 1` advanced by one
+/// zero byte. Linearity of the LFSR over GF(2) makes one row XOR per input
+/// byte equivalent to eight serial steps, for any `r >= 1`: a register
+/// narrower than a byte sits wholly inside the top byte.
 fn build_enc_table(generator: &BitPoly, r: usize, words: usize) -> Vec<u64> {
     // Left-aligned feedback: coefficient x^e of (g − x^r) lands at
     // register bit (words·64 − r) + e.
@@ -787,7 +748,7 @@ fn build_enc_table(generator: &BitPoly, r: usize, words: usize) -> Vec<u64> {
             fb[b / 64] |= 1 << (b % 64);
         }
     }
-    let mut table = vec![0u64; 256 * words];
+    let mut table = vec![0u64; 8 * 256 * words];
     let mut reg = vec![0u64; words];
     for b in 0..256u64 {
         reg.fill(0);
@@ -806,26 +767,51 @@ fn build_enc_table(generator: &BitPoly, r: usize, words: usize) -> Vec<u64> {
         }
         table[b as usize * words..][..words].copy_from_slice(&reg);
     }
+    for row in 256..8 * 256 {
+        let (done, rest) = table.split_at_mut(row * words);
+        rest[..words].copy_from_slice(&done[(row - 256) * words..][..words]);
+        byte_step(&mut rest[..words], done, 0);
+    }
     table
 }
 
-/// Monomorphized byte-at-a-time LFSR over a `W`-word left-aligned
-/// register: per input byte, one table row XOR replaces eight bit-serial
-/// steps. Returns the final remainder register.
-fn table_encode_fixed<const W: usize>(table: &[u64], data: &[u8]) -> [u64; W] {
-    let mut reg = [0u64; W];
-    for &byte in data {
-        let idx = (byte ^ (reg[W - 1] >> 56) as u8) as usize * W;
-        let row: &[u64] = &table[idx..idx + W];
-        let mut next = [0u64; W];
-        for k in (1..W).rev() {
-            next[k] = (reg[k] << 8) | (reg[k - 1] >> 56);
+/// One byte of input through the left-aligned LFSR `reg`: the register
+/// moves up eight bits and takes the slice-0 row picked by the input byte
+/// XOR the byte that left the top.
+fn byte_step(reg: &mut [u64], table: &[u64], byte: u8) {
+    let w = reg.len();
+    let idx = (byte ^ (reg[w - 1] >> 56) as u8) as usize * w;
+    for k in (1..w).rev() {
+        reg[k] = (reg[k] << 8) | (reg[k - 1] >> 56);
+    }
+    reg[0] <<= 8;
+    for (rk, tk) in reg.iter_mut().zip(&table[idx..idx + w]) {
+        *rk ^= tk;
+    }
+}
+
+/// The division LFSR over the zeroed register `reg`, eight input bytes per
+/// step (slicing-by-8): the top word XOR the input word leaves the
+/// register as eight bytes, byte `j` of which still has `7 − j` bytes of
+/// shifting ahead of it, so it takes its row from slice `7 − j`. The byte
+/// step finishes a tail shorter than a word. Returns `reg`.
+#[inline(always)]
+fn lfsr<'a>(reg: &'a mut [u64], table: &[u64], data: &[u8]) -> &'a mut [u64] {
+    let w = reg.len();
+    let (words, tail) = data.as_chunks::<8>();
+    for word in words {
+        let out = (reg[w - 1] ^ u64::from_be_bytes(*word)).to_be_bytes();
+        reg.copy_within(..w - 1, 1);
+        reg[0] = 0;
+        for (j, &b) in out.iter().enumerate() {
+            let row = &table[((7 - j) * 256 + b as usize) * w..][..w];
+            for (rk, tk) in reg.iter_mut().zip(row) {
+                *rk ^= tk;
+            }
         }
-        next[0] = reg[0] << 8;
-        for k in 0..W {
-            next[k] ^= row[k];
-        }
-        reg = next;
+    }
+    for &byte in tail {
+        byte_step(reg, table, byte);
     }
     reg
 }
@@ -1037,6 +1023,104 @@ mod tests {
             assert_eq!(report.corrected, 1, "bit {bit}");
             assert_eq!(received, data, "bit {bit}");
             assert_eq!(report.data_bit_positions, vec![bit]);
+        }
+    }
+
+    /// `(1 + α^a·x)(1 + α^b·x)`: the locator of errors at powers a and b.
+    fn locator(code: &BchCode, a: i64, b: i64) -> Vec<u32> {
+        let f = &code.field;
+        vec![
+            1,
+            f.alpha_pow(a) ^ f.alpha_pow(b),
+            f.mul(f.alpha_pow(a), f.alpha_pow(b)),
+        ]
+    }
+
+    #[test]
+    fn closed_form_root_outside_shortened_length_is_dropped() {
+        // 64 data + 16 parity bits of the 255-bit block are in use.
+        let code = BchCode::new(8, 2, 8).unwrap();
+        for p in 0..255 {
+            let sigma = [1, code.field.alpha_pow(p)];
+            let expected = if p < 80 { vec![p as usize] } else { vec![] };
+            assert_eq!(code.locator_roots(&sigma), expected, "p={p}");
+            assert_eq!(code.chien_search_reference(&sigma), expected, "p={p}");
+        }
+        assert_eq!(code.locator_roots(&locator(&code, 79, 5)), vec![5, 79]);
+        assert_eq!(code.locator_roots(&locator(&code, 80, 5)), vec![5]);
+        assert_eq!(code.locator_roots(&locator(&code, 254, 80)), vec![]);
+        // At t = 1 every nonzero syndrome is a degree-1 locator: decode
+        // rejects exactly the words whose S_1 points past the 72 bits.
+        let code = BchCode::new(8, 1, 8).unwrap();
+        let parity = code.encode(&[0; 8]);
+        let mut rejected = 0;
+        for first in 1..=255u8 {
+            let mut data = [first, 0, 0, 0, 0, 0, 0, 0];
+            let syn = code.remainder_syndromes(&data, &parity).unwrap();
+            let outside = code.field.log(syn[0]) >= 72;
+            let result = code.decode(&mut data, &parity);
+            assert_eq!(result == Err(DecodeError::TooManyErrors), outside);
+            rejected += usize::from(outside);
+        }
+        assert!(rejected > 0);
+    }
+
+    #[test]
+    fn quadratic_without_root_in_the_field_is_too_many_errors() {
+        let code = BchCode::new(8, 2, 8).unwrap();
+        let f = &code.field;
+        // sigma = 1 + x + c·x² is y² + y = c with x = y/c: half the field.
+        let rootless: Vec<u32> = (1..256)
+            .filter(|&c| f.solve_quadratic(c).is_none())
+            .collect();
+        assert_eq!(rootless.len(), 128);
+        for &c in &rootless {
+            assert_eq!(code.locator_roots(&[1, 1, c]), vec![]);
+            assert_eq!(code.chien_search_reference(&[1, 1, c]), vec![]);
+        }
+        // S1 = 1, S3 = 1 + c makes Berlekamp–Massey return exactly that
+        // locator; a word with those syndromes is the remainder itself.
+        let c = rootless[0];
+        let sigma = code.berlekamp_massey(&[1, 1, 1 ^ c, 1]);
+        assert_eq!(sigma, [1, 1, c]);
+        let mut hit = false;
+        for pattern in 1..=u16::MAX {
+            let mut data = [0u8; 8];
+            if code.remainder_syndromes(&data, &pattern.to_be_bytes()) == Some(vec![1, 1, 1 ^ c, 1])
+            {
+                assert_eq!(
+                    code.decode(&mut data, &pattern.to_be_bytes()),
+                    Err(DecodeError::TooManyErrors)
+                );
+                hit = true;
+            }
+        }
+        assert!(hit, "the 2^16 remainders reach every syndrome pair");
+    }
+
+    #[test]
+    fn repeated_and_degenerate_locators_take_the_scan() {
+        let code = BchCode::new(8, 2, 8).unwrap();
+        let f = &code.field;
+        // A double root is one position, which decode rejects as a count
+        // mismatch; a locator with sigma_0 != 1 has the roots of its
+        // normalised form; one with a zero coefficient, the reference's.
+        assert_eq!(code.locator_roots(&locator(&code, 7, 7)), vec![7]);
+        for scale in [2, 0x53, 0xFF] {
+            let scaled: Vec<u32> = (locator(&code, 3, 60).iter())
+                .map(|&c| f.mul(c, scale))
+                .collect();
+            assert_eq!(code.locator_roots(&scaled), vec![3, 60]);
+            let linear = [scale, f.mul(scale, f.alpha_pow(60))];
+            assert_eq!(code.locator_roots(&linear), vec![60]);
+        }
+        for c1 in 0..256 {
+            for sigma in [vec![0, c1], vec![0, c1, 9], vec![1, c1, 0], vec![5, 0, c1]] {
+                if sigma.last() != Some(&0) {
+                    let expected = code.chien_search_reference(&sigma);
+                    assert_eq!(code.locator_roots(&sigma), expected, "{sigma:?}");
+                }
+            }
         }
     }
 

@@ -8,13 +8,15 @@
 /// The reflected IEEE 802.3 polynomial.
 const CRC32_POLY_REFLECTED: u32 = 0xEDB8_8320;
 
-/// Builds the 256-entry lookup table at first use.
-fn table() -> &'static [u32; 256] {
+/// Builds the slicing-by-8 lookup tables at first use: slice 0 is the
+/// classic byte table, slice `k` row `i` is row `i` of slice `k − 1`
+/// advanced by one zero byte.
+fn tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -24,6 +26,12 @@ fn table() -> &'static [u32; 256] {
                 };
             }
             *entry = c;
+        }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
         }
         t
     })
@@ -52,12 +60,22 @@ impl Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
-    /// Feeds bytes into the hasher.
+    /// Feeds bytes into the hasher, eight per step (slicing-by-8): the
+    /// state XORs into the first four, and byte `j` of the eight takes its
+    /// row from slice `7 − j`. A tail shorter than eight goes bytewise.
     pub fn update(&mut self, bytes: &[u8]) {
-        let t = table();
+        let t = tables();
         let mut c = self.state;
-        for &b in bytes {
-            c = t[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let (words, tail) = bytes.as_chunks::<8>();
+        for word in words {
+            let v = (u64::from_le_bytes(*word) ^ u64::from(c)).to_le_bytes();
+            c = 0;
+            for (j, &b) in v.iter().enumerate() {
+                c ^= t[7 - j][b as usize];
+            }
+        }
+        for &b in tail {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.state = c;
     }

@@ -57,6 +57,11 @@ pub struct GfField {
     exp: Vec<u32>,
     /// `log[x]` = discrete log of `x` base alpha; `log[0]` is unused.
     log: Vec<u32>,
+    /// `quad_base[i]` solves `y² + y = 2^i`, or `= 2^i + a_k` when `2^i`
+    /// has trace 1 (`a_k`: one fixed basis element of trace 1). `y² + y`
+    /// is GF(2)-linear, so XOR-ing the entries at the set bits of a
+    /// trace-0 `u` solves `y² + y = u`.
+    quad_base: Vec<u32>,
 }
 
 impl GfField {
@@ -88,12 +93,27 @@ impl GfField {
         for i in group_order..2 * group_order {
             exp[i as usize] = exp[(i - group_order) as usize];
         }
-        GfField {
+        let mut field = GfField {
             m,
             group_order,
             exp,
             log,
+            quad_base: vec![0; m as usize],
+        };
+        // Tr(a) = a + a² + a⁴ + … + a^(2^(m−1)) is 0 or 1, and 0 on every
+        // y² + y; it is onto, so some basis element has trace 1.
+        let trace = |a: u32| (0..m).fold((0, a), |(s, p), _| (s ^ p, field.mul(p, p))).0;
+        let ak = (0..m).map(|i| 1u32 << i).find(|&e| trace(e) == 1);
+        let ak = ak.expect("the trace is not zero on a whole basis");
+        for y in 0..size {
+            let v = field.mul(y, y) ^ y;
+            for e in [v, v ^ ak] {
+                if e.is_power_of_two() {
+                    field.quad_base[e.trailing_zeros() as usize] = y;
+                }
+            }
         }
+        field
     }
 
     /// The extension degree `m`.
@@ -194,6 +214,17 @@ impl GfField {
         self.exp[r as usize]
     }
 
+    /// A solution `y` of `y² + y = u` (the other is `y + 1`), or `None`
+    /// when `u` has trace 1 and the field holds none.
+    pub(crate) fn solve_quadratic(&self, u: u32) -> Option<u32> {
+        let (mut y, mut bits) = (0, u);
+        while bits != 0 {
+            y ^= self.quad_base[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        (self.mul(y, y) ^ y == u).then_some(y)
+    }
+
     /// Evaluates a polynomial with coefficients `coeffs` (index = degree,
     /// `coeffs[0]` is the constant term) at point `x`, via Horner's rule.
     pub fn poly_eval(&self, coeffs: &[u32], x: u32) -> u32 {
@@ -289,6 +320,23 @@ mod tests {
         let f = GfField::new(5);
         assert_eq!(f.alpha_pow(-1), f.inv(f.alpha_pow(1)));
         assert_eq!(f.alpha_pow(-(f.group_order() as i64)), 1);
+    }
+
+    #[test]
+    fn quadratic_solver_solves_exactly_the_trace_zero_half() {
+        for m in [2, 3, 4, 8, 13, 15] {
+            let f = GfField::new(m);
+            let mut solvable = vec![false; 1 << m];
+            for y in 0..1u32 << m {
+                solvable[(f.mul(y, y) ^ y) as usize] = true;
+            }
+            assert_eq!(solvable.iter().filter(|&&s| s).count(), 1 << (m - 1));
+            for u in 0..1u32 << m {
+                let y = f.solve_quadratic(u);
+                assert_eq!(y.is_some(), solvable[u as usize], "m={m} u={u}");
+                assert!(y.is_none_or(|y| f.mul(y, y) ^ y == u), "m={m} u={u}");
+            }
+        }
     }
 
     #[test]

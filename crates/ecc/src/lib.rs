@@ -6,8 +6,9 @@
 //!
 //! * [`gf`] — table-driven GF(2^m) finite-field arithmetic (2 ≤ m ≤ 16);
 //! * [`bch`] — `t`-error-correcting shortened binary BCH codes
-//!   (systematic LFSR encoder; syndrome → Berlekamp–Massey → Chien search
-//!   decoder), the paper's variable-strength corrector;
+//!   (systematic LFSR encoder; division remainder → syndromes →
+//!   Berlekamp–Massey → closed-form roots or Chien search decoder), the
+//!   paper's variable-strength corrector;
 //! * [`crc`] — CRC32 (IEEE) detection to catch BCH miscorrections;
 //! * [`page`] — the combined 2KB-page codec with the paper's 64-byte
 //!   spare-area layout (4B CRC32 + up to 23B BCH parity, t ≤ 12);
@@ -37,6 +38,7 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

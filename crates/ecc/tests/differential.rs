@@ -1,15 +1,18 @@
 //! Differential tests for the optimized ECC kernels.
 //!
-//! The table-driven encoder, word-at-a-time syndrome kernel, and batched
-//! Chien search must be bit-identical to the straightforward reference
-//! implementations they replaced (`encode_bitserial`,
-//! `syndromes_reference`, `chien_search_reference`), across the field
-//! sizes the crate ships codes for (m ∈ {8, 13, 15}) and the paper's
-//! strength range (t ∈ {1, 4, 12}).
+//! The sliced table-driven encoder, the remainder-first syndromes, the
+//! closed-form locator roots and the batched Chien search must be
+//! bit-identical to the straightforward reference implementations
+//! (`encode_bitserial`, `syndromes_reference`, `chien_search_reference`),
+//! across the field sizes the crate ships codes for (m ∈ {8, 13, 15}),
+//! the paper's strength range (t ∈ {1, 4, 12}) and the tiny (15, 11)
+//! code; the sliced CRC32 must equal the bit-at-a-time recurrence.
 
 use proptest::prelude::*;
 
-use flash_ecc::bch::BchCode;
+use flash_ecc::bch::{BchCode, DecodeError};
+use flash_ecc::crc::Crc32;
+use flash_ecc::page::{PageCodec, PageDecodeOutcome, CRC_BYTES, PAGE_DATA_BYTES};
 
 /// Largest payload (bytes) that fits the block length for (m, t), capped
 /// so reference-kernel scans stay fast inside property tests.
@@ -50,6 +53,52 @@ fn param_strategy() -> impl Strategy<Value = (u32, usize)> {
     )
 }
 
+/// What `decode` feeds Berlekamp–Massey: the remainder syndromes, all
+/// zero for a codeword.
+fn syndromes(code: &BchCode, data: &[u8], parity: &[u8]) -> Vec<u32> {
+    code.remainder_syndromes(data, parity)
+        .unwrap_or_else(|| vec![0; 2 * code.strength()])
+}
+
+/// Asserts the remainder syndromes equal the per-bit reference, with and
+/// without garbage in the last parity byte's padding bits.
+fn assert_syndromes_match(code: &BchCode, data: &[u8], parity: &mut [u8]) {
+    let reference = code.syndromes_reference(data, parity);
+    assert_eq!(syndromes(code, data, parity), reference);
+    assert_eq!(
+        code.remainder_syndromes(data, parity).is_none(),
+        reference.iter().all(|&s| s == 0)
+    );
+    if !code.parity_bits().is_multiple_of(8) {
+        *parity.last_mut().unwrap() ^= (1u8 << (8 - code.parity_bits() % 8)) - 1;
+        assert_eq!(syndromes(code, data, parity), reference);
+        assert_eq!(code.syndromes_reference(data, parity), reference);
+    }
+}
+
+/// Decodes a codeword of `code` with exactly the stream bits `flips`
+/// flipped, checking every stage against its reference kernel and the
+/// report against the flips.
+fn assert_corrects(code: &BchCode, data: &[u8], parity: &[u8], flips: &[usize]) {
+    let (mut bad, mut bad_parity) = (data.to_vec(), parity.to_vec());
+    for &pos in flips {
+        flip_stream_bit(&mut bad, &mut bad_parity, pos);
+    }
+    let syn = syndromes(code, &bad, &bad_parity);
+    assert_eq!(syn, code.syndromes_reference(&bad, &bad_parity));
+    let sigma = code.berlekamp_massey(&syn);
+    let roots = code.chien_search_reference(&sigma);
+    assert_eq!(code.locator_roots(&sigma), roots, "flips {flips:?}");
+    assert_eq!(code.chien_search(&sigma), roots, "flips {flips:?}");
+    let report = code.decode(&mut bad, &bad_parity).unwrap();
+    assert_eq!(report.corrected, flips.len(), "flips {flips:?}");
+    let in_data: Vec<usize> = (flips.iter().copied())
+        .filter(|&pos| pos < data.len() * 8)
+        .collect();
+    assert_eq!(report.data_bit_positions, in_data);
+    assert_eq!(bad, data, "flips {flips:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -65,9 +114,9 @@ proptest! {
         prop_assert_eq!(code.encode(data), code.encode_bitserial(data));
     }
 
-    /// The word-at-a-time syndrome kernel agrees with the per-bit
-    /// reference on corrupted codewords, including errors in the parity
-    /// area and garbage in the last parity byte's padding bits.
+    /// The remainder syndromes agree with the per-bit reference on
+    /// corrupted codewords, including errors in the parity area and
+    /// garbage in the last parity byte's padding bits.
     #[test]
     fn syndromes_match_reference(
         (m, t) in param_strategy(),
@@ -83,22 +132,12 @@ proptest! {
         for &pos in &error_positions(seed, nerrors, stream_bits) {
             flip_stream_bit(&mut data, &mut parity, pos);
         }
-        prop_assert_eq!(
-            code.syndromes(&data, &parity),
-            code.syndromes_reference(&data, &parity)
-        );
-        // Padding bits beyond parity_bits in the last byte must be
-        // ignored by both kernels.
-        if !code.parity_bits().is_multiple_of(8) {
-            let before = code.syndromes(&data, &parity);
-            *parity.last_mut().unwrap() ^= (1u8 << (8 - code.parity_bits() % 8)) - 1;
-            prop_assert_eq!(&code.syndromes(&data, &parity), &before);
-            prop_assert_eq!(code.syndromes_reference(&data, &parity), before);
-        }
+        assert_syndromes_match(&code, &data, &mut parity);
     }
 
-    /// The batched early-exit Chien search finds exactly the roots the
-    /// reference scan finds, and decode corrects the injected errors.
+    /// The closed forms and the batched early-exit Chien search find
+    /// exactly the roots the reference scan finds, and decode corrects
+    /// the injected errors.
     #[test]
     fn chien_matches_reference_and_decode_corrects(
         (m, t) in param_strategy(),
@@ -116,16 +155,160 @@ proptest! {
         for &pos in &error_positions(seed, nerrors, stream_bits) {
             flip_stream_bit(&mut corrupted, &mut parity, pos);
         }
-        let syn = code.syndromes(&corrupted, &parity);
+        let syn = syndromes(&code, &corrupted, &parity);
         prop_assume!(syn.iter().any(|&s| s != 0));
         let sigma = code.berlekamp_massey(&syn);
-        prop_assert_eq!(
-            code.chien_search(&sigma),
-            code.chien_search_reference(&sigma)
-        );
+        let roots = code.chien_search_reference(&sigma);
+        prop_assert_eq!(code.chien_search(&sigma), roots.clone());
+        prop_assert_eq!(code.locator_roots(&sigma), roots);
         let report = code.decode(&mut corrupted, &parity);
         prop_assert!(report.is_ok(), "{:?}", report);
         prop_assert_eq!(corrupted, data);
+    }
+
+    /// Past the code strength the locator is arbitrary: whatever
+    /// Berlekamp–Massey returns, closed forms and scan find the roots the
+    /// reference finds, so every error report is the reference's too.
+    #[test]
+    fn overloaded_locators_match_reference(
+        (m, t) in (prop_oneof![Just(8u32), Just(13), Just(15)], 1usize..=2),
+        raw in prop::collection::vec(any::<u8>(), 1..=24),
+        nerrors in 3usize..=6,
+        seed in any::<u64>(),
+    ) {
+        let len = raw.len().min(payload_cap(m, t)).max(1);
+        let mut data = raw[..len].to_vec();
+        let code = BchCode::new(m, t, len).unwrap();
+        let mut parity = code.encode(&data);
+        let stream_bits = len * 8 + code.parity_bits();
+        for &pos in &error_positions(seed, nerrors, stream_bits) {
+            flip_stream_bit(&mut data, &mut parity, pos);
+        }
+        let sigma = code.berlekamp_massey(&syndromes(&code, &data, &parity));
+        let roots = code.chien_search_reference(&sigma);
+        prop_assert_eq!(code.locator_roots(&sigma), roots.clone());
+        if roots.len() != sigma.len() - 1 {
+            prop_assert_eq!(code.decode(&mut data, &parity), Err(DecodeError::TooManyErrors));
+        }
+    }
+
+    /// The sliced CRC32 equals the bit-at-a-time recurrence for every
+    /// length up to a page plus a tail, however `update` is split.
+    #[test]
+    fn crc_sliced_matches_bitwise_recurrence(
+        raw in prop::collection::vec(any::<u8>(), 0..=2055),
+        cuts in prop::collection::vec(any::<u16>(), 0..=4),
+    ) {
+        let mut expected = 0xFFFF_FFFFu32;
+        for &byte in &raw {
+            expected ^= u32::from(byte);
+            for _ in 0..8 {
+                expected = (expected >> 1) ^ (0xEDB8_8320 & (expected & 1).wrapping_neg());
+            }
+        }
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (raw.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut hasher = Crc32::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([raw.len()]) {
+            hasher.update(&raw[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(hasher.finalize(), !expected);
+    }
+}
+
+/// Full 2KB pages at m = 15 with 1, 0 and 4 padding bits in the last
+/// parity byte: remainder syndromes equal the reference at 0..=t+1 errors.
+#[test]
+fn flash_page_syndromes_match_reference() {
+    let data: Vec<u8> = (0..2048usize).map(|i| (i * 29 % 253) as u8).collect();
+    for (t, padding) in [(1usize, 1), (8, 0), (12, 4)] {
+        let code = BchCode::for_flash_page(t);
+        assert_eq!(code.parity_bytes() * 8 - code.parity_bits(), padding);
+        let stream_bits = data.len() * 8 + code.parity_bits();
+        for nerrors in 0..=t + 1 {
+            let (mut bad, mut parity) = (data.clone(), code.encode(&data));
+            for &pos in &error_positions(0xF1A5 + nerrors as u64, nerrors, stream_bits) {
+                flip_stream_bit(&mut bad, &mut parity, pos);
+            }
+            assert_syndromes_match(&code, &bad, &mut parity);
+        }
+    }
+}
+
+/// The (15, 11) code — four parity bits, narrower than the LFSR's byte
+/// step — corrects every single-bit error, parity bits included.
+#[test]
+fn tiny_code_corrects_every_single_error() {
+    let code = BchCode::new(4, 1, 1).unwrap();
+    assert_eq!((code.parity_bits(), code.parity_bytes()), (4, 1));
+    for byte in 0..=255u8 {
+        let parity = code.encode(&[byte]);
+        assert_eq!(parity, code.encode_bitserial(&[byte]));
+        assert_corrects(&code, &[byte], &parity, &[]);
+        for pos in 0..12 {
+            assert_corrects(&code, &[byte], &parity, &[pos]);
+        }
+    }
+}
+
+/// The word-stride LFSR at the register widths no shipped code has: 7
+/// parity bits (narrower than a byte) and 270 (five words, past the
+/// stack-register widths), both with whole words and a tail of data.
+#[test]
+fn register_width_extremes_match_oracles() {
+    for (m, t, len) in [(7u32, 1usize, 15usize), (15, 18, 29)] {
+        let code = BchCode::new(m, t, len).unwrap();
+        assert_eq!(code.parity_bits(), m as usize * t);
+        let data: Vec<u8> = (0..len).map(|i| (i * 83 + 5) as u8).collect();
+        let parity = code.encode(&data);
+        assert_eq!(parity, code.encode_bitserial(&data));
+        let stream_bits = len * 8 + code.parity_bits();
+        for nerrors in 0..=t {
+            let flips = error_positions(0xB17 + nerrors as u64, nerrors, stream_bits);
+            assert_corrects(&code, &data, &parity, &flips);
+        }
+    }
+}
+
+/// `BchCode::new(8, 2, 8)` corrects every single and every double error
+/// across data and parity, through the closed-form roots.
+#[test]
+fn small_code_corrects_every_single_and_double_error() {
+    let code = BchCode::new(8, 2, 8).unwrap();
+    let data = [0xC3, 0x00, 0xFF, 0x12, 0x34, 0x56, 0x78, 0x9A];
+    let parity = code.encode(&data);
+    let stream_bits = 64 + code.parity_bits();
+    for a in 0..stream_bits {
+        assert_corrects(&code, &data, &parity, &[a]);
+        for b in a + 1..stream_bits {
+            assert_corrects(&code, &data, &parity, &[a, b]);
+        }
+    }
+}
+
+/// `VerifiedFlash::corrupt_bits` flips bits anywhere in the 64-byte spare:
+/// garbage in the parity padding bits and in the bytes past the parity
+/// must leave a clean page `Clean`.
+#[test]
+fn page_codec_ignores_padding_and_unused_spare() {
+    for t in [1usize, 8, 12] {
+        let codec = PageCodec::new(t).unwrap();
+        let mut page: Vec<u8> = (0..PAGE_DATA_BYTES).map(|i| (i * 7 + t) as u8).collect();
+        let original = page.clone();
+        let mut spare = codec.encode(&page);
+        let parity_bits = 15 * t;
+        let parity_end = CRC_BYTES + parity_bits.div_ceil(8);
+        spare[parity_end - 1] ^= (1u8 << (parity_bits.div_ceil(8) * 8 - parity_bits)) - 1;
+        for byte in &mut spare[parity_end..] {
+            *byte ^= 0xFF;
+        }
+        assert_eq!(
+            codec.decode(&mut page, &spare),
+            Ok(PageDecodeOutcome::Clean)
+        );
+        assert_eq!(page, original);
     }
 }
 
@@ -142,17 +325,10 @@ fn flash_page_t12_full_differential() {
     let mut corrupted = data.clone();
     let mut bad_parity = parity.clone();
     let stream_bits = data.len() * 8 + code.parity_bits();
-    for &pos in &error_positions(0xDEC0DE, 12, stream_bits) {
+    let flips = error_positions(0xDEC0DE, 12, stream_bits);
+    for &pos in &flips {
         flip_stream_bit(&mut corrupted, &mut bad_parity, pos);
     }
-    let syn = code.syndromes(&corrupted, &bad_parity);
-    assert_eq!(syn, code.syndromes_reference(&corrupted, &bad_parity));
-    let sigma = code.berlekamp_massey(&syn);
-    assert_eq!(
-        code.chien_search(&sigma),
-        code.chien_search_reference(&sigma)
-    );
-    let report = code.decode(&mut corrupted, &bad_parity).unwrap();
-    assert_eq!(report.corrected, 12);
-    assert_eq!(corrupted, data);
+    assert_syndromes_match(&code, &corrupted, &mut bad_parity);
+    assert_corrects(&code, &data, &parity, &flips);
 }
