@@ -379,6 +379,7 @@ impl FlashCache {
             ("flash.erases", s.erases),
             ("flash.gc_runs", s.gc_runs),
             ("flash.gc_moved_pages", s.gc_moved_pages),
+            ("flash.gc_dropped_pages", s.gc_dropped_pages),
             ("flash.evictions", s.evictions),
             ("flash.flushed_dirty_pages", s.flushed_dirty_pages),
             ("flash.wear_migrations", s.wear_migrations),
@@ -1104,7 +1105,7 @@ impl FlashCache {
     /// §5.2.1: reacts to a page whose observed errors reached its
     /// configured strength — raise ECC or demote density, whichever the
     /// Δtcs/Δtd heuristic prefers.
-    fn respond_to_errors(&mut self, addr: PageAddr, errors: u32) {
+    pub(crate) fn respond_to_errors(&mut self, addr: PageAddr, errors: u32) {
         let cfg_t = self.fpst.get(addr).ecc_strength;
         let even = PageAddr::new(addr.block, addr.slot & !1);
         let phys_mode = self.fpst.get(even).mode;
@@ -1140,7 +1141,11 @@ impl FlashCache {
             }
         };
         if choose_ecc {
-            let new_t = (errors as u8 + 1).max(cfg_t + 1).min(self.config.max_ecc);
+            let new_t = u8::try_from(errors)
+                .unwrap_or(u8::MAX)
+                .saturating_add(1)
+                .max(cfg_t + 1)
+                .min(self.config.max_ecc);
             let delta = (new_t - cfg_t) as u32;
             self.fpst.get_mut(addr).ecc_strength = new_t;
             self.fbst.get_mut(addr.block).total_ecc += delta;

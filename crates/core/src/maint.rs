@@ -354,18 +354,40 @@ impl FlashCache {
         }
     }
 
-    /// Moves the victim's valid pages into the allocation stream, then
-    /// erases the victim (Figure 8's GC flow).
+    /// Whether compaction of a `kind` victim keeps only read-referenced
+    /// pages. Relocating a write-region page spends a flash read, a
+    /// program and a unit of wear to defer one batched disk write, which
+    /// costs less than the program alone; only a later read hit repays
+    /// it, and the FPST's decayed access counter (§5.2.2) says whether
+    /// the page has had one. The read region and unified mode relocate
+    /// every valid page, as in Figure 8.
+    fn keeps_referenced_only(&self, kind: RegionKind) -> bool {
+        !self.unified && kind == RegionKind::Write
+    }
+
+    /// Moves the victim's surviving pages into the allocation stream,
+    /// then erases the victim (Figure 8's GC flow). A write-region
+    /// victim then goes through the wear comparison of §3.6, because the
+    /// write region reclaims by compaction far more often than by
+    /// eviction.
     fn gc_compact(&mut self, victim: BlockId, kind: RegionKind) -> Result<bool, CacheError> {
         let mut gc_us = 0.0;
+        let valid = self.fbst.get(victim).valid_pages;
         let moved = self.relocate_valid_pages(victim, kind, &mut gc_us)?;
         self.stats.gc_runs += 1;
         self.stats.gc_moved_pages += moved as u64;
+        self.stats.gc_dropped_pages += (valid - moved) as u64;
         self.emit(Event::GcCompaction {
             tick: self.tick(),
             block: victim.0,
             moved_pages: moved,
         });
+        if self.keeps_referenced_only(kind) {
+            if let Some(newest) = self.wear_swap_partner(victim) {
+                self.stats.gc_time_us += gc_us;
+                return self.wear_level_swap(victim, newest, kind);
+            }
+        }
         let retired = self.erase_block_internal(victim, &mut gc_us)?;
         self.stats.gc_time_us += gc_us;
         if !retired {
@@ -381,10 +403,11 @@ impl FlashCache {
         Ok(true)
     }
 
-    /// Relocates every valid page of `src` via the region's allocation
-    /// stream (open block, then free blocks, then the spare). Pages that
-    /// cannot be placed are evicted (dirty ones flushed). Returns the
-    /// number of pages moved.
+    /// Relocates the valid pages of `src` that compaction keeps (see
+    /// [`Self::keeps_referenced_only`]) via the region's allocation
+    /// stream (open block, then free blocks, then the spare). Every
+    /// other valid page, and any that cannot be placed, is evicted
+    /// (dirty ones flushed). Returns the number of pages moved.
     fn relocate_valid_pages(
         &mut self,
         src: BlockId,
@@ -392,13 +415,16 @@ impl FlashCache {
         gc_us: &mut f64,
     ) -> Result<u32, CacheError> {
         let spb = self.device.geometry().slots_per_block();
+        let referenced_only = self.keeps_referenced_only(kind);
         let mut moved = 0;
         for slot in 0..spb {
             let addr = PageAddr::new(src, slot);
             if !self.fpst.get(addr).valid {
                 continue;
             }
-            if self.move_page(addr, kind, gc_us)? {
+            if referenced_only && self.fpst.access_count(addr) == 0 {
+                self.drop_valid_page(addr, true);
+            } else if self.move_page(addr, kind, gc_us)? {
                 moved += 1;
             }
         }
@@ -480,39 +506,46 @@ impl FlashCache {
         }
     }
 
+    /// §3.6: the globally newest block, when `victim`'s wear cost exceeds
+    /// it by more than `wear_threshold`.
+    fn wear_swap_partner(&mut self, victim: BlockId) -> Option<BlockId> {
+        if !self.config.wear_threshold.is_finite() {
+            return None;
+        }
+        let newest = self.find_newest_block(victim)?;
+        let (k1, k2) = (self.config.wear_k1, self.config.wear_k2);
+        let gap = self.fbst.wear_out(victim, k1, k2) - self.fbst.wear_out(newest, k1, k2);
+        (gap > self.config.wear_threshold).then_some(newest)
+    }
+
     /// Evicts a whole block chosen by block-LRU, applying the
     /// wear-level-aware override of §3.6.
     fn evict_block(&mut self, kind: RegionKind) -> Result<bool, CacheError> {
         let Some(victim) = self.find_lru_victim(kind) else {
             return Ok(false);
         };
-        if self.config.wear_threshold.is_finite() {
-            if let Some(newest) = self.find_newest_block(victim) {
-                let (k1, k2) = (self.config.wear_k1, self.config.wear_k2);
-                let w_victim = self.fbst.wear_out(victim, k1, k2);
-                let w_newest = self.fbst.wear_out(newest, k1, k2);
-                if w_victim - w_newest > self.config.wear_threshold {
-                    return self.wear_level_swap(victim, newest, kind);
-                }
-            }
-        }
+        let partner = self.wear_swap_partner(victim);
         self.drop_block_content(victim);
         self.stats.evictions += 1;
-        self.erase_and_recycle(victim, kind)?;
-        Ok(true)
+        match partner {
+            Some(newest) => self.wear_level_swap(victim, newest, kind),
+            None => {
+                self.erase_and_recycle(victim, kind)?;
+                Ok(true)
+            }
+        }
     }
 
-    /// §3.6: the old (worn, LRU) block absorbs the newest block's
-    /// content; the newest block is erased and handed to the requesting
-    /// region, balancing wear.
+    /// §3.6: the old (worn) block, already emptied by its caller's
+    /// eviction or compaction, absorbs the newest block's content; the
+    /// newest block is erased and handed to the requesting region,
+    /// balancing wear.
     fn wear_level_swap(
         &mut self,
         old: BlockId,
         newest: BlockId,
         kind: RegionKind,
     ) -> Result<bool, CacheError> {
-        self.drop_block_content(old);
-        self.stats.evictions += 1;
         let mut gc_us = 0.0;
         let old_retired = self.erase_block_internal(old, &mut gc_us)?;
         if old_retired {

@@ -23,6 +23,10 @@ pub struct CacheStats {
     pub gc_runs: u64,
     /// Valid pages relocated by GC.
     pub gc_moved_pages: u64,
+    /// Valid pages a compaction evicted instead of relocating (dirty
+    /// ones flushed): write-region pages never read since they were
+    /// written, and pages that were unreadable or found no destination.
+    pub gc_dropped_pages: u64,
     /// Time spent in background GC, µs.
     pub gc_time_us: f64,
     /// Whole-block evictions.
@@ -112,6 +116,7 @@ impl CacheStats {
         self.erases += other.erases;
         self.gc_runs += other.gc_runs;
         self.gc_moved_pages += other.gc_moved_pages;
+        self.gc_dropped_pages += other.gc_dropped_pages;
         self.gc_time_us += other.gc_time_us;
         self.evictions += other.evictions;
         self.flushed_dirty_pages += other.flushed_dirty_pages;
@@ -166,9 +171,10 @@ impl fmt::Display for CacheStats {
         )?;
         writeln!(
             f,
-            "gc: {} runs moved {} pages ({:.2}% time overhead); {} evictions, {} flushed",
+            "gc: {} runs moved {} pages, dropped {} ({:.2}% time overhead); {} evictions, {} flushed",
             self.gc_runs,
             self.gc_moved_pages,
+            self.gc_dropped_pages,
             100.0 * self.gc_overhead(),
             self.evictions,
             self.flushed_dirty_pages
@@ -227,6 +233,7 @@ mod tests {
             reads: 3,
             read_hits: 2,
             gc_time_us: 1.5,
+            gc_dropped_pages: 5,
             internal_errors: 1,
             ..CacheStats::default()
         };
@@ -234,6 +241,7 @@ mod tests {
             reads: 4,
             writes: 7,
             gc_time_us: 0.5,
+            gc_dropped_pages: 2,
             admission_rejected_writes: 3,
             admission_bytes_written: 4096,
             ..CacheStats::default()
@@ -243,6 +251,7 @@ mod tests {
         assert_eq!(m.reads, 7);
         assert_eq!(m.read_hits, 2);
         assert_eq!(m.writes, 7);
+        assert_eq!(m.gc_dropped_pages, 7);
         assert_eq!(m.internal_errors, 1);
         assert_eq!(m.admission_rejected_writes, 3);
         assert_eq!(m.admission_bytes_written, 4096);
@@ -258,10 +267,11 @@ mod tests {
         let s = CacheStats {
             reads: 5,
             gc_runs: 2,
+            gc_dropped_pages: 9,
             ..CacheStats::default()
         };
         let text = s.to_string();
         assert!(text.contains("reads 5"));
-        assert!(text.contains("gc: 2 runs"));
+        assert!(text.contains("gc: 2 runs moved 0 pages, dropped 9"));
     }
 }

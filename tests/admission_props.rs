@@ -160,6 +160,55 @@ proptest! {
         let out = cache.op(CacheOp::read(0)).access;
         prop_assert!(out.hit || out.needs_disk_read);
     }
+
+    /// No dirty page leaves flash without a flush being reported: for
+    /// every policy x bucket count on the striped device, after each op
+    /// the pages that were dirty in flash and are no longer cached are
+    /// exactly as many as the op reported flushed — an eviction, a
+    /// compaction dropping unread pages and a failed promotion all go
+    /// through the same accounting — so every page ever written is
+    /// cached or has been reported flushed since its last write.
+    #[test]
+    fn no_dirty_page_leaves_flash_unreported(
+        ops in prop::collection::vec(op_strategy(300), 1..600),
+        policy in policy_strategy(),
+        buckets in 1u32..6,
+    ) {
+        let mut config = striped_config();
+        config.admission = policy;
+        config.longevity_buckets = buckets;
+        let mut cache = FlashCache::new(config).unwrap();
+        // Pages whose newest data is in flash only.
+        let mut dirty = std::collections::BTreeSet::new();
+        for (i, &op) in ops.iter().enumerate() {
+            let flushed = match op {
+                Op::Read(p) => cache.op(CacheOp::read(p)).access.flushed_dirty,
+                Op::Write(p) => {
+                    let out = cache.op(CacheOp::write(p)).access;
+                    // A bypassed write is the caller's disk write.
+                    if out.bypassed {
+                        dirty.remove(&p);
+                    } else {
+                        dirty.insert(p);
+                    }
+                    out.flushed_dirty
+                }
+                Op::Flush => {
+                    prop_assert_eq!(cache.flush_writes(), dirty.len() as u64);
+                    dirty.clear();
+                    0
+                }
+            };
+            let left = dirty.iter().filter(|&&p| !cache.contains(p)).count();
+            prop_assert_eq!(left, flushed as usize, "op {} ({:?})", i, op);
+            dirty.retain(|&p| cache.contains(p));
+            if i % 64 == 0 {
+                cache.check_invariants().map_err(TestCaseError::fail)?;
+            }
+        }
+        prop_assert_eq!(cache.flush_writes(), dirty.len() as u64);
+        cache.check_invariants().map_err(TestCaseError::fail)?;
+    }
 }
 
 /// A write storm cannot push more than the cap's allowance into flash,
