@@ -50,8 +50,10 @@ SIMULATE:
                       parallelism, capped by the shard count)
 
 ADMISSION (simulate, sweep, lifetime):
-  --admission P       flash admission policy: all (default, paper-faithful)
-                      | reref (admit after a re-read in a decay window)
+  --admission P       flash admission policy: reref (default: a read miss
+                      fills on the page's second miss, or while the read
+                      region has an erased block in reserve)
+                      | all (the paper's rule: every miss fills)
                       | writecap (token-bucket write cap + dirty coalescing)
   --longevity-buckets N  route writes into N longevity-bucketed write
                       frontiers in the write region (default 1 = off)
@@ -128,16 +130,13 @@ fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
 }
 
 /// Reads the `--admission` / `--longevity-buckets` options shared by
-/// `simulate`, `sweep`, and `lifetime`. The `reref` and `writecap`
-/// presets carry windows sized for the standard 100k-request replays;
-/// fine-grained knobs stay library-level (`FlashCacheConfig::builder`).
+/// `simulate`, `sweep`, and `lifetime`. The `writecap` preset carries a
+/// window sized for the standard 100k-request replays; fine-grained
+/// knobs stay library-level (`FlashCacheConfig::builder`).
 fn admission_config(args: &super::Args) -> Result<(AdmissionPolicyConfig, u32), String> {
-    let admission = match args.get("admission").unwrap_or("all") {
+    let admission = match args.get("admission").unwrap_or("reref") {
         "all" => AdmissionPolicyConfig::AdmitAll,
-        "reref" => AdmissionPolicyConfig::ReReference {
-            k: 1,
-            window: 65_536,
-        },
+        "reref" => AdmissionPolicyConfig::ReReference,
         "writecap" => AdmissionPolicyConfig::WriteCap {
             pages_per_window: 2048,
             window: 4096,

@@ -3,34 +3,30 @@
 //! The paper admits every DRAM-evicted page into the flash cache; the
 //! related work shows most of those flash writes are avoidable.
 //! [`AdmissionPolicy`] gates what may enter flash at all — modelled on
-//! Flashield's "prove re-read-worthiness in DRAM first" ghost counters
-//! and WLFC's "just write less" bandwidth cap — while [`Longevity`]
-//! chooses *where* admitted writes land: per-bucket open blocks in the
-//! write region keyed by predicted re-write interval, so short-lived
-//! pages co-locate and invalidate whole blocks together, cutting GC
-//! write amplification.
+//! Flashield's "prove re-read-worthiness first" and WLFC's "just write
+//! less" bandwidth cap — while [`Longevity`] chooses *where* admitted
+//! writes land: per-bucket open blocks in the write region keyed by
+//! predicted re-write interval, so short-lived pages co-locate and
+//! invalidate whole blocks together, cutting GC write amplification.
 //!
-//! The default [`AdmitAll`] policy with a single longevity bucket is
-//! the paper-faithful oracle: it reproduces pre-admission behaviour
-//! byte for byte (the differential tests in `tests/admission_props.rs`
-//! hold the gate shut).
+//! The default is the [`Doorkeeper`] (a fill on the page's second miss).
+//! [`AdmitAll`] is the paper's §5.1 rule, byte-identical to pre-admission
+//! behaviour: the differential tests' reference, pinned by every figure.
 
 use std::fmt;
 
 use crate::config::AdmissionPolicyConfig;
+use crate::tables::Fcht;
 use nand_flash::fxhash::FxHashMap;
 
 /// Decides, per access, whether a page may occupy flash space.
-///
-/// Policies see the cache's logical access clock (`tick`), so their
-/// decay windows are measured in accesses — the same time base as the
-/// FPST access-counter decay.
 pub trait AdmissionPolicy: fmt::Debug + Send {
-    /// Whether a read-miss fill of `disk_page` may be cached in flash.
-    fn admit_fill(&mut self, disk_page: u64, tick: u64) -> bool;
+    /// Whether `disk_page` has earned a read-miss fill (one it has not
+    /// may still fill on the reserve: `FlashCache::admitted_fill`).
+    fn admit_fill(&mut self, disk_page: u64) -> bool;
 
     /// Whether a host write of `disk_page` may be programmed into the
-    /// write region.
+    /// write region. `tick` is the cache's logical access clock.
     fn admit_write(&mut self, disk_page: u64, tick: u64) -> bool;
 
     /// Whether a write hitting an already-dirty cached copy may be
@@ -41,12 +37,12 @@ pub trait AdmissionPolicy: fmt::Debug + Send {
     }
 }
 
-/// The paper-faithful default: every fill and write is admitted.
+/// The paper's §5.1 rule: every fill and write is admitted.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AdmitAll;
 
 impl AdmissionPolicy for AdmitAll {
-    fn admit_fill(&mut self, _disk_page: u64, _tick: u64) -> bool {
+    fn admit_fill(&mut self, _disk_page: u64) -> bool {
         true
     }
 
@@ -55,76 +51,80 @@ impl AdmissionPolicy for AdmitAll {
     }
 }
 
-/// Two-generation ghost table: per-page counters for pages *not yet*
-/// (or no longer) proven cache-worthy. Rotating generations bounds the
-/// table to roughly the pages touched in two windows and implements
-/// decay without a sweep — a counter survives at most one rotation.
+/// Second-miss admission (Flashield's and WLFC's position: a page proves
+/// itself before it earns a flash write): a read-miss fill is admitted
+/// once an earlier miss of the page is remembered, so one-hit wonders
+/// stop costing programs and evicting proven pages. Host writes are
+/// always admitted: dirty data has to land somewhere, and write-region
+/// compaction already drops the unread ones.
+///
+/// The memory is two generations of a blocked Bloom filter, 8 bits per
+/// remembered page: a page's two bits sit in one 64-bit word per
+/// generation, and the generations' words are adjacent, so a
+/// test-and-record touches one cache line. The clock is *distinct
+/// pages*: the generations rotate once `horizon` pages new to the
+/// current one have been recorded — the cache's slot count, a page's own
+/// residency had it been cached — so a page is remembered for one to two
+/// horizons whatever the access rate, and forgotten without a sweep.
 #[derive(Debug)]
-struct GhostCounters {
-    window: u64,
-    epoch_start: u64,
-    cur: FxHashMap<u64, u8>,
-    prev: FxHashMap<u64, u8>,
+pub struct Doorkeeper {
+    /// `[generation 0, generation 1]` per word index.
+    words: Vec<[u64; 2]>,
+    /// The generation being recorded into (0 or 1).
+    cur: usize,
+    /// Distinct pages recorded in the current generation.
+    recorded: u64,
+    horizon: u64,
 }
 
-impl GhostCounters {
-    fn new(window: u64) -> Self {
-        GhostCounters {
-            window: window.max(1),
-            epoch_start: 0,
-            cur: FxHashMap::default(),
-            prev: FxHashMap::default(),
+impl Doorkeeper {
+    /// Builds the doorkeeper for a cache of `slots` page slots.
+    pub fn new(slots: u64) -> Self {
+        let horizon = slots.max(1);
+        Doorkeeper {
+            words: vec![[0; 2]; horizon.div_ceil(8) as usize],
+            cur: 0,
+            recorded: 0,
+            horizon,
         }
     }
 
-    fn rotate_if_due(&mut self, tick: u64) {
-        if tick.wrapping_sub(self.epoch_start) >= self.window {
-            self.prev = std::mem::take(&mut self.cur);
-            self.epoch_start = tick;
+    /// Whether `page` is remembered from an earlier call, recording it
+    /// in the current generation either way.
+    fn seen(&mut self, page: u64) -> bool {
+        // The FCHT's multiplicative hash, twice: one product loads the
+        // words unevenly under a scan of consecutive pages, which a Bloom
+        // filter pays for in false positives. Word from the high product
+        // bits, bit positions from the twelve below them.
+        let h = Fcht::hash(page);
+        let h = Fcht::hash(h ^ (h >> 32));
+        let word = (((h >> 32) * self.words.len() as u64) >> 32) as usize;
+        let mask = 1u64 << ((h >> 26) & 63) | 1u64 << ((h >> 20) & 63);
+        let pair = &mut self.words[word];
+        let in_cur = pair[self.cur] & mask == mask;
+        let known = in_cur || pair[self.cur ^ 1] & mask == mask;
+        if !in_cur {
+            pair[self.cur] |= mask;
+            self.recorded += 1;
+            if self.recorded == self.horizon {
+                self.recorded = 0;
+                self.cur ^= 1;
+                for pair in &mut self.words {
+                    pair[self.cur] = 0;
+                }
+            }
         }
-    }
-
-    /// Bumps `page`'s counter (seeding from the previous generation on
-    /// first touch this window) and returns the new count.
-    fn bump(&mut self, page: u64, tick: u64) -> u8 {
-        self.rotate_if_due(tick);
-        let seed = self.prev.get(&page).copied().unwrap_or(0);
-        let c = self.cur.entry(page).or_insert(seed);
-        *c = c.saturating_add(1);
-        *c
+        known
     }
 }
 
-/// Flashield-style re-reference admission: a page must be touched `k`
-/// more times within the decay window after its first appearance before
-/// it earns flash space. One-hit wonders never reach the flash, so the
-/// device stops burning program/erase cycles on pages that would have
-/// been evicted before their second read anyway.
-#[derive(Debug)]
-pub struct ReReference {
-    k: u8,
-    ghosts: GhostCounters,
-}
-
-impl ReReference {
-    /// Builds the policy: admit after `k` re-references within `window`
-    /// accesses (both validated nonzero by the config layer).
-    pub fn new(k: u8, window: u64) -> Self {
-        ReReference {
-            k,
-            ghosts: GhostCounters::new(window),
-        }
-    }
-}
-
-impl AdmissionPolicy for ReReference {
-    fn admit_fill(&mut self, disk_page: u64, tick: u64) -> bool {
-        // First touch counts 1; the page needs k further touches.
-        self.ghosts.bump(disk_page, tick) > self.k
+impl AdmissionPolicy for Doorkeeper {
+    fn admit_fill(&mut self, disk_page: u64) -> bool {
+        self.seen(disk_page)
     }
 
-    fn admit_write(&mut self, disk_page: u64, tick: u64) -> bool {
-        self.ghosts.bump(disk_page, tick) > self.k
+    fn admit_write(&mut self, _disk_page: u64, _tick: u64) -> bool {
+        true
     }
 }
 
@@ -168,7 +168,7 @@ impl WriteCap {
 }
 
 impl AdmissionPolicy for WriteCap {
-    fn admit_fill(&mut self, _disk_page: u64, _tick: u64) -> bool {
+    fn admit_fill(&mut self, _disk_page: u64) -> bool {
         true
     }
 
@@ -187,11 +187,12 @@ impl AdmissionPolicy for WriteCap {
     }
 }
 
-/// Instantiates the policy a config selects.
-pub fn build_policy(config: &AdmissionPolicyConfig) -> Box<dyn AdmissionPolicy> {
+/// Instantiates the policy a config selects, for a cache of `slots`
+/// page slots.
+pub fn build_policy(config: &AdmissionPolicyConfig, slots: u64) -> Box<dyn AdmissionPolicy> {
     match *config {
         AdmissionPolicyConfig::AdmitAll => Box::new(AdmitAll),
-        AdmissionPolicyConfig::ReReference { k, window } => Box::new(ReReference::new(k, window)),
+        AdmissionPolicyConfig::ReReference => Box::new(Doorkeeper::new(slots)),
         AdmissionPolicyConfig::WriteCap {
             pages_per_window,
             window,
@@ -214,8 +215,8 @@ pub struct Longevity {
     horizon: u64,
     window: u64,
     epoch_start: u64,
-    /// Last-write tick per page, two generations (bounded like the
-    /// ghost counters).
+    /// Last-write tick per page, two generations (a record survives at
+    /// most one rotation, which bounds the maps without a sweep).
     cur: FxHashMap<u64, u64>,
     prev: FxHashMap<u64, u64>,
 }
@@ -281,40 +282,132 @@ impl Longevity {
 mod tests {
     use super::*;
 
+    impl Doorkeeper {
+        /// [`Doorkeeper::seen`] without the record.
+        fn words_hold(&self, page: u64) -> bool {
+            let mut probe = Doorkeeper {
+                words: self.words.clone(),
+                ..*self
+            };
+            probe.seen(page)
+        }
+    }
+
     #[test]
     fn admit_all_admits_everything() {
         let mut p = AdmitAll;
-        assert!(p.admit_fill(1, 0));
+        assert!(p.admit_fill(1));
         assert!(p.admit_write(2, u64::MAX));
         assert!(!p.coalesces_dirty_overwrites());
     }
 
+    /// The doorkeeper's `k` is one: a fill on the second miss.
     #[test]
     fn rereference_requires_k_rereads() {
-        let mut p = ReReference::new(2, 1000);
-        assert!(!p.admit_fill(7, 1)); // first touch
-        assert!(!p.admit_fill(7, 2)); // first re-read
-        assert!(p.admit_fill(7, 3)); // second re-read: admitted
-        assert!(!p.admit_write(8, 3), "independent pages count separately");
+        let mut p = Doorkeeper::new(1000);
+        assert!(!p.admit_fill(7), "unknown on first sight");
+        assert!(p.admit_fill(7), "known on the second");
+        assert!(
+            !p.admit_fill(8),
+            "independent pages are remembered separately"
+        );
+        assert!(p.admit_write(9, 0), "host writes are never gated");
     }
 
-    #[test]
-    fn rereference_counters_decay_after_two_windows() {
-        let mut p = ReReference::new(1, 10);
-        assert!(!p.admit_fill(5, 0));
-        // Two rotations later the page's history is gone.
-        assert!(!p.admit_fill(99, 10)); // rotates: cur -> prev
-        assert!(!p.admit_fill(98, 20)); // rotates: page 5 dropped
-        assert!(!p.admit_fill(5, 21), "history decayed; back to square one");
-        assert!(p.admit_fill(5, 22));
+    /// Pages spread over the key space (a scan of consecutive pages
+    /// would also do; spread keys exercise every word).
+    fn page(i: u64) -> u64 {
+        i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20
+    }
+
+    /// Records fresh pages `from..` until the generations rotate;
+    /// returns the next unused index.
+    fn fill_generation(d: &mut Doorkeeper, from: u64) -> u64 {
+        let cur = d.cur;
+        let mut i = from;
+        while d.cur == cur {
+            d.seen(page(i));
+            i += 1;
+        }
+        i
     }
 
     #[test]
     fn rereference_history_survives_one_rotation() {
-        let mut p = ReReference::new(1, 10);
-        assert!(!p.admit_fill(5, 0));
-        // One rotation: the count seeds from the previous generation.
-        assert!(p.admit_fill(5, 12));
+        let n = 4096;
+        let mut d = Doorkeeper::new(n);
+        assert!(!d.seen(page(0)));
+        let next = fill_generation(&mut d, 1);
+        // A page the filter already seems to hold is not counted, so a
+        // generation takes a few more than `n` pages to fill.
+        assert!((n..n + n / 10).contains(&next), "rotated after {next}");
+        assert!(d.seen(page(0)), "one rotation: still remembered");
+    }
+
+    /// The window is a generation of distinct pages, not of accesses.
+    #[test]
+    fn rereference_counters_decay_after_two_windows() {
+        let n = 4096;
+        let mut d = Doorkeeper::new(n);
+        let next = fill_generation(&mut d, 0);
+        // Page 0 is re-recorded in the new generation; pages 1.. are
+        // not, and a second rotation drops the generation they are in.
+        assert!(d.seen(page(0)));
+        fill_generation(&mut d, next);
+        assert!(d.seen(page(0)), "refreshed by its re-record");
+        let forgotten = (1..n).filter(|&i| !d.words_hold(page(i))).count() as u64;
+        assert!(forgotten > n * 9 / 10, "{forgotten} of {n} forgotten");
+    }
+
+    #[test]
+    fn doorkeeper_rotation_counts_distinct_pages_not_calls() {
+        let mut d = Doorkeeper::new(64);
+        for _ in 0..10_000 {
+            d.seen(page(1));
+            d.seen(page(2));
+        }
+        assert_eq!((d.cur, d.recorded), (0, 2), "re-recording never rotates");
+    }
+
+    #[test]
+    fn doorkeeper_false_positive_rate_at_a_full_generation() {
+        for slots in [1000u64, 65_536] {
+            let mut d = Doorkeeper::new(slots);
+            // One short of rotation: the current generation is as full
+            // as it ever gets, the previous one is empty.
+            for i in 0..slots - 1 {
+                d.seen(page(i));
+            }
+            assert_eq!(d.cur, 0);
+            let probes = 20_000;
+            let fp = (0..probes)
+                .filter(|&i| d.words_hold(page(1 << 40 | i)))
+                .count();
+            assert!(
+                fp * 10 <= probes as usize,
+                "{slots} slots: {fp} false positives in {probes}"
+            );
+            // Consecutive page numbers (a scan) fare no worse.
+            let mut d = Doorkeeper::new(slots);
+            for i in 0..slots - 1 {
+                d.seen(i);
+            }
+            let fp = (0..probes).filter(|&i| d.words_hold(slots + i)).count();
+            assert!(
+                fp * 10 <= probes as usize,
+                "{slots} slots, scan: {fp} false positives in {probes}"
+            );
+        }
+    }
+
+    #[test]
+    fn doorkeeper_is_deterministic() {
+        let run = || {
+            let mut d = Doorkeeper::new(512);
+            let answers: Vec<bool> = (0..5000u64).map(|i| d.seen(page(i % 1500))).collect();
+            (answers, d.words, d.cur, d.recorded)
+        };
+        assert_eq!(run(), run());
     }
 
     #[test]
@@ -325,7 +418,7 @@ mod tests {
         // Next window refills the bucket.
         assert!(p.admit_write(11, 150));
         // Fills are never capped.
-        assert!(p.admit_fill(12, 150));
+        assert!(p.admit_fill(12));
     }
 
     #[test]
@@ -362,15 +455,18 @@ mod tests {
 
     #[test]
     fn build_policy_matches_config() {
-        let p = build_policy(&AdmissionPolicyConfig::AdmitAll);
+        let p = build_policy(&AdmissionPolicyConfig::AdmitAll, 64);
         assert!(format!("{p:?}").contains("AdmitAll"));
-        let p = build_policy(&AdmissionPolicyConfig::ReReference { k: 1, window: 10 });
-        assert!(format!("{p:?}").contains("ReReference"));
-        let p = build_policy(&AdmissionPolicyConfig::WriteCap {
-            pages_per_window: 4,
-            window: 10,
-            coalesce: true,
-        });
+        let p = build_policy(&AdmissionPolicyConfig::ReReference, 64);
+        assert!(format!("{p:?}").contains("Doorkeeper"));
+        let p = build_policy(
+            &AdmissionPolicyConfig::WriteCap {
+                pages_per_window: 4,
+                window: 10,
+                coalesce: true,
+            },
+            64,
+        );
         assert!(p.coalesces_dirty_overwrites());
     }
 }

@@ -328,7 +328,7 @@ impl FlashCache {
             usable_slots,
             op_flushed: 0,
             op_background_us: 0.0,
-            admission: build_policy(&config.admission),
+            admission: build_policy(&config.admission, usable_slots),
             longevity: Longevity::new(wbuckets as u32, decay_interval),
             longevity_writes: vec![0; wbuckets],
             stats: CacheStats::default(),
@@ -397,6 +397,7 @@ impl FlashCache {
             ("flash.reclaim.index_hits", s.reclaim_index_hits),
             ("flash.reclaim.index_skips", self.reclaim.skips()),
             ("flash.admission.rejected_fills", s.admission_rejected_fills),
+            ("flash.admission.reserve_fills", s.admission_reserve_fills),
             (
                 "flash.admission.rejected_writes",
                 s.admission_rejected_writes,
@@ -832,15 +833,19 @@ impl FlashCache {
     }
 
     /// Runs the admission gate in front of a read-miss fill. Returns
-    /// whether a copy was cached and the decision taken.
+    /// whether a copy was cached and the decision taken. A page the
+    /// policy has not admitted fills all the same while the read region
+    /// holds an erased block in reserve: that fill evicts nothing.
     fn admitted_fill(&mut self, disk_page: u64) -> Result<(bool, AdmissionDecision), CacheError> {
-        if self.admission.admit_fill(disk_page, self.tick) {
-            let filled = self.fill_from_disk(disk_page, RegionKind::Read)?;
-            Ok((filled, AdmissionDecision::Admitted))
-        } else {
-            self.stats.admission_rejected_fills += 1;
-            Ok((false, AdmissionDecision::Rejected))
+        if !self.admission.admit_fill(disk_page) {
+            if self.region(RegionKind::Read).free.is_empty() {
+                self.stats.admission_rejected_fills += 1;
+                return Ok((false, AdmissionDecision::Rejected));
+            }
+            self.stats.admission_reserve_fills += 1;
         }
+        let filled = self.fill_from_disk(disk_page, RegionKind::Read)?;
+        Ok((filled, AdmissionDecision::Admitted))
     }
 
     /// §5.1 write path — always an out-of-place write into the write

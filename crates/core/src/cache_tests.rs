@@ -6,8 +6,8 @@ use nand_flash::{CellMode, FlashConfig, FlashGeometry, WearConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cache::{CacheOp, FlashCache};
-use crate::config::{ControllerPolicy, FlashCacheConfig, SplitPolicy};
+use crate::cache::{AdmissionDecision, CacheOp, FlashCache};
+use crate::config::{AdmissionPolicyConfig, ControllerPolicy, FlashCacheConfig, SplitPolicy};
 
 /// A small cache: 16 blocks × 8 physical pages = 256 slots.
 fn small_config() -> FlashCacheConfig {
@@ -559,14 +559,16 @@ fn slc_default_mode_halves_capacity_but_works() {
         ..small_config()
     })
     .unwrap();
-    for p in 0..300u64 {
+    // The scan outruns either cache, so page 299 is read twice: the
+    // default admission fills it on its second miss.
+    for p in (0..300u64).chain([299]) {
         c.op(CacheOp::read(p));
     }
     c.check_invariants().unwrap();
     assert!(c.op(CacheOp::read(299)).access.hit);
     // SLC hit latency (25µs + decode) is lower than the MLC default.
     let mut mlc = small_cache();
-    for p in 0..300u64 {
+    for p in (0..300u64).chain([299]) {
         mlc.op(CacheOp::read(p));
     }
     let slc_hit = c.op(CacheOp::read(299)).access.latency_us;
@@ -656,4 +658,100 @@ fn error_response_saturates_past_u8() {
         assert_eq!(c.stats().reconfig_ecc, 1);
         c.check_invariants().unwrap();
     }
+}
+
+/// The reserve clause of the default admission: while the read region
+/// holds an erased block a first-touch read fills; with none it is
+/// turned away, costs no program and can force nothing out.
+#[test]
+fn first_touch_fills_only_while_an_erased_block_is_in_reserve() {
+    let mut c = small_cache();
+    assert!(!c.read_region.free.is_empty());
+    let first = c.op(CacheOp::read(42));
+    assert_eq!(first.admission, AdmissionDecision::Admitted);
+    assert!(c.op(CacheOp::read(42)).access.hit);
+    assert_eq!(c.stats().admission_reserve_fills, 1);
+
+    // Dirty pages in the write region, then a scan that opens the read
+    // region's last erased block.
+    for p in 100..110u64 {
+        c.op(CacheOp::write(p));
+    }
+    let mut p = 1_000u64;
+    while !c.read_region.free.is_empty() {
+        assert_eq!(
+            c.op(CacheOp::read(p)).admission,
+            AdmissionDecision::Admitted
+        );
+        p += 1;
+    }
+    assert_eq!(c.stats().admission_rejected_fills, 0);
+
+    let before = c.stats();
+    let cold = c.op(CacheOp::read(5_000));
+    assert_eq!(cold.admission, AdmissionDecision::Rejected);
+    assert!(cold.access.needs_disk_read && cold.access.bypassed && !cold.access.hit);
+    assert_eq!(cold.access.flushed_dirty, 0);
+    assert!(!c.contains(5_000));
+    let after = c.stats();
+    assert_eq!(after.admission_rejected_fills, 1);
+    assert_eq!(after.flash_programs, before.flash_programs);
+    assert_eq!(
+        (after.evictions, after.erases),
+        (before.evictions, before.erases)
+    );
+    // Its second miss has earned the program.
+    assert_eq!(
+        c.op(CacheOp::read(5_000)).admission,
+        AdmissionDecision::Admitted
+    );
+    assert!(c.op(CacheOp::read(5_000)).access.hit);
+    assert_eq!(
+        c.stats().admission_reserve_fills,
+        before.admission_reserve_fills
+    );
+    c.check_invariants().unwrap();
+}
+
+/// Scan resistance: a hot set of half the read region (104 of its 208
+/// slots), re-read between four bursts of a one-pass scan that is four
+/// times the cache in all. Returns the hot set's hits over the four
+/// re-reads and the programs spent.
+fn hot_set_hits_under_scan(admission: AdmissionPolicyConfig) -> (u64, u64) {
+    let mut c = FlashCache::new(FlashCacheConfig {
+        admission,
+        ..small_config()
+    })
+    .unwrap();
+    let hot = 0..104u64;
+    for p in hot.clone() {
+        c.op(CacheOp::read(p));
+    }
+    let mut hits = 0;
+    for burst in 0..4u64 {
+        for p in 0..256 {
+            c.op(CacheOp::read(10_000 + burst * 256 + p));
+        }
+        for p in hot.clone() {
+            hits += u64::from(c.op(CacheOp::read(p)).access.hit);
+        }
+    }
+    c.check_invariants().unwrap();
+    (hits, c.stats().flash_programs)
+}
+
+#[test]
+fn one_pass_scan_does_not_evict_the_hot_set() {
+    // The paper's rule fills every scanned page: each 256-page burst
+    // pushes the whole hot set out of the 208-slot read region.
+    let (paper_hits, paper_programs) = hot_set_hits_under_scan(AdmissionPolicyConfig::AdmitAll);
+    assert_eq!(paper_hits, 0);
+    // Ours: the scan takes the erased blocks that are left and is then
+    // turned away, so every re-read of the hot set hits.
+    let (hits, programs) = hot_set_hits_under_scan(AdmissionPolicyConfig::default());
+    assert_eq!(hits, 4 * 104);
+    assert!(
+        programs * 4 < paper_programs,
+        "{programs} programs vs the paper's {paper_programs}"
+    );
 }

@@ -57,18 +57,16 @@ impl Default for SplitPolicy {
 /// counter decay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicyConfig {
-    /// Admit every fill and write — the paper-faithful baseline.
-    #[default]
+    /// Admit every fill and write — the paper's §5.1 rule, which the
+    /// figure binaries pin.
     AdmitAll,
-    /// Ghost-counter admission (Flashield-style): a page must be
-    /// touched `k` more times within `window` accesses of its first
-    /// appearance before it earns flash space.
-    ReReference {
-        /// Re-references required before admission (`>= 1`).
-        k: u8,
-        /// Decay window in cache accesses (`>= 1`).
-        window: u64,
-    },
+    /// Second-miss admission: a read-miss fill is programmed once the
+    /// page has missed before, remembered over one cache's worth of
+    /// distinct pages, or while the read region holds an erased block
+    /// in reserve. Host writes are always admitted. No parameters: the
+    /// memory is sized from the device geometry.
+    #[default]
+    ReReference,
     /// Token-bucket cap on flash write bandwidth (WLFC-style): at most
     /// `pages_per_window` host writes per `window` accesses are
     /// programmed; the rest go straight to disk. Fills are never
@@ -163,8 +161,8 @@ pub struct FlashCacheConfig {
     /// (§5.2.2). `0` selects one cache-capacity of accesses.
     pub counter_decay_interval: u64,
     /// Admission policy gating fills and host writes out of the flash
-    /// (default [`AdmissionPolicyConfig::AdmitAll`], the paper's
-    /// behaviour).
+    /// (default [`AdmissionPolicyConfig::ReReference`];
+    /// [`AdmissionPolicyConfig::AdmitAll`] is the paper's behaviour).
     pub admission: AdmissionPolicyConfig,
     /// Longevity buckets in the write region: admitted host writes are
     /// routed into per-bucket open blocks by predicted re-write
@@ -199,7 +197,7 @@ impl Default for FlashCacheConfig {
 }
 
 impl FlashCacheConfig {
-    /// Starts a fluent builder seeded with the paper-default
+    /// Starts a fluent builder seeded with the default
     /// configuration; call [`FlashCacheConfigBuilder::build`] to
     /// validate and obtain the finished config.
     ///
@@ -295,21 +293,7 @@ impl FlashCacheConfig {
             }
         }
         match self.admission {
-            AdmissionPolicyConfig::AdmitAll => {}
-            AdmissionPolicyConfig::ReReference { k, window } => {
-                if k == 0 {
-                    return Err(ConfigError::new(
-                        "re-reference admission needs k >= 1 (k = 0 admits \
-                         everything; use AdmitAll)"
-                            .to_string(),
-                    ));
-                }
-                if window == 0 {
-                    return Err(ConfigError::new(
-                        "re-reference admission window must be nonzero".to_string(),
-                    ));
-                }
-            }
+            AdmissionPolicyConfig::AdmitAll | AdmissionPolicyConfig::ReReference => {}
             AdmissionPolicyConfig::WriteCap {
                 pages_per_window,
                 window,
@@ -342,7 +326,7 @@ impl FlashCacheConfig {
 /// Fluent constructor for [`FlashCacheConfig`], obtained from
 /// [`FlashCacheConfig::builder`].
 ///
-/// Every setter overrides one field of the paper-default configuration;
+/// Every setter overrides one field of the default configuration;
 /// [`build`](FlashCacheConfigBuilder::build) runs
 /// [`FlashCacheConfig::validate`] so the returned config is always
 /// internally consistent.
@@ -609,15 +593,7 @@ mod tests {
 
     #[test]
     fn admission_validation_rejects_degenerate_knobs() {
-        // k = 0 would admit everything; explicitly rejected.
-        assert!(FlashCacheConfig::builder()
-            .admission(AdmissionPolicyConfig::ReReference { k: 0, window: 100 })
-            .build()
-            .is_err());
-        assert!(FlashCacheConfig::builder()
-            .admission(AdmissionPolicyConfig::ReReference { k: 1, window: 0 })
-            .build()
-            .is_err());
+        // Second-miss admission has nothing to get wrong: no knobs.
         // Zero-rate cap rejects every write; rejected at build time.
         assert!(FlashCacheConfig::builder()
             .admission(AdmissionPolicyConfig::WriteCap {
@@ -644,21 +620,21 @@ mod tests {
             .build()
             .is_err());
         let c = FlashCacheConfig::builder()
-            .admission(AdmissionPolicyConfig::ReReference { k: 2, window: 64 })
+            .admission(AdmissionPolicyConfig::AdmitAll)
             .longevity_buckets(4)
             .build()
             .unwrap();
-        assert_eq!(
-            c.admission,
-            AdmissionPolicyConfig::ReReference { k: 2, window: 64 }
-        );
+        assert_eq!(c.admission, AdmissionPolicyConfig::AdmitAll);
         assert_eq!(c.longevity_buckets, 4);
     }
 
+    /// Ours, not the paper's: §5.1 fills on every miss (`AdmitAll`,
+    /// which the figure binaries pin); the library default makes a page
+    /// miss twice first. Placement stays the paper's single log head.
     #[test]
     fn admission_defaults_are_paper_faithful() {
         let c = FlashCacheConfig::default();
-        assert_eq!(c.admission, AdmissionPolicyConfig::AdmitAll);
+        assert_eq!(c.admission, AdmissionPolicyConfig::ReReference);
         assert_eq!(c.longevity_buckets, 1);
     }
 

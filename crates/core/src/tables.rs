@@ -142,7 +142,7 @@ impl Fcht {
 
     /// The multiplicative hash all probe addressing derives from.
     #[inline]
-    fn hash(key: u64) -> u64 {
+    pub(crate) fn hash(key: u64) -> u64 {
         key.wrapping_mul(FCHT_SEED)
     }
 
@@ -1115,7 +1115,7 @@ mod tests {
     fn admission_strategy() -> impl Strategy<Value = AdmissionPolicyConfig> {
         prop_oneof![
             Just(AdmissionPolicyConfig::AdmitAll),
-            Just(AdmissionPolicyConfig::ReReference { k: 1, window: 64 }),
+            Just(AdmissionPolicyConfig::ReReference),
             Just(AdmissionPolicyConfig::WriteCap {
                 pages_per_window: 8,
                 window: 32,

@@ -577,26 +577,62 @@ mod tests {
 
     #[test]
     fn admission_config_reaches_every_shard() {
-        let reref = AdmissionPolicyConfig::ReReference { k: 1, window: 512 };
+        // The paper's rule, asked for explicitly, reaches each shard: a
+        // scan of three times the flash is never refused.
         let mut cfg = config(32);
-        cfg.admission = reref;
+        cfg.admission = AdmissionPolicyConfig::AdmitAll;
         cfg.longevity_buckets = 2;
         let mut e = ShardedCache::new(cfg, 4).unwrap();
         for shard in e.shards() {
-            assert_eq!(shard.config().admission, reref);
+            assert_eq!(shard.config().admission, AdmissionPolicyConfig::AdmitAll);
             assert_eq!(shard.config().longevity_buckets, 2);
         }
-        // The gate holds on the first touch of a cold page...
-        let cold = e.op(CacheOp::read(7));
-        assert_eq!(cold.admission, AdmissionDecision::Rejected);
-        assert!(cold.access.needs_disk_read && !cold.access.hit);
-        // ...and the re-read earns flash space, wherever the page shards.
+        for p in 0..1000 {
+            e.op(CacheOp::read(p));
+        }
+        assert_eq!(e.stats().admission_rejected_fills, 0);
+
+        // The default (ours): each shard runs its own second-miss gate.
+        let mut e = ShardedCache::new(config(32), 4).unwrap();
+        for shard in e.shards() {
+            assert_eq!(shard.config().admission, AdmissionPolicyConfig::ReReference);
+        }
+        // With erased blocks in reserve a cold page fills...
         assert_eq!(
             e.op(CacheOp::read(7)).admission,
             AdmissionDecision::Admitted
         );
         assert!(e.op(CacheOp::read(7)).access.hit);
-        assert_eq!(e.stats().admission_rejected_fills, 1);
+        // ...and once a scan has used every shard's reserve up...
+        for p in 1000..2000 {
+            e.op(CacheOp::read(p));
+        }
+        let per_shard = e.shard_stats();
+        assert!(per_shard.iter().all(|s| s.admission_rejected_fills > 0));
+        let merged = e.stats();
+        let sum = |f: fn(&CacheStats) -> u64| per_shard.iter().map(f).sum::<u64>();
+        assert_eq!(
+            merged.admission_rejected_fills,
+            sum(|s| s.admission_rejected_fills)
+        );
+        assert_eq!(
+            merged.admission_reserve_fills,
+            sum(|s| s.admission_reserve_fills)
+        );
+        // ...the gate holds on the first touch of a cold page, and the
+        // re-read earns flash space, wherever the page shards.
+        let cold = e.op(CacheOp::read(5000));
+        assert_eq!(cold.admission, AdmissionDecision::Rejected);
+        assert!(cold.access.needs_disk_read && !cold.access.hit);
+        assert_eq!(
+            e.op(CacheOp::read(5000)).admission,
+            AdmissionDecision::Admitted
+        );
+        assert!(e.op(CacheOp::read(5000)).access.hit);
+        assert_eq!(
+            e.stats().admission_rejected_fills,
+            merged.admission_rejected_fills + 1
+        );
     }
 
     #[test]

@@ -2,16 +2,19 @@
 //! replaying traces straight into a [`FlashCache`].
 
 use disk_trace::{TraceGenerator, WorkloadSpec, PAGE_BYTES};
-use flashcache_core::{CacheOp, FlashCache, FlashCacheConfig};
+use flashcache_core::{AdmissionPolicyConfig, CacheOp, FlashCache, FlashCacheConfig};
 use nand_flash::FlashGeometry;
 
-/// Builds a cache configuration whose MLC capacity is `bytes`.
+/// Builds a cache configuration whose MLC capacity is `bytes`, running
+/// the paper's §5.1 admission rule (every miss fills): the experiments
+/// reproduce the paper's cache, not the library default.
 pub fn cache_config_for_bytes(bytes: u64) -> FlashCacheConfig {
     FlashCacheConfig::builder()
         .flash(nand_flash::FlashConfig {
             geometry: FlashGeometry::for_mlc_capacity(bytes),
             ..nand_flash::FlashConfig::default()
         })
+        .admission(AdmissionPolicyConfig::AdmitAll)
         .build()
         .expect("experiment capacities sit inside the validated ranges")
 }

@@ -36,7 +36,7 @@ fn tiny_cache(admission: AdmissionPolicyConfig, longevity_buckets: u32) -> Flash
 fn admission_strategy() -> impl Strategy<Value = AdmissionPolicyConfig> {
     prop_oneof![
         Just(AdmissionPolicyConfig::AdmitAll),
-        Just(AdmissionPolicyConfig::ReReference { k: 1, window: 64 }),
+        Just(AdmissionPolicyConfig::ReReference),
         Just(AdmissionPolicyConfig::WriteCap {
             pages_per_window: 8,
             window: 32,

@@ -107,7 +107,6 @@ fn admission_smoke() {
         workload: WorkloadSpec::alpha1().scaled(512),
         warmup_accesses: 10_000,
         measured_accesses: 20_000,
-        reref_window: 16_384,
         ..AblationParams::default()
     });
     let (split, full) = (&rows[1], &rows[3]);

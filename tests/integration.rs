@@ -7,7 +7,8 @@ use flashcache::nand::{FlashConfig, FlashGeometry, WearConfig};
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
 use flashcache::trace::TraceStats;
 use flashcache::{
-    CacheOp, ControllerPolicy, DiskRequest, FlashCache, FlashCacheConfig, SplitPolicy, WorkloadSpec,
+    AdmissionPolicyConfig, CacheOp, ControllerPolicy, DiskRequest, FlashCache, FlashCacheConfig,
+    SplitPolicy, WorkloadSpec,
 };
 
 fn small_flash(blocks: u32) -> FlashCacheConfig {
@@ -220,6 +221,12 @@ fn dead_cache_degrades_to_passthrough_without_corruption() {
             wear: WearConfig::default().accelerated(1e6),
             ..FlashConfig::default()
         },
+        // The paper's rule: every miss fills, so the 64-page cycle wears
+        // the read region out as fast as the write region. The default
+        // turns those one-pass fills away, and the read region's last
+        // blocks would outlive the loop by however long the doorkeeper's
+        // false positives take to wear them.
+        admission: AdmissionPolicyConfig::AdmitAll,
         ..FlashCacheConfig::default()
     })
     .unwrap();
@@ -241,4 +248,47 @@ fn dead_cache_degrades_to_passthrough_without_corruption() {
     assert!(w.bypassed);
     assert_eq!(cache.cached_pages(), 0);
     cache.check_invariants().unwrap();
+}
+
+/// The default admission switches itself off where it has nothing to
+/// save: the uniform workload at scale 8 touches 32 768 pages, exactly
+/// the 64 MB flash's slot count and so within the doorkeeper's memory
+/// (one to two caches' worth of distinct pages), and its 30% writes keep
+/// erased blocks coming back to the read region. The replay ends with
+/// the report and the statistics of the paper's rule — the count of
+/// first-touch fills let through on the reserve aside.
+#[test]
+fn default_admission_matches_the_papers_rule_on_a_footprint_it_remembers() {
+    let run = |admission: AdmissionPolicyConfig| {
+        let flash = FlashCacheConfig::builder()
+            .flash(FlashConfig {
+                geometry: FlashGeometry::for_mlc_capacity(64 << 20),
+                ..FlashConfig::default()
+            })
+            .admission(admission)
+            .build()
+            .unwrap();
+        let mut h = Hierarchy::new(HierarchyConfig {
+            dram_bytes: 16 << 20,
+            flash: Some(flash),
+            ..HierarchyConfig::default()
+        });
+        let mut generator = WorkloadSpec::uniform().scaled(8).generator(24301);
+        for _ in 0..150_000 {
+            h.submit(generator.next_request());
+        }
+        h.drain();
+        let stats = h.flash().unwrap().stats();
+        (format!("{:?}", h.report()), stats)
+    };
+    let (paper_report, paper_stats) = run(AdmissionPolicyConfig::AdmitAll);
+    let (report, mut stats) = run(AdmissionPolicyConfig::default());
+    assert!(
+        paper_stats.evictions > 0,
+        "the flash filled and turned over"
+    );
+    assert!(stats.admission_reserve_fills > 0);
+    stats.admission_reserve_fills = 0;
+    assert_eq!(stats, paper_stats);
+    assert_eq!(report, paper_report);
 }
