@@ -39,7 +39,6 @@ fn main() {
                 "erases",
                 "mean_wear",
                 "rejected",
-                "reserve_fills",
                 "gc_moved",
                 "lifetime_vs_split",
             ],
@@ -52,7 +51,6 @@ fn main() {
                 row.erases.to_string(),
                 format!("{:.2}", row.mean_block_erases),
                 (row.rejected_fills + row.rejected_writes).to_string(),
-                row.reserve_fills.to_string(),
                 row.gc_moved_pages.to_string(),
                 format!("{:.2}x", row.lifetime_vs(split)),
             ]);

@@ -51,8 +51,9 @@ SIMULATE:
 
 ADMISSION (simulate, sweep, lifetime):
   --admission P       flash admission policy: reref (default: a read miss
-                      fills on the page's second miss, or while the read
-                      region has an erased block in reserve)
+                      fills if the page has been read more often than the
+                      median page of the last block the cache evicted;
+                      every miss fills until the first eviction)
                       | all (the paper's rule: every miss fills)
                       | writecap (token-bucket write cap + dirty coalescing)
   --longevity-buckets N  route writes into N longevity-bucketed write
@@ -342,7 +343,10 @@ pub fn simulate(args: &super::Args) -> Result<(), String> {
         println!();
         if engine.shard_count() > 1 {
             println!("flash cache ({} shards, merged):", engine.shard_count());
-            println!("{}", engine.stats());
+            // The statistics end on their `admission:` line; the bar is a
+            // gauge, not a counter, so it is appended here.
+            let bars: Vec<u8> = engine.shards().iter().map(|s| s.admission_bar()).collect();
+            println!("{}, bar per shard {bars:?}", engine.stats());
             println!("usable slots {}", engine.usable_slots());
             for (i, shard) in engine.shards().iter().enumerate() {
                 println!(
@@ -355,7 +359,7 @@ pub fn simulate(args: &super::Args) -> Result<(), String> {
         } else {
             let flash = &engine.shards()[0];
             println!("flash cache:");
-            println!("{}", flash.stats());
+            println!("{}, bar {}", flash.stats(), flash.admission_bar());
             println!(
                 "SLC fraction {:.1}% | usable slots {} | erase spread {:?}",
                 flash.slc_fraction() * 100.0,

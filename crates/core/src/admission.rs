@@ -9,9 +9,10 @@
 //! predicted re-write interval, so short-lived pages co-locate and
 //! invalidate whole blocks together, cutting GC write amplification.
 //!
-//! The default is the [`Doorkeeper`] (a fill on the page's second miss).
-//! [`AdmitAll`] is the paper's §5.1 rule, byte-identical to pre-admission
-//! behaviour: the differential tests' reference, pinned by every figure.
+//! The default is the [`FrequencySketch`] (a fill must be hotter than the
+//! last eviction's median page). [`AdmitAll`] is the paper's §5.1 rule,
+//! byte-identical to pre-admission behaviour: the differential tests'
+//! reference, pinned by every figure.
 
 use std::fmt;
 
@@ -19,15 +20,18 @@ use crate::config::AdmissionPolicyConfig;
 use crate::tables::Fcht;
 use nand_flash::fxhash::FxHashMap;
 
-/// Decides, per access, whether a page may occupy flash space.
+/// Gates what may occupy flash space; every default is the paper's rule.
 pub trait AdmissionPolicy: fmt::Debug + Send {
-    /// Whether `disk_page` has earned a read-miss fill (one it has not
-    /// may still fill on the reserve: `FlashCache::admitted_fill`).
-    fn admit_fill(&mut self, disk_page: u64) -> bool;
+    /// Whether `disk_page` has earned a read-miss fill.
+    fn admit_fill(&mut self, _disk_page: u64) -> bool {
+        true
+    }
 
     /// Whether a host write of `disk_page` may be programmed into the
     /// write region. `tick` is the cache's logical access clock.
-    fn admit_write(&mut self, disk_page: u64, tick: u64) -> bool;
+    fn admit_write(&mut self, _disk_page: u64, _tick: u64) -> bool {
+        true
+    }
 
     /// Whether a write hitting an already-dirty cached copy may be
     /// absorbed in place without a reprogram (the flash already owes
@@ -35,96 +39,125 @@ pub trait AdmissionPolicy: fmt::Debug + Send {
     fn coalesces_dirty_overwrites(&self) -> bool {
         false
     }
+
+    /// A flash-level read of `disk_page`, hit or miss, before its
+    /// lookup. Returns whether this read aged the policy's history.
+    fn count_read(&mut self, _disk_page: u64) -> bool {
+        false
+    }
+
+    /// The pages an eviction from the region read fills land in drops.
+    fn observe_eviction(&mut self, _dropped: &mut dyn Iterator<Item = u64>) {}
+
+    /// The estimate a read-miss fill has to exceed (0 = no bar).
+    fn bar(&self) -> u8 {
+        0
+    }
 }
 
 /// The paper's §5.1 rule: every fill and write is admitted.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct AdmitAll;
 
-impl AdmissionPolicy for AdmitAll {
-    fn admit_fill(&mut self, _disk_page: u64) -> bool {
-        true
-    }
+impl AdmissionPolicy for AdmitAll {}
 
-    fn admit_write(&mut self, _disk_page: u64, _tick: u64) -> bool {
-        true
-    }
-}
-
-/// Second-miss admission (Flashield's and WLFC's position: a page proves
-/// itself before it earns a flash write): a read-miss fill is admitted
-/// once an earlier miss of the page is remembered, so one-hit wonders
-/// stop costing programs and evicting proven pages. Host writes are
-/// always admitted: dirty data has to land somewhere, and write-region
-/// compaction already drops the unread ones.
+/// Frequency admission (TinyLFU's position): a read-miss fill is admitted
+/// iff the page has been read more often than the median page the last
+/// eviction dropped: a newcomer must be hotter than what it pushes out.
+/// Host writes are neither counted nor gated: dirty data has to land
+/// somewhere, and write-region compaction drops the unread ones.
 ///
-/// The memory is two generations of a blocked Bloom filter, 8 bits per
-/// remembered page: a page's two bits sit in one 64-bit word per
-/// generation, and the generations' words are adjacent, so a
-/// test-and-record touches one cache line. The clock is *distinct
-/// pages*: the generations rotate once `horizon` pages new to the
-/// current one have been recorded — the cache's slot count, a page's own
-/// residency had it been cached — so a page is remembered for one to two
-/// horizons whatever the access rate, and forgotten without a sweep.
+/// The memory is a count-min sketch, one word of sixteen 4-bit counters
+/// per cache slot; a page owns four nibbles of one word, so a count is
+/// one cache line. Every `10 × slots` counted reads all counters and the
+/// bar halve, so neither outlives a phase change of the trace.
 #[derive(Debug)]
-pub struct Doorkeeper {
-    /// `[generation 0, generation 1]` per word index.
-    words: Vec<[u64; 2]>,
-    /// The generation being recorded into (0 or 1).
-    cur: usize,
-    /// Distinct pages recorded in the current generation.
-    recorded: u64,
-    horizon: u64,
+pub struct FrequencySketch {
+    words: Vec<u64>,
+    /// Reads counted since the last halving, which ten per word bring on.
+    reads: u64,
+    /// Upper-median estimate of the pages the last read-side eviction
+    /// dropped; 0 until there has been one: every counted miss fills.
+    bar: u8,
 }
 
-impl Doorkeeper {
-    /// Builds the doorkeeper for a cache of `slots` page slots.
+impl FrequencySketch {
+    /// Builds the sketch for a cache of `slots` page slots.
     pub fn new(slots: u64) -> Self {
-        let horizon = slots.max(1);
-        Doorkeeper {
-            words: vec![[0; 2]; horizon.div_ceil(8) as usize],
-            cur: 0,
-            recorded: 0,
-            horizon,
+        let slots = slots.max(1);
+        FrequencySketch {
+            words: vec![0; slots as usize],
+            reads: 0,
+            bar: 0,
         }
     }
 
-    /// Whether `page` is remembered from an earlier call, recording it
-    /// in the current generation either way.
-    fn seen(&mut self, page: u64) -> bool {
+    /// The page's word and the bit offsets of its four counters in it.
+    fn locate(&self, page: u64) -> (usize, [u32; 4]) {
         // The FCHT's multiplicative hash, twice: one product loads the
-        // words unevenly under a scan of consecutive pages, which a Bloom
-        // filter pays for in false positives. Word from the high product
-        // bits, bit positions from the twelve below them.
+        // words unevenly under a scan of consecutive pages. Word from the
+        // high product bits, nibbles from the sixteen below them.
         let h = Fcht::hash(page);
         let h = Fcht::hash(h ^ (h >> 32));
         let word = (((h >> 32) * self.words.len() as u64) >> 32) as usize;
-        let mask = 1u64 << ((h >> 26) & 63) | 1u64 << ((h >> 20) & 63);
-        let pair = &mut self.words[word];
-        let in_cur = pair[self.cur] & mask == mask;
-        let known = in_cur || pair[self.cur ^ 1] & mask == mask;
-        if !in_cur {
-            pair[self.cur] |= mask;
-            self.recorded += 1;
-            if self.recorded == self.horizon {
-                self.recorded = 0;
-                self.cur ^= 1;
-                for pair in &mut self.words {
-                    pair[self.cur] = 0;
-                }
-            }
-        }
-        known
+        (word, [28, 24, 20, 16].map(|s| ((h >> s) & 15) as u32 * 4))
+    }
+
+    /// Reads of `page` counted and not yet aged away; never an
+    /// under-count, and at most 15.
+    fn estimate(&self, page: u64) -> u8 {
+        let (word, at) = self.locate(page);
+        least(self.words[word], at) as u8
     }
 }
 
-impl AdmissionPolicy for Doorkeeper {
+/// The least of word `w`'s counters at bit offsets `at`.
+fn least(w: u64, at: [u32; 4]) -> u64 {
+    at.iter().fold(15, |min, s| min.min((w >> s) & 15))
+}
+
+impl AdmissionPolicy for FrequencySketch {
     fn admit_fill(&mut self, disk_page: u64) -> bool {
-        self.seen(disk_page)
+        self.estimate(disk_page) > self.bar
     }
 
-    fn admit_write(&mut self, _disk_page: u64, _tick: u64) -> bool {
-        true
+    /// Conservative update: only the counters at the page's minimum
+    /// rise, so a colliding page's higher counters are left alone.
+    fn count_read(&mut self, disk_page: u64) -> bool {
+        let (word, at) = self.locate(disk_page);
+        let w = &mut self.words[word];
+        let min = least(*w, at);
+        for s in at {
+            if min < 15 && (*w >> s) & 15 == min {
+                *w += 1 << s;
+            }
+        }
+        self.reads += 1;
+        let aged = self.reads == 10 * self.words.len() as u64;
+        if aged {
+            self.reads = 0;
+            let halve = |w: &mut u64| *w = (*w >> 1) & 0x7777_7777_7777_7777;
+            self.words.iter_mut().for_each(halve);
+            self.bar /= 2;
+        }
+        aged
+    }
+
+    fn observe_eviction(&mut self, dropped: &mut dyn Iterator<Item = u64>) {
+        let mut bins = [0u32; 16];
+        for page in dropped {
+            bins[self.estimate(page) as usize] += 1;
+        }
+        let (total, mut seen) = (bins.iter().sum::<u32>(), 0);
+        let median = bins.iter().position(|&n| {
+            seen += n;
+            2 * seen > total
+        });
+        self.bar = median.map_or(self.bar, |m| m as u8);
+    }
+
+    fn bar(&self) -> u8 {
+        self.bar
     }
 }
 
@@ -168,10 +201,6 @@ impl WriteCap {
 }
 
 impl AdmissionPolicy for WriteCap {
-    fn admit_fill(&mut self, _disk_page: u64) -> bool {
-        true
-    }
-
     fn admit_write(&mut self, _disk_page: u64, tick: u64) -> bool {
         self.refill(tick);
         if self.tokens > 0 {
@@ -192,7 +221,7 @@ impl AdmissionPolicy for WriteCap {
 pub fn build_policy(config: &AdmissionPolicyConfig, slots: u64) -> Box<dyn AdmissionPolicy> {
     match *config {
         AdmissionPolicyConfig::AdmitAll => Box::new(AdmitAll),
-        AdmissionPolicyConfig::ReReference => Box::new(Doorkeeper::new(slots)),
+        AdmissionPolicyConfig::ReReference => Box::new(FrequencySketch::new(slots)),
         AdmissionPolicyConfig::WriteCap {
             pages_per_window,
             window,
@@ -282,36 +311,15 @@ impl Longevity {
 mod tests {
     use super::*;
 
-    impl Doorkeeper {
-        /// [`Doorkeeper::seen`] without the record.
-        fn words_hold(&self, page: u64) -> bool {
-            let mut probe = Doorkeeper {
-                words: self.words.clone(),
-                ..*self
-            };
-            probe.seen(page)
-        }
-    }
-
     #[test]
     fn admit_all_admits_everything() {
         let mut p = AdmitAll;
         assert!(p.admit_fill(1));
         assert!(p.admit_write(2, u64::MAX));
         assert!(!p.coalesces_dirty_overwrites());
-    }
-
-    /// The doorkeeper's `k` is one: a fill on the second miss.
-    #[test]
-    fn rereference_requires_k_rereads() {
-        let mut p = Doorkeeper::new(1000);
-        assert!(!p.admit_fill(7), "unknown on first sight");
-        assert!(p.admit_fill(7), "known on the second");
-        assert!(
-            !p.admit_fill(8),
-            "independent pages are remembered separately"
-        );
-        assert!(p.admit_write(9, 0), "host writes are never gated");
+        assert!(!p.count_read(1), "nothing to age");
+        p.observe_eviction(&mut [1u64, 2].into_iter());
+        assert_eq!(p.bar(), 0);
     }
 
     /// Pages spread over the key space (a scan of consecutive pages
@@ -320,92 +328,160 @@ mod tests {
         i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20
     }
 
-    /// Records fresh pages `from..` until the generations rotate;
-    /// returns the next unused index.
-    fn fill_generation(d: &mut Doorkeeper, from: u64) -> u64 {
-        let cur = d.cur;
-        let mut i = from;
-        while d.cur == cur {
-            d.seen(page(i));
-            i += 1;
+    fn count(s: &mut FrequencySketch, page: u64, times: u32) {
+        for _ in 0..times {
+            s.count_read(page);
         }
-        i
+    }
+
+    /// The rule has no `k`: a counted miss clears a bar of 0, and after
+    /// an eviction a fill needs more reads than the median dropped page.
+    #[test]
+    fn rereference_requires_k_rereads() {
+        let mut p = FrequencySketch::new(1000);
+        assert!(!p.admit_fill(7), "an uncounted page estimates 0");
+        p.count_read(7);
+        assert!(p.admit_fill(7), "before any eviction every miss fills");
+        count(&mut p, 8, 3);
+        count(&mut p, 9, 5);
+        p.observe_eviction(&mut [7u64, 8, 9].into_iter());
+        assert_eq!(p.bar(), 3, "the median of 1, 3, 5");
+        assert!(!p.admit_fill(8), "as hot as the bar is not hotter");
+        count(&mut p, 8, 1);
+        assert!(p.admit_fill(8));
+        // An even count takes the upper middle; nothing dropped, no news.
+        p.observe_eviction(&mut [7u64, 9].into_iter());
+        assert_eq!(p.bar(), 5);
+        p.observe_eviction(&mut std::iter::empty());
+        assert_eq!(p.bar(), 5);
+        assert!(p.admit_write(10, 0), "host writes are never gated");
+        assert_eq!(p.estimate(10), 0, "nor counted");
+    }
+
+    /// Counts reads of `filler` until one of them halves the sketch.
+    fn age(s: &mut FrequencySketch, filler: u64) {
+        while !s.count_read(filler) {}
     }
 
     #[test]
     fn rereference_history_survives_one_rotation() {
-        let n = 4096;
-        let mut d = Doorkeeper::new(n);
-        assert!(!d.seen(page(0)));
-        let next = fill_generation(&mut d, 1);
-        // A page the filter already seems to hold is not counted, so a
-        // generation takes a few more than `n` pages to fill.
-        assert!((n..n + n / 10).contains(&next), "rotated after {next}");
-        assert!(d.seen(page(0)), "one rotation: still remembered");
+        let mut s = FrequencySketch::new(4096);
+        count(&mut s, page(0), 9);
+        s.observe_eviction(&mut [page(0)].into_iter());
+        assert_eq!(s.bar(), 9);
+        age(&mut s, page(1));
+        assert_eq!(s.estimate(page(0)), 4, "one halving: 9 -> 4");
+        assert_eq!(
+            s.bar(),
+            4,
+            "the bar ages with the counts it is held against"
+        );
     }
 
-    /// The window is a generation of distinct pages, not of accesses.
+    /// A window is ten reads per slot; a page not read again fades by
+    /// half per window, and the bar with it.
     #[test]
     fn rereference_counters_decay_after_two_windows() {
-        let n = 4096;
-        let mut d = Doorkeeper::new(n);
-        let next = fill_generation(&mut d, 0);
-        // Page 0 is re-recorded in the new generation; pages 1.. are
-        // not, and a second rotation drops the generation they are in.
-        assert!(d.seen(page(0)));
-        fill_generation(&mut d, next);
-        assert!(d.seen(page(0)), "refreshed by its re-record");
-        let forgotten = (1..n).filter(|&i| !d.words_hold(page(i))).count() as u64;
-        assert!(forgotten > n * 9 / 10, "{forgotten} of {n} forgotten");
+        let mut s = FrequencySketch::new(4096);
+        count(&mut s, page(0), 3);
+        s.observe_eviction(&mut [page(0)].into_iter());
+        age(&mut s, page(1));
+        assert_eq!((s.estimate(page(0)), s.bar()), (1, 1));
+        assert!(!s.admit_fill(page(0)));
+        age(&mut s, page(1));
+        assert_eq!((s.estimate(page(0)), s.bar()), (0, 0));
+        s.count_read(page(0));
+        assert!(s.admit_fill(page(0)), "a thawed bar admits again");
     }
 
     #[test]
-    fn doorkeeper_rotation_counts_distinct_pages_not_calls() {
-        let mut d = Doorkeeper::new(64);
-        for _ in 0..10_000 {
-            d.seen(page(1));
-            d.seen(page(2));
+    fn sketch_ages_by_counted_reads_not_distinct_pages() {
+        let mut s = FrequencySketch::new(64);
+        for i in 0..640 {
+            assert_eq!(s.count_read(page(i % 2)), i == 639);
         }
-        assert_eq!((d.cur, d.recorded), (0, 2), "re-recording never rotates");
+        assert_eq!(s.estimate(page(0)), 7, "saturated at 15, then halved");
+        assert_eq!(s.reads, 0);
     }
 
     #[test]
-    fn doorkeeper_false_positive_rate_at_a_full_generation() {
+    fn sketch_never_undercounts_and_rarely_overcounts() {
         for slots in [1000u64, 65_536] {
-            let mut d = Doorkeeper::new(slots);
-            // One short of rotation: the current generation is as full
-            // as it ever gets, the previous one is empty.
-            for i in 0..slots - 1 {
-                d.seen(page(i));
+            // One read per slot of distinct pages, spread and scanned:
+            // a page counted once estimates at least 1, and few pages
+            // never counted estimate above 0.
+            for key in [page as fn(u64) -> u64, |i| i] {
+                let mut s = FrequencySketch::new(slots);
+                for i in 0..slots {
+                    s.count_read(key(i));
+                }
+                assert!((0..slots).all(|i| s.estimate(key(i)) >= 1));
+                let probes = 20_000;
+                let over = (0..probes)
+                    .filter(|&i| s.estimate(key(1 << 40 | i)) > 0)
+                    .count();
+                assert!(
+                    over * 20 <= probes as usize,
+                    "{slots} slots: {over} of {probes} uncounted pages estimate > 0"
+                );
             }
-            assert_eq!(d.cur, 0);
-            let probes = 20_000;
-            let fp = (0..probes)
-                .filter(|&i| d.words_hold(page(1 << 40 | i)))
-                .count();
-            assert!(
-                fp * 10 <= probes as usize,
-                "{slots} slots: {fp} false positives in {probes}"
-            );
-            // Consecutive page numbers (a scan) fare no worse.
-            let mut d = Doorkeeper::new(slots);
-            for i in 0..slots - 1 {
-                d.seen(i);
-            }
-            let fp = (0..probes).filter(|&i| d.words_hold(slots + i)).count();
-            assert!(
-                fp * 10 <= probes as usize,
-                "{slots} slots, scan: {fp} false positives in {probes}"
-            );
         }
     }
 
     #[test]
-    fn doorkeeper_is_deterministic() {
+    fn sketch_conservative_update_spares_a_colliding_pages_higher_counters() {
+        let s = FrequencySketch::new(1);
+        // Two pages of the one word sharing some but not all counters.
+        let (a, b) = (0..64u64)
+            .flat_map(|a| (0..a).map(move |b| (a, b)))
+            .find(|&(a, b)| {
+                let (a, b) = (s.locate(a).1, s.locate(b).1);
+                a.iter().any(|s| b.contains(s)) && a.iter().any(|s| !b.contains(s))
+            })
+            .expect("some pair of 64 pages overlaps partly");
+        let mut s = FrequencySketch::new(1);
+        count(&mut s, a, 6);
+        let before = s.words[0];
+        count(&mut s, b, 2);
+        assert_eq!(s.estimate(b), 2);
+        assert_eq!(s.estimate(a), 6, "b's reads stayed below a's counters");
+        let shared: u64 = s.locate(a).1.iter().map(|&at| 15u64 << at).sum();
+        assert_eq!(s.words[0] & shared, before & shared);
+    }
+
+    #[test]
+    fn sketch_saturates_at_15_and_halves_without_borrowing() {
+        let mut s = FrequencySketch::new(1);
+        count(&mut s, 7, 9);
+        assert_eq!(s.estimate(7), 9);
+        // The tenth read is counted, then ages the one-slot sketch.
+        assert!(s.count_read(7));
+        assert_eq!(s.estimate(7), 5);
+        let mut s = FrequencySketch::new(8);
+        count(&mut s, 7, 40);
+        assert_eq!(s.estimate(7), 15, "saturated, no carry into a neighbour");
+        let (word, at) = s.locate(7);
+        let own: u64 = at.iter().map(|&at| 15u64 << at).fold(0, |m, n| m | n);
+        assert_eq!(s.words[word], own);
+        // Odd nibbles: a plain `>> 1` would leak each low bit into the
+        // nibble below.
+        s.words.fill(0xF731_F731_F731_F731);
+        s.reads = 10 * 8 - 1;
+        assert!(s.count_read(7));
+        for (i, &w) in s.words.iter().enumerate() {
+            assert!(i == word || w == 0x7310_7310_7310_7310, "word {i}: {w:x}");
+        }
+    }
+
+    #[test]
+    fn sketch_is_deterministic() {
         let run = || {
-            let mut d = Doorkeeper::new(512);
-            let answers: Vec<bool> = (0..5000u64).map(|i| d.seen(page(i % 1500))).collect();
-            (answers, d.words, d.cur, d.recorded)
+            let mut s = FrequencySketch::new(512);
+            let aged: Vec<bool> = (0..12_000u64)
+                .map(|i| s.count_read(page(i % 1500)))
+                .collect();
+            s.observe_eviction(&mut (0..128).map(page));
+            (aged, s.words, s.reads, s.bar)
         };
         assert_eq!(run(), run());
     }
@@ -458,7 +534,7 @@ mod tests {
         let p = build_policy(&AdmissionPolicyConfig::AdmitAll, 64);
         assert!(format!("{p:?}").contains("AdmitAll"));
         let p = build_policy(&AdmissionPolicyConfig::ReReference, 64);
-        assert!(format!("{p:?}").contains("Doorkeeper"));
+        assert!(format!("{p:?}").contains("FrequencySketch"));
         let p = build_policy(
             &AdmissionPolicyConfig::WriteCap {
                 pages_per_window: 4,

@@ -397,7 +397,10 @@ impl FlashCache {
             ("flash.reclaim.index_hits", s.reclaim_index_hits),
             ("flash.reclaim.index_skips", self.reclaim.skips()),
             ("flash.admission.rejected_fills", s.admission_rejected_fills),
-            ("flash.admission.reserve_fills", s.admission_reserve_fills),
+            (
+                "flash.admission.sketch_halvings",
+                s.admission_sketch_halvings,
+            ),
             (
                 "flash.admission.rejected_writes",
                 s.admission_rejected_writes,
@@ -429,6 +432,7 @@ impl FlashCache {
         reg.gauge_set("flash.usable_slots", self.usable_slots as f64);
         reg.gauge_set("flash.slc_fraction", self.slc_fraction());
         reg.gauge_set("flash.miss_rate", self.fgst.miss_rate);
+        reg.gauge_set("flash.admission.bar", self.admission_bar() as f64);
         // Longest probe is a high-water mark, not additive: exported as
         // a gauge so merging shard registries keeps the (overwritten)
         // last value rather than a meaningless sum.
@@ -509,6 +513,11 @@ impl FlashCache {
         self.fcht.lookup(disk_page).is_some()
     }
 
+    /// The read count a read-miss fill has to exceed (0: none, or not yet).
+    pub fn admission_bar(&self) -> u8 {
+        self.admission.bar()
+    }
+
     /// Usable (non-retired) slot count.
     pub fn usable_slots(&self) -> u64 {
         self.usable_slots
@@ -525,13 +534,12 @@ impl FlashCache {
     pub fn slc_fraction(&self) -> f64 {
         let mut slc = 0u64;
         let mut total = 0u64;
-        for (b, s) in self.fbst.iter() {
+        for (_, s) in self.fbst.iter() {
             if s.retired {
                 continue;
             }
             slc += s.slc_pages as u64;
             total += self.device.geometry().pages_per_block as u64;
-            let _ = b;
         }
         if total == 0 {
             0.0
@@ -740,11 +748,15 @@ impl FlashCache {
         }
     }
 
-    /// §5.1 read path with the admission gate on the two fill points.
+    /// §5.1 read path with the admission gate on the fill.
     fn op_read(&mut self, op: CacheOp) -> Result<CacheOutcome, CacheError> {
         let disk_page = op.lba;
         self.begin_op();
         self.stats.reads += 1;
+        // Before the probe: the sketch's line loads alongside the FCHT's.
+        self.stats.admission_sketch_halvings += self.admission.count_read(disk_page) as u64;
+        // What an uncorrectable hit spent on the lost copy: latency, wait.
+        let mut lost = None;
         if let Some(addr) = self.fcht.lookup(disk_page) {
             let live_t = self.live_strength[self.gidx(addr)];
             let out = self
@@ -771,6 +783,7 @@ impl FlashCache {
                 self.respond_to_errors(addr, out.raw_bit_errors);
                 self.drop_valid_page(addr, false);
                 // Refill from disk below (fall through to the miss path).
+                lost = Some((latency, out.wait_us));
             } else {
                 // §5.2.1: react only to errors that fail *consistently* —
                 // two consecutive reads at the strength boundary — so a
@@ -805,47 +818,35 @@ impl FlashCache {
                     admission: AdmissionDecision::NotApplicable,
                 });
             }
-            // Uncorrectable hit: account the wasted flash read, then miss.
-            self.fgst.record(false, 0.0);
-            let (filled, admission) = self.admitted_fill(disk_page)?;
-            let access = self.finish(AccessOutcome {
-                hit: false,
-                tier: ServiceTier::Disk,
-                latency_us: latency,
-                queue_wait_us: out.wait_us,
-                needs_disk_read: true,
-                uncorrectable: true,
-                bypassed: !filled,
-                ..AccessOutcome::default()
-            });
-            return Ok(CacheOutcome { access, admission });
         }
-        // Plain miss: fetch from disk, fill the read cache.
+        // Miss: fetch from disk, fill the read cache.
         self.fgst.record(false, 0.0);
         let (filled, admission) = self.admitted_fill(disk_page)?;
+        let (latency_us, queue_wait_us) = lost.unwrap_or_default();
         let access = self.finish(AccessOutcome {
-            hit: false,
+            latency_us,
+            queue_wait_us,
             needs_disk_read: true,
+            uncorrectable: lost.is_some(),
             bypassed: !filled,
             ..AccessOutcome::default()
         });
         Ok(CacheOutcome { access, admission })
     }
 
-    /// Runs the admission gate in front of a read-miss fill. Returns
-    /// whether a copy was cached and the decision taken. A page the
-    /// policy has not admitted fills all the same while the read region
-    /// holds an erased block in reserve: that fill evicts nothing.
+    /// Runs the admission gate in front of a read-miss fill into the read
+    /// region. Returns whether a copy was cached (an admitted page is not
+    /// if the worn-out device has no space) and the decision taken.
     fn admitted_fill(&mut self, disk_page: u64) -> Result<(bool, AdmissionDecision), CacheError> {
         if !self.admission.admit_fill(disk_page) {
-            if self.region(RegionKind::Read).free.is_empty() {
-                self.stats.admission_rejected_fills += 1;
-                return Ok((false, AdmissionDecision::Rejected));
-            }
-            self.stats.admission_reserve_fills += 1;
+            self.stats.admission_rejected_fills += 1;
+            return Ok((false, AdmissionDecision::Rejected));
         }
-        let filled = self.fill_from_disk(disk_page, RegionKind::Read)?;
-        Ok((filled, AdmissionDecision::Admitted))
+        let slot = self.allocate_slot(RegionKind::Read, false, 0)?;
+        if let Some(addr) = slot {
+            self.op_background_us += self.program_slot(addr, disk_page, false, 0)?;
+        }
+        Ok((slot.is_some(), AdmissionDecision::Admitted))
     }
 
     /// §5.1 write path — always an out-of-place write into the write
@@ -945,19 +946,6 @@ impl FlashCache {
         }
         self.stats.flushed_dirty_pages += flushed;
         flushed
-    }
-
-    /// Fills `disk_page` into `kind` after a disk fetch. Returns false if
-    /// no space could be allocated (worn-out device).
-    fn fill_from_disk(&mut self, disk_page: u64, kind: RegionKind) -> Result<bool, CacheError> {
-        match self.allocate_slot(kind, false, 0)? {
-            Some(addr) => {
-                let lat = self.program_slot(addr, disk_page, false, 0)?;
-                self.op_background_us += lat;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 
     /// Programs `addr` with the slot's configured mode/strength and

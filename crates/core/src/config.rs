@@ -60,11 +60,11 @@ pub enum AdmissionPolicyConfig {
     /// Admit every fill and write — the paper's §5.1 rule, which the
     /// figure binaries pin.
     AdmitAll,
-    /// Second-miss admission: a read-miss fill is programmed once the
-    /// page has missed before, remembered over one cache's worth of
-    /// distinct pages, or while the read region holds an erased block
-    /// in reserve. Host writes are always admitted. No parameters: the
-    /// memory is sized from the device geometry.
+    /// Frequency admission: a read-miss fill is programmed iff the page
+    /// has been read more often than the median page of the last block
+    /// the cache evicted (every miss, until there has been one). Host
+    /// writes are always admitted. No parameters: the sketch is sized
+    /// from the device geometry, the bar comes from the evictions.
     #[default]
     ReReference,
     /// Token-bucket cap on flash write bandwidth (WLFC-style): at most
@@ -593,7 +593,12 @@ mod tests {
 
     #[test]
     fn admission_validation_rejects_degenerate_knobs() {
-        // Second-miss admission has nothing to get wrong: no knobs.
+        // Frequency admission has nothing to get wrong: no knobs (sketch
+        // size, ageing period and bar derive from the cache itself).
+        assert!(FlashCacheConfig::builder()
+            .admission(AdmissionPolicyConfig::ReReference)
+            .build()
+            .is_ok());
         // Zero-rate cap rejects every write; rejected at build time.
         assert!(FlashCacheConfig::builder()
             .admission(AdmissionPolicyConfig::WriteCap {
@@ -629,8 +634,10 @@ mod tests {
     }
 
     /// Ours, not the paper's: §5.1 fills on every miss (`AdmitAll`,
-    /// which the figure binaries pin); the library default makes a page
-    /// miss twice first. Placement stays the paper's single log head.
+    /// which the figure binaries pin); the library default fills a page
+    /// only if it is read more often than what the cache last evicted,
+    /// which is every page until the first eviction. Placement stays the
+    /// paper's single log head.
     #[test]
     fn admission_defaults_are_paper_faithful() {
         let c = FlashCacheConfig::default();

@@ -13,7 +13,6 @@ use nand_flash::{BlockId, CellMode, OpContext, PageAddr};
 use crate::cache::{FlashCache, OpenBlock};
 use crate::config::ControllerPolicy;
 use crate::error::CacheError;
-use crate::stats::CacheStats;
 use crate::tables::RegionKind;
 
 impl FlashCache {
@@ -525,6 +524,11 @@ impl FlashCache {
             return Ok(false);
         };
         let partner = self.wear_swap_partner(victim);
+        if self.storage_kind(kind) == RegionKind::Read {
+            let pages = self.fpst.iter_block(victim);
+            let mut dropped = pages.filter_map(|(a, _)| self.fpst.disk_page(a));
+            self.admission.observe_eviction(&mut dropped);
+        }
         self.drop_block_content(victim);
         self.stats.evictions += 1;
         match partner {
@@ -924,7 +928,6 @@ impl FlashCache {
                 }
             }
         }
-        let _ = CacheStats::default();
         Ok(())
     }
 }

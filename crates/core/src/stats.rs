@@ -66,9 +66,9 @@ pub struct CacheStats {
     /// Read-miss fills the admission policy kept out of flash (the
     /// request was still served from disk; nothing was cached).
     pub admission_rejected_fills: u64,
-    /// Read-miss fills of pages the policy had not admitted, programmed
-    /// because the read region held an erased block in reserve.
-    pub admission_reserve_fills: u64,
+    /// Times the admission policy's frequency sketch (and its bar) aged:
+    /// once per ten counted reads per cache slot.
+    pub admission_sketch_halvings: u64,
     /// Host writes the admission policy sent straight to disk instead
     /// of programming into the write region.
     pub admission_rejected_writes: u64,
@@ -136,7 +136,7 @@ impl CacheStats {
         self.reclaim_index_hits += other.reclaim_index_hits;
         self.internal_errors += other.internal_errors;
         self.admission_rejected_fills += other.admission_rejected_fills;
-        self.admission_reserve_fills += other.admission_reserve_fills;
+        self.admission_sketch_halvings += other.admission_sketch_halvings;
         self.admission_rejected_writes += other.admission_rejected_writes;
         self.admission_coalesced_writes += other.admission_coalesced_writes;
         self.admission_bytes_written += other.admission_bytes_written;
@@ -195,8 +195,8 @@ impl fmt::Display for CacheStats {
         )?;
         write!(
             f,
-            "admission: {} fills rejected, {} admitted on reserve",
-            self.admission_rejected_fills, self.admission_reserve_fills
+            "admission: {} fills rejected, {} sketch halvings",
+            self.admission_rejected_fills, self.admission_sketch_halvings
         )
     }
 }
@@ -252,13 +252,13 @@ mod tests {
             gc_time_us: 0.5,
             gc_dropped_pages: 2,
             admission_rejected_writes: 3,
-            admission_reserve_fills: 6,
+            admission_sketch_halvings: 6,
             admission_bytes_written: 4096,
             ..CacheStats::default()
         };
         let mut m = a;
         m.merge(&b);
-        assert_eq!(m.admission_reserve_fills, 6);
+        assert_eq!(m.admission_sketch_halvings, 6);
         assert_eq!(m.reads, 7);
         assert_eq!(m.read_hits, 2);
         assert_eq!(m.writes, 7);
@@ -280,12 +280,12 @@ mod tests {
             gc_runs: 2,
             gc_dropped_pages: 9,
             admission_rejected_fills: 7,
-            admission_reserve_fills: 3,
+            admission_sketch_halvings: 3,
             ..CacheStats::default()
         };
         let text = s.to_string();
         assert!(text.contains("reads 5"));
         assert!(text.contains("gc: 2 runs moved 0 pages, dropped 9"));
-        assert!(text.contains("admission: 7 fills rejected, 3 admitted on reserve"));
+        assert!(text.contains("admission: 7 fills rejected, 3 sketch halvings"));
     }
 }

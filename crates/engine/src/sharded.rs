@@ -592,18 +592,19 @@ mod tests {
         }
         assert_eq!(e.stats().admission_rejected_fills, 0);
 
-        // The default (ours): each shard runs its own second-miss gate.
+        // The default (ours): each shard runs its own frequency sketch
+        // and takes its bar from its own evictions.
         let mut e = ShardedCache::new(config(32), 4).unwrap();
         for shard in e.shards() {
             assert_eq!(shard.config().admission, AdmissionPolicyConfig::ReReference);
         }
-        // With erased blocks in reserve a cold page fills...
+        // Before any eviction a cold page fills...
         assert_eq!(
             e.op(CacheOp::read(7)).admission,
             AdmissionDecision::Admitted
         );
         assert!(e.op(CacheOp::read(7)).access.hit);
-        // ...and once a scan has used every shard's reserve up...
+        // ...and once a scan has made every shard evict once-read pages...
         for p in 1000..2000 {
             e.op(CacheOp::read(p));
         }
@@ -615,10 +616,7 @@ mod tests {
             merged.admission_rejected_fills,
             sum(|s| s.admission_rejected_fills)
         );
-        assert_eq!(
-            merged.admission_reserve_fills,
-            sum(|s| s.admission_reserve_fills)
-        );
+        assert!(e.shards().iter().all(|shard| shard.admission_bar() == 1));
         // ...the gate holds on the first touch of a cold page, and the
         // re-read earns flash space, wherever the page shards.
         let cold = e.op(CacheOp::read(5000));
@@ -633,6 +631,14 @@ mod tests {
             e.stats().admission_rejected_fills,
             merged.admission_rejected_fills + 1
         );
+        // Each shard ages on its own count of reads (10 x 128 slots).
+        assert_eq!(e.stats().admission_sketch_halvings, 0);
+        for p in 0..6000 {
+            e.op(CacheOp::read(p));
+        }
+        let per_shard = e.shard_stats();
+        assert!(per_shard.iter().all(|s| s.admission_sketch_halvings == 1));
+        assert_eq!(e.stats().admission_sketch_halvings, 4);
     }
 
     #[test]

@@ -223,9 +223,8 @@ fn dead_cache_degrades_to_passthrough_without_corruption() {
         },
         // The paper's rule: every miss fills, so the 64-page cycle wears
         // the read region out as fast as the write region. The default
-        // turns those one-pass fills away, and the read region's last
-        // blocks would outlive the loop by however long the doorkeeper's
-        // false positives take to wear them.
+        // turns most of those fills away once an eviction has set its
+        // bar, and the read region's last blocks would outlive the loop.
         admission: AdmissionPolicyConfig::AdmitAll,
         ..FlashCacheConfig::default()
     })
@@ -250,13 +249,13 @@ fn dead_cache_degrades_to_passthrough_without_corruption() {
     cache.check_invariants().unwrap();
 }
 
-/// The default admission switches itself off where it has nothing to
-/// save: the uniform workload at scale 8 touches 32 768 pages, exactly
-/// the 64 MB flash's slot count and so within the doorkeeper's memory
-/// (one to two caches' worth of distinct pages), and its 30% writes keep
-/// erased blocks coming back to the read region. The replay ends with
-/// the report and the statistics of the paper's rule — the count of
-/// first-touch fills let through on the reserve aside.
+/// The default admission is the paper's rule op for op on any trace that
+/// never forces a read-side eviction, because its bar starts at 0 and
+/// only such an eviction raises it: the uniform workload at scale 16
+/// touches 16 384 pages, which the 64 MB flash's read region holds
+/// whole, while its 30% writes turn the write region over many times.
+/// The replay ends with the report and the statistics of the paper's
+/// rule.
 #[test]
 fn default_admission_matches_the_papers_rule_on_a_footprint_it_remembers() {
     let run = |admission: AdmissionPolicyConfig| {
@@ -273,22 +272,21 @@ fn default_admission_matches_the_papers_rule_on_a_footprint_it_remembers() {
             flash: Some(flash),
             ..HierarchyConfig::default()
         });
-        let mut generator = WorkloadSpec::uniform().scaled(8).generator(24301);
+        let mut generator = WorkloadSpec::uniform().scaled(16).generator(24301);
         for _ in 0..150_000 {
             h.submit(generator.next_request());
         }
         h.drain();
-        let stats = h.flash().unwrap().stats();
-        (format!("{:?}", h.report()), stats)
+        let flash = h.flash().unwrap();
+        assert_eq!(flash.admission_bar(), 0);
+        (format!("{:?}", h.report()), flash.stats())
     };
     let (paper_report, paper_stats) = run(AdmissionPolicyConfig::AdmitAll);
-    let (report, mut stats) = run(AdmissionPolicyConfig::default());
+    let (report, stats) = run(AdmissionPolicyConfig::default());
     assert!(
-        paper_stats.evictions > 0,
-        "the flash filled and turned over"
+        paper_stats.evictions + paper_stats.gc_runs > 0,
+        "the write region filled and turned over"
     );
-    assert!(stats.admission_reserve_fills > 0);
-    stats.admission_reserve_fills = 0;
     assert_eq!(stats, paper_stats);
     assert_eq!(report, paper_report);
 }
