@@ -1,7 +1,6 @@
-//! Ablation: admission control and longevity placement on top of the
-//! split cache — unified, split (the paper's design and the baseline),
-//! split + the default second-miss admission, split + admission +
-//! longevity bucketing — on alpha1 and on dbt2, reporting flash bytes
+//! Ablation: admission control on top of the split cache — unified,
+//! split (the paper's design and the baseline), split + the default
+//! frequency admission — on alpha1 and on dbt2, reporting flash bytes
 //! programmed, wear, read miss rate and the projected lifetime relative
 //! to split (∝ 1 / mean block erases).
 
@@ -12,7 +11,7 @@ use flashcache_sim::experiments::admission::{run_ablation, AblationParams};
 fn main() {
     let args = RunArgs::parse(16);
     args.announce(
-        "Ablation: admission + longevity",
+        "Ablation: admission",
         "flash writes, wear and read miss per variant (alpha1, dbt2)",
     );
     let measured_accesses = 3_200_000 / args.scale;
@@ -25,7 +24,6 @@ fn main() {
             warmup_accesses: measured_accesses / 2,
             measured_accesses,
             seed: args.seed,
-            ..AblationParams::default()
         };
         println!("workload: {}", params.workload.name);
         let rows = run_ablation(&params);
@@ -50,7 +48,7 @@ fn main() {
                 format!("{:.1}", row.flash_bytes_written as f64 / 1e6),
                 row.erases.to_string(),
                 format!("{:.2}", row.mean_block_erases),
-                (row.rejected_fills + row.rejected_writes).to_string(),
+                row.rejected_fills.to_string(),
                 row.gc_moved_pages.to_string(),
                 format!("{:.2}x", row.lifetime_vs(split)),
             ]);

@@ -52,7 +52,6 @@ const VALUE_KEYS: &[&str] = &[
     "writeback-us",
     "queue-depth",
     "admission",
-    "longevity-buckets",
 ];
 
 impl Args {

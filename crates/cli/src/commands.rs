@@ -55,9 +55,6 @@ ADMISSION (simulate, sweep, lifetime):
                       median page of the last block the cache evicted;
                       every miss fills until the first eviction)
                       | all (the paper's rule: every miss fills)
-                      | writecap (token-bucket write cap + dirty coalescing)
-  --longevity-buckets N  route writes into N longevity-bucketed write
-                      frontiers in the write region (default 1 = off)
 
 DEVICE PARALLELISM (simulate, sweep, lifetime — any of these flags
 switches flash timing to the event-driven backend):
@@ -130,29 +127,14 @@ fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
         .map_err(|e| e.to_string())
 }
 
-/// Reads the `--admission` / `--longevity-buckets` options shared by
-/// `simulate`, `sweep`, and `lifetime`. The `writecap` preset carries a
-/// window sized for the standard 100k-request replays; fine-grained
-/// knobs stay library-level (`FlashCacheConfig::builder`).
-fn admission_config(args: &super::Args) -> Result<(AdmissionPolicyConfig, u32), String> {
-    let admission = match args.get("admission").unwrap_or("reref") {
-        "all" => AdmissionPolicyConfig::AdmitAll,
-        "reref" => AdmissionPolicyConfig::ReReference,
-        "writecap" => AdmissionPolicyConfig::WriteCap {
-            pages_per_window: 2048,
-            window: 4096,
-            coalesce: true,
-        },
-        other => {
-            return Err(format!(
-                "--admission must be all, reref or writecap, got {other}"
-            ))
-        }
-    };
-    let buckets: u32 = args
-        .num("longevity-buckets", 1u32)
-        .map_err(|e| e.to_string())?;
-    Ok((admission, buckets))
+/// Reads the `--admission` option shared by `simulate`, `sweep`, and
+/// `lifetime`.
+fn admission_config(args: &super::Args) -> Result<AdmissionPolicyConfig, String> {
+    match args.get("admission").unwrap_or("reref") {
+        "all" => Ok(AdmissionPolicyConfig::AdmitAll),
+        "reref" => Ok(AdmissionPolicyConfig::ReReference),
+        other => Err(format!("--admission must be all or reref, got {other}")),
+    }
 }
 
 fn flash_config(
@@ -160,7 +142,6 @@ fn flash_config(
     unified: bool,
     channel: Option<ChannelConfig>,
     admission: AdmissionPolicyConfig,
-    longevity_buckets: u32,
 ) -> Result<FlashCacheConfig, String> {
     let mut flash = FlashConfig {
         geometry: FlashGeometry::for_mlc_capacity(flash_mb << 20),
@@ -172,8 +153,7 @@ fn flash_config(
     }
     let builder = FlashCacheConfig::builder()
         .flash(flash)
-        .admission(admission)
-        .longevity_buckets(longevity_buckets);
+        .admission(admission);
     let builder = if unified {
         builder.unified()
     } else {
@@ -232,14 +212,13 @@ pub fn simulate(args: &super::Args) -> Result<(), String> {
     let batch: usize = args.num("batch", 1usize).map_err(|e| e.to_string())?;
     let workers: usize = args.num("workers", 0usize).map_err(|e| e.to_string())?;
     let channel = channel_config(args)?;
-    let (admission, longevity_buckets) = admission_config(args)?;
+    let admission = admission_config(args)?;
     let flash = if flash_mb > 0 {
         Some(flash_config(
             flash_mb,
             args.flag("unified"),
             channel,
             admission,
-            longevity_buckets,
         )?)
     } else {
         None
@@ -398,18 +377,12 @@ pub fn sweep(args: &super::Args) -> Result<(), String> {
         "flash", "unified miss", "split miss", "unified GC", "split GC"
     );
     let channel = channel_config(args)?;
-    let (admission, longevity_buckets) = admission_config(args)?;
+    let admission = admission_config(args)?;
     for &mb in &sizes {
         let mut row = Vec::new();
         for unified in [true, false] {
-            let mut cache = FlashCache::new(flash_config(
-                mb,
-                unified,
-                channel,
-                admission,
-                longevity_buckets,
-            )?)
-            .map_err(|e| format!("{mb}MB: {e}"))?;
+            let mut cache = FlashCache::new(flash_config(mb, unified, channel, admission)?)
+                .map_err(|e| format!("{mb}MB: {e}"))?;
             let mut generator = workload.generator(seed);
             let mut done = 0u64;
             while done < requests {
@@ -481,17 +454,11 @@ pub fn lifetime(args: &super::Args) -> Result<(), String> {
         "controller", "accesses", "erases", "retired"
     );
     let mut baseline = None;
-    let (admission, longevity_buckets) = admission_config(args)?;
+    let admission = admission_config(args)?;
     for (name, policy) in policies {
         let flash_bytes =
             (workload.footprint_pages * flashcache::trace::PAGE_BYTES / 2).max(8 * 256 * 1024);
-        let mut config = flash_config(
-            flash_bytes >> 20,
-            false,
-            channel_config(args)?,
-            admission,
-            longevity_buckets,
-        )?;
+        let mut config = flash_config(flash_bytes >> 20, false, channel_config(args)?, admission)?;
         config.flash.geometry = FlashGeometry::for_mlc_capacity(flash_bytes);
         config.controller = policy;
         if let ControllerPolicy::FixedEcc { strength } = policy {

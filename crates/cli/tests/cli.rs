@@ -180,6 +180,23 @@ fn retired_scheduler_flag_is_rejected_with_usage() {
     assert!(stderr.contains("USAGE"), "{stderr}");
 }
 
+#[test]
+fn retired_admission_preset_and_flag_are_refused() {
+    let (ok, _, stderr) = run(&["simulate", "--admission", "writecap", "--requests", "2000"]);
+    assert!(!ok, "a retired preset must not run as the default");
+    assert!(
+        stderr.contains("--admission must be all or reref, got writecap"),
+        "{stderr}"
+    );
+    let (ok, _, stderr) = run(&["simulate", "--longevity-buckets", "4", "--requests", "2000"]);
+    assert!(!ok);
+    assert!(
+        stderr.contains("unknown option --longevity-buckets"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE"), "{stderr}");
+}
+
 /// Pages per simulated second from `simulate`'s device-time line.
 fn device_pages_per_sim_second(extra: &[&str]) -> f64 {
     let mut args = vec![

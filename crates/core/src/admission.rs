@@ -1,65 +1,14 @@
-//! Write-minimizing admission control and longevity-aware placement.
+//! Frequency admission in front of read-miss fills.
 //!
 //! The paper admits every DRAM-evicted page into the flash cache; the
-//! related work shows most of those flash writes are avoidable.
-//! [`AdmissionPolicy`] gates what may enter flash at all — modelled on
-//! Flashield's "prove re-read-worthiness first" and WLFC's "just write
-//! less" bandwidth cap — while [`Longevity`] chooses *where* admitted
-//! writes land: per-bucket open blocks in the write region keyed by
-//! predicted re-write interval, so short-lived pages co-locate and
-//! invalidate whole blocks together, cutting GC write amplification.
-//!
-//! The default is the [`FrequencySketch`] (a fill must be hotter than the
-//! last eviction's median page). [`AdmitAll`] is the paper's §5.1 rule,
-//! byte-identical to pre-admission behaviour: the differential tests'
-//! reference, pinned by every figure.
+//! related work (Flashield, TinyLFU) shows most of those fills are never
+//! read again. The default is the [`FrequencySketch`]: a fill must be
+//! hotter than the last eviction's median page. A cache configured with
+//! [`crate::AdmissionPolicyConfig::AdmitAll`] holds no sketch at all — the
+//! paper's §5.1 rule, the differential tests' reference, pinned by every
+//! figure. Host writes are admitted under both.
 
-use std::fmt;
-
-use crate::config::AdmissionPolicyConfig;
 use crate::tables::Fcht;
-use nand_flash::fxhash::FxHashMap;
-
-/// Gates what may occupy flash space; every default is the paper's rule.
-pub trait AdmissionPolicy: fmt::Debug + Send {
-    /// Whether `disk_page` has earned a read-miss fill.
-    fn admit_fill(&mut self, _disk_page: u64) -> bool {
-        true
-    }
-
-    /// Whether a host write of `disk_page` may be programmed into the
-    /// write region. `tick` is the cache's logical access clock.
-    fn admit_write(&mut self, _disk_page: u64, _tick: u64) -> bool {
-        true
-    }
-
-    /// Whether a write hitting an already-dirty cached copy may be
-    /// absorbed in place without a reprogram (the flash already owes
-    /// that page's flush, so the overwrite carries no new obligation).
-    fn coalesces_dirty_overwrites(&self) -> bool {
-        false
-    }
-
-    /// A flash-level read of `disk_page`, hit or miss, before its
-    /// lookup. Returns whether this read aged the policy's history.
-    fn count_read(&mut self, _disk_page: u64) -> bool {
-        false
-    }
-
-    /// The pages an eviction from the region read fills land in drops.
-    fn observe_eviction(&mut self, _dropped: &mut dyn Iterator<Item = u64>) {}
-
-    /// The estimate a read-miss fill has to exceed (0 = no bar).
-    fn bar(&self) -> u8 {
-        0
-    }
-}
-
-/// The paper's §5.1 rule: every fill and write is admitted.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AdmitAll;
-
-impl AdmissionPolicy for AdmitAll {}
 
 /// Frequency admission (TinyLFU's position): a read-miss fill is admitted
 /// iff the page has been read more often than the median page the last
@@ -109,21 +58,17 @@ impl FrequencySketch {
         let (word, at) = self.locate(page);
         least(self.words[word], at) as u8
     }
-}
 
-/// The least of word `w`'s counters at bit offsets `at`.
-fn least(w: u64, at: [u32; 4]) -> u64 {
-    at.iter().fold(15, |min, s| min.min((w >> s) & 15))
-}
-
-impl AdmissionPolicy for FrequencySketch {
-    fn admit_fill(&mut self, disk_page: u64) -> bool {
+    /// Whether `disk_page` has earned a read-miss fill.
+    pub fn admit_fill(&self, disk_page: u64) -> bool {
         self.estimate(disk_page) > self.bar
     }
 
-    /// Conservative update: only the counters at the page's minimum
-    /// rise, so a colliding page's higher counters are left alone.
-    fn count_read(&mut self, disk_page: u64) -> bool {
+    /// Counts a flash-level read of `disk_page`, hit or miss, before its
+    /// lookup. Conservative update: only the counters at the page's
+    /// minimum rise, so a colliding page's higher counters are left alone.
+    /// Returns whether this read halved the sketch.
+    pub fn count_read(&mut self, disk_page: u64) -> bool {
         let (word, at) = self.locate(disk_page);
         let w = &mut self.words[word];
         let min = least(*w, at);
@@ -143,7 +88,9 @@ impl AdmissionPolicy for FrequencySketch {
         aged
     }
 
-    fn observe_eviction(&mut self, dropped: &mut dyn Iterator<Item = u64>) {
+    /// Sets the bar to the upper-median estimate of the pages an eviction
+    /// from the region read fills land in drops.
+    pub fn observe_eviction(&mut self, dropped: impl Iterator<Item = u64>) {
         let mut bins = [0u32; 16];
         for page in dropped {
             bins[self.estimate(page) as usize] += 1;
@@ -156,170 +103,42 @@ impl AdmissionPolicy for FrequencySketch {
         self.bar = median.map_or(self.bar, |m| m as u8);
     }
 
-    fn bar(&self) -> u8 {
+    /// The estimate a read-miss fill has to exceed (0 until an eviction).
+    pub fn bar(&self) -> u8 {
         self.bar
     }
 }
 
-/// WLFC-style write cap: a token bucket bounds how many host writes per
-/// window may be programmed into flash; everything above the cap goes
-/// straight to disk. Fills are never capped — the cap protects the
-/// write region's program/erase budget, not read caching.
-#[derive(Debug)]
-pub struct WriteCap {
-    pages_per_window: u64,
-    window: u64,
-    coalesce: bool,
-    epoch: u64,
-    tokens: u64,
-}
-
-impl WriteCap {
-    /// Builds the policy: at most `pages_per_window` admitted host
-    /// writes per `window` accesses (burst capacity = one window's
-    /// allowance). `coalesce` additionally absorbs overwrites of
-    /// already-dirty cached pages without a reprogram.
-    pub fn new(pages_per_window: u64, window: u64, coalesce: bool) -> Self {
-        WriteCap {
-            pages_per_window: pages_per_window.max(1),
-            window: window.max(1),
-            coalesce,
-            epoch: 0,
-            tokens: pages_per_window.max(1),
-        }
-    }
-
-    fn refill(&mut self, tick: u64) {
-        let epoch = tick / self.window;
-        if epoch > self.epoch {
-            // Tokens never accumulate past one window's allowance, so a
-            // long quiet period cannot bank an unbounded burst.
-            self.tokens = self.pages_per_window;
-            self.epoch = epoch;
-        }
-    }
-}
-
-impl AdmissionPolicy for WriteCap {
-    fn admit_write(&mut self, _disk_page: u64, tick: u64) -> bool {
-        self.refill(tick);
-        if self.tokens > 0 {
-            self.tokens -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn coalesces_dirty_overwrites(&self) -> bool {
-        self.coalesce
-    }
-}
-
-/// Instantiates the policy a config selects, for a cache of `slots`
-/// page slots.
-pub fn build_policy(config: &AdmissionPolicyConfig, slots: u64) -> Box<dyn AdmissionPolicy> {
-    match *config {
-        AdmissionPolicyConfig::AdmitAll => Box::new(AdmitAll),
-        AdmissionPolicyConfig::ReReference => Box::new(FrequencySketch::new(slots)),
-        AdmissionPolicyConfig::WriteCap {
-            pages_per_window,
-            window,
-            coalesce,
-        } => Box::new(WriteCap::new(pages_per_window, window, coalesce)),
-    }
-}
-
-/// Longevity predictor for write placement: maps each admitted host
-/// write to a write-region bucket by its observed re-write interval.
-/// Bucket 0 collects the shortest-lived pages (re-written fastest);
-/// the top bucket collects long-lived and history-free pages. Each
-/// bucket owns its own open block, so pages with similar lifetimes
-/// share erase blocks and tend to invalidate together.
-#[derive(Debug)]
-pub struct Longevity {
-    buckets: u32,
-    /// The interval treated as "long-lived"; bucket thresholds halve
-    /// geometrically below it.
-    horizon: u64,
-    window: u64,
-    epoch_start: u64,
-    /// Last-write tick per page, two generations (a record survives at
-    /// most one rotation, which bounds the maps without a sweep).
-    cur: FxHashMap<u64, u64>,
-    prev: FxHashMap<u64, u64>,
-}
-
-impl Longevity {
-    /// Builds the predictor. With one bucket the predictor is inert
-    /// (always bucket 0) and keeps no history — the pre-bucketing
-    /// behaviour.
-    pub(crate) fn new(buckets: u32, horizon: u64) -> Self {
-        let horizon = horizon.max(2);
-        Longevity {
-            buckets: buckets.max(1),
-            horizon,
-            window: horizon,
-            epoch_start: 0,
-            cur: FxHashMap::default(),
-            prev: FxHashMap::default(),
-        }
-    }
-
-    fn rotate_if_due(&mut self, tick: u64) {
-        if tick.wrapping_sub(self.epoch_start) >= self.window {
-            self.prev = std::mem::take(&mut self.cur);
-            self.epoch_start = tick;
-        }
-    }
-
-    /// The bucket an admitted write of `page` should land in, recording
-    /// the write for the next prediction.
-    pub(crate) fn bucket_for_write(&mut self, page: u64, tick: u64) -> u32 {
-        if self.buckets <= 1 {
-            return 0;
-        }
-        self.rotate_if_due(tick);
-        let last = self
-            .cur
-            .get(&page)
-            .copied()
-            .or_else(|| self.prev.get(&page).copied());
-        self.cur.insert(page, tick);
-        let Some(last) = last else {
-            // No history: assume long-lived until proven otherwise.
-            return self.buckets - 1;
-        };
-        let interval = tick.saturating_sub(last).max(1);
-        // Geometric quantization: bucket b-1 takes intervals in
-        // [horizon/2, inf), b-2 takes [horizon/4, horizon/2), ... and
-        // bucket 0 everything below the smallest threshold.
-        let mut bucket = self.buckets - 1;
-        let mut threshold = self.horizon;
-        while bucket > 0 {
-            threshold /= 2;
-            if interval >= threshold.max(1) {
-                return bucket;
-            }
-            bucket -= 1;
-        }
-        0
-    }
+/// The least of word `w`'s counters at bit offsets `at`.
+fn least(w: u64, at: [u32; 4]) -> u64 {
+    at.iter().fold(15, |min, s| min.min((w >> s) & 15))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache_tests::small_config;
+    use crate::{AdmissionDecision, AdmissionPolicyConfig, CacheOp, FlashCache};
 
+    /// A cache configured with the paper's rule holds no sketch: nothing
+    /// is counted, nothing ages, no eviction sets a bar, and every miss
+    /// of a scan that makes the read region evict is filled.
     #[test]
     fn admit_all_admits_everything() {
-        let mut p = AdmitAll;
-        assert!(p.admit_fill(1));
-        assert!(p.admit_write(2, u64::MAX));
-        assert!(!p.coalesces_dirty_overwrites());
-        assert!(!p.count_read(1), "nothing to age");
-        p.observe_eviction(&mut [1u64, 2].into_iter());
-        assert_eq!(p.bar(), 0);
+        let mut config = small_config();
+        config.admission = AdmissionPolicyConfig::AdmitAll;
+        let mut cache = FlashCache::new(config).unwrap();
+        assert!(cache.admission.is_none());
+        for page in 0..3_000u64 {
+            let out = cache.op(CacheOp::read(page % 1_000));
+            assert_ne!(out.admission, AdmissionDecision::Rejected);
+            cache.op(CacheOp::write(page % 7));
+        }
+        let stats = cache.stats();
+        assert!(stats.evictions > 0, "the scan outran the read region");
+        assert_eq!(stats.admission_rejected_fills, 0);
+        assert_eq!(stats.admission_sketch_halvings, 0);
+        assert_eq!(cache.admission_bar(), 0);
     }
 
     /// Pages spread over the key space (a scan of consecutive pages
@@ -334,28 +153,26 @@ mod tests {
         }
     }
 
-    /// The rule has no `k`: a counted miss clears a bar of 0, and after
-    /// an eviction a fill needs more reads than the median dropped page.
+    /// A counted miss clears a bar of 0, and after an eviction a fill
+    /// needs more reads than the median dropped page.
     #[test]
-    fn rereference_requires_k_rereads() {
+    fn rereference_fill_must_out_read_the_evicted_median() {
         let mut p = FrequencySketch::new(1000);
         assert!(!p.admit_fill(7), "an uncounted page estimates 0");
         p.count_read(7);
         assert!(p.admit_fill(7), "before any eviction every miss fills");
         count(&mut p, 8, 3);
         count(&mut p, 9, 5);
-        p.observe_eviction(&mut [7u64, 8, 9].into_iter());
+        p.observe_eviction([7u64, 8, 9].into_iter());
         assert_eq!(p.bar(), 3, "the median of 1, 3, 5");
         assert!(!p.admit_fill(8), "as hot as the bar is not hotter");
         count(&mut p, 8, 1);
         assert!(p.admit_fill(8));
         // An even count takes the upper middle; nothing dropped, no news.
-        p.observe_eviction(&mut [7u64, 9].into_iter());
+        p.observe_eviction([7u64, 9].into_iter());
         assert_eq!(p.bar(), 5);
-        p.observe_eviction(&mut std::iter::empty());
+        p.observe_eviction(std::iter::empty());
         assert_eq!(p.bar(), 5);
-        assert!(p.admit_write(10, 0), "host writes are never gated");
-        assert_eq!(p.estimate(10), 0, "nor counted");
     }
 
     /// Counts reads of `filler` until one of them halves the sketch.
@@ -367,7 +184,7 @@ mod tests {
     fn rereference_history_survives_one_rotation() {
         let mut s = FrequencySketch::new(4096);
         count(&mut s, page(0), 9);
-        s.observe_eviction(&mut [page(0)].into_iter());
+        s.observe_eviction([page(0)].into_iter());
         assert_eq!(s.bar(), 9);
         age(&mut s, page(1));
         assert_eq!(s.estimate(page(0)), 4, "one halving: 9 -> 4");
@@ -384,7 +201,7 @@ mod tests {
     fn rereference_counters_decay_after_two_windows() {
         let mut s = FrequencySketch::new(4096);
         count(&mut s, page(0), 3);
-        s.observe_eviction(&mut [page(0)].into_iter());
+        s.observe_eviction([page(0)].into_iter());
         age(&mut s, page(1));
         assert_eq!((s.estimate(page(0)), s.bar()), (1, 1));
         assert!(!s.admit_fill(page(0)));
@@ -480,69 +297,9 @@ mod tests {
             let aged: Vec<bool> = (0..12_000u64)
                 .map(|i| s.count_read(page(i % 1500)))
                 .collect();
-            s.observe_eviction(&mut (0..128).map(page));
+            s.observe_eviction((0..128).map(page));
             (aged, s.words, s.reads, s.bar)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn writecap_bounds_admitted_writes_per_window() {
-        let mut p = WriteCap::new(3, 100, false);
-        let admitted = (0..10).filter(|i| p.admit_write(*i, 50)).count();
-        assert_eq!(admitted, 3);
-        // Next window refills the bucket.
-        assert!(p.admit_write(11, 150));
-        // Fills are never capped.
-        assert!(p.admit_fill(12));
-    }
-
-    #[test]
-    fn writecap_tokens_do_not_bank_across_quiet_windows() {
-        let mut p = WriteCap::new(2, 10, true);
-        assert!(p.coalesces_dirty_overwrites());
-        // Many quiet windows pass; allowance stays one window's worth.
-        let admitted = (0..10).filter(|i| p.admit_write(*i, 1000)).count();
-        assert_eq!(admitted, 2);
-    }
-
-    #[test]
-    fn single_bucket_longevity_is_inert() {
-        let mut l = Longevity::new(1, 1000);
-        for t in 0..100 {
-            assert_eq!(l.bucket_for_write(t, t), 0);
-        }
-        assert!(l.cur.is_empty(), "no history kept with one bucket");
-    }
-
-    #[test]
-    fn longevity_routes_by_rewrite_interval() {
-        let mut l = Longevity::new(4, 1024);
-        // Unknown history: top bucket.
-        assert_eq!(l.bucket_for_write(1, 10), 3);
-        // Re-written almost immediately: shortest-lived bucket.
-        assert_eq!(l.bucket_for_write(1, 11), 0);
-        // Re-written after half the horizon: top bucket again.
-        assert_eq!(l.bucket_for_write(1, 11 + 512), 3);
-        // Mid-range interval lands in a middle bucket.
-        let b = l.bucket_for_write(1, 11 + 512 + 300);
-        assert!(b == 2, "interval 300 vs thresholds 512/256/128, got {b}");
-    }
-
-    #[test]
-    fn build_policy_matches_config() {
-        let p = build_policy(&AdmissionPolicyConfig::AdmitAll, 64);
-        assert!(format!("{p:?}").contains("AdmitAll"));
-        let p = build_policy(&AdmissionPolicyConfig::ReReference, 64);
-        assert!(format!("{p:?}").contains("FrequencySketch"));
-        let p = build_policy(
-            &AdmissionPolicyConfig::WriteCap {
-                pages_per_window: 4,
-                window: 10,
-                coalesce: true,
-            },
-            64,
-        );
-        assert!(p.coalesces_dirty_overwrites());
     }
 }

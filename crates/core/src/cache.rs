@@ -14,8 +14,10 @@ use std::sync::Arc;
 use flash_obs::{Event, ObsSink, Registry, ServiceTier};
 use nand_flash::{BlockId, CellMode, FlashDevice, OpContext, PageAddr};
 
-use crate::admission::{build_policy, AdmissionPolicy, Longevity};
-use crate::config::{ConfigError, ControllerPolicy, FlashCacheConfig, SplitPolicy};
+use crate::admission::FrequencySketch;
+use crate::config::{
+    AdmissionPolicyConfig, ConfigError, ControllerPolicy, FlashCacheConfig, SplitPolicy,
+};
 use crate::error::CacheError;
 use crate::reclaim::ReclaimIndex;
 use crate::stats::CacheStats;
@@ -78,13 +80,10 @@ pub enum AdmissionDecision {
     /// degraded internal-error outcome).
     #[default]
     NotApplicable,
-    /// The policy admitted the fill/write into flash.
+    /// The fill or write was admitted into flash.
     Admitted,
-    /// The policy kept the page out; the caller serves it from disk.
+    /// The sketch kept the fill out; the caller serves it from disk.
     Rejected,
-    /// A write was absorbed by an already-dirty cached copy without a
-    /// reprogram (dirty-page coalescing).
-    Coalesced,
 }
 
 /// Result of one [`CacheOp`]: the access outcome plus what the
@@ -141,17 +140,12 @@ pub(crate) struct OpenBlock {
 #[derive(Debug)]
 pub(crate) struct Region {
     pub(crate) free: VecDeque<BlockId>,
-    /// The write frontier: `width` open-block positions per longevity
-    /// bucket, bucket-major (`bucket * width + position`). The read
-    /// region and unbucketed write regions have one bucket.
+    /// The write frontier: one open-block position per lane the region
+    /// stripes over (see [`Region::new`]); one position is the paper's
+    /// single log head.
     pub(crate) open: Vec<Option<OpenBlock>>,
-    /// Per-bucket round-robin cursor: the frontier position the next
-    /// slot comes from.
-    pub(crate) cursor: Vec<usize>,
-    /// Open blocks per bucket. Derived from the device's lane count and
-    /// the region's size (see [`Region::new`]); 1 is the paper's single
-    /// log head.
-    pub(crate) width: usize,
+    /// Round-robin cursor: the frontier position the next slot comes from.
+    pub(crate) cursor: usize,
     /// Block reserved as the GC compaction destination.
     pub(crate) spare: Option<BlockId>,
     /// Live pages across the region (for the GC watermark).
@@ -161,27 +155,19 @@ pub(crate) struct Region {
 }
 
 impl Region {
-    /// An empty region of `blocks` blocks with `buckets` longevity
-    /// buckets on a device with `lanes` lanes. The frontier is as wide
-    /// as the device has lanes, capped so that open blocks never pin
-    /// more than an eighth of the region.
-    fn new(buckets: usize, blocks: u32, lanes: usize) -> Self {
-        let buckets = buckets.max(1);
-        let width = lanes.min((blocks as usize / (8 * buckets)).max(1));
+    /// An empty region of `blocks` blocks on a device with `lanes` lanes.
+    /// The frontier is as wide as the device has lanes, capped so that
+    /// open blocks never pin more than an eighth of the region.
+    fn new(blocks: u32, lanes: usize) -> Self {
+        let width = lanes.min((blocks as usize / 8).max(1));
         Region {
             free: VecDeque::new(),
-            open: vec![None; buckets * width],
-            cursor: vec![0; buckets],
-            width,
+            open: vec![None; width],
+            cursor: 0,
             spare: None,
             valid_pages: 0,
             invalid_pages: 0,
         }
-    }
-
-    /// Longevity buckets in this region.
-    pub(crate) fn buckets(&self) -> usize {
-        self.cursor.len()
     }
 }
 
@@ -228,13 +214,9 @@ pub struct FlashCache {
     /// Per-operation accumulators, reset at the start of each access.
     pub(crate) op_flushed: u32,
     pub(crate) op_background_us: f64,
-    /// Admission policy gating fills and host writes (boxed: the three
-    /// shipped policies carry very different state).
-    pub(crate) admission: Box<dyn AdmissionPolicy>,
-    /// Longevity predictor routing admitted writes to buckets.
-    pub(crate) longevity: Longevity,
-    /// Host writes programmed per write-region longevity bucket.
-    pub(crate) longevity_writes: Vec<u64>,
+    /// The frequency sketch gating read-miss fills; `None` under
+    /// [`AdmissionPolicyConfig::AdmitAll`], the paper's rule.
+    pub(crate) admission: Option<FrequencySketch>,
     pub(crate) stats: CacheStats,
     /// Attached observability sink (trace events + metric flushing).
     pub(crate) sink: Option<Arc<ObsSink>>,
@@ -282,16 +264,9 @@ impl FlashCache {
             },
         );
         let fpst = Fpst::new(geometry, config.initial_ecc, config.default_mode);
-        // Longevity buckets apply to the write region only; clamp so every
-        // bucket can hold an open block (write_blocks >= 2 in split mode).
-        let wbuckets = if unified {
-            1
-        } else {
-            (config.longevity_buckets.max(1)).min(write_blocks.max(1)) as usize
-        };
         let lanes = device.lanes();
-        let mut read_region = Region::new(1, first_write, lanes);
-        let mut write_region = Region::new(wbuckets, write_blocks, lanes);
+        let mut read_region = Region::new(first_write, lanes);
+        let mut write_region = Region::new(write_blocks, lanes);
         for b in 0..first_write {
             read_region.free.push_back(BlockId(b));
         }
@@ -328,9 +303,10 @@ impl FlashCache {
             usable_slots,
             op_flushed: 0,
             op_background_us: 0.0,
-            admission: build_policy(&config.admission, usable_slots),
-            longevity: Longevity::new(wbuckets as u32, decay_interval),
-            longevity_writes: vec![0; wbuckets],
+            admission: match config.admission {
+                AdmissionPolicyConfig::AdmitAll => None,
+                AdmissionPolicyConfig::ReReference => Some(FrequencySketch::new(usable_slots)),
+            },
             stats: CacheStats::default(),
             sink: flash_obs::global_sink(),
             obs_flushed: false,
@@ -401,15 +377,6 @@ impl FlashCache {
                 "flash.admission.sketch_halvings",
                 s.admission_sketch_halvings,
             ),
-            (
-                "flash.admission.rejected_writes",
-                s.admission_rejected_writes,
-            ),
-            (
-                "flash.admission.coalesced_writes",
-                s.admission_coalesced_writes,
-            ),
-            ("flash.admission.bytes_written", s.admission_bytes_written),
             ("flash.fcht.probe_groups", self.fcht.probe_groups()),
         ];
         for (name, v) in c {
@@ -437,19 +404,6 @@ impl FlashCache {
         // a gauge so merging shard registries keeps the (overwritten)
         // last value rather than a meaningless sum.
         reg.gauge_set("flash.fcht.max_probe_len", self.fcht.max_probe_len() as f64);
-        // Longevity metrics appear only when placement is actually
-        // bucketed, mirroring the shard-prefix discipline: the default
-        // single-bucket registry stays byte-identical to pre-admission
-        // exports.
-        if self.longevity_writes.len() > 1 {
-            reg.gauge_set(
-                "flash.longevity.buckets",
-                self.longevity_writes.len() as f64,
-            );
-            for (i, &w) in self.longevity_writes.iter().enumerate() {
-                reg.counter_add(&format!("flash.longevity.bucket.{i}.writes"), w);
-            }
-        }
         reg
     }
 
@@ -515,7 +469,7 @@ impl FlashCache {
 
     /// The read count a read-miss fill has to exceed (0: none, or not yet).
     pub fn admission_bar(&self) -> u8 {
-        self.admission.bar()
+        self.admission.as_ref().map_or(0, FrequencySketch::bar)
     }
 
     /// Usable (non-retired) slot count.
@@ -606,12 +560,6 @@ impl FlashCache {
         } else {
             &self.write_region
         }
-    }
-
-    /// Index of the last (longest-lived) longevity bucket of `kind`'s
-    /// region. The read region always has exactly one bucket.
-    pub(crate) fn top_bucket(&self, kind: RegionKind) -> u32 {
-        (self.region(kind).buckets() - 1) as u32
     }
 
     /// Reconciles the reclaim index with `b`'s FBST state. Call after
@@ -754,7 +702,9 @@ impl FlashCache {
         self.begin_op();
         self.stats.reads += 1;
         // Before the probe: the sketch's line loads alongside the FCHT's.
-        self.stats.admission_sketch_halvings += self.admission.count_read(disk_page) as u64;
+        if let Some(sketch) = &mut self.admission {
+            self.stats.admission_sketch_halvings += sketch.count_read(disk_page) as u64;
+        }
         // What an uncorrectable hit spent on the lost copy: latency, wait.
         let mut lost = None;
         if let Some(addr) = self.fcht.lookup(disk_page) {
@@ -838,11 +788,12 @@ impl FlashCache {
     /// region. Returns whether a copy was cached (an admitted page is not
     /// if the worn-out device has no space) and the decision taken.
     fn admitted_fill(&mut self, disk_page: u64) -> Result<(bool, AdmissionDecision), CacheError> {
-        if !self.admission.admit_fill(disk_page) {
+        let sketch = self.admission.as_ref();
+        if sketch.is_some_and(|s| !s.admit_fill(disk_page)) {
             self.stats.admission_rejected_fills += 1;
             return Ok((false, AdmissionDecision::Rejected));
         }
-        let slot = self.allocate_slot(RegionKind::Read, false, 0)?;
+        let slot = self.allocate_slot(RegionKind::Read, false)?;
         if let Some(addr) = slot {
             self.op_background_us += self.program_slot(addr, disk_page, false, 0)?;
         }
@@ -850,8 +801,7 @@ impl FlashCache {
     }
 
     /// §5.1 write path — always an out-of-place write into the write
-    /// region — with the admission gate, dirty-page coalescing, and
-    /// longevity-bucketed placement in front of the program.
+    /// region; host writes are never gated.
     fn op_write(&mut self, op: CacheOp) -> Result<CacheOutcome, CacheError> {
         let disk_page = op.lba;
         self.begin_op();
@@ -860,23 +810,6 @@ impl FlashCache {
         if let Some(addr) = self.fcht.lookup(disk_page) {
             hit = true;
             self.stats.write_hits += 1;
-            // Dirty-page coalescing (WriteCap only): an already-dirty
-            // cached copy absorbs the overwrite in place — the stale
-            // data was never flushed, so updating it owes no program.
-            if self.admission.coalesces_dirty_overwrites() && self.fpst.get(addr).dirty {
-                self.stats.admission_coalesced_writes += 1;
-                self.fgst.record(true, 0.0);
-                self.maybe_background_read_gc()?;
-                let access = self.finish(AccessOutcome {
-                    hit: true,
-                    tier: ServiceTier::Flash,
-                    ..AccessOutcome::default()
-                });
-                return Ok(CacheOutcome {
-                    access,
-                    admission: AdmissionDecision::Coalesced,
-                });
-            }
             // Invalidate the stale copy (read- or write-region alike);
             // the new data supersedes it, so no flush is owed.
             self.invalidate_for_overwrite(addr);
@@ -886,32 +819,11 @@ impl FlashCache {
         } else {
             RegionKind::Write
         };
-        let (programmed, admission) = if self.admission.admit_write(disk_page, self.tick) {
-            let bucket = if self.unified {
-                0
-            } else {
-                self.longevity.bucket_for_write(disk_page, self.tick)
-            };
-            let programmed = match self.allocate_slot(target, false, bucket)? {
-                Some(addr) => {
-                    let lat = self.program_slot(addr, disk_page, true, 0)?;
-                    self.op_background_us += lat;
-                    self.stats.admission_bytes_written +=
-                        self.device.geometry().page_data_bytes as u64;
-                    let bi = (bucket as usize).min(self.longevity_writes.len() - 1);
-                    self.longevity_writes[bi] += 1;
-                    true
-                }
-                None => false,
-            };
-            (programmed, AdmissionDecision::Admitted)
-        } else {
-            // Rejected: the dirty data bypasses flash; the caller owns
-            // the disk write (the hierarchy already routes `bypassed`
-            // write-backs to disk).
-            self.stats.admission_rejected_writes += 1;
-            (false, AdmissionDecision::Rejected)
-        };
+        let slot = self.allocate_slot(target, false)?;
+        if let Some(addr) = slot {
+            self.op_background_us += self.program_slot(addr, disk_page, true, 0)?;
+        }
+        let programmed = slot.is_some();
         self.fgst.record(hit, 0.0);
         self.maybe_background_read_gc()?;
         let access = self.finish(AccessOutcome {
@@ -924,7 +836,10 @@ impl FlashCache {
             bypassed: !programmed,
             ..AccessOutcome::default()
         });
-        Ok(CacheOutcome { access, admission })
+        Ok(CacheOutcome {
+            access,
+            admission: AdmissionDecision::Admitted,
+        })
     }
 
     /// Marks every dirty page clean and returns how many disk writes the
@@ -1072,7 +987,7 @@ impl FlashCache {
         // Invalidate *before* allocating: allocation may trigger GC, which
         // must not relocate the page we are about to migrate ourselves.
         self.invalidate_for_overwrite(addr);
-        let Some(dst) = self.allocate_slot(kind, true, self.top_bucket(kind))? else {
+        let Some(dst) = self.allocate_slot(kind, true)? else {
             // Promotion failed for lack of space; the page falls out of
             // the cache (its content was just served, and a dirty copy
             // still owes a disk write).

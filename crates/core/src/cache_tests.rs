@@ -8,9 +8,10 @@ use rand::{Rng, SeedableRng};
 
 use crate::cache::{AdmissionDecision, CacheOp, FlashCache};
 use crate::config::{AdmissionPolicyConfig, ControllerPolicy, FlashCacheConfig, SplitPolicy};
+use crate::stats::CacheStats;
 
 /// A small cache: 16 blocks × 8 physical pages = 256 slots.
-fn small_config() -> FlashCacheConfig {
+pub(crate) fn small_config() -> FlashCacheConfig {
     FlashCacheConfig {
         flash: FlashConfig {
             geometry: FlashGeometry {
@@ -595,7 +596,10 @@ fn frontier_width_follows_lanes_and_region_size() {
     // One lane: the paper's single log head, whatever the region size.
     let serial = small_cache();
     assert_eq!(
-        (serial.read_region.width, serial.write_region.width),
+        (
+            serial.read_region.open.len(),
+            serial.write_region.open.len()
+        ),
         (1, 1)
     );
     // Eight lanes: the 115-block read region opens one block per lane;
@@ -603,7 +607,10 @@ fn frontier_width_follows_lanes_and_region_size() {
     let striped = eight_lane_cache();
     assert_eq!(striped.device().lanes(), 8);
     assert_eq!(
-        (striped.read_region.width, striped.write_region.width),
+        (
+            striped.read_region.open.len(),
+            striped.write_region.open.len()
+        ),
         (8, 1)
     );
 }
@@ -829,4 +836,70 @@ fn a_new_hot_set_thaws_the_bar_within_three_sketch_ageings() {
     assert_eq!(hits, 96, "B is cached and hitting");
     assert!(c.admission_bar() < 15);
     c.check_invariants().unwrap();
+}
+
+/// The 50 000-op trace behind the pinned-stats test: a skewed page
+/// popularity (product of two uniform draws) over five times the cache,
+/// three ops in ten writes.
+fn pinned_trace() -> impl Iterator<Item = CacheOp> {
+    let mut state = 0x2008_0621_u64;
+    let mut draw = move |n: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    (0..50_000).map(move |_| {
+        let page = draw(2_560) * draw(2_560) / 2_560;
+        if draw(10) < 3 {
+            CacheOp::write(page)
+        } else {
+            CacheOp::read(page)
+        }
+    })
+}
+
+/// The default admission's hooks sit where they did behind the `dyn`
+/// seam: these are the counters of commit ab77b8d (PR 22) on this trace.
+/// A dropped or reordered `count_read` / `admit_fill` /
+/// `observe_eviction` call moves the rejected fills, the bar, and every
+/// reclaim counter downstream of them.
+#[test]
+fn rereference_counters_are_pinned_on_a_fixed_trace() {
+    let mut config = small_config();
+    config.flash.geometry.blocks = 32;
+    config.split = SplitPolicy::Split {
+        write_fraction: 0.25,
+    };
+    let mut c = FlashCache::new(config).unwrap();
+    for op in pinned_trace() {
+        c.op(op);
+    }
+    c.check_invariants().unwrap();
+    let pinned = CacheStats {
+        reads: 34_959,
+        read_hits: 11_694,
+        writes: 15_041,
+        write_hits: 5_074,
+        flash_reads: 23_069,
+        flash_programs: 31_092,
+        erases: 1_915,
+        gc_runs: 986,
+        gc_moved_pages: 11_375,
+        gc_dropped_pages: 517,
+        gc_time_us: 15095881.249999784,
+        evictions: 920,
+        flushed_dirty_pages: 13_777,
+        wear_migrations: 9,
+        foreground_us: 1052460.0,
+        background_us: 13438121.350003902,
+        ecc_us: 467760.0,
+        reclaim_index_queries: 11_195,
+        reclaim_index_hits: 2_877,
+        admission_rejected_fills: 18_589,
+        admission_sketch_halvings: 6,
+        ..CacheStats::default()
+    };
+    assert_eq!(c.stats(), pinned);
+    assert_eq!(c.admission_bar(), 7);
 }

@@ -49,37 +49,20 @@ impl Default for SplitPolicy {
     }
 }
 
-/// Which flash admission policy gates DRAM-evicted pages (fills and
-/// host writes) out of the flash cache.
-///
-/// All parameters are integers so the config stays `Eq`; windows are
-/// measured in cache accesses — the same logical clock as the FPST
-/// counter decay.
+/// Which admission rule gates read-miss fills out of the flash cache.
+/// Host writes are admitted under both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AdmissionPolicyConfig {
-    /// Admit every fill and write — the paper's §5.1 rule, which the
-    /// figure binaries pin.
+    /// Admit every fill — the paper's §5.1 rule, which the figure
+    /// binaries pin.
     AdmitAll,
     /// Frequency admission: a read-miss fill is programmed iff the page
     /// has been read more often than the median page of the last block
-    /// the cache evicted (every miss, until there has been one). Host
-    /// writes are always admitted. No parameters: the sketch is sized
-    /// from the device geometry, the bar comes from the evictions.
+    /// the cache evicted (every miss, until there has been one). No
+    /// parameters: the sketch is sized from the device geometry, the bar
+    /// comes from the evictions.
     #[default]
     ReReference,
-    /// Token-bucket cap on flash write bandwidth (WLFC-style): at most
-    /// `pages_per_window` host writes per `window` accesses are
-    /// programmed; the rest go straight to disk. Fills are never
-    /// capped.
-    WriteCap {
-        /// Admitted host writes allowed per window (`>= 1`).
-        pages_per_window: u64,
-        /// Refill window in cache accesses (`>= 1`).
-        window: u64,
-        /// Absorb overwrites of already-dirty cached pages in place
-        /// (no reprogram — the flash already owes that page's flush).
-        coalesce: bool,
-    },
 }
 
 /// Flash memory controller reconfiguration policy (§4, §5.2).
@@ -160,15 +143,10 @@ pub struct FlashCacheConfig {
     /// counter, so "frequently accessed" means *recent* frequency
     /// (§5.2.2). `0` selects one cache-capacity of accesses.
     pub counter_decay_interval: u64,
-    /// Admission policy gating fills and host writes out of the flash
-    /// (default [`AdmissionPolicyConfig::ReReference`];
+    /// Admission rule gating read-miss fills out of the flash (default
+    /// [`AdmissionPolicyConfig::ReReference`];
     /// [`AdmissionPolicyConfig::AdmitAll`] is the paper's behaviour).
     pub admission: AdmissionPolicyConfig,
-    /// Longevity buckets in the write region: admitted host writes are
-    /// routed into per-bucket open blocks by predicted re-write
-    /// interval. `1` (default) disables bucketing — the pre-admission
-    /// single open block. Ignored under [`SplitPolicy::Unified`].
-    pub longevity_buckets: u32,
 }
 
 impl Default for FlashCacheConfig {
@@ -191,7 +169,6 @@ impl Default for FlashCacheConfig {
             reconfig_margin: 0,
             counter_decay_interval: 0,
             admission: AdmissionPolicyConfig::default(),
-            longevity_buckets: 1,
         }
     }
 }
@@ -291,33 +268,6 @@ impl FlashCacheConfig {
                     channel.channels, channel.planes
                 )));
             }
-        }
-        match self.admission {
-            AdmissionPolicyConfig::AdmitAll | AdmissionPolicyConfig::ReReference => {}
-            AdmissionPolicyConfig::WriteCap {
-                pages_per_window,
-                window,
-                ..
-            } => {
-                if pages_per_window == 0 {
-                    return Err(ConfigError::new(
-                        "write cap of 0 pages per window would reject every \
-                         write; use a positive rate"
-                            .to_string(),
-                    ));
-                }
-                if window == 0 {
-                    return Err(ConfigError::new(
-                        "write cap window must be nonzero".to_string(),
-                    ));
-                }
-            }
-        }
-        if self.longevity_buckets == 0 || self.longevity_buckets > 16 {
-            return Err(ConfigError::new(format!(
-                "longevity_buckets must be in 1..=16, got {}",
-                self.longevity_buckets
-            )));
         }
         Ok(())
     }
@@ -441,16 +391,9 @@ impl FlashCacheConfigBuilder {
         self
     }
 
-    /// Sets the flash admission policy gating fills and host writes.
+    /// Sets the admission rule gating read-miss fills.
     pub fn admission(mut self, admission: AdmissionPolicyConfig) -> Self {
         self.config.admission = admission;
-        self
-    }
-
-    /// Sets the number of longevity buckets in the write region
-    /// (`1..=16`; `1` disables bucketing).
-    pub fn longevity_buckets(mut self, longevity_buckets: u32) -> Self {
-        self.config.longevity_buckets = longevity_buckets;
         self
     }
 
@@ -593,56 +536,25 @@ mod tests {
 
     #[test]
     fn admission_validation_rejects_degenerate_knobs() {
-        // Frequency admission has nothing to get wrong: no knobs (sketch
-        // size, ageing period and bar derive from the cache itself).
-        assert!(FlashCacheConfig::builder()
-            .admission(AdmissionPolicyConfig::ReReference)
-            .build()
-            .is_ok());
-        // Zero-rate cap rejects every write; rejected at build time.
-        assert!(FlashCacheConfig::builder()
-            .admission(AdmissionPolicyConfig::WriteCap {
-                pages_per_window: 0,
-                window: 100,
-                coalesce: false,
-            })
-            .build()
-            .is_err());
-        assert!(FlashCacheConfig::builder()
-            .admission(AdmissionPolicyConfig::WriteCap {
-                pages_per_window: 8,
-                window: 0,
-                coalesce: false,
-            })
-            .build()
-            .is_err());
-        assert!(FlashCacheConfig::builder()
-            .longevity_buckets(0)
-            .build()
-            .is_err());
-        assert!(FlashCacheConfig::builder()
-            .longevity_buckets(17)
-            .build()
-            .is_err());
-        let c = FlashCacheConfig::builder()
-            .admission(AdmissionPolicyConfig::AdmitAll)
-            .longevity_buckets(4)
-            .build()
-            .unwrap();
-        assert_eq!(c.admission, AdmissionPolicyConfig::AdmitAll);
-        assert_eq!(c.longevity_buckets, 4);
+        // Neither rule has anything to get wrong: no knobs (sketch size,
+        // ageing period and bar derive from the cache itself).
+        for admission in [
+            AdmissionPolicyConfig::ReReference,
+            AdmissionPolicyConfig::AdmitAll,
+        ] {
+            let c = FlashCacheConfig::builder().admission(admission).build();
+            assert_eq!(c.unwrap().admission, admission);
+        }
     }
 
     /// Ours, not the paper's: §5.1 fills on every miss (`AdmitAll`,
     /// which the figure binaries pin); the library default fills a page
     /// only if it is read more often than what the cache last evicted,
-    /// which is every page until the first eviction. Placement stays the
-    /// paper's single log head.
+    /// which is every page until the first eviction.
     #[test]
     fn admission_defaults_are_paper_faithful() {
         let c = FlashCacheConfig::default();
         assert_eq!(c.admission, AdmissionPolicyConfig::ReReference);
-        assert_eq!(c.longevity_buckets, 1);
     }
 
     #[test]

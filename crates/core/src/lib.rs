@@ -49,7 +49,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod tables;
 
-pub use admission::{AdmissionPolicy, AdmitAll, FrequencySketch, WriteCap};
+pub use admission::FrequencySketch;
 pub use cache::{AccessOutcome, AdmissionDecision, CacheOp, CacheOpKind, CacheOutcome, FlashCache};
 pub use config::{
     AdmissionPolicyConfig, ConfigError, ControllerPolicy, FlashCacheConfig,

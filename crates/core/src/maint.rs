@@ -53,22 +53,12 @@ impl FlashCache {
         ) || self.config.default_mode == CellMode::Slc
     }
 
-    /// The frontier position `bucket`'s next slot comes from (`bucket`
-    /// clamped to the region's bucket count — always 0 for the read
-    /// region).
-    fn open_index(&self, kind: RegionKind, bucket: u32) -> usize {
-        let region = self.region(kind);
-        let bi = (bucket as usize).min(region.buckets() - 1);
-        bi * region.width + region.cursor[bi]
-    }
-
-    /// Opens a fresh block at `bucket`'s current frontier position: the
+    /// Opens a fresh block at the frontier's current position: the
     /// first free block on a lane none of the region's open blocks
     /// occupies (so the frontier's cell programs overlap), else the
     /// front of `free`, else — with `allow_spare` — the reserved spare.
     /// Returns `false` when there was no block to open.
-    fn open_next_block(&mut self, kind: RegionKind, bucket: u32, allow_spare: bool) -> bool {
-        let idx = self.open_index(kind, bucket);
+    fn open_next_block(&mut self, kind: RegionKind, allow_spare: bool) -> bool {
         let region = self.region(kind);
         let lane_is_open = |b: &BlockId| {
             let lane = self.device.lane_of(*b);
@@ -88,36 +78,33 @@ impl FlashCache {
         let Some(id) = block else {
             return false;
         };
-        region.open[idx] = Some(OpenBlock { id, next_slot: 0 });
+        region.open[region.cursor] = Some(OpenBlock { id, next_slot: 0 });
         true
     }
 
     /// Allocates the next programmable slot in `kind`, making space if
     /// needed. `want_slc` forces the destination physical page into SLC
-    /// mode (hot-page promotion); `bucket` selects which longevity
-    /// bucket's frontier the slot comes from (see
-    /// [`Self::open_index`]). Returns `None` when the device can no
+    /// mode (hot-page promotion). Returns `None` when the device can no
     /// longer provide space (worn out).
     pub(crate) fn allocate_slot(
         &mut self,
         kind: RegionKind,
         want_slc: bool,
-        bucket: u32,
     ) -> Result<Option<PageAddr>, CacheError> {
         let mut attempts = 0u32;
         let limit = 2 * self.device.geometry().blocks + 8;
         loop {
-            if let Some(addr) = self.take_from_open(kind, want_slc, bucket) {
+            if let Some(addr) = self.take_from_open(kind, want_slc) {
                 return Ok(Some(addr));
             }
-            if self.open_next_block(kind, bucket, false) {
+            if self.open_next_block(kind, false) {
                 continue;
             }
             if !self.make_space(kind)? {
                 // Last resort: consume the reserved spare so the final
                 // surviving blocks still cycle (and can retire) instead
                 // of sitting pinned forever.
-                if self.open_next_block(kind, bucket, true) {
+                if self.open_next_block(kind, true) {
                     continue;
                 }
                 return Ok(None);
@@ -178,26 +165,20 @@ impl FlashCache {
         None
     }
 
-    /// Hands out the next slot compatible with the request from
-    /// `bucket`'s current frontier position, honouring per-physical-page
-    /// mode configuration, and moves the bucket's cursor on so the next
-    /// slot comes from the next position (another lane). `None` when the
-    /// position holds no block or its block is exhausted.
-    fn take_from_open(
-        &mut self,
-        kind: RegionKind,
-        want_slc: bool,
-        bucket: u32,
-    ) -> Option<PageAddr> {
-        let idx = self.open_index(kind, bucket);
+    /// Hands out the next slot compatible with the request from the
+    /// frontier's current position, honouring per-physical-page mode
+    /// configuration, and moves the cursor on so the next slot comes
+    /// from the next position (another lane). `None` when the position
+    /// holds no block or its block is exhausted.
+    fn take_from_open(&mut self, kind: RegionKind, want_slc: bool) -> Option<PageAddr> {
+        let idx = self.region(kind).cursor;
         let mut ob = self.region(kind).open[idx]?;
         let result = self.advance_slot(ob.id, &mut ob.next_slot, want_slc);
         let region = self.region_mut(kind);
         // `advance_slot` comes back empty only from an exhausted block.
         region.open[idx] = result.map(|_| ob);
         if result.is_some() {
-            let bi = idx / region.width;
-            region.cursor[bi] = (region.cursor[bi] + 1) % region.width;
+            region.cursor = (idx + 1) % region.open.len();
         }
         result
     }
@@ -462,7 +443,7 @@ impl FlashCache {
         }
         let access = self.fpst.access_count(src);
         let want_slc = access >= self.config.hot_threshold && self.policy_allows_slc();
-        let Some(dst) = self.gc_dest_slot(kind, want_slc, self.top_bucket(kind)) else {
+        let Some(dst) = self.gc_dest_slot(kind, want_slc) else {
             self.drop_valid_page(src, true);
             return Ok(false);
         };
@@ -491,15 +472,13 @@ impl FlashCache {
     }
 
     /// A destination slot for relocation: never recurses into
-    /// `make_space`; falls back to consuming the spare block. GC
-    /// survivors have proven longevity, so callers route them to the
-    /// region's top bucket.
-    fn gc_dest_slot(&mut self, kind: RegionKind, want_slc: bool, bucket: u32) -> Option<PageAddr> {
+    /// `make_space`; falls back to consuming the spare block.
+    fn gc_dest_slot(&mut self, kind: RegionKind, want_slc: bool) -> Option<PageAddr> {
         loop {
-            if let Some(a) = self.take_from_open(kind, want_slc, bucket) {
+            if let Some(a) = self.take_from_open(kind, want_slc) {
                 return Some(a);
             }
-            if !self.open_next_block(kind, bucket, true) {
+            if !self.open_next_block(kind, true) {
                 return None;
             }
         }
@@ -525,9 +504,10 @@ impl FlashCache {
         };
         let partner = self.wear_swap_partner(victim);
         if self.storage_kind(kind) == RegionKind::Read {
-            let pages = self.fpst.iter_block(victim);
-            let mut dropped = pages.filter_map(|(a, _)| self.fpst.disk_page(a));
-            self.admission.observe_eviction(&mut dropped);
+            if let Some(sketch) = &mut self.admission {
+                let pages = self.fpst.iter_block(victim);
+                sketch.observe_eviction(pages.filter_map(|(a, _)| self.fpst.disk_page(a)));
+            }
         }
         self.drop_block_content(victim);
         self.stats.evictions += 1;

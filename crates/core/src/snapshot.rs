@@ -18,11 +18,8 @@ pub struct RegionSnapshot {
     /// Block ids on the free list, in allocation order.
     pub free_blocks: Vec<u32>,
     /// The write frontier: every open-block position as
-    /// `(block, next_slot)`, `None` where a position holds no block.
-    /// Bucket-major: entries `b * width .. (b + 1) * width` are
-    /// longevity bucket `b`'s positions in round-robin order, where
-    /// `width = open_blocks.len() / buckets`. One entry for a
-    /// single-bucket region on a one-lane device.
+    /// `(block, next_slot)`, `None` where a position holds no block, in
+    /// round-robin order. One entry on a one-lane device.
     pub open_blocks: Vec<Option<(u32, u32)>>,
     /// The reserved GC-compaction spare, if any.
     pub spare_block: Option<u32>,

@@ -69,16 +69,9 @@ pub struct CacheStats {
     /// Times the admission policy's frequency sketch (and its bar) aged:
     /// once per ten counted reads per cache slot.
     pub admission_sketch_halvings: u64,
-    /// Host writes the admission policy sent straight to disk instead
-    /// of programming into the write region.
+    /// Always 0: host writes are never rejected and nothing increments
+    /// this; it stays because `benchmark/src/traced.rs` reads it.
     pub admission_rejected_writes: u64,
-    /// Host writes absorbed in place by an already-dirty cached copy
-    /// (dirty-page coalescing; no reprogram was issued).
-    pub admission_coalesced_writes: u64,
-    /// Bytes of admitted host writes programmed into flash — the
-    /// quantity a [`WriteCap`](crate::admission::WriteCap) policy
-    /// bounds. Excludes fills and GC relocation traffic.
-    pub admission_bytes_written: u64,
 }
 
 impl CacheStats {
@@ -137,9 +130,6 @@ impl CacheStats {
         self.internal_errors += other.internal_errors;
         self.admission_rejected_fills += other.admission_rejected_fills;
         self.admission_sketch_halvings += other.admission_sketch_halvings;
-        self.admission_rejected_writes += other.admission_rejected_writes;
-        self.admission_coalesced_writes += other.admission_coalesced_writes;
-        self.admission_bytes_written += other.admission_bytes_written;
     }
 
     /// GC overhead: GC time relative to all time the cache spent working
@@ -251,9 +241,8 @@ mod tests {
             writes: 7,
             gc_time_us: 0.5,
             gc_dropped_pages: 2,
-            admission_rejected_writes: 3,
+            admission_rejected_fills: 3,
             admission_sketch_halvings: 6,
-            admission_bytes_written: 4096,
             ..CacheStats::default()
         };
         let mut m = a;
@@ -264,8 +253,7 @@ mod tests {
         assert_eq!(m.writes, 7);
         assert_eq!(m.gc_dropped_pages, 7);
         assert_eq!(m.internal_errors, 1);
-        assert_eq!(m.admission_rejected_writes, 3);
-        assert_eq!(m.admission_bytes_written, 4096);
+        assert_eq!(m.admission_rejected_fills, 3);
         assert!((m.gc_time_us - 2.0).abs() < 1e-12);
         // Merging the zero stats is the identity.
         let mut z = a;

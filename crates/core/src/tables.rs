@@ -1095,7 +1095,7 @@ mod tests {
     // states the product reaches.
     // ------------------------------------------------------------------
 
-    fn tiny_cache(admission: AdmissionPolicyConfig, longevity_buckets: u32) -> FlashCache {
+    fn tiny_cache(admission: AdmissionPolicyConfig) -> FlashCache {
         let config = FlashCacheConfig::builder()
             .flash(FlashConfig {
                 geometry: FlashGeometry {
@@ -1106,7 +1106,6 @@ mod tests {
                 ..FlashConfig::default()
             })
             .admission(admission)
-            .longevity_buckets(longevity_buckets)
             .build()
             .expect("valid config");
         FlashCache::new(config).expect("valid cache")
@@ -1116,11 +1115,6 @@ mod tests {
         prop_oneof![
             Just(AdmissionPolicyConfig::AdmitAll),
             Just(AdmissionPolicyConfig::ReReference),
-            Just(AdmissionPolicyConfig::WriteCap {
-                pages_per_window: 8,
-                window: 32,
-                coalesce: true,
-            }),
         ]
     }
 
@@ -1145,15 +1139,13 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The SWAR probe matches the byte-at-a-time reference through
-        /// arbitrary op sequences under every admission policy and
-        /// longevity-bucket setting.
+        /// arbitrary op sequences under every admission policy.
         #[test]
         fn swar_probe_matches_bytewise_oracle(
             ops in prop::collection::vec(op_strategy(120), 1..300),
             admission in admission_strategy(),
-            longevity_buckets in prop_oneof![Just(1u32), Just(4u32)],
         ) {
-            run_in_lock_step(tiny_cache(admission, longevity_buckets), &ops, 120);
+            run_in_lock_step(tiny_cache(admission), &ops, 120);
         }
 
         /// Densely hammering a small page range forces FCHT chains
@@ -1163,7 +1155,7 @@ mod tests {
         fn dense_churn_keeps_probe_flavours_in_lock_step(
             ops in prop::collection::vec(op_strategy(40), 50..400),
         ) {
-            run_in_lock_step(tiny_cache(AdmissionPolicyConfig::AdmitAll, 1), &ops, 40);
+            run_in_lock_step(tiny_cache(AdmissionPolicyConfig::AdmitAll), &ops, 40);
         }
     }
 }

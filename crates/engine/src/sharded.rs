@@ -581,11 +581,11 @@ mod tests {
         // scan of three times the flash is never refused.
         let mut cfg = config(32);
         cfg.admission = AdmissionPolicyConfig::AdmitAll;
-        cfg.longevity_buckets = 2;
+        cfg.hot_threshold = 5;
         let mut e = ShardedCache::new(cfg, 4).unwrap();
         for shard in e.shards() {
             assert_eq!(shard.config().admission, AdmissionPolicyConfig::AdmitAll);
-            assert_eq!(shard.config().longevity_buckets, 2);
+            assert_eq!(shard.config().hot_threshold, 5);
         }
         for p in 0..1000 {
             e.op(CacheOp::read(p));

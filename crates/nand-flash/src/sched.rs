@@ -46,9 +46,8 @@
 //!   other module restates it.
 //! * The scheduler places ops where their block lives; spreading work
 //!   over lanes is the allocator's job. The flash cache keeps a *write
-//!   frontier* of `width` open blocks per region and longevity bucket,
-//!   `width = min(lanes, max(1, region_blocks / (8 × buckets)))`; a
-//!   round-robin cursor hands consecutive slots to consecutive frontier
+//!   frontier* of `width` open blocks per region,
+//!   `width = min(lanes, max(1, region_blocks / 8))`; a round-robin cursor hands consecutive slots to consecutive frontier
 //!   positions, and an exhausted position reopens on the first free
 //!   block whose lane no open block of the region occupies (else the
 //!   front of the free list), so consecutive programs land on different

@@ -1,15 +1,13 @@
-//! Admission/longevity ablation: the paper's split cache extended with
-//! write-minimizing admission control and longevity-bucketed placement.
+//! Admission ablation: the paper's split cache extended with
+//! write-minimizing admission control.
 //!
-//! Four variants, each adding one mechanism on top of the last:
+//! Three variants, each adding one mechanism on top of the last:
 //!
 //! 1. `unified` — single region, admit everything (Figure 3's strawman).
 //! 2. `split` — 90/10 read/write regions (the paper's design; the
 //!    baseline every delta below is measured against).
 //! 3. `split+admission` — the default frequency admission fills only
 //!    pages read more often than what the cache last evicted.
-//! 4. `split+admission+longevity` — admitted writes are additionally
-//!    routed to per-bucket open blocks by predicted re-write interval.
 //!
 //! The headline quantities are flash bytes programmed (the wear budget
 //! admission protects), mean block erases (projected lifetime scales
@@ -24,18 +22,15 @@ use super::driver::{cache_config_for_bytes, drive_cache, half_working_set_bytes}
 /// One variant's measured row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AblationRow {
-    /// Variant name (`unified`, `split`, `split+admission`,
-    /// `split+admission+longevity`).
+    /// Variant name (`unified`, `split`, `split+admission`).
     pub variant: String,
     /// Read miss rate over the measured window.
     pub read_miss_rate: f64,
-    /// Flash page programs over the measured window (fills + admitted
+    /// Flash page programs over the measured window (fills + host
     /// writes + GC relocations + wear migrations).
     pub flash_programs: u64,
     /// `flash_programs` converted to bytes — the wear-budget headline.
     pub flash_bytes_written: u64,
-    /// Bytes of admitted host writes only (`flash.admission.bytes_written`).
-    pub admitted_write_bytes: u64,
     /// Block erases over the measured window.
     pub erases: u64,
     /// Mean per-block erase count at end of run (warm-up included;
@@ -43,10 +38,6 @@ pub struct AblationRow {
     pub mean_block_erases: f64,
     /// Read-miss fills the admission policy kept out of flash.
     pub rejected_fills: u64,
-    /// Host writes the admission policy sent straight to disk.
-    pub rejected_writes: u64,
-    /// Dirty overwrites absorbed in place without a reprogram.
-    pub coalesced_writes: u64,
     /// Pages relocated by garbage collection (write-amp contribution).
     pub gc_moved_pages: u64,
 }
@@ -72,8 +63,6 @@ pub struct AblationParams {
     pub measured_accesses: u64,
     /// Trace seed (identical across variants).
     pub seed: u64,
-    /// Longevity buckets used by the final variant.
-    pub longevity_buckets: u32,
 }
 
 impl Default for AblationParams {
@@ -83,34 +72,23 @@ impl Default for AblationParams {
             warmup_accesses: 100_000,
             measured_accesses: 200_000,
             seed: 0x5EED,
-            longevity_buckets: 4,
         }
     }
 }
 
-/// The four ablation variants: `(name, split, admission, buckets)`.
-pub fn ablation_variants(
-    params: &AblationParams,
-) -> Vec<(&'static str, SplitPolicy, AdmissionPolicyConfig, u32)> {
+/// The three ablation variants: `(name, split, admission)`.
+pub fn ablation_variants() -> [(&'static str, SplitPolicy, AdmissionPolicyConfig); 3] {
     let split = SplitPolicy::Split {
         write_fraction: 0.10,
     };
-    let reref = AdmissionPolicyConfig::ReReference;
-    vec![
+    [
         (
             "unified",
             SplitPolicy::Unified,
             AdmissionPolicyConfig::AdmitAll,
-            1,
         ),
-        ("split", split, AdmissionPolicyConfig::AdmitAll, 1),
-        ("split+admission", split, reref, 1),
-        (
-            "split+admission+longevity",
-            split,
-            reref,
-            params.longevity_buckets,
-        ),
+        ("split", split, AdmissionPolicyConfig::AdmitAll),
+        ("split+admission", split, AdmissionPolicyConfig::ReReference),
     ]
 }
 
@@ -120,12 +98,10 @@ pub fn run_variant(
     name: &str,
     split: SplitPolicy,
     admission: AdmissionPolicyConfig,
-    longevity_buckets: u32,
 ) -> AblationRow {
     let mut config = cache_config_for_bytes(half_working_set_bytes(&params.workload));
     config.split = split;
     config.admission = admission;
-    config.longevity_buckets = longevity_buckets;
     let mut cache = FlashCache::new(config).expect("valid config");
     let mut generator = params.workload.generator(params.seed);
     drive_cache(&mut cache, &mut generator, params.warmup_accesses, false);
@@ -142,23 +118,18 @@ pub fn run_variant(
         read_miss_rate: s.read_miss_rate(),
         flash_programs: s.flash_programs,
         flash_bytes_written: s.flash_programs * page_bytes,
-        admitted_write_bytes: s.admission_bytes_written,
         erases: s.erases,
         mean_block_erases,
         rejected_fills: s.admission_rejected_fills,
-        rejected_writes: s.admission_rejected_writes,
-        coalesced_writes: s.admission_coalesced_writes,
         gc_moved_pages: s.gc_moved_pages,
     }
 }
 
-/// Runs the full four-way ablation on one trace seed.
+/// Runs the full three-way ablation on one trace seed.
 pub fn run_ablation(params: &AblationParams) -> Vec<AblationRow> {
-    ablation_variants(params)
+    ablation_variants()
         .into_iter()
-        .map(|(name, split, admission, buckets)| {
-            run_variant(params, name, split, admission, buckets)
-        })
+        .map(|(name, split, admission)| run_variant(params, name, split, admission))
         .collect()
 }
 
@@ -182,39 +153,32 @@ mod tests {
     #[test]
     fn admission_cuts_flash_writes_without_hurting_reads() {
         let rows = run_ablation(&small_params());
-        assert_eq!(rows.len(), 4);
-        let split = &rows[1];
+        assert_eq!(rows.len(), 3);
+        let (split, gated) = (&rows[1], &rows[2]);
         assert_eq!(split.variant, "split");
-        assert_eq!(rows[2].variant, "split+admission");
-        assert_eq!(rows[3].variant, "split+admission+longevity");
-        for gated in &rows[2..] {
-            // The gate is actually rejecting fills, and only fills...
-            assert!(gated.rejected_fills > 0, "{}", gated.variant);
-            assert_eq!(gated.rejected_writes, 0, "{}", gated.variant);
-            // ...which shows up as fewer bytes programmed and longer life...
-            assert!(
-                gated.flash_bytes_written < split.flash_bytes_written,
-                "{} {} vs split {} bytes",
-                gated.variant,
-                gated.flash_bytes_written,
-                split.flash_bytes_written
-            );
-            assert!(
-                gated.lifetime_vs(split) > 1.0,
-                "{} lifetime ratio {:.3}",
-                gated.variant,
-                gated.lifetime_vs(split)
-            );
-            // ...while the read miss rate improves: the space one-hit
-            // wonders would have burned instead holds re-read pages.
-            assert!(
-                gated.read_miss_rate < split.read_miss_rate,
-                "{} read miss {:.4} vs {:.4}",
-                gated.variant,
-                gated.read_miss_rate,
-                split.read_miss_rate
-            );
-        }
+        assert_eq!(gated.variant, "split+admission");
+        // The gate is actually rejecting fills...
+        assert!(gated.rejected_fills > 0);
+        // ...which shows up as fewer bytes programmed and longer life...
+        assert!(
+            gated.flash_bytes_written < split.flash_bytes_written,
+            "{} vs split {} bytes",
+            gated.flash_bytes_written,
+            split.flash_bytes_written
+        );
+        assert!(
+            gated.lifetime_vs(split) > 1.0,
+            "lifetime ratio {:.3}",
+            gated.lifetime_vs(split)
+        );
+        // ...while the read miss rate improves: the space one-hit
+        // wonders would have burned instead holds re-read pages.
+        assert!(
+            gated.read_miss_rate < split.read_miss_rate,
+            "read miss {:.4} vs {:.4}",
+            gated.read_miss_rate,
+            split.read_miss_rate
+        );
     }
 
     /// The rule switches itself off: a footprint the read region holds
@@ -239,8 +203,6 @@ mod tests {
         let rows = run_ablation(&small_params());
         for row in &rows[..2] {
             assert_eq!(row.rejected_fills, 0, "{}", row.variant);
-            assert_eq!(row.rejected_writes, 0, "{}", row.variant);
-            assert_eq!(row.coalesced_writes, 0, "{}", row.variant);
         }
     }
 }

@@ -1,13 +1,12 @@
-//! Property and storm tests for the admission/longevity stage.
+//! Property tests for the admission stage.
 //!
-//! The load-bearing contract: `AdmitAll` with a single longevity bucket
-//! is the paper-faithful oracle, and the default frequency rule is
-//! byte-identical to it until the region read fills land in has had to
-//! evict. On top of that, structural invariants must survive every
-//! policy and bucket count, and `WriteCap` must actually bound the
-//! admitted write bytes while leaving read caching untouched. The
-//! typed-op surface the stage reports through — `CacheOutcome::admission` and the `ctx`
-//! round trip — is pinned at the end.
+//! The load-bearing contract: `AdmitAll` is the paper-faithful oracle,
+//! and the default frequency rule is byte-identical to it until the
+//! region read fills land in has had to evict. On top of that,
+//! structural invariants must survive both policies on both lane
+//! shapes. The typed-op surface the stage reports through —
+//! `CacheOutcome::admission` and the `ctx` round trip — is pinned at
+//! the end.
 
 use proptest::prelude::*;
 
@@ -32,8 +31,7 @@ fn small_config() -> FlashCacheConfig {
 
 /// The same 256 slots on a 4-channel x 2-plane device, cut into 64
 /// blocks with half of them the write region, so that both regions'
-/// write frontiers are several blocks wide (4 in the read region; 4, 2
-/// or 1 per bucket in the write region).
+/// write frontiers are 4 blocks wide.
 fn striped_config() -> FlashCacheConfig {
     let mut config = small_config();
     config.flash.geometry.blocks = 64;
@@ -84,13 +82,6 @@ fn policy_strategy() -> impl Strategy<Value = AdmissionPolicyConfig> {
     prop_oneof![
         Just(AdmissionPolicyConfig::AdmitAll),
         Just(AdmissionPolicyConfig::ReReference),
-        (1u64..64, 16u64..2048, any::<bool>()).prop_map(|(pages_per_window, window, coalesce)| {
-            AdmissionPolicyConfig::WriteCap {
-                pages_per_window,
-                window,
-                coalesce,
-            }
-        }),
     ]
 }
 
@@ -101,7 +92,7 @@ proptest! {
     /// the region read fills land in: fewer ops than the read region has
     /// slots (13 x 16) cannot force that, the bar stays 0, and the
     /// untouched default config produces the same snapshot and stats as
-    /// the paper's rule — explicit `AdmitAll` + 1 longevity bucket.
+    /// the paper's rule — explicit `AdmitAll`, one log head per region.
     #[test]
     fn admit_all_single_bucket_is_the_identity(
         ops in prop::collection::vec(op_strategy(300), 1..190),
@@ -109,7 +100,6 @@ proptest! {
         let mut default_cache = FlashCache::new(small_config()).unwrap();
         let mut explicit = small_config();
         explicit.admission = AdmissionPolicyConfig::AdmitAll;
-        explicit.longevity_buckets = 1;
         let mut explicit_cache = FlashCache::new(explicit).unwrap();
         for &op in &ops {
             apply(&mut default_cache, op);
@@ -135,26 +125,23 @@ proptest! {
         prop_assert_eq!(s.admission_rejected_fills, 0);
         prop_assert_eq!(s.admission_sketch_halvings, 0);
         prop_assert_eq!(cache.admission_bar(), 0);
-        prop_assert_eq!(s.admission_rejected_writes, 0);
-        prop_assert_eq!(s.admission_coalesced_writes, 0);
     }
 
-    /// Structural invariants hold for every policy × bucket-count ×
-    /// lane-shape combo (serial, and 4 channels × 2 planes with a
-    /// striped write frontier) under arbitrary op sequences.
+    /// Structural invariants hold for every policy × lane-shape combo
+    /// (serial, and 4 channels × 2 planes with a striped write frontier)
+    /// under arbitrary op sequences.
     #[test]
     fn invariants_hold_under_any_policy(
         ops in prop::collection::vec(op_strategy(300), 1..400),
         policy in policy_strategy(),
-        buckets in 1u32..6,
         striped in any::<bool>(),
     ) {
         let mut config = if striped { striped_config() } else { small_config() };
         config.admission = policy;
-        config.longevity_buckets = buckets;
         let mut cache = FlashCache::new(config).unwrap();
-        let frontier = cache.snapshot().regions[0].open_blocks.len();
-        prop_assert_eq!(frontier, if striped { 4 } else { 1 });
+        for region in &cache.snapshot().regions {
+            prop_assert_eq!(region.open_blocks.len(), if striped { 4 } else { 1 });
+        }
         for &op in &ops {
             apply(&mut cache, op);
         }
@@ -167,21 +154,19 @@ proptest! {
     }
 
     /// No dirty page leaves flash without a flush being reported: for
-    /// every policy x bucket count on the striped device, after each op
-    /// the pages that were dirty in flash and are no longer cached are
-    /// exactly as many as the op reported flushed — an eviction, a
-    /// compaction dropping unread pages and a failed promotion all go
-    /// through the same accounting — so every page ever written is
-    /// cached or has been reported flushed since its last write.
+    /// every policy on the striped device, after each op the pages that
+    /// were dirty in flash and are no longer cached are exactly as many
+    /// as the op reported flushed — an eviction, a compaction dropping
+    /// unread pages and a failed promotion all go through the same
+    /// accounting — so every page ever written is cached or has been
+    /// reported flushed since its last write.
     #[test]
     fn no_dirty_page_leaves_flash_unreported(
         ops in prop::collection::vec(op_strategy(300), 1..600),
         policy in policy_strategy(),
-        buckets in 1u32..6,
     ) {
         let mut config = striped_config();
         config.admission = policy;
-        config.longevity_buckets = buckets;
         let mut cache = FlashCache::new(config).unwrap();
         // Pages whose newest data is in flash only.
         let mut dirty = std::collections::BTreeSet::new();
@@ -216,60 +201,6 @@ proptest! {
     }
 }
 
-/// A write storm cannot push more than the cap's allowance into flash,
-/// and the pages cached by reads beforehand keep hitting throughout.
-#[test]
-fn write_cap_bounds_flash_write_bytes_under_storm() {
-    const CAP: u64 = 8;
-    const WINDOW: u64 = 128;
-    let mut config = small_config();
-    config.admission = AdmissionPolicyConfig::WriteCap {
-        pages_per_window: CAP,
-        window: WINDOW,
-        coalesce: false,
-    };
-    let mut cache = FlashCache::new(config).unwrap();
-    let page_bytes = u64::from(cache.device().geometry().page_data_bytes);
-
-    // Pre-fill a handful of read pages (fills are never capped)...
-    let warm: Vec<u64> = (0..8).collect();
-    for &p in &warm {
-        cache.op(CacheOp::read(p));
-        assert!(cache.op(CacheOp::read(p)).access.hit);
-    }
-    assert_eq!(cache.stats().admission_bytes_written, 0, "fills are free");
-
-    // ...then storm distinct pages far beyond the cap.
-    for p in 0..4_000u64 {
-        cache.op(CacheOp::write(1_000 + p));
-    }
-    let s = cache.stats();
-    // Token-bucket allowance: one refill per touched window plus the
-    // initial grant bounds the admitted write bytes.
-    let windows = cache.tick() / WINDOW + 1;
-    let allowance_bytes = windows * CAP * page_bytes;
-    assert!(
-        s.admission_bytes_written <= allowance_bytes,
-        "cap breached: {} bytes admitted, allowance {}",
-        s.admission_bytes_written,
-        allowance_bytes
-    );
-    assert!(
-        s.admission_rejected_writes > 3_000,
-        "most storm writes must bounce: {} rejected",
-        s.admission_rejected_writes
-    );
-
-    // The read working set survived the storm.
-    for &p in &warm {
-        assert!(
-            cache.op(CacheOp::read(p)).access.hit,
-            "pre-filled page {p} must still hit after the storm"
-        );
-    }
-    cache.check_invariants().unwrap();
-}
-
 #[test]
 fn outcome_reports_admission_decisions() {
     use flashcache::AdmissionDecision;
@@ -294,7 +225,6 @@ fn outcome_reports_admission_decisions() {
         AdmissionDecision::Admitted
     );
     assert_eq!(cache.stats().admission_rejected_fills, 0);
-    assert_eq!(cache.stats().admission_rejected_writes, 0);
 
     // The default (ours, not the paper's): a first touch is admitted
     // until the read region has had to evict.
@@ -324,24 +254,6 @@ fn outcome_reports_admission_decisions() {
         cache.op(CacheOp::write(2_001)).admission,
         AdmissionDecision::Admitted
     );
-    assert_eq!(cache.stats().admission_rejected_writes, 0);
-
-    // WriteCap with coalescing: a dirty overwrite is absorbed in place.
-    let mut config = small_config();
-    config.admission = AdmissionPolicyConfig::WriteCap {
-        pages_per_window: 64,
-        window: 1024,
-        coalesce: true,
-    };
-    let mut cache = FlashCache::new(config).unwrap();
-    assert_eq!(
-        cache.op(CacheOp::write(5)).admission,
-        AdmissionDecision::Admitted
-    );
-    let again = cache.op(CacheOp::write(5));
-    assert_eq!(again.admission, AdmissionDecision::Coalesced);
-    assert!(again.access.hit, "coalesced overwrite is a flash hit");
-    assert_eq!(cache.stats().admission_coalesced_writes, 1);
 }
 
 #[test]

@@ -3,11 +3,10 @@
 //! **Batch = scalar.** [`FlashCache::op_batch`] must be byte-identical
 //! to looping [`FlashCache::op`] — same outcomes in the same order,
 //! same snapshot, same stats, same exported metrics — for *every* batch
-//! size and every admission-policy × longevity-bucket combination. The
-//! pipeline only issues prefetch hints, so nothing observable may
-//! change (DESIGN.md, core tables). The SWAR-vs-bytewise probe
-//! lock-step lives in `flashcache-core`'s `tables` unit tests, next to
-//! the `#[cfg(test)]` byte-wise reference.
+//! size and every admission policy. The pipeline only issues prefetch
+//! hints, so nothing observable may change (DESIGN.md, core tables).
+//! The SWAR-vs-bytewise probe lock-step lives in `flashcache-core`'s
+//! `tables` unit tests, next to the `#[cfg(test)]` byte-wise reference.
 
 use proptest::prelude::*;
 
@@ -16,7 +15,7 @@ use flashcache::{AdmissionPolicyConfig, CacheOp, FlashCache, FlashCacheConfig};
 
 /// A small cache so arbitrary op sequences exercise fills, evictions,
 /// reclaim, and FCHT backward-shift deletion, not just cold inserts.
-fn tiny_cache(admission: AdmissionPolicyConfig, longevity_buckets: u32) -> FlashCache {
+fn tiny_cache(admission: AdmissionPolicyConfig) -> FlashCache {
     let config = FlashCacheConfig::builder()
         .flash(FlashConfig {
             geometry: FlashGeometry {
@@ -27,7 +26,6 @@ fn tiny_cache(admission: AdmissionPolicyConfig, longevity_buckets: u32) -> Flash
             ..FlashConfig::default()
         })
         .admission(admission)
-        .longevity_buckets(longevity_buckets)
         .build()
         .expect("valid config");
     FlashCache::new(config).expect("valid cache")
@@ -37,11 +35,6 @@ fn admission_strategy() -> impl Strategy<Value = AdmissionPolicyConfig> {
     prop_oneof![
         Just(AdmissionPolicyConfig::AdmitAll),
         Just(AdmissionPolicyConfig::ReReference),
-        Just(AdmissionPolicyConfig::WriteCap {
-            pages_per_window: 8,
-            window: 32,
-            coalesce: true,
-        }),
     ]
 }
 
@@ -66,19 +59,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// `op_batch` is byte-identical to the scalar `op` loop for every
-    /// chunking of the op stream, under every admission policy and
-    /// longevity-bucket setting.
+    /// chunking of the op stream, under every admission policy.
     #[test]
     fn op_batch_matches_scalar_for_all_batch_sizes(
         ops in prop::collection::vec(op_strategy(120), 1..300),
         admission in admission_strategy(),
-        longevity_buckets in prop_oneof![Just(1u32), Just(4u32)],
         // 1 and 2 degenerate the pipeline; 7 straddles the prefetch
         // window; usize::MAX clamps to a single whole-trace batch.
         chunk in prop_oneof![Just(1usize), Just(2), Just(7), Just(usize::MAX)],
     ) {
-        let mut scalar = tiny_cache(admission, longevity_buckets);
-        let mut batched = tiny_cache(admission, longevity_buckets);
+        let mut scalar = tiny_cache(admission);
+        let mut batched = tiny_cache(admission);
 
         let mut scalar_outs = Vec::with_capacity(ops.len());
         for &op in &ops {
@@ -101,7 +92,7 @@ proptest! {
 /// rely on when reusing one outcome buffer across chunks.
 #[test]
 fn op_batch_into_appends_and_handles_empty() {
-    let mut cache = tiny_cache(AdmissionPolicyConfig::AdmitAll, 1);
+    let mut cache = tiny_cache(AdmissionPolicyConfig::AdmitAll);
     let mut out = Vec::new();
     cache.op_batch_into(&[], &mut out);
     assert!(out.is_empty());

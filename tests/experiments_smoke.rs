@@ -99,19 +99,21 @@ fn fig12_smoke() {
 }
 
 /// The admission ablation's acceptance floors against the split
-/// baseline, on a 20k-access trace; `run_ablation` cross-checks every
-/// variant's `check_invariants` after its replay.
+/// baseline, on a 20k-access trace over a footprint (1 024 pages) the
+/// 1 024-slot cache's read region cannot hold, so the gate has evictions
+/// to take a bar from; `run_ablation` cross-checks every variant's
+/// `check_invariants` after its replay.
 #[test]
 fn admission_smoke() {
     let rows = run_ablation(&AblationParams {
-        workload: WorkloadSpec::alpha1().scaled(512),
+        workload: WorkloadSpec::alpha1().scaled(256),
         warmup_accesses: 10_000,
         measured_accesses: 20_000,
         ..AblationParams::default()
     });
-    let (split, full) = (&rows[1], &rows[3]);
+    let (split, full) = (&rows[1], rows.last().unwrap());
     assert_eq!(split.variant, "split");
-    assert_eq!(full.variant, "split+admission+longevity");
+    assert_eq!(full.variant, "split+admission");
     assert!(
         full.flash_bytes_written < split.flash_bytes_written,
         "admission must reduce flash bytes written: {} vs split {}",
