@@ -1,5 +1,5 @@
-//! Criterion micro-benchmarks of the NAND event scheduler: schedule +
-//! drain cycles at queue depths 1, 8, and 64, plus the serial bypass —
+//! Criterion micro-benchmarks of the NAND scheduler: schedule + drain
+//! cycles at queue depths 1, 8, and 64, plus the serial configuration —
 //! the scheduler hot path itself, isolated from the cache layers above
 //! it.
 
@@ -32,7 +32,6 @@ fn cycle(timing: FlashTiming, cfg: ChannelConfig, burst: u32) -> f64 {
                 class: OpClass::Program,
                 mode: CellMode::Slc,
                 block: i % 64,
-                lba: Some(u64::from(i % 16)),
                 background: true,
             }
         } else {
@@ -40,7 +39,6 @@ fn cycle(timing: FlashTiming, cfg: ChannelConfig, burst: u32) -> f64 {
                 class: OpClass::Read,
                 mode: CellMode::Mlc,
                 block: (i * 3) % 64,
-                lba: None,
                 background: false,
             }
         };
@@ -53,16 +51,15 @@ fn bench_sched(c: &mut Criterion) {
     let timing = FlashTiming::default();
     for depth in [1u32, 8, 64] {
         let cfg = config(depth);
-        c.bench_function(&format!("sched_cycle_wheel_depth{depth}"), |b| {
+        c.bench_function(&format!("sched_cycle_depth{depth}"), |b| {
             b.iter(|| std::hint::black_box(cycle(timing, cfg, 256)))
         });
     }
-    // The serial no-contention bypass: the configuration every
-    // closed-form-shaped replay hits when it flips to the event backend.
+    // The serial configuration: what every `ClosedForm` device runs.
     let serial = ChannelConfig::builder()
         .build()
         .expect("serial config is valid");
-    c.bench_function("sched_cycle_wheel_serial_bypass", |b| {
+    c.bench_function("sched_cycle_serial", |b| {
         b.iter(|| std::hint::black_box(cycle(timing, serial, 256)))
     });
 }

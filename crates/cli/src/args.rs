@@ -49,7 +49,6 @@ const VALUE_KEYS: &[&str] = &[
     "workers",
     "channels",
     "planes",
-    "writeback-us",
     "queue-depth",
     "admission",
 ];

@@ -61,8 +61,6 @@ switches flash timing to the event-driven backend):
   --channels N        independent NAND channels (default 1)
   --planes N          planes per channel (default 1)
   --queue-depth N     outstanding ops admitted per channel (default 4)
-  --writeback-us T    write-buffer flush delay in µs; rewrites within the
-                      window coalesce (default 0 = write-through)
 
 SWEEP:
   --sizes-mb A,B,C    flash sizes to evaluate (default 8,16,32,64)
@@ -105,7 +103,7 @@ fn load_workload(args: &super::Args) -> Result<WorkloadSpec, String> {
 /// built [`ChannelConfig`] that switches the device to the event-driven
 /// backend.
 fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
-    let given = ["channels", "planes", "writeback-us", "queue-depth"]
+    let given = ["channels", "planes", "queue-depth"]
         .iter()
         .any(|k| args.get(k).is_some());
     if !given {
@@ -114,14 +112,10 @@ fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
     let channels: u32 = args.num("channels", 1u32).map_err(|e| e.to_string())?;
     let planes: u32 = args.num("planes", 1u32).map_err(|e| e.to_string())?;
     let queue_depth: u32 = args.num("queue-depth", 4u32).map_err(|e| e.to_string())?;
-    let writeback_us: f64 = args
-        .num("writeback-us", 0.0f64)
-        .map_err(|e| e.to_string())?;
     ChannelConfig::builder()
         .channels(channels)
         .planes(planes)
         .queue_depth(queue_depth)
-        .writeback_us(writeback_us)
         .build()
         .map(Some)
         .map_err(|e| e.to_string())

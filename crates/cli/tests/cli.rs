@@ -167,17 +167,19 @@ fn bad_input_fails_with_nonzero_status() {
 #[test]
 fn retired_scheduler_flag_is_rejected_with_usage() {
     let exe = env!("CARGO_BIN_EXE_flashcache");
-    let out = Command::new(exe)
-        .args(["simulate", "--sched-backend", "heap"])
-        .output()
-        .expect("spawn CLI");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown option --sched-backend"),
-        "{stderr}"
-    );
-    assert!(stderr.contains("USAGE"), "{stderr}");
+    for (flag, value) in [("--sched-backend", "heap"), ("--writeback-us", "500")] {
+        let out = Command::new(exe)
+            .args(["simulate", flag, value])
+            .output()
+            .expect("spawn CLI");
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("USAGE"), "{stderr}");
+    }
 }
 
 #[test]

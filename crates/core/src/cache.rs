@@ -711,7 +711,7 @@ impl FlashCache {
             let live_t = self.live_strength[self.gidx(addr)];
             let out = self
                 .device
-                .read_page_with(addr, op.ctx.with_lba(disk_page))
+                .read_page_with(addr, op.ctx)
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
             self.stats.flash_reads += 1;
             self.fbst.get_mut(addr.block).last_access = self.tick;
@@ -881,12 +881,7 @@ impl FlashCache {
         let strength = self.fpst.get(addr).ecc_strength;
         let out = self
             .device
-            .program_page_with(
-                addr,
-                mode,
-                None,
-                OpContext::background().with_lba(disk_page),
-            )
+            .program_page_with(addr, mode, None, OpContext::background())
             .map_err(|source| CacheError::ProgramRejected { addr, source })?;
         self.stats.flash_programs += 1;
         let gi = self.gidx(addr);

@@ -92,13 +92,10 @@ enum SlotState {
 
 /// Caller context for a device operation, threaded into the
 /// scheduler: foreground ops block and advance the modeled clock, while
-/// background work (GC traffic, cache fills, write-buffer flushes)
-/// consumes device time that later foreground ops wait out. The
-/// logical address, when known, enables write-buffer coalescing.
+/// background work (GC traffic, cache fills) consumes device time that
+/// later foreground ops wait out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpContext {
-    /// Logical (disk) address the op serves, when known.
-    pub lba: Option<u64>,
     /// Whether the op is background work.
     pub background: bool,
 }
@@ -106,25 +103,12 @@ pub struct OpContext {
 impl OpContext {
     /// A foreground (blocking) operation.
     pub fn foreground() -> Self {
-        OpContext {
-            lba: None,
-            background: false,
-        }
+        OpContext { background: false }
     }
 
     /// A background (non-blocking) operation.
     pub fn background() -> Self {
-        OpContext {
-            lba: None,
-            background: true,
-        }
-    }
-
-    /// Tags the operation with the logical address it serves.
-    #[must_use]
-    pub fn with_lba(mut self, lba: u64) -> Self {
-        self.lba = Some(lba);
-        self
+        OpContext { background: true }
     }
 }
 
@@ -287,6 +271,12 @@ impl fmt::Debug for FlashDevice {
 impl FlashDevice {
     /// Creates a device with all blocks erased and per-page quality
     /// offsets sampled from the wear configuration.
+    ///
+    /// # Panics
+    ///
+    /// Under [`TimingBackend::EventDriven`], panics with the
+    /// [`ChannelConfig::validate`] error text if `config.channel` has a
+    /// zero channel, plane or queue-depth count or a bad transfer time.
     pub fn new(config: FlashConfig) -> Self {
         let geometry = config.geometry;
         let wear_model = WearModel::new(config.wear);
@@ -342,9 +332,8 @@ impl FlashDevice {
         self.model.now_us()
     }
 
-    /// Drains the event timeline (flushing any buffered writes) and
-    /// returns the makespan at which all channels and planes fall
-    /// idle, µs.
+    /// Returns the makespan at which all channels and planes fall
+    /// idle, µs, and advances the modeled clock to it.
     pub fn drain_timing(&mut self) -> f64 {
         self.model.drain()
     }
@@ -432,8 +421,7 @@ impl FlashDevice {
 
     /// Programs one 2KB slot with an explicit [`OpContext`]: background
     /// ops contend for channel time without advancing the foreground
-    /// clock, and LBA-tagged background writes may coalesce in the
-    /// event backend's write buffer.
+    /// clock.
     ///
     /// # Errors
     ///
@@ -499,7 +487,6 @@ impl FlashDevice {
             class: OpClass::Program,
             mode,
             block: addr.block.0,
-            lba: ctx.lba,
             background: ctx.background,
         });
         let latency_us = t.service_us;
@@ -551,7 +538,6 @@ impl FlashDevice {
             class: OpClass::Read,
             mode,
             block: addr.block.0,
-            lba: ctx.lba,
             background: ctx.background,
         });
         let latency_us = t.service_us;
@@ -640,7 +626,6 @@ impl FlashDevice {
             class: OpClass::Erase,
             mode: worst,
             block: block.0,
-            lba: ctx.lba,
             background: ctx.background,
         });
         let latency_us = t.service_us;
@@ -848,6 +833,19 @@ mod tests {
         let fresh = PageAddr::new(BlockId(1), 0);
         d.program_page(fresh, CellMode::Mlc, None).unwrap();
         assert_eq!(d.read_page(fresh).unwrap().raw_bit_errors, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "channels must be >= 1")]
+    fn zero_channels_are_rejected_at_construction() {
+        FlashDevice::new(FlashConfig {
+            timing_backend: TimingBackend::EventDriven,
+            channel: ChannelConfig {
+                channels: 0,
+                ..ChannelConfig::default()
+            },
+            ..FlashConfig::default()
+        });
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! platforms of equal pointer width, one multiply per word. Vendored
 //! rather than depended on — the workspace builds offline.
 //!
-//! The module lives in `nand-flash` (the lowest crate with hashed hot
-//! paths: the scheduler's coalescing write buffer, the verified-flash
-//! spare store) and is re-exported by `flashcache-core::fxhash` for the
-//! cache-layer tables.
+//! The module lives in `nand-flash` (the lowest crate with a hashed hot
+//! path: the verified-flash spare store) and is re-exported by
+//! `flashcache-core::fxhash` for the cache-layer tables.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -11,8 +11,8 @@
 //!   paths;
 //! * [`geometry`] — blocks, physical pages, slots, capacity math;
 //! * [`timing`] — per-operation latency and energy constants;
-//! * [`sched`] — device timing: the one event-driven channel/plane
-//!   scheduler, whose serial configuration is the closed-form model;
+//! * [`sched`] — device timing: the one channel/plane scheduler, whose
+//!   serial configuration is the closed-form model;
 //! * [`wear`] — permanent/transient bit-error injection as erase counts
 //!   grow, with MLC-vs-SLC endurance coupling;
 //! * [`device`] — the [`FlashDevice`] state machine tying it together;
@@ -55,7 +55,7 @@ pub use device::{
 pub use geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 pub use sched::{
     ChannelConfig, ChannelConfigBuilder, ChannelConfigError, EventDriven, OpClass, OpRequest,
-    OpTiming, TimingBackend, TraceEntry, TraceKind,
+    OpTiming, TimingBackend,
 };
 pub use timing::{FlashPower, FlashTiming};
 pub use verified::{VerifiedError, VerifiedFlash, VerifiedRead};

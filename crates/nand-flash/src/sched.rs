@@ -1,40 +1,28 @@
-//! Device timing: one deterministic discrete-event NAND scheduler.
+//! Device timing: one deterministic resource-timeline NAND scheduler.
 //!
 //! [`EventDriven`] is the only modeled clock. It prices every operation
-//! from the Table 2/3 latency table and places it on per-channel bus
-//! and per-plane cell timelines, with bounded queue depth and a
-//! coalescing write buffer, in the spirit of FTL-SIM's event loop and
-//! the multi-channel interleaving literature. [`TimingBackend`] selects
-//! the scheduler's *configuration*, not an implementation:
-//! `ClosedForm` builds it with the serial [`ChannelConfig::default`],
-//! `EventDriven` with the device's configured channel shape.
-//!
-//! The scheduler is one core — flat per-channel admission windows,
-//! channel/plane placement, and a no-contention bypass that
-//! materializes no event at all when nothing can observe it (tracing
-//! off) — over a global timeline that is a bucketed calendar queue
-//! (timer wheel) with a slab event arena. Steady-state scheduling
-//! allocates nothing.
-//!
-//! Events are keyed on `(time, seq)` — ties broken by submission
-//! sequence — so replaying the same op stream always pops events in the
-//! same order and the event trace is byte-reproducible. The wheel
-//! quantizes event *placement* (bucket index) but never event *times*:
-//! within a bucket the exact `(time, seq)` minimum is selected, and
-//! bucket order is consistent with time order because the tick mapping
-//! is monotone, so drained times are bit-identical to a total-order
-//! heap; the in-crate tests pin this against a `BinaryHeap` queue.
+//! from the Table 2/3 latency table and places it, at submission, on
+//! per-channel bus and per-plane cell free-time arrays behind a bounded
+//! per-channel admission window, in the spirit of the multi-channel
+//! interleaving literature. There is no event queue: an op's start is
+//! the max of the times its resources fall idle, and nothing is
+//! deferred. [`TimingBackend`] selects the scheduler's *configuration*,
+//! not an implementation: `ClosedForm` builds it with the serial
+//! [`ChannelConfig::default`], `EventDriven` with the device's
+//! configured channel shape. The scheduler is RNG-free and allocates
+//! nothing after construction, so the same op stream always yields the
+//! same timings.
 //!
 //! # Closed-form contract
 //!
-//! With [`ChannelConfig::is_serial`] (1 channel, 1 plane, queue depth 1,
-//! zero transfer time, zero writeback delay) every operation — fore- or
-//! background — blocks and advances the clock, every stall term is
-//! exactly `0.0`, service is the table latency and the clock is the
-//! running sum of service times: the paper's closed-form model. With
-//! tracing off, [`EventDriven::op`] takes a dedicated arm that is that
-//! arithmetic and nothing else. Tests pin both the arm and the general
-//! event path against an in-test running sum over the table.
+//! A serial config ([`ChannelConfig::is_serial`]: 1 channel, 1 plane,
+//! queue depth 1, zero transfer time) makes every operation — fore- or
+//! background — block and advance the clock, and makes every stall term
+//! exactly `0.0`, so the one path *is* the running sum of table
+//! latencies: the paper's closed-form model. `sched_props`'
+//! `serial_event_backend_is_the_closed_form_oracle` pins waits,
+//! services, the clock after every op and the drained makespan against
+//! an in-test running sum, bit for bit.
 //!
 //! # Scheduling disciplines
 //!
@@ -47,7 +35,8 @@
 //! * The scheduler places ops where their block lives; spreading work
 //!   over lanes is the allocator's job. The flash cache keeps a *write
 //!   frontier* of `width` open blocks per region,
-//!   `width = min(lanes, max(1, region_blocks / 8))`; a round-robin cursor hands consecutive slots to consecutive frontier
+//!   `width = min(lanes, max(1, region_blocks / 8))`; a round-robin
+//!   cursor hands consecutive slots to consecutive frontier
 //!   positions, and an exhausted position reopens on the first free
 //!   block whose lane no open block of the region occupies (else the
 //!   front of the free list), so consecutive programs land on different
@@ -60,24 +49,15 @@
 //!   per channel.
 //! * At most `queue_depth` ops may be outstanding per channel; excess
 //!   submissions stall until a slot frees (FIFO admission).
-//! * Background programs carrying an LBA are held in a write buffer for
-//!   `writeback_us`; a rewrite of the same LBA inside the window
-//!   supersedes the pending flush (generation counter), so only the
-//!   last version occupies the NAND. Foreground ops arriving before a
-//!   flush deadline are dispatched ahead of it.
-//! * Background ops (GC traffic, fills, buffered flushes) consume
-//!   channel and plane time without advancing the foreground clock, so
-//!   later foreground ops observe genuine queue wait.
+//! * Background ops (GC traffic, fills) consume channel and plane time
+//!   without advancing the foreground clock, so later foreground ops
+//!   observe genuine queue wait.
 
 use std::error::Error;
 use std::fmt;
 
-use crate::fxhash::FxHashMap;
 use crate::geometry::CellMode;
 use crate::timing::FlashTiming;
-
-mod queue;
-use queue::{Ev, EvKind, EventQueue, TimerWheel};
 
 /// Which channel configuration a device builds its scheduler with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,8 +66,8 @@ pub enum TimingBackend {
     /// `channel` says: per-op table sums, wait always zero.
     #[default]
     ClosedForm,
-    /// The device's configured `channel`: channel/plane parallelism,
-    /// queueing, write buffering.
+    /// The device's configured `channel`: channel/plane parallelism
+    /// and bounded queueing.
     EventDriven,
 }
 
@@ -100,13 +80,8 @@ pub struct ChannelConfig {
     pub planes: u32,
     /// Outstanding ops admitted per channel before submissions stall.
     pub queue_depth: u32,
-    /// Write-buffer hold time before a background program is flushed to
-    /// the NAND, µs. Zero disables buffering.
-    pub writeback_us: f64,
     /// Bus transfer time per page op, µs. Zero makes the bus free.
     pub xfer_us: f64,
-    /// Maximum retained event-trace entries (0 disables tracing).
-    pub trace_capacity: u32,
 }
 
 impl Default for ChannelConfig {
@@ -115,9 +90,7 @@ impl Default for ChannelConfig {
             channels: 1,
             planes: 1,
             queue_depth: 1,
-            writeback_us: 0.0,
             xfer_us: 0.0,
-            trace_capacity: 0,
         }
     }
 }
@@ -152,7 +125,6 @@ impl ChannelConfig {
     ///     .channels(4)
     ///     .planes(2)
     ///     .queue_depth(8)
-    ///     .writeback_us(500.0)
     ///     .build()
     ///     .expect("valid channel config");
     /// assert_eq!(cfg.channels, 4);
@@ -180,12 +152,6 @@ impl ChannelConfig {
         if self.queue_depth == 0 {
             return Err(ChannelConfigError::new("queue_depth must be >= 1".into()));
         }
-        if !self.writeback_us.is_finite() || self.writeback_us < 0.0 {
-            return Err(ChannelConfigError::new(format!(
-                "writeback_us must be finite and >= 0, got {}",
-                self.writeback_us
-            )));
-        }
         if !self.xfer_us.is_finite() || self.xfer_us < 0.0 {
             return Err(ChannelConfigError::new(format!(
                 "xfer_us must be finite and >= 0, got {}",
@@ -196,14 +162,10 @@ impl ChannelConfig {
     }
 
     /// Whether this configuration mimics serial execution: one channel,
-    /// one plane, depth one, free bus, no write buffering. In this mode
-    /// the scheduler is the closed-form model, byte for byte.
+    /// one plane, depth one, free bus. In this mode the scheduler is
+    /// the closed-form model, byte for byte.
     pub fn is_serial(&self) -> bool {
-        self.channels == 1
-            && self.planes == 1
-            && self.queue_depth <= 1
-            && self.writeback_us == 0.0
-            && self.xfer_us == 0.0
+        self.channels == 1 && self.planes == 1 && self.queue_depth <= 1 && self.xfer_us == 0.0
     }
 }
 
@@ -235,21 +197,9 @@ impl ChannelConfigBuilder {
         self
     }
 
-    /// Sets the write-buffer hold time, µs.
-    pub fn writeback_us(mut self, writeback_us: f64) -> Self {
-        self.config.writeback_us = writeback_us;
-        self
-    }
-
     /// Sets the per-op bus transfer time, µs.
     pub fn xfer_us(mut self, xfer_us: f64) -> Self {
         self.config.xfer_us = xfer_us;
-        self
-    }
-
-    /// Sets the event-trace retention limit.
-    pub fn trace_capacity(mut self, trace_capacity: u32) -> Self {
-        self.config.trace_capacity = trace_capacity;
         self
     }
 
@@ -285,10 +235,7 @@ pub struct OpRequest {
     pub mode: CellMode,
     /// Target block, used for channel/plane placement.
     pub block: u32,
-    /// Logical (disk) address, when known — enables write-buffer
-    /// coalescing for background programs.
-    pub lba: Option<u64>,
-    /// Background ops (GC, fills, flushes) consume device time without
+    /// Background ops (GC, fills) consume device time without
     /// advancing the foreground clock.
     pub background: bool,
 }
@@ -301,33 +248,6 @@ pub struct OpTiming {
     pub wait_us: f64,
     /// Device service time (cell phase plus bus transfer), µs.
     pub service_us: f64,
-}
-
-/// Trace record kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// An op was placed on channel/plane resources.
-    Dispatch,
-    /// An op's completion event fired.
-    Complete,
-    /// A buffered write flushed to the NAND.
-    WbFlush,
-    /// A buffered write was superseded by a rewrite and never flushed.
-    WbCoalesce,
-}
-
-/// One entry of the bounded event trace. Times are stored as raw `f64`
-/// bits so equality is byte-exact across runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Event time as `f64::to_bits`.
-    pub t_bits: u64,
-    /// Global event sequence number.
-    pub seq: u64,
-    /// What happened.
-    pub kind: TraceKind,
-    /// Channel involved.
-    pub channel: u32,
 }
 
 fn table_read(t: &FlashTiming, mode: CellMode) -> f64 {
@@ -370,25 +290,18 @@ struct OpSpan {
     end_us: f64,
 }
 
-/// Discrete-event NAND scheduler with channel/plane parallelism.
+/// NAND scheduler with channel/plane parallelism over resource
+/// free-time arrays.
 ///
 /// See the module docs for the scheduling disciplines and the
 /// closed-form contract. The scheduler is RNG-free: determinism is
-/// structural. The core is generic over its event timeline
-/// ([`EventQueue`]); the product always runs the [`TimerWheel`], and
-/// steady-state scheduling allocates nothing.
+/// structural. Scheduling allocates nothing.
 #[derive(Debug)]
-pub struct EventDriven<Q: EventQueue = TimerWheel> {
+pub struct EventDriven {
     timing: FlashTiming,
     cfg: ChannelConfig,
     serial: bool,
-    /// Whether trace retention is on. Off (the default), completion
-    /// events are semantically inert — nothing observes them — so the
-    /// bypass skips materializing them entirely.
-    trace_on: bool,
     now_us: f64,
-    seq: u64,
-    queue: Q,
     /// Per-channel time at which the bus falls idle.
     bus_free_us: Vec<f64>,
     /// Per-plane (channel-major) time at which the cell array falls idle.
@@ -399,40 +312,32 @@ pub struct EventDriven<Q: EventQueue = TimerWheel> {
     out_ends: Vec<f64>,
     out_len: Vec<u32>,
     depth: usize,
-    /// Write buffer: LBA → generation of the pending flush.
-    wb_pending: FxHashMap<u64, u64>,
-    wb_generation: u64,
-    trace: Vec<TraceEntry>,
 }
 
 impl EventDriven {
-    /// An event-driven model over the given latency table and channel
+    /// A scheduler over the given latency table and channel
     /// configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ChannelConfigError`] text if `cfg` fails
+    /// [`ChannelConfig::validate`] (a zero channel, plane or depth
+    /// count would otherwise reach a remainder by zero at the first op).
     pub fn new(timing: FlashTiming, cfg: ChannelConfig) -> Self {
-        Self::with_queue(timing, cfg)
-    }
-}
-
-impl<Q: EventQueue> EventDriven<Q> {
-    fn with_queue(timing: FlashTiming, cfg: ChannelConfig) -> Self {
-        let channels = cfg.channels.max(1) as usize;
-        let planes = channels * cfg.planes.max(1) as usize;
-        let depth = cfg.queue_depth.max(1) as usize;
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
+        let channels = cfg.channels as usize;
+        let depth = cfg.queue_depth as usize;
         EventDriven {
             timing,
             serial: cfg.is_serial(),
-            trace_on: cfg.trace_capacity > 0,
             now_us: 0.0,
-            seq: 0,
-            queue: Q::default(),
             bus_free_us: vec![0.0; channels],
-            plane_free_us: vec![0.0; planes],
+            plane_free_us: vec![0.0; channels * cfg.planes as usize],
             out_ends: vec![0.0; channels * depth],
             out_len: vec![0; channels],
             depth,
-            wb_pending: FxHashMap::default(),
-            wb_generation: 0,
-            trace: Vec::new(),
             cfg,
         }
     }
@@ -448,28 +353,6 @@ impl<Q: EventQueue> EventDriven<Q> {
     /// allocators can stripe without restating it.
     pub fn lane_of(&self, block: u32) -> usize {
         plane_of(&self.cfg, block)
-    }
-
-    /// Pending (not yet flushed or coalesced) write-buffer entries.
-    pub fn buffered_writes(&self) -> usize {
-        self.wb_pending.len()
-    }
-
-    fn push_trace(&mut self, kind: TraceKind, t: f64, seq: u64, channel: u32) {
-        if self.trace.len() < self.cfg.trace_capacity as usize {
-            self.trace.push(TraceEntry {
-                t_bits: t.to_bits(),
-                seq,
-                kind,
-                channel,
-            });
-        }
-    }
-
-    fn push_event(&mut self, t: f64, kind: EvKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Ev { t, seq, kind });
     }
 
     /// FIFO queue-depth admission over the flat window: drop
@@ -595,13 +478,6 @@ impl<Q: EventQueue> EventDriven<Q> {
         let n = self.out_len[ch] as usize;
         self.out_ends[ch * self.depth + n] = end;
         self.out_len[ch] = (n + 1) as u32;
-        if self.trace_on {
-            // Trace retention makes completion events observable: emit
-            // the dispatch record and materialize the completion.
-            let seq = self.seq;
-            self.push_trace(TraceKind::Dispatch, end, seq, ch as u32);
-            self.push_event(end, EvKind::Complete { channel: ch as u32 });
-        }
         OpSpan {
             wait_us,
             service_us,
@@ -609,116 +485,11 @@ impl<Q: EventQueue> EventDriven<Q> {
         }
     }
 
-    /// Fires every event due at or before `t_us`.
-    #[inline]
-    fn run_until(&mut self, t_us: f64) {
-        while let Some(ev) = self.queue.pop_due(t_us) {
-            self.fire(ev);
-        }
-    }
-
-    fn fire(&mut self, ev: Ev) {
-        match ev.kind {
-            EvKind::Complete { channel } => {
-                self.push_trace(TraceKind::Complete, ev.t, ev.seq, channel);
-            }
-            EvKind::WbFlush {
-                lba,
-                generation,
-                mode,
-                block,
-            } => {
-                if self.wb_pending.get(&lba) == Some(&generation) {
-                    self.wb_pending.remove(&lba);
-                    self.push_trace(
-                        TraceKind::WbFlush,
-                        ev.t,
-                        ev.seq,
-                        channel_of(&self.cfg, block) as u32,
-                    );
-                    self.dispatch(OpClass::Program, mode, block, ev.t);
-                } else {
-                    self.push_trace(
-                        TraceKind::WbCoalesce,
-                        ev.t,
-                        ev.seq,
-                        channel_of(&self.cfg, block) as u32,
-                    );
-                }
-            }
-        }
-    }
-
     /// Prices one operation and advances internal state. Deterministic:
-    /// the same op sequence yields the same timings, clock, and trace.
+    /// the same op sequence yields the same timings and clock.
     pub fn op(&mut self, req: &OpRequest) -> OpTiming {
-        let arrival_us = self.now_us;
-        if self.serial && !self.trace_on {
-            // The closed-form arm: a serial config forbids write buffering
-            // (is_serial ⇒ writeback_us == 0) and with tracing off no
-            // completion event is ever materialized, so the timeline is
-            // permanently empty, every stall term is exactly 0.0, and
-            // xfer_us == 0.0 makes every `+ xfer` a bit-exact no-op.
-            // The admission window and free-time arrays are skipped
-            // too: every entry they would hold is <= the advanced clock
-            // and therefore unobservable.
-            debug_assert!(self.queue.len() == 0);
-            let (service_us, end) = match req.class {
-                OpClass::Read => {
-                    let cell = table_read(&self.timing, req.mode);
-                    (
-                        cell + self.cfg.xfer_us,
-                        (arrival_us + cell) + self.cfg.xfer_us,
-                    )
-                }
-                OpClass::Program => {
-                    let cell = table_program(&self.timing, req.mode);
-                    let bus_end = arrival_us + self.cfg.xfer_us;
-                    (self.cfg.xfer_us + cell, bus_end + cell)
-                }
-                OpClass::Erase => {
-                    let cell = table_erase(&self.timing, req.mode);
-                    (cell, arrival_us + cell)
-                }
-            };
-            self.now_us = end;
-            return OpTiming {
-                wait_us: 0.0,
-                service_us,
-            };
-        }
-        if self.queue.len() != 0 {
-            self.run_until(arrival_us);
-        }
-        let blocking = self.serial || !req.background;
-        if !blocking && req.class == OpClass::Program && self.cfg.writeback_us > 0.0 {
-            if let Some(lba) = req.lba {
-                // Buffer the write: the NAND occupancy happens at flush
-                // time (or never, if a rewrite supersedes it), but the
-                // service cost is reported now so device stats stay
-                // monotone and backend-independent.
-                self.wb_generation += 1;
-                self.wb_pending.insert(lba, self.wb_generation);
-                self.push_event(
-                    arrival_us + self.cfg.writeback_us,
-                    EvKind::WbFlush {
-                        lba,
-                        generation: self.wb_generation,
-                        mode: req.mode,
-                        block: req.block,
-                    },
-                );
-                return OpTiming {
-                    wait_us: 0.0,
-                    service_us: table_program(&self.timing, req.mode) + self.cfg.xfer_us,
-                };
-            }
-        }
-        let span = self.dispatch(req.class, req.mode, req.block, arrival_us);
-        if blocking {
-            if self.queue.len() != 0 {
-                self.run_until(span.end_us);
-            }
+        let span = self.dispatch(req.class, req.mode, req.block, self.now_us);
+        if self.serial || !req.background {
             self.now_us = span.end_us;
         }
         OpTiming {
@@ -732,58 +503,32 @@ impl<Q: EventQueue> EventDriven<Q> {
         self.now_us
     }
 
-    /// Runs all pending events (including scheduled write-buffer
-    /// flushes) and returns the makespan: the time at which every
-    /// resource falls idle. Advances the clock to it.
+    /// Returns the makespan: the time at which every resource falls
+    /// idle. Advances the clock to it.
     pub fn drain(&mut self) -> f64 {
-        // Fire everything still scheduled — buffered writes flush at
-        // their writeback deadlines and their dispatches enqueue further
-        // completion events, all consumed here in (time, seq) order.
-        self.run_until(f64::INFINITY);
-        let mut makespan = self.now_us;
-        for &t in &self.bus_free_us {
-            if t > makespan {
-                makespan = t;
-            }
-        }
-        for &t in &self.plane_free_us {
-            if t > makespan {
-                makespan = t;
-            }
-        }
-        self.now_us = makespan;
-        makespan
-    }
-
-    /// The retained event trace (empty unless tracing is enabled).
-    pub fn trace(&self) -> &[TraceEntry] {
-        &self.trace
+        let frees = self.bus_free_us.iter().chain(&self.plane_free_us);
+        self.now_us = frees.fold(self.now_us, |latest, &t| latest.max(t));
+        self.now_us
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::queue::{HeapQueue, WHEEL_BUCKETS, WHEEL_QUANTUM_US};
     use super::*;
-    use proptest::prelude::*;
 
     fn fg(class: OpClass, mode: CellMode, block: u32) -> OpRequest {
         OpRequest {
             class,
             mode,
             block,
-            lba: None,
             background: false,
         }
     }
 
-    fn bg(class: OpClass, mode: CellMode, block: u32, lba: Option<u64>) -> OpRequest {
+    fn bg(class: OpClass, mode: CellMode, block: u32) -> OpRequest {
         OpRequest {
-            class,
-            mode,
-            block,
-            lba: Some(lba.unwrap_or(0)).filter(|_| lba.is_some()),
             background: true,
+            ..fg(class, mode, block)
         }
     }
 
@@ -792,15 +537,13 @@ mod tests {
         assert!(ChannelConfig::builder().channels(0).build().is_err());
         assert!(ChannelConfig::builder().planes(0).build().is_err());
         assert!(ChannelConfig::builder().queue_depth(0).build().is_err());
-        assert!(ChannelConfig::builder().writeback_us(-1.0).build().is_err());
+        assert!(ChannelConfig::builder().xfer_us(-1.0).build().is_err());
         assert!(ChannelConfig::builder().xfer_us(f64::NAN).build().is_err());
         let cfg = ChannelConfig::builder()
             .channels(4)
             .planes(2)
             .queue_depth(8)
-            .writeback_us(500.0)
             .xfer_us(40.0)
-            .trace_capacity(64)
             .build()
             .unwrap();
         assert_eq!((cfg.channels, cfg.planes, cfg.queue_depth), (4, 2, 8));
@@ -827,37 +570,24 @@ mod tests {
         let timing = FlashTiming::default();
         let ops = [
             fg(OpClass::Read, CellMode::Slc, 0),
-            bg(OpClass::Program, CellMode::Mlc, 1, Some(42)),
+            bg(OpClass::Program, CellMode::Mlc, 1),
             fg(OpClass::Read, CellMode::Mlc, 1),
-            bg(OpClass::Erase, CellMode::Mlc, 0, None),
-            bg(OpClass::Program, CellMode::Slc, 2, Some(42)),
+            bg(OpClass::Erase, CellMode::Mlc, 0),
+            bg(OpClass::Program, CellMode::Slc, 2),
             fg(OpClass::Read, CellMode::Slc, 2),
         ];
-        // Trace off takes the closed-form arm of `op`; trace on sends
-        // the same serial config through the general event path.
-        fn check<Q: EventQueue>(timing: FlashTiming, ops: &[OpRequest], trace_capacity: u32) {
-            let cfg = ChannelConfig::builder()
-                .trace_capacity(trace_capacity)
-                .build()
-                .unwrap();
-            assert!(cfg.is_serial());
-            let mut clock_us = 0.0;
-            let mut event = EventDriven::<Q>::with_queue(timing, cfg);
-            for op in ops {
-                let service_us = table_us(&timing, op);
-                clock_us += service_us;
-                let got = event.op(op);
-                assert_eq!(got.wait_us.to_bits(), 0.0f64.to_bits());
-                assert_eq!(got.service_us.to_bits(), service_us.to_bits());
-                assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
-            }
-            assert_eq!(clock_us.to_bits(), event.drain().to_bits());
+        let mut clock_us = 0.0;
+        let mut event = EventDriven::new(timing, ChannelConfig::default());
+        for op in &ops {
+            let service_us = table_us(&timing, op);
+            clock_us += service_us;
+            let got = event.op(op);
+            assert_eq!(got.wait_us.to_bits(), 0.0f64.to_bits());
+            assert_eq!(got.service_us.to_bits(), service_us.to_bits());
             assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
         }
-        for trace_capacity in [0, 64] {
-            check::<HeapQueue>(timing, &ops, trace_capacity);
-            check::<TimerWheel>(timing, &ops, trace_capacity);
-        }
+        assert_eq!(clock_us.to_bits(), event.drain().to_bits());
+        assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
     }
 
     #[test]
@@ -872,14 +602,14 @@ mod tests {
         // Four background programs striped across four channels overlap;
         // serially they would cost 4 * 200µs.
         for block in 0..4 {
-            event.op(&bg(OpClass::Program, CellMode::Slc, block, None));
+            event.op(&bg(OpClass::Program, CellMode::Slc, block));
         }
         let makespan = event.drain();
         assert_eq!(makespan, 200.0, "four channels run four programs in one");
 
         let mut serial = EventDriven::new(timing, ChannelConfig::default());
         for block in 0..4 {
-            serial.op(&bg(OpClass::Program, CellMode::Slc, block, None));
+            serial.op(&bg(OpClass::Program, CellMode::Slc, block));
         }
         assert_eq!(serial.drain(), 800.0);
     }
@@ -895,7 +625,7 @@ mod tests {
             .unwrap();
         let mut event = EventDriven::new(timing, cfg);
         // A background erase occupies the sole plane...
-        event.op(&bg(OpClass::Erase, CellMode::Mlc, 0, None));
+        event.op(&bg(OpClass::Erase, CellMode::Mlc, 0));
         // ...so a foreground read on the same plane waits out the erase.
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
         assert_eq!(t.wait_us, 3300.0);
@@ -922,119 +652,11 @@ mod tests {
         let mut a = EventDriven::new(timing, deep);
         let mut b = EventDriven::new(timing, shallow);
         for block in 0..4 {
-            a.op(&bg(OpClass::Erase, CellMode::Slc, block, None));
-            b.op(&bg(OpClass::Erase, CellMode::Slc, block, None));
+            a.op(&bg(OpClass::Erase, CellMode::Slc, block));
+            b.op(&bg(OpClass::Erase, CellMode::Slc, block));
         }
         assert_eq!(a.drain(), 1500.0);
         assert_eq!(b.drain(), 4.0 * 1500.0);
-    }
-
-    #[test]
-    fn write_buffer_coalesces_rewrites() {
-        fn check<Q: EventQueue>() {
-            let cfg = ChannelConfig::builder()
-                .channels(1)
-                .queue_depth(8)
-                .writeback_us(500.0)
-                .trace_capacity(64)
-                .build()
-                .unwrap();
-            let mut event = EventDriven::<Q>::with_queue(FlashTiming::default(), cfg);
-            // Three rewrites of the same LBA inside the window: only the
-            // last flushes; the first two coalesce away.
-            for block in 0..3 {
-                event.op(&bg(OpClass::Program, CellMode::Slc, block, Some(7)));
-            }
-            assert_eq!(event.buffered_writes(), 1);
-            let makespan = event.drain();
-            assert_eq!(event.buffered_writes(), 0);
-            // One program dispatched at its 500µs deadline.
-            assert_eq!(makespan, 700.0);
-            let flushes = event
-                .trace()
-                .iter()
-                .filter(|e| e.kind == TraceKind::WbFlush)
-                .count();
-            let coalesced = event
-                .trace()
-                .iter()
-                .filter(|e| e.kind == TraceKind::WbCoalesce)
-                .count();
-            assert_eq!((flushes, coalesced), (1, 2));
-        }
-        check::<HeapQueue>();
-        check::<TimerWheel>();
-    }
-
-    #[test]
-    fn trace_is_reproducible_and_bounded() {
-        let timing = FlashTiming::default();
-        let cfg = ChannelConfig::builder()
-            .channels(2)
-            .queue_depth(4)
-            .writeback_us(100.0)
-            .trace_capacity(8)
-            .build()
-            .unwrap();
-        let run = |cfg: ChannelConfig| {
-            let mut event = EventDriven::new(timing, cfg);
-            for i in 0..16u32 {
-                event.op(&bg(
-                    OpClass::Program,
-                    CellMode::Mlc,
-                    i,
-                    Some(u64::from(i % 4)),
-                ));
-                event.op(&fg(OpClass::Read, CellMode::Slc, i));
-            }
-            event.drain();
-            event.trace().to_vec()
-        };
-        let a = run(cfg);
-        let b = run(cfg);
-        assert_eq!(a, b, "same config + same ops => byte-identical trace");
-        assert!(a.len() <= 8);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn heap_and_wheel_traces_are_byte_identical() {
-        let timing = FlashTiming::default();
-        let cfg = ChannelConfig::builder()
-            .channels(3)
-            .planes(2)
-            .queue_depth(4)
-            .writeback_us(250.0)
-            .xfer_us(10.0)
-            .trace_capacity(4096)
-            .build()
-            .unwrap();
-        let mut heap = EventDriven::<HeapQueue>::with_queue(timing, cfg);
-        let mut wheel = EventDriven::new(timing, cfg);
-        for i in 0..200u32 {
-            let op = match i % 5 {
-                0 => fg(OpClass::Read, CellMode::Slc, i % 17),
-                1 => bg(
-                    OpClass::Program,
-                    CellMode::Mlc,
-                    i % 17,
-                    Some(u64::from(i % 6)),
-                ),
-                2 => bg(OpClass::Erase, CellMode::Mlc, i % 17, None),
-                3 => fg(OpClass::Program, CellMode::Slc, (i * 3) % 17),
-                _ => bg(OpClass::Read, CellMode::Mlc, (i * 7) % 17, None),
-            };
-            let a = heap.op(&op);
-            let b = wheel.op(&op);
-            assert_eq!(a.wait_us.to_bits(), b.wait_us.to_bits(), "op {i} wait");
-            assert_eq!(
-                a.service_us.to_bits(),
-                b.service_us.to_bits(),
-                "op {i} service"
-            );
-        }
-        assert_eq!(heap.drain().to_bits(), wheel.drain().to_bits());
-        assert_eq!(heap.trace(), wheel.trace());
     }
 
     #[test]
@@ -1044,203 +666,5 @@ mod tests {
         model.op(&fg(OpClass::Program, CellMode::Mlc, 0));
         assert_eq!(model.now_us(), 25.0 + 680.0);
         assert_eq!(model.drain(), 25.0 + 680.0);
-        assert!(model.trace().is_empty());
-    }
-
-    // ------------------------------------------------------------------
-    // Timer-wheel internals: quantization boundaries, overflow cascade.
-    // ------------------------------------------------------------------
-
-    fn ev(t: f64, seq: u64) -> Ev {
-        Ev {
-            t,
-            seq,
-            kind: EvKind::Complete { channel: 0 },
-        }
-    }
-
-    #[test]
-    fn wheel_pops_bucket_edges_in_exact_time_order() {
-        // Times straddling a bucket edge: exactly on the boundary, one
-        // ULP below, one ULP above, plus same-bucket neighbours. The
-        // wheel must pop in exact (t, seq) order regardless of which
-        // side of the edge quantization lands each event on.
-        let q = WHEEL_QUANTUM_US;
-        let edge = 3.0 * q;
-        let below = f64::from_bits(edge.to_bits() - 1);
-        let above = f64::from_bits(edge.to_bits() + 1);
-        assert_ne!(
-            TimerWheel::tick_of(below),
-            TimerWheel::tick_of(edge),
-            "edge and edge-ulp must quantize to different buckets"
-        );
-        assert_eq!(TimerWheel::tick_of(edge), TimerWheel::tick_of(above));
-        let mut wheel = TimerWheel::default();
-        // Push out of order.
-        for (t, seq) in [
-            (above, 4),
-            (edge, 2),
-            (below, 1),
-            (edge, 3),
-            (0.5 * q, 0),
-            (edge + 0.25 * q, 5),
-        ] {
-            wheel.push(ev(t, seq));
-        }
-        let mut popped = Vec::new();
-        while let Some(e) = wheel.pop_due(f64::INFINITY) {
-            popped.push((e.t.to_bits(), e.seq));
-        }
-        let mut sorted = popped.clone();
-        sorted.sort();
-        assert_eq!(popped, sorted, "pop order must be exact (t, seq) order");
-        assert_eq!(popped.len(), 6);
-        // Ties on t broke by seq: the two boundary events at `edge`.
-        assert_eq!(popped[2], (edge.to_bits(), 2));
-        assert_eq!(popped[3], (edge.to_bits(), 3));
-    }
-
-    #[test]
-    fn wheel_pop_due_respects_the_limit_at_the_boundary() {
-        let q = WHEEL_QUANTUM_US;
-        let mut wheel = TimerWheel::default();
-        wheel.push(ev(2.0 * q, 0));
-        // An event exactly at the limit fires; one ULP past it does not.
-        assert!(wheel
-            .pop_due(f64::from_bits((2.0 * q).to_bits() - 1))
-            .is_none());
-        assert_eq!(wheel.pop_due(2.0 * q).map(|e| e.seq), Some(0));
-        assert!(wheel.pop_due(f64::INFINITY).is_none());
-    }
-
-    #[test]
-    fn wheel_cascades_overflow_beyond_one_wrap() {
-        // Events far beyond one wheel wrap land on the overflow list
-        // and must still pop in exact global order once the ring
-        // empties into their window.
-        let horizon = WHEEL_QUANTUM_US * WHEEL_BUCKETS as f64;
-        let mut wheel = TimerWheel::default();
-        let times = [
-            (0.5 * horizon, 0u64),
-            (1.5 * horizon, 1),
-            (3.25 * horizon, 2),
-            (3.25 * horizon, 3),
-            (10.0 * horizon, 4),
-        ];
-        for &(t, seq) in &times {
-            wheel.push(ev(t, seq));
-        }
-        assert_eq!(wheel.len(), times.len());
-        let order: Vec<u64> = std::iter::from_fn(|| wheel.pop_due(f64::INFINITY))
-            .map(|e| e.seq)
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert_eq!(wheel.len(), 0);
-    }
-
-    #[test]
-    fn wheel_steady_state_reuses_arena_nodes() {
-        let mut wheel = TimerWheel::default();
-        let mut t = 0.0;
-        for seq in 0..64u64 {
-            t += 7.0;
-            wheel.push(ev(t, seq));
-        }
-        while wheel.pop_due(f64::INFINITY).is_some() {}
-        let arena = wheel.nodes.len();
-        // A second wave of equal depth must not grow the arena.
-        for seq in 64..128u64 {
-            t += 7.0;
-            wheel.push(ev(t, seq));
-        }
-        assert_eq!(wheel.nodes.len(), arena, "free list must recycle nodes");
-        while wheel.pop_due(f64::INFINITY).is_some() {}
-        assert_eq!(wheel.len(), 0);
-    }
-
-    // ------------------------------------------------------------------
-    // Lock-step reference: the wheel against the `BinaryHeap` queue.
-    // ------------------------------------------------------------------
-
-    fn op_strategy() -> impl Strategy<Value = OpRequest> {
-        (
-            prop_oneof![
-                4 => Just(OpClass::Read),
-                4 => Just(OpClass::Program),
-                1 => Just(OpClass::Erase),
-            ],
-            any::<bool>(),
-            0..64u32,
-            (any::<bool>(), 0..16u64),
-            any::<bool>(),
-        )
-            .prop_map(
-                |(class, slc, block, (with_lba, lba), background)| OpRequest {
-                    class,
-                    mode: if slc { CellMode::Slc } else { CellMode::Mlc },
-                    block,
-                    lba: with_lba.then_some(lba),
-                    background,
-                },
-            )
-    }
-
-    fn channel_strategy() -> impl Strategy<Value = ChannelConfig> {
-        (
-            1..6u32,
-            1..4u32,
-            1..8u32,
-            prop_oneof![Just(0.0f64), Just(100.0), Just(750.0)],
-            prop_oneof![Just(0.0f64), Just(10.0)],
-        )
-            .prop_map(|(channels, planes, queue_depth, writeback_us, xfer_us)| {
-                ChannelConfig::builder()
-                    .channels(channels)
-                    .planes(planes)
-                    .queue_depth(queue_depth)
-                    .writeback_us(writeback_us)
-                    .xfer_us(xfer_us)
-                    .trace_capacity(4096)
-                    .build()
-                    .expect("strategy only emits valid configs")
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The timer wheel *is* a total-order heap, bit for bit —
-        /// per-op waits and services, the clock after every op, the
-        /// full event trace, and the drained makespan — across
-        /// arbitrary op mixes, queue depths, writeback windows, and
-        /// channel shapes.
-        #[test]
-        fn wheel_backend_matches_the_heap_oracle(
-            ops in prop::collection::vec(op_strategy(), 1..200),
-            cfg in channel_strategy(),
-        ) {
-            let timing = FlashTiming::default();
-            let mut heap = EventDriven::<HeapQueue>::with_queue(timing, cfg);
-            let mut wheel = EventDriven::new(timing, cfg);
-            for (i, op) in ops.iter().enumerate() {
-                let a = heap.op(op);
-                let b = wheel.op(op);
-                prop_assert_eq!(
-                    a.wait_us.to_bits(), b.wait_us.to_bits(),
-                    "wait diverged at op {} ({:?})", i, op
-                );
-                prop_assert_eq!(
-                    a.service_us.to_bits(), b.service_us.to_bits(),
-                    "service diverged at op {} ({:?})", i, op
-                );
-                prop_assert_eq!(
-                    heap.now_us().to_bits(), wheel.now_us().to_bits(),
-                    "clock diverged at op {}", i
-                );
-            }
-            prop_assert_eq!(heap.buffered_writes(), wheel.buffered_writes());
-            prop_assert_eq!(heap.drain().to_bits(), wheel.drain().to_bits(), "makespan diverged");
-            prop_assert_eq!(heap.trace(), wheel.trace(), "event trace diverged");
-        }
     }
 }

@@ -98,7 +98,6 @@ fn write_storm_raises_tail_flash_latency() {
         .channels(4)
         .planes(2)
         .queue_depth(4)
-        .writeback_us(200.0)
         .build()
         .expect("valid channel config");
 
