@@ -41,9 +41,9 @@ pub struct CacheOp {
     pub lba: u64,
     /// Read or write.
     pub kind: CacheOpKind,
-    /// Device-op context forwarded to the timing backend. The cache
-    /// stamps `lba` onto it; callers only need a non-default context
-    /// to mark background traffic.
+    /// Device-op context the read hit's flash read is issued with;
+    /// callers only need a non-default context to mark background
+    /// traffic.
     pub ctx: OpContext,
 }
 
@@ -441,8 +441,8 @@ impl FlashCache {
         &self.device
     }
 
-    /// Mutable access to the underlying device (for draining the event
-    /// timeline at end of run).
+    /// Mutable access to the underlying device (for its end-of-run
+    /// makespan: the max over its per-channel and per-plane free times).
     pub fn device_mut(&mut self) -> &mut FlashDevice {
         &mut self.device
     }
@@ -537,7 +537,7 @@ impl FlashCache {
         }
     }
 
-    fn gidx(&self, addr: PageAddr) -> usize {
+    pub(crate) fn gidx(&self, addr: PageAddr) -> usize {
         addr.block.0 as usize * self.device.geometry().slots_per_block() as usize
             + addr.slot as usize
     }
@@ -546,19 +546,27 @@ impl FlashCache {
         self.fbst.get(addr.block).region
     }
 
-    pub(crate) fn region_mut(&mut self, kind: RegionKind) -> &mut Region {
-        if self.unified || kind == RegionKind::Read {
-            &mut self.read_region
+    /// The region `kind` is stored in: unified mode folds every kind onto
+    /// the read region.
+    pub(crate) fn storage_kind(&self, kind: RegionKind) -> RegionKind {
+        if self.unified {
+            RegionKind::Read
         } else {
-            &mut self.write_region
+            kind
+        }
+    }
+
+    pub(crate) fn region_mut(&mut self, kind: RegionKind) -> &mut Region {
+        match self.storage_kind(kind) {
+            RegionKind::Read => &mut self.read_region,
+            RegionKind::Write => &mut self.write_region,
         }
     }
 
     pub(crate) fn region(&self, kind: RegionKind) -> &Region {
-        if self.unified || kind == RegionKind::Read {
-            &self.read_region
-        } else {
-            &self.write_region
+        match self.storage_kind(kind) {
+            RegionKind::Read => &self.read_region,
+            RegionKind::Write => &self.write_region,
         }
     }
 
@@ -723,13 +731,7 @@ impl FlashCache {
             let latency = out.latency_us + ecc_us + out.wait_us;
             if out.raw_bit_errors > live_t as u32 {
                 // Cached copy lost: detected by CRC after failed BCH.
-                self.stats.uncorrectable_reads += 1;
-                self.emit(Event::UncorrectableRead {
-                    tick: self.tick,
-                    block: addr.block.0,
-                    slot: addr.slot,
-                    bit_errors: out.raw_bit_errors,
-                });
+                self.raise_lost_copy(addr, out.raw_bit_errors);
                 self.respond_to_errors(addr, out.raw_bit_errors);
                 self.drop_valid_page(addr, false);
                 // Refill from disk below (fall through to the miss path).
@@ -812,14 +814,9 @@ impl FlashCache {
             self.stats.write_hits += 1;
             // Invalidate the stale copy (read- or write-region alike);
             // the new data supersedes it, so no flush is owed.
-            self.invalidate_for_overwrite(addr);
+            self.drop_valid_page(addr, false);
         }
-        let target = if self.unified {
-            RegionKind::Read
-        } else {
-            RegionKind::Write
-        };
-        let slot = self.allocate_slot(target, false)?;
+        let slot = self.allocate_slot(self.storage_kind(RegionKind::Write), false)?;
         if let Some(addr) = slot {
             self.op_background_us += self.program_slot(addr, disk_page, true, 0)?;
         }
@@ -905,15 +902,15 @@ impl FlashCache {
         Ok(out.latency_us + self.config.ecc_latency.encode_us(strength as usize))
     }
 
-    /// Invalidates a superseded page (no flush owed).
-    fn invalidate_for_overwrite(&mut self, addr: PageAddr) {
+    /// Unmaps a live page: clears its valid and dirty bits and its reverse
+    /// map, and moves its block's and region's count from valid to
+    /// invalid. Returns the disk page it held; the FCHT entry is the
+    /// caller's to remove, or to re-point in place by programming a copy.
+    pub(crate) fn unmap_page(&mut self, addr: PageAddr) -> Option<u64> {
         let st = self.fpst.get_mut(addr);
-        debug_assert!(st.valid);
         st.valid = false;
         st.dirty = false;
-        if let Some(dp) = self.fpst.take_disk_page(addr) {
-            self.fcht.remove(dp);
-        }
+        let disk_page = self.fpst.take_disk_page(addr);
         let region = self.region_kind_of(addr);
         let bs = self.fbst.get_mut(addr.block);
         bs.valid_pages -= 1;
@@ -922,33 +919,38 @@ impl FlashCache {
         r.valid_pages -= 1;
         r.invalid_pages += 1;
         self.reclaim_sync(addr.block);
+        disk_page
     }
 
     /// Drops a live page, flushing it to disk first if it was dirty
-    /// (`flush` may be false when the content is known lost/uncorrectable).
+    /// (`flush` is false when the content is superseded or lost).
     pub(crate) fn drop_valid_page(&mut self, addr: PageAddr, flush: bool) {
-        let st = self.fpst.get_mut(addr);
+        let st = *self.fpst.get(addr);
         if !st.valid {
             return;
         }
-        let was_dirty = st.dirty;
-        st.valid = false;
-        st.dirty = false;
-        if let Some(dp) = self.fpst.take_disk_page(addr) {
+        if let Some(dp) = self.unmap_page(addr) {
             self.fcht.remove(dp);
         }
-        if was_dirty && flush {
-            self.op_flushed += 1;
-            self.stats.flushed_dirty_pages += 1;
-        }
-        let region = self.region_kind_of(addr);
-        let bs = self.fbst.get_mut(addr.block);
-        bs.valid_pages -= 1;
-        bs.invalid_pages += 1;
-        let r = self.region_mut(region);
-        r.valid_pages -= 1;
-        r.invalid_pages += 1;
-        self.reclaim_sync(addr.block);
+        self.report_flush(st.dirty && flush);
+    }
+
+    /// Counts a page that left flash: if `dirty`, the op owes a disk write.
+    fn report_flush(&mut self, dirty: bool) {
+        self.op_flushed += dirty as u32;
+        self.stats.flushed_dirty_pages += dirty as u64;
+    }
+
+    /// Counts a lost copy: `addr` read back with more raw bit errors than
+    /// its live ECC strength corrects.
+    pub(crate) fn raise_lost_copy(&mut self, addr: PageAddr, bit_errors: u32) {
+        self.stats.uncorrectable_reads += 1;
+        self.emit(Event::UncorrectableRead {
+            tick: self.tick,
+            block: addr.block.0,
+            slot: addr.slot,
+            bit_errors,
+        });
     }
 
     /// §5.2.2: a saturated read counter promotes a hot MLC page to SLC.
@@ -974,26 +976,22 @@ impl FlashCache {
             return Ok(());
         }
         let kind = self.region_kind_of(addr);
-        let st = *self.fpst.get(addr);
+        let dirty = self.fpst.get(addr).dirty;
+        // Unmap *before* allocating: allocation may run GC, which must not
+        // move this page, and may fail, which must leave no stale mapping.
         let disk_page = self
-            .fpst
-            .disk_page(addr)
+            .unmap_page(addr)
             .ok_or(CacheError::MappingMissing { addr })?;
-        // Invalidate *before* allocating: allocation may trigger GC, which
-        // must not relocate the page we are about to migrate ourselves.
-        self.invalidate_for_overwrite(addr);
+        self.fcht.remove(disk_page);
         let Some(dst) = self.allocate_slot(kind, true)? else {
             // Promotion failed for lack of space; the page falls out of
             // the cache (its content was just served, and a dirty copy
             // still owes a disk write).
-            if st.dirty {
-                self.op_flushed += 1;
-                self.stats.flushed_dirty_pages += 1;
-            }
+            self.report_flush(dirty);
             return Ok(());
         };
         // Migrate: the page was just read; program the copy in SLC mode.
-        let lat = self.program_slot(dst, disk_page, st.dirty, self.config.hot_threshold)?;
+        let lat = self.program_slot(dst, disk_page, dirty, self.config.hot_threshold)?;
         self.op_background_us += lat;
         self.stats.hot_promotions += 1;
         self.stats.reconfig_density += 1;
@@ -1079,7 +1077,8 @@ impl FlashCache {
     /// Background read-region GC when invalid pages push valid capacity
     /// below the watermark (§5.1).
     fn maybe_background_read_gc(&mut self) -> Result<(), CacheError> {
-        if self.unified {
+        // Unified mode: host writes land in the read region itself.
+        if self.storage_kind(RegionKind::Write) == RegionKind::Read {
             return Ok(());
         }
         let r = self.region(RegionKind::Read);

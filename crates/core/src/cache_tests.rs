@@ -838,17 +838,22 @@ fn a_new_hot_set_thaws_the_bar_within_three_sketch_ageings() {
     c.check_invariants().unwrap();
 }
 
-/// The 50 000-op trace behind the pinned-stats test: a skewed page
-/// popularity (product of two uniform draws) over five times the cache,
-/// three ops in ten writes.
-fn pinned_trace() -> impl Iterator<Item = CacheOp> {
-    let mut state = 0x2008_0621_u64;
-    let mut draw = move |n: u64| {
+/// Knuth's MMIX LCG: `draw(n)` is the high half of the next state mod `n`.
+fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+    let mut state = seed;
+    move |n| {
         state = state
             .wrapping_mul(6_364_136_223_846_793_005)
             .wrapping_add(1_442_695_040_888_963_407);
         (state >> 33) % n
-    };
+    }
+}
+
+/// The 50 000-op trace behind the pinned-stats test: a skewed page
+/// popularity (product of two uniform draws) over five times the cache,
+/// three ops in ten writes.
+fn pinned_trace() -> impl Iterator<Item = CacheOp> {
+    let mut draw = lcg(0x2008_0621);
     (0..50_000).map(move |_| {
         let page = draw(2_560) * draw(2_560) / 2_560;
         if draw(10) < 3 {
@@ -902,4 +907,115 @@ fn rereference_counters_are_pinned_on_a_fixed_trace() {
     };
     assert_eq!(c.stats(), pinned);
     assert_eq!(c.admission_bar(), 7);
+}
+
+/// Drives an 8-block × 4-page device whose cells wear out 20 000 times
+/// faster than the paper's to total failure under the programmable
+/// controller: [`lcg`] from seed 5, pages skewed over 200, three ops in
+/// ten writes. §3.6's threshold is lowered to 4 and §5.2.2's to 4 reads so
+/// that a wear swap and a hot promotion each happen many times before the
+/// last block retires. Returns the stats and the per-kind event counts in
+/// [`EventKind::ALL`](flash_obs::EventKind::ALL) order.
+fn end_of_life_run(admission: AdmissionPolicyConfig) -> (CacheStats, [u64; 8]) {
+    let mut config = small_config();
+    config.flash.geometry.blocks = 8;
+    config.flash.geometry.pages_per_block = 4;
+    config.flash.wear = WearConfig {
+        spatial_sigma_decades: 0.1,
+        ..WearConfig::default()
+    }
+    .accelerated(2e4);
+    config.controller = ControllerPolicy::Programmable;
+    config.wear_threshold = 4.0;
+    config.hot_threshold = 4;
+    config.admission = admission;
+    let mut c = FlashCache::new(config).unwrap();
+    let sink = std::sync::Arc::new(flash_obs::ObsSink::with_capacity(0));
+    c.attach_sink(sink.clone());
+    let mut draw = lcg(5);
+    while !c.is_dead() {
+        let page = draw(200) * draw(200) / 200;
+        if draw(10) < 3 {
+            c.op(CacheOp::write(page));
+        } else {
+            c.op(CacheOp::read(page));
+        }
+    }
+    c.check_invariants().unwrap();
+    let events = flash_obs::EventKind::ALL.map(|k| sink.event_count(k));
+    (c.stats(), events)
+}
+
+/// The rare arms of the page lifecycle, pinned on the end-of-life trace
+/// by commit b0b400b's counters (the parent of the one-lifecycle PR):
+/// lost copies on the read-hit path and in both relocations (compaction
+/// and §3.6 migration), hot promotion, ECC and density reconfiguration,
+/// retirement on erase inside a wear swap and on every reclaim path.
+/// A reordered device op, a dropped counter or a differently summed
+/// `gc_time_us` moves these.
+#[test]
+fn end_of_life_counters_are_pinned_on_a_fixed_trace() {
+    let (stats, events) = end_of_life_run(AdmissionPolicyConfig::AdmitAll);
+    let pinned = CacheStats {
+        reads: 25_093,
+        read_hits: 2_976,
+        writes: 10_640,
+        write_hits: 1_343,
+        flash_reads: 8_810,
+        flash_programs: 27_667,
+        erases: 6_207,
+        gc_runs: 226,
+        gc_moved_pages: 4_959,
+        gc_dropped_pages: 308,
+        gc_time_us: 14014722.94999985,
+        evictions: 4_908,
+        flushed_dirty_pages: 10_264,
+        wear_migrations: 1_072,
+        reconfig_ecc: 257,
+        reconfig_density: 32,
+        hot_promotions: 3,
+        uncorrectable_reads: 841,
+        retired_blocks: 8,
+        foreground_us: 583263.0,
+        background_us: 7325439.399996454,
+        ecc_us: 477188.0,
+        reclaim_index_queries: 38_147,
+        reclaim_index_hits: 8_796,
+        ..CacheStats::default()
+    };
+    assert_eq!(stats, pinned);
+    assert_eq!(events, [226, 257, 29, 3, 1_072, 6_207, 8, 841]);
+
+    let (stats, events) = end_of_life_run(AdmissionPolicyConfig::ReReference);
+    let pinned = CacheStats {
+        reads: 101_161,
+        read_hits: 9_122,
+        writes: 42_972,
+        write_hits: 4_087,
+        flash_reads: 14_561,
+        flash_programs: 26_683,
+        erases: 6_055,
+        gc_runs: 1_332,
+        gc_moved_pages: 4_989,
+        gc_dropped_pages: 344,
+        gc_time_us: 13754072.44999983,
+        evictions: 4_240,
+        flushed_dirty_pages: 14_701,
+        wear_migrations: 466,
+        reconfig_ecc: 299,
+        reconfig_density: 37,
+        hot_promotions: 13,
+        uncorrectable_reads: 441,
+        retired_blocks: 8,
+        foreground_us: 1659368.0,
+        background_us: 6528339.699996674,
+        ecc_us: 1384668.0,
+        reclaim_index_queries: 126_806,
+        reclaim_index_hits: 9_314,
+        admission_rejected_fills: 85_554,
+        admission_sketch_halvings: 158,
+        ..CacheStats::default()
+    };
+    assert_eq!(stats, pinned);
+    assert_eq!(events, [1_332, 299, 24, 13, 466, 6_055, 8, 441]);
 }

@@ -15,19 +15,19 @@ use crate::config::ControllerPolicy;
 use crate::error::CacheError;
 use crate::tables::RegionKind;
 
-impl FlashCache {
-    /// The region a block's state should record, folding unified mode
-    /// onto the read region.
-    fn storage_kind(&self, kind: RegionKind) -> RegionKind {
-        if self.unified {
-            RegionKind::Read
-        } else {
-            kind
-        }
-    }
+/// Where a relocation takes its destination slots from.
+enum Dest {
+    /// Compaction (Figure 8): `kind`'s allocation stream, via
+    /// [`FlashCache::gc_dest_slot`].
+    Stream(RegionKind),
+    /// §3.6 migration: the slots of an erased block, walked by
+    /// [`FlashCache::advance_slot`] as a fresh allocation would.
+    Block(BlockId),
+}
 
+impl FlashCache {
     fn block_in_region(&self, b: BlockId, kind: RegionKind) -> bool {
-        self.unified || self.fbst.get(b).region == kind
+        self.fbst.get(b).region == self.storage_kind(kind)
     }
 
     fn block_is_reserved(&self, b: BlockId) -> bool {
@@ -188,17 +188,13 @@ impl FlashCache {
     fn make_space(&mut self, kind: RegionKind) -> Result<bool, CacheError> {
         // 1. A fully invalidated block can simply be erased.
         if let Some(b) = self.find_fully_invalid(kind) {
-            self.erase_and_recycle(b, kind)?;
+            self.erase_and_recycle(b, kind, 0.0)?;
             return Ok(true);
         }
         // 2. Compaction GC — the common case for the write region (§5.1).
         //    The read region compacts only via its watermark trigger.
-        if self.unified || kind == RegionKind::Write {
-            if let Some(b) = self.find_gc_victim(kind) {
-                if self.gc_compact(b, kind)? {
-                    return Ok(true);
-                }
-            }
+        if (self.unified || kind == RegionKind::Write) && self.collect_garbage(kind)? {
+            return Ok(true);
         }
         // 3. Evict a whole block.
         self.evict_block(kind)
@@ -211,15 +207,20 @@ impl FlashCache {
         ((spb as f64 * self.config.gc_min_invalid_fraction).ceil() as u32).max(1)
     }
 
+    /// Counts one reclaim-index query and whether it `found` a block.
+    fn counted_query(&mut self, found: Option<BlockId>) -> Option<BlockId> {
+        self.stats.reclaim_index_queries += 1;
+        self.stats.reclaim_index_hits += found.is_some() as u64;
+        found
+    }
+
     /// A fully invalidated block of `kind`, from the reclaim index.
     fn find_fully_invalid(&mut self, kind: RegionKind) -> Option<BlockId> {
-        self.stats.reclaim_index_queries += 1;
         let region = self.storage_kind(kind);
         let found = self
             .reclaim
             .fully_invalid(region, |b| self.block_is_reserved(b));
-        self.stats.reclaim_index_hits += found.is_some() as u64;
-        found
+        self.counted_query(found)
     }
 
     /// O(blocks) ground-truth oracle for [`Self::find_fully_invalid`],
@@ -243,15 +244,13 @@ impl FlashCache {
     /// (`gc_min_invalid_fraction`) — otherwise `None`, and eviction is
     /// the better reclaim.
     fn find_gc_victim(&mut self, kind: RegionKind) -> Option<BlockId> {
-        self.stats.reclaim_index_queries += 1;
         let region = self.storage_kind(kind);
         self.reclaim.trim_gc_cursor(region);
         let floor = self.gc_floor();
         let found = self
             .reclaim
             .gc_victim(region, floor, |b| self.block_is_reserved(b));
-        self.stats.reclaim_index_hits += found.is_some() as u64;
-        found
+        self.counted_query(found)
     }
 
     /// O(blocks) ground-truth oracle for [`Self::find_gc_victim`].
@@ -272,13 +271,11 @@ impl FlashCache {
 
     /// The least recently used block of `kind` with content.
     fn find_lru_victim(&mut self, kind: RegionKind) -> Option<BlockId> {
-        self.stats.reclaim_index_queries += 1;
         let region = self.storage_kind(kind);
         let found = self
             .reclaim
             .lru_victim(region, |b| self.block_is_reserved(b));
-        self.stats.reclaim_index_hits += found.is_some() as u64;
-        found
+        self.counted_query(found)
     }
 
     /// O(blocks) ground-truth oracle for [`Self::find_lru_victim`].
@@ -300,12 +297,10 @@ impl FlashCache {
     /// set of Flash blocks"), restricted to blocks whose content can be
     /// migrated.
     fn find_newest_block(&mut self, exclude: BlockId) -> Option<BlockId> {
-        self.stats.reclaim_index_queries += 1;
         let found = self
             .reclaim
             .newest_block(exclude, |b| self.block_is_reserved(b));
-        self.stats.reclaim_index_hits += found.is_some() as u64;
-        found
+        self.counted_query(found)
     }
 
     /// O(blocks) ground-truth oracle for [`Self::find_newest_block`].
@@ -328,10 +323,11 @@ impl FlashCache {
     /// Public entry for watermark-triggered compaction. Returns whether a
     /// pass ran (victim selection applies the write-amplification floor).
     pub(crate) fn collect_garbage(&mut self, kind: RegionKind) -> Result<bool, CacheError> {
-        match self.find_gc_victim(kind) {
-            Some(victim) => self.gc_compact(victim, kind),
-            None => Ok(false),
-        }
+        let Some(victim) = self.find_gc_victim(kind) else {
+            return Ok(false);
+        };
+        self.gc_compact(victim, kind)?;
+        Ok(true)
     }
 
     /// Whether compaction of a `kind` victim keeps only read-referenced
@@ -342,7 +338,7 @@ impl FlashCache {
     /// the page has had one. The read region and unified mode relocate
     /// every valid page, as in Figure 8.
     fn keeps_referenced_only(&self, kind: RegionKind) -> bool {
-        !self.unified && kind == RegionKind::Write
+        self.storage_kind(kind) == RegionKind::Write
     }
 
     /// Moves the victim's surviving pages into the allocation stream,
@@ -350,12 +346,11 @@ impl FlashCache {
     /// victim then goes through the wear comparison of §3.6, because the
     /// write region reclaims by compaction far more often than by
     /// eviction.
-    fn gc_compact(&mut self, victim: BlockId, kind: RegionKind) -> Result<bool, CacheError> {
+    fn gc_compact(&mut self, victim: BlockId, kind: RegionKind) -> Result<(), CacheError> {
         let mut gc_us = 0.0;
         let valid = self.fbst.get(victim).valid_pages;
-        let moved = self.relocate_valid_pages(victim, kind, &mut gc_us)?;
+        let moved = self.relocate_pages(victim, Dest::Stream(kind), &mut gc_us)?;
         self.stats.gc_runs += 1;
-        self.stats.gc_moved_pages += moved as u64;
         self.stats.gc_dropped_pages += (valid - moved) as u64;
         self.emit(Event::GcCompaction {
             tick: self.tick(),
@@ -368,107 +363,73 @@ impl FlashCache {
                 return self.wear_level_swap(victim, newest, kind);
             }
         }
-        let retired = self.erase_block_internal(victim, &mut gc_us)?;
-        self.stats.gc_time_us += gc_us;
-        if !retired {
-            let storage = self.storage_kind(kind);
-            self.fbst.get_mut(victim).region = storage;
+        if !self.erase_and_recycle(victim, kind, gc_us)? {
+            // The emptied victim refills the compaction spare first.
             let region = self.region_mut(kind);
             if region.spare.is_none() {
-                region.spare = Some(victim);
-            } else {
-                region.free.push_back(victim);
+                region.spare = region.free.pop_back();
             }
         }
-        Ok(true)
+        Ok(())
     }
 
-    /// Relocates the valid pages of `src` that compaction keeps (see
-    /// [`Self::keeps_referenced_only`]) via the region's allocation
-    /// stream (open block, then free blocks, then the spare). Every
-    /// other valid page, and any that cannot be placed, is evicted
-    /// (dirty ones flushed). Returns the number of pages moved.
-    fn relocate_valid_pages(
+    /// Relocates the valid pages of `src` to `dest`, each one read in the
+    /// background and programmed into a fresh slot whose FCHT entry is
+    /// re-pointed in place. A compaction that
+    /// [keeps referenced pages only](Self::keeps_referenced_only) evicts
+    /// the unread ones instead (dirty ones flushed); a page read back
+    /// uncorrectable is lost, and one with no destination slot is
+    /// evicted. Returns the number of pages moved.
+    fn relocate_pages(
         &mut self,
         src: BlockId,
-        kind: RegionKind,
+        dest: Dest,
         gc_us: &mut f64,
     ) -> Result<u32, CacheError> {
+        let referenced_only = matches!(dest, Dest::Stream(k) if self.keeps_referenced_only(k));
         let spb = self.device.geometry().slots_per_block();
-        let referenced_only = self.keeps_referenced_only(kind);
+        let mut next_slot = 0;
         let mut moved = 0;
         for slot in 0..spb {
             let addr = PageAddr::new(src, slot);
-            if !self.fpst.get(addr).valid {
+            let st = *self.fpst.get(addr);
+            if !st.valid {
                 continue;
             }
             if referenced_only && self.fpst.access_count(addr) == 0 {
                 self.drop_valid_page(addr, true);
-            } else if self.move_page(addr, kind, gc_us)? {
-                moved += 1;
+                continue;
             }
+            let live_t = self.live_strength[self.gidx(addr)];
+            let out = self
+                .device
+                .read_page_with(addr, OpContext::background())
+                .map_err(|source| CacheError::TableCorruption { addr, source })?;
+            self.stats.flash_reads += 1;
+            *gc_us += out.latency_us + self.config.ecc_latency.decode_us(live_t as usize);
+            if out.raw_bit_errors > live_t as u32 {
+                self.raise_lost_copy(addr, out.raw_bit_errors);
+                self.drop_valid_page(addr, false);
+                continue;
+            }
+            let access = self.fpst.access_count(addr);
+            let want_slc = access >= self.config.hot_threshold && self.policy_allows_slc();
+            let dst = match dest {
+                Dest::Stream(kind) => self.gc_dest_slot(kind, want_slc),
+                Dest::Block(b) => self.advance_slot(b, &mut next_slot, want_slc),
+            };
+            let Some(dst) = dst else {
+                self.drop_valid_page(addr, true);
+                continue;
+            };
+            let disk_page = self
+                .unmap_page(addr)
+                .ok_or(CacheError::MappingMissing { addr })?;
+            *gc_us += self.program_slot(dst, disk_page, st.dirty, access)?;
+            self.stats.gc_moved_pages += 1;
+            moved += 1;
         }
         Ok(moved)
-    }
-
-    /// Moves one valid page to a new location. Returns `false` if the
-    /// page was dropped instead (uncorrectable or no destination).
-    fn move_page(
-        &mut self,
-        src: PageAddr,
-        kind: RegionKind,
-        gc_us: &mut f64,
-    ) -> Result<bool, CacheError> {
-        let st = *self.fpst.get(src);
-        let live_t = self.live_strength[src.block.0 as usize
-            * self.device.geometry().slots_per_block() as usize
-            + src.slot as usize];
-        let out = self
-            .device
-            .read_page_with(src, OpContext::background())
-            .map_err(|source| CacheError::TableCorruption { addr: src, source })?;
-        self.stats.flash_reads += 1;
-        *gc_us += out.latency_us + self.config.ecc_latency.decode_us(live_t as usize);
-        if out.raw_bit_errors > live_t as u32 {
-            // Content lost during relocation.
-            self.stats.uncorrectable_reads += 1;
-            self.emit(Event::UncorrectableRead {
-                tick: self.tick(),
-                block: src.block.0,
-                slot: src.slot,
-                bit_errors: out.raw_bit_errors,
-            });
-            self.drop_valid_page(src, false);
-            return Ok(false);
-        }
-        let access = self.fpst.access_count(src);
-        let want_slc = access >= self.config.hot_threshold && self.policy_allows_slc();
-        let Some(dst) = self.gc_dest_slot(kind, want_slc) else {
-            self.drop_valid_page(src, true);
-            return Ok(false);
-        };
-        let disk_page = self
-            .fpst
-            .disk_page(src)
-            .ok_or(CacheError::MappingMissing { addr: src })?;
-        // Re-home: clear the old mapping (no flush — data is moving).
-        {
-            let s = self.fpst.get_mut(src);
-            s.valid = false;
-            s.dirty = false;
-        }
-        self.fpst.clear_disk_page(src);
-        let region = self.fbst.get(src.block).region;
-        let bs = self.fbst.get_mut(src.block);
-        bs.valid_pages -= 1;
-        bs.invalid_pages += 1;
-        let r = self.region_mut(region);
-        r.valid_pages -= 1;
-        r.invalid_pages += 1;
-        self.reclaim_sync(src.block);
-        let lat = self.program_slot(dst, disk_page, st.dirty, access)?;
-        *gc_us += lat;
-        Ok(true)
     }
 
     /// A destination slot for relocation: never recurses into
@@ -512,12 +473,12 @@ impl FlashCache {
         self.drop_block_content(victim);
         self.stats.evictions += 1;
         match partner {
-            Some(newest) => self.wear_level_swap(victim, newest, kind),
+            Some(newest) => self.wear_level_swap(victim, newest, kind)?,
             None => {
-                self.erase_and_recycle(victim, kind)?;
-                Ok(true)
+                self.erase_and_recycle(victim, kind, 0.0)?;
             }
         }
+        Ok(true)
     }
 
     /// §3.6: the old (worn) block, already emptied by its caller's
@@ -529,13 +490,12 @@ impl FlashCache {
         old: BlockId,
         newest: BlockId,
         kind: RegionKind,
-    ) -> Result<bool, CacheError> {
+    ) -> Result<(), CacheError> {
         let mut gc_us = 0.0;
-        let old_retired = self.erase_block_internal(old, &mut gc_us)?;
-        if old_retired {
+        if self.erase_block_internal(old, &mut gc_us)? {
             // The worn block died on erase; treat as a plain eviction.
             self.stats.gc_time_us += gc_us;
-            return Ok(true);
+            return Ok(());
         }
         // The old block takes over the newest block's identity.
         let newest_state = *self.fbst.get(newest);
@@ -544,103 +504,22 @@ impl FlashCache {
             bs.region = newest_state.region;
             bs.last_access = newest_state.last_access;
         }
-        self.migrate_block_content(newest, old, &mut gc_us)?;
+        self.relocate_pages(newest, Dest::Block(old), &mut gc_us)?;
         // If migration salvaged nothing (end-of-life uncorrectable reads
         // can drop every page), the old block is erased and empty: hand
         // it to the requesting region's free pool rather than leaving it
         // orphaned outside every allocator structure.
         let old_bs = self.fbst.get(old);
         if old_bs.valid_pages + old_bs.invalid_pages == 0 {
-            let storage = self.storage_kind(kind);
-            self.fbst.get_mut(old).region = storage;
-            self.region_mut(kind).free.push_back(old);
+            self.free_block(old, kind);
         }
-        let newest_retired = self.erase_block_internal(newest, &mut gc_us)?;
-        self.stats.gc_time_us += gc_us;
-        if !newest_retired {
-            let storage = self.storage_kind(kind);
-            self.fbst.get_mut(newest).region = storage;
-            self.region_mut(kind).free.push_back(newest);
-        }
+        self.erase_and_recycle(newest, kind, gc_us)?;
         self.stats.wear_migrations += 1;
         self.emit(Event::WearMigration {
             tick: self.tick(),
             worn_block: old.0,
             newest_block: newest.0,
         });
-        Ok(true)
-    }
-
-    /// Moves every valid page of `src` into block `dst` (assumed fully
-    /// erased), walking `dst`'s slots with the same mode rules as normal
-    /// allocation. Unplaceable pages are evicted (flushed if dirty).
-    fn migrate_block_content(
-        &mut self,
-        src: BlockId,
-        dst: BlockId,
-        gc_us: &mut f64,
-    ) -> Result<(), CacheError> {
-        let spb = self.device.geometry().slots_per_block();
-        let mut dst_slot = 0u32;
-        for slot in 0..spb {
-            let s_addr = PageAddr::new(src, slot);
-            if !self.fpst.get(s_addr).valid {
-                continue;
-            }
-            let st = *self.fpst.get(s_addr);
-            let live_t =
-                self.live_strength[s_addr.block.0 as usize * spb as usize + s_addr.slot as usize];
-            let out = self
-                .device
-                .read_page_with(s_addr, OpContext::background())
-                .map_err(|source| CacheError::TableCorruption {
-                    addr: s_addr,
-                    source,
-                })?;
-            self.stats.flash_reads += 1;
-            *gc_us += out.latency_us + self.config.ecc_latency.decode_us(live_t as usize);
-            if out.raw_bit_errors > live_t as u32 {
-                self.stats.uncorrectable_reads += 1;
-                self.emit(Event::UncorrectableRead {
-                    tick: self.tick(),
-                    block: s_addr.block.0,
-                    slot: s_addr.slot,
-                    bit_errors: out.raw_bit_errors,
-                });
-                self.drop_valid_page(s_addr, false);
-                continue;
-            }
-            // Find the next compatible slot in dst — the same walk as
-            // open-block allocation (see `advance_slot`).
-            let access = self.fpst.access_count(s_addr);
-            let want_slc = access >= self.config.hot_threshold && self.policy_allows_slc();
-            match self.advance_slot(dst, &mut dst_slot, want_slc) {
-                Some(d_addr) => {
-                    let disk_page = self
-                        .fpst
-                        .disk_page(s_addr)
-                        .ok_or(CacheError::MappingMissing { addr: s_addr })?;
-                    let sp = self.fpst.get_mut(s_addr);
-                    sp.valid = false;
-                    sp.dirty = false;
-                    self.fpst.clear_disk_page(s_addr);
-                    let region = self.fbst.get(src).region;
-                    let bs = self.fbst.get_mut(src);
-                    bs.valid_pages -= 1;
-                    bs.invalid_pages += 1;
-                    let r = self.region_mut(region);
-                    r.valid_pages -= 1;
-                    r.invalid_pages += 1;
-                    self.reclaim_sync(src);
-                    let lat = self.program_slot(d_addr, disk_page, st.dirty, access)?;
-                    *gc_us += lat;
-                    self.stats.gc_moved_pages += 1;
-                }
-                None => {
-                    self.drop_valid_page(s_addr, true);
-                }
-            }
-        }
         Ok(())
     }
 
@@ -724,17 +603,28 @@ impl FlashCache {
         Ok(dead)
     }
 
-    /// Erase + return the block to `kind`'s free pool (unless retired).
-    fn erase_and_recycle(&mut self, b: BlockId, kind: RegionKind) -> Result<bool, CacheError> {
-        let mut gc_us = 0.0;
+    /// Erases `b`, charges the erase and the caller's background work
+    /// so far (`gc_us`) to GC time, and hands `b` to `kind`'s free list
+    /// unless it retired. Returns whether it retired.
+    fn erase_and_recycle(
+        &mut self,
+        b: BlockId,
+        kind: RegionKind,
+        mut gc_us: f64,
+    ) -> Result<bool, CacheError> {
         let retired = self.erase_block_internal(b, &mut gc_us)?;
         self.stats.gc_time_us += gc_us;
         if !retired {
-            let storage = self.storage_kind(kind);
-            self.fbst.get_mut(b).region = storage;
-            self.region_mut(kind).free.push_back(b);
+            self.free_block(b, kind);
         }
-        Ok(!retired)
+        Ok(retired)
+    }
+
+    /// Hands the erased, empty block `b` to `kind`'s free list.
+    fn free_block(&mut self, b: BlockId, kind: RegionKind) {
+        let storage = self.storage_kind(kind);
+        self.fbst.get_mut(b).region = storage;
+        self.region_mut(kind).free.push_back(b);
     }
 
     /// Test/diagnostic hook: consistency check between the incremental

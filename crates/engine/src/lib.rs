@@ -28,9 +28,9 @@
 //! Because each shard owns a disjoint slice of both the address space
 //! and the device, garbage collection, wear levelling and controller
 //! reconfiguration run per shard. The engine keeps no clock of its
-//! own: modeled time lives in each shard device's scheduler, and
-//! [`ShardedCache::device_makespan_us`] drains those timelines and
-//! reports the busiest device — the shards are concurrently operating
+//! own: modeled time is each shard device's per-channel and per-plane
+//! free times, and [`ShardedCache::device_makespan_us`] reports the
+//! largest of their maxima — the shards are concurrently operating
 //! flash devices — so scaling results are machine-independent.
 
 #![forbid(unsafe_code)]

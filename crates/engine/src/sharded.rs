@@ -416,9 +416,9 @@ impl ShardedCache {
         self.shards().iter().all(|s| s.is_dead())
     }
 
-    /// The engine's only modeled time: drains every shard device's
-    /// event timeline (flushing buffered writes) and returns the largest
-    /// device makespan, µs — the shards are concurrently operating
+    /// The engine's only modeled time: each shard device's makespan is
+    /// the max over its per-channel and per-plane free times; returns
+    /// the largest, µs — the shards are concurrently operating
     /// devices, so the busiest one bounds the run. Under a serial
     /// channel configuration that is the busiest shard's sum of service
     /// times; with more channels, overlap shows up as a shorter makespan

@@ -299,8 +299,8 @@ impl Hierarchy {
         self.flash.as_ref()
     }
 
-    /// Modeled flash device time, µs: drains the shard devices' event
-    /// timelines and returns the busiest shard's makespan
+    /// Modeled flash device time, µs: the busiest shard's makespan, the
+    /// max over its per-channel and per-plane free times
     /// ([`ShardedCache::device_makespan_us`]). `None` without flash.
     pub fn device_makespan_us(&mut self) -> Option<f64> {
         self.flash.as_mut().map(ShardedCache::device_makespan_us)
@@ -344,9 +344,7 @@ impl Hierarchy {
                         }
                         ServiceTier::Flash => {
                             out.flash_hits += 1;
-                            self.report.flash_latency.record(lat);
-                            self.report.flash_queue_wait.record(wait);
-                            self.report.flash_service.record(lat - wait);
+                            self.record_flash_hit(lat, wait);
                         }
                         ServiceTier::Disk => disk_read_pages += 1,
                     }
@@ -358,30 +356,7 @@ impl Hierarchy {
                 }
             }
         }
-        // One disk access covers the request's missed pages.
-        if disk_read_pages > 0 {
-            let bytes = disk_read_pages as u64 * PAGE_BYTES;
-            let t = self.config.hdd.access_latency_us(bytes);
-            out.latency_us += t;
-            out.disk_pages = disk_read_pages;
-            self.report.disk.record(t / 1e6, bytes, false);
-            self.report.disk_latency.record(t);
-            self.report.disk_read_pages += disk_read_pages as u64;
-        }
-        out.hit = out.disk_pages == 0;
-        out.tier = if out.disk_pages > 0 {
-            ServiceTier::Disk
-        } else if out.flash_hits > 0 {
-            ServiceTier::Flash
-        } else {
-            ServiceTier::Dram
-        };
-        self.report.requests += 1;
-        self.report.pages += req.len as u64;
-        self.report.total_latency_us += out.latency_us;
-        self.report.latency.record(out.latency_us);
-        self.report.dram_hit_pages += out.dram_hits as u64;
-        self.report.flash_hit_pages += out.flash_hits as u64;
+        self.close_out(&req, disk_read_pages, &mut out);
         self.since_flush += 1;
         if self.since_flush >= self.config.flush_interval {
             self.since_flush = 0;
@@ -463,41 +438,15 @@ impl Hierarchy {
             self.flush_to_disk(fo.flushed_dirty);
             if fo.tier == ServiceTier::Flash {
                 outs[ri].flash_hits += 1;
-                let lat = self.dram_page_us + fo.latency_us;
-                self.report.flash_latency.record(lat);
-                self.report.flash_queue_wait.record(fo.queue_wait_us);
-                self.report.flash_service.record(lat - fo.queue_wait_us);
+                self.record_flash_hit(self.dram_page_us + fo.latency_us, fo.queue_wait_us);
             } else {
                 disk_reads[ri] += 1;
             }
             self.install_in_pdc(page_req.page, false);
         }
         // Phase 4: close out each request — batched disk access, report.
-        for (ri, req) in reqs.iter().enumerate() {
-            let pages = disk_reads[ri];
-            if pages > 0 {
-                let bytes = pages as u64 * PAGE_BYTES;
-                let t = self.config.hdd.access_latency_us(bytes);
-                outs[ri].latency_us += t;
-                outs[ri].disk_pages = pages;
-                self.report.disk.record(t / 1e6, bytes, false);
-                self.report.disk_latency.record(t);
-                self.report.disk_read_pages += pages as u64;
-            }
-            outs[ri].hit = outs[ri].disk_pages == 0;
-            outs[ri].tier = if outs[ri].disk_pages > 0 {
-                ServiceTier::Disk
-            } else if outs[ri].flash_hits > 0 {
-                ServiceTier::Flash
-            } else {
-                ServiceTier::Dram
-            };
-            self.report.requests += 1;
-            self.report.pages += req.len as u64;
-            self.report.total_latency_us += outs[ri].latency_us;
-            self.report.latency.record(outs[ri].latency_us);
-            self.report.dram_hit_pages += outs[ri].dram_hits as u64;
-            self.report.flash_hit_pages += outs[ri].flash_hits as u64;
+        for ((req, &pages), out) in reqs.iter().zip(&*disk_reads).zip(&mut outs) {
+            self.close_out(req, pages, out);
         }
         self.staging = staging;
         self.since_flush += reqs.len() as u64;
@@ -506,6 +455,43 @@ impl Hierarchy {
             self.periodic_flush();
         }
         outs
+    }
+
+    /// Records a flash hit's latency and its split into queue wait and
+    /// service.
+    fn record_flash_hit(&mut self, lat: f64, wait: f64) {
+        self.report.flash_latency.record(lat);
+        self.report.flash_queue_wait.record(wait);
+        self.report.flash_service.record(lat - wait);
+    }
+
+    /// Closes out one request: one disk access covers its
+    /// `disk_read_pages` missed pages, then its tier is set and it is
+    /// added to the report.
+    fn close_out(&mut self, req: &DiskRequest, disk_read_pages: u32, out: &mut RequestOutcome) {
+        if disk_read_pages > 0 {
+            let bytes = disk_read_pages as u64 * PAGE_BYTES;
+            let t = self.config.hdd.access_latency_us(bytes);
+            out.latency_us += t;
+            out.disk_pages = disk_read_pages;
+            self.report.disk.record(t / 1e6, bytes, false);
+            self.report.disk_latency.record(t);
+            self.report.disk_read_pages += disk_read_pages as u64;
+        }
+        out.hit = out.disk_pages == 0;
+        out.tier = if out.disk_pages > 0 {
+            ServiceTier::Disk
+        } else if out.flash_hits > 0 {
+            ServiceTier::Flash
+        } else {
+            ServiceTier::Dram
+        };
+        self.report.requests += 1;
+        self.report.pages += req.len as u64;
+        self.report.total_latency_us += out.latency_us;
+        self.report.latency.record(out.latency_us);
+        self.report.dram_hit_pages += out.dram_hits as u64;
+        self.report.flash_hit_pages += out.flash_hits as u64;
     }
 
     fn dram_access(&mut self, write: bool) -> f64 {
