@@ -455,10 +455,6 @@ pub fn lifetime(args: &super::Args) -> Result<(), String> {
         let mut config = flash_config(flash_bytes >> 20, false, channel_config(args)?, admission)?;
         config.flash.geometry = FlashGeometry::for_mlc_capacity(flash_bytes);
         config.controller = policy;
-        if let ControllerPolicy::FixedEcc { strength } = policy {
-            config.initial_ecc = strength;
-            config.max_ecc = strength;
-        }
         config.flash.wear = nand_flash::WearConfig::default().accelerated(acceleration);
         let mut cache = FlashCache::new(config).map_err(|e| e.to_string())?;
         let mut generator = workload.generator(seed);

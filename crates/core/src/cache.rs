@@ -16,7 +16,8 @@ use nand_flash::{BlockId, CellMode, FlashDevice, OpContext, PageAddr};
 
 use crate::admission::FrequencySketch;
 use crate::config::{
-    AdmissionPolicyConfig, ConfigError, ControllerPolicy, FlashCacheConfig, SplitPolicy,
+    AdmissionPolicyConfig, ConfigError, FlashCacheConfig, SplitPolicy, ECC_LATENCY,
+    MISS_PENALTY_US, READ_GC_WATERMARK,
 };
 use crate::error::CacheError;
 use crate::reclaim::ReclaimIndex;
@@ -203,11 +204,9 @@ pub struct FlashCache {
     pub(crate) unified: bool,
     /// Logical clock for LRU.
     pub(crate) tick: u64,
-    /// Access-counter decay period (`counter_decay_interval` with its
-    /// `0 = one device's worth of slots` default resolved).
-    pub(crate) decay_interval: u64,
-    /// Ops until the next decay epoch; a countdown avoids a `tick %
-    /// interval` division on every access.
+    /// Ops until the next halving of the access counters (§5.2.2), one
+    /// device's worth of slots apart; a countdown avoids a `tick %
+    /// slots` division on every access.
     pub(crate) decay_countdown: u64,
     /// Usable (non-retired) slots.
     pub(crate) usable_slots: u64,
@@ -245,25 +244,15 @@ impl FlashCache {
         let unified = matches!(config.split, SplitPolicy::Unified);
         // Write region takes the tail block ids.
         let first_write = blocks - write_blocks;
-        let initial_slc = if config.default_mode == CellMode::Slc {
-            geometry.pages_per_block
-        } else {
-            0
-        };
-        let fbst = Fbst::new(
-            blocks,
-            geometry.slots_per_block(),
-            config.initial_ecc,
-            initial_slc,
-            |b| {
-                if !unified && b.0 >= first_write {
-                    RegionKind::Write
-                } else {
-                    RegionKind::Read
-                }
-            },
-        );
-        let fpst = Fpst::new(geometry, config.initial_ecc, config.default_mode);
+        let initial_strength = config.controller.initial_strength();
+        let fbst = Fbst::new(blocks, geometry.slots_per_block(), initial_strength, |b| {
+            if !unified && b.0 >= first_write {
+                RegionKind::Write
+            } else {
+                RegionKind::Read
+            }
+        });
+        let fpst = Fpst::new(geometry, initial_strength);
         let lanes = device.lanes();
         let mut read_region = Region::new(first_write, lanes);
         let mut write_region = Region::new(write_blocks, lanes);
@@ -279,15 +268,10 @@ impl FlashCache {
             write_region.spare = write_region.free.pop_back();
         }
         let usable_slots = geometry.total_slots();
-        let decay_interval = if config.counter_decay_interval == 0 {
-            usable_slots.max(1)
-        } else {
-            config.counter_decay_interval
-        };
         // One mapping per slot at most: sized so lookups never rehash.
         let fcht = Fcht::with_capacity(usable_slots as usize);
         Ok(FlashCache {
-            live_strength: vec![config.initial_ecc; usable_slots as usize],
+            live_strength: vec![initial_strength; usable_slots as usize],
             device,
             fcht,
             fpst,
@@ -298,8 +282,7 @@ impl FlashCache {
             write_region,
             unified,
             tick: 0,
-            decay_interval,
-            decay_countdown: decay_interval,
+            decay_countdown: usable_slots.max(1),
             usable_slots,
             op_flushed: 0,
             op_background_us: 0.0,
@@ -575,9 +558,7 @@ impl FlashCache {
     /// wear-cost component (`erase_count`/`total_ecc`/`slc_pages`).
     pub(crate) fn reclaim_sync(&mut self, b: BlockId) {
         let s = *self.fbst.get(b);
-        let cost = self
-            .fbst
-            .wear_out(b, self.config.wear_k1, self.config.wear_k2);
+        let cost = self.fbst.wear_out(b);
         self.reclaim
             .sync(b, s.region, s.valid_pages, s.invalid_pages, s.retired, cost);
     }
@@ -594,7 +575,7 @@ impl FlashCache {
         self.op_background_us = 0.0;
         self.decay_countdown -= 1;
         if self.decay_countdown == 0 {
-            self.decay_countdown = self.decay_interval;
+            self.decay_countdown = self.device.geometry().total_slots().max(1);
             // O(1): pages fold the pending halving lazily on next touch.
             self.fpst.advance_decay_epoch();
         }
@@ -724,7 +705,7 @@ impl FlashCache {
             self.stats.flash_reads += 1;
             self.fbst.get_mut(addr.block).last_access = self.tick;
             self.reclaim_touch(addr.block);
-            let ecc_us = self.config.ecc_latency.decode_us(live_t as usize);
+            let ecc_us = ECC_LATENCY.decode_us(live_t as usize);
             self.stats.ecc_us += ecc_us;
             // Adding the wait term last keeps the closed-form sum
             // bit-identical (wait is exactly 0.0 there).
@@ -899,7 +880,7 @@ impl FlashCache {
         self.fcht.insert(disk_page, addr);
         self.reclaim_sync(addr.block);
         self.reclaim_touch(addr.block);
-        Ok(out.latency_us + self.config.ecc_latency.encode_us(strength as usize))
+        Ok(out.latency_us + ECC_LATENCY.encode_us(strength as usize))
     }
 
     /// Unmaps a live page: clears its valid and dirty bits and its reverse
@@ -958,10 +939,7 @@ impl FlashCache {
         if count != self.config.hot_threshold {
             return Ok(());
         }
-        if !matches!(
-            self.config.controller,
-            ControllerPolicy::Programmable | ControllerPolicy::DensityOnly
-        ) {
+        if !self.config.controller.switches_density() {
             return Ok(());
         }
         let Some(phys_mode) = self.device.physical_mode(addr) else {
@@ -1010,14 +988,10 @@ impl FlashCache {
         let cfg_t = self.fpst.get(addr).ecc_strength;
         let even = PageAddr::new(addr.block, addr.slot & !1);
         let phys_mode = self.fpst.get(even).mode;
-        let (ecc_possible, slc_possible) = match self.config.controller {
-            ControllerPolicy::FixedEcc { .. } => (false, false),
-            ControllerPolicy::Programmable => {
-                (cfg_t < self.config.max_ecc, phys_mode == CellMode::Mlc)
-            }
-            ControllerPolicy::EccOnly => (cfg_t < self.config.max_ecc, false),
-            ControllerPolicy::DensityOnly => (false, phys_mode == CellMode::Mlc),
-        };
+        let policy = self.config.controller;
+        let max_t = policy.max_strength();
+        let ecc_possible = cfg_t < max_t;
+        let slc_possible = policy.switches_density() && phys_mode == CellMode::Mlc;
         let choose_ecc = match (ecc_possible, slc_possible) {
             (false, false) => return,
             (true, false) => true,
@@ -1025,8 +999,8 @@ impl FlashCache {
             (true, true) => {
                 let freq = (self.fpst.access_count(addr) as f64 / self.config.hot_threshold as f64)
                     .min(1.0);
-                let d_code = self.config.ecc_latency.decode_us(cfg_t as usize + 1)
-                    - self.config.ecc_latency.decode_us(cfg_t as usize);
+                let d_code = ECC_LATENCY.decode_us(cfg_t as usize + 1)
+                    - ECC_LATENCY.decode_us(cfg_t as usize);
                 let d_tcs = freq * d_code;
                 let timing = &self.device.config().timing;
                 let d_slc = timing.slc_read_us - timing.mlc_read_us;
@@ -1035,9 +1009,8 @@ impl FlashCache {
                 } else {
                     self.fgst.miss_rate / self.usable_slots as f64
                 };
-                let t_miss = self.config.disk_latency_us;
                 let t_hit = self.fgst.avg_hit_latency_us;
-                let d_td = d_miss * (t_miss + t_hit) + freq * d_slc;
+                let d_td = d_miss * (MISS_PENALTY_US + t_hit) + freq * d_slc;
                 d_tcs <= d_td
             }
         };
@@ -1046,7 +1019,7 @@ impl FlashCache {
                 .unwrap_or(u8::MAX)
                 .saturating_add(1)
                 .max(cfg_t + 1)
-                .min(self.config.max_ecc);
+                .min(max_t);
             let delta = (new_t - cfg_t) as u32;
             self.fpst.get_mut(addr).ecc_strength = new_t;
             self.fbst.get_mut(addr.block).total_ecc += delta;
@@ -1087,7 +1060,7 @@ impl FlashCache {
             return Ok(());
         }
         let valid_frac = r.valid_pages as f64 / occupied as f64;
-        if valid_frac < self.config.read_gc_watermark {
+        if valid_frac < READ_GC_WATERMARK {
             self.collect_garbage(RegionKind::Read)?;
         }
         Ok(())

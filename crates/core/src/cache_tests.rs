@@ -2,7 +2,7 @@
 //! writes, GC, eviction, wear levelling, controller reconfiguration, and
 //! full structural invariants after heavy churn.
 
-use nand_flash::{CellMode, FlashConfig, FlashGeometry, WearConfig};
+use nand_flash::{FlashConfig, FlashGeometry, WearConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -397,6 +397,62 @@ fn bch1_dies_much_sooner_than_programmable() {
     );
 }
 
+/// §5.2's retirement rule under `DensityOnly`: the policy never programs
+/// above strength 1, so a block whose best case (SLC) already fails more
+/// than 1 bit on some page must retire at its erase rather than lose
+/// every copy programmed into it.
+#[test]
+fn density_only_retires_blocks_its_strength_cannot_protect() {
+    let mut c = FlashCache::new(FlashCacheConfig {
+        controller: ControllerPolicy::DensityOnly,
+        flash: FlashConfig {
+            geometry: FlashGeometry {
+                blocks: 8,
+                pages_per_block: 4,
+                ..FlashGeometry::default()
+            },
+            wear: WearConfig {
+                spatial_sigma_decades: 0.1,
+                ..WearConfig::default()
+            }
+            .accelerated(5e3),
+            ..FlashConfig::default()
+        },
+        ..small_config()
+    })
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut probed = 0;
+    while !c.is_dead() {
+        for _ in 0..1_000 {
+            let p = rng.gen_range(0..200u64);
+            if rng.gen_bool(0.6) {
+                c.op(CacheOp::write(p));
+            } else {
+                c.op(CacheOp::read(p));
+            }
+        }
+        // Every live block was probed at its last erase; one it kept
+        // must still be protectable at strength 1.
+        for b in c.device().geometry().iter_blocks() {
+            if c.fbst.get(b).retired || c.device().erase_count(b) == 0 {
+                continue;
+            }
+            for phys in 0..c.device().geometry().pages_per_block {
+                let addr = nand_flash::PageAddr::new(b, phys * 2);
+                let (fail_slc, _) = c.device.probe_page_health(addr);
+                assert!(
+                    fail_slc <= 1,
+                    "{addr}: {fail_slc} SLC failures on a live block"
+                );
+                probed += 1;
+            }
+        }
+    }
+    assert!(probed > 0);
+    assert!(c.stats().retired_blocks > 0);
+}
+
 #[test]
 fn wear_levelling_migrates_cold_blocks() {
     // Pin a cold block by reading a set once, then hammer writes so the
@@ -553,31 +609,6 @@ fn cached_pages_unique_per_disk_page() {
     assert_eq!(c.cached_pages(), 1, "one mapping per disk page, ever");
 }
 
-#[test]
-fn slc_default_mode_halves_capacity_but_works() {
-    let mut c = FlashCache::new(FlashCacheConfig {
-        default_mode: CellMode::Slc,
-        ..small_config()
-    })
-    .unwrap();
-    // The scan outruns either cache, so page 299 is read twice: past
-    // the first eviction the default admission wants a page read more
-    // often than the scan's once-read pages.
-    for p in (0..300u64).chain([299]) {
-        c.op(CacheOp::read(p));
-    }
-    c.check_invariants().unwrap();
-    assert!(c.op(CacheOp::read(299)).access.hit);
-    // SLC hit latency (25µs + decode) is lower than the MLC default.
-    let mut mlc = small_cache();
-    for p in (0..300u64).chain([299]) {
-        mlc.op(CacheOp::read(p));
-    }
-    let slc_hit = c.op(CacheOp::read(299)).access.latency_us;
-    let mlc_hit = mlc.op(CacheOp::read(299)).access.latency_us;
-    assert!(slc_hit < mlc_hit);
-}
-
 /// 128 blocks on a 4-channel × 2-plane device: eight lanes.
 fn eight_lane_cache() -> FlashCache {
     let mut config = small_config();
@@ -644,7 +675,7 @@ fn invariants_reject_a_block_held_twice() {
 }
 
 /// A worn page can report more raw bit errors than a `u8` holds; the
-/// strength chosen in response saturates at `max_ecc` instead of
+/// strength chosen in response saturates at the policy's maximum instead of
 /// wrapping (255 errors used to panic in debug builds and pick
 /// `cfg_t + 1` in release; 256 picked `cfg_t + 1` in both).
 #[test]
@@ -660,7 +691,7 @@ fn error_response_saturates_past_u8() {
         c.respond_to_errors(addr, errors);
         assert_eq!(
             c.fpst.get(addr).ecc_strength,
-            c.config().max_ecc,
+            c.config().controller.max_strength(),
             "{errors} errors"
         );
         assert_eq!(c.stats().reconfig_ecc, 1);

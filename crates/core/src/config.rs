@@ -4,7 +4,8 @@ use std::error::Error;
 use std::fmt;
 
 use flash_ecc::EccLatencyModel;
-use nand_flash::{CellMode, FlashConfig, TimingBackend};
+use nand_flash::{FlashConfig, TimingBackend};
+use storage_model::HddModel;
 
 /// A configuration rejected by [`FlashCacheConfig::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +66,11 @@ pub enum AdmissionPolicyConfig {
     ReReference,
 }
 
-/// Flash memory controller reconfiguration policy (§4, §5.2).
+/// Flash memory controller reconfiguration policy (§4, §5.2). The policy
+/// alone decides the ECC strength pages are programmed at and how far the
+/// controller may raise it: `FixedEcc` programs every page at its
+/// `strength`; the others start pages at 1, and only `Programmable` and
+/// `EccOnly` raise them, up to 12.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ControllerPolicy {
     /// The paper's programmable controller: variable ECC strength *and*
@@ -75,7 +80,8 @@ pub enum ControllerPolicy {
     /// Fixed ECC strength, no reconfiguration — the baseline of
     /// Figure 12 is `FixedEcc { strength: 1 }`.
     FixedEcc {
-        /// The immutable code strength.
+        /// The immutable code strength every page is programmed at, and
+        /// the one blocks are retired against (`1..=63`).
         strength: u8,
     },
     /// Ablation: only ECC strength may grow; no density switching.
@@ -85,7 +91,70 @@ pub enum ControllerPolicy {
     DensityOnly,
 }
 
-/// Full configuration of a [`crate::cache::FlashCache`].
+/// ECC strength pages start at under every policy but
+/// [`ControllerPolicy::FixedEcc`].
+const INITIAL_ECC_STRENGTH: u8 = 1;
+/// The strongest code the paper's controller programs (12 correctable
+/// bits per page).
+const MAX_ECC_STRENGTH: u8 = 12;
+/// Strongest `FixedEcc` strength the model accepts. Figure 10 sweeps
+/// fixed strengths "beyond our Flash memory controller's capabilities to
+/// fully capture the performance trends" (§7.2), which exercises only the
+/// latency model, not a real spare-area layout.
+const MODEL_ECC_LIMIT: u8 = 63;
+/// Timing of the BCH accelerator (Figure 6(a)).
+pub(crate) const ECC_LATENCY: EccLatencyModel = EccLatencyModel::PAPER;
+/// Weight of total ECC strength in the degree-of-wear-out cost (§3.3).
+pub(crate) const WEAR_K1: f64 = 0.5;
+/// Weight of SLC-converted pages in the degree-of-wear-out cost: a mode
+/// switch signals far more wear than an ECC bump (`WEAR_K2 > WEAR_K1`).
+pub(crate) const WEAR_K2: f64 = 8.0;
+/// Read-region GC trigger: compact when valid capacity falls below this
+/// fraction of the occupied pages (§5.1: "below 90%").
+pub(crate) const READ_GC_WATERMARK: f64 = 0.90;
+/// Minimum invalid fraction a block must carry before garbage collection
+/// compacts it (either region). Compacting a mostly-valid block rewrites
+/// many pages to reclaim few slots; below this floor the cache evicts a
+/// block instead (clean pages are disk-backed; dirty ones are flushed).
+pub(crate) const GC_MIN_INVALID_FRACTION: f64 = 0.25;
+/// Disk miss penalty `tmiss` of the Δtd heuristic, µs: the average access
+/// of the one disk every simulated hierarchy uses.
+pub(crate) const MISS_PENALTY_US: f64 = HddModel::travelstar().avg_access_latency_us;
+
+impl ControllerPolicy {
+    /// The ECC strength every page is programmed at until the controller
+    /// raises it.
+    pub(crate) fn initial_strength(self) -> u8 {
+        match self {
+            ControllerPolicy::FixedEcc { strength } => strength,
+            _ => INITIAL_ECC_STRENGTH,
+        }
+    }
+
+    /// The strongest ECC the policy can program: where its error response
+    /// stops, and what a block is retired against.
+    pub(crate) fn max_strength(self) -> u8 {
+        match self {
+            ControllerPolicy::Programmable | ControllerPolicy::EccOnly => MAX_ECC_STRENGTH,
+            ControllerPolicy::FixedEcc { .. } | ControllerPolicy::DensityOnly => {
+                self.initial_strength()
+            }
+        }
+    }
+
+    /// Whether the policy may program a page in SLC mode (density
+    /// switching and hot-page promotion).
+    pub(crate) fn switches_density(self) -> bool {
+        matches!(
+            self,
+            ControllerPolicy::Programmable | ControllerPolicy::DensityOnly
+        )
+    }
+}
+
+/// Full configuration of a [`crate::cache::FlashCache`]: what an
+/// experiment varies. The model's fixed parameters (wear weights, GC
+/// thresholds, ECC timing, the disk miss penalty) are constants.
 ///
 /// Prefer [`FlashCacheConfig::builder`] over filling the struct in by
 /// hand: the builder validates on [`build`](FlashCacheConfigBuilder::build),
@@ -102,47 +171,14 @@ pub struct FlashCacheConfig {
     pub split: SplitPolicy,
     /// Controller reconfiguration policy.
     pub controller: ControllerPolicy,
-    /// Cell mode newly allocated pages start in. The paper's device is
-    /// MLC-first and demotes to SLC as needed.
-    pub default_mode: CellMode,
-    /// ECC strength newly allocated pages start with.
-    pub initial_ecc: u8,
-    /// Maximum ECC strength the controller may program (paper: 12).
-    pub max_ecc: u8,
-    /// ECC accelerator timing model.
-    pub ecc_latency: EccLatencyModel,
     /// Wear-levelling trigger: evict the globally newest block instead of
     /// the LRU block when the LRU block's degree of wear out exceeds the
     /// newest's by this much (§3.6).
     pub wear_threshold: f64,
-    /// Weight of total ECC strength in the degree-of-wear-out cost.
-    pub wear_k1: f64,
-    /// Weight of SLC-converted pages in the degree-of-wear-out cost
-    /// (`k2 > k1`: a mode switch signals far more wear than an ECC bump).
-    pub wear_k2: f64,
-    /// Read-region GC trigger: compact when valid capacity falls below
-    /// this fraction (§5.1: "below 90%").
-    pub read_gc_watermark: f64,
-    /// Minimum invalid fraction a block must carry before garbage
-    /// collection will compact it (either region). Compacting a mostly-
-    /// valid block rewrites many pages to reclaim few slots — ruinous
-    /// write amplification; below this floor the cache evicts a block
-    /// instead (clean pages are disk-backed; dirty ones are flushed).
-    pub gc_min_invalid_fraction: f64,
-    /// Read-access saturation count that promotes an MLC page to SLC
-    /// (§5.2.2). The FPST stores a saturating counter per page.
+    /// Read-access count that promotes an MLC page to SLC (§5.2.2). The
+    /// FPST stores a saturating counter per page, halved every device's
+    /// worth of slots in accesses. At least 1.
     pub hot_threshold: u8,
-    /// Average disk miss penalty in µs used by the Δtd heuristic
-    /// (`tmiss`); the simulator keeps this in sync with its disk model.
-    pub disk_latency_us: f64,
-    /// Number of bit errors at which a read is considered to show
-    /// consistent wear (reconfiguration trigger margin): the page is
-    /// reconfigured when observed errors ≥ `strength`.
-    pub reconfig_margin: u8,
-    /// Accesses between halvings of every page's saturating access
-    /// counter, so "frequently accessed" means *recent* frequency
-    /// (§5.2.2). `0` selects one cache-capacity of accesses.
-    pub counter_decay_interval: u64,
     /// Admission rule gating read-miss fills out of the flash (default
     /// [`AdmissionPolicyConfig::ReReference`];
     /// [`AdmissionPolicyConfig::AdmitAll`] is the paper's behaviour).
@@ -155,19 +191,8 @@ impl Default for FlashCacheConfig {
             flash: FlashConfig::default(),
             split: SplitPolicy::default(),
             controller: ControllerPolicy::default(),
-            default_mode: CellMode::Mlc,
-            initial_ecc: 1,
-            max_ecc: 12,
-            ecc_latency: EccLatencyModel::default(),
             wear_threshold: 64.0,
-            wear_k1: 0.5,
-            wear_k2: 8.0,
-            read_gc_watermark: 0.90,
-            gc_min_invalid_fraction: 0.25,
             hot_threshold: 8,
-            disk_latency_us: 4200.0,
-            reconfig_margin: 0,
-            counter_decay_interval: 0,
             admission: AdmissionPolicyConfig::default(),
         }
     }
@@ -179,14 +204,14 @@ impl FlashCacheConfig {
     /// validate and obtain the finished config.
     ///
     /// ```
-    /// use flashcache_core::FlashCacheConfig;
+    /// use flashcache_core::{ControllerPolicy, FlashCacheConfig};
     ///
     /// let config = FlashCacheConfig::builder()
     ///     .write_fraction(0.10)
-    ///     .max_ecc(12)
+    ///     .controller(ControllerPolicy::FixedEcc { strength: 4 })
     ///     .build()
     ///     .expect("defaults tweaked within valid ranges");
-    /// assert_eq!(config.max_ecc, 12);
+    /// assert_eq!(config.controller, ControllerPolicy::FixedEcc { strength: 4 });
     /// ```
     pub fn builder() -> FlashCacheConfigBuilder {
         FlashCacheConfigBuilder {
@@ -208,41 +233,17 @@ impl FlashCacheConfig {
                 )));
             }
         }
-        if self.initial_ecc == 0 || self.initial_ecc > self.max_ecc {
-            return Err(ConfigError::new(format!(
-                "initial_ecc {} must be in 1..={}",
-                self.initial_ecc, self.max_ecc
-            )));
+        if let ControllerPolicy::FixedEcc { strength } = self.controller {
+            if !(1..=MODEL_ECC_LIMIT).contains(&strength) {
+                return Err(ConfigError::new(format!(
+                    "FixedEcc strength {strength} must be in 1..={MODEL_ECC_LIMIT}"
+                )));
+            }
         }
-        // The paper's controller stops at 12 correctable bits, but its
-        // Figure 10 sweeps fixed strengths "beyond our Flash memory
-        // controller's capabilities to fully capture the performance
-        // trends" (§7.2) — so the *model* accepts larger values, which
-        // exercise only the latency model, not a real spare-area layout.
-        if self.max_ecc > 63 {
-            return Err(ConfigError::new(format!(
-                "max_ecc {} exceeds the modelling limit of 63",
-                self.max_ecc
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.gc_min_invalid_fraction) {
-            return Err(ConfigError::new(format!(
-                "gc_min_invalid_fraction must be in [0,1], got {}",
-                self.gc_min_invalid_fraction
-            )));
-        }
-        if !(0.0..=1.0).contains(&self.read_gc_watermark) {
-            return Err(ConfigError::new(format!(
-                "read_gc_watermark must be in [0,1], got {}",
-                self.read_gc_watermark
-            )));
-        }
-        if self.wear_k2 <= self.wear_k1 {
-            return Err(ConfigError::new(format!(
-                "wear_k2 ({}) must exceed wear_k1 ({}) — a mode switch \
-                 signals more wear than an ECC bump",
-                self.wear_k2, self.wear_k1
-            )));
+        if self.hot_threshold == 0 {
+            return Err(ConfigError::new(
+                "hot_threshold must be at least 1".to_string(),
+            ));
         }
         if self.flash.geometry.blocks < 4 {
             return Err(ConfigError::new(
@@ -317,77 +318,15 @@ impl FlashCacheConfigBuilder {
         self
     }
 
-    /// Sets the cell mode newly allocated pages start in.
-    pub fn default_mode(mut self, default_mode: CellMode) -> Self {
-        self.config.default_mode = default_mode;
-        self
-    }
-
-    /// Sets the ECC strength newly allocated pages start with.
-    pub fn initial_ecc(mut self, initial_ecc: u8) -> Self {
-        self.config.initial_ecc = initial_ecc;
-        self
-    }
-
-    /// Sets the maximum ECC strength the controller may program.
-    pub fn max_ecc(mut self, max_ecc: u8) -> Self {
-        self.config.max_ecc = max_ecc;
-        self
-    }
-
-    /// Sets the ECC accelerator timing model.
-    pub fn ecc_latency(mut self, ecc_latency: EccLatencyModel) -> Self {
-        self.config.ecc_latency = ecc_latency;
-        self
-    }
-
     /// Sets the wear-levelling trigger threshold (§3.6).
     pub fn wear_threshold(mut self, wear_threshold: f64) -> Self {
         self.config.wear_threshold = wear_threshold;
         self
     }
 
-    /// Sets the degree-of-wear-out cost weights (`k2 > k1` required).
-    pub fn wear_weights(mut self, k1: f64, k2: f64) -> Self {
-        self.config.wear_k1 = k1;
-        self.config.wear_k2 = k2;
-        self
-    }
-
-    /// Sets the read-region GC watermark (§5.1).
-    pub fn read_gc_watermark(mut self, read_gc_watermark: f64) -> Self {
-        self.config.read_gc_watermark = read_gc_watermark;
-        self
-    }
-
-    /// Sets the minimum invalid fraction GC requires of a victim block.
-    pub fn gc_min_invalid_fraction(mut self, fraction: f64) -> Self {
-        self.config.gc_min_invalid_fraction = fraction;
-        self
-    }
-
     /// Sets the hot-page SLC promotion threshold (§5.2.2).
     pub fn hot_threshold(mut self, hot_threshold: u8) -> Self {
         self.config.hot_threshold = hot_threshold;
-        self
-    }
-
-    /// Sets the average disk miss penalty used by the Δtd heuristic, µs.
-    pub fn disk_latency_us(mut self, disk_latency_us: f64) -> Self {
-        self.config.disk_latency_us = disk_latency_us;
-        self
-    }
-
-    /// Sets the reconfiguration trigger margin.
-    pub fn reconfig_margin(mut self, reconfig_margin: u8) -> Self {
-        self.config.reconfig_margin = reconfig_margin;
-        self
-    }
-
-    /// Sets the access-counter decay interval (§5.2.2; `0` selects one
-    /// cache-capacity of accesses).
-    pub fn counter_decay_interval(mut self, interval: u64) -> Self {
-        self.config.counter_decay_interval = interval;
         self
     }
 
@@ -439,23 +378,18 @@ mod tests {
         };
         assert!(c.validate().is_err());
         c.split = SplitPolicy::default();
-        c.initial_ecc = 0;
+        c.controller = ControllerPolicy::FixedEcc { strength: 0 };
         assert!(c.validate().is_err());
-        c.initial_ecc = 13;
-        c.max_ecc = 12;
+        c.controller = ControllerPolicy::FixedEcc { strength: 64 };
         assert!(c.validate().is_err());
-        c.initial_ecc = 1;
-        c.max_ecc = 64;
-        assert!(c.validate().is_err());
-        c.max_ecc = 40; // beyond hardware, allowed for Figure 10 sweeps
+        // Beyond hardware, allowed for Figure 10 sweeps.
+        c.controller = ControllerPolicy::FixedEcc { strength: 50 };
         assert!(c.validate().is_ok());
-        c.max_ecc = 12;
-        c.wear_k1 = 9.0;
+        // A zero threshold would make every relocation "hot".
+        c.hot_threshold = 0;
         assert!(c.validate().is_err());
-        c.wear_k1 = 0.5;
-        c.read_gc_watermark = 1.5;
-        assert!(c.validate().is_err());
-        c.read_gc_watermark = 0.9;
+        c.hot_threshold = 1;
+        assert!(c.validate().is_ok());
         c.flash.geometry.blocks = 2;
         assert!(c.validate().is_err());
     }
@@ -512,16 +446,15 @@ mod tests {
     fn builder_sets_fields_and_validates() {
         let c = FlashCacheConfig::builder()
             .unified()
-            .initial_ecc(2)
-            .max_ecc(16)
+            .controller(ControllerPolicy::FixedEcc { strength: 16 })
             .hot_threshold(4)
-            .wear_weights(0.25, 4.0)
+            .wear_threshold(8.0)
             .build()
             .unwrap();
         assert_eq!(c.split, SplitPolicy::Unified);
-        assert_eq!(c.initial_ecc, 2);
-        assert_eq!(c.max_ecc, 16);
+        assert_eq!(c.controller, ControllerPolicy::FixedEcc { strength: 16 });
         assert_eq!(c.hot_threshold, 4);
+        assert_eq!(c.wear_threshold, 8.0);
 
         // Invalid combinations are rejected at build time.
         assert!(FlashCacheConfig::builder()
@@ -529,7 +462,7 @@ mod tests {
             .build()
             .is_err());
         assert!(FlashCacheConfig::builder()
-            .wear_weights(8.0, 0.5)
+            .hot_threshold(0)
             .build()
             .is_err());
     }
@@ -564,5 +497,22 @@ mod tests {
             ControllerPolicy::FixedEcc { strength: 1 },
             ControllerPolicy::EccOnly
         );
+    }
+
+    /// `FixedEcc` alone sets the strength; only `Programmable` and
+    /// `EccOnly` may raise it, and `DensityOnly` never does.
+    #[test]
+    fn policy_owns_the_strength_rule() {
+        let rows = [
+            (ControllerPolicy::Programmable, 1, 12, true),
+            (ControllerPolicy::EccOnly, 1, 12, false),
+            (ControllerPolicy::DensityOnly, 1, 1, true),
+            (ControllerPolicy::FixedEcc { strength: 50 }, 50, 50, false),
+        ];
+        for (policy, initial, max, slc) in rows {
+            assert_eq!(policy.initial_strength(), initial, "{policy:?}");
+            assert_eq!(policy.max_strength(), max, "{policy:?}");
+            assert_eq!(policy.switches_density(), slc, "{policy:?}");
+        }
     }
 }

@@ -2,12 +2,12 @@
 //! geometries, soft-error storms, region exhaustion, mode interactions,
 //! and recovery behaviour.
 
-use nand_flash::{CellMode, FlashConfig, FlashGeometry, WearConfig};
+use nand_flash::{FlashConfig, FlashGeometry, WearConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::{AdmissionDecision, CacheOp, FlashCache};
-use crate::config::{ControllerPolicy, FlashCacheConfig, SplitPolicy};
+use crate::config::{ControllerPolicy, FlashCacheConfig, SplitPolicy, ECC_LATENCY};
 
 fn geometry(blocks: u32, pages_per_block: u32) -> FlashGeometry {
     FlashGeometry {
@@ -97,8 +97,6 @@ fn uncorrectable_dirty_page_is_counted_as_lost_not_flushed() {
             ..FlashConfig::default()
         },
         controller: ControllerPolicy::FixedEcc { strength: 1 },
-        initial_ecc: 1,
-        max_ecc: 1,
         ..FlashCacheConfig::default()
     })
     .unwrap();
@@ -159,32 +157,6 @@ fn read_only_workload_never_flushes() {
     assert_eq!(flushed, 0, "clean pages never owe disk writes");
     assert_eq!(c.stats().flushed_dirty_pages, 0);
     assert!(c.stats().evictions > 0, "capacity pressure must evict");
-}
-
-#[test]
-fn slc_default_with_density_only_policy_is_stable() {
-    // DensityOnly on an already-SLC device has nothing to switch; the
-    // cache must still function and never report density events.
-    let mut c = FlashCache::new(FlashCacheConfig {
-        flash: FlashConfig {
-            geometry: geometry(8, 8),
-            ..FlashConfig::default()
-        },
-        default_mode: CellMode::Slc,
-        controller: ControllerPolicy::DensityOnly,
-        ..FlashCacheConfig::default()
-    })
-    .unwrap();
-    for i in 0..3_000u64 {
-        if i % 3 == 0 {
-            c.op(CacheOp::write(i % 100));
-        } else {
-            c.op(CacheOp::read(i % 100));
-        }
-    }
-    assert_eq!(c.slc_fraction(), 1.0);
-    assert_eq!(c.stats().hot_promotions, 0, "nothing to promote");
-    c.check_invariants().unwrap();
 }
 
 #[test]
@@ -295,10 +267,7 @@ fn zipf_traffic_promotes_only_the_hot_head() {
     );
     // Hot page reads now run at SLC latency (25µs + decode < MLC 50µs + decode).
     let hot = c.op(CacheOp::read(0)).access.latency_us;
-    assert!(
-        hot < 50.0 + c.config().ecc_latency.decode_us(1),
-        "hot={hot}"
-    );
+    assert!(hot < 50.0 + ECC_LATENCY.decode_us(1), "hot={hot}");
 }
 
 #[test]

@@ -11,7 +11,7 @@ use flash_obs::Event;
 use nand_flash::{BlockId, CellMode, OpContext, PageAddr};
 
 use crate::cache::{FlashCache, OpenBlock};
-use crate::config::ControllerPolicy;
+use crate::config::{ECC_LATENCY, GC_MIN_INVALID_FRACTION};
 use crate::error::CacheError;
 use crate::tables::RegionKind;
 
@@ -35,22 +35,6 @@ impl FlashCache {
             r.open.iter().flatten().any(|o| o.id == b) || r.spare == Some(b)
         };
         check(&self.read_region) || check(&self.write_region)
-    }
-
-    /// Maximum ECC strength the active controller policy can program.
-    fn policy_max_strength(&self) -> u8 {
-        match self.config.controller {
-            ControllerPolicy::FixedEcc { strength } => strength,
-            _ => self.config.max_ecc,
-        }
-    }
-
-    /// Whether the active policy can fall back to SLC mode.
-    fn policy_allows_slc(&self) -> bool {
-        matches!(
-            self.config.controller,
-            ControllerPolicy::Programmable | ControllerPolicy::DensityOnly
-        ) || self.config.default_mode == CellMode::Slc
     }
 
     /// Opens a fresh block at the frontier's current position: the
@@ -204,7 +188,7 @@ impl FlashCache {
     /// pages a block must carry before compaction beats eviction.
     fn gc_floor(&self) -> u32 {
         let spb = self.device.geometry().slots_per_block();
-        ((spb as f64 * self.config.gc_min_invalid_fraction).ceil() as u32).max(1)
+        ((spb as f64 * GC_MIN_INVALID_FRACTION).ceil() as u32).max(1)
     }
 
     /// Counts one reclaim-index query and whether it `found` a block.
@@ -241,7 +225,7 @@ impl FlashCache {
 
     /// The most profitable compaction victim: the block with the most
     /// invalid pages, provided it clears the write-amplification floor
-    /// (`gc_min_invalid_fraction`) — otherwise `None`, and eviction is
+    /// (`GC_MIN_INVALID_FRACTION`) — otherwise `None`, and eviction is
     /// the better reclaim.
     fn find_gc_victim(&mut self, kind: RegionKind) -> Option<BlockId> {
         let region = self.storage_kind(kind);
@@ -305,7 +289,6 @@ impl FlashCache {
 
     /// O(blocks) ground-truth oracle for [`Self::find_newest_block`].
     fn find_newest_block_scan(&self, exclude: BlockId) -> Option<BlockId> {
-        let (k1, k2) = (self.config.wear_k1, self.config.wear_k2);
         self.fbst
             .iter()
             .filter(|(b, s)| {
@@ -314,9 +297,7 @@ impl FlashCache {
             .map(|(b, _)| b)
             .min_by(|&a, &b| {
                 // total_cmp: no panic path even for NaN wear costs.
-                self.fbst
-                    .wear_out(a, k1, k2)
-                    .total_cmp(&self.fbst.wear_out(b, k1, k2))
+                self.fbst.wear_out(a).total_cmp(&self.fbst.wear_out(b))
             })
     }
 
@@ -406,14 +387,15 @@ impl FlashCache {
                 .read_page_with(addr, OpContext::background())
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
             self.stats.flash_reads += 1;
-            *gc_us += out.latency_us + self.config.ecc_latency.decode_us(live_t as usize);
+            *gc_us += out.latency_us + ECC_LATENCY.decode_us(live_t as usize);
             if out.raw_bit_errors > live_t as u32 {
                 self.raise_lost_copy(addr, out.raw_bit_errors);
                 self.drop_valid_page(addr, false);
                 continue;
             }
             let access = self.fpst.access_count(addr);
-            let want_slc = access >= self.config.hot_threshold && self.policy_allows_slc();
+            let want_slc =
+                access >= self.config.hot_threshold && self.config.controller.switches_density();
             let dst = match dest {
                 Dest::Stream(kind) => self.gc_dest_slot(kind, want_slc),
                 Dest::Block(b) => self.advance_slot(b, &mut next_slot, want_slc),
@@ -452,8 +434,7 @@ impl FlashCache {
             return None;
         }
         let newest = self.find_newest_block(victim)?;
-        let (k1, k2) = (self.config.wear_k1, self.config.wear_k2);
-        let gap = self.fbst.wear_out(victim, k1, k2) - self.fbst.wear_out(newest, k1, k2);
+        let gap = self.fbst.wear_out(victim) - self.fbst.wear_out(newest);
         (gap > self.config.wear_threshold).then_some(newest)
     }
 
@@ -572,8 +553,8 @@ impl FlashCache {
         *gc_us += out.latency_us;
         // Retirement probe (§5.2): a page past the strongest reachable
         // configuration kills the whole block.
-        let max_t = self.policy_max_strength() as u32;
-        let allow_slc = self.policy_allows_slc();
+        let max_t = self.config.controller.max_strength() as u32;
+        let allow_slc = self.config.controller.switches_density();
         let mut dead = false;
         for phys in 0..self.device.geometry().pages_per_block {
             let addr = PageAddr::new(b, phys * 2);
@@ -720,8 +701,7 @@ impl FlashCache {
         }
         // The incremental reclaim index must mirror the FBST exactly
         // (membership and keys).
-        self.reclaim
-            .verify(&self.fbst, self.config.wear_k1, self.config.wear_k2)?;
+        self.reclaim.verify(&self.fbst)?;
         // Differential: every index query must return a victim with the
         // same ordering key as the O(blocks) scan oracle. Ties may break
         // toward a different block; the keys must agree.
@@ -779,14 +759,13 @@ impl FlashCache {
         }
         // Newest-block query, both with a sentinel exclusion and with the
         // real eviction victims §3.6 would compare against.
-        let (k1, k2) = (self.config.wear_k1, self.config.wear_k2);
         for exclude in excludes {
             let scan = self.find_newest_block_scan(exclude);
             let idx = self.reclaim.newest_block(exclude, reserved);
             match (scan, idx) {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
-                    let (wa, wb) = (self.fbst.wear_out(a, k1, k2), self.fbst.wear_out(b, k1, k2));
+                    let (wa, wb) = (self.fbst.wear_out(a), self.fbst.wear_out(b));
                     if wa != wb {
                         return Err(format!(
                             "newest scan {a} (wear {wa}) vs index {b} (wear {wb})"

@@ -407,7 +407,7 @@ impl ReclaimIndex {
     /// Cross-checks every index structure against an FBST recount.
     /// O(blocks); used by `check_invariants` to keep the incremental
     /// maintenance honest against the ground truth.
-    pub(crate) fn verify(&self, fbst: &Fbst, k1: f64, k2: f64) -> Result<(), String> {
+    pub(crate) fn verify(&self, fbst: &Fbst) -> Result<(), String> {
         let mut counts = [(0usize, 0usize, 0usize); 2]; // (fully, gc, lru)
         let mut wear_members = 0usize;
         for (b, s) in fbst.iter() {
@@ -468,7 +468,7 @@ impl ReclaimIndex {
                 counts[ri].2 += 1;
             }
             let expect_wear = if s.valid_pages > 0 && !s.retired {
-                Some(order_key(fbst.wear_out(b, k1, k2)))
+                Some(order_key(fbst.wear_out(b)))
             } else {
                 None
             };
@@ -477,7 +477,7 @@ impl ReclaimIndex {
                     "{b}: wear key {:?} != expected {:?} (cost {})",
                     self.wear_key[i],
                     expect_wear,
-                    fbst.wear_out(b, k1, k2)
+                    fbst.wear_out(b)
                 ));
             }
             if let Some(key) = expect_wear {

@@ -61,7 +61,7 @@ pub struct BlockSummary {
     pub erase_count: u64,
     /// Whether the block is permanently retired.
     pub retired: bool,
-    /// The §3.6 degree-of-wear-out cost under the active k1/k2.
+    /// The §3.6 degree-of-wear-out cost.
     pub wear_cost: f64,
 }
 
@@ -128,7 +128,6 @@ impl FlashCache {
                 &self.write_region,
             ));
         }
-        let (k1, k2) = (self.config.wear_k1, self.config.wear_k2);
         let blocks: Vec<BlockSummary> = self
             .fbst
             .iter()
@@ -139,7 +138,7 @@ impl FlashCache {
                 invalid_pages: s.invalid_pages,
                 erase_count: s.erase_count,
                 retired: s.retired,
-                wear_cost: self.fbst.wear_out(b, k1, k2),
+                wear_cost: self.fbst.wear_out(b),
             })
             .collect();
         let (min_erases, max_erases, mean_erases) = self.erase_spread();

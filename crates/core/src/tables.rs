@@ -6,6 +6,8 @@ use std::cell::Cell;
 
 use nand_flash::{BlockId, CellMode, FlashGeometry, PageAddr};
 
+use crate::config::{WEAR_K1, WEAR_K2};
+
 /// Which cache region a block belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionKind {
@@ -407,12 +409,12 @@ pub struct PageState {
 }
 
 impl PageState {
-    fn fresh(ecc_strength: u8, mode: CellMode) -> Self {
+    fn fresh(ecc_strength: u8) -> Self {
         PageState {
             valid: false,
             dirty: false,
             ecc_strength,
-            mode,
+            mode: CellMode::Mlc,
             access_count: 0,
             access_epoch: 0,
             error_streak: 0,
@@ -451,13 +453,13 @@ pub struct Fpst {
 }
 
 impl Fpst {
-    /// Builds the table for a device geometry with uniform initial
-    /// configuration.
-    pub fn new(geometry: FlashGeometry, initial_ecc: u8, initial_mode: CellMode) -> Self {
+    /// Builds the table for a device geometry, every page MLC at ECC
+    /// strength `ecc_strength`.
+    pub fn new(geometry: FlashGeometry, ecc_strength: u8) -> Self {
         let slots = geometry.total_slots() as usize;
         Fpst {
             geometry,
-            pages: vec![PageState::fresh(initial_ecc, initial_mode); slots],
+            pages: vec![PageState::fresh(ecc_strength); slots],
             disk_pages: vec![NO_DISK_PAGE; slots],
             decay_epoch: 0,
         }
@@ -641,25 +643,18 @@ pub struct Fbst {
 }
 
 impl Fbst {
-    /// Builds the table with every block assigned by `region_of`, the
-    /// running `TotalECC` seeded to `slots_per_block × initial_ecc`, and
-    /// `slc_pages` seeded to `initial_slc_pages` (the block's physical
-    /// page count when the cache defaults to SLC mode).
+    /// Builds the table with every block assigned by `region_of` and the
+    /// running `TotalECC` seeded to `slots_per_block × ecc_strength`.
     pub fn new(
         blocks: u32,
         slots_per_block: u32,
-        initial_ecc: u8,
-        initial_slc_pages: u32,
+        ecc_strength: u8,
         mut region_of: impl FnMut(BlockId) -> RegionKind,
     ) -> Self {
-        let total = slots_per_block * initial_ecc as u32;
+        let total = slots_per_block * ecc_strength as u32;
         Fbst {
             blocks: (0..blocks)
-                .map(|b| {
-                    let mut state = BlockState::fresh(region_of(BlockId(b)), total);
-                    state.slc_pages = initial_slc_pages;
-                    state
-                })
+                .map(|b| BlockState::fresh(region_of(BlockId(b)), total))
                 .collect(),
         }
     }
@@ -683,12 +678,13 @@ impl Fbst {
     }
 
     /// The degree-of-wear-out cost of §3.3:
-    /// `N_erase + k1·TotalECC + k2·TotalSLC`, from the incrementally
-    /// maintained sums (see [`Fpst::total_ecc`]/[`Fpst::total_slc`] for
-    /// the ground-truth recomputation used in tests).
-    pub fn wear_out(&self, block: BlockId, k1: f64, k2: f64) -> f64 {
+    /// `N_erase + k1·TotalECC + k2·TotalSLC` with k1 = 0.5 and k2 = 8,
+    /// from the incrementally maintained sums (see
+    /// [`Fpst::total_ecc`]/[`Fpst::total_slc`] for the ground-truth
+    /// recomputation used in tests).
+    pub fn wear_out(&self, block: BlockId) -> f64 {
         let s = self.get(block);
-        s.erase_count as f64 + k1 * s.total_ecc as f64 + k2 * s.slc_pages as f64
+        s.erase_count as f64 + WEAR_K1 * s.total_ecc as f64 + WEAR_K2 * s.slc_pages as f64
     }
 }
 
@@ -704,9 +700,10 @@ pub struct Fgst {
     pub accesses: u64,
     /// Total misses observed.
     pub misses: u64,
-    /// EWMA smoothing factor.
-    pub alpha: f64,
 }
+
+/// EWMA smoothing factor of the [`Fgst`] rates.
+const FGST_ALPHA: f64 = 0.001;
 
 impl Default for Fgst {
     fn default() -> Self {
@@ -715,7 +712,6 @@ impl Default for Fgst {
             avg_hit_latency_us: 50.0,
             accesses: 0,
             misses: 0,
-            alpha: 0.001,
         }
     }
 }
@@ -728,9 +724,9 @@ impl Fgst {
         if !hit {
             self.misses += 1;
         }
-        self.miss_rate += self.alpha * (miss - self.miss_rate);
+        self.miss_rate += FGST_ALPHA * (miss - self.miss_rate);
         if hit {
-            self.avg_hit_latency_us += self.alpha * (hit_latency_us - self.avg_hit_latency_us);
+            self.avg_hit_latency_us += FGST_ALPHA * (hit_latency_us - self.avg_hit_latency_us);
         }
     }
 
@@ -760,7 +756,6 @@ impl Fgst {
         if parts.is_empty() {
             return out;
         }
-        out.alpha = parts[0].alpha;
         let mut rate_num = 0.0;
         let mut lat_num = 0.0;
         let mut hits = 0u64;
@@ -941,7 +936,7 @@ mod tests {
 
     #[test]
     fn fpst_block_sums() {
-        let mut t = Fpst::new(geom(), 1, CellMode::Mlc);
+        let mut t = Fpst::new(geom(), 1);
         let b = BlockId(2);
         // 8 slots per block here (4 physical pages x 2).
         assert_eq!(t.total_ecc(b), 8);
@@ -958,7 +953,7 @@ mod tests {
 
     #[test]
     fn access_counter_saturates() {
-        let mut t = Fpst::new(geom(), 1, CellMode::Mlc);
+        let mut t = Fpst::new(geom(), 1);
         let p = t.get_mut(PageAddr::new(BlockId(0), 0));
         p.access_count = 254;
         assert_eq!(p.bump_access(), 255);
@@ -967,7 +962,7 @@ mod tests {
 
     #[test]
     fn lazy_decay_matches_eager_halving() {
-        let mut t = Fpst::new(geom(), 1, CellMode::Mlc);
+        let mut t = Fpst::new(geom(), 1);
         let a = PageAddr::new(BlockId(0), 0);
         t.set_access_count(a, 200);
         // One epoch: 200 -> 100; bump folds then increments.
@@ -990,7 +985,7 @@ mod tests {
 
     #[test]
     fn set_access_count_stamps_current_epoch() {
-        let mut t = Fpst::new(geom(), 1, CellMode::Mlc);
+        let mut t = Fpst::new(geom(), 1);
         let a = PageAddr::new(BlockId(1), 2);
         t.advance_decay_epoch();
         t.advance_decay_epoch();
@@ -1003,12 +998,12 @@ mod tests {
 
     #[test]
     fn fbst_wear_cost_weights_modes_heavily() {
-        let mut fbst = Fbst::new(4, 8, 1, 0, |_| RegionKind::Read);
+        let mut fbst = Fbst::new(4, 8, 1, |_| RegionKind::Read);
         fbst.get_mut(BlockId(0)).erase_count = 10;
-        let base = fbst.wear_out(BlockId(0), 0.5, 8.0);
+        let base = fbst.wear_out(BlockId(0));
         assert!((base - (10.0 + 0.5 * 8.0)).abs() < 1e-12);
         fbst.get_mut(BlockId(0)).slc_pages = 1;
-        let with_slc = fbst.wear_out(BlockId(0), 0.5, 8.0);
+        let with_slc = fbst.wear_out(BlockId(0));
         assert!((with_slc - base - 8.0).abs() < 1e-12);
     }
 
@@ -1016,8 +1011,8 @@ mod tests {
     fn fbst_incremental_sums_match_fpst_recomputation() {
         // The FBST keeps running TotalECC/TotalSLC; the FPST can always
         // recompute them. They must agree after reconfiguration.
-        let mut fpst = Fpst::new(geom(), 1, CellMode::Mlc);
-        let mut fbst = Fbst::new(4, 8, 1, 0, |_| RegionKind::Read);
+        let mut fpst = Fpst::new(geom(), 1);
+        let mut fbst = Fbst::new(4, 8, 1, |_| RegionKind::Read);
         let b = BlockId(1);
         fpst.get_mut(PageAddr::new(b, 0)).ecc_strength = 4;
         fbst.get_mut(b).total_ecc += 3;
@@ -1030,7 +1025,7 @@ mod tests {
 
     #[test]
     fn fbst_regions_assigned() {
-        let fbst = Fbst::new(10, 8, 1, 0, |b| {
+        let fbst = Fbst::new(10, 8, 1, |b| {
             if b.0 < 9 {
                 RegionKind::Read
             } else {

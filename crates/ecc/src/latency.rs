@@ -49,21 +49,24 @@ pub struct EccLatencyModel {
 
 impl Default for EccLatencyModel {
     fn default() -> Self {
-        // Calibration: total(t) = base + (syndrome + chien) * t.
-        // t=2 -> ~36µs, t=11 -> ~180µs matches the Fig. 6(a) series;
-        // t=1 -> 58µs is below Table 3's quoted floor because Table 3
-        // also folds in controller overhead; we fold that into base.
-        EccLatencyModel {
-            decode_base_us: 26.0,
-            syndrome_per_t_us: 6.0,
-            chien_per_t_us: 8.0,
-            encode_per_t_us: 1.5,
-            crc_us: 0.05,
-        }
+        Self::PAPER
     }
 }
 
 impl EccLatencyModel {
+    /// The Figure 6(a) calibration (the [`Default`]).
+    // Calibration: total(t) = base + (syndrome + chien) * t.
+    // t=2 -> ~36µs, t=11 -> ~180µs matches the Fig. 6(a) series;
+    // t=1 -> 58µs is below Table 3's quoted floor because Table 3
+    // also folds in controller overhead; we fold that into base.
+    pub const PAPER: EccLatencyModel = EccLatencyModel {
+        decode_base_us: 26.0,
+        syndrome_per_t_us: 6.0,
+        chien_per_t_us: 8.0,
+        encode_per_t_us: 1.5,
+        crc_us: 0.05,
+    };
+
     /// Decode latency breakdown at strength `t`. Strength 0 (no ECC)
     /// costs only the CRC check.
     pub fn decode(&self, t: usize) -> DecodeLatency {

@@ -81,8 +81,6 @@ pub fn ecc_throughput_curve(params: &EccThroughputParams) -> Vec<EccThroughputPo
         .map(|&t| {
             let mut cache = cache_config_for_bytes(params.flash_bytes);
             cache.controller = ControllerPolicy::FixedEcc { strength: t };
-            cache.initial_ecc = t;
-            cache.max_ecc = t.max(cache.max_ecc);
             let report = run_server_warm(
                 HierarchyConfig {
                     dram_bytes: params.dram_bytes,

@@ -79,10 +79,6 @@ pub fn lifetime_accesses(
 ) -> (u64, bool) {
     let mut config = cache_config_for_bytes(half_working_set_bytes(workload));
     config.controller = controller;
-    if let ControllerPolicy::FixedEcc { strength } = controller {
-        config.initial_ecc = strength;
-        config.max_ecc = strength.max(config.max_ecc);
-    }
     config.flash.wear = WearConfig::default().accelerated(params.acceleration);
     let mut cache = FlashCache::new(config).expect("valid config");
     let mut generator = workload.generator(params.seed);

@@ -36,7 +36,7 @@ pub struct HddModel {
 impl HddModel {
     /// The Hitachi Travelstar 7K60 2.5" laptop profile used by the
     /// paper's power evaluation: ~2.5W active, ~0.85W idle.
-    pub fn travelstar() -> Self {
+    pub const fn travelstar() -> Self {
         HddModel {
             avg_access_latency_us: 4200.0,
             transfer_bytes_per_s: 44e6,

@@ -47,23 +47,24 @@ fn run(config: FlashCacheConfig, label: &str) {
 
 fn main() {
     let base = || {
-        FlashCacheConfig::builder()
-            .flash(FlashConfig {
-                geometry: FlashGeometry::for_mlc_capacity(4 << 20),
-                ..FlashConfig::default()
-            })
-            .build()
-            .expect("base tuning config is valid")
+        FlashCacheConfig::builder().flash(FlashConfig {
+            geometry: FlashGeometry::for_mlc_capacity(4 << 20),
+            ..FlashConfig::default()
+        })
     };
 
     println!("Zipf(1.2) workload, 4MB flash (2MB working set)\n");
     println!("-- hot-promotion threshold sweep (lower = more eager SLC)");
     for threshold in [2u8, 4, 8, 16, 64] {
-        let mut c = base();
-        c.hot_threshold = threshold;
-        run(c, &format!("hot_threshold = {threshold}"));
+        let c = base().hot_threshold(threshold).build();
+        run(
+            c.expect("valid threshold"),
+            &format!("hot_threshold = {threshold}"),
+        );
     }
 
+    // The policy alone sets the ECC strength: fixed BCH-1 programs every
+    // page at 1, ECC only and programmable may raise it to 12.
     println!("\n-- controller policy ablation");
     for (name, policy) in [
         ("programmable", ControllerPolicy::Programmable),
@@ -71,8 +72,9 @@ fn main() {
         ("density only", ControllerPolicy::DensityOnly),
         ("fixed BCH-1", ControllerPolicy::FixedEcc { strength: 1 }),
     ] {
-        let mut c = base();
-        c.controller = policy;
-        run(c, name);
+        run(
+            base().controller(policy).build().expect("valid policy"),
+            name,
+        );
     }
 }

@@ -13,7 +13,7 @@ use flashcache::nand::{FlashConfig, FlashGeometry, WearConfig};
 use flashcache::{CacheOp, ControllerPolicy, FlashCache, FlashCacheConfig, WorkloadSpec};
 
 fn run_to_failure(policy: ControllerPolicy) -> (u64, flashcache::CacheStats) {
-    let mut builder = FlashCacheConfig::builder()
+    let config = FlashCacheConfig::builder()
         .flash(FlashConfig {
             geometry: FlashGeometry {
                 blocks: 16,
@@ -23,11 +23,9 @@ fn run_to_failure(policy: ControllerPolicy) -> (u64, flashcache::CacheStats) {
             wear: WearConfig::default().accelerated(2e5),
             ..FlashConfig::default()
         })
-        .controller(policy);
-    if let ControllerPolicy::FixedEcc { strength } = policy {
-        builder = builder.initial_ecc(strength).max_ecc(strength);
-    }
-    let config = builder.build().expect("valid config");
+        .controller(policy)
+        .build()
+        .expect("valid config");
     let mut cache = FlashCache::new(config).expect("valid config");
     let mut generator = WorkloadSpec::financial1().scaled(2048).generator(7);
     let mut accesses = 0u64;

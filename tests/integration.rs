@@ -99,8 +99,6 @@ fn real_bch_agrees_with_device_error_counts() {
             ..FlashConfig::default()
         },
         controller: ControllerPolicy::FixedEcc { strength: 4 },
-        initial_ecc: 4,
-        max_ecc: 4,
         ..FlashCacheConfig::default()
     })
     .unwrap();
