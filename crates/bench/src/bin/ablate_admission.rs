@@ -55,5 +55,4 @@ fn main() {
         }
         args.emit(&exhibit);
     }
-    args.finish();
 }

@@ -40,5 +40,4 @@ fn main() {
             if truncated { " (budget hit)" } else { "" }
         );
     }
-    args.finish();
 }

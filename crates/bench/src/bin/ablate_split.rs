@@ -57,5 +57,4 @@ fn main() {
             s.gc_runs
         );
     }
-    args.finish();
 }

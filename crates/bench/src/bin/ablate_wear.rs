@@ -42,5 +42,4 @@ fn main() {
             s.read_miss_rate() * 100.0
         );
     }
-    args.finish();
 }

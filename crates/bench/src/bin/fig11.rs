@@ -39,5 +39,4 @@ fn main() {
         ]);
     }
     args.emit(&exhibit);
-    args.finish();
 }

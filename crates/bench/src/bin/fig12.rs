@@ -91,5 +91,4 @@ fn main() {
     if rows.iter().any(|r| r.truncated) {
         println!("(* = access budget hit before total failure)");
     }
-    args.finish();
 }

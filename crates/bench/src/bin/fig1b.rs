@@ -26,5 +26,4 @@ fn main() {
         ]);
     }
     args.emit(&exhibit);
-    args.finish();
 }

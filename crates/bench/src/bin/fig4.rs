@@ -41,5 +41,4 @@ fn main() {
         ]);
     }
     args.emit(&exhibit);
-    args.finish();
 }

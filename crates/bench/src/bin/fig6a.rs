@@ -21,5 +21,4 @@ fn main() {
         ]);
     }
     args.emit(&exhibit);
-    args.finish();
 }

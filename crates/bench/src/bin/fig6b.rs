@@ -25,5 +25,4 @@ fn main() {
         ]);
     }
     args.emit(&exhibit);
-    args.finish();
 }

@@ -42,5 +42,4 @@ fn main() {
         }
         args.emit(&exhibit);
     }
-    args.finish();
 }

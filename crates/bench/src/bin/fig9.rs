@@ -55,5 +55,4 @@ fn main() {
             flash.report.power_inputs.disk_busy_s,
         );
     }
-    args.finish();
 }

@@ -35,5 +35,4 @@ fn main() {
     row("retention (years)", &|i| {
         format!("{:.0}", ITRS_2007[i].retention_years)
     });
-    args.finish();
 }

@@ -51,5 +51,4 @@ fn main() {
         format!("{:.1}ms", hdd.avg_access_latency_us / 1000.0 + 1.0),
         "N/A"
     );
-    args.finish();
 }

@@ -37,5 +37,4 @@ fn main() {
         "IDE disk:         average access latency {:.1}ms",
         hdd.avg_access_latency_us / 1000.0
     );
-    args.finish();
 }

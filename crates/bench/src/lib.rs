@@ -7,6 +7,11 @@
 //!
 //! `--paper` runs at the paper's full sizes; the default scale keeps each
 //! binary in the seconds-to-a-couple-of-minutes range.
+//!
+//! The binaries print exhibits, not telemetry: their caches live inside
+//! `flashcache_sim::experiments`, and one sweep mixes every configuration
+//! it ran. A metrics snapshot of one system comes from
+//! `flashcache simulate --json-metrics FILE`.
 
 #![warn(missing_docs)]
 
@@ -25,21 +30,12 @@ pub struct RunArgs {
     /// Worker threads for sweep fan-out (`--threads N`, default = the
     /// machine's available parallelism).
     pub threads: usize,
-    /// Destination for a JSON telemetry snapshot (`--json-metrics FILE`).
-    pub json_metrics: Option<std::path::PathBuf>,
-    /// Trace-event ring capacity (`--trace-events N`, default 256).
-    pub trace_events: usize,
 }
 
 impl RunArgs {
-    /// Parses `--scale N`, `--paper` (scale 1), `--seed S`,
-    /// `--threads N`, `--json-metrics FILE` and `--trace-events N` from
-    /// `std::env::args`, with `default_scale` when none is given.
-    ///
-    /// When `--json-metrics` is given this also installs the
-    /// process-global [`flash_obs::ObsSink`], so every cache the
-    /// experiment builds afterwards reports into it; call
-    /// [`RunArgs::finish`] at the end of `main` to write the snapshot.
+    /// Parses `--scale N`, `--paper` (scale 1), `--seed S`, `--out DIR`
+    /// and `--threads N` from `std::env::args`, with `default_scale` when
+    /// none is given.
     ///
     /// An unknown or malformed argument prints the usage line and exits
     /// with status 2 — a mistyped `--scale` must not silently run the
@@ -49,8 +45,6 @@ impl RunArgs {
         let mut seed = 0x1507_2008u64;
         let mut out_dir = None;
         let mut threads = parallel::default_threads();
-        let mut json_metrics = None;
-        let mut trace_events = 256usize;
         let args: Vec<String> = std::env::args().collect();
         let mut i = 1;
         while i < args.len() {
@@ -85,20 +79,6 @@ impl RunArgs {
                         .filter(|&n: &usize| n >= 1)
                         .unwrap_or_else(|| die("--threads needs a positive integer"));
                 }
-                "--json-metrics" => {
-                    i += 1;
-                    json_metrics = Some(std::path::PathBuf::from(
-                        args.get(i)
-                            .unwrap_or_else(|| die("--json-metrics needs a path")),
-                    ));
-                }
-                "--trace-events" => {
-                    i += 1;
-                    trace_events = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--trace-events needs a non-negative integer"));
-                }
                 "--bench" | "--quiet" => {} // passed through by `cargo bench`
                 other => die(&format!("unknown argument `{other}`")),
             }
@@ -107,37 +87,11 @@ impl RunArgs {
         if scale == 0 {
             die::<u64>("--scale must be at least 1");
         }
-        if json_metrics.is_some() {
-            flash_obs::install_global_sink(std::sync::Arc::new(flash_obs::ObsSink::with_capacity(
-                trace_events,
-            )));
-        }
         RunArgs {
             scale,
             seed,
             out_dir,
             threads,
-            json_metrics,
-            trace_events,
-        }
-    }
-
-    /// Writes the process-global telemetry snapshot to the
-    /// `--json-metrics` path, if one was given.
-    ///
-    /// Call this as the last statement of `main`, after the experiment
-    /// has finished: caches flush their counters into the sink when
-    /// dropped, so every cache the run built must be gone by then.
-    pub fn finish(&self) {
-        let Some(path) = &self.json_metrics else {
-            return;
-        };
-        let Some(sink) = flash_obs::global_sink() else {
-            return;
-        };
-        match std::fs::write(path, sink.snapshot().to_json()) {
-            Ok(()) => println!("[metrics saved {}]", path.display()),
-            Err(e) => eprintln!("could not save metrics to {}: {e}", path.display()),
         }
     }
 
@@ -171,8 +125,7 @@ impl RunArgs {
     }
 }
 
-const USAGE: &str = "usage: [--scale N | --paper] [--seed S] [--out DIR] [--threads N] \
-                     [--json-metrics FILE] [--trace-events N]";
+const USAGE: &str = "usage: [--scale N | --paper] [--seed S] [--out DIR] [--threads N]";
 
 fn die<T>(msg: &str) -> T {
     eprintln!("error: {msg}\n{USAGE}");

@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing for the `flashcache` CLI — kept
 //! dependency-free per the workspace policy.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed command line: a subcommand plus `--key value` / `--flag`
@@ -10,7 +10,7 @@ use std::fmt;
 pub struct Args {
     /// The subcommand (first non-flag argument).
     pub command: String,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
     flags: Vec<String>,
 }
 
@@ -43,7 +43,6 @@ const VALUE_KEYS: &[&str] = &[
     "budget",
     "write-fraction",
     "json-metrics",
-    "trace-events",
     "shards",
     "batch",
     "workers",
@@ -71,7 +70,7 @@ impl Args {
                         .next()
                         .ok_or_else(|| ArgError(format!("--{key} needs a value")))?;
                     out.options.insert(key.to_string(), value);
-                } else if ["unified", "paper", "help"].contains(&key) {
+                } else if ["unified", "help"].contains(&key) {
                     out.flags.push(key.to_string());
                 } else {
                     return Err(ArgError(format!("unknown option --{key}")));
@@ -95,6 +94,11 @@ impl Args {
     /// A boolean flag.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
+    }
+
+    /// Every option and flag given, without the leading `--`.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.options.keys().chain(&self.flags).map(String::as_str)
     }
 
     /// A numeric option with a default.
@@ -146,7 +150,8 @@ mod tests {
         assert_eq!(a.get("workload"), Some("dbt2"));
         assert_eq!(a.num("dram-mb", 0u64).unwrap(), 64);
         assert!(a.flag("unified"));
-        assert!(!a.flag("paper"));
+        assert!(!a.flag("help"));
+        assert!(parse("simulate --paper").is_err());
     }
 
     #[test]

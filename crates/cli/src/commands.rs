@@ -2,21 +2,55 @@
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
-use std::sync::Arc;
 
 use flashcache::nand::FlashConfig;
 use flashcache::nand::FlashGeometry;
 use flashcache::nand::{ChannelConfig, TimingBackend};
-use flashcache::obs;
-use flashcache::sim::experiments::driver::{invariant_checks_enabled, INVARIANT_CHECK_INTERVAL};
+use flashcache::obs::{Registry, Snapshot};
+use flashcache::sim::experiments::driver::{
+    drive_cache, half_working_set_bytes, invariant_checks_enabled, INVARIANT_CHECK_INTERVAL,
+};
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
 use flashcache::trace::spc::{write_spc, SpcReader};
 use flashcache::EngineConfig;
-use flashcache::ObsSink;
 use flashcache::{
-    AdmissionPolicyConfig, CacheOp, ControllerPolicy, DiskRequest, FlashCache, FlashCacheConfig,
+    AdmissionPolicyConfig, ControllerPolicy, DiskRequest, FlashCache, FlashCacheConfig,
     SplitPolicy, WorkloadSpec,
 };
+
+use super::Args;
+
+/// A subcommand's entry point.
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every subcommand with the options it reads (space-separated). An
+/// option outside a command's list is refused rather than silently
+/// ignored.
+pub const COMMANDS: &[(&str, Command, &str)] = &[
+    (
+        "simulate",
+        simulate,
+        "workload scale seed requests spc dram-mb flash-mb unified shards batch workers \
+         admission channels planes queue-depth json-metrics",
+    ),
+    (
+        "sweep",
+        sweep,
+        "workload scale seed requests sizes-mb admission channels planes queue-depth \
+         json-metrics",
+    ),
+    (
+        "lifetime",
+        lifetime,
+        "workload scale seed acceleration budget controller admission channels planes \
+         queue-depth json-metrics",
+    ),
+    (
+        "export",
+        export,
+        "workload scale seed requests out write-fraction",
+    ),
+];
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -32,12 +66,14 @@ COMMANDS:
   export     generate a synthetic workload as an SPC trace file
   help       show this text
 
-COMMON OPTIONS:
+A command refuses (exit 2) any option not listed for it below.
+
+COMMON OPTIONS (every command):
   --workload NAME     uniform|alpha1|alpha2|alpha3|exp1|exp2|dbt2|
                       specweb99|websearch1|websearch2|financial1|financial2
   --scale N           divide the workload footprint by N (default 64)
   --seed S            RNG seed (default 352321544)
-  --requests N        requests to replay (default 100000)
+  --requests N        requests to replay (default 100000; not lifetime)
 
 SIMULATE:
   --spc FILE          replay an SPC trace instead of a synthetic workload
@@ -75,13 +111,14 @@ EXPORT:
   --write-fraction F  override the workload's write fraction
 
 OBSERVABILITY (simulate, sweep, lifetime):
-  --json-metrics FILE write a deterministic JSON telemetry snapshot
-                      (metrics + trace events) to FILE on completion
-  --trace-events N    retain the newest N trace events (default 256)
+  --json-metrics FILE write a deterministic JSON metrics snapshot to FILE
+                      on completion (sweep and lifetime: every cache they
+                      ran, merged in run order)
 
 ENVIRONMENT:
-  FLASHCACHE_CHECK_INVARIANTS=1  simulate asserts the flash cache's
-                      structural invariants every 8192 requests
+  FLASHCACHE_CHECK_INVARIANTS=1  simulate, sweep and lifetime assert the
+                      flash cache's structural invariants every 8192
+                      requests (sweep, lifetime: page accesses)
 ";
 
 fn workload_by_name(name: &str) -> Result<WorkloadSpec, String> {
@@ -91,7 +128,7 @@ fn workload_by_name(name: &str) -> Result<WorkloadSpec, String> {
         .ok_or_else(|| format!("unknown workload `{name}` (see `flashcache help`)"))
 }
 
-fn load_workload(args: &super::Args) -> Result<WorkloadSpec, String> {
+fn load_workload(args: &Args) -> Result<WorkloadSpec, String> {
     let name = args.get("workload").unwrap_or("dbt2");
     let scale: u64 = args.num("scale", 64).map_err(|e| e.to_string())?;
     let spec = workload_by_name(name)?;
@@ -102,7 +139,7 @@ fn load_workload(args: &super::Args) -> Result<WorkloadSpec, String> {
 /// flag was given (keep the closed-form backend); otherwise the
 /// built [`ChannelConfig`] that switches the device to the event-driven
 /// backend.
-fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
+fn channel_config(args: &Args) -> Result<Option<ChannelConfig>, String> {
     let given = ["channels", "planes", "queue-depth"]
         .iter()
         .any(|k| args.get(k).is_some());
@@ -123,7 +160,7 @@ fn channel_config(args: &super::Args) -> Result<Option<ChannelConfig>, String> {
 
 /// Reads the `--admission` option shared by `simulate`, `sweep`, and
 /// `lifetime`.
-fn admission_config(args: &super::Args) -> Result<AdmissionPolicyConfig, String> {
+fn admission_config(args: &Args) -> Result<AdmissionPolicyConfig, String> {
     match args.get("admission").unwrap_or("reref") {
         "all" => Ok(AdmissionPolicyConfig::AdmitAll),
         "reref" => Ok(AdmissionPolicyConfig::ReReference),
@@ -156,26 +193,12 @@ fn flash_config(
     builder.build().map_err(|e| format!("{flash_mb}MB: {e}"))
 }
 
-/// When `--json-metrics` was given, installs the process-global
-/// [`ObsSink`] (so every cache built afterwards attaches to it) and
-/// returns the destination path plus the sink.
-///
-/// Must run *before* any [`FlashCache`] or [`Hierarchy`] is built.
-fn install_obs(args: &super::Args) -> Result<Option<(String, Arc<ObsSink>)>, String> {
+/// Writes `snapshot` to the `--json-metrics` path, if one was given.
+fn write_obs(args: &Args, snapshot: impl FnOnce() -> Snapshot) -> Result<(), String> {
     let Some(path) = args.get("json-metrics") else {
-        return Ok(None);
+        return Ok(());
     };
-    let capacity: usize = args
-        .num("trace-events", 256usize)
-        .map_err(|e| e.to_string())?;
-    let sink = Arc::new(ObsSink::with_capacity(capacity));
-    obs::install_global_sink(Arc::clone(&sink));
-    Ok(Some((path.to_string(), sink)))
-}
-
-/// Writes a snapshot JSON document to `path`.
-fn write_obs(path: &str, json: &str) -> Result<(), String> {
-    std::fs::write(path, json).map_err(|e| format!("{path}: {e}"))?;
+    std::fs::write(path, snapshot().to_json()).map_err(|e| format!("{path}: {e}"))?;
     eprintln!("wrote metrics snapshot to {path}");
     Ok(())
 }
@@ -192,8 +215,7 @@ fn check_flash_invariants(hierarchy: &Hierarchy) -> Result<(), String> {
 }
 
 /// `flashcache simulate`.
-pub fn simulate(args: &super::Args) -> Result<(), String> {
-    let obs_out = install_obs(args)?;
+pub fn simulate(args: &Args) -> Result<(), String> {
     let seed: u64 = args
         .num("seed", 0x1507_2008u64)
         .map_err(|e| e.to_string())?;
@@ -341,15 +363,11 @@ pub fn simulate(args: &super::Args) -> Result<(), String> {
             );
         }
     }
-    if let Some((path, _sink)) = &obs_out {
-        write_obs(path, &hierarchy.obs_snapshot().to_json())?;
-    }
-    Ok(())
+    write_obs(args, || hierarchy.obs_snapshot())
 }
 
 /// `flashcache sweep`.
-pub fn sweep(args: &super::Args) -> Result<(), String> {
-    let obs_out = install_obs(args)?;
+pub fn sweep(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
     let seed: u64 = args
         .num("seed", 0x1507_2008u64)
@@ -372,28 +390,15 @@ pub fn sweep(args: &super::Args) -> Result<(), String> {
     );
     let channel = channel_config(args)?;
     let admission = admission_config(args)?;
+    let mut metrics = Registry::new();
     for &mb in &sizes {
         let mut row = Vec::new();
         for unified in [true, false] {
             let mut cache = FlashCache::new(flash_config(mb, unified, channel, admission)?)
                 .map_err(|e| format!("{mb}MB: {e}"))?;
-            let mut generator = workload.generator(seed);
-            let mut done = 0u64;
-            while done < requests {
-                let req = generator.next_request();
-                for page in req.pages() {
-                    if req.is_write() {
-                        cache.op(CacheOp::write(page));
-                    } else {
-                        cache.op(CacheOp::read(page));
-                    }
-                    done += 1;
-                    if done >= requests {
-                        break;
-                    }
-                }
-            }
+            drive_cache(&mut cache, &mut workload.generator(seed), requests, false);
             row.push((cache.stats().read_miss_rate(), cache.stats().gc_overhead()));
+            metrics.merge(&cache.export_metrics());
         }
         println!(
             "{:>8}MB{:>15.1}%{:>15.1}%{:>13.1}%{:>13.1}%",
@@ -404,15 +409,11 @@ pub fn sweep(args: &super::Args) -> Result<(), String> {
             row[1].1 * 100.0
         );
     }
-    if let Some((path, sink)) = &obs_out {
-        write_obs(path, &sink.snapshot().to_json())?;
-    }
-    Ok(())
+    write_obs(args, || Snapshot::new(metrics))
 }
 
 /// `flashcache lifetime`.
-pub fn lifetime(args: &super::Args) -> Result<(), String> {
-    let obs_out = install_obs(args)?;
+pub fn lifetime(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
     let seed: u64 = args
         .num("seed", 0x1507_2008u64)
@@ -449,30 +450,15 @@ pub fn lifetime(args: &super::Args) -> Result<(), String> {
     );
     let mut baseline = None;
     let admission = admission_config(args)?;
+    let mut metrics = Registry::new();
     for (name, policy) in policies {
-        let flash_bytes =
-            (workload.footprint_pages * flashcache::trace::PAGE_BYTES / 2).max(8 * 256 * 1024);
+        let flash_bytes = half_working_set_bytes(&workload);
         let mut config = flash_config(flash_bytes >> 20, false, channel_config(args)?, admission)?;
         config.flash.geometry = FlashGeometry::for_mlc_capacity(flash_bytes);
         config.controller = policy;
         config.flash.wear = nand_flash::WearConfig::default().accelerated(acceleration);
         let mut cache = FlashCache::new(config).map_err(|e| e.to_string())?;
-        let mut generator = workload.generator(seed);
-        let mut accesses = 0u64;
-        'run: while !cache.is_dead() && accesses < budget {
-            let req = generator.next_request();
-            for page in req.pages() {
-                if req.is_write() {
-                    cache.op(CacheOp::write(page));
-                } else {
-                    cache.op(CacheOp::read(page));
-                }
-                accesses += 1;
-                if cache.is_dead() || accesses >= budget {
-                    break 'run;
-                }
-            }
-        }
+        let accesses = drive_cache(&mut cache, &mut workload.generator(seed), budget, true);
         let s = cache.stats();
         let gain = baseline
             .map(|b: u64| format!("  ({:.1}x)", accesses as f64 / b.max(1) as f64))
@@ -491,15 +477,13 @@ pub fn lifetime(args: &super::Args) -> Result<(), String> {
             }
         );
         baseline.get_or_insert(accesses);
+        metrics.merge(&cache.export_metrics());
     }
-    if let Some((path, sink)) = &obs_out {
-        write_obs(path, &sink.snapshot().to_json())?;
-    }
-    Ok(())
+    write_obs(args, || Snapshot::new(metrics))
 }
 
 /// `flashcache export`.
-pub fn export(args: &super::Args) -> Result<(), String> {
+pub fn export(args: &Args) -> Result<(), String> {
     let mut workload = load_workload(args)?;
     if let Some(wf) = args.get("write-fraction") {
         workload.write_fraction = wf
@@ -514,22 +498,19 @@ pub fn export(args: &super::Args) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let mut generator = workload.generator(seed);
     let reqs: Vec<DiskRequest> = (0..requests).map(|_| generator.next_request()).collect();
-    let written = match args.get("out") {
+    match args.get("out") {
         Some(path) => {
             let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;
             let n = write_spc(BufWriter::new(file), reqs).map_err(|e| e.to_string())?;
             eprintln!("wrote {n} records to {path}");
-            n
         }
         None => {
             let stdout = std::io::stdout();
             let mut lock = BufWriter::new(stdout.lock());
-            let n = write_spc(&mut lock, reqs).map_err(|e| e.to_string())?;
+            write_spc(&mut lock, reqs).map_err(|e| e.to_string())?;
             lock.flush().map_err(|e| e.to_string())?;
-            n
         }
-    };
-    let _ = written;
+    }
     Ok(())
 }
 

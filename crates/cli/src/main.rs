@@ -17,25 +17,38 @@ use args::Args;
 fn main() {
     let parsed = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprintln!("{}", commands::USAGE);
-            std::process::exit(2);
-        }
+        Err(e) => usage_error(e),
     };
     if parsed.flag("help") || parsed.command.is_empty() || parsed.command == "help" {
         println!("{}", commands::USAGE);
         return;
     }
-    let result = match parsed.command.as_str() {
-        "simulate" => commands::simulate(&parsed),
-        "sweep" => commands::sweep(&parsed),
-        "lifetime" => commands::lifetime(&parsed),
-        "export" => commands::export(&parsed),
-        other => Err(format!("unknown command `{other}`\n\n{}", commands::USAGE)),
+    let Some(&(name, run, accepted)) = commands::COMMANDS
+        .iter()
+        .find(|(name, ..)| *name == parsed.command)
+    else {
+        eprintln!(
+            "error: unknown command `{}`\n\n{}",
+            parsed.command,
+            commands::USAGE
+        );
+        std::process::exit(1);
     };
-    if let Err(e) = result {
+    if let Some(key) = parsed
+        .keys()
+        .find(|k| !accepted.split_whitespace().any(|a| a == *k))
+    {
+        usage_error(format!("{name} does not take --{key}"));
+    }
+    if let Err(e) = run(&parsed) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
+}
+
+/// Prints `e` and the usage, and exits 2.
+fn usage_error(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}\n");
+    eprintln!("{}", commands::USAGE);
+    std::process::exit(2);
 }

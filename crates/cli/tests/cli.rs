@@ -162,6 +162,76 @@ fn bad_input_fails_with_nonzero_status() {
         stderr4.contains("shard count must be >= 1, got 0"),
         "{stderr4}"
     );
+    // An option the command does not read is refused, not ignored.
+    let exe = env!("CARGO_BIN_EXE_flashcache");
+    for (args, message) in [
+        (
+            &["simulate", "--controller", "bch1"][..],
+            "simulate does not take --controller",
+        ),
+        (&["sweep", "--spc", "t.spc"], "sweep does not take --spc"),
+        (
+            &["export", "--shards", "4"],
+            "export does not take --shards",
+        ),
+        (
+            &["lifetime", "--requests", "9"],
+            "lifetime does not take --requests",
+        ),
+        (&["simulate", "--paper"], "unknown option --paper"),
+        (
+            &["simulate", "--trace-events", "8"],
+            "unknown option --trace-events",
+        ),
+    ] {
+        let out = Command::new(exe).args(args).output().expect("spawn CLI");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn simulate_json_metrics_is_deterministic_and_parses() {
+    let dir = std::env::temp_dir().join("flashcache_cli_metrics_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = |name: &str| {
+        let path = dir.join(name);
+        let (ok, _, stderr) = run(&[
+            "simulate",
+            "--workload",
+            "dbt2",
+            "--scale",
+            "512",
+            "--requests",
+            "5000",
+            "--dram-mb",
+            "1",
+            "--flash-mb",
+            "4",
+            "--shards",
+            "2",
+            "--json-metrics",
+            path.to_str().unwrap(),
+        ]);
+        assert!(ok, "stderr: {stderr}");
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        text
+    };
+    let first = snapshot("a.json");
+    assert_eq!(first, snapshot("b.json"), "same run, same bytes");
+    let doc = flashcache::obs::json::parse(&first).expect("valid JSON");
+    let metrics = doc.get("metrics").unwrap();
+    let count = |name: &str| metrics.get(name).and_then(|v| v.as_u64()).unwrap();
+    assert_eq!(count("hierarchy.requests"), 5000);
+    assert_eq!(
+        count("flash.reads"),
+        count("flash.shard.0.reads") + count("flash.shard.1.reads")
+    );
+    assert!(doc.get("events").is_none());
 }
 
 #[test]

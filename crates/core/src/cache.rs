@@ -9,9 +9,8 @@
 //! drives both the trace simulator and the full-system model.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use flash_obs::{Event, ObsSink, Registry, ServiceTier};
+use flash_obs::{Registry, ServiceTier};
 use nand_flash::{BlockId, CellMode, FlashDevice, OpContext, PageAddr};
 
 use crate::admission::FrequencySketch;
@@ -42,10 +41,6 @@ pub struct CacheOp {
     pub lba: u64,
     /// Read or write.
     pub kind: CacheOpKind,
-    /// Device-op context the read hit's flash read is issued with;
-    /// callers only need a non-default context to mark background
-    /// traffic.
-    pub ctx: OpContext,
 }
 
 impl CacheOp {
@@ -54,7 +49,6 @@ impl CacheOp {
         CacheOp {
             lba,
             kind: CacheOpKind::Read,
-            ctx: OpContext::foreground(),
         }
     }
 
@@ -63,14 +57,7 @@ impl CacheOp {
         CacheOp {
             lba,
             kind: CacheOpKind::Write,
-            ctx: OpContext::foreground(),
         }
-    }
-
-    /// Overrides the device-op context.
-    pub fn with_ctx(mut self, ctx: OpContext) -> Self {
-        self.ctx = ctx;
-        self
     }
 }
 
@@ -217,10 +204,6 @@ pub struct FlashCache {
     /// [`AdmissionPolicyConfig::AdmitAll`], the paper's rule.
     pub(crate) admission: Option<FrequencySketch>,
     pub(crate) stats: CacheStats,
-    /// Attached observability sink (trace events + metric flushing).
-    pub(crate) sink: Option<Arc<ObsSink>>,
-    /// Guards the Drop-time metric flush against double counting.
-    pub(crate) obs_flushed: bool,
 }
 
 impl FlashCache {
@@ -291,32 +274,8 @@ impl FlashCache {
                 AdmissionPolicyConfig::ReReference => Some(FrequencySketch::new(usable_slots)),
             },
             stats: CacheStats::default(),
-            sink: flash_obs::global_sink(),
-            obs_flushed: false,
             config,
         })
-    }
-
-    /// Attaches an observability sink, replacing the process-global one
-    /// picked up at construction (if any). Trace events flow to the sink
-    /// as they happen; metrics are flushed on [`FlashCache::flush_obs`]
-    /// or drop.
-    pub fn attach_sink(&mut self, sink: Arc<ObsSink>) {
-        self.sink = Some(sink);
-        self.obs_flushed = false;
-    }
-
-    /// The attached sink, if any.
-    pub fn sink(&self) -> Option<&Arc<ObsSink>> {
-        self.sink.as_ref()
-    }
-
-    /// Records a trace event into the attached sink (no-op otherwise).
-    #[inline]
-    pub(crate) fn emit(&self, ev: Event) {
-        if let Some(s) = &self.sink {
-            s.emit(ev);
-        }
     }
 
     /// Exports the cache's counters and gauges as a metrics registry
@@ -384,23 +343,10 @@ impl FlashCache {
         reg.gauge_set("flash.miss_rate", self.fgst.miss_rate);
         reg.gauge_set("flash.admission.bar", self.admission_bar() as f64);
         // Longest probe is a high-water mark, not additive: exported as
-        // a gauge so merging shard registries keeps the (overwritten)
-        // last value rather than a meaningless sum.
+        // a gauge, which `ShardedCache` takes as the max over shards
+        // rather than a meaningless sum.
         reg.gauge_set("flash.fcht.max_probe_len", self.fcht.max_probe_len() as f64);
         reg
-    }
-
-    /// Flushes the exported metrics into the attached sink's registry.
-    /// Called automatically on drop; idempotent until new accesses occur
-    /// (the guard re-arms only via [`FlashCache::attach_sink`]).
-    pub fn flush_obs(&mut self) {
-        if self.obs_flushed {
-            return;
-        }
-        if let Some(s) = &self.sink {
-            s.merge_registry(&self.export_metrics());
-            self.obs_flushed = true;
-        }
     }
 
     /// The active configuration.
@@ -700,7 +646,7 @@ impl FlashCache {
             let live_t = self.live_strength[self.gidx(addr)];
             let out = self
                 .device
-                .read_page_with(addr, op.ctx)
+                .read_page_with(addr, OpContext::foreground())
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
             self.stats.flash_reads += 1;
             self.fbst.get_mut(addr.block).last_access = self.tick;
@@ -712,7 +658,7 @@ impl FlashCache {
             let latency = out.latency_us + ecc_us + out.wait_us;
             if out.raw_bit_errors > live_t as u32 {
                 // Cached copy lost: detected by CRC after failed BCH.
-                self.raise_lost_copy(addr, out.raw_bit_errors);
+                self.raise_lost_copy();
                 self.respond_to_errors(addr, out.raw_bit_errors);
                 self.drop_valid_page(addr, false);
                 // Refill from disk below (fall through to the miss path).
@@ -922,16 +868,10 @@ impl FlashCache {
         self.stats.flushed_dirty_pages += dirty as u64;
     }
 
-    /// Counts a lost copy: `addr` read back with more raw bit errors than
+    /// Counts a lost copy: a page read back with more raw bit errors than
     /// its live ECC strength corrects.
-    pub(crate) fn raise_lost_copy(&mut self, addr: PageAddr, bit_errors: u32) {
+    pub(crate) fn raise_lost_copy(&mut self) {
         self.stats.uncorrectable_reads += 1;
-        self.emit(Event::UncorrectableRead {
-            tick: self.tick,
-            block: addr.block.0,
-            slot: addr.slot,
-            bit_errors,
-        });
     }
 
     /// §5.2.2: a saturated read counter promotes a hot MLC page to SLC.
@@ -973,11 +913,6 @@ impl FlashCache {
         self.op_background_us += lat;
         self.stats.hot_promotions += 1;
         self.stats.reconfig_density += 1;
-        self.emit(Event::HotPromotion {
-            tick: self.tick,
-            block: dst.block.0,
-            slot: dst.slot,
-        });
         Ok(())
     }
 
@@ -1025,13 +960,6 @@ impl FlashCache {
             self.fbst.get_mut(addr.block).total_ecc += delta;
             self.reclaim_sync(addr.block);
             self.stats.reconfig_ecc += 1;
-            self.emit(Event::EccStrengthBump {
-                tick: self.tick,
-                block: addr.block.0,
-                slot: addr.slot,
-                old_strength: cfg_t,
-                new_strength: new_t,
-            });
         } else {
             // Demote the physical page to SLC at its next program.
             self.fpst.get_mut(even).mode = CellMode::Slc;
@@ -1039,11 +967,6 @@ impl FlashCache {
             self.fbst.get_mut(addr.block).slc_pages += 1;
             self.reclaim_sync(addr.block);
             self.stats.reconfig_density += 1;
-            self.emit(Event::DensityMlcToSlc {
-                tick: self.tick,
-                block: addr.block.0,
-                slot: even.slot,
-            });
         }
     }
 
@@ -1064,14 +987,5 @@ impl FlashCache {
             self.collect_garbage(RegionKind::Read)?;
         }
         Ok(())
-    }
-}
-
-impl Drop for FlashCache {
-    /// Flushes exported metrics into the attached sink, so lifetime and
-    /// sweep runs that construct many caches accumulate totals without
-    /// explicit bookkeeping.
-    fn drop(&mut self) {
-        self.flush_obs();
     }
 }

@@ -945,9 +945,8 @@ fn rereference_counters_are_pinned_on_a_fixed_trace() {
 /// controller: [`lcg`] from seed 5, pages skewed over 200, three ops in
 /// ten writes. §3.6's threshold is lowered to 4 and §5.2.2's to 4 reads so
 /// that a wear swap and a hot promotion each happen many times before the
-/// last block retires. Returns the stats and the per-kind event counts in
-/// [`EventKind::ALL`](flash_obs::EventKind::ALL) order.
-fn end_of_life_run(admission: AdmissionPolicyConfig) -> (CacheStats, [u64; 8]) {
+/// last block retires. Returns the stats.
+fn end_of_life_run(admission: AdmissionPolicyConfig) -> CacheStats {
     let mut config = small_config();
     config.flash.geometry.blocks = 8;
     config.flash.geometry.pages_per_block = 4;
@@ -961,8 +960,6 @@ fn end_of_life_run(admission: AdmissionPolicyConfig) -> (CacheStats, [u64; 8]) {
     config.hot_threshold = 4;
     config.admission = admission;
     let mut c = FlashCache::new(config).unwrap();
-    let sink = std::sync::Arc::new(flash_obs::ObsSink::with_capacity(0));
-    c.attach_sink(sink.clone());
     let mut draw = lcg(5);
     while !c.is_dead() {
         let page = draw(200) * draw(200) / 200;
@@ -973,8 +970,7 @@ fn end_of_life_run(admission: AdmissionPolicyConfig) -> (CacheStats, [u64; 8]) {
         }
     }
     c.check_invariants().unwrap();
-    let events = flash_obs::EventKind::ALL.map(|k| sink.event_count(k));
-    (c.stats(), events)
+    c.stats()
 }
 
 /// The rare arms of the page lifecycle, pinned on the end-of-life trace
@@ -986,7 +982,7 @@ fn end_of_life_run(admission: AdmissionPolicyConfig) -> (CacheStats, [u64; 8]) {
 /// `gc_time_us` moves these.
 #[test]
 fn end_of_life_counters_are_pinned_on_a_fixed_trace() {
-    let (stats, events) = end_of_life_run(AdmissionPolicyConfig::AdmitAll);
+    let stats = end_of_life_run(AdmissionPolicyConfig::AdmitAll);
     let pinned = CacheStats {
         reads: 25_093,
         read_hits: 2_976,
@@ -1015,9 +1011,8 @@ fn end_of_life_counters_are_pinned_on_a_fixed_trace() {
         ..CacheStats::default()
     };
     assert_eq!(stats, pinned);
-    assert_eq!(events, [226, 257, 29, 3, 1_072, 6_207, 8, 841]);
 
-    let (stats, events) = end_of_life_run(AdmissionPolicyConfig::ReReference);
+    let stats = end_of_life_run(AdmissionPolicyConfig::ReReference);
     let pinned = CacheStats {
         reads: 101_161,
         read_hits: 9_122,
@@ -1048,5 +1043,4 @@ fn end_of_life_counters_are_pinned_on_a_fixed_trace() {
         ..CacheStats::default()
     };
     assert_eq!(stats, pinned);
-    assert_eq!(events, [1_332, 299, 24, 13, 466, 6_055, 8, 441]);
 }

@@ -7,7 +7,6 @@
 //! accounted as *background* time in [`CacheStats::gc_time_us`], matching
 //! the paper's "all GCs are performed in the background".
 
-use flash_obs::Event;
 use nand_flash::{BlockId, CellMode, OpContext, PageAddr};
 
 use crate::cache::{FlashCache, OpenBlock};
@@ -333,11 +332,6 @@ impl FlashCache {
         let moved = self.relocate_pages(victim, Dest::Stream(kind), &mut gc_us)?;
         self.stats.gc_runs += 1;
         self.stats.gc_dropped_pages += (valid - moved) as u64;
-        self.emit(Event::GcCompaction {
-            tick: self.tick(),
-            block: victim.0,
-            moved_pages: moved,
-        });
         if self.keeps_referenced_only(kind) {
             if let Some(newest) = self.wear_swap_partner(victim) {
                 self.stats.gc_time_us += gc_us;
@@ -389,7 +383,7 @@ impl FlashCache {
             self.stats.flash_reads += 1;
             *gc_us += out.latency_us + ECC_LATENCY.decode_us(live_t as usize);
             if out.raw_bit_errors > live_t as u32 {
-                self.raise_lost_copy(addr, out.raw_bit_errors);
+                self.raise_lost_copy();
                 self.drop_valid_page(addr, false);
                 continue;
             }
@@ -496,11 +490,6 @@ impl FlashCache {
         }
         self.erase_and_recycle(newest, kind, gc_us)?;
         self.stats.wear_migrations += 1;
-        self.emit(Event::WearMigration {
-            tick: self.tick(),
-            worn_block: old.0,
-            newest_block: newest.0,
-        });
         Ok(())
     }
 
@@ -545,11 +534,6 @@ impl FlashCache {
             .erase_block_with(b, OpContext::background())
             .map_err(|source| CacheError::BlockOp { block: b, source })?;
         self.stats.erases += 1;
-        self.emit(Event::BlockErased {
-            tick: self.tick(),
-            block: b.0,
-            erase_count: out.erase_count,
-        });
         *gc_us += out.latency_us;
         // Retirement probe (§5.2): a page past the strongest reachable
         // configuration kills the whole block.
@@ -568,10 +552,6 @@ impl FlashCache {
         if dead {
             self.fbst.get_mut(b).retired = true;
             self.stats.retired_blocks += 1;
-            self.emit(Event::BlockRetired {
-                tick: self.tick(),
-                block: b.0,
-            });
             self.usable_slots = self
                 .usable_slots
                 .saturating_sub(self.device.geometry().slots_per_block() as u64);

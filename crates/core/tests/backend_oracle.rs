@@ -6,12 +6,9 @@
 //! (that is what the retained enum means), or
 //! `TimingBackend::EventDriven` with the serial config. Same per-access
 //! outcomes (latency bits included), same stats, same table snapshot,
-//! same exported metrics, same observability registry.
-
-use std::sync::Arc;
+//! same exported metrics.
 
 use disk_trace::{OpKind, WorkloadSpec};
-use flash_obs::ObsSink;
 use flashcache_core::{AccessOutcome, CacheOp, FlashCache, FlashCacheConfig};
 use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry, TimingBackend};
 
@@ -63,14 +60,10 @@ fn drive(cache: &mut FlashCache, seed: u64, n: usize) -> Vec<AccessOutcome> {
 
 /// Replays one trace through the closed-form backend and through
 /// `other`, and demands byte-identical outcomes, stats, snapshot and
-/// registries.
+/// exported metrics.
 fn assert_byte_identical_to_closed_form(other: FlashCacheConfig) {
     let mut oracle = FlashCache::new(config(TimingBackend::ClosedForm)).expect("valid config");
     let mut event = FlashCache::new(other).expect("valid config");
-    let oracle_sink = Arc::new(ObsSink::with_capacity(256));
-    let event_sink = Arc::new(ObsSink::with_capacity(256));
-    oracle.attach_sink(Arc::clone(&oracle_sink));
-    event.attach_sink(Arc::clone(&event_sink));
 
     let a = drive(&mut oracle, 0x0811_2026, 6_000);
     let b = drive(&mut event, 0x0811_2026, 6_000);
@@ -100,14 +93,6 @@ fn assert_byte_identical_to_closed_form(other: FlashCacheConfig) {
         oracle.export_metrics(),
         event.export_metrics(),
         "metric registries must match"
-    );
-
-    oracle.flush_obs();
-    event.flush_obs();
-    assert_eq!(
-        oracle_sink.registry(),
-        event_sink.registry(),
-        "observability registries must match"
     );
 }
 

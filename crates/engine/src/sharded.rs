@@ -1,10 +1,9 @@
 //! Hash-partitioned sharding of the flash disk cache.
 
 use std::fmt;
-use std::sync::Arc;
 
 use disk_trace::DiskRequest;
-use flash_obs::{ObsSink, Registry, ServiceTier};
+use flash_obs::{Metric, Registry, ServiceTier};
 use flashcache_core::tables::Fgst;
 use flashcache_core::{
     AccessOutcome, CacheError, CacheOp, CacheOutcome, CacheStats, ConfigError, FlashCache,
@@ -176,8 +175,6 @@ pub struct ShardedCache {
     scratch: Scratch,
     /// Batches submitted.
     batches: u64,
-    /// Guards the Drop-time per-shard metric flush.
-    obs_flushed: bool,
 }
 
 impl ShardedCache {
@@ -238,7 +235,6 @@ impl ShardedCache {
             helpers: Vec::new(),
             scratch: Scratch::default(),
             batches: 0,
-            obs_flushed: false,
         })
     }
 
@@ -436,15 +432,6 @@ impl ShardedCache {
         self.batches
     }
 
-    /// Attaches an observability sink to every shard (replacing any
-    /// process-global sink picked up at construction).
-    pub fn attach_sink(&mut self, sink: Arc<ObsSink>) {
-        for s in self.shards_mut() {
-            s.attach_sink(Arc::clone(&sink));
-        }
-        self.obs_flushed = false;
-    }
-
     /// Exports merged engine metrics: every shard's counters summed
     /// under the usual `flash.*` / `nand.*` names, gauges recomputed
     /// over the ensemble, and — when there is more than one shard — a
@@ -453,15 +440,19 @@ impl ShardedCache {
     /// With one shard the output is identical to that shard's own
     /// [`FlashCache::export_metrics`], preserving the N = 1 degeneracy.
     pub fn export_metrics(&self) -> Registry {
+        let parts: Vec<Registry> = self
+            .shards()
+            .iter()
+            .map(FlashCache::export_metrics)
+            .collect();
         let mut reg = Registry::new();
-        for (i, s) in self.shards().iter().enumerate() {
-            let shard_reg = s.export_metrics();
-            reg.merge(&shard_reg);
-            if self.shards.len() > 1 {
-                reg.merge(&prefixed(i, &shard_reg));
+        for (i, part) in parts.iter().enumerate() {
+            reg.merge(part);
+            if parts.len() > 1 {
+                reg.merge(&prefixed(i, part));
             }
         }
-        if self.shards.len() > 1 {
+        if parts.len() > 1 {
             // Registry::merge overwrites gauges (last shard wins);
             // recompute them over the whole ensemble.
             reg.gauge_set("flash.cached_pages", self.cached_pages() as f64);
@@ -470,44 +461,22 @@ impl ShardedCache {
                 / self.shards.len() as f64;
             reg.gauge_set("flash.slc_fraction", slc);
             reg.gauge_set("flash.miss_rate", self.fgst().miss_rate);
-        }
-        reg
-    }
-
-    /// Flushes per-shard prefixed metrics (N > 1 only) and every
-    /// shard's own totals into the attached sinks. Called automatically
-    /// on drop; idempotent until [`attach_sink`](ShardedCache::attach_sink)
-    /// re-arms it.
-    pub fn flush_obs(&mut self) {
-        self.flush_prefixed();
-        for s in self.shards_mut() {
-            s.flush_obs();
-        }
-    }
-
-    /// Merges each shard's `flash.shard.<i>.*` copy into its sink. The
-    /// plain `flash.*` totals are *not* written here — each shard's own
-    /// `flush_obs`/`Drop` does that additively — so nothing double
-    /// counts, and with one shard nothing is emitted at all (keeping
-    /// N = 1 observability bit-identical to a bare cache).
-    fn flush_prefixed(&mut self) {
-        if self.obs_flushed || self.shards.len() <= 1 {
-            return;
-        }
-        for (i, s) in self.shards().iter().enumerate() {
-            if let Some(sink) = s.sink() {
-                sink.merge_registry(&prefixed(i, &s.export_metrics()));
+            // High-water marks: the ensemble's is the largest shard's.
+            for name in ["flash.admission.bar", "flash.fcht.max_probe_len"] {
+                let high = parts
+                    .iter()
+                    .filter_map(|p| p.get(name).and_then(Metric::as_gauge))
+                    .fold(0.0, f64::max);
+                reg.gauge_set(name, high);
             }
         }
-        self.obs_flushed = true;
+        reg
     }
 }
 
 impl Drop for ShardedCache {
-    /// Flushes the per-shard prefixed metrics (each shard then flushes
-    /// its own totals in its own `Drop`) and joins the helper threads.
+    /// Joins the helper threads.
     fn drop(&mut self) {
-        self.flush_prefixed();
         for helper in self.helpers.drain(..) {
             helper.join();
         }
@@ -730,6 +699,27 @@ mod tests {
             .sum();
         assert_eq!(per_shard, 50);
         assert_eq!(reg.counter("flash.reads"), 50);
+
+        // Only shard 0 sees traffic, so the last shard's high-water marks
+        // stay 0: the merged gauges must be shard 0's, not the last one's.
+        let mut e = ShardedCache::new(config(32), 2).unwrap();
+        let pages: Vec<u64> = (0..).filter(|&p| e.shard_of(p) == 0).take(1000).collect();
+        for &p in &pages {
+            e.op(CacheOp::read(p));
+        }
+        assert!(e.shards()[0].admission_bar() > 0);
+        let reg = e.export_metrics();
+        let gauge = |name: &str| reg.get(name).and_then(Metric::as_gauge).unwrap();
+        for suffix in ["admission.bar", "fcht.max_probe_len"] {
+            let merged = gauge(&format!("flash.{suffix}"));
+            assert!(merged > 0.0, "{suffix}");
+            assert_eq!(
+                merged,
+                gauge(&format!("flash.shard.0.{suffix}")),
+                "{suffix}"
+            );
+            assert_eq!(gauge(&format!("flash.shard.1.{suffix}")), 0.0, "{suffix}");
+        }
     }
 
     #[test]

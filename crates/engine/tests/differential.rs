@@ -3,7 +3,7 @@
 //! The N=1 contract is the engine's most important invariant: a
 //! [`ShardedCache`] with one shard must be *byte-identical* to a bare
 //! [`FlashCache`] fed the same trace — same per-request outcomes, same
-//! stats, same snapshot, same observability counters, no
+//! stats, same snapshot, same exported metrics, no
 //! `flash.shard.*` metric prefixes. That identity is what lets every
 //! existing single-cache experiment adopt the engine without changing
 //! its numbers.
@@ -18,10 +18,7 @@
 //! totals equal the fieldwise sum of the per-shard stats for arbitrary
 //! seeds and shard counts.
 
-use std::sync::Arc;
-
 use disk_trace::{DiskRequest, OpKind, WorkloadSpec};
-use flash_obs::ObsSink;
 use flashcache_core::{AccessOutcome, CacheOp, FlashCache, FlashCacheConfig, ServiceTier};
 use flashcache_engine::{EngineConfig, ShardedCache};
 use nand_flash::{FlashConfig, FlashGeometry};
@@ -87,10 +84,6 @@ fn single_shard_is_byte_identical_to_bare_cache() {
 
     let mut engine = ShardedCache::new(config(), 1).expect("1 shard is always valid");
     let mut bare = FlashCache::new(config()).expect("same config as the engine");
-    let engine_sink = Arc::new(ObsSink::with_capacity(256));
-    let bare_sink = Arc::new(ObsSink::with_capacity(256));
-    engine.attach_sink(Arc::clone(&engine_sink));
-    bare.attach_sink(Arc::clone(&bare_sink));
 
     for chunk in reqs.chunks(64) {
         let sharded_outs = engine.submit(chunk);
@@ -116,11 +109,6 @@ fn single_shard_is_byte_identical_to_bare_cache() {
     let engine_reg = engine.export_metrics();
     assert_eq!(engine_reg, bare.export_metrics());
     assert!(engine_reg.iter().all(|(k, _)| !k.contains("shard")));
-
-    // Identical observability totals once both flush their sinks.
-    engine.flush_obs();
-    bare.flush_obs();
-    assert_eq!(engine_sink.registry(), bare_sink.registry());
 }
 
 #[test]
@@ -140,8 +128,7 @@ fn serial_entry_points_match_bare_cache() {
 }
 
 /// Everything observable about one engine run: per-request outcomes,
-/// merged stats, per-shard state snapshots, and the flushed
-/// observability registry.
+/// merged stats, per-shard state snapshots, and the exported metrics.
 fn run_variant(
     shards: usize,
     workers: usize,
@@ -157,8 +144,6 @@ fn run_variant(
     let mut engine = ShardedCache::with_engine_config(config(), shards, engine_cfg)
         .expect("128 blocks divide by 1/2/4/8");
     assert_eq!(engine.workers(), workers.min(shards));
-    let sink = Arc::new(ObsSink::with_capacity(256));
-    engine.attach_sink(Arc::clone(&sink));
     let reqs = trace(0x1AC3, 4_000);
     let mut outs = Vec::with_capacity(reqs.len());
     for chunk in reqs.chunks(64) {
@@ -166,9 +151,7 @@ fn run_variant(
     }
     let stats = engine.stats();
     let snaps = engine.shards().iter().map(|s| s.snapshot()).collect();
-    engine.flush_obs();
-    drop(engine);
-    (outs, stats, snaps, sink.registry())
+    (outs, stats, snaps, engine.export_metrics())
 }
 
 /// Invariance contract: identical results for every worker count
@@ -185,7 +168,7 @@ fn results_invariant_across_workers_and_execution_paths() {
             assert_eq!(baseline.0, got.0, "outcomes diverged: {label}");
             assert_eq!(baseline.1, got.1, "stats diverged: {label}");
             assert_eq!(baseline.2, got.2, "snapshots diverged: {label}");
-            assert_eq!(baseline.3, got.3, "obs registry diverged: {label}");
+            assert_eq!(baseline.3, got.3, "exported metrics diverged: {label}");
         }
     }
 }

@@ -14,7 +14,7 @@
 //! | **contribution** | [`core`] | the flash disk cache: split regions, GC, wear levelling, programmable controller |
 //! | scaling | [`engine`] | sharded concurrent cache engine with batched submission |
 //! | evaluation | [`sim`] | trace simulator, server model, per-figure experiment drivers |
-//! | telemetry | [`obs`] | metrics registry, structured trace events, deterministic JSON snapshots |
+//! | telemetry | [`obs`] | metrics registry, latency histograms, deterministic JSON snapshots |
 //!
 //! The most common entry points are re-exported at the top level.
 //!
@@ -50,7 +50,7 @@ pub use nand_flash as nand;
 pub use storage_model as storage;
 
 pub use disk_trace::{DiskRequest, OpKind, WorkloadSpec};
-pub use flash_obs::{ObsSink, ServiceTier};
+pub use flash_obs::ServiceTier;
 pub use flashcache_core::{
     AccessOutcome, AdmissionDecision, AdmissionPolicyConfig, CacheError, CacheOp, CacheOpKind,
     CacheOutcome, CacheSnapshot, CacheStats, ConfigError, ControllerPolicy, FlashCache,

@@ -43,7 +43,7 @@ impl JsonValue {
         }
     }
 
-    /// Follows a dotted path of object keys, e.g. `events.counts`.
+    /// Follows a dotted path of object keys, e.g. `config.seed`.
     pub fn path(&self, dotted: &str) -> Option<&JsonValue> {
         dotted.split('.').try_fold(self, |v, k| v.get(k))
     }

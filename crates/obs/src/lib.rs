@@ -6,49 +6,39 @@
 //! * [`registry`] — named monotonic counters, gauges and latency
 //!   histograms, exported at snapshot time from each component's cheap
 //!   plain-struct stats;
-//! * [`event`] — structured trace events ([`Event::GcCompaction`],
-//!   [`Event::EccStrengthBump`], [`Event::DensityMlcToSlc`],
-//!   [`Event::WearMigration`], [`Event::BlockRetired`],
-//!   [`Event::BlockErased`], …) in a bounded [`EventRing`];
 //! * [`hist`] — the log-scaled [`LatencyHistogram`] (promoted from
 //!   `flashcache-sim`);
 //! * [`json`] — a serde-free JSON encoder/parser with deterministic
 //!   output;
-//! * [`sink`] — the attachable [`ObsSink`] plus a process-global
-//!   default, à la `tracing`'s global subscriber;
-//! * [`snapshot`] — the versioned [`Snapshot`] document tying it all
-//!   together.
+//! * [`snapshot`] — the versioned [`Snapshot`] document wrapping one
+//!   registry.
 //!
 //! ## Determinism rule
 //!
-//! Instrumentation never reads wall-clock time. Events are keyed to
-//! the emitting component's logical tick, metric names serialize in
-//! sorted order, and floats format via Rust's shortest-roundtrip
-//! `Display` — so two runs of the same seeded simulation produce
+//! Instrumentation never reads wall-clock time. Metric names serialize
+//! in sorted order and floats format via Rust's shortest-roundtrip
+//! `Display`, so two runs of the same seeded simulation produce
 //! byte-identical snapshots.
 //!
 //! ## Cost rule
 //!
-//! With no sink attached, instrumentation is a branch on an `Option`
-//! on the *rare* paths only (GC, reconfiguration, erase); per-access
-//! fast paths are untouched. Counter export happens only at snapshot
-//! or drop time.
+//! Telemetry is pulled, never pushed. Components count into their own
+//! plain structs (`CacheStats`, `FlashStats`, and `HierarchyReport`'s
+//! [`LatencyHistogram`]s) and build a [`Registry`] only when the caller
+//! holding them asks for `export_metrics`. No component holds a handle
+//! into this crate, and nothing here is process-global.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod event;
 pub mod hist;
 pub mod json;
 pub mod registry;
-pub mod sink;
 pub mod snapshot;
 
-pub use event::{Event, EventKind, EventRing};
 pub use hist::LatencyHistogram;
 pub use json::{JsonError, JsonValue};
 pub use registry::{Metric, Registry};
-pub use sink::{global_sink, install_global_sink, ObsSink};
 pub use snapshot::Snapshot;
 
 /// The storage tier that serviced (or must service) a request.

@@ -1,24 +1,23 @@
-//! The top-level telemetry snapshot: metrics registry + event trace,
-//! rendered as one deterministic JSON document.
+//! The top-level telemetry snapshot: a metrics registry rendered as one
+//! deterministic JSON document.
 
-use crate::event::EventRing;
 use crate::json::JsonValue;
 use crate::registry::Registry;
 
 /// Format version stamped into every snapshot, bumped on breaking
 /// shape changes.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// A complete telemetry snapshot.
 ///
 /// # Examples
 ///
 /// ```
-/// use flash_obs::{EventRing, Registry, Snapshot};
+/// use flash_obs::{Registry, Snapshot};
 ///
 /// let mut reg = Registry::new();
 /// reg.counter_add("flash.reads", 42);
-/// let snap = Snapshot::new(reg, EventRing::new(16));
+/// let snap = Snapshot::new(reg);
 /// let json = snap.to_json();
 /// let parsed = flash_obs::json::parse(&json).unwrap();
 /// assert_eq!(parsed.path("metrics.flash.reads"), None); // dotted name, single key
@@ -31,28 +30,24 @@ pub const SNAPSHOT_VERSION: u64 = 1;
 pub struct Snapshot {
     /// Exported metrics.
     pub registry: Registry,
-    /// The bounded event trace and per-kind counts.
-    pub events: EventRing,
 }
 
 impl Snapshot {
-    /// Builds a snapshot from its parts.
-    pub fn new(registry: Registry, events: EventRing) -> Self {
-        Snapshot { registry, events }
+    /// Wraps an exported registry.
+    pub fn new(registry: Registry) -> Self {
+        Snapshot { registry }
     }
 
     /// Serializes to a compact JSON string.
     ///
     /// Output is byte-stable for identical inputs: metric names are
-    /// sorted, event order follows emission order, and floats use
-    /// Rust's deterministic shortest-roundtrip formatting. No
-    /// wall-clock timestamp is included — snapshots of deterministic
-    /// runs must themselves be deterministic.
+    /// sorted and floats use Rust's deterministic shortest-roundtrip
+    /// formatting. No wall-clock timestamp is included — snapshots of
+    /// deterministic runs must themselves be deterministic.
     pub fn to_json(&self) -> String {
         JsonValue::Object(vec![
             ("version".to_string(), JsonValue::UInt(SNAPSHOT_VERSION)),
             ("metrics".to_string(), self.registry.to_json()),
-            ("events".to_string(), self.events.to_json()),
         ])
         .render()
     }
@@ -61,7 +56,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
     use crate::json;
 
     #[test]
@@ -72,24 +66,20 @@ mod tests {
         let mut h = crate::hist::LatencyHistogram::new();
         h.record(100.0);
         reg.histogram_merge("a.latency", &h);
-        let mut ring = EventRing::new(4);
-        ring.push(Event::GcCompaction {
-            tick: 3,
-            block: 1,
-            moved_pages: 9,
-        });
-        let snap = Snapshot::new(reg, ring);
-        let text = snap.to_json();
+        let text = Snapshot::new(reg).to_json();
         let v = json::parse(&text).expect("snapshot must be valid JSON");
-        assert_eq!(v.get("version").unwrap().as_u64(), Some(1));
+        assert_eq!(v.get("version").unwrap().as_u64(), Some(SNAPSHOT_VERSION));
         assert_eq!(
             v.get("metrics").unwrap().get("a.count").unwrap().as_u64(),
             Some(7)
         );
-        assert_eq!(
-            v.path("events.counts.gc_compaction").unwrap().as_u64(),
-            Some(1)
-        );
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["version", "metrics"]);
     }
 
     #[test]
@@ -99,9 +89,7 @@ mod tests {
             reg.counter_add("z", 1);
             reg.counter_add("a", 2);
             reg.gauge_set("m", 1.0 / 3.0);
-            let mut ring = EventRing::new(2);
-            ring.push(Event::BlockRetired { tick: 9, block: 2 });
-            Snapshot::new(reg, ring).to_json()
+            Snapshot::new(reg).to_json()
         };
         assert_eq!(build(), build());
     }

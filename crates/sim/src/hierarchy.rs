@@ -7,10 +7,8 @@
 //! accounts per-device latency, busy time and traffic, and produces the
 //! raw material for the power/throughput analyses of §7.
 
-use std::sync::Arc;
-
 use disk_trace::{DiskRequest, OpKind, PAGE_BYTES};
-use flash_obs::{EventRing, ObsSink, Registry, ServiceTier, Snapshot};
+use flash_obs::{Registry, ServiceTier, Snapshot};
 use flashcache_core::{CacheOp, FlashCache, FlashCacheConfig, PrimaryDiskCache};
 use flashcache_engine::{EngineConfig, EngineError, ShardedCache};
 use storage_model::{ActivityTracker, DramModel, DramPowerBreakdown, HddModel};
@@ -162,10 +160,6 @@ pub struct Hierarchy {
     dram_page_s: f64,
     /// `submit_batch`'s staging buffers, reused across batches.
     staging: Staging,
-    /// Attached observability sink (shared with the flash cache).
-    sink: Option<Arc<ObsSink>>,
-    /// Guards the Drop-time metric flush against double counting.
-    obs_flushed: bool,
 }
 
 /// What the staged (multi-shard) `submit_batch` collects per batch.
@@ -217,21 +211,8 @@ impl Hierarchy {
             dram_page_us,
             dram_page_s: dram_page_us / 1e6,
             staging: Staging::default(),
-            sink: flash_obs::global_sink(),
-            obs_flushed: false,
             config,
         })
-    }
-
-    /// Attaches an observability sink to the hierarchy and its flash
-    /// cache, replacing the process-global one picked up at
-    /// construction (if any).
-    pub fn attach_sink(&mut self, sink: Arc<ObsSink>) {
-        if let Some(f) = &mut self.flash {
-            f.attach_sink(Arc::clone(&sink));
-        }
-        self.sink = Some(sink);
-        self.obs_flushed = false;
     }
 
     /// Exports the hierarchy's per-tier counters and latency histograms
@@ -265,26 +246,27 @@ impl Hierarchy {
         reg
     }
 
-    /// A full telemetry snapshot: the sink's accumulated registry and
-    /// event trace, merged with the *live* (not yet flushed) metrics of
-    /// this hierarchy and its flash cache.
+    /// A full telemetry snapshot: this hierarchy's metrics merged with
+    /// its flash engine's.
     ///
-    /// Take either this snapshot *or* a later `ObsSink::snapshot` after
-    /// drop — combining both double-counts the live metrics.
+    /// # Examples
+    ///
+    /// ```
+    /// use disk_trace::DiskRequest;
+    /// use flashcache_sim::hierarchy::{Hierarchy, HierarchyConfig};
+    ///
+    /// let mut h = Hierarchy::new(HierarchyConfig::default());
+    /// h.submit(DiskRequest::read(10));
+    /// let snap = h.obs_snapshot();
+    /// assert_eq!(snap.registry.counter("hierarchy.requests"), 1);
+    /// assert_eq!(snap.registry.counter("flash.reads"), 1);
+    /// ```
     pub fn obs_snapshot(&self) -> Snapshot {
-        let mut reg = match &self.sink {
-            Some(s) => s.registry(),
-            None => Registry::new(),
-        };
-        reg.merge(&self.export_metrics());
+        let mut reg = self.export_metrics();
         if let Some(f) = &self.flash {
             reg.merge(&f.export_metrics());
         }
-        let events = match &self.sink {
-            Some(s) => s.events(),
-            None => EventRing::new(0),
-        };
-        Snapshot::new(reg, events)
+        Snapshot::new(reg)
     }
 
     /// The first flash shard, when flash is present. With the default
@@ -619,21 +601,6 @@ impl Hierarchy {
                         + shard.device().config().power.idle_w(capacity)
                 })
                 .sum(),
-        }
-    }
-}
-
-impl Drop for Hierarchy {
-    /// Flushes the hierarchy's metrics into the attached sink (the
-    /// flash cache flushes its own `flash.*`/`nand.*` metrics in its
-    /// own `Drop`).
-    fn drop(&mut self) {
-        if self.obs_flushed {
-            return;
-        }
-        if let Some(s) = &self.sink {
-            s.merge_registry(&self.export_metrics());
-            self.obs_flushed = true;
         }
     }
 }

@@ -265,6 +265,4 @@ fn cache_op_constructors_roundtrip() {
     assert_eq!(r.kind, CacheOpKind::Read);
     let w = CacheOp::write(7);
     assert_eq!(w.kind, CacheOpKind::Write);
-    let ctx = flashcache::nand::OpContext::background();
-    assert_eq!(w.with_ctx(ctx).ctx, ctx);
 }

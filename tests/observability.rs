@@ -1,15 +1,13 @@
-//! End-to-end observability: a seeded workload replayed through the
-//! full hierarchy must produce a JSON snapshot that (a) parses with the
-//! crate's own parser, (b) is internally consistent — counters
-//! reconcile with each other and with the event trace — and (c) is
-//! byte-identical across two runs at the same seed.
-
-use std::sync::Arc;
+//! End-to-end observability on the pull route: a seeded workload is
+//! replayed through the full hierarchy, and `Hierarchy::obs_snapshot`
+//! (the hierarchy's `export_metrics` merged with its flash engine's) must
+//! (a) parse with the crate's own parser, (b) reconcile across layers,
+//! and (c) be byte-identical across two runs at the same seed.
 
 use flashcache::nand::{FlashConfig, FlashGeometry, WearConfig};
-use flashcache::obs::{json, EventKind, ObsSink};
+use flashcache::obs::json;
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
-use flashcache::{ControllerPolicy, FlashCacheConfig, ObsSink as FacadeSink, WorkloadSpec};
+use flashcache::{ControllerPolicy, FlashCacheConfig, WorkloadSpec};
 
 const REQUESTS: u64 = 20_000;
 
@@ -31,16 +29,15 @@ fn obs_flash() -> FlashCacheConfig {
     }
 }
 
-/// Runs the seeded workload with an explicitly attached sink and
-/// returns the snapshot JSON.
-fn run_snapshot(seed: u64) -> String {
-    let sink = Arc::new(ObsSink::with_capacity(64));
+/// Runs the seeded workload over `shards` flash shards and returns the
+/// snapshot JSON.
+fn run_snapshot(seed: u64, shards: usize) -> String {
     let mut hierarchy = Hierarchy::new(HierarchyConfig {
         dram_bytes: 256 * 2048,
         flash: Some(obs_flash()),
+        flash_shards: shards,
         ..HierarchyConfig::default()
     });
-    hierarchy.attach_sink(Arc::clone(&sink));
     let workload = WorkloadSpec::dbt2().scaled(1024);
     let mut generator = workload.generator(seed);
     for _ in 0..REQUESTS {
@@ -57,85 +54,57 @@ fn counter(doc: &json::JsonValue, name: &str) -> u64 {
         .unwrap_or_else(|| panic!("missing counter `{name}`"))
 }
 
-fn event_count(doc: &json::JsonValue, kind: EventKind) -> u64 {
-    doc.get("events")
-        .and_then(|e| e.get("counts"))
-        .and_then(|c| c.get(kind.name()))
-        .and_then(json::JsonValue::as_u64)
-        .unwrap_or_else(|| panic!("missing event count `{}`", kind.name()))
-}
-
 #[test]
 fn snapshot_parses_and_reconciles() {
-    let raw = run_snapshot(0x1507_2008);
-    let doc = json::parse(&raw).expect("snapshot must parse with the crate's own parser");
+    for shards in [1, 4] {
+        let raw = run_snapshot(0x1507_2008, shards);
+        let doc = json::parse(&raw).expect("snapshot must parse with the crate's own parser");
+        let keys: Vec<&str> = doc
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["version", "metrics"]);
+        assert_eq!(
+            doc.get("version").and_then(json::JsonValue::as_u64),
+            Some(2)
+        );
 
-    assert_eq!(
-        doc.get("version").and_then(json::JsonValue::as_u64),
-        Some(1)
-    );
+        // The run actually exercised the stack.
+        assert_eq!(counter(&doc, "hierarchy.requests"), REQUESTS);
+        let reads = counter(&doc, "flash.reads");
+        assert!(reads > 0, "flash saw no reads");
+        assert_eq!(
+            reads,
+            counter(&doc, "flash.read_hits") + counter(&doc, "flash.read_misses")
+        );
+        assert!(counter(&doc, "flash.erases") > 0, "no GC in a worn cache?");
+        assert!(counter(&doc, "flash.reconfig_ecc") > 0, "no §5.2 response?");
 
-    // The run actually exercised the stack.
-    assert_eq!(counter(&doc, "hierarchy.requests"), REQUESTS);
-    let reads = counter(&doc, "flash.reads");
-    assert!(reads > 0, "flash saw no reads");
-    assert_eq!(
-        reads,
-        counter(&doc, "flash.read_hits") + counter(&doc, "flash.read_misses")
-    );
-    assert!(counter(&doc, "nand.reads") > 0);
-    assert!(counter(&doc, "flash.erases") > 0, "no GC in a worn cache?");
-
-    // Event counts reconcile with the stats counters (Figure 11's
-    // breakdown): every erase, ECC bump and density reconfiguration
-    // emitted exactly one event.
-    assert_eq!(
-        event_count(&doc, EventKind::BlockErased),
-        counter(&doc, "flash.erases")
-    );
-    assert_eq!(
-        event_count(&doc, EventKind::EccStrengthBump),
-        counter(&doc, "flash.reconfig_ecc")
-    );
-    assert_eq!(
-        event_count(&doc, EventKind::DensityMlcToSlc) + event_count(&doc, EventKind::HotPromotion),
-        counter(&doc, "flash.reconfig_density")
-    );
-    assert_eq!(
-        event_count(&doc, EventKind::WearMigration),
-        counter(&doc, "flash.wear_migrations")
-    );
-
-    // The trace is bounded but the counts are exact.
-    let events = doc.get("events").unwrap();
-    let total = events
-        .get("total")
-        .and_then(json::JsonValue::as_u64)
-        .unwrap();
-    let dropped = events
-        .get("dropped")
-        .and_then(json::JsonValue::as_u64)
-        .unwrap();
-    let trace_len = events
-        .get("trace")
-        .and_then(json::JsonValue::as_array)
-        .unwrap()
-        .len() as u64;
-    assert_eq!(total, trace_len + dropped);
-    let counted: u64 = EventKind::ALL.iter().map(|k| event_count(&doc, *k)).sum();
-    assert_eq!(counted, total);
+        // Cache and device count the same operations: each device
+        // operation has exactly one call site in the cache (the read hit
+        // and `relocate_pages` for reads, `program_slot` for programs,
+        // `erase_block_internal` for erases), and that site counts it.
+        for (cache, device) in [
+            ("flash.flash_reads", "nand.reads"),
+            ("flash.flash_programs", "nand.programs"),
+            ("flash.erases", "nand.erases"),
+        ] {
+            assert_eq!(
+                counter(&doc, cache),
+                counter(&doc, device),
+                "{cache} vs {device} at {shards} shards"
+            );
+        }
+    }
 }
 
 #[test]
 fn snapshots_are_byte_identical_at_fixed_seed() {
-    let a = run_snapshot(42);
-    let b = run_snapshot(42);
-    assert_eq!(a, b, "same seed must produce byte-identical snapshots");
-}
-
-#[test]
-fn facade_re_exports_the_sink_type() {
-    // `flashcache::ObsSink` and `flashcache::obs::ObsSink` are the same
-    // type; a sink built through either observes the same caches.
-    let _same: Arc<FacadeSink> = Arc::new(ObsSink::with_capacity(4));
+    for shards in [1, 4] {
+        let a = run_snapshot(42, shards);
+        let b = run_snapshot(42, shards);
+        assert_eq!(a, b, "same seed must produce byte-identical snapshots");
+    }
 }
