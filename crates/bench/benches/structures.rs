@@ -69,25 +69,49 @@ fn bench_trace_generation(c: &mut Criterion) {
     });
 }
 
-fn bench_hierarchy_submit(c: &mut Criterion) {
+/// A hierarchy warmed a little so all three levels participate.
+fn warm_hierarchy() -> Hierarchy {
     let mut h = Hierarchy::new(HierarchyConfig {
         dram_bytes: 4 << 20,
         ..HierarchyConfig::default()
     });
-    // Warm a little so all three levels participate.
     for p in 0..20_000u64 {
         h.submit(DiskRequest::read(p % 30_000));
     }
+    h
+}
+
+/// One request of the mixed stream: 30% writes over 30 000 pages.
+fn mixed_request(rng: &mut StdRng) -> DiskRequest {
+    let p = rng.gen_range(0..30_000u64);
+    if rng.gen_bool(0.3) {
+        DiskRequest::write(p)
+    } else {
+        DiskRequest::read(p)
+    }
+}
+
+fn bench_hierarchy_submit(c: &mut Criterion) {
+    let mut h = warm_hierarchy();
     let mut rng = StdRng::seed_from_u64(4);
     c.bench_function("hierarchy_submit_mixed", |b| {
+        b.iter(|| std::hint::black_box(h.submit(mixed_request(&mut rng))))
+    });
+}
+
+/// The same stream 512 requests per call: one flash batch per call.
+fn bench_hierarchy_submit_batch(c: &mut Criterion) {
+    let mut h = warm_hierarchy();
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut batch = Vec::with_capacity(512);
+    let mut outs = Vec::with_capacity(512);
+    c.bench_function("hierarchy_submit_batch_512", |b| {
         b.iter(|| {
-            let p = rng.gen_range(0..30_000u64);
-            let req = if rng.gen_bool(0.3) {
-                DiskRequest::write(p)
-            } else {
-                DiskRequest::read(p)
-            };
-            std::hint::black_box(h.submit(req))
+            batch.clear();
+            batch.extend((0..512).map(|_| mixed_request(&mut rng)));
+            outs.clear();
+            h.submit_batch_into(&batch, &mut outs);
+            std::hint::black_box(outs.len())
         })
     });
 }
@@ -99,6 +123,7 @@ criterion_group!(
     bench_histogram,
     bench_popularity,
     bench_trace_generation,
-    bench_hierarchy_submit
+    bench_hierarchy_submit,
+    bench_hierarchy_submit_batch
 );
 criterion_main!(benches);

@@ -257,8 +257,10 @@ pub fn simulate(args: &Args) -> Result<(), String> {
     // structural invariants are asserted each few thousand requests.
     let checked = invariant_checks_enabled();
     let mut unchecked = 0u64;
+    let mut outcomes = Vec::with_capacity(batch);
     let mut submit = |hierarchy: &mut Hierarchy, pending: &mut Vec<DiskRequest>| {
-        hierarchy.submit_batch(pending);
+        outcomes.clear();
+        hierarchy.submit_batch_into(pending, &mut outcomes);
         unchecked += pending.len() as u64;
         pending.clear();
         if checked && unchecked >= INVARIANT_CHECK_INTERVAL {

@@ -8,7 +8,7 @@
 //! paper's §5.1 rule, the differential tests' reference, pinned by every
 //! figure. Host writes are admitted under both.
 
-use crate::tables::Fcht;
+use crate::tables::{prefetch_read, Fcht};
 
 /// Frequency admission (TinyLFU's position): a read-miss fill is admitted
 /// iff the page has been read more often than the median page the last
@@ -57,6 +57,14 @@ impl FrequencySketch {
     fn estimate(&self, page: u64) -> u8 {
         let (word, at) = self.locate(page);
         least(self.words[word], at) as u8
+    }
+
+    /// Issues a best-effort prefetch of the word `count_read(disk_page)`
+    /// updates: a pure hint, like [`Fcht::prefetch`].
+    #[inline]
+    pub(crate) fn prefetch(&self, disk_page: u64) {
+        let (word, _) = self.locate(disk_page);
+        prefetch_read(self.words.as_ptr().wrapping_add(word).cast());
     }
 
     /// Whether `disk_page` has earned a read-miss fill.

@@ -590,8 +590,9 @@ impl FlashCache {
     /// snapshots, stats, and exported metrics are byte-identical to the
     /// scalar loop for every batch size. What the batch adds is a
     /// software-pipelined *lookup front*: while op `j` executes, the
-    /// FCHT lines of op `j + K` are prefetched (a pure hint — see
-    /// DESIGN.md), overlapping the LLC misses of independent requests.
+    /// FCHT lines of op `j + K` (and a read's sketch word) are
+    /// prefetched (a pure hint — see DESIGN.md), overlapping the LLC
+    /// misses of independent requests.
     ///
     /// # Examples
     ///
@@ -620,12 +621,15 @@ impl FlashCache {
         // replay benchmark; 4 was fastest and larger windows only evict
         // their own prefetches.
         const WINDOW: usize = 4;
-        for op in ops.iter().take(WINDOW) {
-            self.fcht.prefetch(op.lba);
-        }
         for (j, &op) in ops.iter().enumerate() {
-            if let Some(ahead) = ops.get(j + WINDOW) {
+            // Op `j + WINDOW`'s first lines (the first op: ops 0 to
+            // `WINDOW`'s): its FCHT probe and a read's sketch word.
+            let first = if j == 0 { 0 } else { j + WINDOW };
+            for ahead in ops.iter().take(j + WINDOW + 1).skip(first) {
                 self.fcht.prefetch(ahead.lba);
+                if let (CacheOpKind::Read, Some(sketch)) = (ahead.kind, &self.admission) {
+                    sketch.prefetch(ahead.lba);
+                }
             }
             out.push(self.op(op));
         }

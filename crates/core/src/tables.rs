@@ -367,7 +367,7 @@ impl Fcht {
 /// Best-effort read prefetch into the nearest cache level: a no-op on
 /// architectures without a stable hint instruction.
 #[inline(always)]
-fn prefetch_read(p: *const u8) {
+pub(crate) fn prefetch_read(p: *const u8) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a hint; it never faults, even on invalid
     // addresses.

@@ -11,8 +11,8 @@
 //! * the disk-page address space is hash-partitioned across N
 //!   independent `FlashCache` shards (device geometry split N ways, so
 //!   total capacity is conserved);
-//! * a batched submission API ([`ShardedCache::submit`]) groups each
-//!   batch by owning shard and executes the groups as a fork-join:
+//! * a batched submission API ([`ShardedCache::submit_ops`]) groups an
+//!   op stream by owning shard and executes the groups as a fork-join:
 //!   the submitting thread services its share of the shards while
 //!   long-lived helper threads service theirs, each shard moved to its
 //!   thread and back over a `std::sync::mpsc` channel (no helper

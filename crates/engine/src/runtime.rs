@@ -1,13 +1,13 @@
 //! The engine's executor: one fork-join over `std::sync::mpsc`.
 //!
-//! [`ShardedCache::submit`](crate::ShardedCache::submit) stages a whole
-//! batch into per-shard groups before anything runs and returns only
-//! after every completion is back, so a shard's share of a batch is one
-//! [`Job`]: the shard itself and its [`Group`], moved by value to the
-//! thread that services it and moved back filled. Ownership transfer is
-//! the synchronisation — while a job is away nothing else can name its
-//! shard, and when `submit` returns every shard is back in the engine's
-//! `Vec`.
+//! [`ShardedCache::submit_ops`](crate::ShardedCache::submit_ops) routes a
+//! whole op stream into per-shard groups before anything runs and
+//! returns only after every outcome is back, so a shard's share of a
+//! batch is one [`Job`]: the shard itself and its [`Group`], moved by
+//! value to the thread that services it and moved back filled. Ownership
+//! transfer is the synchronisation — while a job is away nothing else can
+//! name its shard, and when `submit_ops` returns every shard is back in
+//! the engine's `Vec`.
 //!
 //! Each worker services a contiguous run of shards. Worker 0 is the
 //! submitter, whose run never leaves the `Vec` and is serviced in place
@@ -20,31 +20,29 @@
 //!
 //! [`service`] runs a group under `catch_unwind`: a panicking shard is
 //! poisoned (later groups degrade without touching it), every degraded
-//! operation is counted in its group, and a degraded disk-bound
-//! completion keeps one completion per staged op — a batch always
-//! completes whole.
+//! operation is counted in its group, and a degraded disk-bound outcome
+//! pads the group to one outcome per op — a batch always completes
+//! whole.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
-use disk_trace::OpKind;
 use flash_obs::ServiceTier;
-use flashcache_core::{AccessOutcome, CacheOp, CacheOutcome, FlashCache};
-
-/// One staged operation: (request index, disk page, op).
-pub(crate) type Req = (u32, u64, OpKind);
-
-/// One completed operation: (request index, outcome).
-pub(crate) type Done = (u32, AccessOutcome);
+use flashcache_core::{
+    AccessOutcome, AdmissionDecision, CacheOp, CacheOpKind, CacheOutcome, FlashCache,
+};
 
 /// One shard's share of a batch plus the panic state that outlives it.
 #[derive(Debug, Default)]
 pub(crate) struct Group {
-    /// Staged ops, in submission order.
-    pub(crate) reqs: Vec<Req>,
-    /// One completion per staged op, in the same order.
-    pub(crate) done: Vec<Done>,
+    /// The shard's ops, in stream order.
+    pub(crate) ops: Vec<CacheOp>,
+    /// The stream index of each of `ops`; empty when one shard owns the
+    /// whole stream.
+    pub(crate) owners: Vec<u32>,
+    /// One outcome per op, in the same order.
+    pub(crate) outs: Vec<CacheOutcome>,
     /// Set when a group on this shard panicked; later groups degrade
     /// without touching the (possibly inconsistent) shard.
     poisoned: bool,
@@ -55,42 +53,39 @@ pub(crate) struct Group {
 /// A shard and its group, travelling together.
 pub(crate) type Job = (FlashCache, Group);
 
-/// Staging buffers a thread reuses across groups: the typed ops handed
-/// to [`FlashCache::op_batch_into`] and the outcomes it fills.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    ops: Vec<CacheOp>,
-    outs: Vec<CacheOutcome>,
-}
-
 /// Outcome reported for an operation whose shard panicked: the access
 /// bypasses the cache and the caller goes to disk, mirroring the
 /// degraded outcome `FlashCache::op` produces for an internal
 /// `CacheError`.
-fn degraded(op: OpKind) -> AccessOutcome {
-    AccessOutcome {
+fn degraded(op: &CacheOp) -> CacheOutcome {
+    let access = AccessOutcome {
         hit: false,
         tier: ServiceTier::Disk,
-        needs_disk_read: matches!(op, OpKind::Read),
+        needs_disk_read: op.kind == CacheOpKind::Read,
         bypassed: true,
         ..AccessOutcome::default()
+    };
+    CacheOutcome {
+        access,
+        admission: AdmissionDecision::NotApplicable,
     }
 }
 
-/// Runs `group.reqs` through `cache` in order as one pipelined batch
-/// and appends one completion per op to `group.done`. The batch executes
-/// sequentially, so a panic at op `k` leaves exactly `k` outcomes;
-/// those are reported as-is and the rest degrade.
-pub(crate) fn service(cache: &mut FlashCache, group: &mut Group, scratch: &mut Scratch) {
-    let Scratch { ops, outs } = scratch;
-    ops.clear();
+/// Runs `group.ops` through `cache` in order as one pipelined batch into
+/// `group.outs`. The batch executes sequentially, so a panic at op `k`
+/// leaves exactly `k` outcomes; those are reported as-is and the rest
+/// degrade.
+pub(crate) fn service(cache: &mut FlashCache, group: &mut Group) {
+    let Group {
+        ops,
+        outs,
+        poisoned,
+        degraded: lost_ops,
+        ..
+    } = group;
     outs.clear();
-    if !group.poisoned {
-        ops.extend(group.reqs.iter().map(|&(_, page, op)| match op {
-            OpKind::Read => CacheOp::read(page),
-            OpKind::Write => CacheOp::write(page),
-        }));
-        group.poisoned = catch_unwind(AssertUnwindSafe(|| {
+    if !*poisoned {
+        *poisoned = catch_unwind(AssertUnwindSafe(|| {
             #[cfg(test)]
             if let Some(k) = ops.iter().position(|op| op.lba >= tests::PANIC_FLOOR) {
                 cache.op_batch_into(&ops[..k], outs);
@@ -100,14 +95,9 @@ pub(crate) fn service(cache: &mut FlashCache, group: &mut Group, scratch: &mut S
         }))
         .is_err();
     }
-    let (real, lost) = group.reqs.split_at(outs.len());
-    group.degraded += lost.len() as u64;
-    let real = real.iter().zip(outs.iter());
-    group
-        .done
-        .extend(real.map(|(&(ri, _, _), o)| (ri, o.access)));
-    let lost = lost.iter().map(|&(ri, _, op)| (ri, degraded(op)));
-    group.done.extend(lost);
+    let lost = &ops[outs.len()..];
+    *lost_ops += lost.len() as u64;
+    outs.extend(lost.iter().map(degraded));
 }
 
 /// A long-lived helper thread and the two channels its jobs travel on.
@@ -127,9 +117,8 @@ impl Helper {
         let thread = std::thread::Builder::new()
             .name(format!("flashcache-shard-worker-{w}"))
             .spawn(move || {
-                let mut scratch = Scratch::default();
                 for (mut cache, mut group) in inbox {
-                    service(&mut cache, &mut group, &mut scratch);
+                    service(&mut cache, &mut group);
                     if outbox.send((cache, group)).is_err() {
                         break;
                     }
@@ -169,8 +158,7 @@ impl Helper {
 
 #[cfg(test)]
 mod tests {
-    use disk_trace::DiskRequest;
-    use flashcache_core::FlashCacheConfig;
+    use flashcache_core::{CacheOp, FlashCacheConfig};
     use nand_flash::{FlashConfig, FlashGeometry};
 
     use crate::sharded::MIN_FORK_OPS;
@@ -198,18 +186,19 @@ mod tests {
         ShardedCache::with_engine_config(config, 2, engine).expect("valid engine")
     }
 
-    /// Reads interleaving the two page lists; each shard still sees
-    /// its own pages in the order listed.
-    fn interleaved(a: &[u64], b: &[u64]) -> Vec<DiskRequest> {
+    /// Reads interleaving the two page lists; each shard's group still
+    /// holds its own pages in the order listed.
+    fn interleaved(a: &[u64], b: &[u64]) -> Vec<CacheOp> {
         let pairs = a.iter().zip(b);
         pairs
-            .flat_map(|(&a, &b)| [DiskRequest::read(a), DiskRequest::read(b)])
+            .flat_map(|(&a, &b)| [CacheOp::read(a), CacheOp::read(b)])
             .collect()
     }
 
     /// A shard panic at op `k` of its group reports `k` real outcomes
-    /// and degrades the rest in per-shard submission order; the next
-    /// batch on the poisoned shard degrades whole, counted op for op in
+    /// and pads the group with degraded ones, so the stream still gets
+    /// one outcome per op in stream order; the next batch on the
+    /// poisoned shard degrades whole, counted op for op in
     /// `internal_errors`; the other shard keeps servicing; every shard
     /// comes home. Shard 0 is always the submitter's and shard 1 is a
     /// helper's at two workers (the batches are large enough to fork),
@@ -230,7 +219,8 @@ mod tests {
             let first = hurt[k];
             hurt[k] = on(poisoned, PANIC_FLOOR)[0];
 
-            let outs = e.submit(&interleaved(&healthy, &hurt));
+            let mut outs = Vec::new();
+            e.submit_ops(&interleaved(&healthy, &hurt), &mut outs);
             assert_eq!(outs.len(), 2 * PER_SHARD, "every op completes");
             for (i, pair) in outs.chunks_exact(2).enumerate() {
                 assert!(!pair[0].bypassed && pair[0].needs_disk_read);
@@ -246,10 +236,11 @@ mod tests {
 
             // The poisoned shard degrades the next batch whole (its
             // first `k` pages were filled, yet none hits); the healthy
-            // shard hits what it filled.
+            // shard hits what it filled. Outcomes append to `outs`.
             hurt[k] = first;
-            let outs = e.submit(&interleaved(&healthy, &hurt));
-            for pair in outs.chunks_exact(2) {
+            e.submit_ops(&interleaved(&healthy, &hurt), &mut outs);
+            assert_eq!(outs.len(), 4 * PER_SHARD);
+            for pair in outs[2 * PER_SHARD..].chunks_exact(2) {
                 assert!(pair[0].hit, "the other shard keeps servicing");
                 assert!(pair[1].bypassed && !pair[1].hit);
             }
@@ -266,8 +257,8 @@ mod tests {
     #[test]
     fn drop_joins_live_helpers() {
         let mut e = engine(2);
-        let batch: Vec<DiskRequest> = (0..MIN_FORK_OPS as u64).map(DiskRequest::read).collect();
-        e.submit(&batch);
+        let ops: Vec<CacheOp> = (0..MIN_FORK_OPS as u64).map(CacheOp::read).collect();
+        e.submit_ops(&ops, &mut Vec::new());
         assert_eq!(e.workers(), 2);
         drop(e);
     }

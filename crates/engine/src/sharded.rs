@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use disk_trace::DiskRequest;
+use disk_trace::{DiskRequest, OpKind};
 use flash_obs::{Metric, Registry, ServiceTier};
 use flashcache_core::tables::Fgst;
 use flashcache_core::{
@@ -10,12 +10,12 @@ use flashcache_core::{
     FlashCacheConfig,
 };
 
-use crate::runtime::{service, Group, Helper, Scratch};
+use crate::runtime::{service, Group, Helper};
 
 /// Golden-ratio increment decorrelating per-shard RNG seeds.
 const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Staged page operations below which a batch runs on the submitting
+/// Page operations below which a batch runs on the submitting
 /// thread alone. Handing a shard to a sleeping helper and waiting for
 /// it costs two thread wake-ups, tens of microseconds; a page operation
 /// costs a fraction of one, so a batch this small cannot repay the
@@ -89,7 +89,7 @@ impl From<ConfigError> for EngineError {
 /// Folds a later page's outcome into a multi-page request's merged
 /// outcome: latencies sum, `hit` requires every page to hit, and the
 /// tier degrades to [`ServiceTier::Disk`] if any page needs the disk.
-fn merge_outcome(slot: &mut AccessOutcome, out: AccessOutcome) {
+fn merge_outcome(mut slot: AccessOutcome, out: AccessOutcome) -> AccessOutcome {
     slot.hit &= out.hit;
     slot.latency_us += out.latency_us;
     slot.queue_wait_us += out.queue_wait_us;
@@ -101,6 +101,7 @@ fn merge_outcome(slot: &mut AccessOutcome, out: AccessOutcome) {
     if out.tier == ServiceTier::Disk {
         slot.tier = ServiceTier::Disk;
     }
+    slot
 }
 
 /// splitmix64 finalizer: uncorrelates disk-page numbers before the
@@ -140,8 +141,8 @@ fn route(page: u64, n: usize) -> usize {
 /// For a fixed (configuration seed, shard count), every query — merged
 /// stats, outcomes, device makespan — is reproducible regardless of the
 /// worker-thread count: batches partition deterministically (splitmix64
-/// of the page number, mod N), each shard consumes its slice in batch
-/// order, and result slots are keyed by request index.
+/// of the page number, mod N), each shard consumes its slice in stream
+/// order, and result slots are keyed by stream index.
 ///
 /// # Examples
 ///
@@ -163,7 +164,7 @@ pub struct ShardedCache {
     /// while the helpers' shards travel with their jobs.
     shards: Vec<FlashCache>,
     /// Per shard, in partition order: its slice of the current batch,
-    /// the completions, and its panic state (buffers reused per batch).
+    /// the outcomes, and its panic state (buffers reused per batch).
     groups: Vec<Group>,
     /// Threads servicing a batch, the submitter included (capped by the
     /// shard count).
@@ -171,8 +172,6 @@ pub struct ShardedCache {
     /// Worker threads `1..`, each spawned by the first batch that
     /// sends it a shard.
     helpers: Vec<Helper>,
-    /// Reused staging buffers of the submitter's share.
-    scratch: Scratch,
     /// Batches submitted.
     batches: u64,
 }
@@ -233,7 +232,6 @@ impl ShardedCache {
             groups: (0..shards).map(|_| Group::default()).collect(),
             workers,
             helpers: Vec::new(),
-            scratch: Scratch::default(),
             batches: 0,
         })
     }
@@ -265,20 +263,47 @@ impl ShardedCache {
         route(disk_page, self.shards.len())
     }
 
-    /// Submits a batch, executing the shards concurrently, and returns
-    /// one merged [`AccessOutcome`] per request (in batch order).
+    /// Submits a batch of requests and returns one merged
+    /// [`AccessOutcome`] per request, in batch order.
     ///
-    /// Requests are decomposed into pages, grouped by owning shard, and
-    /// each shard services its group in batch order. A multi-page
-    /// request spanning shards merges its page outcomes: latencies sum,
-    /// `hit` requires every page to hit, and the tier degrades to
-    /// [`ServiceTier::Disk`] if any page needs the disk.
+    /// The requests' pages become one op stream, in batch and page
+    /// order, run by [`submit_ops`](ShardedCache::submit_ops); a
+    /// multi-page request then folds its pages' outcomes in page order:
+    /// latencies sum, `hit` requires every page to hit, and the tier
+    /// degrades to [`ServiceTier::Disk`] if any page needs the disk.
+    pub fn submit(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
+        let ops: Vec<CacheOp> = batch
+            .iter()
+            .flat_map(|req| {
+                req.pages().map(move |page| match req.op {
+                    OpKind::Read => CacheOp::read(page),
+                    OpKind::Write => CacheOp::write(page),
+                })
+            })
+            .collect();
+        let mut outs = Vec::with_capacity(ops.len());
+        self.submit_ops(&ops, &mut outs);
+        let mut outs = outs.into_iter();
+        batch
+            .iter()
+            .map(|req| {
+                let mut pages = outs.by_ref().take(req.len as usize);
+                let first = pages.next().unwrap_or_default();
+                pages.fold(first, merge_outcome)
+            })
+            .collect()
+    }
+
+    /// Runs an op stream through the shards, executing them
+    /// concurrently, and appends one [`AccessOutcome`] per op to `outs`,
+    /// in stream order.
     ///
-    /// Three steps: stage the pages into per-shard groups, execute the
-    /// groups, merge the completions into per-request outcomes. Modeled
-    /// time is not accounted here: each shard's device keeps its own
-    /// clock, read through
-    /// [`device_makespan_us`](ShardedCache::device_makespan_us).
+    /// Each shard runs its ops in stream order as one pipelined
+    /// [`FlashCache::op_batch_into`], so the outcomes, and every shard's
+    /// state afterwards, are exactly those of calling
+    /// [`op`](ShardedCache::op) on each op in turn. Modeled time is not
+    /// accounted here: each shard's device keeps its own clock, read
+    /// through [`device_makespan_us`](ShardedCache::device_makespan_us).
     ///
     /// Execution is a fork-join. Each worker owns a contiguous run of
     /// `ceil(shards / workers)` shards; worker 0 is the calling thread
@@ -286,25 +311,26 @@ impl ShardedCache {
     /// their groups, over a channel to that worker's long-lived thread;
     /// the caller services its own run in place meanwhile, then takes
     /// the others back in partition order. With one worker, or fewer
-    /// than [`MIN_FORK_OPS`] page operations in the batch, no shard
-    /// moves at all. A shard whose group
-    /// panics is poisoned: the rest of that group and every later one
-    /// complete as disk bypasses, counted in `stats().internal_errors`.
-    pub fn submit(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
+    /// than [`MIN_FORK_OPS`] ops in the stream, no shard moves at all. A
+    /// shard whose group panics is poisoned: the rest of that group and
+    /// every later one complete as disk bypasses, counted in
+    /// `stats().internal_errors`.
+    pub fn submit_ops(&mut self, ops: &[CacheOp], outs: &mut Vec<AccessOutcome>) {
         let n = self.shards.len();
         for g in &mut self.groups {
-            g.reqs.clear();
-            g.done.clear();
+            g.ops.clear();
+            g.owners.clear();
         }
-        for (ri, req) in batch.iter().enumerate() {
-            for page in req.pages() {
-                self.groups[route(page, n)]
-                    .reqs
-                    .push((ri as u32, page, req.op));
+        if n == 1 {
+            self.groups[0].ops.extend_from_slice(ops);
+        } else {
+            for (i, &op) in ops.iter().enumerate() {
+                let g = &mut self.groups[route(op.lba, n)];
+                g.ops.push(op);
+                g.owners.push(i as u32);
             }
         }
-        let staged: usize = self.groups.iter().map(|g| g.reqs.len()).sum();
-        let workers = if staged < MIN_FORK_OPS {
+        let workers = if ops.len() < MIN_FORK_OPS {
             1
         } else {
             self.workers
@@ -321,7 +347,7 @@ impl ShardedCache {
             self.helpers[h].send(job);
         }
         for (shard, group) in self.shards.iter_mut().zip(&mut self.groups) {
-            service(shard, group, &mut self.scratch);
+            service(shard, group);
         }
         // A helper returns its jobs in the order sent, so this restores
         // partition order.
@@ -330,24 +356,18 @@ impl ShardedCache {
             self.shards.push(shard);
             self.groups.push(group);
         }
-        // Shards merge in partition order, completions in per-shard
-        // submission order, so a multi-page request's latency sum runs
-        // in the same arithmetic order at every worker count.
-        let mut merged = vec![AccessOutcome::default(); batch.len()];
-        let mut seen = vec![false; batch.len()];
-        for group in &self.groups {
-            for &(ri, out) in &group.done {
-                let slot = &mut merged[ri as usize];
-                if seen[ri as usize] {
-                    merge_outcome(slot, out);
-                } else {
-                    *slot = out;
-                    seen[ri as usize] = true;
+        if n == 1 {
+            outs.extend(self.groups[0].outs.iter().map(|o| o.access));
+        } else {
+            let base = outs.len();
+            outs.resize(base + ops.len(), AccessOutcome::default());
+            for g in &self.groups {
+                for (&i, o) in g.owners.iter().zip(&g.outs) {
+                    outs[base + i as usize] = o.access;
                 }
             }
         }
         self.batches += 1;
-        merged
     }
 
     /// Services one typed operation through its owning shard.
@@ -373,7 +393,7 @@ impl ShardedCache {
     }
 
     /// Merged statistics: the field-wise sum of every shard's counters,
-    /// plus any operations `submit` degraded after a shard panic
+    /// plus any operations a batch degraded after a shard panic
     /// (counted as `internal_errors`, since the poisoned shard itself
     /// can no longer account for them).
     pub fn stats(&self) -> CacheStats {

@@ -14,6 +14,9 @@
 //! submitter (one worker) or on the persistent shard runtime (any
 //! larger worker count).
 //!
+//! The op entry (`submit_ops`, what `Hierarchy` calls) is pinned to the
+//! per-op entry at every shard and worker count.
+//!
 //! The proptest then pins the N>1 aggregation: merged [`CacheStats`]
 //! totals equal the fieldwise sum of the per-shard stats for arbitrary
 //! seeds and shard counts.
@@ -125,6 +128,55 @@ fn serial_entry_points_match_bare_cache() {
         assert_eq!(engine.op(op), bare.op(op));
     }
     assert_eq!(engine.stats(), bare.stats());
+}
+
+/// The op entry is the per-op entry, batched: at every shard count and
+/// worker count, `submit_ops` over a stream of reads and writes yields
+/// the outcomes, stats and metrics of `op` on each op in turn.
+#[test]
+fn op_stream_matches_per_op_calls() {
+    let ops: Vec<CacheOp> = trace(0x0B5, 3_000)
+        .iter()
+        .flat_map(|req| {
+            req.pages().map(move |page| match req.op {
+                OpKind::Read => CacheOp::read(page),
+                OpKind::Write => CacheOp::write(page),
+            })
+        })
+        .collect();
+    for shards in [1usize, 2, 4, 8] {
+        for workers in [1usize, 2] {
+            let engine_cfg = EngineConfig {
+                workers: Some(workers),
+            };
+            let mut batched = ShardedCache::with_engine_config(config(), shards, engine_cfg)
+                .expect("128 blocks divide by 1/2/4/8");
+            let mut scalar = ShardedCache::new(config(), shards).expect("same config");
+            let mut outs = Vec::new();
+            // Batches below and above the fork floor, alternately.
+            let mut rest = &ops[..];
+            for size in [7, 200].into_iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(size.min(rest.len()));
+                rest = tail;
+                let base = outs.len();
+                batched.submit_ops(chunk, &mut outs);
+                assert_eq!(outs.len(), base + chunk.len());
+                for (op, got) in chunk.iter().zip(&outs[base..]) {
+                    assert_eq!(
+                        *got,
+                        scalar.op(*op).access,
+                        "shards={shards} workers={workers}"
+                    );
+                }
+            }
+            let label = format!("shards={shards} workers={workers}");
+            assert_eq!(batched.stats(), scalar.stats(), "{label}");
+            assert_eq!(batched.export_metrics(), scalar.export_metrics(), "{label}");
+        }
+    }
 }
 
 /// Everything observable about one engine run: per-request outcomes,

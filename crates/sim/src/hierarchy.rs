@@ -9,7 +9,9 @@
 
 use disk_trace::{DiskRequest, OpKind, PAGE_BYTES};
 use flash_obs::{Registry, ServiceTier, Snapshot};
-use flashcache_core::{CacheOp, FlashCache, FlashCacheConfig, PrimaryDiskCache};
+use flashcache_core::{
+    AccessOutcome, CacheOp, CacheOpKind, FlashCache, FlashCacheConfig, PrimaryDiskCache,
+};
 use flashcache_engine::{EngineConfig, EngineError, ShardedCache};
 use storage_model::{ActivityTracker, DramModel, DramPowerBreakdown, HddModel};
 
@@ -158,19 +160,49 @@ pub struct Hierarchy {
     /// immutable from here on.
     dram_page_us: f64,
     dram_page_s: f64,
-    /// `submit_batch`'s staging buffers, reused across batches.
-    staging: Staging,
+    /// The current batch's flash-bound op stream, reused across batches.
+    stream: Stream,
 }
 
-/// What the staged (multi-shard) `submit_batch` collects per batch.
+/// The flash-bound ops of one batch (read misses, dirty-eviction
+/// write-backs, periodic-flush writes) in issue order, their outcomes,
+/// and where each request's share of them ends.
 #[derive(Debug, Default)]
-struct Staging {
-    /// PDC-missed read pages, bound for the flash engine.
-    flash_pages: Vec<DiskRequest>,
-    /// Index of the request each of `flash_pages` belongs to.
-    owners: Vec<u32>,
-    /// Per request, the pages that missed flash too.
-    disk_reads: Vec<u32>,
+struct Stream {
+    /// Flash-bound ops, in issue order.
+    ops: Vec<CacheOp>,
+    /// One outcome per op, in the same order.
+    outs: Vec<AccessOutcome>,
+    /// Staged batches: the PDC-missed reads, which issue after every
+    /// probe of the batch.
+    missed: Vec<CacheOp>,
+    /// In order: per request, the ends of its page ops and of the
+    /// periodic flush after it. Staged: per missed read, its request and
+    /// the end of its install's write-back.
+    marks: Vec<(usize, usize)>,
+}
+
+impl Stream {
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.outs.clear();
+        self.missed.clear();
+        self.marks.clear();
+    }
+
+    /// Runs `ops` through the flash into `outs`. Without flash every op
+    /// bypasses to disk.
+    fn execute(&mut self, flash: Option<&mut ShardedCache>) {
+        match flash {
+            Some(flash) if !self.ops.is_empty() => flash.submit_ops(&self.ops, &mut self.outs),
+            Some(_) => {}
+            None => self.outs.extend(self.ops.iter().map(|op| AccessOutcome {
+                needs_disk_read: op.kind == CacheOpKind::Read,
+                bypassed: true,
+                ..AccessOutcome::default()
+            })),
+        }
+    }
 }
 
 impl Hierarchy {
@@ -210,7 +242,7 @@ impl Hierarchy {
             since_flush: 0,
             dram_page_us,
             dram_page_s: dram_page_us / 1e6,
-            staging: Staging::default(),
+            stream: Stream::default(),
             config,
         })
     }
@@ -310,41 +342,13 @@ impl Hierarchy {
         &self.config
     }
 
-    /// Replays one request, returning its foreground outcome.
+    /// Replays one request, returning its foreground outcome: the
+    /// one-request batch of the in-order body (see
+    /// [`Hierarchy::submit_batch`]).
     pub fn submit(&mut self, req: DiskRequest) -> RequestOutcome {
-        let mut out = RequestOutcome::default();
-        let mut disk_read_pages = 0u32;
-        for page in req.pages() {
-            match req.op {
-                OpKind::Read => {
-                    let (lat, wait, tier) = self.read_page(page);
-                    out.latency_us += lat;
-                    match tier {
-                        ServiceTier::Dram => {
-                            out.dram_hits += 1;
-                            self.report.dram_latency.record(lat);
-                        }
-                        ServiceTier::Flash => {
-                            out.flash_hits += 1;
-                            self.record_flash_hit(lat, wait);
-                        }
-                        ServiceTier::Disk => disk_read_pages += 1,
-                    }
-                }
-                OpKind::Write => {
-                    let lat = self.write_page(page);
-                    out.latency_us += lat;
-                    self.report.dram_latency.record(lat);
-                }
-            }
-        }
-        self.close_out(&req, disk_read_pages, &mut out);
-        self.since_flush += 1;
-        if self.since_flush >= self.config.flush_interval {
-            self.since_flush = 0;
-            self.periodic_flush();
-        }
-        out
+        let mut out = [RequestOutcome::default()];
+        self.in_order(std::slice::from_ref(&req), &mut out);
+        out[0]
     }
 
     /// Replays an entire iterator of requests.
@@ -354,111 +358,170 @@ impl Hierarchy {
         }
     }
 
-    /// Replays a batch of requests, letting the flash shards service
-    /// their partitions concurrently ([`ShardedCache::submit`]).
+    /// Replays a batch of requests, returning one outcome per request.
     ///
-    /// With one shard (or no flash) this falls back to serial
-    /// [`Hierarchy::submit`] per request and is outcome-identical to
-    /// it. With multiple shards the batch is staged: every request
-    /// probes the DRAM cache first, then all PDC-missed read pages go
-    /// to the flash engine as one batch, then disk accesses and PDC
-    /// installs are accounted per request in batch order. Within a
-    /// batch, a request therefore does not observe cache fills caused
-    /// by later requests of the same batch — the usual semantics of a
-    /// queue of independent concurrent clients. The periodic PDC flush
-    /// runs at batch boundaries once `flush_interval` requests have
-    /// accumulated.
+    /// A batch runs in three passes. The PDC pass makes every DRAM
+    /// decision and emits the flash-bound ops; PDC decisions never depend
+    /// on what the flash answers (a PDC miss always installs the page).
+    /// The flash runs them as one pipelined engine batch
+    /// ([`ShardedCache::submit_ops`]). The accounting pass replays the
+    /// outcomes in issue order, so every `f64` accumulator sees its
+    /// additions in the order a per-page loop makes them.
+    ///
+    /// With one flash shard (or no flash) the batch runs in order: every
+    /// outcome, report field and flash state is bit-identical to
+    /// [`Hierarchy::submit`] on each request in turn. With
+    /// multiple shards the batch is staged: every request probes the
+    /// DRAM cache first, then all PDC-missed read pages go to the flash
+    /// engine, then disk accesses and PDC installs are accounted per
+    /// request in batch order. Within a staged batch, a request
+    /// therefore does not observe cache fills caused by later requests
+    /// of the same batch — the usual semantics of a queue of independent
+    /// concurrent clients — and the periodic PDC flush runs at batch
+    /// boundaries once `flush_interval` requests have accumulated.
     pub fn submit_batch(&mut self, reqs: &[DiskRequest]) -> Vec<RequestOutcome> {
-        let shard_count = self.flash.as_ref().map_or(0, |f| f.shard_count());
-        if shard_count <= 1 {
-            return reqs.iter().map(|r| self.submit(*r)).collect();
-        }
-        let mut outs = vec![RequestOutcome::default(); reqs.len()];
-        let mut staging = std::mem::take(&mut self.staging);
-        let Staging {
-            flash_pages,
-            owners,
-            disk_reads,
-        } = &mut staging;
-        flash_pages.clear();
-        owners.clear();
-        disk_reads.clear();
-        disk_reads.resize(reqs.len(), 0);
-        // Phase 1: DRAM probes; collect the flash-bound read pages.
-        for (ri, req) in reqs.iter().enumerate() {
-            for page in req.pages() {
-                match req.op {
-                    OpKind::Read => {
-                        let lat = self.dram_access(false);
-                        outs[ri].latency_us += lat;
-                        if self.pdc.access(page) {
-                            outs[ri].dram_hits += 1;
-                            self.report.dram_latency.record(lat);
-                        } else {
-                            flash_pages.push(DiskRequest::read(page));
-                            owners.push(ri as u32);
-                        }
-                    }
-                    OpKind::Write => {
-                        let lat = self.write_page(page);
-                        outs[ri].latency_us += lat;
-                        self.report.dram_latency.record(lat);
-                    }
-                }
-            }
-        }
-        // Phase 2: the shards service the missed pages concurrently.
-        let flash_outs = self
-            .flash
-            .as_mut()
-            .expect("batched path requires flash")
-            .submit(flash_pages);
-        // Phase 3: per-page accounting and PDC installs, batch order.
-        for ((fo, page_req), &ri) in flash_outs.iter().zip(&*flash_pages).zip(&*owners) {
-            let ri = ri as usize;
-            outs[ri].latency_us += fo.latency_us;
-            self.flush_to_disk(fo.flushed_dirty);
-            if fo.tier == ServiceTier::Flash {
-                outs[ri].flash_hits += 1;
-                self.record_flash_hit(self.dram_page_us + fo.latency_us, fo.queue_wait_us);
-            } else {
-                disk_reads[ri] += 1;
-            }
-            self.install_in_pdc(page_req.page, false);
-        }
-        // Phase 4: close out each request — batched disk access, report.
-        for ((req, &pages), out) in reqs.iter().zip(&*disk_reads).zip(&mut outs) {
-            self.close_out(req, pages, out);
-        }
-        self.staging = staging;
-        self.since_flush += reqs.len() as u64;
-        if self.since_flush >= self.config.flush_interval {
-            self.since_flush = 0;
-            self.periodic_flush();
-        }
+        let mut outs = Vec::with_capacity(reqs.len());
+        self.submit_batch_into(reqs, &mut outs);
         outs
     }
 
-    /// Records a flash hit's latency and its split into queue wait and
-    /// service.
-    fn record_flash_hit(&mut self, lat: f64, wait: f64) {
-        self.report.flash_latency.record(lat);
-        self.report.flash_queue_wait.record(wait);
-        self.report.flash_service.record(lat - wait);
+    /// [`Hierarchy::submit_batch`] into a caller-owned buffer (appended;
+    /// not cleared), so replay loops can reuse one allocation.
+    pub fn submit_batch_into(&mut self, reqs: &[DiskRequest], outs: &mut Vec<RequestOutcome>) {
+        let base = outs.len();
+        outs.resize(base + reqs.len(), RequestOutcome::default());
+        if self.flash.as_ref().map_or(0, ShardedCache::shard_count) > 1 {
+            self.staged(reqs, &mut outs[base..]);
+        } else {
+            self.in_order(reqs, &mut outs[base..]);
+        }
     }
 
-    /// Closes out one request: one disk access covers its
-    /// `disk_read_pages` missed pages, then its tier is set and it is
-    /// added to the report.
-    fn close_out(&mut self, req: &DiskRequest, disk_read_pages: u32, out: &mut RequestOutcome) {
-        if disk_read_pages > 0 {
-            let bytes = disk_read_pages as u64 * PAGE_BYTES;
+    /// The in-order body: each request's DRAM decisions, flash ops and
+    /// periodic flush happen where the per-page loop puts them.
+    fn in_order(&mut self, reqs: &[DiskRequest], outs: &mut [RequestOutcome]) {
+        let mut stream = std::mem::take(&mut self.stream);
+        stream.clear();
+        // PDC pass: a missed read issues, then installs at once.
+        for (req, out) in reqs.iter().zip(outs.iter_mut()) {
+            for page in req.pages() {
+                if self.dram_side(req.op, page, out, &mut stream.ops) {
+                    stream.ops.push(CacheOp::read(page));
+                    self.install_in_pdc(page, false, &mut stream.ops);
+                }
+            }
+            let pages_end = stream.ops.len();
+            self.flush_if_due(1, &mut stream.ops);
+            if stream.ops.is_empty() {
+                // Nothing issued so far waits on the flash: close now.
+                self.close_out(req, out);
+            } else {
+                stream.marks.push((pages_end, stream.ops.len()));
+            }
+        }
+        stream.execute(self.flash.as_mut());
+        // Accounting pass over the rest, request by request.
+        let closed = reqs.len() - stream.marks.len();
+        let rest = reqs[closed..].iter().zip(&mut outs[closed..]);
+        let mut at = 0;
+        for ((req, out), &(pages_end, flush_end)) in rest.zip(&stream.marks) {
+            // A request with a flash read sums its latency again, page by
+            // page, as the PDC pass could not; any other request's pages
+            // were all DRAM-side and its PDC-pass sum stands.
+            let reread = req.op == OpKind::Read && at < pages_end;
+            if reread {
+                out.latency_us = 0.0;
+            }
+            let mut next = req.page;
+            for (op, fo) in stream.ops[at..pages_end].iter().zip(&stream.outs[at..]) {
+                if op.kind == CacheOpKind::Write {
+                    self.written_back(std::slice::from_ref(fo));
+                    continue;
+                }
+                for _ in next..op.lba {
+                    out.latency_us += self.dram_page_us;
+                }
+                next = op.lba + 1;
+                let lat = self.dram_page_us + fo.latency_us;
+                out.latency_us += lat;
+                self.read_from_flash(fo, lat, out);
+            }
+            if reread {
+                for _ in next..req.page + u64::from(req.len) {
+                    out.latency_us += self.dram_page_us;
+                }
+            }
+            self.close_out(req, out);
+            self.written_back(&stream.outs[pages_end..flush_end]);
+            at = flush_end;
+        }
+        self.stream = stream;
+    }
+
+    /// The staged body (more than one flash shard).
+    fn staged(&mut self, reqs: &[DiskRequest], outs: &mut [RequestOutcome]) {
+        let mut stream = std::mem::take(&mut self.stream);
+        stream.clear();
+        // PDC pass: the missed reads issue after every probe of the batch,
+        // then install in batch order.
+        for (ri, (req, out)) in reqs.iter().zip(outs.iter_mut()).enumerate() {
+            for page in req.pages() {
+                if self.dram_side(req.op, page, out, &mut stream.ops) {
+                    stream.missed.push(CacheOp::read(page));
+                    stream.marks.push((ri, 0));
+                }
+            }
+        }
+        let reads = stream.ops.len();
+        stream.ops.extend_from_slice(&stream.missed);
+        for (read, mark) in stream.missed.iter().zip(&mut stream.marks) {
+            self.install_in_pdc(read.lba, false, &mut stream.ops);
+            mark.1 = stream.ops.len();
+        }
+        self.flush_if_due(reqs.len() as u64, &mut stream.ops);
+        stream.execute(self.flash.as_mut());
+        // Accounting pass: the probes' write-backs, each read with its
+        // install's write-back, the close-outs, the flush.
+        self.written_back(&stream.outs[..reads]);
+        let mut at = reads + stream.missed.len();
+        for (fo, &(ri, installed)) in stream.outs[reads..].iter().zip(&stream.marks) {
+            let out = &mut outs[ri];
+            out.latency_us += fo.latency_us;
+            self.read_from_flash(fo, self.dram_page_us + fo.latency_us, out);
+            self.written_back(&stream.outs[at..installed]);
+            at = installed;
+        }
+        for (req, out) in reqs.iter().zip(outs) {
+            self.close_out(req, out);
+        }
+        self.written_back(&stream.outs[at..]);
+        self.stream = stream;
+    }
+
+    /// Accounts a PDC-missed read's flash outcome; `lat` is the page's
+    /// whole latency, DRAM probe included.
+    fn read_from_flash(&mut self, fo: &AccessOutcome, lat: f64, out: &mut RequestOutcome) {
+        self.flush_to_disk(fo.flushed_dirty);
+        if fo.tier == ServiceTier::Flash {
+            out.flash_hits += 1;
+            self.report.flash_latency.record(lat);
+            self.report.flash_queue_wait.record(fo.queue_wait_us);
+            self.report.flash_service.record(lat - fo.queue_wait_us);
+        } else {
+            out.disk_pages += 1;
+        }
+    }
+
+    /// Closes out one request: one disk access covers its `disk_pages`
+    /// missed pages, then its tier is set and it is added to the report.
+    fn close_out(&mut self, req: &DiskRequest, out: &mut RequestOutcome) {
+        if out.disk_pages > 0 {
+            let bytes = out.disk_pages as u64 * PAGE_BYTES;
             let t = self.config.hdd.access_latency_us(bytes);
             out.latency_us += t;
-            out.disk_pages = disk_read_pages;
             self.report.disk.record(t / 1e6, bytes, false);
             self.report.disk_latency.record(t);
-            self.report.disk_read_pages += disk_read_pages as u64;
+            self.report.disk_read_pages += out.disk_pages as u64;
         }
         out.hit = out.disk_pages == 0;
         out.tier = if out.disk_pages > 0 {
@@ -476,59 +539,57 @@ impl Hierarchy {
         self.report.flash_hit_pages += out.flash_hits as u64;
     }
 
-    fn dram_access(&mut self, write: bool) -> f64 {
+    /// A page's DRAM access: a write installs dirty (emitting any
+    /// write-back), a read the PDC holds is a DRAM hit. Returns whether
+    /// the page is a read the PDC missed.
+    fn dram_side(
+        &mut self,
+        op: OpKind,
+        page: u64,
+        out: &mut RequestOutcome,
+        ops: &mut Vec<CacheOp>,
+    ) -> bool {
+        let write = op == OpKind::Write;
         self.report.dram.record(self.dram_page_s, PAGE_BYTES, write);
-        self.dram_page_us
-    }
-
-    fn read_page(&mut self, page: u64) -> (f64, f64, ServiceTier) {
-        let mut latency = self.dram_access(false);
-        if self.pdc.access(page) {
-            return (latency, 0.0, ServiceTier::Dram);
+        out.latency_us += self.dram_page_us;
+        if !write && !self.pdc.access(page) {
+            return true;
         }
-        // A PDC miss always installs the page clean; only the hit tier
-        // depends on where the data came from.
-        let mut queue_wait = 0.0;
-        let tier = if let Some(flash) = &mut self.flash {
-            let out = flash.op(CacheOp::read(page)).access;
-            latency += out.latency_us;
-            queue_wait = out.queue_wait_us;
-            self.flush_to_disk(out.flushed_dirty);
-            out.tier
-        } else {
-            ServiceTier::Disk
-        };
-        self.install_in_pdc(page, false);
-        (latency, queue_wait, tier)
+        out.dram_hits += u32::from(!write);
+        self.report.dram_latency.record(self.dram_page_us);
+        if write {
+            self.install_in_pdc(page, true, ops);
+        }
+        false
     }
 
-    fn write_page(&mut self, page: u64) -> f64 {
-        let latency = self.dram_access(true);
-        self.install_in_pdc(page, true);
-        latency
-    }
-
-    /// Inserts into the PDC, routing any dirty eviction down a level.
-    fn install_in_pdc(&mut self, page: u64, dirty: bool) {
+    /// Inserts into the PDC, emitting a write-back of any dirty page it
+    /// evicts.
+    fn install_in_pdc(&mut self, page: u64, dirty: bool, ops: &mut Vec<CacheOp>) {
         if let Some(ev) = self.pdc.insert(page, dirty) {
             if ev.dirty {
-                self.write_back(ev.page);
+                ops.push(CacheOp::write(ev.page));
             }
         }
     }
 
-    /// Writes one dirty page to the next level (flash write cache, or
-    /// disk when there is no flash).
-    fn write_back(&mut self, page: u64) {
-        if let Some(flash) = &mut self.flash {
-            // A `bypassed` outcome covers both worn-out devices and
-            // admission rejections: either way the dirty page goes to
-            // disk instead of flash.
-            let out = flash.op(CacheOp::write(page)).access;
-            let flushed = out.flushed_dirty + u32::from(out.bypassed);
-            self.flush_to_disk(flushed);
-        } else {
-            self.flush_to_disk(1);
+    /// Periodic write-back once `flush_interval` requests (`requests`
+    /// more now) have accumulated: PDC dirty pages drain to the flash
+    /// write cache (or disk), mirroring §5.1's periodic scheduling.
+    fn flush_if_due(&mut self, requests: u64, ops: &mut Vec<CacheOp>) {
+        self.since_flush += requests;
+        if self.since_flush >= self.config.flush_interval {
+            self.since_flush = 0;
+            ops.extend(self.pdc.flush_dirty().into_iter().map(CacheOp::write));
+        }
+    }
+
+    /// Accounts the disk writes write-backs leave behind: the dirty
+    /// pages each forced out of flash, and the page itself when flash
+    /// bypassed it (a worn-out device or no flash at all).
+    fn written_back(&mut self, outs: &[AccessOutcome]) {
+        for o in outs {
+            self.flush_to_disk(o.flushed_dirty + u32::from(o.bypassed));
         }
     }
 
@@ -547,18 +608,15 @@ impl Hierarchy {
         self.report.disk_write_pages += pages as u64;
     }
 
-    /// Periodic write-back: PDC dirty pages drain to the flash write
-    /// cache (or disk), mirroring §5.1's periodic scheduling.
-    fn periodic_flush(&mut self) {
-        let dirty = self.pdc.flush_dirty();
-        for page in dirty {
-            self.write_back(page);
-        }
-    }
-
     /// Forces all dirty state (PDC and flash) down to disk.
     pub fn drain(&mut self) {
-        self.periodic_flush();
+        let mut stream = std::mem::take(&mut self.stream);
+        stream.clear();
+        let dirty = self.pdc.flush_dirty();
+        stream.ops.extend(dirty.into_iter().map(CacheOp::write));
+        stream.execute(self.flash.as_mut());
+        self.written_back(&stream.outs);
+        self.stream = stream;
         if let Some(flash) = &mut self.flash {
             let flushed = flash.flush_writes();
             let flushed = u32::try_from(flushed).unwrap_or(u32::MAX);
