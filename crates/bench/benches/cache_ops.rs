@@ -14,7 +14,6 @@ fn cache(blocks: u32) -> FlashCache {
             geometry: FlashGeometry {
                 blocks,
                 pages_per_block: 32,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },
@@ -99,7 +98,6 @@ fn bench_op_batch(c: &mut Criterion) {
                 geometry: FlashGeometry {
                     blocks: 64,
                     pages_per_block: 32,
-                    ..FlashGeometry::default()
                 },
                 ..FlashConfig::default()
             },
@@ -150,7 +148,6 @@ fn bench_engine_submit(c: &mut Criterion) {
                 geometry: FlashGeometry {
                     blocks: 512,
                     pages_per_block: 64,
-                    ..FlashGeometry::default()
                 },
                 ..FlashConfig::default()
             })

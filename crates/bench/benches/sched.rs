@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use nand_flash::sched::{ChannelConfig, EventDriven, OpClass, OpRequest};
-use nand_flash::{CellMode, FlashTiming};
+use nand_flash::CellMode;
 
 const CHANNELS: u32 = 4;
 const PLANES: u32 = 2;
@@ -24,8 +24,8 @@ fn config(queue_depth: u32) -> ChannelConfig {
 /// read-heavy 8:2 mix the replay path produces) followed by a drain, on
 /// a model constructed per-iteration so queue state never accumulates
 /// across cycles.
-fn cycle(timing: FlashTiming, cfg: ChannelConfig, burst: u32) -> f64 {
-    let mut model = EventDriven::new(timing, cfg);
+fn cycle(cfg: ChannelConfig, burst: u32) -> f64 {
+    let mut model = EventDriven::new(cfg);
     for i in 0..burst {
         let req = if i % 5 == 4 {
             OpRequest {
@@ -48,11 +48,10 @@ fn cycle(timing: FlashTiming, cfg: ChannelConfig, burst: u32) -> f64 {
 }
 
 fn bench_sched(c: &mut Criterion) {
-    let timing = FlashTiming::default();
     for depth in [1u32, 8, 64] {
         let cfg = config(depth);
         c.bench_function(&format!("sched_cycle_depth{depth}"), |b| {
-            b.iter(|| std::hint::black_box(cycle(timing, cfg, 256)))
+            b.iter(|| std::hint::black_box(cycle(cfg, 256)))
         });
     }
     // The serial configuration: what every `ClosedForm` device runs.
@@ -60,7 +59,7 @@ fn bench_sched(c: &mut Criterion) {
         .build()
         .expect("serial config is valid");
     c.bench_function("sched_cycle_serial", |b| {
-        b.iter(|| std::hint::black_box(cycle(timing, serial, 256)))
+        b.iter(|| std::hint::black_box(cycle(serial, 256)))
     });
 }
 

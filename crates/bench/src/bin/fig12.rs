@@ -20,8 +20,8 @@ fn main() {
     );
     // Fan each (workload, controller) run — two per workload — across
     // worker threads; every run is an independent simulation. Results
-    // come back in input order, so reassembling rows pairwise yields
-    // exactly what serial `lifetime_comparison` would produce.
+    // come back in input order, so rows reassemble pairwise exactly as a
+    // serial loop would build them.
     let workloads = fig12_workloads();
     let runs: Vec<_> = workloads
         .iter()

@@ -3,14 +3,11 @@
 
 use disk_trace::WorkloadSpec;
 use flashcache_bench::{Exhibit, RunArgs};
-use flashcache_sim::experiments::density_partition::{
-    density_partition_curve, DensityPartitionParams, MLC_BYTES_PER_MM2,
-};
+use flashcache_sim::experiments::density_partition::{density_partition_curve, MLC_BYTES_PER_MM2};
 
 fn main() {
     let args = RunArgs::parse(1);
     args.announce("Figure 7", "optimal SLC/MLC partition vs flash die area");
-    let params = DensityPartitionParams::default();
     // (a) Financial2, working set 443.8MB; (b) WebSearch1, 5116.7MB.
     for (which, workload) in [
         ("fig7a_financial2", WorkloadSpec::financial2()),
@@ -33,7 +30,7 @@ fn main() {
             .map(|i| wss_mm2 * i as f64 / steps as f64)
             .collect();
         let mut exhibit = Exhibit::new(which, &["area_mm2", "latency_us", "optimal_slc_pct"]);
-        for p in density_partition_curve(&scaled, &areas, &params, args.seed) {
+        for p in density_partition_curve(&scaled, &areas, args.seed) {
             exhibit.row([
                 format!("{:.1}", p.die_area_mm2),
                 format!("{:.1}", p.latency_us),

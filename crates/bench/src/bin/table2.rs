@@ -8,8 +8,8 @@ fn main() {
     let args = RunArgs::parse(1);
     args.announce("Table 2", "device performance and power constants");
     let dram = DramModel::default();
-    let t = FlashTiming::default();
-    let p = FlashPower::default();
+    type T = FlashTiming;
+    type P = FlashPower;
     let hdd = HddModel::barracuda();
     println!(
         "{:<16}{:>14}{:>14}{:>14}{:>14}{:>14}",
@@ -27,20 +27,20 @@ fn main() {
     println!(
         "{:<16}{:>14}{:>14}{:>14}{:>14}{:>14}",
         "1Gb NAND-SLC",
-        format!("{:.0}mW", p.active_mw),
-        format!("{:.0}uW", p.idle_uw_per_gbit),
-        format!("{:.0}us", t.slc_read_us),
-        format!("{:.0}us", t.slc_program_us),
-        format!("{:.1}ms", t.slc_erase_us / 1000.0)
+        format!("{:.0}mW", P::ACTIVE_MW),
+        format!("{:.0}uW", P::IDLE_UW_PER_GBIT),
+        format!("{:.0}us", T::SLC_READ_US),
+        format!("{:.0}us", T::SLC_PROGRAM_US),
+        format!("{:.1}ms", T::SLC_ERASE_US / 1000.0)
     );
     println!(
         "{:<16}{:>14}{:>14}{:>14}{:>14}{:>14}",
         "4Gb NAND-MLC",
         "N/A",
         "N/A",
-        format!("{:.0}us", t.mlc_read_us),
-        format!("{:.0}us", t.mlc_program_us),
-        format!("{:.1}ms", t.mlc_erase_us / 1000.0)
+        format!("{:.0}us", T::MLC_READ_US),
+        format!("{:.0}us", T::MLC_PROGRAM_US),
+        format!("{:.1}ms", T::MLC_ERASE_US / 1000.0)
     );
     println!(
         "{:<16}{:>14}{:>14}{:>14}{:>14}{:>14}",

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use flash_obs::{Registry, ServiceTier};
-use nand_flash::{BlockId, CellMode, FlashDevice, OpContext, PageAddr};
+use nand_flash::{BlockId, CellMode, FlashDevice, FlashTiming, OpContext, PageAddr};
 
 use crate::admission::FrequencySketch;
 use crate::config::{
@@ -34,7 +34,7 @@ pub enum CacheOpKind {
 
 /// One typed request against the cache. Build with
 /// [`CacheOp::read`]/[`CacheOp::write`] and submit through
-/// [`FlashCache::op`] or [`FlashCache::try_op`].
+/// [`FlashCache::op`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheOp {
     /// The disk page (logical block address) being accessed.
@@ -535,52 +535,35 @@ impl FlashCache {
         outcome
     }
 
-    /// Degrades an internal error into the fail-to-disk outcome used by
-    /// the infallible entry points: corruption-class errors surface as
-    /// `uncorrectable`, and the access bypasses the cache entirely.
-    fn degraded_outcome(&mut self, e: &CacheError, is_read: bool) -> AccessOutcome {
-        self.stats.internal_errors += 1;
-        AccessOutcome {
-            hit: false,
-            tier: ServiceTier::Disk,
-            needs_disk_read: is_read,
-            uncorrectable: e.is_corruption(),
-            bypassed: true,
-            ..AccessOutcome::default()
-        }
-    }
-
     /// Services `op` through the unified pipeline (§5.1 read/write
     /// paths with the admission stage in front).
     ///
-    /// Infallible wrapper over [`FlashCache::try_op`]: an internal
-    /// [`CacheError`] is degraded into a bypassed, disk-bound outcome
-    /// (with `uncorrectable` set for corruption-class errors) and
-    /// counted in [`CacheStats::internal_errors`].
+    /// Never fails: when a management table and the device disagree or
+    /// a device operation fails mid-access, the cache aborts the access
+    /// at the failure point, counts it in [`CacheStats::internal_errors`]
+    /// and returns a bypassed, disk-bound outcome (with `uncorrectable`
+    /// set when the cached copy was lost). The caller then satisfies the
+    /// request from disk (reads) or writes the dirty data to disk itself
+    /// (writes).
     pub fn op(&mut self, op: CacheOp) -> CacheOutcome {
-        match self.try_op(op) {
-            Ok(out) => out,
-            Err(e) => CacheOutcome {
-                access: self.degraded_outcome(&e, op.kind == CacheOpKind::Read),
-                admission: AdmissionDecision::NotApplicable,
-            },
-        }
-    }
-
-    /// Services `op`, surfacing internal errors as typed
-    /// [`CacheError`]s instead of panicking or degrading.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheError`] when a management table and the device disagree or
-    /// a device operation fails mid-access. The cache aborts the access
-    /// at the failure point; the caller should satisfy the request from
-    /// disk (reads) or write the dirty data to disk itself (writes).
-    pub fn try_op(&mut self, op: CacheOp) -> Result<CacheOutcome, CacheError> {
-        match op.kind {
+        let result = match op.kind {
             CacheOpKind::Read => self.op_read(op),
             CacheOpKind::Write => self.op_write(op),
-        }
+        };
+        result.unwrap_or_else(|e| {
+            self.stats.internal_errors += 1;
+            CacheOutcome {
+                access: AccessOutcome {
+                    hit: false,
+                    tier: ServiceTier::Disk,
+                    needs_disk_read: op.kind == CacheOpKind::Read,
+                    uncorrectable: e.is_corruption(),
+                    bypassed: true,
+                    ..AccessOutcome::default()
+                },
+                admission: AdmissionDecision::NotApplicable,
+            }
+        })
     }
 
     /// Services a batch of ops, returning one outcome per op in order.
@@ -941,8 +924,7 @@ impl FlashCache {
                 let d_code = ECC_LATENCY.decode_us(cfg_t as usize + 1)
                     - ECC_LATENCY.decode_us(cfg_t as usize);
                 let d_tcs = freq * d_code;
-                let timing = &self.device.config().timing;
-                let d_slc = timing.slc_read_us - timing.mlc_read_us;
+                let d_slc = FlashTiming::SLC_READ_US - FlashTiming::MLC_READ_US;
                 let d_miss = if self.usable_slots == 0 {
                     0.0
                 } else {

@@ -17,7 +17,6 @@ pub(crate) fn small_config() -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks: 16,
                 pages_per_block: 8,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },
@@ -210,7 +209,6 @@ fn split_beats_unified_miss_rate_under_write_pressure() {
                 geometry: FlashGeometry {
                     blocks: 32,
                     pages_per_block: 16,
-                    ..FlashGeometry::default()
                 },
                 ..FlashConfig::default()
             },
@@ -314,7 +312,6 @@ fn worn_device_reconfigures_and_eventually_retires() {
             geometry: FlashGeometry {
                 blocks: 8,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             wear: WearConfig {
                 spatial_sigma_decades: 0.1,
@@ -364,7 +361,6 @@ fn bch1_dies_much_sooner_than_programmable() {
                 geometry: FlashGeometry {
                     blocks: 8,
                     pages_per_block: 4,
-                    ..FlashGeometry::default()
                 },
                 wear: WearConfig {
                     spatial_sigma_decades: 0.1,
@@ -409,7 +405,6 @@ fn density_only_retires_blocks_its_strength_cannot_protect() {
             geometry: FlashGeometry {
                 blocks: 8,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             wear: WearConfig {
                 spatial_sigma_decades: 0.1,
@@ -491,7 +486,6 @@ fn reclaim_path_swaps_level_write_region_wear() {
             geometry: FlashGeometry {
                 blocks: 512,
                 pages_per_block: 64,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },

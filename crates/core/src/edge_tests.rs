@@ -13,7 +13,6 @@ fn geometry(blocks: u32, pages_per_block: u32) -> FlashGeometry {
     FlashGeometry {
         blocks,
         pages_per_block,
-        ..FlashGeometry::default()
     }
 }
 

@@ -1,17 +1,12 @@
-//! Typed errors for the fallible cache entry points.
+//! The cache's internal error type.
 //!
-//! Historically the cache `panic!`ed (via `expect`) when a management
-//! table and the device disagreed — acceptable in a research harness,
-//! unacceptable behind a service layer where one corrupted mapping must
-//! not take down every tenant sharing the process. Every such site now
-//! surfaces a [`CacheError`] through
-//! [`FlashCache::try_read`](crate::FlashCache::try_read) /
-//! [`try_write`](crate::FlashCache::try_write); the original infallible
-//! [`read`](crate::FlashCache::read) / [`write`](crate::FlashCache::write)
-//! signatures are preserved by degrading errors into an
-//! [`AccessOutcome`](crate::AccessOutcome) that routes the access to
-//! disk (fail-to-disk: the cache is an accelerator, never the only copy
-//! of clean data).
+//! When a management table and the device disagree, or a device op
+//! fails mid-access, the access is abandoned with a [`CacheError`] rather
+//! than a panic: one corrupted mapping must not take down every tenant
+//! sharing the process. [`FlashCache::op`](crate::FlashCache::op)
+//! degrades it into an [`AccessOutcome`](crate::AccessOutcome) that
+//! routes the access to disk (fail-to-disk: the cache is an
+//! accelerator, never the only copy of clean data).
 
 use std::error::Error;
 use std::fmt;
@@ -29,7 +24,7 @@ use nand_flash::{BlockId, FlashOpError, PageAddr};
 /// * **structural**: the allocator or erase machinery hit a state the
 ///   device rejects — the operation is abandoned, the cache bypassed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CacheError {
+pub(crate) enum CacheError {
     /// A management table referenced a flash location whose device state
     /// disagrees (e.g. the FCHT mapped a disk page to an unprogrammed
     /// slot). Corruption-class.
@@ -64,24 +59,15 @@ pub enum CacheError {
 
 impl CacheError {
     /// `true` for errors that imply the cached copy of data was lost
-    /// (mapped into [`AccessOutcome::uncorrectable`]
-    /// (crate::AccessOutcome::uncorrectable) by the infallible entry
-    /// points); `false` for structural allocator/device failures.
-    pub fn is_corruption(&self) -> bool {
+    /// (mapped into
+    /// [`AccessOutcome::uncorrectable`](crate::AccessOutcome::uncorrectable)
+    /// by [`FlashCache::op`](crate::FlashCache::op)); `false` for
+    /// structural allocator/device failures.
+    pub(crate) fn is_corruption(&self) -> bool {
         matches!(
             self,
             CacheError::TableCorruption { .. } | CacheError::MappingMissing { .. }
         )
-    }
-
-    /// The flash location involved, when the error is page-granular.
-    pub fn addr(&self) -> Option<PageAddr> {
-        match self {
-            CacheError::TableCorruption { addr, .. }
-            | CacheError::MappingMissing { addr }
-            | CacheError::ProgramRejected { addr, .. } => Some(*addr),
-            CacheError::BlockOp { .. } => None,
-        }
     }
 }
 
@@ -132,16 +118,15 @@ mod tests {
     }
 
     #[test]
-    fn display_and_addr() {
+    fn display_names_the_failure() {
         let addr = PageAddr::new(BlockId(3), 4);
         let e = CacheError::MappingMissing { addr };
         assert!(e.to_string().contains("no disk mapping"));
-        assert_eq!(e.addr(), Some(addr));
+        assert!(e.to_string().contains("block 3 slot 4"));
         let b = CacheError::BlockOp {
             block: BlockId(3),
             source: FlashOpError::BlockOutOfRange(BlockId(3)),
         };
-        assert_eq!(b.addr(), None);
         assert!(b.to_string().contains("failed"));
     }
 }

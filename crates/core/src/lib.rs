@@ -36,13 +36,11 @@ pub mod cache;
 #[cfg(test)]
 mod cache_tests;
 pub mod config;
-pub mod descriptor;
 #[cfg(test)]
 mod edge_tests;
-pub mod error;
+mod error;
 pub mod lru;
 mod maint;
-pub mod overheads;
 pub mod pdc;
 mod reclaim;
 pub mod snapshot;
@@ -55,10 +53,7 @@ pub use config::{
     AdmissionPolicyConfig, ConfigError, ControllerPolicy, FlashCacheConfig,
     FlashCacheConfigBuilder, SplitPolicy,
 };
-pub use descriptor::{DescriptorOp, FlashDescriptor};
-pub use error::CacheError;
 pub use flash_obs::ServiceTier;
-pub use overheads::TableOverheads;
 pub use pdc::PrimaryDiskCache;
 pub use snapshot::{BlockSummary, CacheSnapshot, RegionSnapshot, WearSummary};
 pub use stats::CacheStats;

@@ -59,9 +59,10 @@ pub struct CacheStats {
     pub reclaim_index_queries: u64,
     /// Index-answered queries that produced a victim.
     pub reclaim_index_hits: u64,
-    /// Internal errors degraded into bypassed outcomes by the infallible
-    /// entry point (`op` catching a [`CacheError`](crate::CacheError)
-    /// from `try_op`).
+    /// Internal errors (a management table and the device disagreeing,
+    /// or a device op failing mid-access) that
+    /// [`FlashCache::op`](crate::FlashCache::op) degraded into bypassed
+    /// outcomes.
     pub internal_errors: u64,
     /// Read-miss fills the admission policy kept out of flash (the
     /// request was still served from disk; nothing was cached).

@@ -25,7 +25,6 @@ fn config_with(backend: TimingBackend, channel: ChannelConfig) -> FlashCacheConf
             geometry: FlashGeometry {
                 blocks: 128,
                 pages_per_block: 32,
-                ..FlashGeometry::default()
             },
             timing_backend: backend,
             channel,

@@ -35,7 +35,6 @@ fn tiny_config(blocks: u32, unified: bool) -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },

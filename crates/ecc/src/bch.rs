@@ -215,18 +215,6 @@ impl BchCode {
         BchCode::new(15, t, 2048).expect("flash page code parameters are valid")
     }
 
-    /// A 512-byte disk-sector code over GF(2^13) — the geometry used by
-    /// sector-granular flash controllers, provided for completeness
-    /// alongside [`Self::for_flash_page`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t == 0` or the sector plus parity exceeds the block
-    /// length (`t` ≈ 315).
-    pub fn for_disk_sector(t: usize) -> Self {
-        BchCode::new(13, t, 512).expect("sector code parameters are valid")
-    }
-
     /// Correction strength `t` (maximum number of correctable bit errors).
     pub fn strength(&self) -> usize {
         self.t
@@ -1126,7 +1114,9 @@ mod tests {
 
     #[test]
     fn disk_sector_code_roundtrip() {
-        let code = BchCode::for_disk_sector(3);
+        // A 512-byte sector over GF(2^13), the geometry of
+        // sector-granular flash controllers.
+        let code = BchCode::new(13, 3, 512).unwrap();
         assert_eq!(code.data_bytes(), 512);
         assert_eq!(code.parity_bits(), 39);
         let data: Vec<u8> = (0..512usize).map(|i| (i % 256) as u8).collect();

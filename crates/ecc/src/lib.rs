@@ -52,4 +52,4 @@ pub mod page;
 pub use bch::{BchCode, DecodeError, DecodeReport};
 pub use crc::{crc32, Crc32};
 pub use latency::EccLatencyModel;
-pub use page::{PageCodec, PageCodecBank, PageDecodeError, PageDecodeOutcome};
+pub use page::{PageCodec, PageDecodeError, PageDecodeOutcome};

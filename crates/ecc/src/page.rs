@@ -62,8 +62,8 @@ impl Error for PageDecodeError {}
 /// A codec protecting one flash page at a fixed BCH strength.
 ///
 /// Construction computes the code's generator polynomial, which is cheap
-/// but not free; controllers cache one codec per strength (see
-/// [`PageCodecBank`]).
+/// but not free; controllers cache one codec per strength (as
+/// `nand_flash::VerifiedFlash` does).
 ///
 /// # Examples
 ///
@@ -203,46 +203,6 @@ impl PageCodec {
     }
 }
 
-/// A bank of page codecs, one per strength 1..=12, built lazily.
-///
-/// The device driver in the paper reads the per-page ECC strength from the
-/// FPST and programs the controller accordingly; this type is the software
-/// analogue, handing out the right codec per descriptor.
-#[derive(Debug, Default)]
-pub struct PageCodecBank {
-    codecs: std::sync::Mutex<Vec<Option<std::sync::Arc<PageCodec>>>>,
-}
-
-impl PageCodecBank {
-    /// Creates an empty bank.
-    pub fn new() -> Self {
-        PageCodecBank {
-            codecs: std::sync::Mutex::new(vec![None; MAX_PAGE_STRENGTH + 1]),
-        }
-    }
-
-    /// Returns the codec for strength `t`, constructing it on first use.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StrengthOutOfRange`] for `t == 0` or `t > 12`.
-    pub fn codec(&self, t: usize) -> Result<std::sync::Arc<PageCodec>, StrengthOutOfRange> {
-        if t == 0 || t > MAX_PAGE_STRENGTH {
-            return Err(StrengthOutOfRange { t });
-        }
-        let mut guard = self.codecs.lock().expect("codec bank poisoned");
-        if guard.is_empty() {
-            guard.resize(MAX_PAGE_STRENGTH + 1, None);
-        }
-        if let Some(c) = &guard[t] {
-            return Ok(c.clone());
-        }
-        let codec = std::sync::Arc::new(PageCodec::new(t)?);
-        guard[t] = Some(codec.clone());
-        Ok(codec)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,16 +334,5 @@ mod tests {
                 ),
             }
         }
-    }
-
-    #[test]
-    fn codec_bank_caches_and_validates() {
-        let bank = PageCodecBank::new();
-        let a = bank.codec(5).unwrap();
-        let b = bank.codec(5).unwrap();
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
-        assert!(bank.codec(0).is_err());
-        assert!(bank.codec(13).is_err());
-        assert_eq!(bank.codec(1).unwrap().strength(), 1);
     }
 }

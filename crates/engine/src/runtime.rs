@@ -55,8 +55,7 @@ pub(crate) type Job = (FlashCache, Group);
 
 /// Outcome reported for an operation whose shard panicked: the access
 /// bypasses the cache and the caller goes to disk, mirroring the
-/// degraded outcome `FlashCache::op` produces for an internal
-/// `CacheError`.
+/// degraded outcome `FlashCache::op` produces for an internal error.
 fn degraded(op: &CacheOp) -> CacheOutcome {
     let access = AccessOutcome {
         hit: false,
@@ -174,7 +173,6 @@ mod tests {
                 geometry: FlashGeometry {
                     blocks: 16,
                     pages_per_block: 8,
-                    ..FlashGeometry::default()
                 },
                 ..FlashConfig::default()
             })

@@ -6,8 +6,7 @@ use disk_trace::{DiskRequest, OpKind};
 use flash_obs::{Metric, Registry, ServiceTier};
 use flashcache_core::tables::Fgst;
 use flashcache_core::{
-    AccessOutcome, CacheError, CacheOp, CacheOutcome, CacheStats, ConfigError, FlashCache,
-    FlashCacheConfig,
+    AccessOutcome, CacheOp, CacheOutcome, CacheStats, ConfigError, FlashCache, FlashCacheConfig,
 };
 
 use crate::runtime::{service, Group, Helper};
@@ -376,16 +375,6 @@ impl ShardedCache {
         self.shards_mut()[s].op(op)
     }
 
-    /// Fallible single-operation entry exposing the typed [`CacheError`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the owning shard's [`CacheError`].
-    pub fn try_op(&mut self, op: CacheOp) -> Result<CacheOutcome, CacheError> {
-        let s = self.shard_of(op.lba);
-        self.shards_mut()[s].try_op(op)
-    }
-
     /// Marks every dirty page clean across all shards and returns the
     /// total disk writes owed (the periodic write-back flush of §5.1).
     pub fn flush_writes(&mut self) -> u64 {
@@ -535,7 +524,6 @@ mod tests {
                 geometry: FlashGeometry {
                     blocks,
                     pages_per_block: 8,
-                    ..FlashGeometry::default()
                 },
                 ..FlashConfig::default()
             })

@@ -22,7 +22,6 @@ fn config(backend: TimingBackend, channels: u32) -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks: 128,
                 pages_per_block: 32,
-                ..FlashGeometry::default()
             },
             timing_backend: backend,
             channel,
@@ -105,7 +104,6 @@ fn scaling_makespan(flash: FlashConfig, shards: usize) -> f64 {
             geometry: FlashGeometry {
                 blocks: 512,
                 pages_per_block: 64,
-                ..FlashGeometry::default()
             },
             ..flash
         })

@@ -36,7 +36,6 @@ fn config() -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks: 128,
                 pages_per_block: 32,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         })

@@ -52,9 +52,9 @@ pub use storage_model as storage;
 pub use disk_trace::{DiskRequest, OpKind, WorkloadSpec};
 pub use flash_obs::ServiceTier;
 pub use flashcache_core::{
-    AccessOutcome, AdmissionDecision, AdmissionPolicyConfig, CacheError, CacheOp, CacheOpKind,
-    CacheOutcome, CacheSnapshot, CacheStats, ConfigError, ControllerPolicy, FlashCache,
-    FlashCacheConfig, FlashCacheConfigBuilder, PrimaryDiskCache, SplitPolicy,
+    AccessOutcome, AdmissionDecision, AdmissionPolicyConfig, CacheOp, CacheOpKind, CacheOutcome,
+    CacheSnapshot, CacheStats, ConfigError, ControllerPolicy, FlashCache, FlashCacheConfig,
+    FlashCacheConfigBuilder, PrimaryDiskCache, SplitPolicy,
 };
 pub use flashcache_engine::{EngineConfig, EngineError, ShardedCache};
-pub use flashcache_sim::{Hierarchy, HierarchyConfig, ServerConfig};
+pub use flashcache_sim::{Hierarchy, HierarchyConfig};

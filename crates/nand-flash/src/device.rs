@@ -9,10 +9,12 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use flash_ecc::page::PAGE_DATA_BYTES;
+
 use crate::geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 use crate::sampling::NormalSource;
 use crate::sched::{ChannelConfig, EventDriven, OpClass, OpRequest, TimingBackend};
-use crate::timing::{FlashPower, FlashTiming};
+use crate::timing::FlashPower;
 use crate::wear::{PageWearState, WearConfig, WearModel};
 
 /// Errors returned by flash operations.
@@ -181,10 +183,6 @@ pub struct FlashStats {
 pub struct FlashConfig {
     /// Array shape.
     pub geometry: FlashGeometry,
-    /// Operation latencies.
-    pub timing: FlashTiming,
-    /// Power constants.
-    pub power: FlashPower,
     /// Wear and error-injection model.
     pub wear: WearConfig,
     /// Whether page payloads are stored (costs RAM; simulations that only
@@ -204,8 +202,6 @@ impl Default for FlashConfig {
     fn default() -> Self {
         FlashConfig {
             geometry: FlashGeometry::default(),
-            timing: FlashTiming::default(),
-            power: FlashPower::default(),
             wear: WearConfig::default(),
             store_payloads: false,
             seed: 0x1507_2008,
@@ -293,7 +289,7 @@ impl FlashDevice {
         };
         FlashDevice {
             wear_model,
-            model: EventDriven::new(config.timing, channel),
+            model: EventDriven::new(channel),
             rng,
             erase_counts: vec![0; geometry.blocks as usize],
             block_worst_mode: vec![None; geometry.blocks as usize],
@@ -394,12 +390,6 @@ impl FlashDevice {
             && self.slots[self.slot_index(addr)] == SlotState::Programmed
     }
 
-    /// Whether `addr` can be programmed right now.
-    pub fn is_erased(&self, addr: PageAddr) -> bool {
-        self.config.geometry.contains(addr)
-            && self.slots[self.slot_index(addr)] == SlotState::Erased
-    }
-
     /// Programs one 2KB slot in the given mode.
     ///
     /// `data`, when provided, must be exactly one page; it is retained
@@ -435,10 +425,9 @@ impl FlashDevice {
     ) -> Result<ProgramOutcome, FlashOpError> {
         self.check_addr(addr)?;
         if let Some(d) = data {
-            let expected = self.config.geometry.page_data_bytes as usize;
-            if d.len() != expected {
+            if d.len() != PAGE_DATA_BYTES {
                 return Err(FlashOpError::PayloadSize {
-                    expected,
+                    expected: PAGE_DATA_BYTES,
                     got: d.len(),
                 });
             }
@@ -490,7 +479,7 @@ impl FlashDevice {
             background: ctx.background,
         });
         let latency_us = t.service_us;
-        let energy_mj = self.config.power.op_energy_mj(latency_us);
+        let energy_mj = FlashPower::op_energy_mj(latency_us);
         self.stats.programs += 1;
         self.stats.busy_us += latency_us;
         self.stats.wait_us += t.wait_us;
@@ -541,7 +530,7 @@ impl FlashDevice {
             background: ctx.background,
         });
         let latency_us = t.service_us;
-        let energy_mj = self.config.power.op_energy_mj(latency_us);
+        let energy_mj = FlashPower::op_energy_mj(latency_us);
         self.stats.reads += 1;
         self.stats.bit_errors += raw_bit_errors as u64;
         self.stats.busy_us += latency_us;
@@ -629,7 +618,7 @@ impl FlashDevice {
             background: ctx.background,
         });
         let latency_us = t.service_us;
-        let energy_mj = self.config.power.op_energy_mj(latency_us);
+        let energy_mj = FlashPower::op_energy_mj(latency_us);
         self.stats.erases += 1;
         self.stats.busy_us += latency_us;
         self.stats.wait_us += t.wait_us;
@@ -652,7 +641,6 @@ mod tests {
             geometry: FlashGeometry {
                 blocks: 4,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         })
@@ -664,7 +652,7 @@ mod tests {
         for b in d.geometry().iter_blocks() {
             assert_eq!(d.erase_count(b), 0);
             for slot in 0..d.geometry().slots_per_block() {
-                assert!(d.is_erased(PageAddr::new(b, slot)));
+                assert!(!d.is_programmed(PageAddr::new(b, slot)));
             }
         }
     }
@@ -675,7 +663,6 @@ mod tests {
             geometry: FlashGeometry {
                 blocks: 1,
                 pages_per_block: 2,
-                ..FlashGeometry::default()
             },
             store_payloads: true,
             ..FlashConfig::default()
@@ -814,7 +801,6 @@ mod tests {
             geometry: FlashGeometry {
                 blocks: 2,
                 pages_per_block: 2,
-                ..FlashGeometry::default()
             },
             wear: WearConfig::default().accelerated(1e4),
             ..FlashConfig::default()

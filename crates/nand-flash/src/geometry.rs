@@ -11,6 +11,8 @@
 
 use std::fmt;
 
+use flash_ecc::page::PAGE_DATA_BYTES;
+
 /// Cell density mode of a physical page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CellMode {
@@ -92,17 +94,15 @@ impl fmt::Display for PageAddr {
     }
 }
 
-/// Shape of a flash array.
+/// Shape of a flash array. Every page holds
+/// [`PAGE_DATA_BYTES`] of data plus
+/// [`PAGE_SPARE_BYTES`](flash_ecc::page::PAGE_SPARE_BYTES) of spare area.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlashGeometry {
     /// Number of erase blocks.
     pub blocks: u32,
     /// Physical (SLC-sized) pages per block. The paper uses 64.
     pub pages_per_block: u32,
-    /// Data bytes per 2KB logical page.
-    pub page_data_bytes: u32,
-    /// Spare bytes per logical page (ECC + CRC area).
-    pub page_spare_bytes: u32,
 }
 
 impl Default for FlashGeometry {
@@ -110,8 +110,6 @@ impl Default for FlashGeometry {
         FlashGeometry {
             blocks: 64,
             pages_per_block: 64,
-            page_data_bytes: 2048,
-            page_spare_bytes: 64,
         }
     }
 }
@@ -126,7 +124,7 @@ impl FlashGeometry {
     pub fn for_mlc_capacity(capacity_bytes: u64) -> Self {
         assert!(capacity_bytes > 0, "capacity must be nonzero");
         let base = FlashGeometry::default();
-        let bytes_per_block = base.pages_per_block as u64 * 2 * base.page_data_bytes as u64;
+        let bytes_per_block = base.pages_per_block as u64 * 2 * PAGE_DATA_BYTES as u64;
         let blocks = capacity_bytes.div_ceil(bytes_per_block);
         FlashGeometry {
             blocks: u32::try_from(blocks).expect("capacity too large"),
@@ -151,12 +149,7 @@ impl FlashGeometry {
 
     /// Device capacity in bytes when every page runs in `mode`.
     pub fn capacity_bytes(&self, mode: CellMode) -> u64 {
-        self.total_physical_pages() * mode.pages_per_physical() as u64 * self.page_data_bytes as u64
-    }
-
-    /// Bit cells per physical page (data + spare).
-    pub fn cells_per_physical_page(&self) -> u32 {
-        (self.page_data_bytes + self.page_spare_bytes) * 8
+        self.total_physical_pages() * mode.pages_per_physical() as u64 * PAGE_DATA_BYTES as u64
     }
 
     /// `true` if `addr` lies inside this geometry.
@@ -186,7 +179,7 @@ mod tests {
         assert_eq!(g.pages_per_block, 64); // 64 SLC pages per block
                                            // 128KB block in SLC mode.
         assert_eq!(
-            g.pages_per_block as u64 * g.page_data_bytes as u64,
+            g.pages_per_block as u64 * PAGE_DATA_BYTES as u64,
             128 * 1024
         );
     }
@@ -232,7 +225,6 @@ mod tests {
         let g = FlashGeometry {
             blocks: 4,
             pages_per_block: 8,
-            ..FlashGeometry::default()
         };
         let mut seen = std::collections::HashSet::new();
         for b in g.iter_blocks() {
@@ -254,9 +246,11 @@ mod tests {
 
     #[test]
     fn cells_per_page_matches_reliability_crate() {
-        let g = FlashGeometry::default();
+        // The page size is stated twice: by the codec's layout and by the
+        // lifetime model's cell count.
+        use flash_ecc::page::PAGE_SPARE_BYTES;
         assert_eq!(
-            g.cells_per_physical_page() as usize,
+            (PAGE_DATA_BYTES + PAGE_SPARE_BYTES) * 8,
             flash_reliability::CELLS_PER_PAGE
         );
     }

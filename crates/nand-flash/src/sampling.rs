@@ -4,38 +4,10 @@
 
 use rand::Rng;
 
-/// Samples a Poisson(λ) variate.
-///
-/// Uses Knuth's product-of-uniforms method for small λ and a clamped
-/// normal approximation for large λ (where individual-count accuracy no
-/// longer matters for error injection).
+/// Samples a Poisson(λ) variate: [`PoissonSource::sample`] for a
+/// one-off rate.
 pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    if lambda < 30.0 {
-        let l = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.gen::<f64>();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-            if k > 1_000 {
-                return k; // numeric guard; unreachable for lambda < 30
-            }
-        }
-    }
-    // Normal approximation with continuity correction.
-    let z = normal(rng);
-    let v = lambda + lambda.sqrt() * z + 0.5;
-    if v < 0.0 {
-        0
-    } else {
-        v as u64
-    }
+    PoissonSource::new(lambda).sample(rng)
 }
 
 /// Samples a Binomial(n, p) variate.
@@ -105,13 +77,9 @@ impl NormalSource {
     }
 }
 
-/// A Poisson(λ) source with `exp(-λ)` precomputed once.
-///
-/// [`poisson`] re-evaluates `(-lambda).exp()` on every small-λ call;
-/// for a fixed rate (the per-read transient-error draw) that
-/// transcendental dominates the draw itself. Sampling consumes exactly
-/// the same uniforms as [`poisson`] with the same λ, so swapping one
-/// in is stream-exact.
+/// A Poisson(λ) source with `exp(-λ)` precomputed once: for a fixed
+/// rate (the per-read transient-error draw) that transcendental would
+/// dominate the draw itself.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoissonSource {
     lambda: f64,
@@ -133,8 +101,10 @@ impl PoissonSource {
         self.lambda
     }
 
-    /// Draws one Poisson(λ) variate; identical stream to
-    /// [`poisson`]`(rng, self.lambda())`.
+    /// Draws one Poisson(λ) variate: Knuth's product-of-uniforms method
+    /// for small λ, a clamped normal approximation with continuity
+    /// correction for large λ (where individual-count accuracy no longer
+    /// matters for error injection).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         if self.lambda <= 0.0 {
             return 0;
@@ -223,20 +193,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..1000 {
             assert!(binomial(&mut rng, 100, 0.99) <= 100);
-        }
-    }
-
-    #[test]
-    fn poisson_source_matches_free_function_stream() {
-        for lambda in [1e-4, 0.5, 3.5, 29.9, 250.0] {
-            let src = PoissonSource::new(lambda);
-            let mut ra = StdRng::seed_from_u64(42);
-            let mut rb = StdRng::seed_from_u64(42);
-            for _ in 0..2_000 {
-                assert_eq!(src.sample(&mut ra), poisson(&mut rb, lambda), "λ={lambda}");
-            }
-            // Streams advanced identically too.
-            assert_eq!(ra.gen::<u64>(), rb.gen::<u64>());
         }
     }
 

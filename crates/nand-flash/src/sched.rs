@@ -250,24 +250,24 @@ pub struct OpTiming {
     pub service_us: f64,
 }
 
-fn table_read(t: &FlashTiming, mode: CellMode) -> f64 {
+fn table_read(mode: CellMode) -> f64 {
     match mode {
-        CellMode::Slc => t.slc_read_us,
-        CellMode::Mlc => t.mlc_read_us,
+        CellMode::Slc => FlashTiming::SLC_READ_US,
+        CellMode::Mlc => FlashTiming::MLC_READ_US,
     }
 }
 
-fn table_program(t: &FlashTiming, mode: CellMode) -> f64 {
+fn table_program(mode: CellMode) -> f64 {
     match mode {
-        CellMode::Slc => t.slc_program_us,
-        CellMode::Mlc => t.mlc_program_us,
+        CellMode::Slc => FlashTiming::SLC_PROGRAM_US,
+        CellMode::Mlc => FlashTiming::MLC_PROGRAM_US,
     }
 }
 
-fn table_erase(t: &FlashTiming, mode: CellMode) -> f64 {
+fn table_erase(mode: CellMode) -> f64 {
     match mode {
-        CellMode::Slc => t.slc_erase_us,
-        CellMode::Mlc => t.mlc_erase_us,
+        CellMode::Slc => FlashTiming::SLC_ERASE_US,
+        CellMode::Mlc => FlashTiming::MLC_ERASE_US,
     }
 }
 
@@ -298,7 +298,6 @@ struct OpSpan {
 /// structural. Scheduling allocates nothing.
 #[derive(Debug)]
 pub struct EventDriven {
-    timing: FlashTiming,
     cfg: ChannelConfig,
     serial: bool,
     now_us: f64,
@@ -315,22 +314,21 @@ pub struct EventDriven {
 }
 
 impl EventDriven {
-    /// A scheduler over the given latency table and channel
-    /// configuration.
+    /// A scheduler over the Table 2/3 latencies ([`FlashTiming`]) and
+    /// the given channel configuration.
     ///
     /// # Panics
     ///
     /// Panics with the [`ChannelConfigError`] text if `cfg` fails
     /// [`ChannelConfig::validate`] (a zero channel, plane or depth
     /// count would otherwise reach a remainder by zero at the first op).
-    pub fn new(timing: FlashTiming, cfg: ChannelConfig) -> Self {
+    pub fn new(cfg: ChannelConfig) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
         let channels = cfg.channels as usize;
         let depth = cfg.queue_depth as usize;
         EventDriven {
-            timing,
             serial: cfg.is_serial(),
             now_us: 0.0,
             bus_free_us: vec![0.0; channels],
@@ -412,7 +410,7 @@ impl EventDriven {
         let (service_us, end);
         match class {
             OpClass::Read => {
-                let cell = table_read(&self.timing, mode);
+                let cell = table_read(mode);
                 let cell_start = if plane_free_us[plane] > admit_us {
                     plane_free_us[plane]
                 } else {
@@ -432,7 +430,7 @@ impl EventDriven {
                 service_us = cell + xfer;
             }
             OpClass::Program => {
-                let cell = table_program(&self.timing, mode);
+                let cell = table_program(mode);
                 let bus_start = if bus_free_us[ch] > admit_us {
                     bus_free_us[ch]
                 } else {
@@ -452,7 +450,7 @@ impl EventDriven {
                 service_us = xfer + cell;
             }
             OpClass::Erase => {
-                let cell = table_erase(&self.timing, mode);
+                let cell = table_erase(mode);
                 let cell_start = if plane_free_us[plane] > admit_us {
                     plane_free_us[plane]
                 } else {
@@ -554,20 +552,20 @@ mod tests {
     /// The paper's closed-form model as a reference: service is the
     /// Table 2/3 latency (wait is zero, the clock is the running sum of
     /// these).
-    fn table_us(t: &FlashTiming, op: &OpRequest) -> f64 {
+    fn table_us(op: &OpRequest) -> f64 {
+        type T = FlashTiming;
         match (op.class, op.mode) {
-            (OpClass::Read, CellMode::Slc) => t.slc_read_us,
-            (OpClass::Read, CellMode::Mlc) => t.mlc_read_us,
-            (OpClass::Program, CellMode::Slc) => t.slc_program_us,
-            (OpClass::Program, CellMode::Mlc) => t.mlc_program_us,
-            (OpClass::Erase, CellMode::Slc) => t.slc_erase_us,
-            (OpClass::Erase, CellMode::Mlc) => t.mlc_erase_us,
+            (OpClass::Read, CellMode::Slc) => T::SLC_READ_US,
+            (OpClass::Read, CellMode::Mlc) => T::MLC_READ_US,
+            (OpClass::Program, CellMode::Slc) => T::SLC_PROGRAM_US,
+            (OpClass::Program, CellMode::Mlc) => T::MLC_PROGRAM_US,
+            (OpClass::Erase, CellMode::Slc) => T::SLC_ERASE_US,
+            (OpClass::Erase, CellMode::Mlc) => T::MLC_ERASE_US,
         }
     }
 
     #[test]
     fn serial_event_model_matches_closed_form_bitwise() {
-        let timing = FlashTiming::default();
         let ops = [
             fg(OpClass::Read, CellMode::Slc, 0),
             bg(OpClass::Program, CellMode::Mlc, 1),
@@ -577,9 +575,9 @@ mod tests {
             fg(OpClass::Read, CellMode::Slc, 2),
         ];
         let mut clock_us = 0.0;
-        let mut event = EventDriven::new(timing, ChannelConfig::default());
+        let mut event = EventDriven::new(ChannelConfig::default());
         for op in &ops {
-            let service_us = table_us(&timing, op);
+            let service_us = table_us(op);
             clock_us += service_us;
             let got = event.op(op);
             assert_eq!(got.wait_us.to_bits(), 0.0f64.to_bits());
@@ -592,13 +590,12 @@ mod tests {
 
     #[test]
     fn channels_overlap_background_work() {
-        let timing = FlashTiming::default();
         let cfg = ChannelConfig::builder()
             .channels(4)
             .queue_depth(8)
             .build()
             .unwrap();
-        let mut event = EventDriven::new(timing, cfg);
+        let mut event = EventDriven::new(cfg);
         // Four background programs striped across four channels overlap;
         // serially they would cost 4 * 200µs.
         for block in 0..4 {
@@ -607,7 +604,7 @@ mod tests {
         let makespan = event.drain();
         assert_eq!(makespan, 200.0, "four channels run four programs in one");
 
-        let mut serial = EventDriven::new(timing, ChannelConfig::default());
+        let mut serial = EventDriven::new(ChannelConfig::default());
         for block in 0..4 {
             serial.op(&bg(OpClass::Program, CellMode::Slc, block));
         }
@@ -616,14 +613,13 @@ mod tests {
 
     #[test]
     fn background_traffic_delays_foreground_reads() {
-        let timing = FlashTiming::default();
         let cfg = ChannelConfig::builder()
             .channels(1)
             .queue_depth(8)
             .xfer_us(0.0)
             .build()
             .unwrap();
-        let mut event = EventDriven::new(timing, cfg);
+        let mut event = EventDriven::new(cfg);
         // A background erase occupies the sole plane...
         event.op(&bg(OpClass::Erase, CellMode::Mlc, 0));
         // ...so a foreground read on the same plane waits out the erase.
@@ -634,7 +630,6 @@ mod tests {
 
     #[test]
     fn queue_depth_throttles_admission() {
-        let timing = FlashTiming::default();
         let deep = ChannelConfig::builder()
             .channels(1)
             .planes(4)
@@ -649,8 +644,8 @@ mod tests {
             .unwrap();
         // Four erases on four planes: deep queue overlaps them, a
         // depth-1 queue serializes admission.
-        let mut a = EventDriven::new(timing, deep);
-        let mut b = EventDriven::new(timing, shallow);
+        let mut a = EventDriven::new(deep);
+        let mut b = EventDriven::new(shallow);
         for block in 0..4 {
             a.op(&bg(OpClass::Erase, CellMode::Slc, block));
             b.op(&bg(OpClass::Erase, CellMode::Slc, block));
@@ -661,7 +656,7 @@ mod tests {
 
     #[test]
     fn closed_form_clock_sums_services() {
-        let mut model = EventDriven::new(FlashTiming::default(), ChannelConfig::default());
+        let mut model = EventDriven::new(ChannelConfig::default());
         model.op(&fg(OpClass::Read, CellMode::Slc, 0));
         model.op(&fg(OpClass::Program, CellMode::Mlc, 0));
         assert_eq!(model.now_us(), 25.0 + 680.0);

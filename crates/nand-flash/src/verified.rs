@@ -17,7 +17,8 @@ use std::fmt;
 use crate::fxhash::FxHashMap;
 
 use flash_ecc::page::{
-    PageCodec, PageCodecBank, PageDecodeError, PageDecodeOutcome, PAGE_DATA_BYTES, PAGE_SPARE_BYTES,
+    PageCodec, PageDecodeError, PageDecodeOutcome, MAX_PAGE_STRENGTH, PAGE_DATA_BYTES,
+    PAGE_SPARE_BYTES,
 };
 
 use crate::device::{EraseOutcome, FlashConfig, FlashDevice, FlashOpError, ProgramOutcome};
@@ -100,7 +101,8 @@ pub struct VerifiedRead {
 #[derive(Debug)]
 pub struct VerifiedFlash {
     device: FlashDevice,
-    codecs: PageCodecBank,
+    /// Page codecs indexed by strength, each built on first use.
+    codecs: Vec<Option<PageCodec>>,
     /// Per-slot (strength, spare bytes) for programmed pages.
     spares: FxHashMap<u64, (u8, Vec<u8>)>,
     /// Reusable spare-area scratch for the read path, so each read does
@@ -114,7 +116,7 @@ impl VerifiedFlash {
         config.store_payloads = true;
         VerifiedFlash {
             device: FlashDevice::new(config),
-            codecs: PageCodecBank::new(),
+            codecs: vec![None; MAX_PAGE_STRENGTH + 1],
             spares: FxHashMap::default(),
             spare_buf: vec![0u8; PAGE_SPARE_BYTES],
         }
@@ -127,12 +129,6 @@ impl VerifiedFlash {
 
     fn gidx(&self, addr: PageAddr) -> u64 {
         addr.block.0 as u64 * self.device.geometry().slots_per_block() as u64 + addr.slot as u64
-    }
-
-    fn codec(&self, strength: u8) -> Result<std::sync::Arc<PageCodec>, VerifiedError> {
-        self.codecs
-            .codec(strength as usize)
-            .map_err(|_| VerifiedError::BadStrength(strength))
     }
 
     /// Encodes and programs one page at the given BCH strength.
@@ -154,11 +150,11 @@ impl VerifiedFlash {
         data: &[u8],
     ) -> Result<ProgramOutcome, VerifiedError> {
         assert_eq!(data.len(), PAGE_DATA_BYTES, "payload must be one 2KB page");
-        let codec = self.codec(strength)?;
+        let gidx = self.gidx(addr);
+        let codec = codec(&mut self.codecs, strength)?;
         let outcome = self.device.program_page(addr, mode, Some(data))?;
         // Encode straight into the slot's spare record, reusing its
         // allocation when the slot is reprogrammed.
-        let gidx = self.gidx(addr);
         let entry = self
             .spares
             .entry(gidx)
@@ -203,7 +199,7 @@ impl VerifiedFlash {
             out.raw_bit_errors,
             page_corruption_seed(self.device.config().seed, addr),
         );
-        let codec = self.codec(strength)?;
+        let codec = codec(&mut self.codecs, strength)?;
         match codec.decode(&mut data, &self.spare_buf) {
             Ok(PageDecodeOutcome::Clean) => Ok(VerifiedRead {
                 data,
@@ -247,6 +243,16 @@ impl VerifiedFlash {
     }
 }
 
+/// The codec for `strength` out of `codecs`, built on first use.
+fn codec(codecs: &mut [Option<PageCodec>], strength: u8) -> Result<&PageCodec, VerifiedError> {
+    let t = usize::from(strength);
+    let slot = codecs
+        .get_mut(t)
+        .filter(|_| t > 0)
+        .ok_or(VerifiedError::BadStrength(strength))?;
+    Ok(slot.get_or_insert_with(|| PageCodec::new(t).expect("strength is within 1..=12")))
+}
+
 /// Stable per-page corruption seed: the same page always fails at the
 /// same bit positions, and growing error counts extend the same
 /// sequence.
@@ -263,24 +269,15 @@ fn page_corruption_seed(device_seed: u64, addr: PageAddr) -> u64 {
 /// Flips `count` distinct bits across data and spare, positions drawn
 /// from a deterministic SplitMix64 stream.
 ///
-/// Duplicate positions are tracked in a stack-allocated bitset (heap only
-/// for geometries larger than a page plus spare), so the hot read path
-/// does no hashing and no per-call allocation. The position stream and
-/// skip-duplicates rule are unchanged, preserving every historical
+/// Duplicate positions are tracked in a stack-allocated bitset sized
+/// for a page plus its spare area (the most either buffer holds), so
+/// the hot read path does no hashing and no per-call allocation. The
+/// position stream and skip-duplicates rule preserve every historical
 /// corruption pattern (same-seed determinism and the prefix-subset
 /// property of growing counts).
 fn corrupt_bits(data: &mut [u8], spare: &mut [u8], count: u32, seed: u64) {
     let total_bits = (data.len() + spare.len()) * 8;
-    const STACK_WORDS: usize = (PAGE_DATA_BYTES + PAGE_SPARE_BYTES) * 8 / 64;
-    let words = total_bits.div_ceil(64);
-    let mut stack = [0u64; STACK_WORDS];
-    let mut heap;
-    let seen: &mut [u64] = if words <= STACK_WORDS {
-        &mut stack[..words]
-    } else {
-        heap = vec![0u64; words];
-        &mut heap
-    };
+    let mut seen = [0u64; (PAGE_DATA_BYTES + PAGE_SPARE_BYTES) * 8 / 64];
     let target = (count as usize).min(total_bits);
     let mut flipped = 0usize;
     let mut state = seed;
@@ -317,7 +314,6 @@ mod tests {
             geometry: FlashGeometry {
                 blocks: 2,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         })
@@ -378,7 +374,6 @@ mod tests {
             geometry: FlashGeometry {
                 blocks: 1,
                 pages_per_block: 2,
-                ..FlashGeometry::default()
             },
             // Acceleration tuned so the 1..12-error band spans tens of
             // integer erase cycles rather than being jumped over.
@@ -430,7 +425,6 @@ mod tests {
             geometry: FlashGeometry {
                 blocks: 1,
                 pages_per_block: 2,
-                ..FlashGeometry::default()
             },
             wear: WearConfig {
                 transient_errors_per_read: 0.0,

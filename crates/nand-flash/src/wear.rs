@@ -13,21 +13,19 @@
 
 use rand::Rng;
 
-use flash_reliability::CellLifetimeModel;
+use flash_reliability::{CellLifetimeModel, CELLS_PER_PAGE};
 
 use crate::geometry::CellMode;
 use crate::sampling::{binomial, poisson, NormalSource, PoissonSource};
 
-/// Configuration of the wear/error model.
+/// Configuration of the wear/error model. Cells follow
+/// [`CellLifetimeModel::figure_calibrated`] in SLC mode (the MLC
+/// distribution is derived from it: 10× fewer cycles, Table 1), and a
+/// physical page has [`CELLS_PER_PAGE`] of them (data + spare).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearConfig {
-    /// SLC cell lifetime distribution; the MLC distribution is derived
-    /// from it (10× fewer cycles, Table 1).
-    pub slc_lifetime: CellLifetimeModel,
     /// Page-to-page quality spread, in decades of lifetime.
     pub spatial_sigma_decades: f64,
-    /// Bit cells per physical page (data + spare).
-    pub cells_per_page: u32,
     /// Expected transient (soft) bit errors per page read.
     pub transient_errors_per_read: f64,
     /// Uniform lifetime acceleration factor for tractable whole-lifetime
@@ -38,9 +36,7 @@ pub struct WearConfig {
 impl Default for WearConfig {
     fn default() -> Self {
         WearConfig {
-            slc_lifetime: CellLifetimeModel::default(),
             spatial_sigma_decades: 0.15,
-            cells_per_page: flash_reliability::CELLS_PER_PAGE as u32,
             transient_errors_per_read: 1e-4,
             acceleration: 1.0,
         }
@@ -64,6 +60,10 @@ impl WearConfig {
 /// with probability ~1e-6.
 pub const NEGLIGIBLE_FAILURES: f64 = 1e-12;
 
+/// [`CELLS_PER_PAGE`] as the failure counts' type: no page reports more
+/// failed cells than it has.
+const PAGE_CELLS: u32 = CELLS_PER_PAGE as u32;
+
 /// Runtime wear model shared by all pages of a device.
 #[derive(Debug, Clone, Copy)]
 pub struct WearModel {
@@ -83,9 +83,9 @@ pub struct WearModel {
 impl WearModel {
     /// Builds the model from a configuration.
     pub fn new(config: WearConfig) -> Self {
-        let slc = config.slc_lifetime.accelerated(config.acceleration);
+        let slc = CellLifetimeModel::figure_calibrated().accelerated(config.acceleration);
         let mlc = slc.mlc();
-        let p = (NEGLIGIBLE_FAILURES / config.cells_per_page.max(1) as f64).clamp(1e-300, 0.5);
+        let p = (NEGLIGIBLE_FAILURES / CELLS_PER_PAGE as f64).clamp(1e-300, 0.5);
         WearModel {
             config,
             slc,
@@ -107,33 +107,16 @@ impl WearModel {
         self.config.spatial_sigma_decades * normals.sample(rng)
     }
 
-    /// Expected cumulative failed cells in `mode` after `erases` cycles
-    /// for a page with quality offset `delta` decades.
-    pub fn expected_failures(&self, mode: CellMode, erases: u64, delta: f64) -> f64 {
-        // A +delta-decade better page behaves like a younger page.
-        self.expected_failures_effective(mode, erases as f64 * 10f64.powf(-delta))
-    }
-
-    /// Expected cumulative failed cells at pre-scaled `effective` cycles
-    /// (`erases * 10^-delta`); lets callers reuse a precomputed quality
-    /// factor instead of paying `powf` per evaluation.
+    /// Expected cumulative failed cells in `mode` at `effective` cycles:
+    /// the erase count scaled by the page's quality factor
+    /// (`erases * 10^-delta`; a +delta-decade better page behaves like a
+    /// younger one).
     pub fn expected_failures_effective(&self, mode: CellMode, effective: f64) -> f64 {
         let model = match mode {
             CellMode::Slc => &self.slc,
             CellMode::Mlc => &self.mlc,
         };
-        self.config.cells_per_page as f64 * model.failure_prob(effective)
-    }
-
-    /// Median W/E cycles until a page in `mode` exceeds `t` failed cells
-    /// (used by experiment sizing, not by the injector itself).
-    pub fn median_cycles_to_failures(&self, mode: CellMode, t: usize) -> f64 {
-        let model = match mode {
-            CellMode::Slc => &self.slc,
-            CellMode::Mlc => &self.mlc,
-        };
-        let p = (t as f64 + 0.7) / self.config.cells_per_page as f64;
-        model.quantile(p.clamp(1e-300, 1.0 - 1e-12))
+        CELLS_PER_PAGE as f64 * model.failure_prob(effective)
     }
 }
 
@@ -205,8 +188,7 @@ impl PageWearState {
     ) -> u32 {
         self.advance(model, erases, rng);
         let transient = model.transient.sample(rng) as u32;
-        let cap = model.config.cells_per_page;
-        (self.permanent_failures(mode) + transient).min(cap)
+        (self.permanent_failures(mode) + transient).min(PAGE_CELLS)
     }
 
     /// Grows failure counts monotonically to match `erases` cycles.
@@ -247,8 +229,7 @@ impl PageWearState {
                     0.0
                 };
                 let d_slc = binomial(rng, d_mlc, ratio);
-                let cap = model.config.cells_per_page;
-                self.fail_mlc = (self.fail_mlc + d_mlc as u32).min(cap);
+                self.fail_mlc = (self.fail_mlc + d_mlc as u32).min(PAGE_CELLS);
                 self.fail_slc = (self.fail_slc + d_slc as u32).min(self.fail_mlc);
             }
             self.lambda_mlc = lm_new;
@@ -362,18 +343,22 @@ mod tests {
     fn expected_failures_monotone_in_mode() {
         let model = WearModel::new(WearConfig::default());
         for erases in [1_000u64, 10_000, 100_000] {
-            let slc = model.expected_failures(CellMode::Slc, erases, 0.0);
-            let mlc = model.expected_failures(CellMode::Mlc, erases, 0.0);
+            let slc = model.expected_failures_effective(CellMode::Slc, erases as f64);
+            let mlc = model.expected_failures_effective(CellMode::Mlc, erases as f64);
             assert!(slc <= mlc, "erases={erases}");
         }
     }
 
     #[test]
     fn median_cycles_reflect_endurance_gap() {
+        // An MLC page at `c` cycles has failed as far as an SLC page at
+        // 10c: Table 1's endurance gap.
         let model = WearModel::new(WearConfig::default());
-        let slc = model.median_cycles_to_failures(CellMode::Slc, 1);
-        let mlc = model.median_cycles_to_failures(CellMode::Mlc, 1);
-        assert!((slc / mlc - 10.0).abs() < 0.1);
+        for cycles in [1e4, 1e5, 1e6] {
+            let mlc = model.expected_failures_effective(CellMode::Mlc, cycles);
+            let slc = model.expected_failures_effective(CellMode::Slc, 10.0 * cycles);
+            assert!(mlc > 0.0 && (slc / mlc - 1.0).abs() < 1e-9, "{cycles}");
+        }
     }
 
     #[test]

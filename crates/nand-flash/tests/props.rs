@@ -32,7 +32,6 @@ fn device() -> FlashDevice {
         geometry: FlashGeometry {
             blocks: 4,
             pages_per_block: 3,
-            ..FlashGeometry::default()
         },
         wear: WearConfig::default().accelerated(1e5),
         ..FlashConfig::default()
@@ -148,7 +147,6 @@ proptest! {
             geometry: FlashGeometry {
                 blocks: 1,
                 pages_per_block: 1,
-                ..FlashGeometry::default()
             },
             wear: WearConfig::default().accelerated(3e6),
             ..FlashConfig::default()

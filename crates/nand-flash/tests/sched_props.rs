@@ -19,14 +19,15 @@ use nand_flash::{CellMode, ChannelConfig, EventDriven, FlashTiming, OpClass, OpR
 
 /// The paper's closed-form model as a reference: service is the Table
 /// 2/3 latency (wait is zero, the clock is the running sum of these).
-fn table_us(t: &FlashTiming, op: &OpRequest) -> f64 {
+fn table_us(op: &OpRequest) -> f64 {
+    type T = FlashTiming;
     match (op.class, op.mode) {
-        (OpClass::Read, CellMode::Slc) => t.slc_read_us,
-        (OpClass::Read, CellMode::Mlc) => t.mlc_read_us,
-        (OpClass::Program, CellMode::Slc) => t.slc_program_us,
-        (OpClass::Program, CellMode::Mlc) => t.mlc_program_us,
-        (OpClass::Erase, CellMode::Slc) => t.slc_erase_us,
-        (OpClass::Erase, CellMode::Mlc) => t.mlc_erase_us,
+        (OpClass::Read, CellMode::Slc) => T::SLC_READ_US,
+        (OpClass::Read, CellMode::Mlc) => T::MLC_READ_US,
+        (OpClass::Program, CellMode::Slc) => T::SLC_PROGRAM_US,
+        (OpClass::Program, CellMode::Mlc) => T::MLC_PROGRAM_US,
+        (OpClass::Erase, CellMode::Slc) => T::SLC_ERASE_US,
+        (OpClass::Erase, CellMode::Mlc) => T::MLC_ERASE_US,
     }
 }
 
@@ -76,13 +77,12 @@ proptest! {
     fn serial_event_backend_is_the_closed_form_oracle(
         ops in prop::collection::vec(op_strategy(), 1..200),
     ) {
-        let timing = FlashTiming::default();
         let cfg = ChannelConfig::default();
         prop_assert!(cfg.is_serial());
         let mut clock_us = 0.0f64;
-        let mut event = EventDriven::new(timing, cfg);
+        let mut event = EventDriven::new(cfg);
         for (i, op) in ops.iter().enumerate() {
-            let service_us = table_us(&timing, op);
+            let service_us = table_us(op);
             clock_us += service_us;
             let got = event.op(op);
             prop_assert_eq!(
@@ -106,9 +106,8 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..200),
         cfg in channel_strategy(),
     ) {
-        let timing = FlashTiming::default();
         let run = || {
-            let mut model = EventDriven::new(timing, cfg);
+            let mut model = EventDriven::new(cfg);
             let timings: Vec<(u64, u64)> = ops
                 .iter()
                 .map(|op| {
@@ -133,8 +132,7 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..200),
         cfg in channel_strategy(),
     ) {
-        let timing = FlashTiming::default();
-        let mut model = EventDriven::new(timing, cfg);
+        let mut model = EventDriven::new(cfg);
         let mut last_now = model.now_us();
         for op in &ops {
             let t = model.op(op);
@@ -158,14 +156,13 @@ proptest! {
         ops in prop::collection::vec(op_strategy(), 1..200),
         cfg in channel_strategy(),
     ) {
-        let timing = FlashTiming::default();
-        let mut model = EventDriven::new(timing, cfg);
+        let mut model = EventDriven::new(cfg);
         let mut lane_us = vec![0.0f64; model.lanes()];
         let mut transfers = vec![0u32; cfg.channels as usize];
         for op in &ops {
             model.op(op);
             let lane = model.lane_of(op.block);
-            lane_us[lane] += table_us(&timing, op);
+            lane_us[lane] += table_us(op);
             if op.class != OpClass::Erase {
                 transfers[lane / cfg.planes as usize] += 1;
             }
@@ -194,19 +191,18 @@ proptest! {
         channels in 1..6u32,
         planes in 1..4u32,
     ) {
-        let timing = FlashTiming::default();
         let cfg = ChannelConfig::builder()
             .channels(channels)
             .planes(planes)
             .queue_depth(ops.len() as u32)
             .build()
             .expect("strategy only emits valid configs");
-        let mut model = EventDriven::new(timing, cfg);
+        let mut model = EventDriven::new(cfg);
         let mut lane_us = vec![0.0f64; model.lanes()];
         for op in ops.iter().filter(|op| op.class != OpClass::Read) {
             let op = OpRequest { background: true, ..*op };
             model.op(&op);
-            lane_us[model.lane_of(op.block)] += table_us(&timing, &op);
+            lane_us[model.lane_of(op.block)] += table_us(&op);
         }
         let busiest_us = lane_us.iter().fold(0.0f64, |m, &t| m.max(t));
         prop_assert_eq!(model.drain().to_bits(), busiest_us.to_bits());

@@ -1,8 +1,4 @@
-//! The 2007 ITRS roadmap constants reproduced in the paper's Table 1,
-//! plus endurance specifications per cell density.
-
-/// Memory technology generations covered by Table 1.
-pub const ROADMAP_YEARS: [u32; 5] = [2007, 2009, 2011, 2013, 2015];
+//! The 2007 ITRS roadmap constants reproduced in the paper's Table 1.
 
 /// One row set of the ITRS 2007 roadmap (Table 1) for a given year.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,36 +68,6 @@ pub const ITRS_2007: [ItrsEntry; 5] = [
     },
 ];
 
-/// Looks up the roadmap entry for a given year.
-pub fn entry_for_year(year: u32) -> Option<&'static ItrsEntry> {
-    ITRS_2007.iter().find(|e| e.year == year)
-}
-
-/// Nominal write/erase endurance per cell mode (2007 generation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnduranceSpec {
-    /// SLC endurance in W/E cycles.
-    pub slc_cycles: f64,
-    /// MLC endurance in W/E cycles.
-    pub mlc_cycles: f64,
-}
-
-impl Default for EnduranceSpec {
-    fn default() -> Self {
-        EnduranceSpec {
-            slc_cycles: 1e5,
-            mlc_cycles: 1e4,
-        }
-    }
-}
-
-impl EnduranceSpec {
-    /// Ratio of SLC to MLC endurance (10× for the 2007 generation).
-    pub fn slc_advantage(&self) -> f64 {
-        self.slc_cycles / self.mlc_cycles
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,7 +78,7 @@ mod tests {
         for w in ITRS_2007.windows(2) {
             assert!(w[0].year < w[1].year);
         }
-        assert_eq!(ITRS_2007.map(|e| e.year), ROADMAP_YEARS);
+        assert_eq!(ITRS_2007.map(|e| e.year), [2007, 2009, 2011, 2013, 2015]);
     }
 
     #[test]
@@ -128,24 +94,20 @@ mod tests {
     fn nand_is_denser_than_dram_and_widening() {
         // §2.1: "reasonable to expect NAND Flash to be as much as 8x denser
         // than DRAM by 2015" (MLC).
-        let e2007 = entry_for_year(2007).unwrap();
-        let e2015 = entry_for_year(2015).unwrap();
+        let (e2007, e2015) = (&ITRS_2007[0], &ITRS_2007[4]);
         assert!(e2007.dram_um2_per_bit / e2007.nand_mlc_um2_per_bit >= 4.0);
         assert!(e2015.dram_um2_per_bit / e2015.nand_mlc_um2_per_bit >= 7.0);
     }
 
     #[test]
     fn slc_mlc_endurance_gap() {
-        let spec = EnduranceSpec::default();
-        assert_eq!(spec.slc_advantage(), 10.0);
+        // The 2007 generation's 10x gap is the one the wear model uses.
+        assert_eq!(
+            ITRS_2007[0].slc_we_cycles / ITRS_2007[0].mlc_we_cycles,
+            10.0
+        );
         for e in &ITRS_2007 {
             assert!(e.slc_we_cycles >= 10.0 * e.mlc_we_cycles);
         }
-    }
-
-    #[test]
-    fn lookup_misses_return_none() {
-        assert!(entry_for_year(2008).is_none());
-        assert!(entry_for_year(2015).is_some());
     }
 }

@@ -32,5 +32,5 @@ pub mod itrs;
 pub mod lifetime;
 pub mod normal;
 
-pub use itrs::{EnduranceSpec, ItrsEntry, ITRS_2007};
+pub use itrs::{ItrsEntry, ITRS_2007};
 pub use lifetime::{CellLifetimeModel, PageLifetimeModel, CELLS_PER_PAGE};

@@ -120,11 +120,15 @@ impl Default for CellLifetimeModel {
     }
 }
 
+/// Maximum acceptable probability that a page is unrecoverable — the
+/// paper's reliability target defining "max tolerable W/E cycles".
+pub const TARGET_UNRECOVERABLE_PROB: f64 = 1e-4;
+
 /// Page-level lifetime under a given ECC strength, including page-to-page
 /// spatial variation (Figure 6(b)).
 ///
-/// A page is *unrecoverable* once more cells have failed than the ECC can
-/// correct. Spatial correlation is modelled as a per-page lifetime offset
+/// A page of [`CELLS_PER_PAGE`] cells is *unrecoverable* once more cells
+/// have failed than the ECC can correct. Spatial correlation is modelled as a per-page lifetime offset
 /// `δ` (in decades) drawn from `N(0, spatial_sigma_decades)`: a bad page
 /// has *all* its cells shifted toward early failure, which is exactly the
 /// clustering effect the paper describes.
@@ -132,24 +136,16 @@ impl Default for CellLifetimeModel {
 pub struct PageLifetimeModel {
     /// Per-cell lifetime distribution.
     pub cell: CellLifetimeModel,
-    /// Cells protected together by one ECC codeword.
-    pub cells_per_page: usize,
     /// Spatial (page-to-page) standard deviation, in decades of lifetime.
     pub spatial_sigma_decades: f64,
-    /// Maximum acceptable probability that a page is unrecoverable —
-    /// the reliability target used to define "max tolerable W/E cycles".
-    pub target_unrecoverable_prob: f64,
 }
 
 impl PageLifetimeModel {
-    /// A page model over `cell` with no spatial variation and the paper's
-    /// 1e-4 reliability target.
+    /// A page model over `cell` with no spatial variation.
     pub fn new(cell: CellLifetimeModel) -> Self {
         PageLifetimeModel {
             cell,
-            cells_per_page: CELLS_PER_PAGE,
             spatial_sigma_decades: 0.0,
-            target_unrecoverable_prob: 1e-4,
         }
     }
 
@@ -175,7 +171,7 @@ impl PageLifetimeModel {
         if cycles <= 0.0 {
             return 0.0;
         }
-        let n = self.cells_per_page as f64;
+        let n = CELLS_PER_PAGE as f64;
         let page_fail = |delta: f64| {
             // Shifting the page's lifetime by +delta decades is the same
             // as evaluating the cell CDF at cycles·10^(-delta).
@@ -202,14 +198,14 @@ impl PageLifetimeModel {
         (acc * h).min(1.0)
     }
 
-    /// Maximum W/E cycles at which a strength-`t` page still meets the
-    /// reliability target — the y-axis of Figure 6(b).
+    /// Maximum W/E cycles at which a strength-`t` page still meets
+    /// [`TARGET_UNRECOVERABLE_PROB`] — the y-axis of Figure 6(b).
     ///
     /// Found by bisection over `log10(cycles)`; returns 0 if even a
     /// single cycle violates the target (possible with extreme spatial
     /// variation).
     pub fn max_tolerable_cycles(&self, t: usize) -> f64 {
-        let target = self.target_unrecoverable_prob;
+        let target = TARGET_UNRECOVERABLE_PROB;
         let mut lo = -2.0f64; // log10 cycles
         let mut hi = self.cell.log10_median + 6.0;
         if self.unrecoverable_prob(t, 10f64.powf(lo)) > target {

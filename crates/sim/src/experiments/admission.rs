@@ -15,6 +15,7 @@
 //! must not give back the cache's latency win).
 
 use disk_trace::WorkloadSpec;
+use flash_ecc::page::PAGE_DATA_BYTES;
 use flashcache_core::{AdmissionPolicyConfig, FlashCache, SplitPolicy};
 
 use super::driver::{cache_config_for_bytes, drive_cache, half_working_set_bytes};
@@ -111,13 +112,12 @@ pub fn run_variant(
         .check_invariants()
         .expect("cache invariants hold after the ablation replay");
     let s = cache.stats();
-    let page_bytes = u64::from(cache.device().geometry().page_data_bytes);
     let (_, _, mean_block_erases) = cache.erase_spread();
     AblationRow {
         variant: name.to_string(),
         read_miss_rate: s.read_miss_rate(),
         flash_programs: s.flash_programs,
-        flash_bytes_written: s.flash_programs * page_bytes,
+        flash_bytes_written: s.flash_programs * PAGE_DATA_BYTES as u64,
         erases: s.erases,
         mean_block_erases,
         rejected_fills: s.admission_rejected_fills,

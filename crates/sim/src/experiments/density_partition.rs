@@ -29,38 +29,20 @@ pub struct DensityPoint {
     pub optimal_slc_fraction: f64,
 }
 
-/// Analysis parameters.
-#[derive(Debug, Clone)]
-pub struct DensityPartitionParams {
-    /// Flash timings (SLC/MLC read latencies).
-    pub timing: FlashTiming,
-    /// ECC model (decode latency added to every flash hit).
-    pub ecc: EccLatencyModel,
-    /// ECC strength assumed for hit latency.
-    pub ecc_strength: usize,
-    /// Disk model for the miss penalty.
-    pub hdd: HddModel,
-    /// Granularity of the SLC-fraction sweep.
-    pub fraction_step: f64,
-}
+/// ECC strength assumed for hit latency: every flash hit pays the
+/// paper's accelerator ([`EccLatencyModel::PAPER`]) decoding BCH-1.
+const ECC_STRENGTH: usize = 1;
 
-impl Default for DensityPartitionParams {
-    fn default() -> Self {
-        DensityPartitionParams {
-            timing: FlashTiming::default(),
-            ecc: EccLatencyModel::default(),
-            ecc_strength: 1,
-            hdd: HddModel::travelstar(),
-            fraction_step: 0.02,
-        }
-    }
-}
+/// Disk behind the cache: every miss pays one Travelstar access.
+const DISK: HddModel = HddModel::travelstar();
+
+/// Granularity of the SLC-fraction sweep.
+const FRACTION_STEP: f64 = 0.02;
 
 /// Computes the Figure 7 curve for `workload` over the given die areas.
 pub fn density_partition_curve(
     workload: &WorkloadSpec,
     areas_mm2: &[f64],
-    params: &DensityPartitionParams,
     seed: u64,
 ) -> Vec<DensityPoint> {
     let sampler = PopularitySampler::new(workload.popularity, workload.footprint_pages, seed);
@@ -74,7 +56,7 @@ pub fn density_partition_curve(
             };
             let mut f: f64 = 0.0;
             while f <= 1.0 + 1e-9 {
-                let latency = average_latency(&sampler, area, f.min(1.0), params);
+                let latency = average_latency(&sampler, area, f.min(1.0));
                 // Ties (sub-0.01µs) resolve toward more SLC: when the
                 // capacity is ample the faster cells win outright.
                 if latency < best.latency_us - 0.01 {
@@ -84,7 +66,7 @@ pub fn density_partition_curve(
                     best.optimal_slc_fraction = f.min(1.0);
                     best.latency_us = best.latency_us.min(latency);
                 }
-                f += params.fraction_step;
+                f += FRACTION_STEP;
             }
             best
         })
@@ -93,24 +75,19 @@ pub fn density_partition_curve(
 
 /// Average access latency when a fraction `slc_fraction` of the die's
 /// cells run in SLC mode and the hottest pages occupy the SLC partition.
-pub fn average_latency(
-    sampler: &PopularitySampler,
-    area_mm2: f64,
-    slc_fraction: f64,
-    params: &DensityPartitionParams,
-) -> f64 {
+pub fn average_latency(sampler: &PopularitySampler, area_mm2: f64, slc_fraction: f64) -> f64 {
     let mlc_bytes = area_mm2 * MLC_BYTES_PER_MM2;
     // A cell in SLC mode stores half of its MLC capacity.
     let slc_pages = (mlc_bytes * slc_fraction / 2.0 / PAGE_BYTES as f64) as u64;
     let mlc_pages = (mlc_bytes * (1.0 - slc_fraction) / PAGE_BYTES as f64) as u64;
-    let ecc_us = params.ecc.decode_us(params.ecc_strength);
+    let ecc_us = EccLatencyModel::PAPER.decode_us(ECC_STRENGTH);
     let slc_cov = sampler.coverage(slc_pages);
     let total_cov = sampler.coverage(slc_pages + mlc_pages);
     let mlc_cov = total_cov - slc_cov;
     let miss = 1.0 - total_cov;
-    slc_cov * (params.timing.slc_read_us + ecc_us)
-        + mlc_cov * (params.timing.mlc_read_us + ecc_us)
-        + miss * params.hdd.access_latency_us(PAGE_BYTES)
+    slc_cov * (FlashTiming::SLC_READ_US + ecc_us)
+        + mlc_cov * (FlashTiming::MLC_READ_US + ecc_us)
+        + miss * DISK.access_latency_us(PAGE_BYTES)
 }
 
 #[cfg(test)]
@@ -126,7 +103,7 @@ mod tests {
     fn latency_falls_with_area() {
         let w = WorkloadSpec::financial2();
         let areas = [mb(64.0), mb(128.0), mb(256.0), mb(450.0)];
-        let points = density_partition_curve(&w, &areas, &DensityPartitionParams::default(), 1);
+        let points = density_partition_curve(&w, &areas, 1);
         for pair in points.windows(2) {
             assert!(
                 pair[1].latency_us < pair[0].latency_us,
@@ -142,7 +119,7 @@ mod tests {
         let w = WorkloadSpec::financial2();
         // 2x the working set in MLC terms: even all-SLC covers everything.
         let area = mb(900.0);
-        let p = &density_partition_curve(&w, &[area], &DensityPartitionParams::default(), 2)[0];
+        let p = &density_partition_curve(&w, &[area], 2)[0];
         assert!(
             p.optimal_slc_fraction > 0.95,
             "got SLC fraction {}",
@@ -158,7 +135,7 @@ mod tests {
         // search workload wants almost all MLC.
         let w = WorkloadSpec::websearch1().scaled(8);
         let area = mb(w.footprint_bytes() as f64 / (1 << 20) as f64 / 2.0);
-        let p = &density_partition_curve(&w, &[area], &DensityPartitionParams::default(), 3)[0];
+        let p = &density_partition_curve(&w, &[area], 3)[0];
         assert!(
             p.optimal_slc_fraction < 0.3,
             "got SLC fraction {}",
@@ -171,7 +148,7 @@ mod tests {
         // Figure 7(a): ~70% SLC near half the working set for Financial2.
         let w = WorkloadSpec::financial2();
         let area = mb(443.8 / 2.0);
-        let p = &density_partition_curve(&w, &[area], &DensityPartitionParams::default(), 4)[0];
+        let p = &density_partition_curve(&w, &[area], 4)[0];
         assert!(
             p.optimal_slc_fraction > 0.3,
             "got SLC fraction {}",
@@ -183,9 +160,8 @@ mod tests {
     fn average_latency_is_bounded_by_extremes() {
         let w = WorkloadSpec::financial2();
         let sampler = PopularitySampler::new(w.popularity, w.footprint_pages, 5);
-        let params = DensityPartitionParams::default();
-        let lat = average_latency(&sampler, mb(100.0), 0.5, &params);
-        assert!(lat > params.timing.slc_read_us);
-        assert!(lat < params.hdd.access_latency_us(PAGE_BYTES));
+        let lat = average_latency(&sampler, mb(100.0), 0.5);
+        assert!(lat > FlashTiming::SLC_READ_US);
+        assert!(lat < DISK.access_latency_us(PAGE_BYTES));
     }
 }

@@ -9,7 +9,7 @@ use disk_trace::WorkloadSpec;
 use flashcache_core::ControllerPolicy;
 
 use crate::hierarchy::HierarchyConfig;
-use crate::server::{run_server_warm, ServerConfig};
+use crate::server::run_server;
 
 use super::driver::cache_config_for_bytes;
 
@@ -81,7 +81,7 @@ pub fn ecc_throughput_curve(params: &EccThroughputParams) -> Vec<EccThroughputPo
         .map(|&t| {
             let mut cache = cache_config_for_bytes(params.flash_bytes);
             cache.controller = ControllerPolicy::FixedEcc { strength: t };
-            let report = run_server_warm(
+            let report = run_server(
                 HierarchyConfig {
                     dram_bytes: params.dram_bytes,
                     flash: Some(cache),
@@ -91,7 +91,6 @@ pub fn ecc_throughput_curve(params: &EccThroughputParams) -> Vec<EccThroughputPo
                 params.warmup_requests,
                 params.requests,
                 params.seed,
-                ServerConfig::default(),
             );
             EccThroughputPoint {
                 strength: t,

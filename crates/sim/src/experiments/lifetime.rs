@@ -71,53 +71,38 @@ pub fn fig12_workloads() -> Vec<WorkloadSpec> {
     ]
 }
 
-/// Accesses until total flash failure under `controller`.
+/// Accesses until total flash failure under `controller`, and whether
+/// the access budget ran out first. `workload` is replayed as is
+/// (`params.scale` is the caller's to apply).
 pub fn lifetime_accesses(
     workload: &WorkloadSpec,
     controller: ControllerPolicy,
     params: &LifetimeParams,
 ) -> (u64, bool) {
+    let (accesses, cache) = lifetime_run(workload, controller, params);
+    (accesses, !cache.is_dead())
+}
+
+/// The run behind [`lifetime_accesses`]: a cache of half the working
+/// set worn at `params.acceleration`, driven by one [`drive_cache`] call
+/// until it dies or `params.budget` accesses (the `flashcache lifetime`
+/// body). Returns the accesses made and the cache.
+fn lifetime_run(
+    workload: &WorkloadSpec,
+    controller: ControllerPolicy,
+    params: &LifetimeParams,
+) -> (u64, FlashCache) {
     let mut config = cache_config_for_bytes(half_working_set_bytes(workload));
     config.controller = controller;
     config.flash.wear = WearConfig::default().accelerated(params.acceleration);
     let mut cache = FlashCache::new(config).expect("valid config");
-    let mut generator = workload.generator(params.seed);
-    let mut total = 0u64;
-    while !cache.is_dead() && total < params.budget {
-        total += drive_cache(
-            &mut cache,
-            &mut generator,
-            (params.budget - total).min(100_000),
-            true,
-        );
-    }
-    (total, !cache.is_dead())
-}
-
-/// Runs the comparison for each workload.
-pub fn lifetime_comparison(
-    workloads: &[WorkloadSpec],
-    params: &LifetimeParams,
-) -> Vec<LifetimeRow> {
-    workloads
-        .iter()
-        .map(|w| {
-            let workload = w.clone().scaled(params.scale);
-            let (programmable, trunc_a) =
-                lifetime_accesses(&workload, ControllerPolicy::Programmable, params);
-            let (bch1, trunc_b) = lifetime_accesses(
-                &workload,
-                ControllerPolicy::FixedEcc { strength: 1 },
-                params,
-            );
-            LifetimeRow {
-                workload: w.name.clone(),
-                programmable_accesses: programmable,
-                bch1_accesses: bch1,
-                truncated: trunc_a || trunc_b,
-            }
-        })
-        .collect()
+    let accesses = drive_cache(
+        &mut cache,
+        &mut workload.generator(params.seed),
+        params.budget,
+        true,
+    );
+    (accesses, cache)
 }
 
 #[cfg(test)]
@@ -132,8 +117,20 @@ mod tests {
             budget: 30_000_000,
             seed: 5,
         };
-        let rows = lifetime_comparison(&[WorkloadSpec::alpha2()], &params);
-        let row = &rows[0];
+        let workload = WorkloadSpec::alpha2().scaled(params.scale);
+        let (programmable, trunc_a) =
+            lifetime_accesses(&workload, ControllerPolicy::Programmable, &params);
+        let (bch1, trunc_b) = lifetime_accesses(
+            &workload,
+            ControllerPolicy::FixedEcc { strength: 1 },
+            &params,
+        );
+        let row = LifetimeRow {
+            workload: workload.name,
+            programmable_accesses: programmable,
+            bch1_accesses: bch1,
+            truncated: trunc_a || trunc_b,
+        };
         assert!(!row.truncated, "runs must reach total failure");
         assert!(
             row.improvement() > 5.0,
@@ -142,5 +139,30 @@ mod tests {
             row.bch1_accesses,
             row.improvement()
         );
+    }
+
+    /// A lifetime run replays every page of every request it starts: on
+    /// a multi-page workload that outlives the budget it ends in the
+    /// state of one uninterrupted `drive_cache` over the same trace.
+    #[test]
+    fn lifetime_replays_requests_whole() {
+        let params = LifetimeParams {
+            scale: 1,
+            acceleration: 1.0, // real endurance: nothing wears out
+            budget: 250_000,
+            seed: 7,
+        };
+        let workload = WorkloadSpec::websearch1().scaled(512);
+        assert!(workload.mean_run_pages > 1.0);
+        let (accesses, cache) = lifetime_run(&workload, ControllerPolicy::Programmable, &params);
+        assert_eq!(accesses, params.budget);
+        assert!(!cache.is_dead());
+
+        let mut config = cache_config_for_bytes(half_working_set_bytes(&workload));
+        config.controller = ControllerPolicy::Programmable;
+        let mut reference = FlashCache::new(config).expect("valid config");
+        let mut generator = workload.generator(params.seed);
+        drive_cache(&mut reference, &mut generator, params.budget, true);
+        assert_eq!(cache.stats(), reference.stats());
     }
 }

@@ -5,7 +5,7 @@
 use disk_trace::WorkloadSpec;
 
 use crate::hierarchy::HierarchyConfig;
-use crate::server::{run_server_warm, ServerConfig, ServerReport};
+use crate::server::{run_server, ServerReport};
 
 use super::driver::cache_config_for_bytes;
 
@@ -58,8 +58,6 @@ pub struct Fig9Params {
     pub warmup_requests: u64,
     /// Trace seed.
     pub seed: u64,
-    /// Server model.
-    pub server: ServerConfig,
 }
 
 impl Fig9Params {
@@ -74,7 +72,6 @@ impl Fig9Params {
             requests: 400_000,
             warmup_requests: 500_000,
             seed: 0xF19,
-            server: ServerConfig::default(),
         }
     }
 
@@ -89,7 +86,6 @@ impl Fig9Params {
             requests: 400_000,
             warmup_requests: 500_000,
             seed: 0xF19,
-            server: ServerConfig::default(),
         }
     }
 
@@ -114,7 +110,7 @@ impl Fig9Params {
 
 /// Runs the comparison: `(dram_only_row, dram_plus_flash_row)`.
 pub fn power_bandwidth(params: &Fig9Params) -> (Fig9Row, Fig9Row) {
-    let baseline = run_server_warm(
+    let baseline = run_server(
         HierarchyConfig {
             dram_bytes: params.baseline_dram_bytes,
             flash: None,
@@ -124,9 +120,8 @@ pub fn power_bandwidth(params: &Fig9Params) -> (Fig9Row, Fig9Row) {
         params.warmup_requests,
         params.requests,
         params.seed,
-        params.server,
     );
-    let with_flash = run_server_warm(
+    let with_flash = run_server(
         HierarchyConfig {
             dram_bytes: params.flash_dram_bytes,
             flash: Some(cache_config_for_bytes(params.flash_bytes)),
@@ -136,7 +131,6 @@ pub fn power_bandwidth(params: &Fig9Params) -> (Fig9Row, Fig9Row) {
         params.warmup_requests,
         params.requests,
         params.seed,
-        params.server,
     );
     let base_mbps = baseline.network_mbps.max(1e-12);
     // Power is compared at equal work: both configurations evaluated

@@ -2,6 +2,10 @@
 //! events into ECC-strength increases versus MLC→SLC density switches,
 //! per workload, with flash sized at half the working set and measured
 //! near the onset of cell failures.
+//!
+//! Figure 11's share is [`ReconfigRow::ecc_pct`]: ECC-strength updates
+//! over *every* density update, fault-driven demotions and hot-page
+//! promotions alike (both reprogram the page's mode field).
 
 use disk_trace::WorkloadSpec;
 use flashcache_core::FlashCache;
@@ -28,18 +32,6 @@ impl ReconfigRow {
     /// counting every density update (fault-driven and hot-promotion).
     pub fn ecc_pct(&self) -> f64 {
         let total = self.ecc_events + self.density_events;
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * self.ecc_events as f64 / total as f64
-        }
-    }
-
-    /// Same percentage restricted to *fault-driven* updates — the
-    /// cost-function decisions of §5.2.1 that Figure 11 plots.
-    pub fn fault_ecc_pct(&self) -> f64 {
-        let density = self.density_events - self.hot_promotions;
-        let total = self.ecc_events + density;
         if total == 0 {
             0.0
         } else {

@@ -8,16 +8,16 @@
 //! raw material for the power/throughput analyses of §7.
 
 use disk_trace::{DiskRequest, OpKind, PAGE_BYTES};
-use flash_obs::{Registry, ServiceTier, Snapshot};
+use flash_obs::{LatencyHistogram, Registry, ServiceTier, Snapshot};
 use flashcache_core::{
     AccessOutcome, CacheOp, CacheOpKind, FlashCache, FlashCacheConfig, PrimaryDiskCache,
 };
 use flashcache_engine::{EngineConfig, EngineError, ShardedCache};
+use nand_flash::{CellMode, FlashPower};
 use storage_model::{ActivityTracker, DramModel, DramPowerBreakdown, HddModel};
 
-use crate::metrics::LatencyHistogram;
-
-/// Configuration of a [`Hierarchy`].
+/// Configuration of a [`Hierarchy`]. The DRAM is Table 2's DDR2
+/// ([`DramModel::default`]).
 #[derive(Debug, Clone)]
 pub struct HierarchyConfig {
     /// DRAM capacity holding the primary disk cache, bytes.
@@ -25,8 +25,6 @@ pub struct HierarchyConfig {
     /// Flash secondary cache configuration; `None` builds the DRAM-only
     /// baseline of Figure 9's left bars.
     pub flash: Option<FlashCacheConfig>,
-    /// DRAM timing/power model.
-    pub dram: DramModel,
     /// Disk timing/power model.
     pub hdd: HddModel,
     /// Requests between periodic dirty write-back flushes of the PDC.
@@ -44,12 +42,46 @@ impl Default for HierarchyConfig {
         HierarchyConfig {
             dram_bytes: 256 << 20,
             flash: Some(FlashCacheConfig::default()),
-            dram: DramModel::default(),
             hdd: HddModel::travelstar(),
             flush_interval: 1024,
             flash_shards: 1,
             engine: EngineConfig::default(),
         }
+    }
+}
+
+/// Device activity totals sufficient to evaluate average power over any
+/// wall time — used to compare configurations at equal work (Figure 9).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PowerInputs {
+    /// Seconds the disk spent busy.
+    pub disk_busy_s: f64,
+    /// Flash operation energy, millijoules.
+    pub flash_energy_mj: f64,
+    /// Flash idle power floor, watts.
+    pub flash_idle_w: f64,
+    /// Bytes read from DRAM.
+    pub dram_read_bytes: u64,
+    /// Bytes written to DRAM.
+    pub dram_write_bytes: u64,
+    /// DRAM capacity, bytes.
+    pub dram_capacity_bytes: u64,
+    /// Disk model.
+    pub hdd: HddModel,
+}
+
+impl PowerInputs {
+    /// Power breakdown `(dram, disk_w, flash_w)` over `elapsed_s`.
+    pub fn power_at(&self, elapsed_s: f64) -> (DramPowerBreakdown, f64, f64) {
+        let dram = DramModel::default().power_breakdown(
+            self.dram_capacity_bytes,
+            self.dram_read_bytes,
+            self.dram_write_bytes,
+            elapsed_s,
+        );
+        let disk = self.hdd.average_power_w(self.disk_busy_s, elapsed_s);
+        let flash = self.flash_energy_mj / 1000.0 / elapsed_s + self.flash_idle_w;
+        (dram, disk, flash)
     }
 }
 
@@ -155,9 +187,8 @@ pub struct Hierarchy {
     flash: Option<ShardedCache>,
     report: HierarchyReport,
     since_flush: u64,
-    /// `config.dram.access_latency_us(PAGE_BYTES)`, the cost of every
-    /// PDC probe, and the same in seconds: computed once, `config` is
-    /// immutable from here on.
+    /// `DramModel::default().access_latency_us(PAGE_BYTES)`, the cost of
+    /// every PDC probe, and the same in seconds: computed once.
     dram_page_us: f64,
     dram_page_s: f64,
     /// The current batch's flash-bound op stream, reused across batches.
@@ -234,7 +265,7 @@ impl Hierarchy {
             )?),
             None => None,
         };
-        let dram_page_us = config.dram.access_latency_us(PAGE_BYTES);
+        let dram_page_us = DramModel::default().access_latency_us(PAGE_BYTES);
         Ok(Hierarchy {
             pdc: PrimaryDiskCache::new(pdc_pages),
             flash,
@@ -349,13 +380,6 @@ impl Hierarchy {
         let mut out = [RequestOutcome::default()];
         self.in_order(std::slice::from_ref(&req), &mut out);
         out[0]
-    }
-
-    /// Replays an entire iterator of requests.
-    pub fn run<I: IntoIterator<Item = DiskRequest>>(&mut self, reqs: I) {
-        for r in reqs {
-            self.submit(r);
-        }
     }
 
     /// Replays a batch of requests, returning one outcome per request.
@@ -624,41 +648,28 @@ impl Hierarchy {
         }
     }
 
-    /// DRAM power breakdown over `elapsed_s` of wall time.
-    pub fn dram_power(&self, elapsed_s: f64) -> DramPowerBreakdown {
-        self.config.dram.power_breakdown(
-            self.config.dram_bytes,
-            self.report.dram.read_bytes,
-            self.report.dram.write_bytes,
-            elapsed_s,
-        )
-    }
-
-    /// Disk average power over `elapsed_s` of wall time.
-    pub fn disk_power_w(&self, elapsed_s: f64) -> f64 {
-        self.config
-            .hdd
-            .average_power_w(self.report.disk.busy_s, elapsed_s)
-    }
-
-    /// Flash average power over `elapsed_s` of wall time (op energy plus
-    /// the idle floor).
-    pub fn flash_power_w(&self, elapsed_s: f64) -> f64 {
-        match &self.flash {
-            None => 0.0,
-            Some(f) => f
-                .shards()
-                .iter()
-                .map(|shard| {
-                    let stats = shard.device().stats();
-                    let capacity = shard
-                        .device()
-                        .geometry()
-                        .capacity_bytes(nand_flash::CellMode::Mlc);
-                    stats.energy_mj / 1000.0 / elapsed_s
-                        + shard.device().config().power.idle_w(capacity)
-                })
-                .sum(),
+    /// The device activity so far, from which
+    /// [`PowerInputs::power_at`] gives the DRAM, disk and flash power
+    /// over any wall time. Flash idles at [`FlashPower::idle_w`] of
+    /// each shard's MLC capacity; without flash both flash terms are 0.
+    pub fn power_inputs(&self) -> PowerInputs {
+        let (flash_energy_mj, flash_idle_w) = self.flash.as_ref().map_or((0.0, 0.0), |f| {
+            let devices = || f.shards().iter().map(FlashCache::device);
+            (
+                devices().map(|d| d.stats().energy_mj).sum(),
+                devices()
+                    .map(|d| FlashPower::idle_w(d.geometry().capacity_bytes(CellMode::Mlc)))
+                    .sum(),
+            )
+        });
+        PowerInputs {
+            disk_busy_s: self.report.disk.busy_s,
+            flash_energy_mj,
+            flash_idle_w,
+            dram_read_bytes: self.report.dram.read_bytes,
+            dram_write_bytes: self.report.dram.write_bytes,
+            dram_capacity_bytes: self.config.dram_bytes,
+            hdd: self.config.hdd,
         }
     }
 }
@@ -675,7 +686,6 @@ mod tests {
                 geometry: FlashGeometry {
                     blocks: 16,
                     pages_per_block: 8,
-                    ..FlashGeometry::default()
                 },
                 ..FlashConfig::default()
             },
@@ -797,12 +807,13 @@ mod tests {
         for p in 0..200u64 {
             h.submit(DiskRequest::read(p));
         }
-        let dram = h.dram_power(1.0);
+        let inputs = h.power_inputs();
+        let (dram, disk, flash) = inputs.power_at(1.0);
         assert!(dram.idle_w > 0.0);
-        let disk = h.disk_power_w(1.0);
         assert!(disk >= h.config().hdd.idle_w);
-        assert!(h.flash_power_w(1.0) > 0.0);
+        assert!(flash > inputs.flash_idle_w && inputs.flash_idle_w > 0.0);
         // DRAM-only hierarchy reports zero flash power.
-        assert_eq!(small_hierarchy(false).flash_power_w(1.0), 0.0);
+        let (_, _, flash) = small_hierarchy(false).power_inputs().power_at(1.0);
+        assert_eq!(flash.to_bits(), 0.0f64.to_bits());
     }
 }

@@ -29,10 +29,8 @@
 
 pub mod experiments;
 pub mod hierarchy;
-pub mod metrics;
 pub mod server;
 
 pub use flash_obs::ServiceTier;
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyReport, RequestOutcome};
-pub use metrics::LatencyHistogram;
-pub use server::{run_server, Bottleneck, ServerConfig, ServerReport};
+pub use server::{run_server, Bottleneck, ServerReport};

@@ -11,36 +11,23 @@
 //! time. Network bandwidth is bytes served over wall time.
 
 use disk_trace::WorkloadSpec;
-use storage_model::{DramModel, DramPowerBreakdown, HddModel};
 
-use crate::hierarchy::{Hierarchy, HierarchyConfig};
+use crate::hierarchy::{Hierarchy, HierarchyConfig, PowerInputs};
 
-/// Server parameters (Table 3: 8 in-order cores at 1GHz).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServerConfig {
-    /// Cores available for request processing.
-    pub cores: u32,
-    /// Concurrent client connections (closed-loop population).
-    pub clients: u32,
-    /// CPU time consumed per request, µs.
-    pub cpu_us_per_request: f64,
-    /// Independent flash banks that overlap array operations
-    /// (Figure 1(a) shows a banked organization; a 1GB device is built
-    /// from 8×1Gb dies). The *ECC controller* is shared, so decode time
-    /// is not divided.
-    pub flash_banks: u32,
-}
+/// Cores available for request processing (Table 3: 8 in-order cores
+/// at 1GHz).
+pub const CORES: u32 = 8;
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            cores: 8,
-            clients: 64,
-            cpu_us_per_request: 200.0,
-            flash_banks: 8,
-        }
-    }
-}
+/// Concurrent client connections (the closed-loop population).
+pub const CLIENTS: u32 = 64;
+
+/// CPU time consumed per request, µs.
+pub const CPU_US_PER_REQUEST: f64 = 200.0;
+
+/// Independent flash banks that overlap array operations (Figure 1(a)
+/// shows a banked organization; a 1GB device is built from 8×1Gb dies).
+/// The *ECC controller* is shared, so decode time is not divided.
+pub const FLASH_BANKS: u32 = 8;
 
 /// Results of one server run.
 #[derive(Debug, Clone)]
@@ -57,64 +44,16 @@ pub struct ServerReport {
     pub network_mbps: f64,
     /// Which resource bounded the run.
     pub bottleneck: Bottleneck,
-    /// DRAM power breakdown, watts.
-    pub dram_power: DramPowerBreakdown,
-    /// Disk average power, watts.
-    pub disk_power_w: f64,
-    /// Flash average power, watts.
-    pub flash_power_w: f64,
     /// Mean storage latency per request, µs.
     pub avg_storage_latency_us: f64,
     /// Flash read hit pages / total pages (0 for DRAM-only).
     pub flash_hit_fraction: f64,
     /// Disk read pages / total pages.
     pub disk_read_fraction: f64,
-    /// Raw quantities for recomputing power at a different wall time.
+    /// Device activity of the measured run: every power figure is
+    /// [`PowerInputs::power_at`] a wall time (`elapsed_s` for this run's
+    /// own).
     pub power_inputs: PowerInputs,
-}
-
-/// Device activity totals sufficient to evaluate average power over any
-/// wall-time — used to compare configurations at equal work (Figure 9).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerInputs {
-    /// Seconds the disk spent busy.
-    pub disk_busy_s: f64,
-    /// Flash operation energy, millijoules.
-    pub flash_energy_mj: f64,
-    /// Flash idle power floor, watts.
-    pub flash_idle_w: f64,
-    /// Bytes read from DRAM.
-    pub dram_read_bytes: u64,
-    /// Bytes written to DRAM.
-    pub dram_write_bytes: u64,
-    /// DRAM capacity, bytes.
-    pub dram_capacity_bytes: u64,
-    /// DRAM model.
-    pub dram: DramModel,
-    /// Disk model.
-    pub hdd: HddModel,
-}
-
-impl PowerInputs {
-    /// Power breakdown `(dram, disk_w, flash_w)` over `elapsed_s`.
-    pub fn power_at(&self, elapsed_s: f64) -> (DramPowerBreakdown, f64, f64) {
-        let dram = self.dram.power_breakdown(
-            self.dram_capacity_bytes,
-            self.dram_read_bytes,
-            self.dram_write_bytes,
-            elapsed_s,
-        );
-        let disk = self.hdd.average_power_w(self.disk_busy_s, elapsed_s);
-        let flash = self.flash_energy_mj / 1000.0 / elapsed_s + self.flash_idle_w;
-        (dram, disk, flash)
-    }
-}
-
-impl ServerReport {
-    /// Total system-memory + disk power — the quantity Figure 9 stacks.
-    pub fn memory_and_disk_power_w(&self) -> f64 {
-        self.dram_power.total_w() + self.disk_power_w + self.flash_power_w
-    }
 }
 
 /// The resource that limited throughput.
@@ -130,27 +69,15 @@ pub enum Bottleneck {
     Flash,
 }
 
-/// Runs `requests` requests of `workload` through a hierarchy and
-/// applies the bottleneck model.
+/// Replays `warmup_requests` requests of `workload` through a
+/// hierarchy, then measures the next `requests` and applies the
+/// bottleneck model to them alone.
 pub fn run_server(
-    hierarchy_config: HierarchyConfig,
-    workload: &WorkloadSpec,
-    requests: u64,
-    seed: u64,
-    server: ServerConfig,
-) -> ServerReport {
-    run_server_warm(hierarchy_config, workload, 0, requests, seed, server)
-}
-
-/// Like [`run_server`], but replays `warmup_requests` first and measures
-/// only the steady state after them.
-pub fn run_server_warm(
     hierarchy_config: HierarchyConfig,
     workload: &WorkloadSpec,
     warmup_requests: u64,
     requests: u64,
     seed: u64,
-    server: ServerConfig,
 ) -> ServerReport {
     let mut hierarchy = Hierarchy::new(hierarchy_config);
     let mut generator = workload.generator(seed);
@@ -168,7 +95,7 @@ pub fn run_server_warm(
     hierarchy.drain();
     let report = hierarchy.report();
 
-    let total_cpu_us = requests as f64 * server.cpu_us_per_request;
+    let total_cpu_us = requests as f64 * CPU_US_PER_REQUEST;
     let total_storage_us = report.total_latency_us;
     // Array operations overlap across banks; BCH decode serializes on
     // the shared programmable controller (§4.1).
@@ -176,16 +103,16 @@ pub fn run_server_warm(
         .flash_engine()
         .map(|e| {
             let busy: f64 = e.shards().iter().map(|f| f.device().stats().busy_us).sum();
-            busy / server.flash_banks.max(1) as f64 + e.stats().ecc_us
+            busy / FLASH_BANKS as f64 + e.stats().ecc_us
         })
         .unwrap_or(0.0);
     let disk_busy_us = report.disk.busy_s * 1e6;
 
     let bounds = [
-        (Bottleneck::Cpu, total_cpu_us / server.cores as f64),
+        (Bottleneck::Cpu, total_cpu_us / CORES as f64),
         (
             Bottleneck::ClientLatency,
-            (total_cpu_us + total_storage_us) / server.clients as f64,
+            (total_cpu_us + total_storage_us) / CLIENTS as f64,
         ),
         (Bottleneck::Disk, disk_busy_us),
         (Bottleneck::Flash, flash_busy_us),
@@ -195,34 +122,6 @@ pub fn run_server_warm(
         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite bounds"))
         .expect("non-empty bounds");
     let elapsed_s = (wall_us / 1e6).max(1e-9);
-
-    let power_inputs = PowerInputs {
-        disk_busy_s: report.disk.busy_s,
-        flash_energy_mj: hierarchy
-            .flash_engine()
-            .map(|e| {
-                e.shards()
-                    .iter()
-                    .map(|f| f.device().stats().energy_mj)
-                    .sum()
-            })
-            .unwrap_or(0.0),
-        flash_idle_w: hierarchy.flash_power_w(1.0)
-            - hierarchy
-                .flash_engine()
-                .map(|e| {
-                    e.shards()
-                        .iter()
-                        .map(|f| f.device().stats().energy_mj / 1000.0)
-                        .sum()
-                })
-                .unwrap_or(0.0),
-        dram_read_bytes: report.dram.read_bytes,
-        dram_write_bytes: report.dram.write_bytes,
-        dram_capacity_bytes: hierarchy.config().dram_bytes,
-        dram: hierarchy.config().dram,
-        hdd: hierarchy.config().hdd,
-    };
     ServerReport {
         requests,
         elapsed_s,
@@ -230,9 +129,6 @@ pub fn run_server_warm(
         bytes_served,
         network_mbps: bytes_served as f64 / 1e6 / elapsed_s,
         bottleneck,
-        dram_power: hierarchy.dram_power(elapsed_s),
-        disk_power_w: hierarchy.disk_power_w(elapsed_s),
-        flash_power_w: hierarchy.flash_power_w(elapsed_s),
         avg_storage_latency_us: report.avg_latency_us(),
         flash_hit_fraction: if report.pages == 0 {
             0.0
@@ -240,7 +136,7 @@ pub fn run_server_warm(
             report.flash_hit_pages as f64 / report.pages as f64
         },
         disk_read_fraction: report.disk_read_fraction(),
-        power_inputs,
+        power_inputs: hierarchy.power_inputs(),
     }
 }
 
@@ -256,7 +152,6 @@ mod tests {
                 geometry: FlashGeometry {
                     blocks,
                     pages_per_block: 32,
-                    ..FlashGeometry::default()
                 },
                 ..FlashConfig::default()
             },
@@ -279,9 +174,9 @@ mod tests {
                 ..HierarchyConfig::default()
             },
             &workload,
+            0,
             20_000,
             7,
-            ServerConfig::default(),
         );
         // Smaller DRAM + flash covering the footprint.
         let with_flash = run_server(
@@ -291,9 +186,9 @@ mod tests {
                 ..HierarchyConfig::default()
             },
             &workload,
+            0,
             20_000,
             7,
-            ServerConfig::default(),
         );
         assert!(
             with_flash.network_mbps > dram_only.network_mbps,
@@ -309,7 +204,8 @@ mod tests {
             "flash must reduce disk busy time"
         );
         assert!(with_flash.flash_hit_fraction > 0.1);
-        assert_eq!(dram_only.flash_power_w, 0.0);
+        let (_, _, flash_w) = dram_only.power_inputs.power_at(dram_only.elapsed_s);
+        assert_eq!(flash_w, 0.0);
     }
 
     #[test]
@@ -322,9 +218,9 @@ mod tests {
                 ..HierarchyConfig::default()
             },
             &workload,
+            0,
             10_000,
             8,
-            ServerConfig::default(),
         );
         assert_eq!(dram_only.bottleneck, Bottleneck::Disk);
         assert!(dram_only.disk_read_fraction > 0.2);
@@ -340,14 +236,15 @@ mod tests {
                 ..HierarchyConfig::default()
             },
             &workload,
+            0,
             5_000,
             9,
-            ServerConfig::default(),
         );
         assert_eq!(r.requests, 5_000);
         assert!(r.elapsed_s > 0.0);
         assert!((r.throughput_rps - 5_000.0 / r.elapsed_s).abs() < 1e-6);
-        assert!(r.memory_and_disk_power_w() > 0.0);
+        let (dram, disk_w, flash_w) = r.power_inputs.power_at(r.elapsed_s);
+        assert!(dram.total_w() > 0.0 && disk_w > 0.0 && flash_w > 0.0);
         assert!(r.network_mbps > 0.0);
     }
 
@@ -359,8 +256,8 @@ mod tests {
             flash: Some(small_flash_cfg(64)),
             ..HierarchyConfig::default()
         };
-        let cold = run_server(cfg(), &workload, 10_000, 6, ServerConfig::default());
-        let warm = run_server_warm(cfg(), &workload, 30_000, 10_000, 6, ServerConfig::default());
+        let cold = run_server(cfg(), &workload, 0, 10_000, 6);
+        let warm = run_server(cfg(), &workload, 30_000, 10_000, 6);
         // Warm measurement sees a populated cache: more flash hits and
         // fewer disk reads than a cold-start measurement.
         assert!(
@@ -380,8 +277,8 @@ mod tests {
             flash: Some(small_flash_cfg(32)),
             ..HierarchyConfig::default()
         };
-        let a = run_server(cfg(), &workload, 3_000, 5, ServerConfig::default());
-        let b = run_server(cfg(), &workload, 3_000, 5, ServerConfig::default());
+        let a = run_server(cfg(), &workload, 0, 3_000, 5);
+        let b = run_server(cfg(), &workload, 0, 3_000, 5);
         assert_eq!(a.network_mbps, b.network_mbps);
         assert_eq!(a.elapsed_s, b.elapsed_s);
     }

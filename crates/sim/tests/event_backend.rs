@@ -21,7 +21,6 @@ fn flash_config(backend: TimingBackend, channel: ChannelConfig) -> FlashCacheCon
             geometry: FlashGeometry {
                 blocks: 128,
                 pages_per_block: 32,
-                ..FlashGeometry::default()
             },
             timing_backend: backend,
             channel,

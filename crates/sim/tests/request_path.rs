@@ -20,6 +20,7 @@ use flashcache_engine::ShardedCache;
 use flashcache_sim::{Hierarchy, HierarchyConfig, HierarchyReport, RequestOutcome};
 use nand_flash::{FlashConfig, FlashGeometry};
 use proptest::prelude::*;
+use storage_model::DramModel;
 
 /// A 16-page PDC that evicts dirty pages, a flush every five requests
 /// (so flushes land inside batches), and 16 × 8 flash slots that a
@@ -30,7 +31,6 @@ fn config(flash: bool, shards: usize) -> HierarchyConfig {
             geometry: FlashGeometry {
                 blocks: 16,
                 pages_per_block: 8,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },
@@ -75,7 +75,7 @@ impl Scalar {
             flash,
             report: HierarchyReport::default(),
             since_flush: 0,
-            dram_page_us: config.dram.access_latency_us(PAGE_BYTES),
+            dram_page_us: DramModel::default().access_latency_us(PAGE_BYTES),
             config: config.clone(),
         }
     }

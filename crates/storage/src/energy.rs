@@ -1,49 +1,5 @@
-//! Simple energy/activity accounting used by the simulator to turn
-//! per-device busy time into the average-power breakdowns of Figure 9.
-
-/// Accumulates energy in joules.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EnergyAccount {
-    joules: f64,
-}
-
-impl EnergyAccount {
-    /// A fresh, empty account.
-    pub fn new() -> Self {
-        EnergyAccount::default()
-    }
-
-    /// Adds energy drawn at `watts` for `seconds`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is negative.
-    pub fn add_power_time(&mut self, watts: f64, seconds: f64) {
-        assert!(watts >= 0.0 && seconds >= 0.0, "negative energy");
-        self.joules += watts * seconds;
-    }
-
-    /// Adds raw joules.
-    pub fn add_joules(&mut self, joules: f64) {
-        assert!(joules >= 0.0, "negative energy");
-        self.joules += joules;
-    }
-
-    /// Total accumulated energy in joules.
-    pub fn joules(&self) -> f64 {
-        self.joules
-    }
-
-    /// Average power over `elapsed_s` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed_s` is not positive.
-    pub fn average_power_w(&self, elapsed_s: f64) -> f64 {
-        assert!(elapsed_s > 0.0, "elapsed time must be positive");
-        self.joules / elapsed_s
-    }
-}
+//! Activity accounting used by the simulator to turn per-device busy
+//! time and traffic into the average-power breakdowns of Figure 9.
 
 /// Busy-time and byte-count tracker for one device.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -54,8 +10,6 @@ pub struct ActivityTracker {
     pub read_bytes: u64,
     /// Bytes written to the device.
     pub write_bytes: u64,
-    /// Number of operations serviced.
-    pub ops: u64,
 }
 
 impl ActivityTracker {
@@ -69,13 +23,6 @@ impl ActivityTracker {
         } else {
             self.read_bytes += bytes;
         }
-        self.ops += 1;
-    }
-
-    /// Utilization over `elapsed_s` seconds, clamped to 1.
-    pub fn utilization(&self, elapsed_s: f64) -> f64 {
-        assert!(elapsed_s > 0.0, "elapsed time must be positive");
-        (self.busy_s / elapsed_s).min(1.0)
     }
 }
 
@@ -84,35 +31,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn energy_accumulates() {
-        let mut e = EnergyAccount::new();
-        e.add_power_time(2.0, 3.0);
-        e.add_joules(4.0);
-        assert!((e.joules() - 10.0).abs() < 1e-12);
-        assert!((e.average_power_w(5.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "negative energy")]
-    fn rejects_negative_power() {
-        EnergyAccount::new().add_power_time(-1.0, 1.0);
-    }
-
-    #[test]
     fn tracker_records_reads_and_writes() {
         let mut t = ActivityTracker::default();
         t.record(0.5, 100, false);
         t.record(0.25, 200, true);
         assert_eq!(t.read_bytes, 100);
         assert_eq!(t.write_bytes, 200);
-        assert_eq!(t.ops, 2);
-        assert!((t.utilization(1.0) - 0.75).abs() < 1e-12);
+        assert!((t.busy_s - 0.75).abs() < 1e-12);
     }
 
     #[test]
-    fn utilization_clamps() {
-        let mut t = ActivityTracker::default();
-        t.record(5.0, 1, false);
-        assert_eq!(t.utilization(1.0), 1.0);
+    #[should_panic(expected = "negative busy time")]
+    fn rejects_negative_busy_time() {
+        ActivityTracker::default().record(-1.0, 0, false);
     }
 }

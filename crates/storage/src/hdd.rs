@@ -7,17 +7,6 @@
 //! laptop-drive power numbers were used because the simulated disks are
 //! small, so [`HddModel::travelstar`] is the default.
 
-/// Disk power states tracked by the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HddPowerState {
-    /// Actively seeking/reading/writing.
-    Active,
-    /// Spinning but idle.
-    Idle,
-    /// Spun down.
-    Standby,
-}
-
 /// A hard disk drive model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HddModel {
@@ -29,8 +18,6 @@ pub struct HddModel {
     pub active_w: f64,
     /// Power while spinning idle, watts.
     pub idle_w: f64,
-    /// Power while spun down, watts.
-    pub standby_w: f64,
 }
 
 impl HddModel {
@@ -42,7 +29,6 @@ impl HddModel {
             transfer_bytes_per_s: 44e6,
             active_w: 2.5,
             idle_w: 0.85,
-            standby_w: 0.25,
         }
     }
 
@@ -54,7 +40,6 @@ impl HddModel {
             transfer_bytes_per_s: 78e6,
             active_w: 13.0,
             idle_w: 9.3,
-            standby_w: 0.8,
         }
     }
 
@@ -74,15 +59,6 @@ impl HddModel {
         assert!(busy_s >= 0.0, "busy time must be non-negative");
         let busy_frac = (busy_s / elapsed_s).min(1.0);
         self.active_w * busy_frac + self.idle_w * (1.0 - busy_frac)
-    }
-
-    /// Power draw in the given steady state, watts.
-    pub fn state_power_w(&self, state: HddPowerState) -> f64 {
-        match state {
-            HddPowerState::Active => self.active_w,
-            HddPowerState::Idle => self.idle_w,
-            HddPowerState::Standby => self.standby_w,
-        }
     }
 }
 
@@ -131,8 +107,7 @@ mod tests {
     #[test]
     fn state_power_ordering() {
         for d in [HddModel::travelstar(), HddModel::barracuda()] {
-            assert!(d.state_power_w(HddPowerState::Active) > d.state_power_w(HddPowerState::Idle));
-            assert!(d.state_power_w(HddPowerState::Idle) > d.state_power_w(HddPowerState::Standby));
+            assert!(d.active_w > d.idle_w && d.idle_w > 0.0);
         }
     }
 

@@ -25,5 +25,5 @@ pub mod energy;
 pub mod hdd;
 
 pub use dram::{DramModel, DramPowerBreakdown};
-pub use energy::{ActivityTracker, EnergyAccount};
-pub use hdd::{HddModel, HddPowerState};
+pub use energy::ActivityTracker;
+pub use hdd::HddModel;

@@ -214,25 +214,6 @@ impl PopularitySampler {
             }
         }
     }
-
-    /// Smallest number of pages covering `coverage` of the probability
-    /// mass — the "hot set" size for a cache of that hit coverage.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < coverage < 1`.
-    pub fn hot_set_pages(&self, coverage: f64) -> u64 {
-        assert!((0.0..1.0).contains(&coverage) && coverage > 0.0);
-        match self.law {
-            Popularity::Uniform => (self.footprint as f64 * coverage).ceil() as u64,
-            _ => match self
-                .cdf
-                .binary_search_by(|w| w.partial_cmp(&coverage).expect("finite"))
-            {
-                Ok(i) | Err(i) => (i + 1).min(self.cdf.len()) as u64,
-            },
-        }
-    }
 }
 
 fn build_cdf(weights: Vec<f64>) -> Vec<f64> {
@@ -342,15 +323,16 @@ mod tests {
     fn higher_alpha_is_more_skewed() {
         let low = PopularitySampler::new(Popularity::Zipf { alpha: 0.8 }, 10_000, 5);
         let high = PopularitySampler::new(Popularity::Zipf { alpha: 1.6 }, 10_000, 5);
-        assert!(low.hot_set_pages(0.9) > high.hot_set_pages(0.9));
+        // The 100 hottest pages carry more of the mass under the steeper law.
+        assert!(low.coverage(100) < high.coverage(100));
     }
 
     #[test]
     fn exponential_concentrates_on_few_pages() {
         let s = PopularitySampler::new(Popularity::Exponential { lambda: 0.1 }, 100_000, 6);
         // 90% of mass within ~23 ranks (ln(10)/0.1).
-        let hot = s.hot_set_pages(0.9);
-        assert!((15..40).contains(&hot), "hot={hot}");
+        assert!(s.coverage(15) < 0.9, "15 ranks: {}", s.coverage(15));
+        assert!(s.coverage(40) >= 0.9, "40 ranks: {}", s.coverage(40));
     }
 
     #[test]
@@ -439,10 +421,9 @@ mod tests {
             assert!(c > prev);
             prev = c;
         }
-        // Coverage inverts hot_set_pages.
-        let hot = s.hot_set_pages(0.8);
-        assert!(s.coverage(hot) >= 0.8);
-        assert!(s.coverage(hot - 1) < 0.8);
+        // One more rank adds exactly that rank's mass.
+        let step = s.coverage(11) - s.coverage(10);
+        assert!((step - s.rank_probability(10)).abs() < 1e-12);
         // Uniform coverage is linear.
         let u = PopularitySampler::new(Popularity::Uniform, 100, 0);
         assert!((u.coverage(25) - 0.25).abs() < 1e-12);

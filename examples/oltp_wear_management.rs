@@ -18,7 +18,6 @@ fn run_to_failure(policy: ControllerPolicy) -> (u64, flashcache::CacheStats) {
             geometry: FlashGeometry {
                 blocks: 16,
                 pages_per_block: 16,
-                ..FlashGeometry::default()
             },
             wear: WearConfig::default().accelerated(2e5),
             ..FlashConfig::default()

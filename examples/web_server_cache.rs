@@ -8,14 +8,13 @@
 
 use flashcache::core::FlashCacheConfig;
 use flashcache::nand::{FlashConfig, FlashGeometry};
-use flashcache::sim::server::run_server_warm;
-use flashcache::{HierarchyConfig, ServerConfig, WorkloadSpec};
+use flashcache::sim::server::run_server;
+use flashcache::{HierarchyConfig, WorkloadSpec};
 
 fn main() {
     // Scale the 1.8GB SPECWeb image down 32x so the example runs in
     // seconds; the comparison is shape-preserving.
     let workload = WorkloadSpec::specweb99().scaled(32);
-    let server = ServerConfig::default();
     let warmup = 60_000;
     let requests = 40_000;
 
@@ -25,7 +24,7 @@ fn main() {
         workload.footprint_bytes() >> 20
     );
 
-    let baseline = run_server_warm(
+    let baseline = run_server(
         HierarchyConfig {
             dram_bytes: 16 << 20, // 16MB DRAM page cache
             flash: None,
@@ -35,7 +34,6 @@ fn main() {
         warmup,
         requests,
         42,
-        server,
     );
     let flash_cfg = FlashCacheConfig::builder()
         .flash(FlashConfig {
@@ -44,7 +42,7 @@ fn main() {
         })
         .build()
         .expect("web-server flash config is valid");
-    let with_flash = run_server_warm(
+    let with_flash = run_server(
         HierarchyConfig {
             dram_bytes: 4 << 20, // 4MB DRAM + 64MB flash
             flash: Some(flash_cfg),
@@ -54,13 +52,13 @@ fn main() {
         warmup,
         requests,
         42,
-        server,
     );
 
     for (label, r) in [
         ("DRAM-only (16MB)", &baseline),
         ("DRAM 4MB + flash 64MB", &with_flash),
     ] {
+        let (dram, disk_w, flash_w) = r.power_inputs.power_at(r.elapsed_s);
         println!("{label}:");
         println!(
             "  network bandwidth : {:>8.2} MB/s ({:?}-bound)",
@@ -72,9 +70,9 @@ fn main() {
         );
         println!(
             "  memory+disk power : {:>8.2} W (mem idle {:.3} W, flash {:.3} W)",
-            r.memory_and_disk_power_w(),
-            r.dram_power.idle_w,
-            r.flash_power_w
+            dram.total_w() + disk_w + flash_w,
+            dram.idle_w,
+            flash_w
         );
         println!(
             "  disk read share   : {:>7.1} %\n",

@@ -21,7 +21,6 @@ fn small_config() -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks: 16,
                 pages_per_block: 8,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },

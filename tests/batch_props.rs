@@ -21,7 +21,6 @@ fn tiny_cache(admission: AdmissionPolicyConfig) -> FlashCache {
             geometry: FlashGeometry {
                 blocks: 8,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         })

@@ -15,7 +15,6 @@ fn tiny_cache(split_write_fraction: Option<f64>) -> FlashCache {
             geometry: FlashGeometry {
                 blocks: 8,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },

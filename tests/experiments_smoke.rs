@@ -5,16 +5,14 @@
 
 use flashcache::sim::experiments::admission::{run_ablation, AblationParams};
 use flashcache::sim::experiments::curves::{decode_latency_curve, lifetime_curve};
-use flashcache::sim::experiments::density_partition::{
-    density_partition_curve, DensityPartitionParams, MLC_BYTES_PER_MM2,
-};
+use flashcache::sim::experiments::density_partition::{density_partition_curve, MLC_BYTES_PER_MM2};
 use flashcache::sim::experiments::ecc_throughput::{ecc_throughput_curve, EccThroughputParams};
 use flashcache::sim::experiments::gc_overhead::gc_overhead_curve;
-use flashcache::sim::experiments::lifetime::{lifetime_comparison, LifetimeParams};
+use flashcache::sim::experiments::lifetime::{lifetime_accesses, LifetimeParams};
 use flashcache::sim::experiments::power_bandwidth::{power_bandwidth, Fig9Params};
 use flashcache::sim::experiments::reconfig_breakdown::{reconfig_breakdown, ReconfigParams};
 use flashcache::sim::experiments::split_miss::{split_miss_curve, SplitMissParams};
-use flashcache::WorkloadSpec;
+use flashcache::{ControllerPolicy, WorkloadSpec};
 
 #[test]
 fn fig1b_smoke() {
@@ -50,7 +48,7 @@ fn fig6_smoke() {
 fn fig7_smoke() {
     let w = WorkloadSpec::financial2().scaled(8);
     let area = w.footprint_bytes() as f64 / MLC_BYTES_PER_MM2; // full WSS
-    let pts = density_partition_curve(&w, &[area], &DensityPartitionParams::default(), 3);
+    let pts = density_partition_curve(&w, &[area], 3);
     assert!(pts[0].latency_us < 200.0);
 }
 
@@ -94,8 +92,14 @@ fn fig12_smoke() {
         budget: 4_000_000,
         seed: 5,
     };
-    let rows = lifetime_comparison(&[WorkloadSpec::exp2()], &params);
-    assert!(rows[0].programmable_accesses > rows[0].bch1_accesses);
+    let workload = WorkloadSpec::exp2().scaled(params.scale);
+    let (programmable, _) = lifetime_accesses(&workload, ControllerPolicy::Programmable, &params);
+    let (bch1, _) = lifetime_accesses(
+        &workload,
+        ControllerPolicy::FixedEcc { strength: 1 },
+        &params,
+    );
+    assert!(programmable > bch1);
 }
 
 /// The admission ablation's acceptance floors against the split

@@ -20,7 +20,6 @@ fn config(split: SplitPolicy) -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks: 10,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },

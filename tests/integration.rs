@@ -17,7 +17,6 @@ fn small_flash(blocks: u32) -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks,
                 pages_per_block: 16,
-                ..FlashGeometry::default()
             },
             ..FlashConfig::default()
         },
@@ -53,10 +52,10 @@ fn trace_to_hierarchy_to_power_pipeline() {
         trace_stats.pages - trace_stats.write_pages
     );
     // Power surfaces are all live and positive.
-    let elapsed = 10.0;
-    assert!(hierarchy.dram_power(elapsed).total_w() > 0.0);
-    assert!(hierarchy.disk_power_w(elapsed) > 0.0);
-    assert!(hierarchy.flash_power_w(elapsed) > 0.0);
+    let (dram, disk_w, flash_w) = hierarchy.power_inputs().power_at(10.0);
+    assert!(dram.total_w() > 0.0);
+    assert!(disk_w > 0.0);
+    assert!(flash_w > 0.0);
     // The flash cache inside is structurally sound.
     hierarchy.flash().unwrap().check_invariants().unwrap();
 }
@@ -93,7 +92,6 @@ fn real_bch_agrees_with_device_error_counts() {
             geometry: FlashGeometry {
                 blocks: 8,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             wear: WearConfig::default().accelerated(1e4),
             ..FlashConfig::default()
@@ -214,7 +212,6 @@ fn dead_cache_degrades_to_passthrough_without_corruption() {
             geometry: FlashGeometry {
                 blocks: 4,
                 pages_per_block: 4,
-                ..FlashGeometry::default()
             },
             wear: WearConfig::default().accelerated(1e6),
             ..FlashConfig::default()

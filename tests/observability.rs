@@ -19,7 +19,6 @@ fn obs_flash() -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks: 32,
                 pages_per_block: 16,
-                ..FlashGeometry::default()
             },
             wear: WearConfig::default().accelerated(2e5),
             ..FlashConfig::default()

@@ -25,7 +25,6 @@ fn flash_config() -> FlashCacheConfig {
             geometry: FlashGeometry {
                 blocks: 32,
                 pages_per_block: 16,
-                ..FlashGeometry::default()
             },
             wear: WearConfig::default().accelerated(2e5),
             ..FlashConfig::default()
