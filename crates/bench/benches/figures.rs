@@ -2,6 +2,9 @@
 //! scale by running the sibling binaries through cargo. For full-scale
 //! runs invoke a binary directly with `--paper`, e.g.
 //! `cargo run --release -p flashcache-bench --bin fig4 -- --paper`.
+//! The controller-policy ablation is a CLI command, not a binary here:
+//! `flashcache lifetime --workload alpha2 --scale 1024 --admission all
+//! --budget 58593`.
 
 use std::process::Command;
 
@@ -21,7 +24,7 @@ fn main() {
         "fig12",
         "ablate_split",
         "ablate_wear",
-        "ablate_policy",
+        "ablate_admission",
     ];
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     for name in exhibits {

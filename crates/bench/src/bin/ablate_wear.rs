@@ -2,9 +2,9 @@
 //! and performance with migration disabled or at various thresholds.
 
 use disk_trace::WorkloadSpec;
-use flashcache_bench::RunArgs;
+use flashcache_bench::{Exhibit, RunArgs};
 use flashcache_core::FlashCache;
-use flashcache_sim::experiments::driver::{cache_config_for_bytes, drive_cache};
+use flashcache_sim::experiments::driver::{cache_config_for_bytes, drive_cache, page_ops};
 
 fn main() {
     let args = RunArgs::parse(32);
@@ -16,30 +16,35 @@ fn main() {
     workload.write_fraction = 0.6;
     let flash_bytes = workload.footprint_pages * 2048 / 2;
     let accesses = 16_000_000 / args.scale.max(1);
-    println!(
-        "{:>12}{:>12}{:>12}{:>12}{:>14}{:>12}",
-        "threshold", "min erase", "max erase", "mean", "migrations", "read miss"
+    let mut exhibit = Exhibit::new(
+        "ablate_wear",
+        &[
+            "threshold",
+            "min_erase",
+            "max_erase",
+            "mean_erase",
+            "migrations",
+            "read_miss_pct",
+        ],
     );
     for threshold in [f64::INFINITY, 256.0, 64.0, 16.0] {
         let mut config = cache_config_for_bytes(flash_bytes);
         config.wear_threshold = threshold;
         let mut cache = FlashCache::new(config).expect("valid config");
-        let mut generator = workload.generator(args.seed);
-        drive_cache(&mut cache, &mut generator, accesses, false);
+        drive_cache(&mut cache, &mut page_ops(&workload, args.seed), accesses);
         let (min, max, mean) = cache.erase_spread();
-        let s = cache.stats();
-        println!(
-            "{:>12}{:>12}{:>12}{:>12.1}{:>14}{:>11.1}%",
+        exhibit.row([
             if threshold.is_finite() {
                 format!("{threshold:.0}")
             } else {
                 "off".to_string()
             },
-            min,
-            max,
-            mean,
-            s.wear_migrations,
-            s.read_miss_rate() * 100.0
-        );
+            min.to_string(),
+            max.to_string(),
+            format!("{mean:.1}"),
+            cache.stats().wear_migrations.to_string(),
+            format!("{:.1}", cache.stats().read_miss_rate() * 100.0),
+        ]);
     }
+    args.emit(&exhibit);
 }

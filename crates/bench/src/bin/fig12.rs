@@ -2,7 +2,8 @@
 //! vs a fixed BCH-1 controller, per workload.
 
 use flashcache_bench::{parallel::par_map, Exhibit, RunArgs};
-use flashcache_core::ControllerPolicy;
+use flashcache_core::{ControllerPolicy, FlashCacheConfig};
+use flashcache_sim::experiments::driver::{cache_config_for_bytes, half_working_set_bytes};
 use flashcache_sim::experiments::lifetime::{
     fig12_workloads, lifetime_accesses, LifetimeParams, LifetimeRow,
 };
@@ -10,7 +11,6 @@ use flashcache_sim::experiments::lifetime::{
 fn main() {
     let args = RunArgs::parse(256);
     let params = LifetimeParams {
-        scale: args.scale,
         seed: args.seed,
         ..LifetimeParams::default()
     };
@@ -18,38 +18,27 @@ fn main() {
         "Figure 12",
         "accesses to total flash failure: programmable vs BCH-1",
     );
-    // Fan each (workload, controller) run — two per workload — across
-    // worker threads; every run is an independent simulation. Results
-    // come back in input order, so rows reassemble pairwise exactly as a
-    // serial loop would build them.
-    let workloads = fig12_workloads();
-    let runs: Vec<_> = workloads
-        .iter()
-        .flat_map(|w| {
-            let scaled = w.clone().scaled(params.scale);
-            [
-                (scaled.clone(), ControllerPolicy::Programmable),
-                (scaled, ControllerPolicy::FixedEcc { strength: 1 }),
-            ]
-        })
-        .collect();
-    let results = par_map(runs, args.threads, |(workload, controller)| {
-        lifetime_accesses(&workload, controller, &params)
+    // Fan the workloads across worker threads; every run is an
+    // independent simulation, and rows come back in input order.
+    let rows: Vec<LifetimeRow> = par_map(fig12_workloads(), args.threads, |w| {
+        let workload = w.clone().scaled(args.scale);
+        let run = |controller| {
+            let config = FlashCacheConfig {
+                controller,
+                ..cache_config_for_bytes(half_working_set_bytes(&workload))
+            };
+            let (accesses, cache) = lifetime_accesses(config, &workload, &params);
+            (accesses, !cache.is_dead())
+        };
+        let (programmable_accesses, trunc_a) = run(ControllerPolicy::Programmable);
+        let (bch1_accesses, trunc_b) = run(ControllerPolicy::FixedEcc { strength: 1 });
+        LifetimeRow {
+            workload: w.name,
+            programmable_accesses,
+            bch1_accesses,
+            truncated: trunc_a || trunc_b,
+        }
     });
-    let rows: Vec<LifetimeRow> = workloads
-        .iter()
-        .zip(results.chunks_exact(2))
-        .map(|(w, pair)| {
-            let (programmable, trunc_a) = pair[0];
-            let (bch1, trunc_b) = pair[1];
-            LifetimeRow {
-                workload: w.name.clone(),
-                programmable_accesses: programmable,
-                bch1_accesses: bch1,
-                truncated: trunc_a || trunc_b,
-            }
-        })
-        .collect();
     let max_life = rows
         .iter()
         .map(|r| r.programmable_accesses)

@@ -2,7 +2,6 @@
 //! dependency-free per the workspace policy.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A parsed command line: a subcommand plus `--key value` / `--flag`
 /// options.
@@ -13,18 +12,6 @@ pub struct Args {
     options: BTreeMap<String, String>,
     flags: Vec<String>,
 }
-
-/// Argument error with a user-facing message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArgError(pub String);
-
-impl fmt::Display for ArgError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ArgError {}
 
 /// Option keys that take a value; everything else double-dashed is a
 /// boolean flag.
@@ -57,9 +44,9 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] for a missing subcommand, an option missing
-    /// its value, or an unknown `--option`.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, ArgError> {
+    /// Returns a user-facing message for a missing subcommand, an option
+    /// missing its value, or an unknown `--option`.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
         let mut out = Args::default();
         let mut iter = args.into_iter();
         let mut positional = Vec::new();
@@ -68,12 +55,12 @@ impl Args {
                 if VALUE_KEYS.contains(&key) {
                     let value = iter
                         .next()
-                        .ok_or_else(|| ArgError(format!("--{key} needs a value")))?;
+                        .ok_or_else(|| format!("--{key} needs a value"))?;
                     out.options.insert(key.to_string(), value);
                 } else if ["unified", "help"].contains(&key) {
                     out.flags.push(key.to_string());
                 } else {
-                    return Err(ArgError(format!("unknown option --{key}")));
+                    return Err(format!("unknown option --{key}"));
                 }
             } else {
                 positional.push(a);
@@ -81,7 +68,7 @@ impl Args {
         }
         out.command = positional.first().cloned().unwrap_or_default();
         if positional.len() > 1 {
-            return Err(ArgError(format!("unexpected argument `{}`", positional[1])));
+            return Err(format!("unexpected argument `{}`", positional[1]));
         }
         Ok(out)
     }
@@ -105,13 +92,13 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] if the value does not parse.
-    pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    /// Returns a user-facing message if the value does not parse.
+    pub fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| ArgError(format!("--{key}: cannot parse `{v}`"))),
+                .map_err(|_| format!("--{key}: cannot parse `{v}`")),
         }
     }
 
@@ -119,8 +106,8 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] if any element does not parse.
-    pub fn num_list(&self, key: &str, default: &[u64]) -> Result<Vec<u64>, ArgError> {
+    /// Returns a user-facing message if any element does not parse.
+    pub fn num_list(&self, key: &str, default: &[u64]) -> Result<Vec<u64>, String> {
         match self.get(key) {
             None => Ok(default.to_vec()),
             Some(v) => v
@@ -128,7 +115,7 @@ impl Args {
                 .map(|s| {
                     s.trim()
                         .parse()
-                        .map_err(|_| ArgError(format!("--{key}: cannot parse `{s}`")))
+                        .map_err(|_| format!("--{key}: cannot parse `{s}`"))
                 })
                 .collect(),
         }
@@ -139,7 +126,7 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(s: &str) -> Result<Args, ArgError> {
+    fn parse(s: &str) -> Result<Args, String> {
         Args::parse(s.split_whitespace().map(String::from))
     }
 

@@ -8,8 +8,10 @@ use flashcache::nand::FlashGeometry;
 use flashcache::nand::{ChannelConfig, TimingBackend};
 use flashcache::obs::{Registry, Snapshot};
 use flashcache::sim::experiments::driver::{
-    drive_cache, half_working_set_bytes, invariant_checks_enabled, INVARIANT_CHECK_INTERVAL,
+    drive_cache, half_working_set_bytes, invariant_checks_enabled, page_ops,
+    INVARIANT_CHECK_INTERVAL,
 };
+use flashcache::sim::experiments::lifetime::{lifetime_accesses, LifetimeParams};
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
 use flashcache::trace::spc::{write_spc, SpcReader};
 use flashcache::EngineConfig;
@@ -130,7 +132,7 @@ fn workload_by_name(name: &str) -> Result<WorkloadSpec, String> {
 
 fn load_workload(args: &Args) -> Result<WorkloadSpec, String> {
     let name = args.get("workload").unwrap_or("dbt2");
-    let scale: u64 = args.num("scale", 64).map_err(|e| e.to_string())?;
+    let scale: u64 = args.num("scale", 64)?;
     let spec = workload_by_name(name)?;
     Ok(if scale > 1 { spec.scaled(scale) } else { spec })
 }
@@ -146,9 +148,9 @@ fn channel_config(args: &Args) -> Result<Option<ChannelConfig>, String> {
     if !given {
         return Ok(None);
     }
-    let channels: u32 = args.num("channels", 1u32).map_err(|e| e.to_string())?;
-    let planes: u32 = args.num("planes", 1u32).map_err(|e| e.to_string())?;
-    let queue_depth: u32 = args.num("queue-depth", 4u32).map_err(|e| e.to_string())?;
+    let channels: u32 = args.num("channels", 1u32)?;
+    let planes: u32 = args.num("planes", 1u32)?;
+    let queue_depth: u32 = args.num("queue-depth", 4u32)?;
     ChannelConfig::builder()
         .channels(channels)
         .planes(planes)
@@ -169,13 +171,13 @@ fn admission_config(args: &Args) -> Result<AdmissionPolicyConfig, String> {
 }
 
 fn flash_config(
-    flash_mb: u64,
+    flash_bytes: u64,
     unified: bool,
     channel: Option<ChannelConfig>,
     admission: AdmissionPolicyConfig,
 ) -> Result<FlashCacheConfig, String> {
     let mut flash = FlashConfig {
-        geometry: FlashGeometry::for_mlc_capacity(flash_mb << 20),
+        geometry: FlashGeometry::for_mlc_capacity(flash_bytes),
         ..FlashConfig::default()
     };
     if let Some(channel) = channel {
@@ -190,7 +192,9 @@ fn flash_config(
     } else {
         builder.split(SplitPolicy::default())
     };
-    builder.build().map_err(|e| format!("{flash_mb}MB: {e}"))
+    builder
+        .build()
+        .map_err(|e| format!("{}MB: {e}", flash_bytes >> 20))
 }
 
 /// Writes `snapshot` to the `--json-metrics` path, if one was given.
@@ -216,22 +220,18 @@ fn check_flash_invariants(hierarchy: &Hierarchy) -> Result<(), String> {
 
 /// `flashcache simulate`.
 pub fn simulate(args: &Args) -> Result<(), String> {
-    let seed: u64 = args
-        .num("seed", 0x1507_2008u64)
-        .map_err(|e| e.to_string())?;
-    let requests: u64 = args
-        .num("requests", 100_000u64)
-        .map_err(|e| e.to_string())?;
-    let dram_mb: u64 = args.num("dram-mb", 16u64).map_err(|e| e.to_string())?;
-    let flash_mb: u64 = args.num("flash-mb", 64u64).map_err(|e| e.to_string())?;
-    let shards: usize = args.num("shards", 1usize).map_err(|e| e.to_string())?;
-    let batch: usize = args.num("batch", 1usize).map_err(|e| e.to_string())?;
-    let workers: usize = args.num("workers", 0usize).map_err(|e| e.to_string())?;
+    let seed: u64 = args.num("seed", 0x1507_2008u64)?;
+    let requests: u64 = args.num("requests", 100_000u64)?;
+    let dram_mb: u64 = args.num("dram-mb", 16u64)?;
+    let flash_mb: u64 = args.num("flash-mb", 64u64)?;
+    let shards: usize = args.num("shards", 1usize)?;
+    let batch: usize = args.num("batch", 1usize)?;
+    let workers: usize = args.num("workers", 0usize)?;
     let channel = channel_config(args)?;
     let admission = admission_config(args)?;
     let flash = if flash_mb > 0 {
         Some(flash_config(
-            flash_mb,
+            flash_mb << 20,
             args.flag("unified"),
             channel,
             admission,
@@ -269,38 +269,31 @@ pub fn simulate(args: &Args) -> Result<(), String> {
         }
         Ok::<(), String>(())
     };
-    if let Some(path) = args.get("spc") {
+    type Source = Box<dyn Iterator<Item = Result<DiskRequest, String>>>;
+    let (source, replayed): (Source, String) = if let Some(path) = args.get("spc") {
         let file = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut n = 0u64;
-        for record in SpcReader::new(BufReader::new(file)) {
-            let record = record.map_err(|e| e.to_string())?;
-            pending.push(record.to_request());
-            if pending.len() >= batch {
-                submit(&mut hierarchy, &mut pending)?;
-            }
-            n += 1;
-            if n >= requests {
-                break;
-            }
-        }
-        submit(&mut hierarchy, &mut pending)?;
-        println!("replayed {n} SPC records from {path}");
+        let records = SpcReader::new(BufReader::new(file))
+            .map(|record| record.map(|r| r.to_request()).map_err(|e| e.to_string()));
+        (Box::new(records), format!("SPC records from {path}"))
     } else {
         let workload = load_workload(args)?;
-        let mut generator = workload.generator(seed);
-        for _ in 0..requests {
-            pending.push(generator.next_request());
-            if pending.len() >= batch {
-                submit(&mut hierarchy, &mut pending)?;
-            }
-        }
-        submit(&mut hierarchy, &mut pending)?;
-        println!(
-            "replayed {requests} requests of {} ({}MB footprint, seed {seed})",
+        let replayed = format!(
+            "requests of {} ({}MB footprint, seed {seed})",
             workload.name,
             workload.footprint_bytes() >> 20
         );
+        (Box::new(workload.generator(seed).map(Ok)), replayed)
+    };
+    let mut n = 0u64;
+    for request in source.take(requests as usize) {
+        pending.push(request?);
+        if pending.len() >= batch {
+            submit(&mut hierarchy, &mut pending)?;
+        }
+        n += 1;
     }
+    submit(&mut hierarchy, &mut pending)?;
+    println!("replayed {n} {replayed}");
     if checked {
         check_flash_invariants(&hierarchy)?;
     }
@@ -371,15 +364,9 @@ pub fn simulate(args: &Args) -> Result<(), String> {
 /// `flashcache sweep`.
 pub fn sweep(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
-    let seed: u64 = args
-        .num("seed", 0x1507_2008u64)
-        .map_err(|e| e.to_string())?;
-    let requests: u64 = args
-        .num("requests", 100_000u64)
-        .map_err(|e| e.to_string())?;
-    let sizes = args
-        .num_list("sizes-mb", &[8, 16, 32, 64])
-        .map_err(|e| e.to_string())?;
+    let seed: u64 = args.num("seed", 0x1507_2008u64)?;
+    let requests: u64 = args.num("requests", 100_000u64)?;
+    let sizes = args.num_list("sizes-mb", &[8, 16, 32, 64])?;
     println!(
         "workload {} ({}MB) | {} page accesses per point | seed {seed}\n",
         workload.name,
@@ -396,9 +383,9 @@ pub fn sweep(args: &Args) -> Result<(), String> {
     for &mb in &sizes {
         let mut row = Vec::new();
         for unified in [true, false] {
-            let mut cache = FlashCache::new(flash_config(mb, unified, channel, admission)?)
+            let mut cache = FlashCache::new(flash_config(mb << 20, unified, channel, admission)?)
                 .map_err(|e| format!("{mb}MB: {e}"))?;
-            drive_cache(&mut cache, &mut workload.generator(seed), requests, false);
+            drive_cache(&mut cache, &mut page_ops(&workload, seed), requests);
             row.push((cache.stats().read_miss_rate(), cache.stats().gc_overhead()));
             metrics.merge(&cache.export_metrics());
         }
@@ -417,31 +404,19 @@ pub fn sweep(args: &Args) -> Result<(), String> {
 /// `flashcache lifetime`.
 pub fn lifetime(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
-    let seed: u64 = args
-        .num("seed", 0x1507_2008u64)
-        .map_err(|e| e.to_string())?;
-    let acceleration: f64 = args.num("acceleration", 2e5).map_err(|e| e.to_string())?;
-    let budget: u64 = args
-        .num("budget", 30_000_000u64)
-        .map_err(|e| e.to_string())?;
-    let policies: Vec<(&str, ControllerPolicy)> = match args.get("controller") {
-        None => vec![
-            ("bch1", ControllerPolicy::FixedEcc { strength: 1 }),
-            ("ecc-only", ControllerPolicy::EccOnly),
-            ("density-only", ControllerPolicy::DensityOnly),
-            ("programmable", ControllerPolicy::Programmable),
-        ],
-        Some(name) => vec![(
-            name,
-            match name {
-                "programmable" => ControllerPolicy::Programmable,
-                "bch1" => ControllerPolicy::FixedEcc { strength: 1 },
-                "ecc-only" => ControllerPolicy::EccOnly,
-                "density-only" => ControllerPolicy::DensityOnly,
-                other => return Err(format!("unknown controller `{other}`")),
-            },
-        )],
-    };
+    let seed: u64 = args.num("seed", 0x1507_2008u64)?;
+    let acceleration: f64 = args.num("acceleration", 2e5)?;
+    let budget: u64 = args.num("budget", 30_000_000u64)?;
+    let controllers = [
+        ("bch1", ControllerPolicy::FixedEcc { strength: 1 }),
+        ("ecc-only", ControllerPolicy::EccOnly),
+        ("density-only", ControllerPolicy::DensityOnly),
+        ("programmable", ControllerPolicy::Programmable),
+    ];
+    let only = args.get("controller");
+    if let Some(name) = only.filter(|n| controllers.iter().all(|(c, _)| c != n)) {
+        return Err(format!("unknown controller `{name}`"));
+    }
     println!(
         "workload {} | flash = half working set | acceleration {acceleration:.0}x | seed {seed}\n",
         workload.name
@@ -450,17 +425,28 @@ pub fn lifetime(args: &Args) -> Result<(), String> {
         "{:<16}{:>16}{:>12}{:>12}",
         "controller", "accesses", "erases", "retired"
     );
+    let config = flash_config(
+        half_working_set_bytes(&workload),
+        false,
+        channel_config(args)?,
+        admission_config(args)?,
+    )?;
+    let params = LifetimeParams {
+        acceleration,
+        budget,
+        seed,
+    };
     let mut baseline = None;
-    let admission = admission_config(args)?;
     let mut metrics = Registry::new();
-    for (name, policy) in policies {
-        let flash_bytes = half_working_set_bytes(&workload);
-        let mut config = flash_config(flash_bytes >> 20, false, channel_config(args)?, admission)?;
-        config.flash.geometry = FlashGeometry::for_mlc_capacity(flash_bytes);
-        config.controller = policy;
-        config.flash.wear = nand_flash::WearConfig::default().accelerated(acceleration);
-        let mut cache = FlashCache::new(config).map_err(|e| e.to_string())?;
-        let accesses = drive_cache(&mut cache, &mut workload.generator(seed), budget, true);
+    for (name, controller) in controllers {
+        if only.is_some_and(|n| n != name) {
+            continue;
+        }
+        let config = FlashCacheConfig {
+            controller,
+            ..config.clone()
+        };
+        let (accesses, cache) = lifetime_accesses(config, &workload, &params);
         let s = cache.stats();
         let gain = baseline
             .map(|b: u64| format!("  ({:.1}x)", accesses as f64 / b.max(1) as f64))
@@ -487,19 +473,10 @@ pub fn lifetime(args: &Args) -> Result<(), String> {
 /// `flashcache export`.
 pub fn export(args: &Args) -> Result<(), String> {
     let mut workload = load_workload(args)?;
-    if let Some(wf) = args.get("write-fraction") {
-        workload.write_fraction = wf
-            .parse()
-            .map_err(|_| format!("--write-fraction: cannot parse `{wf}`"))?;
-    }
-    let seed: u64 = args
-        .num("seed", 0x1507_2008u64)
-        .map_err(|e| e.to_string())?;
-    let requests: u64 = args
-        .num("requests", 100_000u64)
-        .map_err(|e| e.to_string())?;
-    let mut generator = workload.generator(seed);
-    let reqs: Vec<DiskRequest> = (0..requests).map(|_| generator.next_request()).collect();
+    workload.write_fraction = args.num("write-fraction", workload.write_fraction)?;
+    let seed: u64 = args.num("seed", 0x1507_2008u64)?;
+    let requests: u64 = args.num("requests", 100_000u64)?;
+    let reqs: Vec<DiskRequest> = workload.generator(seed).take(requests as usize).collect();
     match args.get("out") {
         Some(path) => {
             let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;

@@ -109,6 +109,46 @@ fn lifetime_compares_policies() {
     );
 }
 
+/// The controller-policy ablation (DESIGN.md §5): accesses to total
+/// failure on alpha2 at 1/1024 scale under each controller, at the
+/// default seed and acceleration, pinned to the last access. Both axes
+/// contribute and they compose.
+#[test]
+fn lifetime_controller_ablation_is_pinned() {
+    let (ok, stdout, stderr) = run(&[
+        "lifetime",
+        "--workload",
+        "alpha2",
+        "--scale",
+        "1024",
+        "--admission",
+        "all",
+        "--budget",
+        "58593",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    let accesses: Vec<(&str, u64)> = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("controller"))
+        .skip(1)
+        .map(|l| {
+            let mut cells = l.split_whitespace();
+            let name = cells.next().unwrap();
+            (name, cells.next().unwrap().parse().unwrap())
+        })
+        .collect();
+    assert_eq!(
+        accesses,
+        [
+            ("bch1", 2_322),
+            ("ecc-only", 7_942),
+            ("density-only", 12_443),
+            ("programmable", 44_608),
+        ],
+        "{stdout}"
+    );
+}
+
 #[test]
 fn export_then_simulate_roundtrip() {
     let dir = std::env::temp_dir().join("flashcache_cli_test");

@@ -18,7 +18,7 @@ use disk_trace::WorkloadSpec;
 use flash_ecc::page::PAGE_DATA_BYTES;
 use flashcache_core::{AdmissionPolicyConfig, FlashCache, SplitPolicy};
 
-use super::driver::{cache_config_for_bytes, drive_cache, half_working_set_bytes};
+use super::driver::{cache_config_for_bytes, half_working_set_bytes, measure, page_ops};
 
 /// One variant's measured row.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,14 +104,15 @@ pub fn run_variant(
     config.split = split;
     config.admission = admission;
     let mut cache = FlashCache::new(config).expect("valid config");
-    let mut generator = params.workload.generator(params.seed);
-    drive_cache(&mut cache, &mut generator, params.warmup_accesses, false);
-    cache.reset_stats();
-    drive_cache(&mut cache, &mut generator, params.measured_accesses, false);
+    let s = measure(
+        &mut cache,
+        &mut page_ops(&params.workload, params.seed),
+        params.warmup_accesses,
+        params.measured_accesses,
+    );
     cache
         .check_invariants()
         .expect("cache invariants hold after the ablation replay");
-    let s = cache.stats();
     let (_, _, mean_block_erases) = cache.erase_spread();
     AblationRow {
         variant: name.to_string(),

@@ -1,8 +1,8 @@
 //! Shared helpers for the experiment drivers: sizing flash caches and
-//! replaying traces straight into a [`FlashCache`].
+//! replaying a workload's page stream straight into a [`FlashCache`].
 
-use disk_trace::{TraceGenerator, WorkloadSpec, PAGE_BYTES};
-use flashcache_core::{AdmissionPolicyConfig, CacheOp, FlashCache, FlashCacheConfig};
+use disk_trace::{WorkloadSpec, PAGE_BYTES};
+use flashcache_core::{AdmissionPolicyConfig, CacheOp, CacheStats, FlashCache, FlashCacheConfig};
 use nand_flash::FlashGeometry;
 
 /// Builds a cache configuration whose MLC capacity is `bytes`, running
@@ -45,34 +45,39 @@ pub fn invariant_checks_enabled() -> bool {
 /// Access interval between mid-replay invariant checks.
 pub const INVARIANT_CHECK_INTERVAL: u64 = 8192;
 
-/// Replays up to `accesses` page accesses from `generator` into `cache`,
-/// stopping early if the cache dies when `stop_when_dead` is set.
-/// Returns the number of page accesses performed.
+/// The workload's requests from `seed`, flattened page by page into
+/// cache ops. The stream is resumable: a [`drive_cache`] that stops
+/// inside a request leaves the request's next page as the stream's next
+/// op, so consecutive calls replay the trace exactly as one call would.
+pub fn page_ops(workload: &WorkloadSpec, seed: u64) -> impl Iterator<Item = CacheOp> {
+    workload.generator(seed).flat_map(|req| {
+        req.pages().map(move |page| {
+            if req.is_write() {
+                CacheOp::write(page)
+            } else {
+                CacheOp::read(page)
+            }
+        })
+    })
+}
+
+/// Replays up to `accesses` ops of `ops` into `cache`, stopping early
+/// once the cache dies. Returns the number of page accesses performed.
 pub fn drive_cache(
     cache: &mut FlashCache,
-    generator: &mut TraceGenerator,
+    ops: &mut impl Iterator<Item = CacheOp>,
     accesses: u64,
-    stop_when_dead: bool,
 ) -> u64 {
     let checked = invariant_checks_enabled();
     let mut done = 0u64;
-    'outer: while done < accesses {
-        let req = generator.next_request();
-        for page in req.pages() {
-            if req.is_write() {
-                cache.op(CacheOp::write(page));
-            } else {
-                cache.op(CacheOp::read(page));
-            }
-            done += 1;
-            if checked && done.is_multiple_of(INVARIANT_CHECK_INTERVAL) {
-                cache
-                    .check_invariants()
-                    .expect("cache invariants hold mid-replay");
-            }
-            if done >= accesses || (stop_when_dead && cache.is_dead()) {
-                break 'outer;
-            }
+    while done < accesses && !cache.is_dead() {
+        let Some(op) = ops.next() else { break };
+        cache.op(op);
+        done += 1;
+        if checked && done.is_multiple_of(INVARIANT_CHECK_INTERVAL) {
+            cache
+                .check_invariants()
+                .expect("cache invariants hold mid-replay");
         }
     }
     if checked {
@@ -81,6 +86,20 @@ pub fn drive_cache(
             .expect("cache invariants hold after replay");
     }
     done
+}
+
+/// Warms `cache` with `warmup` ops of `ops`, clears its statistics, and
+/// returns the statistics of the next `measured` ops.
+pub fn measure(
+    cache: &mut FlashCache,
+    ops: &mut impl Iterator<Item = CacheOp>,
+    warmup: u64,
+    measured: u64,
+) -> CacheStats {
+    drive_cache(cache, ops, warmup);
+    cache.reset_stats();
+    drive_cache(cache, ops, measured);
+    cache.stats()
 }
 
 #[cfg(test)]
@@ -98,11 +117,35 @@ mod tests {
     #[test]
     fn drive_cache_counts_page_accesses() {
         let mut cache = FlashCache::new(cache_config_for_bytes(4 << 20)).unwrap();
-        let mut generator = WorkloadSpec::uniform().scaled(64).generator(3);
-        let n = drive_cache(&mut cache, &mut generator, 500, false);
+        let mut ops = page_ops(&WorkloadSpec::uniform().scaled(64), 3);
+        let n = drive_cache(&mut cache, &mut ops, 500);
         assert_eq!(n, 500);
         let s = cache.stats();
         assert_eq!(s.reads + s.writes, 500);
+    }
+
+    /// A replay split at arbitrary access counts resumes mid-request: on
+    /// multi-page workloads four runs of `k` accesses leave the cache in
+    /// the state of one run of `4k`.
+    #[test]
+    fn chunked_replay_resumes_mid_request() {
+        const K: u64 = 12_345;
+        for workload in [
+            WorkloadSpec::dbt2().scaled(128),
+            WorkloadSpec::websearch1().scaled(1024),
+        ] {
+            assert!(workload.mean_run_pages > 1.0, "{}", workload.name);
+            let config = cache_config_for_bytes(half_working_set_bytes(&workload));
+            let mut chunked = FlashCache::new(config.clone()).unwrap();
+            let mut ops = page_ops(&workload, 9);
+            for _ in 0..4 {
+                assert_eq!(drive_cache(&mut chunked, &mut ops, K), K);
+            }
+            let mut whole = FlashCache::new(config).unwrap();
+            drive_cache(&mut whole, &mut page_ops(&workload, 9), 4 * K);
+            assert_eq!(chunked.stats(), whole.stats(), "{}", workload.name);
+            assert_eq!(chunked.snapshot(), whole.snapshot(), "{}", workload.name);
+        }
     }
 
     #[test]

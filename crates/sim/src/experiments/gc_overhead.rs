@@ -11,7 +11,7 @@ use disk_trace::{Popularity, WorkloadKind, WorkloadSpec};
 use flashcache_core::{FlashCache, SplitPolicy};
 use nand_flash::CellMode;
 
-use super::driver::{cache_config_for_bytes, drive_cache};
+use super::driver::{cache_config_for_bytes, measure, page_ops};
 
 /// One point of the Figure 1(b) curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,14 +51,15 @@ pub fn gc_overhead_curve(
                 mean_run_pages: 1.0,
                 rw_overlap: 1.0,
             };
-            let mut cache = FlashCache::new(config).expect("valid config");
-            let mut generator = workload.generator(seed);
             // Warm: write the whole footprint twice so steady-state GC
             // behaviour is established.
-            drive_cache(&mut cache, &mut generator, footprint * 2, false);
-            cache.reset_stats();
-            drive_cache(&mut cache, &mut generator, writes_per_point, false);
-            let gc_overhead = cache.stats().gc_overhead();
+            let gc_overhead = measure(
+                &mut FlashCache::new(config).expect("valid config"),
+                &mut page_ops(&workload, seed),
+                footprint * 2,
+                writes_per_point,
+            )
+            .gc_overhead();
             GcOverheadPoint {
                 occupancy: occ,
                 gc_overhead,

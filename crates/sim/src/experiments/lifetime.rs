@@ -6,10 +6,10 @@
 //! scaling (both controllers age on the same accelerated clock).
 
 use disk_trace::WorkloadSpec;
-use flashcache_core::{ControllerPolicy, FlashCache};
+use flashcache_core::{FlashCache, FlashCacheConfig};
 use nand_flash::WearConfig;
 
-use super::driver::{cache_config_for_bytes, drive_cache, half_working_set_bytes};
+use super::driver::{drive_cache, page_ops};
 
 /// One workload's bars in Figure 12.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,8 +35,6 @@ impl LifetimeRow {
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct LifetimeParams {
-    /// Footprint scaling applied to every workload.
-    pub scale: u64,
     /// Wear acceleration factor.
     pub acceleration: f64,
     /// Maximum page accesses per run (safety budget).
@@ -48,7 +46,6 @@ pub struct LifetimeParams {
 impl Default for LifetimeParams {
     fn default() -> Self {
         LifetimeParams {
-            scale: 256,
             acceleration: 1e5,
             budget: 40_000_000,
             seed: 0xF12,
@@ -71,36 +68,23 @@ pub fn fig12_workloads() -> Vec<WorkloadSpec> {
     ]
 }
 
-/// Accesses until total flash failure under `controller`, and whether
-/// the access budget ran out first. `workload` is replayed as is
-/// (`params.scale` is the caller's to apply).
+/// One lifetime run (Figure 12 and `flashcache lifetime`): a cache built
+/// from `config` (controller, admission, channels and geometry are the
+/// caller's; Figure 12 sizes it at half the working set), worn at
+/// `params.acceleration` and replayed with `workload` until it dies or
+/// `params.budget` accesses. Returns the accesses made and the cache,
+/// which is alive only if the budget ran out first.
 pub fn lifetime_accesses(
+    mut config: FlashCacheConfig,
     workload: &WorkloadSpec,
-    controller: ControllerPolicy,
-    params: &LifetimeParams,
-) -> (u64, bool) {
-    let (accesses, cache) = lifetime_run(workload, controller, params);
-    (accesses, !cache.is_dead())
-}
-
-/// The run behind [`lifetime_accesses`]: a cache of half the working
-/// set worn at `params.acceleration`, driven by one [`drive_cache`] call
-/// until it dies or `params.budget` accesses (the `flashcache lifetime`
-/// body). Returns the accesses made and the cache.
-fn lifetime_run(
-    workload: &WorkloadSpec,
-    controller: ControllerPolicy,
     params: &LifetimeParams,
 ) -> (u64, FlashCache) {
-    let mut config = cache_config_for_bytes(half_working_set_bytes(workload));
-    config.controller = controller;
     config.flash.wear = WearConfig::default().accelerated(params.acceleration);
     let mut cache = FlashCache::new(config).expect("valid config");
     let accesses = drive_cache(
         &mut cache,
-        &mut workload.generator(params.seed),
+        &mut page_ops(workload, params.seed),
         params.budget,
-        true,
     );
     (accesses, cache)
 }
@@ -108,23 +92,28 @@ fn lifetime_run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::driver::{cache_config_for_bytes, half_working_set_bytes};
+    use flashcache_core::ControllerPolicy;
 
     #[test]
     fn programmable_controller_extends_lifetime_by_a_large_factor() {
         let params = LifetimeParams {
-            scale: 2048, // 256KB footprint -> tiny flash, fast death
             acceleration: 2e5,
             budget: 30_000_000,
             seed: 5,
         };
-        let workload = WorkloadSpec::alpha2().scaled(params.scale);
-        let (programmable, trunc_a) =
-            lifetime_accesses(&workload, ControllerPolicy::Programmable, &params);
-        let (bch1, trunc_b) = lifetime_accesses(
-            &workload,
-            ControllerPolicy::FixedEcc { strength: 1 },
-            &params,
-        );
+        // 256KB footprint -> tiny flash, fast death.
+        let workload = WorkloadSpec::alpha2().scaled(2048);
+        let run = |controller| {
+            let config = FlashCacheConfig {
+                controller,
+                ..cache_config_for_bytes(half_working_set_bytes(&workload))
+            };
+            let (accesses, cache) = lifetime_accesses(config, &workload, &params);
+            (accesses, !cache.is_dead())
+        };
+        let (programmable, trunc_a) = run(ControllerPolicy::Programmable);
+        let (bch1, trunc_b) = run(ControllerPolicy::FixedEcc { strength: 1 });
         let row = LifetimeRow {
             workload: workload.name,
             programmable_accesses: programmable,
@@ -139,30 +128,5 @@ mod tests {
             row.bch1_accesses,
             row.improvement()
         );
-    }
-
-    /// A lifetime run replays every page of every request it starts: on
-    /// a multi-page workload that outlives the budget it ends in the
-    /// state of one uninterrupted `drive_cache` over the same trace.
-    #[test]
-    fn lifetime_replays_requests_whole() {
-        let params = LifetimeParams {
-            scale: 1,
-            acceleration: 1.0, // real endurance: nothing wears out
-            budget: 250_000,
-            seed: 7,
-        };
-        let workload = WorkloadSpec::websearch1().scaled(512);
-        assert!(workload.mean_run_pages > 1.0);
-        let (accesses, cache) = lifetime_run(&workload, ControllerPolicy::Programmable, &params);
-        assert_eq!(accesses, params.budget);
-        assert!(!cache.is_dead());
-
-        let mut config = cache_config_for_bytes(half_working_set_bytes(&workload));
-        config.controller = ControllerPolicy::Programmable;
-        let mut reference = FlashCache::new(config).expect("valid config");
-        let mut generator = workload.generator(params.seed);
-        drive_cache(&mut reference, &mut generator, params.budget, true);
-        assert_eq!(cache.stats(), reference.stats());
     }
 }

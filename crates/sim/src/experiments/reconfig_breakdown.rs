@@ -11,7 +11,7 @@ use disk_trace::WorkloadSpec;
 use flashcache_core::FlashCache;
 use nand_flash::WearConfig;
 
-use super::driver::{cache_config_for_bytes, drive_cache, half_working_set_bytes};
+use super::driver::{cache_config_for_bytes, drive_cache, half_working_set_bytes, page_ops};
 
 /// One bar of Figure 11.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,10 +94,10 @@ pub fn reconfig_breakdown(workloads: &[WorkloadSpec], params: &ReconfigParams) -
             let mut config = cache_config_for_bytes(half_working_set_bytes(&workload));
             config.flash.wear = WearConfig::default().accelerated(params.acceleration);
             let mut cache = FlashCache::new(config).expect("valid config");
-            let mut generator = workload.generator(params.seed);
+            let mut ops = page_ops(&workload, params.seed);
             let mut done = 0u64;
             while done < params.accesses && !cache.is_dead() {
-                done += drive_cache(&mut cache, &mut generator, 20_000, true);
+                done += drive_cache(&mut cache, &mut ops, 20_000);
                 let s = cache.stats();
                 if s.reconfig_ecc + s.reconfig_density >= params.min_events {
                     break;

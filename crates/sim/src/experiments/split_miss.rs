@@ -4,7 +4,7 @@
 use disk_trace::WorkloadSpec;
 use flashcache_core::{FlashCache, SplitPolicy};
 
-use super::driver::{cache_config_for_bytes, drive_cache};
+use super::driver::{cache_config_for_bytes, measure, page_ops};
 
 /// One size point of Figure 4.
 ///
@@ -105,12 +105,12 @@ pub fn split_miss_curve(params: &SplitMissParams) -> Vec<SplitMissPoint> {
 fn run_one(params: &SplitMissParams, bytes: u64, split: SplitPolicy) -> (f64, f64, f64) {
     let mut config = cache_config_for_bytes(bytes);
     config.split = split;
-    let mut cache = FlashCache::new(config).expect("valid config");
-    let mut generator = params.workload.generator(params.seed);
-    drive_cache(&mut cache, &mut generator, params.warmup_accesses, false);
-    cache.reset_stats();
-    drive_cache(&mut cache, &mut generator, params.measured_accesses, false);
-    let s = cache.stats();
+    let s = measure(
+        &mut FlashCache::new(config).expect("valid config"),
+        &mut page_ops(&params.workload, params.seed),
+        params.warmup_accesses,
+        params.measured_accesses,
+    );
     (s.read_miss_rate(), s.miss_rate(), s.gc_overhead())
 }
 

@@ -6,13 +6,14 @@
 use flashcache::sim::experiments::admission::{run_ablation, AblationParams};
 use flashcache::sim::experiments::curves::{decode_latency_curve, lifetime_curve};
 use flashcache::sim::experiments::density_partition::{density_partition_curve, MLC_BYTES_PER_MM2};
+use flashcache::sim::experiments::driver::{cache_config_for_bytes, half_working_set_bytes};
 use flashcache::sim::experiments::ecc_throughput::{ecc_throughput_curve, EccThroughputParams};
 use flashcache::sim::experiments::gc_overhead::gc_overhead_curve;
 use flashcache::sim::experiments::lifetime::{lifetime_accesses, LifetimeParams};
 use flashcache::sim::experiments::power_bandwidth::{power_bandwidth, Fig9Params};
 use flashcache::sim::experiments::reconfig_breakdown::{reconfig_breakdown, ReconfigParams};
 use flashcache::sim::experiments::split_miss::{split_miss_curve, SplitMissParams};
-use flashcache::{ControllerPolicy, WorkloadSpec};
+use flashcache::{ControllerPolicy, FlashCacheConfig, WorkloadSpec};
 
 #[test]
 fn fig1b_smoke() {
@@ -87,19 +88,22 @@ fn fig11_smoke() {
 #[test]
 fn fig12_smoke() {
     let params = LifetimeParams {
-        scale: 4_096,
         acceleration: 1e6,
         budget: 4_000_000,
         seed: 5,
     };
-    let workload = WorkloadSpec::exp2().scaled(params.scale);
-    let (programmable, _) = lifetime_accesses(&workload, ControllerPolicy::Programmable, &params);
-    let (bch1, _) = lifetime_accesses(
-        &workload,
-        ControllerPolicy::FixedEcc { strength: 1 },
-        &params,
+    let workload = WorkloadSpec::exp2().scaled(4_096);
+    let accesses = |controller| {
+        let config = FlashCacheConfig {
+            controller,
+            ..cache_config_for_bytes(half_working_set_bytes(&workload))
+        };
+        lifetime_accesses(config, &workload, &params).0
+    };
+    assert!(
+        accesses(ControllerPolicy::Programmable)
+            > accesses(ControllerPolicy::FixedEcc { strength: 1 })
     );
-    assert!(programmable > bch1);
 }
 
 /// The admission ablation's acceptance floors against the split
