@@ -2,7 +2,8 @@
 //! software counterparts of Figure 6(a)'s accelerator measurements.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use flash_ecc::{crc32, BchCode};
+use flash_ecc::page::{PAGE_DATA_BYTES, PAGE_SPARE_BYTES};
+use flash_ecc::{crc32, BchCode, PageCodec};
 
 fn page_data() -> Vec<u8> {
     (0..2048usize).map(|i| (i * 131 % 251) as u8).collect()
@@ -45,7 +46,9 @@ fn bench_decode(c: &mut Criterion) {
 }
 
 /// The traffic `verified_rw` carries: Poisson(0.5) raw errors per page
-/// read at t = 8 is 61% clean, 30% one error, 8% two.
+/// read at t = 8 is 61% clean, 30% one error, 8% two and 1.3% three or
+/// more. Up to four errors the locator's roots are closed forms; the
+/// Chien scan starts at five.
 fn bench_decode_workload_mix(c: &mut Criterion) {
     let mut group = c.benchmark_group("bch_decode_2kb_t8");
     let code = BchCode::for_flash_page(8);
@@ -55,6 +58,8 @@ fn bench_decode_workload_mix(c: &mut Criterion) {
         ("clean", &[][..]),
         ("1_error", &[9_001][..]),
         ("2_errors", &[9_001, 14_777][..]),
+        ("3_errors", &[9_001, 14_777, 3_210][..]),
+        ("4_errors", &[9_001, 14_777, 3_210, 12][..]),
     ] {
         let mut received = data.clone();
         for &bit in flips {
@@ -64,6 +69,44 @@ fn bench_decode_workload_mix(c: &mut Criterion) {
             b.iter(|| {
                 let mut work = received.clone();
                 code.decode(&mut work, std::hint::black_box(&parity))
+                    .unwrap()
+            })
+        });
+    }
+    group.finish();
+}
+
+/// The whole page through `PageCodec`: one pass computes the CRC32 and
+/// the BCH remainder together, and a correction moves the CRC by the
+/// flipped bits' differences instead of a second pass. `crc_bit` is a
+/// flip in the stored CRC, which BCH corrects.
+fn bench_page_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("page_codec_2kb_t8");
+    let codec = PageCodec::new(8).unwrap();
+    let data = page_data();
+    let mut spare = vec![0u8; PAGE_SPARE_BYTES];
+    group.bench_function("encode", |b| {
+        b.iter(|| codec.encode_into(std::hint::black_box(&data), &mut spare))
+    });
+    let spare = codec.encode(&data);
+    for (name, flips) in [
+        ("clean", &[][..]),
+        ("1_error", &[9_001][..]),
+        ("3_errors", &[9_001, 14_777, 3_210][..]),
+        ("crc_bit", &[PAGE_DATA_BYTES * 8 + 5][..]),
+    ] {
+        let (mut received, mut received_spare) = (data.clone(), spare.clone());
+        for &bit in flips {
+            match bit.checked_sub(PAGE_DATA_BYTES * 8) {
+                None => received[bit / 8] ^= 1 << (7 - bit % 8),
+                Some(s) => received_spare[s / 8] ^= 1 << (7 - s % 8),
+            }
+        }
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut work = received.clone();
+                codec
+                    .decode(&mut work, std::hint::black_box(&received_spare))
                     .unwrap()
             })
         });
@@ -99,6 +142,7 @@ criterion_group!(
     bench_encode,
     bench_decode,
     bench_decode_workload_mix,
+    bench_page_codec,
     bench_crc,
     bench_verified_roundtrip
 );

@@ -4,6 +4,8 @@
 //! programmed, wear, read miss rate and the projected lifetime relative
 //! to split (∝ 1 / mean block erases).
 
+#![forbid(unsafe_code)]
+
 use disk_trace::WorkloadSpec;
 use flashcache_bench::{Exhibit, RunArgs};
 use flashcache_sim::experiments::admission::{run_ablation, AblationParams};

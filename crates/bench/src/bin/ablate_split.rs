@@ -1,6 +1,8 @@
 //! Ablation: sweep the write-region fraction around the paper's 10%
 //! choice (§3.5) and report read miss rate and disk-flush traffic.
 
+#![forbid(unsafe_code)]
+
 use disk_trace::WorkloadSpec;
 use flashcache_bench::{fmt_mb, Exhibit, RunArgs};
 use flashcache_core::{FlashCache, FlashCacheConfig, SplitPolicy};

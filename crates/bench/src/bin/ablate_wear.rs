@@ -1,6 +1,8 @@
 //! Ablation: the wear-levelling threshold of §3.6 — erase-count spread
 //! and performance with migration disabled or at various thresholds.
 
+#![forbid(unsafe_code)]
+
 use disk_trace::WorkloadSpec;
 use flashcache_bench::{Exhibit, RunArgs};
 use flashcache_core::FlashCache;

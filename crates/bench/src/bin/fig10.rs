@@ -1,6 +1,8 @@
 //! Figure 10: average throughput as a function of (uniform) BCH code
 //! strength, SPECWeb99 and dbt2, 256MB DRAM + 1GB flash.
 
+#![forbid(unsafe_code)]
+
 use disk_trace::WorkloadSpec;
 use flashcache_bench::{Exhibit, RunArgs};
 use flashcache_sim::experiments::ecc_throughput::{ecc_throughput_curve, EccThroughputParams};

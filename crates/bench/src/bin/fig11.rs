@@ -1,6 +1,8 @@
 //! Figure 11: breakdown of page reconfiguration (descriptor update)
 //! events — ECC strength increases vs MLC→SLC density switches.
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::{Exhibit, RunArgs};
 use flashcache_sim::experiments::reconfig_breakdown::{
     fig11_workloads, reconfig_breakdown, ReconfigParams,

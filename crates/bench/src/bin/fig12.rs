@@ -1,6 +1,8 @@
 //! Figure 12: normalized lifetime — programmable flash memory controller
 //! vs a fixed BCH-1 controller, per workload.
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::{parallel::par_map, Exhibit, RunArgs};
 use flashcache_core::{ControllerPolicy, FlashCacheConfig};
 use flashcache_sim::experiments::driver::{cache_config_for_bytes, half_working_set_bytes};

@@ -1,6 +1,8 @@
 //! Figure 1(b): normalized garbage-collection overhead vs occupied
 //! flash space.
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::{fmt_mb, Exhibit, RunArgs};
 use flashcache_sim::experiments::gc_overhead::gc_overhead_curve;
 

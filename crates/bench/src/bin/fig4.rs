@@ -1,6 +1,8 @@
 //! Figure 4: flash miss rate, unified vs split read/write disk cache,
 //! executing a dbt2 (OLTP) trace.
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::{fmt_mb, Exhibit, RunArgs};
 use flashcache_sim::experiments::split_miss::{split_miss_curve, SplitMissParams};
 

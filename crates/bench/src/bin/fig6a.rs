@@ -1,6 +1,8 @@
 //! Figure 6(a): BCH decode latency versus number of correctable errors
 //! on the 100MHz accelerator model.
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::{parallel::par_map, Exhibit, RunArgs};
 use flashcache_sim::experiments::curves::decode_latency_point;
 

@@ -1,6 +1,8 @@
 //! Figure 6(b): maximum tolerable write/erase cycles versus ECC code
 //! strength, for spatial oxide-thickness variation of 0/5/10/20%.
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::{parallel::par_map, Exhibit, RunArgs};
 use flashcache_sim::experiments::curves::lifetime_point;
 

@@ -1,6 +1,8 @@
 //! Figure 7: optimal access latency and SLC/MLC partition for various
 //! multimode MLC flash sizes (die areas).
 
+#![forbid(unsafe_code)]
+
 use disk_trace::WorkloadSpec;
 use flashcache_bench::{Exhibit, RunArgs};
 use flashcache_sim::experiments::density_partition::{density_partition_curve, MLC_BYTES_PER_MM2};

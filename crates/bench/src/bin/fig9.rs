@@ -1,6 +1,8 @@
 //! Figure 9: system memory + disk power breakdown and network bandwidth
 //! for DRAM-only vs DRAM+flash servers (dbt2 and SPECWeb99).
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::{Exhibit, RunArgs};
 use flashcache_sim::experiments::power_bandwidth::{power_bandwidth, Fig9Params, Fig9Row};
 

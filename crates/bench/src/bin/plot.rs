@@ -6,6 +6,8 @@
 //! cargo run --release -p flashcache-bench --bin plot -- results
 //! ```
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::svg::chart_from_dat;
 
 fn main() {

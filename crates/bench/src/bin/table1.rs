@@ -1,5 +1,7 @@
 //! Table 1: the ITRS 2007 memory-technology roadmap.
 
+#![forbid(unsafe_code)]
+
 use flash_reliability::itrs::ITRS_2007;
 use flashcache_bench::RunArgs;
 

@@ -1,5 +1,7 @@
 //! Table 2: performance and power of DRAM, SLC/MLC NAND and HDD.
 
+#![forbid(unsafe_code)]
+
 use flashcache_bench::RunArgs;
 use nand_flash::{FlashPower, FlashTiming};
 use storage_model::{DramModel, HddModel};

@@ -1,5 +1,7 @@
 //! Table 3: the simulator configuration parameters.
 
+#![forbid(unsafe_code)]
+
 use flash_ecc::EccLatencyModel;
 use flashcache_bench::RunArgs;
 use flashcache_sim::server::CORES;

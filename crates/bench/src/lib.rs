@@ -13,6 +13,7 @@
 //! it ran. A metrics snapshot of one system comes from
 //! `flashcache simulate --json-metrics FILE`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod parallel;

@@ -9,6 +9,8 @@
 //! flashcache export    --workload financial1 --scale 256 --requests 10000 --out t.spc
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod args;
 mod commands;
 

@@ -28,6 +28,7 @@
 //! assert!(w.access.hit);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

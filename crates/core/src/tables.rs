@@ -365,8 +365,10 @@ impl Fcht {
 }
 
 /// Best-effort read prefetch into the nearest cache level: a no-op on
-/// architectures without a stable hint instruction.
+/// architectures without a stable hint instruction. The crate's only
+/// `unsafe`: the crate root denies it everywhere else.
 #[inline(always)]
+#[allow(unsafe_code)]
 pub(crate) fn prefetch_read(p: *const u8) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch is a hint; it never faults, even on invalid

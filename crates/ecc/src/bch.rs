@@ -15,6 +15,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::bitpoly::BitPoly;
+use crate::crc;
 use crate::gf::GfField;
 
 /// Error constructing a [`BchCode`].
@@ -276,30 +277,53 @@ impl BchCode {
             "encode: parity buffer must be exactly {} bytes",
             self.parity_bytes()
         );
-        // MSB-first parity byte stream: byte 0 = highest-power
-        // coefficients. Register bits below `enc_words·64 − parity_bits`
-        // are always zero, so padding bits in the last byte come out zero.
-        self.with_remainder(data, |reg| {
-            let w = reg.len();
-            for (k, byte) in parity_out.iter_mut().enumerate() {
-                *byte = (reg[w - 1 - k / 8] >> (56 - 8 * (k % 8))) as u8;
-            }
-        })
+        self.with_remainder::<false, _>(data, |reg, _| Self::write_parity(reg, parity_out))
     }
 
     /// Runs the division LFSR over `data` and hands `f` the left-aligned
     /// register holding `data(x)·x^r mod g(x)` — the one kernel encode
-    /// and decode share.
-    fn with_remainder<R>(&self, data: &[u8], f: impl FnOnce(&mut [u64]) -> R) -> R {
+    /// and decode share — and, when `CRC`, the CRC32 of `data`, computed
+    /// from the same loads in the same pass (0 otherwise). `f` may
+    /// [`Self::feed`] the register the rest of a longer message.
+    pub(crate) fn with_remainder<const CRC: bool, R>(
+        &self,
+        data: &[u8],
+        f: impl FnOnce(&mut [u64], u32) -> R,
+    ) -> R {
         // A register on the stack, its width known to the inlined kernel,
         // covers every practical code (flash-page codes at t <= 12 need at
         // most 3 words).
+        macro_rules! run {
+            ($reg:expr) => {{
+                let reg = $reg;
+                let crc = lfsr::<CRC>(reg, &self.enc_table, data);
+                f(reg, crc)
+            }};
+        }
         match self.enc_words {
-            1 => f(lfsr(&mut [0; 1], &self.enc_table, data)),
-            2 => f(lfsr(&mut [0; 2], &self.enc_table, data)),
-            3 => f(lfsr(&mut [0; 3], &self.enc_table, data)),
-            4 => f(lfsr(&mut [0; 4], &self.enc_table, data)),
-            w => f(lfsr(&mut vec![0; w], &self.enc_table, data)),
+            1 => run!(&mut [0; 1]),
+            2 => run!(&mut [0; 2]),
+            3 => run!(&mut [0; 3]),
+            4 => run!(&mut [0; 4]),
+            w => run!(&mut vec![0; w]),
+        }
+    }
+
+    /// Continues the division in `reg` over `bytes`, one byte step each.
+    pub(crate) fn feed(&self, reg: &mut [u64], bytes: &[u8]) {
+        for &byte in bytes {
+            byte_step(reg, &self.enc_table, byte);
+        }
+    }
+
+    /// Serialises the remainder in `reg` as the MSB-first parity byte
+    /// stream: byte 0 = highest-power coefficients. Register bits below
+    /// `enc_words·64 − parity_bits` are always zero, so padding bits in
+    /// the last byte come out zero.
+    pub(crate) fn write_parity(reg: &[u64], parity_out: &mut [u8]) {
+        let w = reg.len();
+        for (k, byte) in parity_out.iter_mut().enumerate() {
+            *byte = (reg[w - 1 - k / 8] >> (56 - 8 * (k % 8))) as u8;
         }
     }
 
@@ -382,36 +406,48 @@ impl BchCode {
                 which: "parity",
             });
         }
-        let Some(syndromes) = self.remainder_syndromes(data, parity) else {
-            return Ok(DecodeReport::default());
+        let powers = self
+            .with_remainder::<false, _>(data, |reg, _| self.locate(reg, parity))
+            .ok_or(DecodeError::TooManyErrors)?;
+        let mut report = DecodeReport {
+            corrected: powers.len(),
+            data_bit_positions: Vec::with_capacity(powers.len()),
+        };
+        for power in powers {
+            // Parity-area errors need no fix: the caller's data is already
+            // correct once data-area flips are applied.
+            if let Some(j) = self.message_bit(power) {
+                data[j / 8] ^= 1 << (7 - j % 8);
+                report.data_bit_positions.push(j);
+            }
+        }
+        report.data_bit_positions.sort_unstable();
+        Ok(report)
+    }
+
+    /// The codeword powers of the errors in a received word, ascending:
+    /// `reg` holds its message's division remainder and `parity` is its
+    /// received parity. Empty for a codeword; `None` when the pattern is
+    /// detectably uncorrectable (a locator of degree above `t`, or one
+    /// with fewer roots inside the shortened length than its degree).
+    pub(crate) fn locate(&self, reg: &mut [u64], parity: &[u8]) -> Option<Vec<usize>> {
+        let Some(syndromes) = self.syndromes_of(reg, parity) else {
+            return Some(Vec::new());
         };
         let sigma = self.berlekamp_massey(&syndromes);
         let num_errors = sigma.len() - 1;
         if num_errors > self.t {
-            return Err(DecodeError::TooManyErrors);
+            return None;
         }
         let roots = self.locator_roots(&sigma);
-        if roots.len() != num_errors {
-            return Err(DecodeError::TooManyErrors);
-        }
-        // Map codeword powers to buffer bit positions and flip.
+        (roots.len() == num_errors).then_some(roots)
+    }
+
+    /// The message bit at codeword power `power` — message bit `j` has
+    /// power `r + data_bits − 1 − j` — or `None` in the parity area.
+    pub(crate) fn message_bit(&self, power: usize) -> Option<usize> {
         let r = self.parity_bits;
-        let mut report = DecodeReport {
-            corrected: roots.len(),
-            data_bit_positions: Vec::with_capacity(roots.len()),
-        };
-        for power in roots {
-            if power >= r {
-                // Data area: data bit j has power r + data_bits - 1 - j.
-                let j = r + self.data_bits - 1 - power;
-                data[j / 8] ^= 1 << (7 - j % 8);
-                report.data_bit_positions.push(j);
-            }
-            // Parity-area errors need no fix: the caller's data is already
-            // correct once data-area flips are applied.
-        }
-        report.data_bit_positions.sort_unstable();
-        Ok(report)
+        (power >= r).then(|| r + self.data_bits - 1 - power)
     }
 
     /// Syndromes S_1..S_2t of the received word, or `None` when it is a
@@ -426,37 +462,40 @@ impl BchCode {
     /// the code's lengths ([`Self::decode`] checks them).
     #[doc(hidden)]
     pub fn remainder_syndromes(&self, data: &[u8], parity: &[u8]) -> Option<Vec<u32>> {
+        self.with_remainder::<false, _>(data, |reg, _| self.syndromes_of(reg, parity))
+    }
+
+    /// [`Self::remainder_syndromes`] from the message remainder in `reg`.
+    fn syndromes_of(&self, reg: &mut [u64], parity: &[u8]) -> Option<Vec<u32>> {
         let t = self.t;
-        self.with_remainder(data, |reg| {
-            let w = reg.len();
-            for (k, &byte) in parity.iter().enumerate() {
-                reg[w - 1 - k / 8] ^= u64::from(byte) << (56 - 8 * (k % 8));
-            }
-            // The remainder has no bits below the register's alignment
-            // shift: what is there now is the received padding of the last
-            // parity byte, ignored as the reference ignores positions >= r.
-            let shift = w * 64 - self.parity_bits;
-            reg[0] &= !0u64 << shift;
-            if reg.iter().all(|&word| word == 0) {
-                return None;
-            }
-            let mut syn = vec![0u32; 2 * t];
-            for (wi, &word) in reg.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let p = wi * 64 + bits.trailing_zeros() as usize - shift;
-                    bits &= bits - 1;
-                    let row = &self.syn_alpha[p * t..][..t];
-                    for (s, &a) in syn.iter_mut().step_by(2).zip(row) {
-                        *s ^= a;
-                    }
+        let w = reg.len();
+        for (k, &byte) in parity.iter().enumerate() {
+            reg[w - 1 - k / 8] ^= u64::from(byte) << (56 - 8 * (k % 8));
+        }
+        // The remainder has no bits below the register's alignment
+        // shift: what is there now is the received padding of the last
+        // parity byte, ignored as the reference ignores positions >= r.
+        let shift = w * 64 - self.parity_bits;
+        reg[0] &= !0u64 << shift;
+        if reg.iter().all(|&word| word == 0) {
+            return None;
+        }
+        let mut syn = vec![0u32; 2 * t];
+        for (wi, &word) in reg.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let p = wi * 64 + bits.trailing_zeros() as usize - shift;
+                bits &= bits - 1;
+                let row = &self.syn_alpha[p * t..][..t];
+                for (s, &a) in syn.iter_mut().step_by(2).zip(row) {
+                    *s ^= a;
                 }
             }
-            for i in 1..=t {
-                syn[2 * i - 1] = self.field.mul(syn[i - 1], syn[i - 1]);
-            }
-            Some(syn)
-        })
+        }
+        for i in 1..=t {
+            syn[2 * i - 1] = self.field.mul(syn[i - 1], syn[i - 1]);
+        }
+        Some(syn)
     }
 
     /// Reference syndrome computation: per-bit modular exponent products.
@@ -564,33 +603,93 @@ impl BchCode {
     }
 
     /// Codeword powers `p` with `sigma(α^(−p)) = 0` inside the shortened
-    /// length, ascending — what [`Self::chien_search`] returns, but with
-    /// the one or two roots of a degree-1 or degree-2 locator (nearly every
-    /// read that has errors at all) found in closed form. A locator with a
-    /// zero coefficient, which Berlekamp–Massey yields for no correctable
-    /// pattern, goes to the scan.
+    /// length, ascending — what [`Self::chien_search`] returns, but for a
+    /// locator of degree up to 4 (at Poisson(0.5) raw errors per read, all
+    /// but two reads in ten thousand) the roots are found in closed form,
+    /// with no scan. `sigma` must be trimmed: its last coefficient nonzero.
     #[doc(hidden)]
     pub fn locator_roots(&self, sigma: &[u32]) -> Vec<usize> {
         let f = &self.field;
+        // x = 0 is no codeword position: the factors of x drop out.
+        let low = sigma.iter().position(|&c| c != 0);
+        let roots = match low {
+            Some(low) if sigma.last() != Some(&0) => self.field_roots(&sigma[low..]),
+            _ => None,
+        };
+        let Some(roots) = roots else {
+            return self.chien_search(sigma);
+        };
         // x = α^(−p)  =>  p = −log x (mod n).
         let n = f.group_order();
-        let power = |x: u32| ((n - f.log(x)) % n) as usize;
-        let mut roots = match *sigma {
-            [c0, c1] if c0 != 0 && c1 != 0 => vec![power(f.div(c0, c1))],
-            [c0, c1, c2] if c0 != 0 && c1 != 0 && c2 != 0 => {
-                // x = (c1/c2)·y turns sigma(x) = 0 into y² + y = c0·c2/c1²,
-                // whose solutions, if the field has any, are y and y + 1.
-                let scale = f.div(c1, c2);
-                match f.solve_quadratic(f.div(f.mul(c0, c2), f.mul(c1, c1))) {
-                    Some(y) => vec![power(f.mul(scale, y)), power(f.mul(scale, y ^ 1))],
-                    None => Vec::new(),
+        let mut powers: Vec<usize> = (roots.into_iter())
+            .map(|x| ((n - f.log(x)) % n) as usize)
+            .filter(|&p| p < self.data_bits + self.parity_bits)
+            .collect();
+        powers.sort_unstable();
+        powers
+    }
+
+    /// The distinct roots in GF(2^m) of `s`, whose constant and leading
+    /// coefficients are nonzero, or `None` from degree 5 up. Each degree
+    /// is made monic and reduced to a form with a direct solution:
+    ///
+    /// - 1: `x + c = 0` at `x = c`;
+    /// - 2: [`GfField::quadratic_roots`];
+    /// - 3: `x³ + a·x² + b·x + c` times `x + a` is the affine
+    ///   `x⁴ + (a² + b)·x² + (ab + c)·x + ac`, solved by
+    ///   [`GfField::affine4_roots`]; its extra root `a` is dropped unless
+    ///   it is a root of the cubic (`ab = c`, a repeated root);
+    /// - 4: `x⁴ + a·x³ + b·x² + c·x + d` is already affine at `a = 0`.
+    ///   Otherwise `x = z + e` with `e² = c/a` clears the linear term,
+    ///   leaving `z⁴ + a·z³ + b'·z² + d'`; at `d' = 0` that is `z²` times
+    ///   a quadratic, and otherwise `z = 1/y` turns it into the affine
+    ///   `y⁴ + (b'/d')·y² + (a/d')·y + 1/d'`.
+    ///
+    /// Linux `lib/bch.c` (`find_poly_deg{1,2,3,4}_roots`) does the same
+    /// but gives up on repeated roots; these return exactly the roots a
+    /// scan of the field would find.
+    fn field_roots(&self, s: &[u32]) -> Option<Vec<u32>> {
+        let f = &self.field;
+        let lead = s[s.len() - 1];
+        let c = |i: usize| f.div(s[i], lead);
+        Some(match s.len() - 1 {
+            0 => Vec::new(),
+            1 => vec![c(0)],
+            2 => f.quadratic_roots(c(1), c(0)),
+            3 => {
+                let (a, b, c) = (c(2), c(1), c(0));
+                let mut roots = f.affine4_roots(f.mul(a, a) ^ b, f.mul(a, b) ^ c, f.mul(a, c));
+                if f.mul(a, b) != c {
+                    roots.retain(|&x| x != a);
                 }
+                roots
             }
-            _ => return self.chien_search(sigma),
-        };
-        roots.retain(|&p| p < self.data_bits + self.parity_bits);
-        roots.sort_unstable();
-        roots
+            4 => {
+                let (a, b, c, d) = (c(3), c(2), c(1), c(0));
+                if a == 0 {
+                    return Some(f.affine4_roots(b, c, d));
+                }
+                let e = f.sqrt(f.div(c, a));
+                let e2 = f.mul(e, e);
+                let b1 = f.mul(a, e) ^ b;
+                let d1 = f.mul(e2, e2) ^ f.mul(b, e2) ^ d;
+                let mut zs = if d1 == 0 {
+                    let mut zs = f.quadratic_roots(a, b1);
+                    if b1 != 0 {
+                        zs.push(0);
+                    }
+                    zs
+                } else {
+                    let ys = f.affine4_roots(f.div(b1, d1), f.div(a, d1), f.inv(d1));
+                    ys.into_iter().map(|y| f.inv(y)).collect()
+                };
+                for z in &mut zs {
+                    *z ^= e;
+                }
+                zs
+            }
+            _ => return None,
+        })
     }
 
     /// Chien search: returns the codeword powers `p` (0-based exponent of
@@ -782,13 +881,22 @@ fn byte_step(reg: &mut [u64], table: &[u64], byte: u8) {
 /// step (slicing-by-8): the top word XOR the input word leaves the
 /// register as eight bytes, byte `j` of which still has `7 − j` bytes of
 /// shifting ahead of it, so it takes its row from slice `7 − j`. The byte
-/// step finishes a tail shorter than a word. Returns `reg`.
+/// step finishes a tail shorter than a word.
+///
+/// When `CRC`, the same loaded word also advances a CRC32 state, whose
+/// chain is independent of the register's, so the two overlap; returns
+/// the CRC32 of `data` then, 0 otherwise.
 #[inline(always)]
-fn lfsr<'a>(reg: &'a mut [u64], table: &[u64], data: &[u8]) -> &'a mut [u64] {
+fn lfsr<const CRC: bool>(reg: &mut [u64], table: &[u64], data: &[u8]) -> u32 {
     let w = reg.len();
+    let mut crc = !0u32;
     let (words, tail) = data.as_chunks::<8>();
     for word in words {
-        let out = (reg[w - 1] ^ u64::from_be_bytes(*word)).to_be_bytes();
+        let word = u64::from_be_bytes(*word);
+        if CRC {
+            crc = crc::step8(crc, word.swap_bytes());
+        }
+        let out = (reg[w - 1] ^ word).to_be_bytes();
         reg.copy_within(..w - 1, 1);
         reg[0] = 0;
         for (j, &b) in out.iter().enumerate() {
@@ -799,9 +907,12 @@ fn lfsr<'a>(reg: &'a mut [u64], table: &[u64], data: &[u8]) -> &'a mut [u64] {
         }
     }
     for &byte in tail {
+        if CRC {
+            crc = crc::step1(crc, byte);
+        }
         byte_step(reg, table, byte);
     }
-    reg
+    !crc
 }
 
 /// Computes the generator polynomial of a `t`-error-correcting binary BCH
@@ -1087,7 +1198,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_and_degenerate_locators_take_the_scan() {
+    fn repeated_and_degenerate_locators_match_the_scan() {
         let code = BchCode::new(8, 2, 8).unwrap();
         let f = &code.field;
         // A double root is one position, which decode rejects as a count

@@ -225,6 +225,73 @@ impl GfField {
         (self.mul(y, y) ^ y == u).then_some(y)
     }
 
+    /// The square root of `a`, which always exists and is unique: `2^m −
+    /// 1` is odd, so `α^l = (α^(l/2))²` with `l` or `l + 2^m − 1` even.
+    pub(crate) fn sqrt(&self, a: u32) -> u32 {
+        if a == 0 {
+            return 0;
+        }
+        let l = self.log[a as usize];
+        self.exp[((l + (l & 1) * self.group_order) / 2) as usize]
+    }
+
+    /// The distinct roots of `x² + b·x + c`: `x = b·y` turns it into
+    /// `y² + y = c/b²`, whose solutions, if the field has any, are `y` and
+    /// `y + 1`; at `b = 0` the one root is `√c`.
+    pub(crate) fn quadratic_roots(&self, b: u32, c: u32) -> Vec<u32> {
+        if b == 0 {
+            return vec![self.sqrt(c)];
+        }
+        match self.solve_quadratic(self.div(c, self.mul(b, b))) {
+            Some(y) => vec![self.mul(b, y), self.mul(b, y ^ 1)],
+            None => Vec::new(),
+        }
+    }
+
+    /// The distinct `x` with `x⁴ + a·x² + b·x = c`. The left side is
+    /// GF(2)-linear in `x`, so the solutions are one solution plus the
+    /// kernel: eliminate over the images of the `m` basis elements,
+    /// keeping with each reduced image the `x` it is the image of (Linux
+    /// `lib/bch.c`'s `find_affine4_roots`, after Berlekamp, Rumsey &
+    /// Solomon 1967). The kernel has at most four elements, the degree.
+    pub(crate) fn affine4_roots(&self, a: u32, b: u32, c: u32) -> Vec<u32> {
+        // pivot[k] = (image with top bit k, its preimage).
+        let mut pivot = [(0u32, 0u32); 16];
+        let mut kernel = Vec::new();
+        let top = |v: u32| (31 - v.leading_zeros()) as usize;
+        for i in 0..self.m {
+            let x = 1 << i;
+            let x2 = self.mul(x, x);
+            let (mut image, mut pre) = (self.mul(x2, x2) ^ self.mul(a, x2) ^ self.mul(b, x), x);
+            while image != 0 && pivot[top(image)].0 != 0 {
+                let (pi, pp) = pivot[top(image)];
+                image ^= pi;
+                pre ^= pp;
+            }
+            if image == 0 {
+                kernel.push(pre);
+            } else {
+                pivot[top(image)] = (image, pre);
+            }
+        }
+        let (mut rest, mut x0) = (c, 0);
+        while rest != 0 {
+            let (pi, pp) = pivot[top(rest)];
+            if pi == 0 {
+                return Vec::new();
+            }
+            rest ^= pi;
+            x0 ^= pp;
+        }
+        let mut roots = vec![x0];
+        for k in kernel {
+            for i in 0..roots.len() {
+                roots.push(roots[i] ^ k);
+            }
+        }
+        roots
+    }
+
     /// Evaluates a polynomial with coefficients `coeffs` (index = degree,
     /// `coeffs[0]` is the constant term) at point `x`, via Horner's rule.
     pub fn poly_eval(&self, coeffs: &[u32], x: u32) -> u32 {
@@ -335,6 +402,36 @@ mod tests {
                 let y = f.solve_quadratic(u);
                 assert_eq!(y.is_some(), solvable[u as usize], "m={m} u={u}");
                 assert!(y.is_none_or(|y| f.mul(y, y) ^ y == u), "m={m} u={u}");
+            }
+        }
+    }
+
+    #[test]
+    fn closed_form_roots_match_exhaustive_search() {
+        for m in [2, 3, 4, 5] {
+            let f = GfField::new(m);
+            let size = 1u32 << m;
+            let roots_of = |p: &dyn Fn(u32) -> u32| (0..size).filter(|&x| p(x) == 0).collect();
+            for a in 0..size {
+                let mut sqrt = f.sqrt(a);
+                assert_eq!(f.mul(sqrt, sqrt), a, "m={m} a={a}");
+                sqrt = f.sqrt(f.mul(a, a));
+                assert_eq!(sqrt, a, "m={m} a={a}");
+                for b in 0..size {
+                    let mut got = f.quadratic_roots(a, b);
+                    got.sort_unstable();
+                    let want: Vec<u32> = roots_of(&|x| f.mul(x, x) ^ f.mul(a, x) ^ b);
+                    assert_eq!(got, want, "m={m} x²+{a}x+{b}");
+                    for c in 0..size {
+                        let mut got = f.affine4_roots(a, b, c);
+                        got.sort_unstable();
+                        let want: Vec<u32> = roots_of(&|x| {
+                            let x2 = f.mul(x, x);
+                            f.mul(x2, x2) ^ f.mul(a, x2) ^ f.mul(b, x) ^ c
+                        });
+                        assert_eq!(got, want, "m={m} x⁴+{a}x²+{b}x+{c}");
+                    }
+                }
             }
         }
     }

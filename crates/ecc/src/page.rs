@@ -4,12 +4,18 @@
 //! A 2048-byte flash page carries a 64-byte spare area. The paper assigns
 //! 4 bytes to a CRC32 checksum and up to 23 bytes of BCH parity (t ≤ 12
 //! over GF(2^15) needs 15·12 = 180 bits), leaving the rest unused.
+//!
+//! The BCH codeword is data ‖ CRC ‖ parity — the page and the spare in
+//! the order they sit on the device — so a flipped CRC bit is corrected
+//! like any other. The paper does not say whether its BCH covers the CRC;
+//! when it does not, one failed CRC cell makes a correctable page
+//! uncorrectable.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::bch::{BchCode, DecodeError};
-use crate::crc::crc32;
+use crate::crc::flip_difference;
 
 /// Payload size of a flash page in bytes.
 pub const PAGE_DATA_BYTES: usize = 2048;
@@ -26,7 +32,8 @@ pub const MAX_PAGE_STRENGTH: usize = 12;
 pub enum PageDecodeOutcome {
     /// No errors were present.
     Clean,
-    /// `corrected` bit errors were fixed and the CRC subsequently passed.
+    /// `corrected` bit errors were fixed (in the data, the CRC or the
+    /// parity) and the CRC subsequently passed.
     Corrected {
         /// Number of bit errors corrected.
         corrected: usize,
@@ -38,8 +45,9 @@ pub enum PageDecodeOutcome {
 pub enum PageDecodeError {
     /// The BCH decoder reported an uncorrectable pattern.
     Uncorrectable,
-    /// BCH "succeeded" but CRC32 still mismatched: a miscorrection
-    /// (more errors occurred than the code strength).
+    /// BCH found a codeword, as received or after correction, but the
+    /// CRC32 of its data disagrees with its CRC: a miscorrection (more
+    /// errors occurred than the code strength).
     CrcMismatch,
     /// Buffers had the wrong length.
     BadLength(DecodeError),
@@ -117,9 +125,9 @@ impl PageCodec {
         if t == 0 || t > MAX_PAGE_STRENGTH {
             return Err(StrengthOutOfRange { t });
         }
-        Ok(PageCodec {
-            bch: BchCode::for_flash_page(t),
-        })
+        let bch = BchCode::new(15, t, PAGE_DATA_BYTES + CRC_BYTES)
+            .expect("a page plus its CRC fits GF(2^15) at t <= 12");
+        Ok(PageCodec { bch })
     }
 
     /// The BCH strength of this codec.
@@ -143,6 +151,10 @@ impl PageCodec {
     /// per-page allocations of [`Self::encode`]. Bytes past the CRC and
     /// parity are zeroed.
     ///
+    /// One pass over the page computes its CRC32 and divides it by the
+    /// BCH generator; the division then continues over the four CRC
+    /// bytes.
+    ///
     /// # Panics
     ///
     /// Panics if `data` is not [`PAGE_DATA_BYTES`] long or `spare` is not
@@ -154,50 +166,73 @@ impl PageCodec {
             "page payload must be 2048 bytes"
         );
         assert_eq!(spare.len(), PAGE_SPARE_BYTES, "spare area must be 64 bytes");
-        spare[..CRC_BYTES].copy_from_slice(&crc32(data).to_be_bytes());
-        let parity_end = CRC_BYTES + self.bch.parity_bytes();
-        self.bch
-            .encode_into(data, &mut spare[CRC_BYTES..parity_end]);
-        spare[parity_end..].fill(0);
+        let (crc_out, rest) = spare.split_at_mut(CRC_BYTES);
+        let (parity, padding) = rest.split_at_mut(self.bch.parity_bytes());
+        self.bch.with_remainder::<true, _>(data, |reg, crc| {
+            crc_out.copy_from_slice(&crc.to_be_bytes());
+            self.bch.feed(reg, crc_out);
+            BchCode::write_parity(reg, parity);
+        });
+        padding.fill(0);
     }
 
     /// Decodes a page in place against its spare area.
     ///
+    /// One pass over the page divides the received word and computes the
+    /// CRC32 of the received data. A correction flips data bits in place
+    /// and moves that CRC by [`flip_difference`] per flipped bit, so the
+    /// page is not read again; the CRC is compared on every path, clean
+    /// or corrected.
+    ///
     /// # Errors
     ///
     /// - [`PageDecodeError::Uncorrectable`] if BCH decoding fails outright.
-    /// - [`PageDecodeError::CrcMismatch`] if BCH produced a candidate
-    ///   correction but the CRC32 check exposes it as a miscorrection.
+    /// - [`PageDecodeError::CrcMismatch`] if BCH found a codeword but the
+    ///   CRC32 check exposes it as a miscorrection.
     /// - [`PageDecodeError::BadLength`] for wrong buffer sizes.
     pub fn decode(
         &self,
         data: &mut [u8],
         spare: &[u8],
     ) -> Result<PageDecodeOutcome, PageDecodeError> {
-        if spare.len() != PAGE_SPARE_BYTES {
-            return Err(PageDecodeError::BadLength(DecodeError::LengthMismatch {
-                expected: PAGE_SPARE_BYTES,
-                got: spare.len(),
-                which: "parity",
-            }));
-        }
-        let stored_crc = u32::from_be_bytes([spare[0], spare[1], spare[2], spare[3]]);
-        let parity = &spare[CRC_BYTES..CRC_BYTES + self.bch.parity_bytes()];
-        let report = match self.bch.decode(data, parity) {
-            Ok(r) => r,
-            Err(DecodeError::TooManyErrors) => return Err(PageDecodeError::Uncorrectable),
-            Err(e @ DecodeError::LengthMismatch { .. }) => {
-                return Err(PageDecodeError::BadLength(e))
-            }
+        let mismatch = |expected, got, which| {
+            Err(PageDecodeError::BadLength(DecodeError::LengthMismatch {
+                expected,
+                got,
+                which,
+            }))
         };
-        if crc32(data) != stored_crc {
-            return Err(PageDecodeError::CrcMismatch);
+        if spare.len() != PAGE_SPARE_BYTES {
+            return mismatch(PAGE_SPARE_BYTES, spare.len(), "parity");
         }
-        if report.corrected == 0 {
+        if data.len() != PAGE_DATA_BYTES {
+            return mismatch(PAGE_DATA_BYTES, data.len(), "data");
+        }
+        let (stored, rest) = spare.split_at(CRC_BYTES);
+        let parity = &rest[..self.bch.parity_bytes()];
+        let (powers, mut crc) = self.bch.with_remainder::<true, _>(data, |reg, crc| {
+            self.bch.feed(reg, stored);
+            (self.bch.locate(reg, parity), crc)
+        });
+        let powers = powers.ok_or(PageDecodeError::Uncorrectable)?;
+        let mut stored_crc = u32::from_be_bytes(stored.try_into().expect("four CRC bytes"));
+        for &power in &powers {
+            match self.bch.message_bit(power) {
+                Some(j) if j < PAGE_DATA_BYTES * 8 => {
+                    data[j / 8] ^= 0x80 >> (j % 8);
+                    crc ^= flip_difference(PAGE_DATA_BYTES, j);
+                }
+                Some(j) => stored_crc ^= 1 << (31 - (j - PAGE_DATA_BYTES * 8)),
+                None => {}
+            }
+        }
+        if crc != stored_crc {
+            Err(PageDecodeError::CrcMismatch)
+        } else if powers.is_empty() {
             Ok(PageDecodeOutcome::Clean)
         } else {
             Ok(PageDecodeOutcome::Corrected {
-                corrected: report.corrected,
+                corrected: powers.len(),
             })
         }
     }
@@ -288,6 +323,27 @@ mod tests {
             codec.decode(&mut page, &[0u8; 10]),
             Err(PageDecodeError::BadLength(_))
         ));
+    }
+
+    #[test]
+    fn every_stored_crc_bit_is_corrected() {
+        // BCH covers the CRC: a failed CRC cell costs one correction, not
+        // the page.
+        for t in [1, 8, 12] {
+            let codec = PageCodec::new(t).unwrap();
+            let original = test_page();
+            let spare = codec.encode(&original);
+            for bit in 0..CRC_BYTES * 8 {
+                let (mut page, mut bad) = (original.clone(), spare.clone());
+                bad[bit / 8] ^= 0x80 >> (bit % 8);
+                assert_eq!(
+                    codec.decode(&mut page, &bad),
+                    Ok(PageDecodeOutcome::Corrected { corrected: 1 }),
+                    "t={t} bit {bit}"
+                );
+                assert_eq!(page, original);
+            }
+        }
     }
 
     #[test]

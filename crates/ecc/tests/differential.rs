@@ -6,13 +6,18 @@
 //! (`encode_bitserial`, `syndromes_reference`, `chien_search_reference`),
 //! across the field sizes the crate ships codes for (m ∈ {8, 13, 15}),
 //! the paper's strength range (t ∈ {1, 4, 12}) and the tiny (15, 11)
-//! code; the sliced CRC32 must equal the bit-at-a-time recurrence.
+//! code; the sliced CRC32 must equal the bit-at-a-time recurrence, and
+//! its bit-flip difference a recomputation. The one-pass page codec must
+//! equal the same oracles composed by hand.
 
 use proptest::prelude::*;
 
 use flash_ecc::bch::{BchCode, DecodeError};
-use flash_ecc::crc::Crc32;
-use flash_ecc::page::{PageCodec, PageDecodeOutcome, CRC_BYTES, PAGE_DATA_BYTES};
+use flash_ecc::crc::{crc32, flip_difference, Crc32};
+use flash_ecc::gf::GfField;
+use flash_ecc::page::{
+    PageCodec, PageDecodeError, PageDecodeOutcome, CRC_BYTES, PAGE_DATA_BYTES, PAGE_SPARE_BYTES,
+};
 
 /// Largest payload (bytes) that fits the block length for (m, t), capped
 /// so reference-kernel scans stay fast inside property tests.
@@ -215,6 +220,242 @@ proptest! {
             from = cut;
         }
         prop_assert_eq!(hasher.finalize(), !expected);
+    }
+}
+
+/// The page codec's spare area from the oracles: CRC32 of the data, then
+/// `encode_bitserial` over data ‖ CRC, then zeros.
+fn reference_page_encode(code: &BchCode, data: &[u8]) -> Vec<u8> {
+    let crc = crc32(data).to_be_bytes();
+    let parity = code.encode_bitserial(&[data, &crc].concat());
+    let mut spare = [&crc[..], &parity].concat();
+    spare.resize(PAGE_SPARE_BYTES, 0);
+    spare
+}
+
+/// The page codec's decode from the oracles: `syndromes_reference` over
+/// data ‖ CRC and the parity, Berlekamp–Massey, `chien_search_reference`,
+/// the corrections applied to data and CRC, and a fresh `crc32` of the
+/// corrected data.
+fn reference_page_decode(
+    code: &BchCode,
+    data: &mut [u8],
+    spare: &[u8],
+) -> Result<PageDecodeOutcome, PageDecodeError> {
+    let mut message = [&*data, &spare[..CRC_BYTES]].concat();
+    let parity = &spare[CRC_BYTES..CRC_BYTES + code.parity_bytes()];
+    let syn = code.syndromes_reference(&message, parity);
+    let mut corrected = 0;
+    if syn.iter().any(|&s| s != 0) {
+        let sigma = code.berlekamp_massey(&syn);
+        let degree = sigma.len() - 1;
+        if degree > code.strength() {
+            return Err(PageDecodeError::Uncorrectable);
+        }
+        let roots = code.chien_search_reference(&sigma);
+        if roots.len() != degree {
+            return Err(PageDecodeError::Uncorrectable);
+        }
+        let r = code.parity_bits();
+        for &p in roots.iter().filter(|&&p| p >= r) {
+            let j = r + message.len() * 8 - 1 - p;
+            message[j / 8] ^= 0x80 >> (j % 8);
+        }
+        corrected = degree;
+    }
+    data.copy_from_slice(&message[..PAGE_DATA_BYTES]);
+    let stored = u32::from_be_bytes(message[PAGE_DATA_BYTES..].try_into().unwrap());
+    if crc32(data) != stored {
+        Err(PageDecodeError::CrcMismatch)
+    } else if corrected == 0 {
+        Ok(PageDecodeOutcome::Clean)
+    } else {
+        Ok(PageDecodeOutcome::Corrected { corrected })
+    }
+}
+
+/// A page of bytes drawn from `seed`.
+fn seeded_page(seed: u64) -> Vec<u8> {
+    let mut x = seed;
+    (0..PAGE_DATA_BYTES)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        })
+        .collect()
+}
+
+/// `(1 + α^p·x)` over `powers`, times `scale`: the locator of errors at
+/// those codeword powers, repeats and powers past the code included.
+fn locator_of(field: &GfField, powers: &[i64], scale: u32) -> Vec<u32> {
+    let mut sigma = vec![scale];
+    for &p in powers {
+        let root = field.alpha_pow(p);
+        sigma.push(0);
+        for i in (1..sigma.len()).rev() {
+            sigma[i] ^= field.mul(sigma[i - 1], root);
+        }
+    }
+    sigma
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The one-pass page codec is the oracle composition, outcome for
+    /// outcome and byte for byte, at 0..=t+3 flips anywhere in the page
+    /// and its spare; one flip lands in a chosen region (data, CRC,
+    /// parity and its padding, unused spare).
+    #[test]
+    fn page_codec_matches_reference_composition(
+        t in prop_oneof![Just(1usize), Just(8), Just(12)],
+        seed in any::<u64>(),
+        nflips in 0usize..=15,
+        region in 0usize..4,
+    ) {
+        let codec = PageCodec::new(t).unwrap();
+        let code = BchCode::new(15, t, PAGE_DATA_BYTES + CRC_BYTES).unwrap();
+        let data = seeded_page(seed);
+        let spare = codec.encode(&data);
+        prop_assert_eq!(&spare, &reference_page_encode(&code, &data));
+
+        let parity_end = CRC_BYTES + code.parity_bytes();
+        let (from, to) = [
+            (0, PAGE_DATA_BYTES),
+            (PAGE_DATA_BYTES, PAGE_DATA_BYTES + CRC_BYTES),
+            (PAGE_DATA_BYTES + CRC_BYTES, PAGE_DATA_BYTES + parity_end),
+            (PAGE_DATA_BYTES + parity_end, PAGE_DATA_BYTES + PAGE_SPARE_BYTES),
+        ][region];
+        let nflips = nflips.min(t + 3);
+        let total_bits = (PAGE_DATA_BYTES + PAGE_SPARE_BYTES) * 8;
+        let mut flips = error_positions(seed ^ 0x5EED, nflips, total_bits);
+        if let Some(first) = flips.first_mut() {
+            *first = from * 8 + *first % ((to - from) * 8);
+        }
+        flips.sort_unstable();
+        flips.dedup();
+        let (mut page, mut bad_spare) = (data.clone(), spare.clone());
+        for &pos in &flips {
+            flip_stream_bit(&mut page, &mut bad_spare, pos);
+        }
+        let mut expected_page = page.clone();
+        let expected = reference_page_decode(&code, &mut expected_page, &bad_spare);
+        prop_assert_eq!(codec.decode(&mut page, &bad_spare), expected);
+        prop_assert_eq!(page, expected_page);
+    }
+
+    /// Flipping bits moves the CRC32 by the XOR of their
+    /// `flip_difference`s, at every message length up to a page and its
+    /// CRC.
+    #[test]
+    fn crc_flip_difference_matches_recomputation(
+        raw in prop::collection::vec(any::<u8>(), 1..=2052),
+        nflips in 1usize..=12,
+        seed in any::<u64>(),
+    ) {
+        let mut flipped = raw.clone();
+        let mut expected = crc32(&raw);
+        for &bit in &error_positions(seed, nflips, raw.len() * 8) {
+            flipped[bit / 8] ^= 0x80 >> (bit % 8);
+            expected ^= flip_difference(raw.len(), bit);
+        }
+        prop_assert_eq!(crc32(&flipped), expected);
+    }
+
+    /// Degree-3 and degree-4 locators, from random roots (repeated ones
+    /// and ones past the shortened length included) or random
+    /// coefficients (rootless ones included): the closed forms find the
+    /// roots the reference scan finds.
+    #[test]
+    fn degree_3_and_4_locators_match_reference(
+        m in prop_oneof![Just(8u32), Just(13), Just(15)],
+        degree in 3usize..=4,
+        powers in prop::collection::vec(0i64..32767, 4),
+        repeat in any::<bool>(),
+        coefficients in prop::collection::vec(any::<u32>(), 5),
+    ) {
+        let code = BchCode::new(m, 2, 8).unwrap();
+        let field = GfField::new(m);
+        let mask = (1u32 << m) - 1;
+        let mut powers = powers[..degree].to_vec();
+        if repeat {
+            powers[1] = powers[0];
+        }
+        let scale = (coefficients[0] & mask).max(1);
+        let from_roots = locator_of(&field, &powers, scale);
+        let mut random: Vec<u32> = coefficients[..=degree].iter().map(|&c| c & mask).collect();
+        random[degree] = random[degree].max(1);
+        for sigma in [from_roots, random] {
+            prop_assert_eq!(
+                code.locator_roots(&sigma),
+                code.chien_search_reference(&sigma),
+                "{:?}", sigma
+            );
+        }
+    }
+}
+
+/// `BchCode::new(8, 3, 8)` corrects every triple error across its 88
+/// data and parity bits, through the degree-3 closed form.
+#[test]
+fn small_code_corrects_every_triple_error() {
+    let code = BchCode::new(8, 3, 8).unwrap();
+    let data = [0x5A, 0x00, 0xFF, 0x21, 0x43, 0x65, 0x87, 0xA9];
+    let parity = code.encode(&data);
+    let stream_bits = 64 + code.parity_bits();
+    assert_eq!(stream_bits, 88);
+    for a in 0..stream_bits {
+        for b in a + 1..stream_bits {
+            for c in b + 1..stream_bits {
+                assert_corrects(&code, &data, &parity, &[a, b, c]);
+            }
+        }
+    }
+}
+
+/// `BchCode::new(6, 4, 2)` corrects every quadruple error across its 40
+/// data and parity bits, through the degree-4 closed form.
+#[test]
+fn small_code_corrects_every_quadruple_error() {
+    let code = BchCode::new(6, 4, 2).unwrap();
+    let data = [0xC3, 0x3C];
+    let parity = code.encode(&data);
+    let stream_bits = 16 + code.parity_bits();
+    assert_eq!(stream_bits, 40);
+    for a in 0..stream_bits {
+        for b in a + 1..stream_bits {
+            for c in b + 1..stream_bits {
+                for d in c + 1..stream_bits {
+                    assert_corrects(&code, &data, &parity, &[a, b, c, d]);
+                }
+            }
+        }
+    }
+}
+
+/// Every cubic and quartic over GF(2^4) — rootless, repeated roots, zero
+/// coefficients, roots past the (15, 11) code's twelve positions — at
+/// two leading coefficients: the closed forms find the scan's roots.
+#[test]
+fn every_cubic_and_quartic_over_gf16_matches_the_scan() {
+    let code = BchCode::new(4, 1, 1).unwrap();
+    for lead in [1u32, 9] {
+        for low in 0..1u32 << 16 {
+            let nibble = |i: u32| (low >> (4 * i)) & 15;
+            let quartic = [nibble(0), nibble(1), nibble(2), nibble(3), lead];
+            let cubic = [nibble(0), nibble(1), nibble(2), lead];
+            let sigmas: &[&[u32]] = if low < 1 << 12 {
+                &[&quartic, &cubic]
+            } else {
+                &[&quartic]
+            };
+            for &sigma in sigmas {
+                let expected = code.chien_search_reference(sigma);
+                assert_eq!(code.locator_roots(sigma), expected, "{sigma:?}");
+            }
+        }
     }
 }
 

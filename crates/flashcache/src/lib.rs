@@ -37,6 +37,7 @@
 //! See `examples/` for a full tour: `quickstart`, `web_server_cache`,
 //! `oltp_wear_management`, and `controller_tuning`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use disk_trace as trace;

@@ -5,6 +5,8 @@
 //! cargo run -p flash-obs --bin validate_json -- snapshot.json [...]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -28,6 +28,7 @@
 //! holding them asks for `export_metrics`. No component holds a handle
 //! into this crate, and nothing here is process-global.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -25,6 +25,7 @@
 //! assert!(w_strong > 3.0 * w_weak);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -24,6 +24,7 @@
 //! assert_eq!(h.report().requests, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

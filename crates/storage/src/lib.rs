@@ -17,6 +17,7 @@
 //! assert!(disk.access_latency_us(2048) > 1000.0 * dram.access_latency_us(2048));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -20,6 +20,7 @@
 //! assert!(stats.write_fraction() > 0.3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
