@@ -32,7 +32,7 @@ fn main() {
             .map(|i| wss_mm2 * i as f64 / steps as f64)
             .collect();
         let mut exhibit = Exhibit::new(which, &["area_mm2", "latency_us", "optimal_slc_pct"]);
-        for p in density_partition_curve(&scaled, &areas, args.seed) {
+        for p in density_partition_curve(&scaled, &areas) {
             exhibit.row([
                 format!("{:.1}", p.die_area_mm2),
                 format!("{:.1}", p.latency_us),

@@ -132,9 +132,23 @@ fn workload_by_name(name: &str) -> Result<WorkloadSpec, String> {
 
 fn load_workload(args: &Args) -> Result<WorkloadSpec, String> {
     let name = args.get("workload").unwrap_or("dbt2");
-    let scale: u64 = args.num("scale", 64)?;
+    let scale = count(args, "scale", 64)?;
     let spec = workload_by_name(name)?;
+    if spec.footprint_pages / scale == 0 {
+        return Err(format!(
+            "--scale {scale} leaves {} no pages ({} in its footprint)",
+            spec.name, spec.footprint_pages
+        ));
+    }
     Ok(if scale > 1 { spec.scaled(scale) } else { spec })
+}
+
+/// A count option that must be at least 1.
+fn count(args: &Args, key: &str, default: u64) -> Result<u64, String> {
+    match args.num(key, default)? {
+        0 => Err(format!("--{key} must be >= 1, got 0")),
+        n => Ok(n),
+    }
 }
 
 /// Reads the device-parallelism options. Returns `None` when no channel
@@ -222,11 +236,14 @@ fn check_flash_invariants(hierarchy: &Hierarchy) -> Result<(), String> {
 pub fn simulate(args: &Args) -> Result<(), String> {
     let seed: u64 = args.num("seed", 0x1507_2008u64)?;
     let requests: u64 = args.num("requests", 100_000u64)?;
-    let dram_mb: u64 = args.num("dram-mb", 16u64)?;
+    let dram_mb = count(args, "dram-mb", 16)?;
     let flash_mb: u64 = args.num("flash-mb", 64u64)?;
     let shards: usize = args.num("shards", 1usize)?;
-    let batch: usize = args.num("batch", 1usize)?;
-    let workers: usize = args.num("workers", 0usize)?;
+    let batch = count(args, "batch", 1)? as usize;
+    let workers = match args.get("workers") {
+        Some(_) => Some(count(args, "workers", 1)? as usize),
+        None => None,
+    };
     let channel = channel_config(args)?;
     let admission = admission_config(args)?;
     let flash = if flash_mb > 0 {
@@ -239,9 +256,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
     } else {
         None
     };
-    let engine_cfg = EngineConfig {
-        workers: (workers > 0).then_some(workers),
-    };
+    let engine_cfg = EngineConfig { workers };
     let mut hierarchy = Hierarchy::try_new(HierarchyConfig {
         dram_bytes: dram_mb << 20,
         flash,
@@ -251,7 +266,6 @@ pub fn simulate(args: &Args) -> Result<(), String> {
     })
     .map_err(|e| e.to_string())?;
 
-    let batch = batch.max(1);
     let mut pending: Vec<DiskRequest> = Vec::with_capacity(batch);
     // With FLASHCACHE_CHECK_INVARIANTS set, every flash shard's
     // structural invariants are asserted each few thousand requests.
@@ -367,6 +381,9 @@ pub fn sweep(args: &Args) -> Result<(), String> {
     let seed: u64 = args.num("seed", 0x1507_2008u64)?;
     let requests: u64 = args.num("requests", 100_000u64)?;
     let sizes = args.num_list("sizes-mb", &[8, 16, 32, 64])?;
+    if sizes.contains(&0) {
+        return Err("--sizes-mb: every flash size must be >= 1 MB, got 0".to_string());
+    }
     println!(
         "workload {} ({}MB) | {} page accesses per point | seed {seed}\n",
         workload.name,
@@ -406,6 +423,11 @@ pub fn lifetime(args: &Args) -> Result<(), String> {
     let workload = load_workload(args)?;
     let seed: u64 = args.num("seed", 0x1507_2008u64)?;
     let acceleration: f64 = args.num("acceleration", 2e5)?;
+    if !(acceleration.is_finite() && acceleration > 0.0) {
+        return Err(format!(
+            "--acceleration must be a positive number, got {acceleration}"
+        ));
+    }
     let budget: u64 = args.num("budget", 30_000_000u64)?;
     let controllers = [
         ("bch1", ControllerPolicy::FixedEcc { strength: 1 }),
@@ -474,6 +496,12 @@ pub fn lifetime(args: &Args) -> Result<(), String> {
 pub fn export(args: &Args) -> Result<(), String> {
     let mut workload = load_workload(args)?;
     workload.write_fraction = args.num("write-fraction", workload.write_fraction)?;
+    if !(0.0..=1.0).contains(&workload.write_fraction) {
+        return Err(format!(
+            "--write-fraction must be within 0..=1, got {}",
+            workload.write_fraction
+        ));
+    }
     let seed: u64 = args.num("seed", 0x1507_2008u64)?;
     let requests: u64 = args.num("requests", 100_000u64)?;
     let reqs: Vec<DiskRequest> = workload.generator(seed).take(requests as usize).collect();

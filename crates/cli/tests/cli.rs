@@ -202,8 +202,56 @@ fn bad_input_fails_with_nonzero_status() {
         stderr4.contains("shard count must be >= 1, got 0"),
         "{stderr4}"
     );
-    // An option the command does not read is refused, not ignored.
     let exe = env!("CARGO_BIN_EXE_flashcache");
+    // An out-of-range number is refused before anything runs: no output,
+    // no panic, an `error:` line naming the flag.
+    for (args, flag) in [
+        (
+            &["simulate", "--batch", "0", "--requests", "2000"][..],
+            "--batch",
+        ),
+        (
+            &["simulate", "--workers", "0", "--requests", "2000"],
+            "--workers",
+        ),
+        (
+            &["simulate", "--dram-mb", "0", "--requests", "2000"],
+            "--dram-mb",
+        ),
+        (
+            &["simulate", "--scale", "0", "--requests", "2000"],
+            "--scale",
+        ),
+        (
+            &["sweep", "--sizes-mb", "0", "--requests", "2000"],
+            "--sizes-mb",
+        ),
+        (
+            &["lifetime", "--acceleration", "0", "--budget", "2000"],
+            "--acceleration",
+        ),
+        (
+            &["lifetime", "--acceleration", "nan", "--budget", "2000"],
+            "--acceleration",
+        ),
+        (
+            &["export", "--write-fraction", "1.5", "--requests", "20"],
+            "--write-fraction",
+        ),
+    ] {
+        let out = Command::new(exe).args(args).output().expect("spawn CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must fail: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} must not run");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("error:") && l.contains(flag)),
+            "{args:?}: {stderr}"
+        );
+    }
+    // An option the command does not read is refused, not ignored.
     for (args, message) in [
         (
             &["simulate", "--controller", "bch1"][..],

@@ -2,9 +2,9 @@
 //! naive reference models.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
-use flashcache_core::pdc::PrimaryDiskCache;
+use flashcache_core::pdc::{PdcEviction, PrimaryDiskCache};
 
 #[derive(Debug, Clone, Copy)]
 enum PdcOp {
@@ -26,8 +26,8 @@ fn pdc_op() -> impl Strategy<Value = PdcOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The PDC's embedded O(1) LRU (recency links and dirty bit in one
-    /// node, one hashed lookup per operation) behaves identically to a
+    /// The PDC's O(1) LRU (one hashed lookup per operation, recency
+    /// kept over its slots) behaves identically to a
     /// naive `Vec`-ordered recency list of (page, dirty): same hits,
     /// same eviction victims with the same dirty bits, same ascending
     /// flush output, whatever mix of operations reorders it.
@@ -87,6 +87,59 @@ proptest! {
             .collect();
         naive.reverse();
         prop_assert_eq!(order, naive);
+    }
+
+    /// The PDC (slots, a page map and `DenseLru` recency) against a
+    /// plain `VecDeque` LRU — back = most recent — at every capacity
+    /// from one page up: every return value of `access`, `mark_dirty`,
+    /// `insert` and `flush_dirty` is the model's, every `PdcEviction`
+    /// included.
+    #[test]
+    fn pdc_matches_vecdeque_lru(
+        capacity in 1usize..=16,
+        ops in prop::collection::vec(pdc_op(), 1..400),
+    ) {
+        let mut pdc = PrimaryDiskCache::new(capacity);
+        let mut model: VecDeque<PdcEviction> = VecDeque::new();
+        // Moves `page` to the back, OR-ing in `dirty`; false if absent.
+        let touch = |model: &mut VecDeque<PdcEviction>, page: u64, dirty: bool| {
+            let Some(at) = model.iter().position(|e| e.page == page) else {
+                return false;
+            };
+            let mut entry = model.remove(at).expect("position is in range");
+            entry.dirty |= dirty;
+            model.push_back(entry);
+            true
+        };
+        for op in ops {
+            match op {
+                PdcOp::Access(p) => prop_assert_eq!(pdc.access(p), touch(&mut model, p, false)),
+                PdcOp::MarkDirty(p) => {
+                    prop_assert_eq!(pdc.mark_dirty(p), touch(&mut model, p, true));
+                }
+                PdcOp::Insert(p, dirty) => {
+                    let expect = if touch(&mut model, p, dirty) {
+                        None
+                    } else {
+                        let victim = if model.len() == capacity { model.pop_front() } else { None };
+                        model.push_back(PdcEviction { page: p, dirty });
+                        victim
+                    };
+                    prop_assert_eq!(pdc.insert(p, dirty), expect);
+                }
+                PdcOp::Flush => {
+                    let mut expect = Vec::new();
+                    for entry in &mut model {
+                        if std::mem::take(&mut entry.dirty) {
+                            expect.push(entry.page);
+                        }
+                    }
+                    expect.sort_unstable();
+                    prop_assert_eq!(pdc.flush_dirty(), expect);
+                }
+            }
+            prop_assert_eq!(pdc.len(), model.len());
+        }
     }
 
     /// The PDC behaves like a naive LRU cache with dirty bits: same

@@ -235,8 +235,8 @@ impl ShardedCache {
         })
     }
 
-    /// Threads a batch of at least [`MIN_FORK_OPS`] page operations is
-    /// serviced on, the submitting thread included.
+    /// Threads a batch of at least 64 page operations (the crate's
+    /// `MIN_FORK_OPS`) is serviced on, the submitting thread included.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -310,7 +310,7 @@ impl ShardedCache {
     /// their groups, over a channel to that worker's long-lived thread;
     /// the caller services its own run in place meanwhile, then takes
     /// the others back in partition order. With one worker, or fewer
-    /// than [`MIN_FORK_OPS`] ops in the stream, no shard moves at all. A
+    /// than 64 ops (`MIN_FORK_OPS`) in the stream, no shard moves at all. A
     /// shard whose group panics is poisoned: the rest of that group and
     /// every later one complete as disk bypasses, counted in
     /// `stats().internal_errors`.

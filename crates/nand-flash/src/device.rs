@@ -1,7 +1,9 @@
 //! The NAND flash device model: a state machine over blocks, physical
 //! pages and slots, enforcing erase-before-program, per-page SLC/MLC
 //! mode, and out-of-place semantics, with timing, energy, and wear-driven
-//! bit-error injection on every operation.
+//! bit-error injection on every operation. A program may carry the raw
+//! page (data ‖ spare), which a read hands back; a run whose programs
+//! carry no bytes stores none.
 
 use std::error::Error;
 use std::fmt;
@@ -9,13 +11,16 @@ use std::fmt;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use flash_ecc::page::PAGE_DATA_BYTES;
+use flash_ecc::page::{PAGE_DATA_BYTES, PAGE_SPARE_BYTES};
 
 use crate::geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 use crate::sampling::NormalSource;
 use crate::sched::{ChannelConfig, EventDriven, OpClass, OpRequest, TimingBackend};
 use crate::timing::FlashPower;
 use crate::wear::{PageWearState, WearConfig, WearModel};
+
+/// Bytes of one raw page: data ‖ spare.
+pub const RAW_PAGE_BYTES: usize = PAGE_DATA_BYTES + PAGE_SPARE_BYTES;
 
 /// Errors returned by flash operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,7 +46,7 @@ pub enum FlashOpError {
     },
     /// Odd (upper) half cannot be programmed in SLC mode.
     UpperHalfSlc(PageAddr),
-    /// Payload length does not match the page size.
+    /// Payload length does not match the raw page size.
     PayloadSize {
         /// Expected bytes.
         expected: usize,
@@ -128,7 +133,8 @@ pub struct ReadOutcome {
     pub raw_bit_errors: u32,
     /// Mode the page was read in.
     pub mode: CellMode,
-    /// Stored payload, when the device retains payloads.
+    /// The raw page (data ‖ spare) as programmed, when the program
+    /// carried bytes.
     pub data: Option<Vec<u8>>,
 }
 
@@ -185,9 +191,6 @@ pub struct FlashConfig {
     pub geometry: FlashGeometry,
     /// Wear and error-injection model.
     pub wear: WearConfig,
-    /// Whether page payloads are stored (costs RAM; simulations that only
-    /// need timing/reliability behaviour leave this off).
-    pub store_payloads: bool,
     /// RNG seed for quality sampling and error injection.
     pub seed: u64,
     /// Which channel configuration the device's scheduler is built
@@ -203,7 +206,6 @@ impl Default for FlashConfig {
         FlashConfig {
             geometry: FlashGeometry::default(),
             wear: WearConfig::default(),
-            store_payloads: false,
             seed: 0x1507_2008,
             timing_backend: TimingBackend::default(),
             channel: ChannelConfig::default(),
@@ -250,8 +252,9 @@ pub struct FlashDevice {
     modes: Vec<Option<CellMode>>,
     /// Per-physical-page wear state.
     wear: Vec<PageWearState>,
-    /// Optional payload storage per slot.
-    payloads: Option<Vec<Option<Box<[u8]>>>>,
+    /// Raw page bytes per slot, allocated by the first program that
+    /// carries bytes.
+    payloads: Vec<Option<Box<[u8]>>>,
     stats: FlashStats,
 }
 
@@ -296,11 +299,7 @@ impl FlashDevice {
             slots: vec![SlotState::Erased; slots],
             modes: vec![None; phys],
             wear,
-            payloads: if config.store_payloads {
-                Some(vec![None; slots])
-            } else {
-                None
-            },
+            payloads: Vec::new(),
             stats: FlashStats::default(),
             config,
         }
@@ -392,8 +391,9 @@ impl FlashDevice {
 
     /// Programs one 2KB slot in the given mode.
     ///
-    /// `data`, when provided, must be exactly one page; it is retained
-    /// only if the device was configured with `store_payloads`.
+    /// `data`, when provided, must be exactly one raw page
+    /// ([`RAW_PAGE_BYTES`]: data ‖ spare); reads return it until the
+    /// block is erased.
     ///
     /// # Errors
     ///
@@ -425,9 +425,9 @@ impl FlashDevice {
     ) -> Result<ProgramOutcome, FlashOpError> {
         self.check_addr(addr)?;
         if let Some(d) = data {
-            if d.len() != PAGE_DATA_BYTES {
+            if d.len() != RAW_PAGE_BYTES {
                 return Err(FlashOpError::PayloadSize {
-                    expected: PAGE_DATA_BYTES,
+                    expected: RAW_PAGE_BYTES,
                     got: d.len(),
                 });
             }
@@ -464,8 +464,11 @@ impl FlashDevice {
             }
         }
         self.slots[si] = SlotState::Programmed;
-        if let Some(payloads) = &mut self.payloads {
-            payloads[si] = data.map(|d| d.to_vec().into_boxed_slice());
+        if data.is_some() && self.payloads.is_empty() {
+            self.payloads = vec![None; self.slots.len()];
+        }
+        if let Some(stored) = self.payloads.get_mut(si) {
+            *stored = data.map(Box::from);
         }
         let b = addr.block.0 as usize;
         self.block_worst_mode[b] = Some(match (self.block_worst_mode[b], mode) {
@@ -538,9 +541,8 @@ impl FlashDevice {
         self.stats.energy_mj += energy_mj;
         let data = self
             .payloads
-            .as_ref()
-            .and_then(|p| p[si].as_ref())
-            .map(|d| d.to_vec());
+            .get(si)
+            .and_then(|p| p.as_deref().map(<[u8]>::to_vec));
         Ok(ReadOutcome {
             latency_us,
             wait_us: t.wait_us,
@@ -604,10 +606,8 @@ impl FlashDevice {
         for m in &mut self.modes[b * ppb..(b + 1) * ppb] {
             *m = None;
         }
-        if let Some(p) = &mut self.payloads {
-            for d in &mut p[b * spb..(b + 1) * spb] {
-                *d = None;
-            }
+        if let Some(bytes) = self.payloads.get_mut(b * spb..(b + 1) * spb) {
+            bytes.fill_with(|| None);
         }
         self.erase_counts[b] += 1;
         let worst = self.block_worst_mode[b].take().unwrap_or(CellMode::Slc);
@@ -664,16 +664,25 @@ mod tests {
                 blocks: 1,
                 pages_per_block: 2,
             },
-            store_payloads: true,
             ..FlashConfig::default()
         });
         let addr = PageAddr::new(BlockId(0), 0);
-        let data = vec![0x5Au8; 2048];
+        // The whole raw page round-trips, spare included.
+        let data: Vec<u8> = (0..RAW_PAGE_BYTES).map(|i| (i * 7) as u8).collect();
         d.program_page(addr, CellMode::Mlc, Some(&data)).unwrap();
         let out = d.read_page(addr).unwrap();
         assert_eq!(out.data.as_deref(), Some(&data[..]));
         assert_eq!(out.mode, CellMode::Mlc);
         assert_eq!(out.latency_us, 50.0);
+        // A reprogram after an erase replaces the bytes; one without
+        // bytes leaves none behind.
+        d.erase_block(BlockId(0)).unwrap();
+        let other = vec![0xA5u8; RAW_PAGE_BYTES];
+        d.program_page(addr, CellMode::Mlc, Some(&other)).unwrap();
+        assert_eq!(d.read_page(addr).unwrap().data, Some(other));
+        d.erase_block(BlockId(0)).unwrap();
+        d.program_page(addr, CellMode::Mlc, None).unwrap();
+        assert_eq!(d.read_page(addr).unwrap().data, None);
     }
 
     #[test]
@@ -756,10 +765,15 @@ mod tests {
         assert_eq!(
             d.program_page(addr, CellMode::Slc, Some(&[0u8; 100])),
             Err(FlashOpError::PayloadSize {
-                expected: 2048,
+                expected: 2112,
                 got: 100
             })
         );
+        // The data half alone is not a raw page either.
+        assert!(matches!(
+            d.program_page(addr, CellMode::Slc, Some(&[0u8; 2048])),
+            Err(FlashOpError::PayloadSize { got: 2048, .. })
+        ));
     }
 
     #[test]

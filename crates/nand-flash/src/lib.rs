@@ -51,7 +51,7 @@ pub mod wear;
 
 pub use device::{
     EraseOutcome, FlashConfig, FlashDevice, FlashOpError, FlashStats, OpContext, ProgramOutcome,
-    ReadOutcome,
+    ReadOutcome, RAW_PAGE_BYTES,
 };
 pub use geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 pub use sched::{

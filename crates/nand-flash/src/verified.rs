@@ -1,12 +1,16 @@
 //! End-to-end verified flash: real data, real BCH parity in the spare
 //! area, real bit corruption.
 //!
-//! [`VerifiedFlash`] wraps a [`FlashDevice`] configured to retain
-//! payloads and closes the loop that the statistical simulator leaves
-//! open: programs encode the page with an actual
-//! [`flash_ecc::PageCodec`] at a chosen strength, and reads materialize
-//! the device's wear-driven error *count* as concrete, repeatable bit
-//! flips before running the real decoder. A cell that has failed keeps
+//! [`VerifiedFlash`] wraps a [`FlashDevice`] and closes the loop that
+//! the statistical simulator leaves open: a program encodes the page
+//! with an actual [`flash_ecc::PageCodec`] at a chosen strength, writing
+//! CRC and parity into the spare behind the data, and hands the device
+//! the one raw page (data ‖ spare) to store. A read takes that raw page
+//! back, materializes the device's wear-driven error *count* as
+//! concrete, repeatable bit flips across both halves, and runs the real
+//! decoder. The only state of its own is the controller's record of
+//! each slot's strength, which stays out of the spare because the
+//! corruption flips spare bits too. A cell that has failed keeps
 //! failing at the same position ("fail consistently", §5.2.1), and data
 //! survives wear exactly as long as the code strength covers the
 //! failures — the paper's §4.1 contract, demonstrated in software.
@@ -14,14 +18,14 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::fxhash::FxHashMap;
-
 use flash_ecc::page::{
     PageCodec, PageDecodeError, PageDecodeOutcome, MAX_PAGE_STRENGTH, PAGE_DATA_BYTES,
     PAGE_SPARE_BYTES,
 };
 
-use crate::device::{EraseOutcome, FlashConfig, FlashDevice, FlashOpError, ProgramOutcome};
+use crate::device::{
+    EraseOutcome, FlashConfig, FlashDevice, FlashOpError, ProgramOutcome, RAW_PAGE_BYTES,
+};
 use crate::geometry::{BlockId, CellMode, PageAddr};
 
 /// Errors from the verified-flash layer.
@@ -103,22 +107,19 @@ pub struct VerifiedFlash {
     device: FlashDevice,
     /// Page codecs indexed by strength, each built on first use.
     codecs: Vec<Option<PageCodec>>,
-    /// Per-slot (strength, spare bytes) for programmed pages.
-    spares: FxHashMap<u64, (u8, Vec<u8>)>,
-    /// Reusable spare-area scratch for the read path, so each read does
-    /// not clone the stored spare into a fresh allocation.
-    spare_buf: Vec<u8>,
+    /// The strength each slot was last programmed at, indexed like the
+    /// device's slots.
+    strengths: Vec<u8>,
 }
 
 impl VerifiedFlash {
-    /// Creates the device; payload storage is forced on.
-    pub fn new(mut config: FlashConfig) -> Self {
-        config.store_payloads = true;
+    /// Creates the device.
+    pub fn new(config: FlashConfig) -> Self {
+        let device = FlashDevice::new(config);
         VerifiedFlash {
-            device: FlashDevice::new(config),
+            strengths: vec![0; device.geometry().total_slots() as usize],
+            device,
             codecs: vec![None; MAX_PAGE_STRENGTH + 1],
-            spares: FxHashMap::default(),
-            spare_buf: vec![0u8; PAGE_SPARE_BYTES],
         }
     }
 
@@ -127,8 +128,9 @@ impl VerifiedFlash {
         &self.device
     }
 
-    fn gidx(&self, addr: PageAddr) -> u64 {
-        addr.block.0 as u64 * self.device.geometry().slots_per_block() as u64 + addr.slot as u64
+    fn slot_index(&self, addr: PageAddr) -> usize {
+        addr.block.0 as usize * self.device.geometry().slots_per_block() as usize
+            + addr.slot as usize
     }
 
     /// Encodes and programs one page at the given BCH strength.
@@ -150,24 +152,20 @@ impl VerifiedFlash {
         data: &[u8],
     ) -> Result<ProgramOutcome, VerifiedError> {
         assert_eq!(data.len(), PAGE_DATA_BYTES, "payload must be one 2KB page");
-        let gidx = self.gidx(addr);
         let codec = codec(&mut self.codecs, strength)?;
-        let outcome = self.device.program_page(addr, mode, Some(data))?;
-        // Encode straight into the slot's spare record, reusing its
-        // allocation when the slot is reprogrammed.
-        let entry = self
-            .spares
-            .entry(gidx)
-            .or_insert_with(|| (strength, vec![0u8; PAGE_SPARE_BYTES]));
-        entry.0 = strength;
-        entry.1.resize(PAGE_SPARE_BYTES, 0);
-        codec.encode_into(data, &mut entry.1);
+        let mut raw = [0u8; RAW_PAGE_BYTES];
+        let (page, spare) = raw.split_at_mut(PAGE_DATA_BYTES);
+        page.copy_from_slice(data);
+        codec.encode_into(page, spare);
+        let outcome = self.device.program_page(addr, mode, Some(&raw))?;
+        let si = self.slot_index(addr);
+        self.strengths[si] = strength;
         Ok(outcome)
     }
 
-    /// Reads one page: fetches the stored payload, applies the device's
-    /// wear-driven corruption as concrete bit flips, and runs the real
-    /// decoder.
+    /// Reads one page: fetches the stored raw page, applies the
+    /// device's wear-driven corruption as concrete bit flips across data
+    /// and spare, and runs the real decoder on the two halves.
     ///
     /// # Errors
     ///
@@ -176,31 +174,23 @@ impl VerifiedFlash {
     /// device error for unprogrammed/out-of-range addresses.
     pub fn read(&mut self, addr: PageAddr) -> Result<VerifiedRead, VerifiedError> {
         let out = self.device.read_page(addr)?;
-        // The payload is moved out of the read outcome (it becomes the
-        // returned buffer), not cloned a second time.
+        // The raw page is moved out of the read outcome and becomes the
+        // returned buffer, truncated to its data.
         let mut data = out
             .data
-            .expect("store_payloads is forced on; programmed pages have data");
-        let gidx = self.gidx(addr);
-        let (strength, stored_spare) = self
-            .spares
-            .get(&gidx)
-            .expect("programmed pages have recorded parity");
-        let strength = *strength;
-        // Copy the stored spare into the reusable scratch (zero-padded to
-        // the full spare area) instead of cloning it.
-        self.spare_buf.clear();
-        self.spare_buf.extend_from_slice(stored_spare);
-        self.spare_buf.resize(PAGE_SPARE_BYTES, 0);
+            .expect("every program through VerifiedFlash stores its raw page");
+        let strength = self.strengths[self.slot_index(addr)];
+        let (page, spare) = data.split_at_mut(PAGE_DATA_BYTES);
         // Materialize the error count as consistent bit positions.
         corrupt_bits(
-            &mut data,
-            &mut self.spare_buf,
+            page,
+            spare,
             out.raw_bit_errors,
             page_corruption_seed(self.device.config().seed, addr),
         );
-        let codec = codec(&mut self.codecs, strength)?;
-        match codec.decode(&mut data, &self.spare_buf) {
+        let decoded = codec(&mut self.codecs, strength)?.decode(page, spare);
+        data.truncate(PAGE_DATA_BYTES);
+        match decoded {
             Ok(PageDecodeOutcome::Clean) => Ok(VerifiedRead {
                 data,
                 corrected: 0,
@@ -227,19 +217,13 @@ impl VerifiedFlash {
         }
     }
 
-    /// Erases a block, discarding its parity records.
+    /// Erases a block; its pages, spares included, go with it.
     ///
     /// # Errors
     ///
     /// Propagates device bounds errors.
     pub fn erase(&mut self, block: BlockId) -> Result<EraseOutcome, VerifiedError> {
-        let outcome = self.device.erase_block(block)?;
-        let spb = self.device.geometry().slots_per_block() as u64;
-        let base = block.0 as u64 * spb;
-        for slot in 0..spb {
-            self.spares.remove(&(base + slot));
-        }
-        Ok(outcome)
+        Ok(self.device.erase_block(block)?)
     }
 }
 
@@ -349,6 +333,33 @@ mod tests {
         f.erase(BlockId(0)).unwrap();
         f.program(addr, CellMode::Slc, 2, &page(3)).unwrap();
         assert_eq!(f.read(addr).unwrap().data, page(3));
+    }
+
+    #[test]
+    fn reprogrammed_slot_decodes_at_its_new_strength() {
+        // Each strength's parity fills a different share of the spare,
+        // so a clean read decodes only under the strength the page was
+        // last programmed at.
+        let mut f = VerifiedFlash::new(FlashConfig {
+            geometry: FlashGeometry {
+                blocks: 2,
+                pages_per_block: 4,
+            },
+            wear: WearConfig {
+                transient_errors_per_read: 0.0,
+                ..WearConfig::default()
+            },
+            ..FlashConfig::default()
+        });
+        let addr = PageAddr::new(BlockId(1), 3);
+        for (fill, strength) in [(1u8, 12u8), (2, 2), (3, 12), (4, 1)] {
+            f.program(addr, CellMode::Mlc, strength, &page(fill))
+                .unwrap();
+            let r = f.read(addr).unwrap();
+            assert_eq!(r.data, page(fill), "strength {strength}");
+            assert_eq!((r.corrected, r.raw_bit_errors), (0, 0));
+            f.erase(BlockId(1)).unwrap();
+        }
     }
 
     #[test]

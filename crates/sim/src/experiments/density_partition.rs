@@ -9,7 +9,7 @@
 //! so the average latency follows directly from the workload's
 //! popularity CDF. The optimum trades SLC speed against MLC capacity.
 
-use disk_trace::{PopularitySampler, WorkloadSpec, PAGE_BYTES};
+use disk_trace::{RankCdf, WorkloadSpec, PAGE_BYTES};
 use flash_ecc::EccLatencyModel;
 use nand_flash::FlashTiming;
 use storage_model::HddModel;
@@ -40,12 +40,8 @@ const DISK: HddModel = HddModel::travelstar();
 const FRACTION_STEP: f64 = 0.02;
 
 /// Computes the Figure 7 curve for `workload` over the given die areas.
-pub fn density_partition_curve(
-    workload: &WorkloadSpec,
-    areas_mm2: &[f64],
-    seed: u64,
-) -> Vec<DensityPoint> {
-    let sampler = PopularitySampler::new(workload.popularity, workload.footprint_pages, seed);
+pub fn density_partition_curve(workload: &WorkloadSpec, areas_mm2: &[f64]) -> Vec<DensityPoint> {
+    let cdf = RankCdf::new(workload.popularity, workload.footprint_pages);
     areas_mm2
         .iter()
         .map(|&area| {
@@ -56,7 +52,7 @@ pub fn density_partition_curve(
             };
             let mut f: f64 = 0.0;
             while f <= 1.0 + 1e-9 {
-                let latency = average_latency(&sampler, area, f.min(1.0));
+                let latency = average_latency(&cdf, area, f.min(1.0));
                 // Ties (sub-0.01µs) resolve toward more SLC: when the
                 // capacity is ample the faster cells win outright.
                 if latency < best.latency_us - 0.01 {
@@ -75,14 +71,14 @@ pub fn density_partition_curve(
 
 /// Average access latency when a fraction `slc_fraction` of the die's
 /// cells run in SLC mode and the hottest pages occupy the SLC partition.
-pub fn average_latency(sampler: &PopularitySampler, area_mm2: f64, slc_fraction: f64) -> f64 {
+pub fn average_latency(cdf: &RankCdf, area_mm2: f64, slc_fraction: f64) -> f64 {
     let mlc_bytes = area_mm2 * MLC_BYTES_PER_MM2;
     // A cell in SLC mode stores half of its MLC capacity.
     let slc_pages = (mlc_bytes * slc_fraction / 2.0 / PAGE_BYTES as f64) as u64;
     let mlc_pages = (mlc_bytes * (1.0 - slc_fraction) / PAGE_BYTES as f64) as u64;
     let ecc_us = EccLatencyModel::PAPER.decode_us(ECC_STRENGTH);
-    let slc_cov = sampler.coverage(slc_pages);
-    let total_cov = sampler.coverage(slc_pages + mlc_pages);
+    let slc_cov = cdf.coverage(slc_pages);
+    let total_cov = cdf.coverage(slc_pages + mlc_pages);
     let mlc_cov = total_cov - slc_cov;
     let miss = 1.0 - total_cov;
     slc_cov * (FlashTiming::SLC_READ_US + ecc_us)
@@ -103,7 +99,7 @@ mod tests {
     fn latency_falls_with_area() {
         let w = WorkloadSpec::financial2();
         let areas = [mb(64.0), mb(128.0), mb(256.0), mb(450.0)];
-        let points = density_partition_curve(&w, &areas, 1);
+        let points = density_partition_curve(&w, &areas);
         for pair in points.windows(2) {
             assert!(
                 pair[1].latency_us < pair[0].latency_us,
@@ -119,7 +115,7 @@ mod tests {
         let w = WorkloadSpec::financial2();
         // 2x the working set in MLC terms: even all-SLC covers everything.
         let area = mb(900.0);
-        let p = &density_partition_curve(&w, &[area], 2)[0];
+        let p = &density_partition_curve(&w, &[area])[0];
         assert!(
             p.optimal_slc_fraction > 0.95,
             "got SLC fraction {}",
@@ -135,7 +131,7 @@ mod tests {
         // search workload wants almost all MLC.
         let w = WorkloadSpec::websearch1().scaled(8);
         let area = mb(w.footprint_bytes() as f64 / (1 << 20) as f64 / 2.0);
-        let p = &density_partition_curve(&w, &[area], 3)[0];
+        let p = &density_partition_curve(&w, &[area])[0];
         assert!(
             p.optimal_slc_fraction < 0.3,
             "got SLC fraction {}",
@@ -148,7 +144,7 @@ mod tests {
         // Figure 7(a): ~70% SLC near half the working set for Financial2.
         let w = WorkloadSpec::financial2();
         let area = mb(443.8 / 2.0);
-        let p = &density_partition_curve(&w, &[area], 4)[0];
+        let p = &density_partition_curve(&w, &[area])[0];
         assert!(
             p.optimal_slc_fraction > 0.3,
             "got SLC fraction {}",
@@ -159,8 +155,8 @@ mod tests {
     #[test]
     fn average_latency_is_bounded_by_extremes() {
         let w = WorkloadSpec::financial2();
-        let sampler = PopularitySampler::new(w.popularity, w.footprint_pages, 5);
-        let lat = average_latency(&sampler, mb(100.0), 0.5);
+        let cdf = RankCdf::new(w.popularity, w.footprint_pages);
+        let lat = average_latency(&cdf, mb(100.0), 0.5);
         assert!(lat > FlashTiming::SLC_READ_US);
         assert!(lat < DISK.access_latency_us(PAGE_BYTES));
     }

@@ -29,7 +29,7 @@ pub mod request;
 pub mod spc;
 pub mod workload;
 
-pub use popularity::{Popularity, PopularitySampler};
+pub use popularity::{Popularity, PopularitySampler, RankCdf};
 pub use request::{DiskRequest, OpKind, TraceStats, PAGE_BYTES};
 pub use spc::{SpcReader, SpcRecord};
 pub use workload::{TraceGenerator, WorkloadKind, WorkloadSpec};

@@ -5,7 +5,9 @@
 //! distributions, arguing that macro workloads behave like tailed
 //! distributions. Samplers here map a *rank* distribution onto disk
 //! pages through a pseudorandom permutation so hot pages are scattered
-//! across the address space like real file systems.
+//! across the address space like real file systems. A
+//! [`PopularitySampler`] holds only its alias table (16 bytes per page);
+//! the law's mass by rank is a [`RankCdf`], which needs no seed.
 
 use rand::Rng;
 
@@ -44,20 +46,17 @@ pub enum Popularity {
 pub struct PopularitySampler {
     law: Popularity,
     footprint: u64,
-    /// Cumulative weights by rank (empty for Uniform).
-    cdf: Vec<f64>,
     /// Walker alias table with the rank→page permutation pre-applied
     /// (empty for Uniform).
     alias_table: Vec<AliasSlot>,
-    /// rank -> page permutation (identity for Uniform).
-    permutation: Vec<u32>,
 }
 
 /// One packed Walker alias row: the acceptance threshold plus both
 /// candidate *pages* (self and alias) with the rank→page permutation
 /// already applied. A draw therefore touches a single 16-byte slot —
 /// one cache line — instead of three separate multi-MB arrays
-/// (threshold, alias rank, permutation).
+/// (threshold, alias rank, permutation). Before the permutation is
+/// applied the two fields hold ranks.
 #[derive(Debug, Clone, Copy)]
 struct AliasSlot {
     /// Acceptance threshold: a fraction below it returns `page`.
@@ -69,83 +68,52 @@ struct AliasSlot {
 }
 
 impl PopularitySampler {
-    /// Builds a sampler over `footprint` pages.
-    ///
-    /// For skewed laws this precomputes a rank CDF and a seeded
-    /// rank→page permutation; memory is ~12 bytes per page.
+    /// Builds a sampler over `footprint` pages whose rank→page
+    /// permutation is drawn from `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `footprint` is zero or exceeds `u32::MAX` pages
     /// (8TB at 2KB pages — far beyond the paper's working sets).
     pub fn new(law: Popularity, footprint: u64, seed: u64) -> Self {
-        assert!(footprint > 0, "footprint must be nonzero");
-        assert!(
-            footprint <= u32::MAX as u64,
-            "footprint too large for the sampler"
-        );
-        let weights: Vec<f64> = match law {
-            Popularity::Uniform => {
-                return PopularitySampler {
-                    law,
-                    footprint,
-                    cdf: Vec::new(),
-                    alias_table: Vec::new(),
-                    permutation: Vec::new(),
-                };
-            }
-            Popularity::Zipf { alpha } => {
-                assert!(alpha >= 0.0, "alpha must be non-negative");
-                (0..footprint as usize)
-                    .map(|i| ((i + 1) as f64).powf(-alpha))
-                    .collect()
-            }
-            Popularity::Exponential { lambda } => {
-                assert!(lambda > 0.0, "lambda must be positive");
-                (0..footprint as usize)
-                    .map(|i| (-lambda * i as f64).exp())
-                    .collect()
-            }
+        PopularitySampler::by_rank(law, footprint).permuted(seed)
+    }
+
+    /// The sampler before [`PopularitySampler::permuted`]: its rows
+    /// name ranks, so two rankings of one law can share them.
+    pub(crate) fn by_rank(law: Popularity, footprint: u64) -> Self {
+        check_footprint(footprint);
+        let alias_table = match law {
+            Popularity::Uniform => Vec::new(),
+            _ => build_alias(law, footprint),
         };
-        let (alias_prob, alias) = build_alias(&weights);
-        let permutation = build_permutation(footprint as usize, seed);
-        let alias_table = alias_prob
-            .into_iter()
-            .zip(&alias)
-            .enumerate()
-            .map(|(i, (prob, &a))| AliasSlot {
-                prob,
-                page: permutation[i],
-                alias_page: permutation[a as usize],
-            })
-            .collect();
         PopularitySampler {
             law,
             footprint,
-            cdf: build_cdf(weights),
             alias_table,
-            permutation,
         }
     }
 
-    /// The popularity law.
-    pub fn law(&self) -> Popularity {
-        self.law
-    }
-
-    /// The footprint in pages.
-    pub fn footprint(&self) -> u64 {
-        self.footprint
+    /// Maps both candidates of every row of a rank-ordered sampler
+    /// through the [`permutation`] drawn from `seed`.
+    pub(crate) fn permuted(mut self, seed: u64) -> Self {
+        if !self.alias_table.is_empty() {
+            let permutation = permutation(self.footprint, seed);
+            for slot in &mut self.alias_table {
+                slot.page = permutation[slot.page as usize];
+                slot.alias_page = permutation[slot.alias_page as usize];
+            }
+        }
+        self
     }
 
     /// Draws one page number in O(1) via the Walker alias table.
     ///
     /// Consumes exactly one uniform per draw — the same as
-    /// [`PopularitySampler::sample_cdf`] — but replaces the O(log n)
-    /// binary search over the (cache-hostile, multi-MB) CDF with a
-    /// single indexed load of one packed [`AliasSlot`]: the uniform is
-    /// split into a table row and an acceptance fraction, and both
-    /// candidate pages ride in the same 16-byte slot.
+    /// [`RankCdf::sample_cdf`] — but replaces the O(log n) binary
+    /// search over the (cache-hostile, multi-MB) CDF with a single
+    /// indexed load of one packed alias row: the uniform is split into a
+    /// table row and an acceptance fraction.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match self.law {
@@ -164,90 +132,114 @@ impl PopularitySampler {
             }
         }
     }
+}
 
-    /// Draws one page number by inverse-CDF binary search — the slow
-    /// oracle the alias path is differentially tested against.
-    pub fn sample_cdf<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
-        match self.law {
-            Popularity::Uniform => rng.gen_range(0..self.footprint),
-            _ => {
-                let u: f64 = rng.gen();
-                let rank = match self
-                    .cdf
-                    .binary_search_by(|w| w.partial_cmp(&u).expect("weights are finite"))
-                {
-                    Ok(i) => i,
-                    Err(i) => i.min(self.cdf.len() - 1),
-                };
-                self.permutation[rank] as u64
-            }
+/// The cumulative probability of a [`Popularity`] law by rank over a
+/// footprint, as the analytic Figure 7 model reads it: no permutation,
+/// no seed.
+#[derive(Debug, Clone)]
+pub struct RankCdf {
+    /// Cumulative mass by rank; the last entry is exactly 1.
+    cdf: Vec<f64>,
+}
+
+impl RankCdf {
+    /// Builds the rank CDF of `law` over `footprint` pages; panics as
+    /// [`PopularitySampler::new`] does.
+    pub fn new(law: Popularity, footprint: u64) -> Self {
+        check_footprint(footprint);
+        let mut total = 0.0;
+        let mut cdf: Vec<f64> = rank_weights(law, footprint)
+            .map(|w| {
+                total += w;
+                total
+            })
+            .collect();
+        for w in &mut cdf {
+            *w /= total;
         }
+        // Guard against floating-point shortfall at the top.
+        *cdf.last_mut().expect("footprint is nonzero") = 1.0;
+        RankCdf { cdf }
     }
 
     /// Probability mass of the `rank`-th most popular page.
     pub fn rank_probability(&self, rank: usize) -> f64 {
-        match self.law {
-            Popularity::Uniform => 1.0 / self.footprint as f64,
-            _ => {
-                if rank >= self.cdf.len() {
-                    0.0
-                } else if rank == 0 {
-                    self.cdf[0]
-                } else {
-                    self.cdf[rank] - self.cdf[rank - 1]
-                }
-            }
+        match rank {
+            0 => self.cdf[0],
+            r if r < self.cdf.len() => self.cdf[r] - self.cdf[r - 1],
+            _ => 0.0,
         }
     }
 
     /// Probability mass covered by the `ranks` most popular pages
     /// (prefix CDF). Returns 1 when `ranks` meets the footprint.
     pub fn coverage(&self, ranks: u64) -> f64 {
-        if ranks == 0 {
-            return 0.0;
+        match ranks {
+            0 => 0.0,
+            r => self.cdf[(r as usize).min(self.cdf.len()) - 1],
         }
-        match self.law {
-            Popularity::Uniform => (ranks as f64 / self.footprint as f64).min(1.0),
-            _ => {
-                let i = (ranks as usize).min(self.cdf.len());
-                self.cdf[i - 1]
-            }
-        }
+    }
+
+    /// Draws one page number by inverse-CDF binary search, ranks mapped
+    /// to pages through `permutation` — with a sampler's seed's
+    /// [`permutation`], the reference its alias draw is tested against.
+    pub fn sample_cdf<R: Rng + ?Sized>(&self, permutation: &[u32], rng: &mut R) -> u64 {
+        let u: f64 = rng.gen();
+        let rank = match self
+            .cdf
+            .binary_search_by(|w| w.partial_cmp(&u).expect("weights are finite"))
+        {
+            Ok(i) => i,
+            Err(i) => i.min(self.cdf.len() - 1),
+        };
+        permutation[rank] as u64
     }
 }
 
-fn build_cdf(weights: Vec<f64>) -> Vec<f64> {
-    let mut cdf = weights;
-    let mut acc = 0.0;
-    for w in &mut cdf {
-        acc += *w;
-        *w = acc;
-    }
-    let total = acc;
-    for w in &mut cdf {
-        *w /= total;
-    }
-    // Guard against floating-point shortfall at the top.
-    if let Some(last) = cdf.last_mut() {
-        *last = 1.0;
-    }
-    cdf
+fn check_footprint(footprint: u64) {
+    assert!(footprint > 0, "footprint must be nonzero");
+    assert!(
+        footprint <= u32::MAX as u64,
+        "footprint too large for the sampler"
+    );
 }
 
-/// Builds a Walker alias table (Vose's stable construction): each row
-/// `i` keeps probability `prob[i]` of returning `i` itself and
-/// otherwise returns `alias[i]`, so a single uniform split into (row,
-/// fraction) samples the exact discrete distribution in O(1).
-fn build_alias(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
-    let n = weights.len();
-    let total: f64 = weights.iter().sum();
-    let scale = n as f64 / total;
-    let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
-    let mut alias: Vec<u32> = vec![0; n];
+/// The unnormalized weight of every rank, hottest first.
+fn rank_weights(law: Popularity, footprint: u64) -> impl Iterator<Item = f64> {
+    match law {
+        Popularity::Uniform => {}
+        Popularity::Zipf { alpha } => assert!(alpha >= 0.0, "alpha must be non-negative"),
+        Popularity::Exponential { lambda } => assert!(lambda > 0.0, "lambda must be positive"),
+    }
+    (0..footprint as usize).map(move |i| match law {
+        Popularity::Uniform => 1.0,
+        Popularity::Zipf { alpha } => ((i + 1) as f64).powf(-alpha),
+        Popularity::Exponential { lambda } => (-lambda * i as f64).exp(),
+    })
+}
+
+/// Builds a Walker alias table over ranks (Vose's stable
+/// construction): row `i` keeps probability `prob` of returning rank
+/// `i` itself and otherwise returns its alias rank, so a single uniform
+/// split into (row, fraction) samples the exact discrete distribution
+/// in O(1).
+fn build_alias(law: Popularity, footprint: u64) -> Vec<AliasSlot> {
+    let mut rows: Vec<AliasSlot> = rank_weights(law, footprint)
+        .enumerate()
+        .map(|(i, prob)| AliasSlot {
+            prob,
+            page: i as u32,
+            alias_page: 0,
+        })
+        .collect();
+    let total: f64 = rows.iter().map(|r| r.prob).sum();
+    let scale = rows.len() as f64 / total;
     let mut small: Vec<u32> = Vec::new();
     let mut large: Vec<u32> = Vec::new();
-    for (i, &p) in prob.iter().enumerate() {
-        if p < 1.0 {
+    for (i, row) in rows.iter_mut().enumerate() {
+        row.prob *= scale;
+        if row.prob < 1.0 {
             small.push(i as u32);
         } else {
             large.push(i as u32);
@@ -255,26 +247,27 @@ fn build_alias(weights: &[f64]) -> (Vec<f64>, Vec<u32>) {
     }
     while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
         small.pop();
-        alias[s as usize] = l;
+        rows[s as usize].alias_page = l;
         // The large row donates the mass the small row lacks.
-        prob[l as usize] -= 1.0 - prob[s as usize];
-        if prob[l as usize] < 1.0 {
+        rows[l as usize].prob -= 1.0 - rows[s as usize].prob;
+        if rows[l as usize].prob < 1.0 {
             large.pop();
             small.push(l);
         }
     }
     // Leftovers are 1.0 up to round-off: always accept.
     for &i in small.iter().chain(large.iter()) {
-        prob[i as usize] = 1.0;
+        rows[i as usize].prob = 1.0;
     }
-    (prob, alias)
+    rows
 }
 
-/// Deterministic Fisher–Yates permutation of `0..n` from a seed.
-fn build_permutation(n: usize, seed: u64) -> Vec<u32> {
+/// The rank→page permutation of a sampler built with `seed`: a
+/// deterministic Fisher–Yates shuffle of `0..footprint`.
+pub fn permutation(footprint: u64, seed: u64) -> Vec<u32> {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
-    let mut perm: Vec<u32> = (0..n as u32).collect();
+    let mut perm: Vec<u32> = (0..footprint as u32).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x9E37_79B9_7F4A_7C15);
     perm.shuffle(&mut rng);
     perm
@@ -321,15 +314,15 @@ mod tests {
 
     #[test]
     fn higher_alpha_is_more_skewed() {
-        let low = PopularitySampler::new(Popularity::Zipf { alpha: 0.8 }, 10_000, 5);
-        let high = PopularitySampler::new(Popularity::Zipf { alpha: 1.6 }, 10_000, 5);
+        let low = RankCdf::new(Popularity::Zipf { alpha: 0.8 }, 10_000);
+        let high = RankCdf::new(Popularity::Zipf { alpha: 1.6 }, 10_000);
         // The 100 hottest pages carry more of the mass under the steeper law.
         assert!(low.coverage(100) < high.coverage(100));
     }
 
     #[test]
     fn exponential_concentrates_on_few_pages() {
-        let s = PopularitySampler::new(Popularity::Exponential { lambda: 0.1 }, 100_000, 6);
+        let s = RankCdf::new(Popularity::Exponential { lambda: 0.1 }, 100_000);
         // 90% of mass within ~23 ranks (ln(10)/0.1).
         assert!(s.coverage(15) < 0.9, "15 ranks: {}", s.coverage(15));
         assert!(s.coverage(40) >= 0.9, "40 ranks: {}", s.coverage(40));
@@ -337,7 +330,7 @@ mod tests {
 
     #[test]
     fn rank_probabilities_sum_to_one_and_decrease() {
-        let s = PopularitySampler::new(Popularity::Zipf { alpha: 1.0 }, 1_000, 7);
+        let s = RankCdf::new(Popularity::Zipf { alpha: 1.0 }, 1_000);
         let sum: f64 = (0..1_000).map(|i| s.rank_probability(i)).sum();
         assert!((sum - 1.0).abs() < 1e-9);
         for i in 1..1_000 {
@@ -361,15 +354,16 @@ mod tests {
         // mass over the alias table must recover the probability of the
         // rank that maps to it.
         let s = PopularitySampler::new(Popularity::Zipf { alpha: 1.2 }, 64, 12);
+        let cdf = RankCdf::new(Popularity::Zipf { alpha: 1.2 }, 64);
         let n = s.alias_table.len();
         let mut mass = vec![0.0f64; n];
         for slot in &s.alias_table {
             mass[slot.page as usize] += slot.prob / n as f64;
             mass[slot.alias_page as usize] += (1.0 - slot.prob) / n as f64;
         }
-        for (rank, &page) in s.permutation.iter().enumerate() {
+        for (rank, &page) in permutation(64, 12).iter().enumerate() {
             let m = mass[page as usize];
-            let p = s.rank_probability(rank);
+            let p = cdf.rank_probability(rank);
             assert!((m - p).abs() < 1e-12, "rank {rank}: alias {m} vs cdf {p}");
         }
     }
@@ -388,11 +382,13 @@ mod tests {
     #[test]
     fn cdf_oracle_matches_old_sampling() {
         // The oracle still covers the range and skews like the law.
-        let s = PopularitySampler::new(Popularity::Zipf { alpha: 1.2 }, 10_000, 3);
+        let s = RankCdf::new(Popularity::Zipf { alpha: 1.2 }, 10_000);
+        let permutation = permutation(10_000, 3);
         let mut rng = StdRng::seed_from_u64(4);
         let mut h = HashMap::new();
         for _ in 0..50_000 {
-            *h.entry(s.sample_cdf(&mut rng)).or_insert(0u64) += 1;
+            *h.entry(s.sample_cdf(&permutation, &mut rng))
+                .or_insert(0u64) += 1;
         }
         assert!(*h.values().max().unwrap() > 2_000);
         assert!(h.keys().all(|&p| p < 10_000));
@@ -411,7 +407,7 @@ mod tests {
 
     #[test]
     fn coverage_is_a_prefix_cdf() {
-        let s = PopularitySampler::new(Popularity::Zipf { alpha: 1.2 }, 1_000, 11);
+        let s = RankCdf::new(Popularity::Zipf { alpha: 1.2 }, 1_000);
         assert_eq!(s.coverage(0), 0.0);
         assert!((s.coverage(1_000) - 1.0).abs() < 1e-12);
         assert!((s.coverage(5_000) - 1.0).abs() < 1e-12);
@@ -425,7 +421,7 @@ mod tests {
         let step = s.coverage(11) - s.coverage(10);
         assert!((step - s.rank_probability(10)).abs() < 1e-12);
         // Uniform coverage is linear.
-        let u = PopularitySampler::new(Popularity::Uniform, 100, 0);
+        let u = RankCdf::new(Popularity::Uniform, 100);
         assert!((u.coverage(25) - 0.25).abs() < 1e-12);
     }
 

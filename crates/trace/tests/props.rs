@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-use disk_trace::{Popularity, PopularitySampler, TraceStats, WorkloadSpec};
+use disk_trace::{Popularity, PopularitySampler, RankCdf, TraceStats, WorkloadSpec};
 
 fn any_popularity() -> impl Strategy<Value = Popularity> {
     prop_oneof![
@@ -36,20 +36,19 @@ proptest! {
     fn coverage_is_monotone_cdf(
         law in any_popularity(),
         footprint in 2u64..3_000,
-        seed in any::<u64>(),
     ) {
-        let sampler = PopularitySampler::new(law, footprint, seed);
+        let cdf = RankCdf::new(law, footprint);
         let mut prev = 0.0;
         let step = (footprint / 16).max(1);
         let mut r = 0;
         while r <= footprint {
-            let c = sampler.coverage(r);
+            let c = cdf.coverage(r);
             prop_assert!(c >= prev - 1e-12);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&c));
             prev = c;
             r += step;
         }
-        prop_assert!((sampler.coverage(footprint) - 1.0).abs() < 1e-9);
+        prop_assert!((cdf.coverage(footprint) - 1.0).abs() < 1e-9);
     }
 
     /// Rank probabilities are non-increasing and sum to one.
@@ -57,13 +56,12 @@ proptest! {
     fn rank_probabilities_form_a_distribution(
         law in any_popularity(),
         footprint in 2u64..800,
-        seed in any::<u64>(),
     ) {
-        let sampler = PopularitySampler::new(law, footprint, seed);
+        let cdf = RankCdf::new(law, footprint);
         let mut sum = 0.0;
         let mut prev = f64::INFINITY;
         for r in 0..footprint as usize {
-            let p = sampler.rank_probability(r);
+            let p = cdf.rank_probability(r);
             prop_assert!(p <= prev + 1e-12);
             prop_assert!(p >= 0.0);
             sum += p;

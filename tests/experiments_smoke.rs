@@ -49,7 +49,7 @@ fn fig6_smoke() {
 fn fig7_smoke() {
     let w = WorkloadSpec::financial2().scaled(8);
     let area = w.footprint_bytes() as f64 / MLC_BYTES_PER_MM2; // full WSS
-    let pts = density_partition_curve(&w, &[area], 3);
+    let pts = density_partition_curve(&w, &[area]);
     assert!(pts[0].latency_us < 200.0);
 }
 

@@ -13,7 +13,8 @@ use rand::{Rng, SeedableRng};
 
 use flashcache::nand::{FlashConfig, FlashGeometry, PageWearState, WearConfig, WearModel};
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
-use flashcache::trace::{Popularity, PopularitySampler};
+use flashcache::trace::popularity::permutation;
+use flashcache::trace::{Popularity, PopularitySampler, RankCdf};
 use flashcache::{FlashCacheConfig, WorkloadSpec};
 
 const REQUESTS: u64 = 20_000;
@@ -72,6 +73,7 @@ fn chi_square(law: Popularity) -> f64 {
     const BUCKETS: usize = 64;
     const DRAWS: usize = 200_000;
     let sampler = PopularitySampler::new(law, FOOTPRINT, 11);
+    let (cdf, permutation) = (RankCdf::new(law, FOOTPRINT), permutation(FOOTPRINT, 11));
     let mut alias_rng = StdRng::seed_from_u64(101);
     let mut cdf_rng = StdRng::seed_from_u64(202);
     let per_bucket = FOOTPRINT as usize / BUCKETS;
@@ -79,7 +81,7 @@ fn chi_square(law: Popularity) -> f64 {
     let mut cdf_counts = [0u64; BUCKETS];
     for _ in 0..DRAWS {
         alias_counts[sampler.sample(&mut alias_rng) as usize / per_bucket] += 1;
-        cdf_counts[sampler.sample_cdf(&mut cdf_rng) as usize / per_bucket] += 1;
+        cdf_counts[cdf.sample_cdf(&permutation, &mut cdf_rng) as usize / per_bucket] += 1;
     }
     let mut stat = 0.0;
     for (&a, &b) in alias_counts.iter().zip(&cdf_counts) {
