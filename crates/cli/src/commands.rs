@@ -151,6 +151,15 @@ fn count(args: &Args, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// `mb` megabytes, the value of `--{flag}`, in bytes. Refuses a byte
+/// count that overflows `u64` and, for a flash size, one that needs more
+/// blocks than [`FlashGeometry`] can address.
+fn mb_to_bytes(flag: &str, mb: u64, flash: bool) -> Result<u64, String> {
+    mb.checked_mul(1 << 20)
+        .filter(|&bytes| !flash || FlashGeometry::try_for_mlc_capacity(bytes).is_some())
+        .ok_or_else(|| format!("--{flag} {mb} MB is too large"))
+}
+
 /// Reads the device-parallelism options. Returns `None` when no channel
 /// flag was given (keep the closed-form backend); otherwise the
 /// built [`ChannelConfig`] that switches the device to the event-driven
@@ -236,7 +245,7 @@ fn check_flash_invariants(hierarchy: &Hierarchy) -> Result<(), String> {
 pub fn simulate(args: &Args) -> Result<(), String> {
     let seed: u64 = args.num("seed", 0x1507_2008u64)?;
     let requests: u64 = args.num("requests", 100_000u64)?;
-    let dram_mb = count(args, "dram-mb", 16)?;
+    let dram_bytes = mb_to_bytes("dram-mb", count(args, "dram-mb", 16)?, false)?;
     let flash_mb: u64 = args.num("flash-mb", 64u64)?;
     let shards: usize = args.num("shards", 1usize)?;
     let batch = count(args, "batch", 1)? as usize;
@@ -248,7 +257,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
     let admission = admission_config(args)?;
     let flash = if flash_mb > 0 {
         Some(flash_config(
-            flash_mb << 20,
+            mb_to_bytes("flash-mb", flash_mb, true)?,
             args.flag("unified"),
             channel,
             admission,
@@ -258,7 +267,7 @@ pub fn simulate(args: &Args) -> Result<(), String> {
     };
     let engine_cfg = EngineConfig { workers };
     let mut hierarchy = Hierarchy::try_new(HierarchyConfig {
-        dram_bytes: dram_mb << 20,
+        dram_bytes,
         flash,
         flash_shards: shards,
         engine: engine_cfg,
@@ -384,6 +393,10 @@ pub fn sweep(args: &Args) -> Result<(), String> {
     if sizes.contains(&0) {
         return Err("--sizes-mb: every flash size must be >= 1 MB, got 0".to_string());
     }
+    let sizes = sizes
+        .into_iter()
+        .map(|mb| Ok((mb, mb_to_bytes("sizes-mb", mb, true)?)))
+        .collect::<Result<Vec<_>, String>>()?;
     println!(
         "workload {} ({}MB) | {} page accesses per point | seed {seed}\n",
         workload.name,
@@ -397,10 +410,10 @@ pub fn sweep(args: &Args) -> Result<(), String> {
     let channel = channel_config(args)?;
     let admission = admission_config(args)?;
     let mut metrics = Registry::new();
-    for &mb in &sizes {
+    for &(mb, bytes) in &sizes {
         let mut row = Vec::new();
         for unified in [true, false] {
-            let mut cache = FlashCache::new(flash_config(mb << 20, unified, channel, admission)?)
+            let mut cache = FlashCache::new(flash_config(bytes, unified, channel, admission)?)
                 .map_err(|e| format!("{mb}MB: {e}"))?;
             drive_cache(&mut cache, &mut page_ops(&workload, seed), requests);
             row.push((cache.stats().read_miss_rate(), cache.stats().gc_overhead()));
@@ -504,7 +517,7 @@ pub fn export(args: &Args) -> Result<(), String> {
     }
     let seed: u64 = args.num("seed", 0x1507_2008u64)?;
     let requests: u64 = args.num("requests", 100_000u64)?;
-    let reqs: Vec<DiskRequest> = workload.generator(seed).take(requests as usize).collect();
+    let reqs = workload.generator(seed).take(requests as usize);
     match args.get("out") {
         Some(path) => {
             let file = File::create(path).map_err(|e| format!("{path}: {e}"))?;

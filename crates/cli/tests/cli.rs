@@ -226,6 +226,11 @@ fn bad_input_fails_with_nonzero_status() {
             &["sweep", "--sizes-mb", "0", "--requests", "2000"],
             "--sizes-mb",
         ),
+        // 2^44 MB wraps to 0 bytes; 10^14 MB needs more than u32::MAX blocks.
+        (&["simulate", "--dram-mb", "17592186044416"], "--dram-mb"),
+        (&["simulate", "--flash-mb", "17592186044416"], "--flash-mb"),
+        (&["simulate", "--flash-mb", "100000000000000"], "--flash-mb"),
+        (&["sweep", "--sizes-mb", "17592186044416"], "--sizes-mb"),
         (
             &["lifetime", "--acceleration", "0", "--budget", "2000"],
             "--acceleration",

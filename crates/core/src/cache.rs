@@ -189,8 +189,12 @@ pub struct FlashCache {
     pub(crate) read_region: Region,
     pub(crate) write_region: Region,
     pub(crate) unified: bool,
-    /// Logical clock for LRU.
+    /// Logical clock: one tick per op.
     pub(crate) tick: u64,
+    /// Source of the FBST's `last_access` stamps: one more per stamp, so
+    /// two blocks stamped in one op keep their touch order, as the
+    /// reclaim index's block LRU does.
+    pub(crate) recency: u64,
     /// Ops until the next halving of the access counters (§5.2.2), one
     /// device's worth of slots apart; a countdown avoids a `tick %
     /// slots` division on every access.
@@ -265,6 +269,7 @@ impl FlashCache {
             write_region,
             unified,
             tick: 0,
+            recency: 0,
             decay_countdown: usable_slots.max(1),
             usable_slots,
             op_flushed: 0,
@@ -509,9 +514,11 @@ impl FlashCache {
             .sync(b, s.region, s.valid_pages, s.invalid_pages, s.retired, cost);
     }
 
-    /// Marks `b` most recently used in the reclaim index's block LRU.
-    /// Call wherever the FBST's `last_access` is stamped.
-    pub(crate) fn reclaim_touch(&mut self, b: BlockId) {
+    /// Marks `b` most recently used: stamps its FBST `last_access` and
+    /// moves it to the MRU end of the reclaim index's block LRU.
+    pub(crate) fn stamp_access(&mut self, b: BlockId) {
+        self.recency += 1;
+        self.fbst.get_mut(b).last_access = self.recency;
         self.reclaim.touch(b);
     }
 
@@ -636,8 +643,7 @@ impl FlashCache {
                 .read_page_with(addr, OpContext::foreground())
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
             self.stats.flash_reads += 1;
-            self.fbst.get_mut(addr.block).last_access = self.tick;
-            self.reclaim_touch(addr.block);
+            self.stamp_access(addr.block);
             let ecc_us = ECC_LATENCY.decode_us(live_t as usize);
             self.stats.ecc_us += ecc_us;
             // Adding the wait term last keeps the closed-form sum
@@ -808,11 +814,10 @@ impl FlashCache {
         self.fpst.set_access_count(addr, access);
         let bs = self.fbst.get_mut(addr.block);
         bs.valid_pages += 1;
-        bs.last_access = self.tick;
         self.region_mut(region).valid_pages += 1;
         self.fcht.insert(disk_page, addr);
         self.reclaim_sync(addr.block);
-        self.reclaim_touch(addr.block);
+        self.stamp_access(addr.block);
         Ok(out.latency_us + ECC_LATENCY.encode_us(strength as usize))
     }
 

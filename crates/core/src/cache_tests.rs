@@ -9,6 +9,7 @@ use rand::{Rng, SeedableRng};
 use crate::cache::{AdmissionDecision, CacheOp, FlashCache};
 use crate::config::{AdmissionPolicyConfig, ControllerPolicy, FlashCacheConfig, SplitPolicy};
 use crate::stats::CacheStats;
+use crate::tables::RegionKind;
 
 /// A small cache: 16 blocks × 8 physical pages = 256 slots.
 pub(crate) fn small_config() -> FlashCacheConfig {
@@ -1037,4 +1038,34 @@ fn end_of_life_counters_are_pinned_on_a_fixed_trace() {
         ..CacheStats::default()
     };
     assert_eq!(stats, pinned);
+}
+
+/// A read hit that promotes its hot page to SLC (§5.2.2) stamps two
+/// blocks in one op: the hit block, then the promotion's destination.
+/// The block LRU keeps their touch order, so the scan oracle must return
+/// the index's exact LRU victim, not just one with an equal stamp. On
+/// this stream, op 695 is such a hit and the two blocks are the read
+/// region's oldest at op 696.
+#[test]
+fn lru_scan_returns_the_index_victim() {
+    let mut c = small_cache();
+    let mut rng = StdRng::seed_from_u64(14);
+    for i in 0..1_000 {
+        let p = rng.gen_range(0..40u64);
+        let op = if rng.gen_bool(0.1) {
+            CacheOp::write(p)
+        } else {
+            CacheOp::read(p)
+        };
+        c.op(op);
+        for kind in [RegionKind::Read, RegionKind::Write] {
+            let reserved = |b| c.block_is_reserved(b);
+            assert_eq!(
+                c.find_lru_victim_scan(kind),
+                c.reclaim.lru_victim(kind, reserved),
+                "{kind:?} after op {i}"
+            );
+        }
+    }
+    assert!(c.stats().hot_promotions > 0);
 }

@@ -29,7 +29,7 @@ impl FlashCache {
         self.fbst.get(b).region == self.storage_kind(kind)
     }
 
-    fn block_is_reserved(&self, b: BlockId) -> bool {
+    pub(crate) fn block_is_reserved(&self, b: BlockId) -> bool {
         let check = |r: &crate::cache::Region| {
             r.open.iter().flatten().any(|o| o.id == b) || r.spare == Some(b)
         };
@@ -262,7 +262,7 @@ impl FlashCache {
     }
 
     /// O(blocks) ground-truth oracle for [`Self::find_lru_victim`].
-    fn find_lru_victim_scan(&self, kind: RegionKind) -> Option<BlockId> {
+    pub(crate) fn find_lru_victim_scan(&self, kind: RegionKind) -> Option<BlockId> {
         self.fbst
             .iter()
             .filter(|(b, s)| {
@@ -682,80 +682,49 @@ impl FlashCache {
         // The incremental reclaim index must mirror the FBST exactly
         // (membership and keys).
         self.reclaim.verify(&self.fbst)?;
-        // Differential: every index query must return a victim with the
-        // same ordering key as the O(blocks) scan oracle. Ties may break
-        // toward a different block; the keys must agree.
+        // Differential: every index query must return the block the
+        // O(blocks) scan oracle returns.
         let reserved = |b: BlockId| self.block_is_reserved(b);
         let kinds: &[RegionKind] = if self.unified {
             &[RegionKind::Read]
         } else {
             &[RegionKind::Read, RegionKind::Write]
         };
+        let agree = |query: &str, scan: Option<BlockId>, idx: Option<BlockId>| {
+            if scan == idx {
+                Ok(())
+            } else {
+                Err(format!("{query}: scan {scan:?} vs index {idx:?}"))
+            }
+        };
         let mut excludes = vec![BlockId(u32::MAX)];
         for &kind in kinds {
-            let scan = self.find_fully_invalid_scan(kind);
-            let idx = self.reclaim.fully_invalid(kind, reserved);
-            if scan.is_some() != idx.is_some() {
-                return Err(format!(
-                    "{kind:?}: fully-invalid scan {scan:?} vs index {idx:?}"
-                ));
-            }
-            let scan = self.find_gc_victim_scan(kind);
-            let idx = self.reclaim.gc_victim(kind, self.gc_floor(), reserved);
-            match (scan, idx) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    let (ka, kb) = (
-                        self.fbst.get(a).invalid_pages,
-                        self.fbst.get(b).invalid_pages,
-                    );
-                    if ka != kb {
-                        return Err(format!(
-                            "{kind:?}: GC scan {a} (invalid {ka}) vs index {b} (invalid {kb})"
-                        ));
-                    }
-                }
-                (scan, idx) => {
-                    return Err(format!("{kind:?}: GC scan {scan:?} vs index {idx:?}"));
-                }
-            }
+            agree(
+                &format!("{kind:?} fully invalid"),
+                self.find_fully_invalid_scan(kind),
+                self.reclaim.fully_invalid(kind, reserved),
+            )?;
+            agree(
+                &format!("{kind:?} GC"),
+                self.find_gc_victim_scan(kind),
+                self.reclaim.gc_victim(kind, self.gc_floor(), reserved),
+            )?;
             let scan = self.find_lru_victim_scan(kind);
-            let idx = self.reclaim.lru_victim(kind, reserved);
-            match (scan, idx) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    let (ka, kb) = (self.fbst.get(a).last_access, self.fbst.get(b).last_access);
-                    if ka != kb {
-                        return Err(format!(
-                            "{kind:?}: LRU scan {a} (access {ka}) vs index {b} (access {kb})"
-                        ));
-                    }
-                    excludes.push(a);
-                }
-                (scan, idx) => {
-                    return Err(format!("{kind:?}: LRU scan {scan:?} vs index {idx:?}"));
-                }
-            }
+            agree(
+                &format!("{kind:?} LRU"),
+                scan,
+                self.reclaim.lru_victim(kind, reserved),
+            )?;
+            excludes.extend(scan);
         }
         // Newest-block query, both with a sentinel exclusion and with the
         // real eviction victims §3.6 would compare against.
         for exclude in excludes {
-            let scan = self.find_newest_block_scan(exclude);
-            let idx = self.reclaim.newest_block(exclude, reserved);
-            match (scan, idx) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    let (wa, wb) = (self.fbst.wear_out(a), self.fbst.wear_out(b));
-                    if wa != wb {
-                        return Err(format!(
-                            "newest scan {a} (wear {wa}) vs index {b} (wear {wb})"
-                        ));
-                    }
-                }
-                (scan, idx) => {
-                    return Err(format!("newest scan {scan:?} vs index {idx:?}"));
-                }
-            }
+            agree(
+                &format!("newest excluding {exclude}"),
+                self.find_newest_block_scan(exclude),
+                self.reclaim.newest_block(exclude, reserved),
+            )?;
         }
         Ok(())
     }

@@ -283,8 +283,8 @@ impl ReclaimIndex {
     }
 
     /// Marks `b` most recently used in whichever region tracks it
-    /// (no-op for blocks with no content). Call wherever the FBST's
-    /// `last_access` is stamped with the current tick.
+    /// (no-op for blocks with no content). Called wherever the FBST's
+    /// `last_access` is stamped.
     pub(crate) fn touch(&mut self, b: BlockId) {
         if let Some(kind) = self.region_of[b.0 as usize] {
             let r = match kind {
@@ -364,8 +364,8 @@ impl ReclaimIndex {
 
     /// The least recently used block of `kind` with content, skipping
     /// reserved blocks. The tracker's LRU-first order equals ascending
-    /// `last_access` order, so the first acceptable key matches the
-    /// scan's `min_by_key(last_access)` key.
+    /// `last_access` order and stamps are unique, so the first
+    /// acceptable block is the scan's `min_by_key(last_access)` block.
     pub(crate) fn lru_victim(
         &self,
         kind: RegionKind,

@@ -608,7 +608,8 @@ pub struct BlockState {
     pub valid_pages: u32,
     /// Programmed-but-invalidated pages awaiting GC.
     pub invalid_pages: u32,
-    /// Logical timestamp of the last access, for block LRU.
+    /// Recency stamp of the last access (unique per stamp), for the
+    /// block LRU's scan oracle.
     pub last_access: u64,
     /// Region the block currently serves.
     pub region: RegionKind,

@@ -26,74 +26,12 @@ fn pdc_op() -> impl Strategy<Value = PdcOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The PDC's O(1) LRU (one hashed lookup per operation, recency
-    /// kept over its slots) behaves identically to a
-    /// naive `Vec`-ordered recency list of (page, dirty): same hits,
-    /// same eviction victims with the same dirty bits, same ascending
-    /// flush output, whatever mix of operations reorders it.
-    #[test]
-    fn lru_matches_naive_model(
-        capacity in 1usize..12,
-        ops in prop::collection::vec(pdc_op(), 1..300),
-    ) {
-        let mut pdc = PrimaryDiskCache::new(capacity);
-        let mut naive: Vec<(u64, bool)> = Vec::new(); // front = most recent
-        // Moves `page` to the front, OR-ing in `dirty`; false if absent.
-        let touch = |naive: &mut Vec<(u64, bool)>, page: u64, dirty: bool| {
-            let Some(at) = naive.iter().position(|&(p, _)| p == page) else {
-                return false;
-            };
-            let (_, was_dirty) = naive.remove(at);
-            naive.insert(0, (page, was_dirty | dirty));
-            true
-        };
-        for op in ops {
-            match op {
-                PdcOp::Access(p) => {
-                    prop_assert_eq!(pdc.access(p), touch(&mut naive, p, false));
-                }
-                PdcOp::MarkDirty(p) => {
-                    prop_assert_eq!(pdc.mark_dirty(p), touch(&mut naive, p, true));
-                }
-                PdcOp::Insert(p, dirty) => {
-                    let evicted = pdc.insert(p, dirty).map(|e| (e.page, e.dirty));
-                    if touch(&mut naive, p, dirty) {
-                        prop_assert_eq!(evicted, None);
-                    } else {
-                        let expect = (naive.len() >= capacity).then(|| naive.pop().unwrap());
-                        naive.insert(0, (p, dirty));
-                        prop_assert_eq!(evicted, expect);
-                    }
-                }
-                PdcOp::Flush => {
-                    let mut expect: Vec<u64> =
-                        naive.iter().filter(|&&(_, d)| d).map(|&(p, _)| p).collect();
-                    expect.sort_unstable();
-                    for entry in &mut naive {
-                        entry.1 = false;
-                    }
-                    prop_assert_eq!(pdc.flush_dirty(), expect);
-                }
-            }
-            prop_assert_eq!(pdc.len(), naive.len());
-            prop_assert_eq!(pdc.is_empty(), naive.is_empty());
-        }
-        // `capacity` fresh pages first fill the free slots, then evict
-        // every original page: the whole recency order, least recent
-        // first, with each dirty bit.
-        let order: Vec<(u64, bool)> = (0..capacity as u64)
-            .filter_map(|i| pdc.insert(1_000 + i, false))
-            .map(|e| (e.page, e.dirty))
-            .collect();
-        naive.reverse();
-        prop_assert_eq!(order, naive);
-    }
-
-    /// The PDC (slots, a page map and `DenseLru` recency) against a
-    /// plain `VecDeque` LRU — back = most recent — at every capacity
-    /// from one page up: every return value of `access`, `mark_dirty`,
-    /// `insert` and `flush_dirty` is the model's, every `PdcEviction`
-    /// included.
+    /// The PDC (slots, a page map and a linked recency list over the
+    /// slots) against a plain `VecDeque` LRU — back = most recent — at
+    /// every capacity from one page up: every return value of `access`,
+    /// `mark_dirty`, `insert` and `flush_dirty` is the model's, every
+    /// `PdcEviction` included, `len` and `is_empty` agree after every
+    /// op, and the final recency order is the model's.
     #[test]
     fn pdc_matches_vecdeque_lru(
         capacity in 1usize..=16,
@@ -139,7 +77,15 @@ proptest! {
                 }
             }
             prop_assert_eq!(pdc.len(), model.len());
+            prop_assert_eq!(pdc.is_empty(), model.is_empty());
         }
+        // `capacity` fresh pages first fill the free slots, then evict
+        // every original page: the whole recency order, least recent
+        // first, with each dirty bit.
+        let order: Vec<PdcEviction> = (0..capacity as u64)
+            .filter_map(|i| pdc.insert(1_000 + i, false))
+            .collect();
+        prop_assert_eq!(order, Vec::from(model));
     }
 
     /// The PDC behaves like a naive LRU cache with dirty bits: same

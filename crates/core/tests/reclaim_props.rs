@@ -6,8 +6,7 @@
 //! every operation, `check_invariants` cross-checks the index contents
 //! against an FBST recount *and* replays all four victim queries on
 //! both the index and the retained O(blocks) scan oracles, requiring
-//! identical ordering keys (invalid count, LRU timestamp, wear cost) —
-//! ties may break toward different blocks, keys may not differ.
+//! the same block from each.
 
 use proptest::prelude::*;
 

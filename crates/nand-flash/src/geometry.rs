@@ -120,16 +120,21 @@ impl FlashGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_bytes` is zero.
+    /// Panics if `capacity_bytes` is zero or needs more than `u32::MAX`
+    /// blocks; [`FlashGeometry::try_for_mlc_capacity`] returns `None`
+    /// instead.
     pub fn for_mlc_capacity(capacity_bytes: u64) -> Self {
-        assert!(capacity_bytes > 0, "capacity must be nonzero");
+        Self::try_for_mlc_capacity(capacity_bytes)
+            .expect("capacity must be nonzero and at most u32::MAX blocks")
+    }
+
+    /// [`FlashGeometry::for_mlc_capacity`], or `None` when
+    /// `capacity_bytes` is zero or needs more than `u32::MAX` blocks.
+    pub fn try_for_mlc_capacity(capacity_bytes: u64) -> Option<Self> {
         let base = FlashGeometry::default();
         let bytes_per_block = base.pages_per_block as u64 * 2 * PAGE_DATA_BYTES as u64;
-        let blocks = capacity_bytes.div_ceil(bytes_per_block);
-        FlashGeometry {
-            blocks: u32::try_from(blocks).expect("capacity too large"),
-            ..base
-        }
+        let blocks = u32::try_from(capacity_bytes.div_ceil(bytes_per_block)).ok()?;
+        (blocks > 0).then_some(FlashGeometry { blocks, ..base })
     }
 
     /// Slots per block (`2 × pages_per_block`; 128 in the paper).
@@ -200,6 +205,8 @@ mod tests {
         assert!(g.capacity_bytes(CellMode::Mlc) < (1 << 30) + 512 * 1024);
         // One byte still allocates one block.
         assert_eq!(FlashGeometry::for_mlc_capacity(1).blocks, 1);
+        assert_eq!(FlashGeometry::try_for_mlc_capacity(0), None);
+        assert_eq!(FlashGeometry::try_for_mlc_capacity(u64::MAX), None);
     }
 
     #[test]
