@@ -54,7 +54,7 @@ fn bench_sched(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(cycle(cfg, 256)))
         });
     }
-    // The serial configuration: what every `ClosedForm` device runs.
+    // The serial configuration: what a default device runs.
     let serial = ChannelConfig::builder()
         .build()
         .expect("serial config is valid");

@@ -3,9 +3,9 @@
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 
+use flashcache::nand::ChannelConfig;
 use flashcache::nand::FlashConfig;
 use flashcache::nand::FlashGeometry;
-use flashcache::nand::{ChannelConfig, TimingBackend};
 use flashcache::obs::{Registry, Snapshot};
 use flashcache::sim::experiments::driver::{
     drive_cache, half_working_set_bytes, invariant_checks_enabled, page_ops,
@@ -160,16 +160,14 @@ fn mb_to_bytes(flag: &str, mb: u64, flash: bool) -> Result<u64, String> {
         .ok_or_else(|| format!("--{flag} {mb} MB is too large"))
 }
 
-/// Reads the device-parallelism options. Returns `None` when no channel
-/// flag was given (keep the closed-form backend); otherwise the
-/// built [`ChannelConfig`] that switches the device to the event-driven
-/// backend.
-fn channel_config(args: &Args) -> Result<Option<ChannelConfig>, String> {
+/// Reads the device-parallelism options: the serial default (the
+/// paper's closed-form clock) when no channel flag was given.
+fn channel_config(args: &Args) -> Result<ChannelConfig, String> {
     let given = ["channels", "planes", "queue-depth"]
         .iter()
         .any(|k| args.get(k).is_some());
     if !given {
-        return Ok(None);
+        return Ok(ChannelConfig::default());
     }
     let channels: u32 = args.num("channels", 1u32)?;
     let planes: u32 = args.num("planes", 1u32)?;
@@ -179,7 +177,6 @@ fn channel_config(args: &Args) -> Result<Option<ChannelConfig>, String> {
         .planes(planes)
         .queue_depth(queue_depth)
         .build()
-        .map(Some)
         .map_err(|e| e.to_string())
 }
 
@@ -196,17 +193,14 @@ fn admission_config(args: &Args) -> Result<AdmissionPolicyConfig, String> {
 fn flash_config(
     flash_bytes: u64,
     unified: bool,
-    channel: Option<ChannelConfig>,
+    channel: ChannelConfig,
     admission: AdmissionPolicyConfig,
 ) -> Result<FlashCacheConfig, String> {
-    let mut flash = FlashConfig {
+    let flash = FlashConfig {
         geometry: FlashGeometry::for_mlc_capacity(flash_bytes),
+        channel,
         ..FlashConfig::default()
     };
-    if let Some(channel) = channel {
-        flash.channel = channel;
-        flash.timing_backend = TimingBackend::EventDriven;
-    }
     let builder = FlashCacheConfig::builder()
         .flash(flash)
         .admission(admission);

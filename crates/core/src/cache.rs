@@ -189,15 +189,13 @@ pub struct FlashCache {
     pub(crate) read_region: Region,
     pub(crate) write_region: Region,
     pub(crate) unified: bool,
-    /// Logical clock: one tick per op.
-    pub(crate) tick: u64,
     /// Source of the FBST's `last_access` stamps: one more per stamp, so
     /// two blocks stamped in one op keep their touch order, as the
     /// reclaim index's block LRU does.
     pub(crate) recency: u64,
     /// Ops until the next halving of the access counters (§5.2.2), one
-    /// device's worth of slots apart; a countdown avoids a `tick %
-    /// slots` division on every access.
+    /// device's worth of slots apart; a countdown avoids an op count
+    /// modulo slots on every access.
     pub(crate) decay_countdown: u64,
     /// Usable (non-retired) slots.
     pub(crate) usable_slots: u64,
@@ -268,7 +266,6 @@ impl FlashCache {
             read_region,
             write_region,
             unified,
-            tick: 0,
             recency: 0,
             decay_countdown: usable_slots.max(1),
             usable_slots,
@@ -384,11 +381,6 @@ impl FlashCache {
     /// Global status table snapshot.
     pub fn fgst(&self) -> Fgst {
         self.fgst
-    }
-
-    /// Logical access clock.
-    pub fn tick(&self) -> u64 {
-        self.tick
     }
 
     /// Number of cached disk pages.
@@ -523,7 +515,6 @@ impl FlashCache {
     }
 
     fn begin_op(&mut self) {
-        self.tick += 1;
         self.op_flushed = 0;
         self.op_background_us = 0.0;
         self.decay_countdown -= 1;

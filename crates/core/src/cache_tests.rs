@@ -604,11 +604,11 @@ fn cached_pages_unique_per_disk_page() {
     assert_eq!(c.cached_pages(), 1, "one mapping per disk page, ever");
 }
 
-/// 128 blocks on a 4-channel × 2-plane device: eight lanes.
+/// 128 blocks on a 4-channel × 2-plane device: eight lanes, from the
+/// channel shape alone.
 fn eight_lane_cache() -> FlashCache {
     let mut config = small_config();
     config.flash.geometry.blocks = 128;
-    config.flash.timing_backend = nand_flash::TimingBackend::EventDriven;
     config.flash.channel = nand_flash::ChannelConfig::builder()
         .channels(4)
         .planes(2)

@@ -4,7 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use flash_ecc::EccLatencyModel;
-use nand_flash::{FlashConfig, TimingBackend};
+use nand_flash::FlashConfig;
 use storage_model::HddModel;
 
 /// A configuration rejected by [`FlashCacheConfig::validate`].
@@ -207,7 +207,7 @@ impl FlashCacheConfig {
     /// use flashcache_core::{ControllerPolicy, FlashCacheConfig};
     ///
     /// let config = FlashCacheConfig::builder()
-    ///     .write_fraction(0.10)
+    ///     .unified()
     ///     .controller(ControllerPolicy::FixedEcc { strength: 4 })
     ///     .build()
     ///     .expect("defaults tweaked within valid ranges");
@@ -250,25 +250,35 @@ impl FlashCacheConfig {
                 "cache needs at least 4 flash blocks".to_string(),
             ));
         }
-        // `ClosedForm` never reads `channel`; under `EventDriven` a bad
-        // shape would otherwise panic in the scheduler at the first op.
-        if self.flash.timing_backend == TimingBackend::EventDriven {
-            let channel = &self.flash.channel;
-            channel
-                .validate()
-                .map_err(|e| ConfigError::new(e.to_string()))?;
-            let blocks = self.flash.geometry.blocks;
-            if channel
-                .channels
-                .checked_mul(channel.planes)
-                .is_none_or(|lanes| lanes > blocks)
-            {
-                return Err(ConfigError::new(format!(
-                    "{} channels x {} planes exceed the device's {blocks} blocks \
-                     (a lane without a block can never be used)",
-                    channel.channels, channel.planes
-                )));
-            }
+        // A bad shape would otherwise panic in the scheduler at the
+        // first op.
+        let channel = &self.flash.channel;
+        channel
+            .validate()
+            .map_err(|e| ConfigError::new(e.to_string()))?;
+        let blocks = self.flash.geometry.blocks;
+        if channel
+            .channels
+            .checked_mul(channel.planes)
+            .is_none_or(|lanes| lanes > blocks)
+        {
+            return Err(ConfigError::new(format!(
+                "{} channels x {} planes exceed the device's {blocks} blocks \
+                 (a lane without a block can never be used)",
+                channel.channels, channel.planes
+            )));
+        }
+        self.flash
+            .wear
+            .validate()
+            .map_err(|e| ConfigError::new(format!("flash.{e}")))?;
+        // Infinity is "never migrate" (`ablate_wear`); NaN would mean it
+        // silently, a negative threshold "migrate on every reclaim".
+        if self.wear_threshold.is_nan() || self.wear_threshold < 0.0 {
+            return Err(ConfigError::new(format!(
+                "wear_threshold must be >= 0, got {}",
+                self.wear_threshold
+            )));
         }
         Ok(())
     }
@@ -299,13 +309,6 @@ impl FlashCacheConfigBuilder {
         self
     }
 
-    /// Shorthand for a [`SplitPolicy::Split`] with the given write-cache
-    /// fraction.
-    pub fn write_fraction(mut self, write_fraction: f64) -> Self {
-        self.config.split = SplitPolicy::Split { write_fraction };
-        self
-    }
-
     /// Shorthand for [`SplitPolicy::Unified`].
     pub fn unified(mut self) -> Self {
         self.config.split = SplitPolicy::Unified;
@@ -315,12 +318,6 @@ impl FlashCacheConfigBuilder {
     /// Sets the controller reconfiguration policy.
     pub fn controller(mut self, controller: ControllerPolicy) -> Self {
         self.config.controller = controller;
-        self
-    }
-
-    /// Sets the wear-levelling trigger threshold (§3.6).
-    pub fn wear_threshold(mut self, wear_threshold: f64) -> Self {
-        self.config.wear_threshold = wear_threshold;
         self
     }
 
@@ -394,9 +391,8 @@ mod tests {
         assert!(c.validate().is_err());
     }
 
-    fn event_driven(channel: ChannelConfig) -> FlashCacheConfigBuilder {
+    fn with_channel(channel: ChannelConfig) -> FlashCacheConfigBuilder {
         FlashCacheConfig::builder().flash(FlashConfig {
-            timing_backend: TimingBackend::EventDriven,
             channel,
             ..FlashConfig::default()
         })
@@ -409,14 +405,40 @@ mod tests {
             channels: 0,
             ..ChannelConfig::default()
         };
-        let err = event_driven(zero).build().unwrap_err();
+        let err = with_channel(zero).build().unwrap_err();
         assert!(err.to_string().contains("channels must be >= 1"), "{err}");
-        // `ClosedForm` ignores `channel`, so the same literal is inert there.
-        let closed = FlashConfig {
-            channel: zero,
-            ..FlashConfig::default()
+    }
+
+    /// Each wear setting that would panic in `FlashCache::new` or
+    /// silently switch wear, error injection or migration off is
+    /// rejected with its field named; an infinite `wear_threshold`
+    /// ("never migrate") is not.
+    #[test]
+    fn degenerate_wear_settings_are_rejected() {
+        type Set = fn(&mut FlashCacheConfig);
+        let rows: [(&str, Set); 6] = [
+            ("acceleration", |c| c.flash.wear.acceleration = 0.0),
+            ("acceleration", |c| c.flash.wear.acceleration = f64::NAN),
+            ("transient_errors_per_read", |c| {
+                c.flash.wear.transient_errors_per_read = f64::NAN
+            }),
+            ("spatial_sigma_decades", |c| {
+                c.flash.wear.spatial_sigma_decades = f64::NAN
+            }),
+            ("wear_threshold", |c| c.wear_threshold = f64::NAN),
+            ("wear_threshold", |c| c.wear_threshold = -1.0),
+        ];
+        for (field, set) in rows {
+            let mut c = FlashCacheConfig::default();
+            set(&mut c);
+            let err = c.validate().unwrap_err().to_string();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        let never_migrate = FlashCacheConfig {
+            wear_threshold: f64::INFINITY,
+            ..FlashCacheConfig::default()
         };
-        assert!(FlashCacheConfig::builder().flash(closed).build().is_ok());
+        assert_eq!(never_migrate.validate(), Ok(()));
     }
 
     #[test]
@@ -427,11 +449,11 @@ mod tests {
             planes,
             ..ChannelConfig::default()
         };
-        assert!(event_driven(shape(blocks, 1)).build().is_ok());
-        let err = event_driven(shape(blocks, 2)).build().unwrap_err();
+        assert!(with_channel(shape(blocks, 1)).build().is_ok());
+        let err = with_channel(shape(blocks, 2)).build().unwrap_err();
         assert!(err.to_string().contains("exceed the device's"), "{err}");
         // The product is checked, not wrapped.
-        assert!(event_driven(shape(u32::MAX, 2)).build().is_err());
+        assert!(with_channel(shape(u32::MAX, 2)).build().is_err());
     }
 
     #[test]
@@ -448,17 +470,17 @@ mod tests {
             .unified()
             .controller(ControllerPolicy::FixedEcc { strength: 16 })
             .hot_threshold(4)
-            .wear_threshold(8.0)
             .build()
             .unwrap();
         assert_eq!(c.split, SplitPolicy::Unified);
         assert_eq!(c.controller, ControllerPolicy::FixedEcc { strength: 16 });
         assert_eq!(c.hot_threshold, 4);
-        assert_eq!(c.wear_threshold, 8.0);
 
         // Invalid combinations are rejected at build time.
         assert!(FlashCacheConfig::builder()
-            .write_fraction(0.0)
+            .split(SplitPolicy::Split {
+                write_fraction: 0.0
+            })
             .build()
             .is_err());
         assert!(FlashCacheConfig::builder()

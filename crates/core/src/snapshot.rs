@@ -2,9 +2,7 @@
 //!
 //! [`CacheSnapshot`] gives callers structured access to region
 //! allocator state, per-block wear, the FGST, and the accumulated
-//! statistics, while the `Display` impl renders a human-readable dump.
-
-use std::fmt;
+//! statistics.
 
 use crate::cache::{FlashCache, Region};
 use crate::stats::CacheStats;
@@ -90,12 +88,9 @@ pub struct WearSummary {
 /// let snap = cache.snapshot();
 /// assert_eq!(snap.cached_pages, 1);
 /// assert!(snap.regions[0].valid_pages >= 1);
-/// println!("{snap}"); // human-readable rendering
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheSnapshot {
-    /// Logical access clock at snapshot time.
-    pub tick: u64,
     /// Number of cached disk pages.
     pub cached_pages: u64,
     /// Usable (non-retired) slots.
@@ -144,7 +139,6 @@ impl FlashCache {
         let (min_erases, max_erases, mean_erases) = self.erase_spread();
         let retired_blocks = blocks.iter().filter(|b| b.retired).count() as u32;
         CacheSnapshot {
-            tick: self.tick,
             cached_pages: self.cached_pages(),
             usable_slots: self.usable_slots,
             slc_fraction: self.slc_fraction(),
@@ -162,48 +156,6 @@ impl FlashCache {
     }
 }
 
-impl fmt::Display for CacheSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "tick={} cached_pages={} usable_slots={} slc_fraction={:.3}",
-            self.tick, self.cached_pages, self.usable_slots, self.slc_fraction
-        )?;
-        for r in &self.regions {
-            let name = match r.kind {
-                RegionKind::Read => "read",
-                RegionKind::Write => "write",
-            };
-            writeln!(
-                f,
-                "{}: free={:?} open={:?} spare={:?} valid={} invalid={}",
-                name, r.free_blocks, r.open_blocks, r.spare_block, r.valid_pages, r.invalid_pages
-            )?;
-        }
-        for b in &self.blocks {
-            writeln!(
-                f,
-                "b{}: {:?} valid={} invalid={} erase={} retired={} wear={:.1}",
-                b.block,
-                b.region,
-                b.valid_pages,
-                b.invalid_pages,
-                b.erase_count,
-                b.retired,
-                b.wear_cost
-            )?;
-        }
-        write!(
-            f,
-            "wear: erases min={} max={} mean={:.1}, retired={}",
-            self.wear.min_erases,
-            self.wear.max_erases,
-            self.wear.mean_erases,
-            self.wear.retired_blocks
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,22 +170,11 @@ mod tests {
         }
         let snap = cache.snapshot();
         assert_eq!(snap.cached_pages, 10);
-        assert_eq!(snap.tick, cache.tick());
         assert_eq!(snap.stats.reads, 10);
         assert_eq!(snap.blocks.len(), cache.device().geometry().blocks as usize);
         let region_valid: u64 = snap.regions.iter().map(|r| r.valid_pages).sum();
         let block_valid: u64 = snap.blocks.iter().map(|b| b.valid_pages as u64).sum();
         assert_eq!(region_valid, block_valid);
         assert!((0.0..=1.0).contains(&snap.slc_fraction));
-    }
-
-    #[test]
-    fn display_renders_regions_and_blocks() {
-        let mut cache = FlashCache::new(FlashCacheConfig::default()).unwrap();
-        cache.op(CacheOp::read(1));
-        let text = cache.snapshot().to_string();
-        assert!(text.contains("read: free="));
-        assert!(text.contains("b0:"));
-        assert!(text.contains("wear: erases"));
     }
 }

@@ -1,32 +1,21 @@
-//! Pinned differentials of the device clock at the cache layer.
-//!
-//! A [`FlashCache`] on a serial channel configuration must be
-//! **byte-identical** whichever way the device was told to build it:
-//! `TimingBackend::ClosedForm`, which ignores the configured `channel`
-//! (that is what the retained enum means), or
-//! `TimingBackend::EventDriven` with the serial config. Same per-access
-//! outcomes (latency bits included), same stats, same table snapshot,
-//! same exported metrics.
+//! Lane striping at the cache layer: where a multi-lane device puts
+//! pages depends on its lane topology alone, and until the first page
+//! leaves, a striped cache caches what the serial one does.
 
 use disk_trace::{OpKind, WorkloadSpec};
 use flashcache_core::{AccessOutcome, CacheOp, FlashCache, FlashCacheConfig};
-use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry, TimingBackend};
+use nand_flash::{ChannelConfig, ChannelConfigBuilder, FlashConfig, FlashGeometry};
 
 /// Small geometry so the trace overflows the cache and exercises fills,
-/// eviction, GC, and erase traffic — every maintenance path that now
+/// eviction, GC, and erase traffic — every maintenance path that
 /// routes through the scheduler.
-fn config(backend: TimingBackend) -> FlashCacheConfig {
-    config_with(backend, ChannelConfig::default())
-}
-
-fn config_with(backend: TimingBackend, channel: ChannelConfig) -> FlashCacheConfig {
+fn config(channel: ChannelConfig) -> FlashCacheConfig {
     FlashCacheConfig::builder()
         .flash(FlashConfig {
             geometry: FlashGeometry {
                 blocks: 128,
                 pages_per_block: 32,
             },
-            timing_backend: backend,
             channel,
             ..FlashConfig::default()
         })
@@ -57,83 +46,23 @@ fn drive(cache: &mut FlashCache, seed: u64, n: usize) -> Vec<AccessOutcome> {
     ops.iter().map(|&op| cache.op(op).access).collect()
 }
 
-/// Replays one trace through the closed-form backend and through
-/// `other`, and demands byte-identical outcomes, stats, snapshot and
-/// exported metrics.
-fn assert_byte_identical_to_closed_form(other: FlashCacheConfig) {
-    let mut oracle = FlashCache::new(config(TimingBackend::ClosedForm)).expect("valid config");
-    let mut event = FlashCache::new(other).expect("valid config");
-
-    let a = drive(&mut oracle, 0x0811_2026, 6_000);
-    let b = drive(&mut event, 0x0811_2026, 6_000);
-    assert_eq!(a.len(), b.len());
-    for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x, y, "outcome diverged at access {i}");
-        assert_eq!(
-            x.latency_us.to_bits(),
-            y.latency_us.to_bits(),
-            "latency bits diverged at access {i}"
-        );
-        assert_eq!(y.queue_wait_us.to_bits(), 0.0f64.to_bits());
-        assert_eq!(
-            x.background_us.to_bits(),
-            y.background_us.to_bits(),
-            "background bits diverged at access {i}"
-        );
-    }
-
-    assert_eq!(oracle.stats(), event.stats(), "cache stats must match");
-    assert_eq!(
-        oracle.snapshot(),
-        event.snapshot(),
-        "table snapshot must match"
-    );
-    assert_eq!(
-        oracle.export_metrics(),
-        event.export_metrics(),
-        "metric registries must match"
-    );
-}
-
-#[test]
-fn serial_event_backend_is_byte_identical_to_closed_form() {
-    assert_byte_identical_to_closed_form(config_with(
-        TimingBackend::EventDriven,
-        ChannelConfig::default(),
-    ));
-}
-
-#[test]
-fn closed_form_backend_ignores_the_channel_config() {
-    let eight = ChannelConfig::builder()
-        .channels(8)
-        .planes(2)
-        .queue_depth(8)
-        .build()
-        .expect("valid channel config");
-    assert_byte_identical_to_closed_form(config_with(TimingBackend::ClosedForm, eight));
-}
-
-fn lanes_4x2() -> nand_flash::ChannelConfigBuilder {
+fn lanes_4x2() -> ChannelConfigBuilder {
     ChannelConfig::builder().channels(4).planes(2)
 }
 
-fn event_config(channel: nand_flash::ChannelConfigBuilder) -> FlashCacheConfig {
-    config_with(
-        TimingBackend::EventDriven,
-        channel.build().expect("valid channel config"),
-    )
+fn striped_config(channel: ChannelConfigBuilder) -> FlashCacheConfig {
+    config(channel.build().expect("valid channel config"))
 }
 
 /// Placement is a function of lane topology, never of modeled time: two
-/// event-driven devices with the same channels x planes but different
-/// queue depth and bus time put every page in the same slot. (What
+/// devices with the same channels x planes but different queue depth
+/// put every page in the same slot. (What
 /// *does* move placement is the lane count: the write
 /// frontier is as wide as the device has lanes.)
 #[test]
 fn placement_follows_lane_topology_not_modeled_time() {
-    let mut lean = FlashCache::new(event_config(lanes_4x2().queue_depth(1))).unwrap();
-    let mut deep = FlashCache::new(event_config(lanes_4x2().queue_depth(8).xfer_us(25.0))).unwrap();
+    let mut lean = FlashCache::new(striped_config(lanes_4x2().queue_depth(1))).unwrap();
+    let mut deep = FlashCache::new(striped_config(lanes_4x2().queue_depth(8))).unwrap();
 
     let a = drive(&mut lean, 0x0811_2026, 6_000);
     let b = drive(&mut deep, 0x0811_2026, 6_000);
@@ -172,8 +101,8 @@ fn placement_follows_lane_topology_not_modeled_time() {
 /// by whole-block eviction alone" was ours.)
 #[test]
 fn multi_lane_cache_agrees_with_serial_until_the_first_eviction() {
-    let mut serial = FlashCache::new(config(TimingBackend::ClosedForm)).unwrap();
-    let mut striped = FlashCache::new(event_config(lanes_4x2().queue_depth(4))).unwrap();
+    let mut serial = FlashCache::new(config(ChannelConfig::default())).unwrap();
+    let mut striped = FlashCache::new(striped_config(lanes_4x2().queue_depth(4))).unwrap();
     let ops = ops(0x0811_2026, 6_000);
     let mut first_eviction = None;
     for (i, &op) in ops.iter().enumerate() {
@@ -208,7 +137,7 @@ fn multi_lane_cache_agrees_with_serial_until_the_first_eviction() {
     assert_eq!(
         serial.device().stats().wait_us,
         0.0,
-        "closed form never queues"
+        "the serial device never queues"
     );
     assert!(
         striped.device().stats().wait_us > 0.0,

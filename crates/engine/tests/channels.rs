@@ -1,16 +1,15 @@
 //! Modeled device time at the engine level, read through
 //! `device_makespan_us`: more channels must shorten the makespan (i.e.
-//! raise modeled pages/s) for the same Zipf trace, the serial event
-//! configuration must agree with the closed-form backend, and on one
+//! raise modeled pages/s) for the same Zipf trace, and on one
 //! read-heavy trace four shards must finish at least 2.5x sooner than
 //! one and eight channels at least 3x sooner than the serial device.
 
 use disk_trace::{DiskRequest, OpKind, WorkloadSpec};
 use flashcache_core::{CacheOp, FlashCacheConfig};
 use flashcache_engine::ShardedCache;
-use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry, TimingBackend};
+use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry};
 
-fn config(backend: TimingBackend, channels: u32) -> FlashCacheConfig {
+fn config(channels: u32) -> FlashCacheConfig {
     let channel = ChannelConfig::builder()
         .channels(channels)
         .planes(2)
@@ -23,7 +22,6 @@ fn config(backend: TimingBackend, channels: u32) -> FlashCacheConfig {
                 blocks: 128,
                 pages_per_block: 32,
             },
-            timing_backend: backend,
             channel,
             ..FlashConfig::default()
         })
@@ -53,10 +51,10 @@ fn makespan(cfg: FlashCacheConfig, n: usize) -> f64 {
 #[test]
 fn four_channels_beat_one_channel_on_modeled_throughput() {
     let n = 20_000;
-    let one = makespan(config(TimingBackend::EventDriven, 1), n);
-    let four = makespan(config(TimingBackend::EventDriven, 4), n);
+    let one = makespan(config(1), n);
+    let four = makespan(config(4), n);
     assert!(one > 0.0 && four > 0.0);
-    // Measures 1.36x. Both devices have two planes per channel, and 30%
+    // Measures 1.40x. Both devices have two planes per channel, and 30%
     // of this trace is writes into a 13-block write region whose
     // frontier is one block wide, so that region's programs serialize
     // whatever the channel count.
@@ -64,27 +62,6 @@ fn four_channels_beat_one_channel_on_modeled_throughput() {
         four * 1.3 <= one,
         "4-channel makespan {four} must be <= 1/1.3 of 1-channel {one} ({:.2}x)",
         one / four
-    );
-}
-
-#[test]
-fn event_makespan_at_one_channel_matches_closed_form_modeled_time() {
-    // A depth-8 single-channel event model still serializes every op on
-    // the one bus/plane pair, so its drained makespan cannot exceed the
-    // closed-form running clock (which is the exact serial sum), and a
-    // serial-mimic config reproduces it bit for bit.
-    let n = 5_000;
-    let closed = makespan(config(TimingBackend::ClosedForm, 1), n);
-    let serial_cfg = {
-        let mut cfg = config(TimingBackend::EventDriven, 1);
-        cfg.flash.channel = ChannelConfig::default();
-        cfg
-    };
-    let serial = makespan(serial_cfg, n);
-    assert_eq!(
-        serial.to_bits(),
-        closed.to_bits(),
-        "serial event makespan must equal the closed-form clock bit-for-bit"
     );
 }
 
@@ -142,7 +119,6 @@ fn four_shards_cut_the_device_makespan_by_2_5x() {
 #[test]
 fn eight_channels_cut_the_device_makespan_by_3x() {
     let eight = FlashConfig {
-        timing_backend: TimingBackend::EventDriven,
         channel: ChannelConfig::builder()
             .channels(8)
             .planes(2)

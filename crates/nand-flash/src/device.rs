@@ -124,8 +124,8 @@ impl OpContext {
 pub struct ReadOutcome {
     /// Raw latency of the array access, µs (ECC time is the controller's).
     pub latency_us: f64,
-    /// Queueing delay before service, µs (zero under the closed-form
-    /// backend).
+    /// Queueing delay before service, µs (zero under a serial channel
+    /// shape).
     pub wait_us: f64,
     /// Energy consumed, millijoules.
     pub energy_mj: f64,
@@ -143,8 +143,8 @@ pub struct ReadOutcome {
 pub struct ProgramOutcome {
     /// Program latency, µs.
     pub latency_us: f64,
-    /// Queueing delay before service, µs (zero under the closed-form
-    /// backend).
+    /// Queueing delay before service, µs (zero under a serial channel
+    /// shape).
     pub wait_us: f64,
     /// Energy consumed, millijoules.
     pub energy_mj: f64,
@@ -155,8 +155,8 @@ pub struct ProgramOutcome {
 pub struct EraseOutcome {
     /// Erase latency, µs.
     pub latency_us: f64,
-    /// Queueing delay before service, µs (zero under the closed-form
-    /// backend).
+    /// Queueing delay before service, µs (zero under a serial channel
+    /// shape).
     pub wait_us: f64,
     /// Energy consumed, millijoules.
     pub energy_mj: f64,
@@ -177,8 +177,8 @@ pub struct FlashStats {
     pub bit_errors: u64,
     /// Total µs spent in operations.
     pub busy_us: f64,
-    /// Total µs spent queued before service (zero under the
-    /// closed-form backend).
+    /// Total µs spent queued before service (zero under a serial
+    /// channel shape).
     pub wait_us: f64,
     /// Total energy in millijoules.
     pub energy_mj: f64,
@@ -193,11 +193,12 @@ pub struct FlashConfig {
     pub wear: WearConfig,
     /// RNG seed for quality sampling and error injection.
     pub seed: u64,
-    /// Which channel configuration the device's scheduler is built
-    /// with: the serial default (`ClosedForm`) or `channel`.
+    /// Always [`TimingBackend::EventDriven`], which nothing reads; it
+    /// stays because `benchmark/src/workloads.rs` and
+    /// `benchmark/src/probes.rs` set it.
     pub timing_backend: TimingBackend,
-    /// Channel/plane/queue parameters under
-    /// [`TimingBackend::EventDriven`]; ignored under `ClosedForm`.
+    /// Channel/plane/queue shape the device's scheduler is built from;
+    /// the serial default is the paper's closed-form clock.
     pub channel: ChannelConfig,
 }
 
@@ -273,9 +274,8 @@ impl FlashDevice {
     ///
     /// # Panics
     ///
-    /// Under [`TimingBackend::EventDriven`], panics with the
-    /// [`ChannelConfig::validate`] error text if `config.channel` has a
-    /// zero channel, plane or queue-depth count or a bad transfer time.
+    /// Panics with the [`ChannelConfig::validate`] error text if
+    /// `config.channel` has a zero channel, plane or queue-depth count.
     pub fn new(config: FlashConfig) -> Self {
         let geometry = config.geometry;
         let wear_model = WearModel::new(config.wear);
@@ -286,13 +286,9 @@ impl FlashDevice {
         let wear = (0..phys)
             .map(|_| PageWearState::with_quality(wear_model.sample_quality(&mut normals, &mut rng)))
             .collect();
-        let channel = match config.timing_backend {
-            TimingBackend::ClosedForm => ChannelConfig::default(),
-            TimingBackend::EventDriven => config.channel,
-        };
         FlashDevice {
             wear_model,
-            model: EventDriven::new(channel),
+            model: EventDriven::new(config.channel),
             rng,
             erase_counts: vec![0; geometry.blocks as usize],
             block_worst_mode: vec![None; geometry.blocks as usize],
@@ -327,15 +323,15 @@ impl FlashDevice {
         self.model.now_us()
     }
 
-    /// Returns the makespan at which all channels and planes fall
-    /// idle, µs, and advances the modeled clock to it.
+    /// Returns the makespan at which all planes fall idle, µs, and
+    /// advances the modeled clock to it.
     pub fn drain_timing(&mut self) -> f64 {
         self.model.drain()
     }
 
-    /// Number of lanes (cell arrays whose programs and erases overlap)
-    /// the scheduler places ops on: the `channels × planes` of the
-    /// channel shape it was built with, so one under `ClosedForm`.
+    /// Number of lanes (cell arrays whose ops overlap) the scheduler
+    /// places ops on: the `channels × planes` of `config.channel`, so
+    /// one under the serial default.
     pub fn lanes(&self) -> usize {
         self.model.lanes()
     }
@@ -410,7 +406,7 @@ impl FlashDevice {
     }
 
     /// Programs one 2KB slot with an explicit [`OpContext`]: background
-    /// ops contend for channel time without advancing the foreground
+    /// ops contend for plane time without advancing the foreground
     /// clock.
     ///
     /// # Errors
@@ -506,7 +502,7 @@ impl FlashDevice {
 
     /// Reads one programmed slot with an explicit [`OpContext`];
     /// foreground reads observe queue wait behind in-flight background
-    /// traffic under the event backend.
+    /// traffic on a parallel channel shape.
     ///
     /// # Errors
     ///
@@ -839,7 +835,6 @@ mod tests {
     #[should_panic(expected = "channels must be >= 1")]
     fn zero_channels_are_rejected_at_construction() {
         FlashDevice::new(FlashConfig {
-            timing_backend: TimingBackend::EventDriven,
             channel: ChannelConfig {
                 channels: 0,
                 ..ChannelConfig::default()

@@ -1,22 +1,19 @@
 //! Device timing: one deterministic resource-timeline NAND scheduler.
 //!
-//! [`EventDriven`] is the only modeled clock. It prices every operation
-//! from the Table 2/3 latency table and places it, at submission, on
-//! per-channel bus and per-plane cell free-time arrays behind a bounded
-//! per-channel admission window, in the spirit of the multi-channel
-//! interleaving literature. There is no event queue: an op's start is
-//! the max of the times its resources fall idle, and nothing is
-//! deferred. [`TimingBackend`] selects the scheduler's *configuration*,
-//! not an implementation: `ClosedForm` builds it with the serial
-//! [`ChannelConfig::default`], `EventDriven` with the device's
-//! configured channel shape. The scheduler is RNG-free and allocates
-//! nothing after construction, so the same op stream always yields the
-//! same timings.
+//! [`EventDriven`] is the only modeled clock, and the device's
+//! [`ChannelConfig`] is its only input besides the Table 2/3 latency
+//! table. It places every operation, at submission, on a per-plane cell
+//! free-time array behind a bounded per-channel admission window, in
+//! the spirit of the multi-channel interleaving literature. There is no
+//! event queue: an op starts when it is admitted and its plane falls
+//! idle, and nothing is deferred. The scheduler is RNG-free and
+//! allocates nothing after construction, so the same op stream always
+//! yields the same timings.
 //!
 //! # Closed-form contract
 //!
-//! A serial config ([`ChannelConfig::is_serial`]: 1 channel, 1 plane,
-//! queue depth 1, zero transfer time) makes every operation — fore- or
+//! A serial config ([`ChannelConfig::is_serial`], the default: 1
+//! channel, 1 plane, queue depth 1) makes every operation — fore- or
 //! background — block and advance the clock, and makes every stall term
 //! exactly `0.0`, so the one path *is* the running sum of table
 //! latencies: the paper's closed-form model. `sched_props`'
@@ -42,16 +39,14 @@
 //!   front of the free list), so consecutive programs land on different
 //!   lanes and their cell phases overlap. A serial configuration has
 //!   one lane, hence width 1: the paper's single log head.
-//! * Reads occupy the plane for the cell access, then the channel bus
-//!   for the transfer out. Programs transfer over the bus first, then
-//!   occupy the plane for the cell program. Erases occupy only the
-//!   plane. Cell phases on different planes overlap; the bus serializes
-//!   per channel.
+//! * Reads, programs and erases each occupy their plane for the table
+//!   latency. Cell phases on different planes overlap; the model has no
+//!   bus, so a page transfer costs nothing and orders nothing.
 //! * At most `queue_depth` ops may be outstanding per channel; excess
 //!   submissions stall until a slot frees (FIFO admission).
-//! * Background ops (GC traffic, fills) consume channel and plane time
-//!   without advancing the foreground clock, so later foreground ops
-//!   observe genuine queue wait.
+//! * Background ops (GC traffic, fills) consume plane time without
+//!   advancing the foreground clock, so later foreground ops observe
+//!   genuine queue wait.
 
 use std::error::Error;
 use std::fmt;
@@ -59,29 +54,25 @@ use std::fmt;
 use crate::geometry::CellMode;
 use crate::timing::FlashTiming;
 
-/// Which channel configuration a device builds its scheduler with.
+/// The device clock. `EventDriven` is the only variant and the default;
+/// the enum stays because `benchmark/src/workloads.rs` and
+/// `benchmark/src/probes.rs` name it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TimingBackend {
-    /// The serial [`ChannelConfig::default`], whatever the device's
-    /// `channel` says: per-op table sums, wait always zero.
+    /// The scheduler built from the device's `channel`.
     #[default]
-    ClosedForm,
-    /// The device's configured `channel`: channel/plane parallelism
-    /// and bounded queueing.
     EventDriven,
 }
 
 /// Channel-level geometry and scheduling parameters of the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelConfig {
-    /// Independent channels (each with its own bus).
+    /// Independent channels (each with its own admission window).
     pub channels: u32,
     /// Planes per channel (cell ops on different planes overlap).
     pub planes: u32,
     /// Outstanding ops admitted per channel before submissions stall.
     pub queue_depth: u32,
-    /// Bus transfer time per page op, µs. Zero makes the bus free.
-    pub xfer_us: f64,
 }
 
 impl Default for ChannelConfig {
@@ -90,20 +81,13 @@ impl Default for ChannelConfig {
             channels: 1,
             planes: 1,
             queue_depth: 1,
-            xfer_us: 0.0,
         }
     }
 }
 
 /// Invalid [`ChannelConfig`] description.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChannelConfigError(String);
-
-impl ChannelConfigError {
-    fn new(msg: String) -> Self {
-        ChannelConfigError(msg)
-    }
-}
+pub struct ChannelConfigError(&'static str);
 
 impl fmt::Display for ChannelConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -144,28 +128,22 @@ impl ChannelConfig {
     /// [`ChannelConfigError`] describing the violated constraint.
     pub fn validate(&self) -> Result<(), ChannelConfigError> {
         if self.channels == 0 {
-            return Err(ChannelConfigError::new("channels must be >= 1".into()));
+            return Err(ChannelConfigError("channels must be >= 1"));
         }
         if self.planes == 0 {
-            return Err(ChannelConfigError::new("planes must be >= 1".into()));
+            return Err(ChannelConfigError("planes must be >= 1"));
         }
         if self.queue_depth == 0 {
-            return Err(ChannelConfigError::new("queue_depth must be >= 1".into()));
-        }
-        if !self.xfer_us.is_finite() || self.xfer_us < 0.0 {
-            return Err(ChannelConfigError::new(format!(
-                "xfer_us must be finite and >= 0, got {}",
-                self.xfer_us
-            )));
+            return Err(ChannelConfigError("queue_depth must be >= 1"));
         }
         Ok(())
     }
 
     /// Whether this configuration mimics serial execution: one channel,
-    /// one plane, depth one, free bus. In this mode the scheduler is
-    /// the closed-form model, byte for byte.
+    /// one plane, depth one. In this mode the scheduler is the
+    /// closed-form model, byte for byte.
     pub fn is_serial(&self) -> bool {
-        self.channels == 1 && self.planes == 1 && self.queue_depth <= 1 && self.xfer_us == 0.0
+        self.channels == 1 && self.planes == 1 && self.queue_depth <= 1
     }
 }
 
@@ -197,18 +175,11 @@ impl ChannelConfigBuilder {
         self
     }
 
-    /// Sets the per-op bus transfer time, µs.
-    pub fn xfer_us(mut self, xfer_us: f64) -> Self {
-        self.config.xfer_us = xfer_us;
-        self
-    }
-
     /// Validates and returns the finished configuration.
     ///
     /// # Errors
     ///
-    /// [`ChannelConfigError`] for zero channel/plane/depth counts or
-    /// negative/non-finite times.
+    /// [`ChannelConfigError`] for a zero channel, plane or depth count.
     pub fn build(self) -> Result<ChannelConfig, ChannelConfigError> {
         self.config.validate()?;
         Ok(self.config)
@@ -218,11 +189,11 @@ impl ChannelConfigBuilder {
 /// Operation class, as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
-    /// Page read: cell access then bus transfer out.
+    /// Page read.
     Read,
-    /// Page program: bus transfer in then cell program.
+    /// Page program.
     Program,
-    /// Block erase: cell only.
+    /// Block erase.
     Erase,
 }
 
@@ -246,28 +217,20 @@ pub struct OpTiming {
     /// Queueing delay before service began, µs. Exactly `0.0` under a
     /// serial [`ChannelConfig`].
     pub wait_us: f64,
-    /// Device service time (cell phase plus bus transfer), µs.
+    /// Device service time (the cell phase), µs.
     pub service_us: f64,
 }
 
-fn table_read(mode: CellMode) -> f64 {
-    match mode {
-        CellMode::Slc => FlashTiming::SLC_READ_US,
-        CellMode::Mlc => FlashTiming::MLC_READ_US,
-    }
-}
-
-fn table_program(mode: CellMode) -> f64 {
-    match mode {
-        CellMode::Slc => FlashTiming::SLC_PROGRAM_US,
-        CellMode::Mlc => FlashTiming::MLC_PROGRAM_US,
-    }
-}
-
-fn table_erase(mode: CellMode) -> f64 {
-    match mode {
-        CellMode::Slc => FlashTiming::SLC_ERASE_US,
-        CellMode::Mlc => FlashTiming::MLC_ERASE_US,
+/// The Table 2/3 cell latency of one op, µs.
+fn cell_us(class: OpClass, mode: CellMode) -> f64 {
+    type T = FlashTiming;
+    match (class, mode) {
+        (OpClass::Read, CellMode::Slc) => T::SLC_READ_US,
+        (OpClass::Read, CellMode::Mlc) => T::MLC_READ_US,
+        (OpClass::Program, CellMode::Slc) => T::SLC_PROGRAM_US,
+        (OpClass::Program, CellMode::Mlc) => T::MLC_PROGRAM_US,
+        (OpClass::Erase, CellMode::Slc) => T::SLC_ERASE_US,
+        (OpClass::Erase, CellMode::Mlc) => T::MLC_ERASE_US,
     }
 }
 
@@ -282,15 +245,7 @@ fn plane_of(cfg: &ChannelConfig, block: u32) -> usize {
     ch * cfg.planes as usize + ((block / cfg.channels) % cfg.planes) as usize
 }
 
-/// Internal dispatch result.
-#[derive(Debug, Clone, Copy)]
-struct OpSpan {
-    wait_us: f64,
-    service_us: f64,
-    end_us: f64,
-}
-
-/// NAND scheduler with channel/plane parallelism over resource
+/// NAND scheduler with channel/plane parallelism over per-plane
 /// free-time arrays.
 ///
 /// See the module docs for the scheduling disciplines and the
@@ -301,8 +256,6 @@ pub struct EventDriven {
     cfg: ChannelConfig,
     serial: bool,
     now_us: f64,
-    /// Per-channel time at which the bus falls idle.
-    bus_free_us: Vec<f64>,
     /// Per-plane (channel-major) time at which the cell array falls idle.
     plane_free_us: Vec<f64>,
     /// Flat admission windows: `queue_depth` completion-time slots per
@@ -331,7 +284,6 @@ impl EventDriven {
         EventDriven {
             serial: cfg.is_serial(),
             now_us: 0.0,
-            bus_free_us: vec![0.0; channels],
             plane_free_us: vec![0.0; channels * cfg.planes as usize],
             out_ends: vec![0.0; channels * depth],
             out_len: vec![0; channels],
@@ -341,13 +293,13 @@ impl EventDriven {
     }
 
     /// Number of lanes: cell arrays (planes, across all channels) whose
-    /// program/erase phases overlap. One under a serial configuration.
+    /// phases overlap. One under a serial configuration.
     pub fn lanes(&self) -> usize {
         self.plane_free_us.len()
     }
 
     /// The lane (channel-major plane index, `< lanes()`) on which ops to
-    /// `block` are placed — the mapping `dispatch` uses, exposed so
+    /// `block` are placed — the mapping `op` uses, exposed so
     /// allocators can stripe without restating it.
     pub fn lane_of(&self, block: u32) -> usize {
         plane_of(&self.cfg, block)
@@ -390,109 +342,31 @@ impl EventDriven {
         admit_us
     }
 
-    /// Places one admitted op on the channel/plane timelines and
-    /// returns `(service, end)`, accumulating stall terms into
-    /// `wait_us`. Each stall term is a `max(ready, free) - ready`,
-    /// never `end - arrival - service`, which is what keeps serial-mode
-    /// waits exactly `0.0`.
-    #[inline]
-    fn place_op(
-        &mut self,
-        class: OpClass,
-        mode: CellMode,
-        ch: usize,
-        plane: usize,
-        admit_us: f64,
-        wait_us: &mut f64,
-    ) -> (f64, f64) {
-        let xfer = self.cfg.xfer_us;
-        let (bus_free_us, plane_free_us) = (&mut self.bus_free_us, &mut self.plane_free_us);
-        let (service_us, end);
-        match class {
-            OpClass::Read => {
-                let cell = table_read(mode);
-                let cell_start = if plane_free_us[plane] > admit_us {
-                    plane_free_us[plane]
-                } else {
-                    admit_us
-                };
-                *wait_us += cell_start - admit_us;
-                let cell_end = cell_start + cell;
-                let bus_start = if bus_free_us[ch] > cell_end {
-                    bus_free_us[ch]
-                } else {
-                    cell_end
-                };
-                *wait_us += bus_start - cell_end;
-                end = bus_start + xfer;
-                bus_free_us[ch] = end;
-                plane_free_us[plane] = end;
-                service_us = cell + xfer;
-            }
-            OpClass::Program => {
-                let cell = table_program(mode);
-                let bus_start = if bus_free_us[ch] > admit_us {
-                    bus_free_us[ch]
-                } else {
-                    admit_us
-                };
-                *wait_us += bus_start - admit_us;
-                let bus_end = bus_start + xfer;
-                bus_free_us[ch] = bus_end;
-                let cell_start = if plane_free_us[plane] > bus_end {
-                    plane_free_us[plane]
-                } else {
-                    bus_end
-                };
-                *wait_us += cell_start - bus_end;
-                end = cell_start + cell;
-                plane_free_us[plane] = end;
-                service_us = xfer + cell;
-            }
-            OpClass::Erase => {
-                let cell = table_erase(mode);
-                let cell_start = if plane_free_us[plane] > admit_us {
-                    plane_free_us[plane]
-                } else {
-                    admit_us
-                };
-                *wait_us += cell_start - admit_us;
-                end = cell_start + cell;
-                plane_free_us[plane] = end;
-                service_us = cell;
-            }
-        }
-        (service_us, end)
-    }
-
-    /// Places one op on the channel/plane timeline starting no earlier
-    /// than `arrival_us`, returning `(wait, service, end)`.
-    fn dispatch(&mut self, class: OpClass, mode: CellMode, block: u32, arrival_us: f64) -> OpSpan {
-        let ch = channel_of(&self.cfg, block);
-        let plane = plane_of(&self.cfg, block);
-        let admit_us = self.admit(ch, arrival_us);
-        let mut wait_us = admit_us - arrival_us;
-        let (service_us, end) = self.place_op(class, mode, ch, plane, admit_us, &mut wait_us);
-        let n = self.out_len[ch] as usize;
-        self.out_ends[ch * self.depth + n] = end;
-        self.out_len[ch] = (n + 1) as u32;
-        OpSpan {
-            wait_us,
-            service_us,
-            end_us: end,
-        }
-    }
-
-    /// Prices one operation and advances internal state. Deterministic:
-    /// the same op sequence yields the same timings and clock.
+    /// Prices one operation and advances internal state: the op is
+    /// admitted to its channel's window no earlier than the clock, then
+    /// starts once its plane falls idle. Each stall term is a
+    /// `max(ready, free) - ready`, never `end - arrival - service`,
+    /// which is what keeps serial-mode waits exactly `0.0`.
+    /// Deterministic: the same op sequence yields the same timings and
+    /// clock.
     pub fn op(&mut self, req: &OpRequest) -> OpTiming {
-        let span = self.dispatch(req.class, req.mode, req.block, self.now_us);
+        let ch = channel_of(&self.cfg, req.block);
+        let plane = plane_of(&self.cfg, req.block);
+        let arrival_us = self.now_us;
+        let admit_us = self.admit(ch, arrival_us);
+        let start_us = self.plane_free_us[plane].max(admit_us);
+        let service_us = cell_us(req.class, req.mode);
+        let end_us = start_us + service_us;
+        self.plane_free_us[plane] = end_us;
+        let n = self.out_len[ch] as usize;
+        self.out_ends[ch * self.depth + n] = end_us;
+        self.out_len[ch] = (n + 1) as u32;
         if self.serial || !req.background {
-            self.now_us = span.end_us;
+            self.now_us = end_us;
         }
         OpTiming {
-            wait_us: span.wait_us,
-            service_us: span.service_us,
+            wait_us: (admit_us - arrival_us) + (start_us - admit_us),
+            service_us,
         }
     }
 
@@ -501,11 +375,13 @@ impl EventDriven {
         self.now_us
     }
 
-    /// Returns the makespan: the time at which every resource falls
-    /// idle. Advances the clock to it.
+    /// Returns the makespan: the time at which every plane falls idle.
+    /// Advances the clock to it.
     pub fn drain(&mut self) -> f64 {
-        let frees = self.bus_free_us.iter().chain(&self.plane_free_us);
-        self.now_us = frees.fold(self.now_us, |latest, &t| latest.max(t));
+        self.now_us = self
+            .plane_free_us
+            .iter()
+            .fold(self.now_us, |latest, &t| latest.max(t));
         self.now_us
     }
 }
@@ -535,33 +411,15 @@ mod tests {
         assert!(ChannelConfig::builder().channels(0).build().is_err());
         assert!(ChannelConfig::builder().planes(0).build().is_err());
         assert!(ChannelConfig::builder().queue_depth(0).build().is_err());
-        assert!(ChannelConfig::builder().xfer_us(-1.0).build().is_err());
-        assert!(ChannelConfig::builder().xfer_us(f64::NAN).build().is_err());
         let cfg = ChannelConfig::builder()
             .channels(4)
             .planes(2)
             .queue_depth(8)
-            .xfer_us(40.0)
             .build()
             .unwrap();
         assert_eq!((cfg.channels, cfg.planes, cfg.queue_depth), (4, 2, 8));
         assert!(!cfg.is_serial());
         assert!(ChannelConfig::default().is_serial());
-    }
-
-    /// The paper's closed-form model as a reference: service is the
-    /// Table 2/3 latency (wait is zero, the clock is the running sum of
-    /// these).
-    fn table_us(op: &OpRequest) -> f64 {
-        type T = FlashTiming;
-        match (op.class, op.mode) {
-            (OpClass::Read, CellMode::Slc) => T::SLC_READ_US,
-            (OpClass::Read, CellMode::Mlc) => T::MLC_READ_US,
-            (OpClass::Program, CellMode::Slc) => T::SLC_PROGRAM_US,
-            (OpClass::Program, CellMode::Mlc) => T::MLC_PROGRAM_US,
-            (OpClass::Erase, CellMode::Slc) => T::SLC_ERASE_US,
-            (OpClass::Erase, CellMode::Mlc) => T::MLC_ERASE_US,
-        }
     }
 
     #[test]
@@ -577,7 +435,7 @@ mod tests {
         let mut clock_us = 0.0;
         let mut event = EventDriven::new(ChannelConfig::default());
         for op in &ops {
-            let service_us = table_us(op);
+            let service_us = cell_us(op.class, op.mode);
             clock_us += service_us;
             let got = event.op(op);
             assert_eq!(got.wait_us.to_bits(), 0.0f64.to_bits());
@@ -616,7 +474,6 @@ mod tests {
         let cfg = ChannelConfig::builder()
             .channels(1)
             .queue_depth(8)
-            .xfer_us(0.0)
             .build()
             .unwrap();
         let mut event = EventDriven::new(cfg);
@@ -652,6 +509,24 @@ mod tests {
         }
         assert_eq!(a.drain(), 1500.0);
         assert_eq!(b.drain(), 4.0 * 1500.0);
+    }
+
+    /// Two reads on the two planes of one channel overlap: each ends at
+    /// its own cell time, the shorter one not held behind the longer.
+    #[test]
+    fn reads_on_sibling_planes_end_at_their_own_cell_time() {
+        let cfg = ChannelConfig::builder()
+            .planes(2)
+            .queue_depth(2)
+            .build()
+            .unwrap();
+        let mut event = EventDriven::new(cfg);
+        assert_ne!(event.lane_of(0), event.lane_of(1));
+        event.op(&bg(OpClass::Read, CellMode::Mlc, 0));
+        let t = event.op(&fg(OpClass::Read, CellMode::Slc, 1));
+        assert_eq!((t.wait_us, t.service_us), (0.0, FlashTiming::SLC_READ_US));
+        assert_eq!(event.now_us(), FlashTiming::SLC_READ_US);
+        assert_eq!(event.drain(), FlashTiming::MLC_READ_US);
     }
 
     #[test]

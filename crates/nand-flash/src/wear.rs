@@ -44,6 +44,31 @@ impl Default for WearConfig {
 }
 
 impl WearConfig {
+    /// Checks that `acceleration` is finite and > 0 and the other two
+    /// fields finite and >= 0; otherwise [`WearModel::new`] panics or
+    /// wear or error injection silently switches off.
+    ///
+    /// # Errors
+    ///
+    /// The first out-of-range field, named, with its value.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.acceleration.is_finite() && self.acceleration > 0.0) {
+            return Err(format!(
+                "wear.acceleration must be finite and > 0, got {}",
+                self.acceleration
+            ));
+        }
+        for (field, v) in [
+            ("transient_errors_per_read", self.transient_errors_per_read),
+            ("spatial_sigma_decades", self.spatial_sigma_decades),
+        ] {
+            if !(v.is_finite() && v >= 0.0) {
+                return Err(format!("wear.{field} must be finite and >= 0, got {v}"));
+            }
+        }
+        Ok(())
+    }
+
     /// Returns the configuration with lifetimes divided by `factor`.
     #[must_use]
     pub fn accelerated(mut self, factor: f64) -> Self {

@@ -123,21 +123,16 @@ pub struct HierarchyReport {
     pub disk_read_pages: u64,
     /// Pages written to disk (flushes).
     pub disk_write_pages: u64,
-    /// DRAM activity.
-    pub dram: ActivityTracker,
     /// Disk activity.
     pub disk: ActivityTracker,
     /// Per-request latency distribution.
     pub latency: LatencyHistogram,
-    /// Latency of page accesses served at DRAM (hits and absorbed
-    /// writes).
-    pub dram_latency: LatencyHistogram,
     /// Latency of page accesses served from flash.
     pub flash_latency: LatencyHistogram,
     /// Device queueing delay of flash-served page accesses — zero under
-    /// the closed-form timing backend, real channel contention under
-    /// the event-driven one. Recorded separately from service so the
-    /// oracle path demonstrably reports wait = 0.
+    /// a serial channel shape, real contention under a parallel one.
+    /// Recorded separately from service so the serial path demonstrably
+    /// reports wait = 0.
     pub flash_queue_wait: LatencyHistogram,
     /// Service component (probe + array + ECC, no queueing) of
     /// flash-served page accesses.
@@ -188,9 +183,8 @@ pub struct Hierarchy {
     report: HierarchyReport,
     since_flush: u64,
     /// `DramModel::default().access_latency_us(PAGE_BYTES)`, the cost of
-    /// every PDC probe, and the same in seconds: computed once.
+    /// every PDC probe: computed once.
     dram_page_us: f64,
-    dram_page_s: f64,
     /// The current batch's flash-bound op stream, reused across batches.
     stream: Stream,
 }
@@ -265,14 +259,12 @@ impl Hierarchy {
             )?),
             None => None,
         };
-        let dram_page_us = DramModel::default().access_latency_us(PAGE_BYTES);
         Ok(Hierarchy {
             pdc: PrimaryDiskCache::new(pdc_pages),
             flash,
             report: HierarchyReport::default(),
             since_flush: 0,
-            dram_page_us,
-            dram_page_s: dram_page_us / 1e6,
+            dram_page_us: DramModel::default().access_latency_us(PAGE_BYTES),
             stream: Stream::default(),
             config,
         })
@@ -299,7 +291,6 @@ impl Hierarchy {
             reg.counter_add(name, *v);
         }
         reg.histogram_merge("hierarchy.request_latency", &r.latency);
-        reg.histogram_merge("hierarchy.dram_latency", &r.dram_latency);
         reg.histogram_merge("hierarchy.flash_latency", &r.flash_latency);
         // Wait vs. service split of the flash tier, exported without the
         // hierarchy prefix as the canonical flash-obs contention metrics.
@@ -574,13 +565,11 @@ impl Hierarchy {
         ops: &mut Vec<CacheOp>,
     ) -> bool {
         let write = op == OpKind::Write;
-        self.report.dram.record(self.dram_page_s, PAGE_BYTES, write);
         out.latency_us += self.dram_page_us;
         if !write && !self.pdc.access(page) {
             return true;
         }
         out.dram_hits += u32::from(!write);
-        self.report.dram_latency.record(self.dram_page_us);
         if write {
             self.install_in_pdc(page, true, ops);
         }
@@ -650,9 +639,14 @@ impl Hierarchy {
 
     /// The device activity so far, from which
     /// [`PowerInputs::power_at`] gives the DRAM, disk and flash power
-    /// over any wall time. Flash idles at [`FlashPower::idle_w`] of
-    /// each shard's MLC capacity; without flash both flash terms are 0.
+    /// over any wall time. Every page a request touches is one DRAM
+    /// page access: each read page ends as exactly one DRAM, flash or
+    /// disk page, and the rest are writes. Flash idles at
+    /// [`FlashPower::idle_w`] of each shard's MLC capacity; without
+    /// flash both flash terms are 0.
     pub fn power_inputs(&self) -> PowerInputs {
+        let r = &self.report;
+        let read_pages = r.dram_hit_pages + r.flash_hit_pages + r.disk_read_pages;
         let (flash_energy_mj, flash_idle_w) = self.flash.as_ref().map_or((0.0, 0.0), |f| {
             let devices = || f.shards().iter().map(FlashCache::device);
             (
@@ -663,11 +657,11 @@ impl Hierarchy {
             )
         });
         PowerInputs {
-            disk_busy_s: self.report.disk.busy_s,
+            disk_busy_s: r.disk.busy_s,
             flash_energy_mj,
             flash_idle_w,
-            dram_read_bytes: self.report.dram.read_bytes,
-            dram_write_bytes: self.report.dram.write_bytes,
+            dram_read_bytes: read_pages * PAGE_BYTES,
+            dram_write_bytes: (r.pages - read_pages) * PAGE_BYTES,
             dram_capacity_bytes: self.config.dram_bytes,
             hdd: self.config.hdd,
         }

@@ -1,28 +1,26 @@
-//! Hierarchy-level behaviour of the event-driven NAND backend.
+//! Hierarchy-level behaviour of the NAND scheduler.
 //!
-//! Pins the two observable contracts the redesign added to the
-//! simulator:
+//! Pins the two observable contracts it gives the simulator:
 //!
-//! * the flash latency histogram is now split into queue wait and
-//!   service (`flash.queue_wait_us` / `flash.service_us`), and on the
-//!   closed-form backend the wait component is identically zero;
-//! * under the event-driven backend, write-storm bursts create real
-//!   channel contention: tail flash latency rises versus the same read
-//!   traffic without the storm, and the queue-wait histogram records it.
+//! * the flash latency histogram is split into queue wait and service
+//!   (`flash.queue_wait_us` / `flash.service_us`), and on the serial
+//!   channel shape the wait component is identically zero;
+//! * on a parallel channel shape, write-storm bursts create real
+//!   contention: tail flash latency rises versus the same read traffic
+//!   without the storm, and the queue-wait histogram records it.
 
 use disk_trace::{DiskRequest, WorkloadSpec};
 use flashcache_core::FlashCacheConfig;
 use flashcache_sim::hierarchy::{Hierarchy, HierarchyConfig};
-use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry, TimingBackend};
+use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry};
 
-fn flash_config(backend: TimingBackend, channel: ChannelConfig) -> FlashCacheConfig {
+fn flash_config(channel: ChannelConfig) -> FlashCacheConfig {
     FlashCacheConfig::builder()
         .flash(FlashConfig {
             geometry: FlashGeometry {
                 blocks: 128,
                 pages_per_block: 32,
             },
-            timing_backend: backend,
             channel,
             ..FlashConfig::default()
         })
@@ -30,11 +28,11 @@ fn flash_config(backend: TimingBackend, channel: ChannelConfig) -> FlashCacheCon
         .expect("test geometry is valid")
 }
 
-fn hierarchy(backend: TimingBackend, channel: ChannelConfig) -> Hierarchy {
+fn hierarchy(channel: ChannelConfig) -> Hierarchy {
     Hierarchy::new(HierarchyConfig {
         // Small DRAM so flash actually sees traffic.
         dram_bytes: 1 << 20,
-        flash: Some(flash_config(backend, channel)),
+        flash: Some(flash_config(channel)),
         ..HierarchyConfig::default()
     })
 }
@@ -62,7 +60,7 @@ fn drive(h: &mut Hierarchy, storm: bool) {
 
 #[test]
 fn oracle_path_reports_zero_queue_wait() {
-    let mut h = hierarchy(TimingBackend::ClosedForm, ChannelConfig::default());
+    let mut h = hierarchy(ChannelConfig::default());
     drive(&mut h, true);
     let r = h.report();
     assert!(r.flash_hit_pages > 0, "trace must exercise flash hits");
@@ -70,7 +68,7 @@ fn oracle_path_reports_zero_queue_wait() {
     assert_eq!(
         r.flash_queue_wait.max_us(),
         0.0,
-        "closed form never queues, so recorded wait must be exactly zero"
+        "the serial shape never queues, so recorded wait must be exactly zero"
     );
     // Wait + service partition the flash latency histogram.
     assert_eq!(r.flash_queue_wait.count(), r.flash_latency.count());
@@ -100,9 +98,9 @@ fn write_storm_raises_tail_flash_latency() {
         .build()
         .expect("valid channel config");
 
-    let mut calm = hierarchy(TimingBackend::EventDriven, channel);
+    let mut calm = hierarchy(channel);
     drive(&mut calm, false);
-    let mut storm = hierarchy(TimingBackend::EventDriven, channel);
+    let mut storm = hierarchy(channel);
     drive(&mut storm, true);
 
     let calm_p99 = calm.report().flash_latency.percentile_us(0.99);

@@ -5,7 +5,9 @@
 //!   `ShardedCache::op` that `Hierarchy` ran before a batch's flash ops
 //!   became one engine batch, copied here. Every `RequestOutcome`, the
 //!   whole `HierarchyReport`, the flash `CacheStats` and the exported
-//!   metrics must agree bit for bit at every batch size. A request's
+//!   metrics must agree bit for bit at every batch size, and the DRAM
+//!   bytes `power_inputs` derives must equal the loop's own per-page
+//!   tally. A request's
 //!   write-backs and its close-out's disk read feed one `f64` busy-time
 //!   sum, so draining the write-backs after the close-out instead of
 //!   before fails `in_order_body_is_the_scalar_loop`.
@@ -62,6 +64,9 @@ struct Scalar {
     report: HierarchyReport,
     since_flush: u64,
     dram_page_us: f64,
+    /// Bytes read from and written to DRAM, one page per access.
+    dram_read_bytes: u64,
+    dram_write_bytes: u64,
 }
 
 impl Scalar {
@@ -76,6 +81,8 @@ impl Scalar {
             report: HierarchyReport::default(),
             since_flush: 0,
             dram_page_us: DramModel::default().access_latency_us(PAGE_BYTES),
+            dram_read_bytes: 0,
+            dram_write_bytes: 0,
             config: config.clone(),
         }
     }
@@ -89,10 +96,7 @@ impl Scalar {
                     let (lat, wait, tier) = self.read_page(page);
                     out.latency_us += lat;
                     match tier {
-                        ServiceTier::Dram => {
-                            out.dram_hits += 1;
-                            self.report.dram_latency.record(lat);
-                        }
+                        ServiceTier::Dram => out.dram_hits += 1,
                         ServiceTier::Flash => {
                             out.flash_hits += 1;
                             self.report.flash_latency.record(lat);
@@ -106,7 +110,6 @@ impl Scalar {
                     let lat = self.dram_access(true);
                     self.install_in_pdc(page, true);
                     out.latency_us += lat;
-                    self.report.dram_latency.record(lat);
                 }
             }
         }
@@ -146,9 +149,11 @@ impl Scalar {
     }
 
     fn dram_access(&mut self, write: bool) -> f64 {
-        self.report
-            .dram
-            .record(self.dram_page_us / 1e6, PAGE_BYTES, write);
+        if write {
+            self.dram_write_bytes += PAGE_BYTES;
+        } else {
+            self.dram_read_bytes += PAGE_BYTES;
+        }
         self.dram_page_us
     }
 
@@ -229,14 +234,16 @@ fn same_state(h: &Hierarchy, s: &Scalar) -> Result<(), TestCaseError> {
         (b.disk_read_pages, b.disk_write_pages)
     );
     prop_assert_eq!(a.total_latency_us.to_bits(), b.total_latency_us.to_bits());
-    for (x, y) in [(&a.dram, &b.dram), (&a.disk, &b.disk)] {
-        prop_assert_eq!(x, y);
-        prop_assert_eq!(x.busy_s.to_bits(), y.busy_s.to_bits());
-    }
+    prop_assert_eq!(&a.disk, &b.disk);
+    prop_assert_eq!(a.disk.busy_s.to_bits(), b.disk.busy_s.to_bits());
+    let power = h.power_inputs();
+    prop_assert_eq!(
+        (power.dram_read_bytes, power.dram_write_bytes),
+        (s.dram_read_bytes, s.dram_write_bytes)
+    );
     let histograms = |r: &HierarchyReport| {
         [
             r.latency.clone(),
-            r.dram_latency.clone(),
             r.flash_latency.clone(),
             r.flash_queue_wait.clone(),
             r.flash_service.clone(),

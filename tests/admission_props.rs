@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use flashcache::core::AdmissionPolicyConfig;
 use flashcache::core::SplitPolicy;
-use flashcache::nand::{ChannelConfig, FlashConfig, FlashGeometry, TimingBackend};
+use flashcache::nand::{ChannelConfig, FlashConfig, FlashGeometry};
 use flashcache::{CacheOp, FlashCache, FlashCacheConfig};
 
 fn small_config() -> FlashCacheConfig {
@@ -35,7 +35,6 @@ fn striped_config() -> FlashCacheConfig {
     let mut config = small_config();
     config.flash.geometry.blocks = 64;
     config.flash.geometry.pages_per_block = 2;
-    config.flash.timing_backend = TimingBackend::EventDriven;
     config.flash.channel = ChannelConfig::builder()
         .channels(4)
         .planes(2)
