@@ -9,7 +9,6 @@ use storage_model::{DramModel, HddModel};
 fn main() {
     let args = RunArgs::parse(1);
     args.announce("Table 2", "device performance and power constants");
-    let dram = DramModel::default();
     type T = FlashTiming;
     type P = FlashPower;
     let hdd = HddModel::barracuda();
@@ -20,10 +19,10 @@ fn main() {
     println!(
         "{:<16}{:>14}{:>14}{:>14}{:>14}{:>14}",
         "1Gb DDR2 DRAM",
-        format!("{:.0}mW", dram.active_mw_per_gbit),
-        format!("{:.0}mW", dram.idle_mw_per_gbit),
-        format!("{:.0}ns", dram.access_latency_ns + 5.0),
-        format!("{:.0}ns", dram.access_latency_ns + 5.0),
+        format!("{:.0}mW", DramModel::ACTIVE_MW_PER_GBIT),
+        format!("{:.0}mW", DramModel::IDLE_MW_PER_GBIT),
+        format!("{:.0}ns", DramModel::ACCESS_LATENCY_NS + 5.0),
+        format!("{:.0}ns", DramModel::ACCESS_LATENCY_NS + 5.0),
         "N/A"
     );
     println!(

@@ -11,14 +11,12 @@ use storage_model::{DramModel, HddModel};
 fn main() {
     let args = RunArgs::parse(1);
     args.announce("Table 3", "configuration parameters");
-    let dram = DramModel::default();
     type T = FlashTiming;
-    let ecc = EccLatencyModel::default();
     let hdd = HddModel::travelstar();
     println!("processor:        {CORES} cores, in-order (modelled via bottleneck analysis)");
     println!(
         "DRAM:             128MB..512MB, tRC = {:.0}ns",
-        dram.access_latency_ns
+        DramModel::ACCESS_LATENCY_NS
     );
     println!(
         "NAND flash:       256MB..2GB; read {:.0}us(SLC)/{:.0}us(MLC); write {:.0}us/{:.0}us; erase {:.1}ms/{:.1}ms",
@@ -28,8 +26,8 @@ fn main() {
     );
     println!(
         "BCH code latency: {:.0}us (t=3) .. {:.0}us (t=26)",
-        ecc.decode_us(3),
-        ecc.decode_us(26)
+        EccLatencyModel::decode_us(3),
+        EccLatencyModel::decode_us(26)
     );
     println!(
         "IDE disk:         average access latency {:.1}ms",

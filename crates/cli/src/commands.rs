@@ -201,15 +201,15 @@ fn flash_config(
         channel,
         ..FlashConfig::default()
     };
-    let builder = FlashCacheConfig::builder()
-        .flash(flash)
-        .admission(admission);
-    let builder = if unified {
-        builder.unified()
+    let split = if unified {
+        SplitPolicy::Unified
     } else {
-        builder.split(SplitPolicy::default())
+        SplitPolicy::default()
     };
-    builder
+    FlashCacheConfig::builder()
+        .flash(flash)
+        .admission(admission)
+        .split(split)
         .build()
         .map_err(|e| format!("{}MB: {e}", flash_bytes >> 20))
 }

@@ -10,13 +10,14 @@
 
 use std::collections::VecDeque;
 
+use flash_ecc::EccLatencyModel;
 use flash_obs::{Registry, ServiceTier};
 use nand_flash::{BlockId, CellMode, FlashDevice, FlashTiming, OpContext, PageAddr};
 
 use crate::admission::FrequencySketch;
 use crate::config::{
-    AdmissionPolicyConfig, ConfigError, FlashCacheConfig, SplitPolicy, ECC_LATENCY,
-    MISS_PENALTY_US, READ_GC_WATERMARK,
+    AdmissionPolicyConfig, ConfigError, FlashCacheConfig, SplitPolicy, MISS_PENALTY_US,
+    READ_GC_WATERMARK,
 };
 use crate::error::CacheError;
 use crate::reclaim::ReclaimIndex;
@@ -635,7 +636,7 @@ impl FlashCache {
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
             self.stats.flash_reads += 1;
             self.stamp_access(addr.block);
-            let ecc_us = ECC_LATENCY.decode_us(live_t as usize);
+            let ecc_us = EccLatencyModel::decode_us(live_t as usize);
             self.stats.ecc_us += ecc_us;
             // Adding the wait term last keeps the closed-form sum
             // bit-identical (wait is exactly 0.0 there).
@@ -809,7 +810,7 @@ impl FlashCache {
         self.fcht.insert(disk_page, addr);
         self.reclaim_sync(addr.block);
         self.stamp_access(addr.block);
-        Ok(out.latency_us + ECC_LATENCY.encode_us(strength as usize))
+        Ok(out.latency_us + EccLatencyModel::encode_us(strength as usize))
     }
 
     /// Unmaps a live page: clears its valid and dirty bits and its reverse
@@ -917,8 +918,8 @@ impl FlashCache {
             (true, true) => {
                 let freq = (self.fpst.access_count(addr) as f64 / self.config.hot_threshold as f64)
                     .min(1.0);
-                let d_code = ECC_LATENCY.decode_us(cfg_t as usize + 1)
-                    - ECC_LATENCY.decode_us(cfg_t as usize);
+                let d_code = EccLatencyModel::decode_us(cfg_t as usize + 1)
+                    - EccLatencyModel::decode_us(cfg_t as usize);
                 let d_tcs = freq * d_code;
                 let d_slc = FlashTiming::SLC_READ_US - FlashTiming::MLC_READ_US;
                 let d_miss = if self.usable_slots == 0 {

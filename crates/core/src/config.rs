@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use flash_ecc::EccLatencyModel;
 use nand_flash::FlashConfig;
 use storage_model::HddModel;
 
@@ -102,8 +101,6 @@ const MAX_ECC_STRENGTH: u8 = 12;
 /// fully capture the performance trends" (§7.2), which exercises only the
 /// latency model, not a real spare-area layout.
 const MODEL_ECC_LIMIT: u8 = 63;
-/// Timing of the BCH accelerator (Figure 6(a)).
-pub(crate) const ECC_LATENCY: EccLatencyModel = EccLatencyModel::PAPER;
 /// Weight of total ECC strength in the degree-of-wear-out cost (§3.3).
 pub(crate) const WEAR_K1: f64 = 0.5;
 /// Weight of SLC-converted pages in the degree-of-wear-out cost: a mode
@@ -204,10 +201,10 @@ impl FlashCacheConfig {
     /// validate and obtain the finished config.
     ///
     /// ```
-    /// use flashcache_core::{ControllerPolicy, FlashCacheConfig};
+    /// use flashcache_core::{ControllerPolicy, FlashCacheConfig, SplitPolicy};
     ///
     /// let config = FlashCacheConfig::builder()
-    ///     .unified()
+    ///     .split(SplitPolicy::Unified)
     ///     .controller(ControllerPolicy::FixedEcc { strength: 4 })
     ///     .build()
     ///     .expect("defaults tweaked within valid ranges");
@@ -248,6 +245,12 @@ impl FlashCacheConfig {
         if self.flash.geometry.blocks < 4 {
             return Err(ConfigError::new(
                 "cache needs at least 4 flash blocks".to_string(),
+            ));
+        }
+        // A block without pages holds nothing: every op would miss.
+        if self.flash.geometry.pages_per_block == 0 {
+            return Err(ConfigError::new(
+                "flash.geometry.pages_per_block must be at least 1".to_string(),
             ));
         }
         // A bad shape would otherwise panic in the scheduler at the
@@ -306,12 +309,6 @@ impl FlashCacheConfigBuilder {
     /// Sets the read/write split policy.
     pub fn split(mut self, split: SplitPolicy) -> Self {
         self.config.split = split;
-        self
-    }
-
-    /// Shorthand for [`SplitPolicy::Unified`].
-    pub fn unified(mut self) -> Self {
-        self.config.split = SplitPolicy::Unified;
         self
     }
 
@@ -389,6 +386,12 @@ mod tests {
         assert!(c.validate().is_ok());
         c.flash.geometry.blocks = 2;
         assert!(c.validate().is_err());
+        c.flash.geometry = FlashConfig::default().geometry;
+        assert!(c.validate().is_ok());
+        // A cache with no pages would serve every op as a silent miss.
+        c.flash.geometry.pages_per_block = 0;
+        let err = c.validate().unwrap_err();
+        assert!(err.to_string().contains("pages_per_block"), "{err}");
     }
 
     fn with_channel(channel: ChannelConfig) -> FlashCacheConfigBuilder {
@@ -467,7 +470,7 @@ mod tests {
     #[test]
     fn builder_sets_fields_and_validates() {
         let c = FlashCacheConfig::builder()
-            .unified()
+            .split(SplitPolicy::Unified)
             .controller(ControllerPolicy::FixedEcc { strength: 16 })
             .hot_threshold(4)
             .build()

@@ -2,12 +2,13 @@
 //! geometries, soft-error storms, region exhaustion, mode interactions,
 //! and recovery behaviour.
 
+use flash_ecc::EccLatencyModel;
 use nand_flash::{FlashConfig, FlashGeometry, WearConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::{AdmissionDecision, CacheOp, FlashCache};
-use crate::config::{ControllerPolicy, FlashCacheConfig, SplitPolicy, ECC_LATENCY};
+use crate::config::{ControllerPolicy, FlashCacheConfig, SplitPolicy};
 
 fn geometry(blocks: u32, pages_per_block: u32) -> FlashGeometry {
     FlashGeometry {
@@ -266,7 +267,7 @@ fn zipf_traffic_promotes_only_the_hot_head() {
     );
     // Hot page reads now run at SLC latency (25µs + decode < MLC 50µs + decode).
     let hot = c.op(CacheOp::read(0)).access.latency_us;
-    assert!(hot < 50.0 + ECC_LATENCY.decode_us(1), "hot={hot}");
+    assert!(hot < 50.0 + EccLatencyModel::decode_us(1), "hot={hot}");
 }
 
 #[test]

@@ -1,15 +1,13 @@
 //! A vendored FxHash-style hasher for integer-keyed hot paths.
 //!
-//! Every map in the simulator keys on trusted integers (disk page
-//! numbers, LBAs, block ids), so SipHash's HashDoS resistance buys
-//! nothing while costing ~3-4x per lookup. This is the rustc-hash
+//! The primary disk cache's page map ([`crate::pdc`]) keys on trusted
+//! disk page numbers, so SipHash's HashDoS resistance buys nothing
+//! while costing ~3-4x per lookup. This is the rustc-hash
 //! multiply-rotate construction: deterministic across runs and
 //! platforms of equal pointer width, one multiply per word. Vendored
-//! rather than depended on — the workspace builds offline.
-//!
-//! The module lives in `nand-flash` (the lowest crate with a hashed hot
-//! path: the verified-flash spare store) and is re-exported by
-//! `flashcache-core::fxhash` for the cache-layer tables.
+//! rather than depended on — the workspace builds offline. The FCHT
+//! ([`crate::tables::Fcht`]) addresses its probes with the same
+//! multiplier, [`SEED`].
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -21,7 +19,7 @@ pub struct FxHasher {
 }
 
 /// Knuth-style odd multiplicative constant (2^64 / golden ratio).
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+pub(crate) const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 impl FxHasher {
     #[inline]

@@ -40,6 +40,7 @@ pub mod config;
 #[cfg(test)]
 mod edge_tests;
 mod error;
+mod fxhash;
 pub mod lru;
 mod maint;
 pub mod pdc;

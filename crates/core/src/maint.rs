@@ -7,10 +7,11 @@
 //! accounted as *background* time in [`CacheStats::gc_time_us`], matching
 //! the paper's "all GCs are performed in the background".
 
+use flash_ecc::EccLatencyModel;
 use nand_flash::{BlockId, CellMode, OpContext, PageAddr};
 
 use crate::cache::{FlashCache, OpenBlock};
-use crate::config::{ECC_LATENCY, GC_MIN_INVALID_FRACTION};
+use crate::config::GC_MIN_INVALID_FRACTION;
 use crate::error::CacheError;
 use crate::tables::RegionKind;
 
@@ -381,7 +382,7 @@ impl FlashCache {
                 .read_page_with(addr, OpContext::background())
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
             self.stats.flash_reads += 1;
-            *gc_us += out.latency_us + ECC_LATENCY.decode_us(live_t as usize);
+            *gc_us += out.latency_us + EccLatencyModel::decode_us(live_t as usize);
             if out.raw_bit_errors > live_t as u32 {
                 self.raise_lost_copy();
                 self.drop_valid_page(addr, false);

@@ -2,7 +2,7 @@
 //! the flash secondary cache (Figure 2). Managed by the OS as a
 //! write-back LRU over 2KB disk pages.
 
-use nand_flash::fxhash::FxHashMap;
+use crate::fxhash::FxHashMap;
 
 /// Result of a PDC insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

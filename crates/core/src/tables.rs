@@ -7,6 +7,7 @@ use std::cell::Cell;
 use nand_flash::{BlockId, CellMode, FlashGeometry, PageAddr};
 
 use crate::config::{WEAR_K1, WEAR_K2};
+use crate::fxhash;
 
 /// Which cache region a block belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,10 +92,6 @@ impl Default for Fcht {
     }
 }
 
-/// Multiplicative hash constant (2^64 / golden ratio, forced odd) —
-/// the same one [`nand_flash::fxhash::FxHasher`] uses.
-const FCHT_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
 impl Fcht {
     /// Creates an empty table.
     pub fn new() -> Self {
@@ -145,7 +142,7 @@ impl Fcht {
     /// The multiplicative hash all probe addressing derives from.
     #[inline]
     pub(crate) fn hash(key: u64) -> u64 {
-        key.wrapping_mul(FCHT_SEED)
+        key.wrapping_mul(fxhash::SEED)
     }
 
     /// 7-bit control fragment: middle product bits, disjoint from the

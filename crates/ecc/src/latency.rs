@@ -27,72 +27,57 @@ impl DecodeLatency {
     }
 }
 
-/// Latency model parameters for the programmable controller accelerator.
+/// Latency constants of the programmable controller accelerator.
 ///
-/// The defaults reproduce Figure 6(a): a roughly linear climb from ~36µs
-/// at t=2 to ~180µs at t=11, split between syndrome computation and Chien
+/// They reproduce Figure 6(a): a roughly linear climb from ~36µs at t=2
+/// to ~180µs at t=11, split between syndrome computation and Chien
 /// search, with the Table 3 range (58µs–400µs) covered across t=1..=26.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EccLatencyModel {
-    /// Fixed decode overhead in µs (descriptor handling, setup).
-    pub decode_base_us: f64,
-    /// Per-correctable-bit syndrome cost in µs.
-    pub syndrome_per_t_us: f64,
-    /// Per-correctable-bit Chien search cost in µs (after the 16-way
-    /// parallelization of the paper's accelerator).
-    pub chien_per_t_us: f64,
-    /// Encode latency per correctable bit in µs (LFSR pass; small).
-    pub encode_per_t_us: f64,
-    /// CRC32 check latency in µs ("tens of nanoseconds" in the paper).
-    pub crc_us: f64,
-}
-
-impl Default for EccLatencyModel {
-    fn default() -> Self {
-        Self::PAPER
-    }
-}
+#[derive(Debug)]
+pub enum EccLatencyModel {}
 
 impl EccLatencyModel {
-    /// The Figure 6(a) calibration (the [`Default`]).
     // Calibration: total(t) = base + (syndrome + chien) * t.
     // t=2 -> ~36µs, t=11 -> ~180µs matches the Fig. 6(a) series;
     // t=1 -> 58µs is below Table 3's quoted floor because Table 3
     // also folds in controller overhead; we fold that into base.
-    pub const PAPER: EccLatencyModel = EccLatencyModel {
-        decode_base_us: 26.0,
-        syndrome_per_t_us: 6.0,
-        chien_per_t_us: 8.0,
-        encode_per_t_us: 1.5,
-        crc_us: 0.05,
-    };
+    /// Fixed decode overhead in µs (descriptor handling, setup).
+    pub const DECODE_BASE_US: f64 = 26.0;
+    /// Per-correctable-bit syndrome cost in µs.
+    pub const SYNDROME_PER_T_US: f64 = 6.0;
+    /// Per-correctable-bit Chien search cost in µs (after the 16-way
+    /// parallelization of the paper's accelerator).
+    pub const CHIEN_PER_T_US: f64 = 8.0;
+    /// Encode latency per correctable bit in µs (LFSR pass; small).
+    pub const ENCODE_PER_T_US: f64 = 1.5;
+    /// CRC32 check latency in µs ("tens of nanoseconds" in the paper).
+    pub const CRC_US: f64 = 0.05;
 
     /// Decode latency breakdown at strength `t`. Strength 0 (no ECC)
     /// costs only the CRC check.
-    pub fn decode(&self, t: usize) -> DecodeLatency {
+    pub fn decode(t: usize) -> DecodeLatency {
         if t == 0 {
             return DecodeLatency {
-                syndrome_us: self.crc_us,
+                syndrome_us: Self::CRC_US,
                 chien_us: 0.0,
             };
         }
         DecodeLatency {
-            syndrome_us: self.decode_base_us / 2.0 + self.syndrome_per_t_us * t as f64,
-            chien_us: self.decode_base_us / 2.0 + self.chien_per_t_us * t as f64,
+            syndrome_us: Self::DECODE_BASE_US / 2.0 + Self::SYNDROME_PER_T_US * t as f64,
+            chien_us: Self::DECODE_BASE_US / 2.0 + Self::CHIEN_PER_T_US * t as f64,
         }
     }
 
     /// Total decode latency in µs at strength `t`.
-    pub fn decode_us(&self, t: usize) -> f64 {
-        self.decode(t).total_us()
+    pub fn decode_us(t: usize) -> f64 {
+        Self::decode(t).total_us()
     }
 
     /// Encode latency in µs at strength `t`.
-    pub fn encode_us(&self, t: usize) -> f64 {
+    pub fn encode_us(t: usize) -> f64 {
         if t == 0 {
-            self.crc_us
+            Self::CRC_US
         } else {
-            self.crc_us + self.encode_per_t_us * t as f64
+            Self::CRC_US + Self::ENCODE_PER_T_US * t as f64
         }
     }
 }
@@ -103,10 +88,9 @@ mod tests {
 
     #[test]
     fn latency_is_monotonic_in_strength() {
-        let m = EccLatencyModel::default();
         let mut prev = 0.0;
         for t in 0..=50 {
-            let d = m.decode_us(t);
+            let d = EccLatencyModel::decode_us(t);
             assert!(d > prev, "t={t}: {d} <= {prev}");
             prev = d;
         }
@@ -114,36 +98,35 @@ mod tests {
 
     #[test]
     fn calibration_matches_figure_6a_shape() {
-        let m = EccLatencyModel::default();
         // Fig. 6(a): t=2 in the ~30-60µs range, t=11 in the ~150-200µs range.
-        let t2 = m.decode_us(2);
-        let t11 = m.decode_us(11);
+        let t2 = EccLatencyModel::decode_us(2);
+        let t11 = EccLatencyModel::decode_us(11);
         assert!((30.0..=60.0).contains(&t2), "t=2 -> {t2}µs");
         assert!((150.0..=200.0).contains(&t11), "t=11 -> {t11}µs");
         // Table 3 quotes 58µs-400µs across the simulated strengths.
-        assert!(m.decode_us(3) >= 58.0);
-        assert!(m.decode_us(26) <= 420.0);
+        assert!(EccLatencyModel::decode_us(3) >= 58.0);
+        assert!(EccLatencyModel::decode_us(26) <= 420.0);
     }
 
     #[test]
     fn zero_strength_costs_only_crc() {
-        let m = EccLatencyModel::default();
-        assert!(m.decode_us(0) < 0.1);
-        assert!(m.encode_us(0) < 0.1);
+        assert!(EccLatencyModel::decode_us(0) < 0.1);
+        assert!(EccLatencyModel::encode_us(0) < 0.1);
     }
 
     #[test]
     fn encode_is_cheap_relative_to_decode() {
-        let m = EccLatencyModel::default();
         for t in 1..=12 {
-            assert!(m.encode_us(t) < m.decode_us(t) / 4.0, "t={t}");
+            assert!(
+                EccLatencyModel::encode_us(t) < EccLatencyModel::decode_us(t) / 4.0,
+                "t={t}"
+            );
         }
     }
 
     #[test]
     fn breakdown_sums_to_total() {
-        let m = EccLatencyModel::default();
-        let d = m.decode(7);
+        let d = EccLatencyModel::decode(7);
         assert!((d.total_us() - (d.syndrome_us + d.chien_us)).abs() < 1e-12);
     }
 }

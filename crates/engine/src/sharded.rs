@@ -30,8 +30,8 @@ pub struct EngineConfig {
     /// Threads servicing a batch, counting the submitting thread: `1`
     /// runs every shard on the caller, `w` adds `w - 1` helper threads.
     /// `None` uses the machine's available parallelism; either way the
-    /// count is capped by the shard count. Results never depend on it —
-    /// only wall-clock time does.
+    /// count is capped by the shard count. `Some(0)` is an error.
+    /// Results never depend on it — only wall-clock time does.
     pub workers: Option<usize>,
 }
 
@@ -44,6 +44,11 @@ pub enum EngineError {
     InvalidShardCount {
         /// The rejected count.
         shards: usize,
+    },
+    /// An explicit worker count must be at least 1.
+    InvalidWorkerCount {
+        /// The rejected count.
+        workers: usize,
     },
     /// The device's blocks cannot be divided evenly across the shards —
     /// an uneven split would silently change total capacity.
@@ -61,6 +66,9 @@ impl fmt::Display for EngineError {
             EngineError::Config(e) => write!(f, "{e}"),
             EngineError::InvalidShardCount { shards } => {
                 write!(f, "shard count must be >= 1, got {shards}")
+            }
+            EngineError::InvalidWorkerCount { workers } => {
+                write!(f, "worker count must be >= 1, got {workers}")
             }
             EngineError::IndivisibleBlocks { blocks, shards } => write!(
                 f,
@@ -187,6 +195,7 @@ impl ShardedCache {
     /// # Errors
     ///
     /// * [`EngineError::InvalidShardCount`] for `shards == 0`;
+    /// * [`EngineError::InvalidWorkerCount`] for `workers: Some(0)`;
     /// * [`EngineError::IndivisibleBlocks`] if the block count does not
     ///   divide evenly;
     /// * [`EngineError::Config`] if the derived per-shard configuration
@@ -207,6 +216,9 @@ impl ShardedCache {
     ) -> Result<Self, EngineError> {
         if shards == 0 {
             return Err(EngineError::InvalidShardCount { shards });
+        }
+        if engine.workers == Some(0) {
+            return Err(EngineError::InvalidWorkerCount { workers: 0 });
         }
         let blocks = config.flash.geometry.blocks;
         if !(blocks as usize).is_multiple_of(shards) {
@@ -550,6 +562,19 @@ mod tests {
         let e = ShardedCache::new(config(32), 4).unwrap();
         assert_eq!(e.shard_count(), 4);
         assert_eq!(e.shards()[0].device().geometry().blocks, 8);
+    }
+
+    #[test]
+    fn zero_workers_is_rejected_not_rounded_up() {
+        let engine = |workers| EngineConfig {
+            workers: Some(workers),
+        };
+        assert_eq!(
+            ShardedCache::with_engine_config(config(32), 4, engine(0)).err(),
+            Some(EngineError::InvalidWorkerCount { workers: 0 })
+        );
+        let e = ShardedCache::with_engine_config(config(32), 4, engine(1)).unwrap();
+        assert_eq!(e.workers(), 1);
     }
 
     #[test]

@@ -245,8 +245,6 @@ pub struct FlashDevice {
     rng: SmallRng,
     /// Per-block erase counts.
     erase_counts: Vec<u64>,
-    /// Worst (slowest-erasing) mode programmed since the last erase.
-    block_worst_mode: Vec<Option<CellMode>>,
     /// Per-slot state, indexed `block * slots_per_block + slot`.
     slots: Vec<SlotState>,
     /// Per-physical-page committed mode (None = uncommitted).
@@ -291,7 +289,6 @@ impl FlashDevice {
             model: EventDriven::new(config.channel),
             rng,
             erase_counts: vec![0; geometry.blocks as usize],
-            block_worst_mode: vec![None; geometry.blocks as usize],
             slots: vec![SlotState::Erased; slots],
             modes: vec![None; phys],
             wear,
@@ -466,11 +463,6 @@ impl FlashDevice {
         if let Some(stored) = self.payloads.get_mut(si) {
             *stored = data.map(Box::from);
         }
-        let b = addr.block.0 as usize;
-        self.block_worst_mode[b] = Some(match (self.block_worst_mode[b], mode) {
-            (Some(CellMode::Mlc), _) | (_, CellMode::Mlc) => CellMode::Mlc,
-            _ => CellMode::Slc,
-        });
         let t = self.model.op(&OpRequest {
             class: OpClass::Program,
             mode,
@@ -599,14 +591,18 @@ impl FlashDevice {
         for s in &mut self.slots[b * spb..(b + 1) * spb] {
             *s = SlotState::Erased;
         }
+        // The block erases at its slowest programmed mode: MLC if any
+        // physical page was committed MLC, else SLC.
+        let mut worst = CellMode::Slc;
         for m in &mut self.modes[b * ppb..(b + 1) * ppb] {
-            *m = None;
+            if m.take() == Some(CellMode::Mlc) {
+                worst = CellMode::Mlc;
+            }
         }
         if let Some(bytes) = self.payloads.get_mut(b * spb..(b + 1) * spb) {
             bytes.fill_with(|| None);
         }
         self.erase_counts[b] += 1;
-        let worst = self.block_worst_mode[b].take().unwrap_or(CellMode::Slc);
         let t = self.model.op(&OpRequest {
             class: OpClass::Erase,
             mode: worst,
@@ -785,6 +781,19 @@ mod tests {
             .unwrap();
         let out = d.erase_block(BlockId(0)).unwrap();
         assert_eq!(out.latency_us, 3300.0);
+        // One SLC and one MLC physical page: the MLC cost, whichever
+        // was programmed first.
+        for modes in [
+            [CellMode::Slc, CellMode::Mlc],
+            [CellMode::Mlc, CellMode::Slc],
+        ] {
+            for (slot, mode) in [0, 2].into_iter().zip(modes) {
+                d.program_page(PageAddr::new(BlockId(1), slot), mode, None)
+                    .unwrap();
+            }
+            let out = d.erase_block(BlockId(1)).unwrap();
+            assert_eq!(out.latency_us, 3300.0, "{modes:?}");
+        }
         // Untouched blocks default to the SLC erase cost.
         let out = d.erase_block(BlockId(2)).unwrap();
         assert_eq!(out.latency_us, 1500.0);

@@ -7,8 +7,6 @@
 //! (§4.2), Table 2/3 timing and power, and wear-driven bit-error
 //! injection backed by the `flash-reliability` lifetime model.
 //!
-//! * [`fxhash`] — vendored deterministic hasher for integer-keyed hot
-//!   paths;
 //! * [`geometry`] — blocks, physical pages, slots, capacity math;
 //! * [`timing`] — per-operation latency and energy constants;
 //! * [`sched`] — device timing: the one channel/plane scheduler, whose
@@ -41,7 +39,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod device;
-pub mod fxhash;
 pub mod geometry;
 pub mod sampling;
 pub mod sched;

@@ -153,10 +153,9 @@ impl WearModel {
 /// tiny-λ Poisson draws).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageWearState {
-    /// Quality offset in decades (positive = better than average).
-    pub quality_delta: f32,
-    /// `10^-quality_delta`, precomputed so the per-read path avoids
-    /// `powf`.
+    /// `10^-delta` for the page's quality offset `delta` in decades
+    /// (positive = better than average), precomputed so the per-read
+    /// path avoids `powf`.
     quality_factor: f64,
     /// Erase count the lambdas were last evaluated at.
     last_erases: u64,
@@ -179,11 +178,10 @@ impl Default for PageWearState {
 impl PageWearState {
     /// Creates a fresh page with the given quality offset.
     pub fn with_quality(delta: f64) -> Self {
-        // Round through f32 first so the precomputed factor matches the
-        // stored `quality_delta`.
+        // Round the offset to f32 precision: the pinned wear figures
+        // depend on that rounding.
         let delta = delta as f32;
         PageWearState {
-            quality_delta: delta,
             quality_factor: 10f64.powf(-(delta as f64)),
             last_erases: 0,
             lambda_mlc: 0.0,
@@ -272,6 +270,15 @@ mod tests {
     fn fast_model() -> WearModel {
         // Accelerate hard so failures appear within a few hundred erases.
         WearModel::new(WearConfig::default().accelerated(1e4))
+    }
+
+    #[test]
+    fn page_state_is_small_and_keeps_the_f32_quality_rounding() {
+        // One per physical page: five 8-byte words.
+        assert_eq!(std::mem::size_of::<PageWearState>(), 40);
+        let page = PageWearState::with_quality(0.1);
+        assert_eq!(page.quality_factor, 10f64.powf(-(0.1f32 as f64)));
+        assert_ne!(page.quality_factor, 10f64.powf(-0.1));
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub struct DecodeLatencyPoint {
 /// paper's 100MHz accelerator model. Independent per `t`, so sweep
 /// points can be computed in parallel.
 pub fn decode_latency_point(t: usize) -> DecodeLatencyPoint {
-    let d = EccLatencyModel::default().decode(t);
+    let d = EccLatencyModel::decode(t);
     DecodeLatencyPoint {
         t,
         syndrome_us: d.syndrome_us,

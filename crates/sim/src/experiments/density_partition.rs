@@ -30,7 +30,7 @@ pub struct DensityPoint {
 }
 
 /// ECC strength assumed for hit latency: every flash hit pays the
-/// paper's accelerator ([`EccLatencyModel::PAPER`]) decoding BCH-1.
+/// paper's accelerator ([`EccLatencyModel`]) decoding BCH-1.
 const ECC_STRENGTH: usize = 1;
 
 /// Disk behind the cache: every miss pays one Travelstar access.
@@ -76,7 +76,7 @@ pub fn average_latency(cdf: &RankCdf, area_mm2: f64, slc_fraction: f64) -> f64 {
     // A cell in SLC mode stores half of its MLC capacity.
     let slc_pages = (mlc_bytes * slc_fraction / 2.0 / PAGE_BYTES as f64) as u64;
     let mlc_pages = (mlc_bytes * (1.0 - slc_fraction) / PAGE_BYTES as f64) as u64;
-    let ecc_us = EccLatencyModel::PAPER.decode_us(ECC_STRENGTH);
+    let ecc_us = EccLatencyModel::decode_us(ECC_STRENGTH);
     let slc_cov = cdf.coverage(slc_pages);
     let total_cov = cdf.coverage(slc_pages + mlc_pages);
     let mlc_cov = total_cov - slc_cov;

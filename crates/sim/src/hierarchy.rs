@@ -16,8 +16,11 @@ use flashcache_engine::{EngineConfig, EngineError, ShardedCache};
 use nand_flash::{CellMode, FlashPower};
 use storage_model::{ActivityTracker, DramModel, DramPowerBreakdown, HddModel};
 
+/// The cost of every PDC probe: one DRAM access of a page.
+const DRAM_PAGE_US: f64 = DramModel::access_latency_us(PAGE_BYTES);
+
 /// Configuration of a [`Hierarchy`]. The DRAM is Table 2's DDR2
-/// ([`DramModel::default`]).
+/// ([`DramModel`]).
 #[derive(Debug, Clone)]
 pub struct HierarchyConfig {
     /// DRAM capacity holding the primary disk cache, bytes.
@@ -73,7 +76,7 @@ pub struct PowerInputs {
 impl PowerInputs {
     /// Power breakdown `(dram, disk_w, flash_w)` over `elapsed_s`.
     pub fn power_at(&self, elapsed_s: f64) -> (DramPowerBreakdown, f64, f64) {
-        let dram = DramModel::default().power_breakdown(
+        let dram = DramModel::power_breakdown(
             self.dram_capacity_bytes,
             self.dram_read_bytes,
             self.dram_write_bytes,
@@ -182,9 +185,6 @@ pub struct Hierarchy {
     flash: Option<ShardedCache>,
     report: HierarchyReport,
     since_flush: u64,
-    /// `DramModel::default().access_latency_us(PAGE_BYTES)`, the cost of
-    /// every PDC probe: computed once.
-    dram_page_us: f64,
     /// The current batch's flash-bound op stream, reused across batches.
     stream: Stream,
 }
@@ -264,7 +264,6 @@ impl Hierarchy {
             flash,
             report: HierarchyReport::default(),
             since_flush: 0,
-            dram_page_us: DramModel::default().access_latency_us(PAGE_BYTES),
             stream: Stream::default(),
             config,
         })
@@ -321,13 +320,6 @@ impl Hierarchy {
             reg.merge(&f.export_metrics());
         }
         Snapshot::new(reg)
-    }
-
-    /// The first flash shard, when flash is present. With the default
-    /// `flash_shards: 1` this *is* the whole flash cache; with more
-    /// shards prefer [`Hierarchy::flash_engine`] for merged views.
-    pub fn flash(&self) -> Option<&FlashCache> {
-        self.flash.as_ref().map(|f| &f.shards()[0])
     }
 
     /// The sharded flash engine, when flash is present.
@@ -454,16 +446,16 @@ impl Hierarchy {
                     continue;
                 }
                 for _ in next..op.lba {
-                    out.latency_us += self.dram_page_us;
+                    out.latency_us += DRAM_PAGE_US;
                 }
                 next = op.lba + 1;
-                let lat = self.dram_page_us + fo.latency_us;
+                let lat = DRAM_PAGE_US + fo.latency_us;
                 out.latency_us += lat;
                 self.read_from_flash(fo, lat, out);
             }
             if reread {
                 for _ in next..req.page + u64::from(req.len) {
-                    out.latency_us += self.dram_page_us;
+                    out.latency_us += DRAM_PAGE_US;
                 }
             }
             self.close_out(req, out);
@@ -502,7 +494,7 @@ impl Hierarchy {
         for (fo, &(ri, installed)) in stream.outs[reads..].iter().zip(&stream.marks) {
             let out = &mut outs[ri];
             out.latency_us += fo.latency_us;
-            self.read_from_flash(fo, self.dram_page_us + fo.latency_us, out);
+            self.read_from_flash(fo, DRAM_PAGE_US + fo.latency_us, out);
             self.written_back(&stream.outs[at..installed]);
             at = installed;
         }
@@ -565,7 +557,7 @@ impl Hierarchy {
         ops: &mut Vec<CacheOp>,
     ) -> bool {
         let write = op == OpKind::Write;
-        out.latency_us += self.dram_page_us;
+        out.latency_us += DRAM_PAGE_US;
         if !write && !self.pdc.access(page) {
             return true;
         }

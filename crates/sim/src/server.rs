@@ -38,14 +38,10 @@ pub struct ServerReport {
     pub elapsed_s: f64,
     /// Sustained request throughput, requests/second.
     pub throughput_rps: f64,
-    /// Bytes served to the network.
-    pub bytes_served: u64,
     /// Network bandwidth, MB/s.
     pub network_mbps: f64,
     /// Which resource bounded the run.
     pub bottleneck: Bottleneck,
-    /// Mean storage latency per request, µs.
-    pub avg_storage_latency_us: f64,
     /// Flash read hit pages / total pages (0 for DRAM-only).
     pub flash_hit_fraction: f64,
     /// Disk read pages / total pages.
@@ -86,10 +82,10 @@ pub fn run_server(
         hierarchy.submit(req);
     }
     hierarchy.reset_measurements();
-    let mut bytes_served = 0u64;
+    let mut served_bytes = 0u64;
     for _ in 0..requests {
         let req = generator.next_request();
-        bytes_served += req.bytes();
+        served_bytes += req.bytes();
         hierarchy.submit(req);
     }
     hierarchy.drain();
@@ -126,10 +122,8 @@ pub fn run_server(
         requests,
         elapsed_s,
         throughput_rps: requests as f64 / elapsed_s,
-        bytes_served,
-        network_mbps: bytes_served as f64 / 1e6 / elapsed_s,
+        network_mbps: served_bytes as f64 / 1e6 / elapsed_s,
         bottleneck,
-        avg_storage_latency_us: report.avg_latency_us(),
         flash_hit_fraction: if report.pages == 0 {
             0.0
         } else {

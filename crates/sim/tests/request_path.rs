@@ -80,7 +80,7 @@ impl Scalar {
             flash,
             report: HierarchyReport::default(),
             since_flush: 0,
-            dram_page_us: DramModel::default().access_latency_us(PAGE_BYTES),
+            dram_page_us: DramModel::access_latency_us(PAGE_BYTES),
             dram_read_bytes: 0,
             dram_write_bytes: 0,
             config: config.clone(),

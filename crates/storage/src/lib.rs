@@ -11,10 +11,9 @@
 //! ```
 //! use storage_model::{DramModel, HddModel};
 //!
-//! let dram = DramModel::default();
 //! let disk = HddModel::travelstar();
 //! // The latency gap flash bridges: DRAM ~55ns vs disk ~4.2ms.
-//! assert!(disk.access_latency_us(2048) > 1000.0 * dram.access_latency_us(2048));
+//! assert!(disk.access_latency_us(2048) > 1000.0 * DramModel::access_latency_us(2048));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -57,7 +57,9 @@ fn trace_to_hierarchy_to_power_pipeline() {
     assert!(disk_w > 0.0);
     assert!(flash_w > 0.0);
     // The flash cache inside is structurally sound.
-    hierarchy.flash().unwrap().check_invariants().unwrap();
+    for shard in hierarchy.flash_engine().unwrap().shards() {
+        shard.check_invariants().unwrap();
+    }
 }
 
 #[test]
@@ -272,7 +274,7 @@ fn default_admission_matches_the_papers_rule_on_a_footprint_it_remembers() {
             h.submit(generator.next_request());
         }
         h.drain();
-        let flash = h.flash().unwrap();
+        let flash = &h.flash_engine().unwrap().shards()[0];
         assert_eq!(flash.admission_bar(), 0);
         (format!("{:?}", h.report()), flash.stats())
     };
