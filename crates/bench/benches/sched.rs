@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the NAND scheduler: schedule + drain
-//! cycles at queue depths 1, 8, and 64, plus the serial configuration —
-//! the scheduler hot path itself, isolated from the cache layers above
-//! it.
+//! cycles at queue depths 1, 8, and 64, the serial configuration, and
+//! foreground reads overtaking booked background programs — the
+//! scheduler hot path itself, isolated from the cache layers above it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -47,6 +47,30 @@ fn cycle(cfg: ChannelConfig, burst: u32) -> f64 {
     model.drain()
 }
 
+/// One overtaking cycle on a long-lived model: bursts of three
+/// background programs on one of four lanes, each followed by a
+/// foreground read there that goes ahead of every program on that lane
+/// not yet started, then a drain. The model is reused, so its timelines
+/// stay at their high-water mark and nothing is allocated.
+fn overtake_cycle(model: &mut EventDriven, burst: u32) -> f64 {
+    const LANES: [u32; 4] = [0, 1, CHANNELS, CHANNELS + 1];
+    for i in 0..burst {
+        let block = LANES[(i / 4 % 4) as usize];
+        let req = OpRequest {
+            class: if i % 4 == 3 {
+                OpClass::Read
+            } else {
+                OpClass::Program
+            },
+            mode: CellMode::Mlc,
+            block,
+            background: i % 4 != 3,
+        };
+        std::hint::black_box(model.op(&req));
+    }
+    model.drain()
+}
+
 fn bench_sched(c: &mut Criterion) {
     for depth in [1u32, 8, 64] {
         let cfg = config(depth);
@@ -60,6 +84,10 @@ fn bench_sched(c: &mut Criterion) {
         .expect("serial config is valid");
     c.bench_function("sched_cycle_serial", |b| {
         b.iter(|| std::hint::black_box(cycle(serial, 256)))
+    });
+    let mut model = EventDriven::new(config(8));
+    c.bench_function("sched_cycle_overtake", |b| {
+        b.iter(|| std::hint::black_box(overtake_cycle(&mut model, 256)))
     });
 }
 

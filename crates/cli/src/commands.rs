@@ -98,7 +98,8 @@ DEVICE PARALLELISM (simulate, sweep, lifetime — any of these flags
 switches flash timing to the event-driven backend):
   --channels N        independent NAND channels (default 1)
   --planes N          planes per channel (default 1)
-  --queue-depth N     outstanding ops admitted per channel (default 4)
+  --queue-depth N     outstanding background ops per channel, at most
+                      65536 (default 4); a foreground read takes no slot
 
 SWEEP:
   --sizes-mb A,B,C    flash sizes to evaluate (default 8,16,32,64)
@@ -177,7 +178,9 @@ fn channel_config(args: &Args) -> Result<ChannelConfig, String> {
         .planes(planes)
         .queue_depth(queue_depth)
         .build()
-        .map_err(|e| e.to_string())
+        .map_err(|e| {
+            format!("{e} (--channels {channels} --planes {planes} --queue-depth {queue_depth})")
+        })
 }
 
 /// Reads the `--admission` option shared by `simulate`, `sweep`, and

@@ -243,6 +243,11 @@ fn bad_input_fails_with_nonzero_status() {
             &["export", "--write-fraction", "1.5", "--requests", "20"],
             "--write-fraction",
         ),
+        // A window this deep would ask for 256 GB of slots.
+        (
+            &["simulate", "--channels", "8", "--queue-depth", "4000000000"],
+            "--queue-depth",
+        ),
     ] {
         let out = Command::new(exe).args(args).output().expect("spawn CLI");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -177,8 +177,8 @@ pub struct FlashStats {
     pub bit_errors: u64,
     /// Total µs spent in operations.
     pub busy_us: f64,
-    /// Total µs spent queued before service (zero under a serial
-    /// channel shape).
+    /// Total µs spent queued, start − arrival over all ops (zero under
+    /// a serial channel shape).
     pub wait_us: f64,
     /// Total energy in millijoules.
     pub energy_mj: f64,
@@ -273,7 +273,8 @@ impl FlashDevice {
     /// # Panics
     ///
     /// Panics with the [`ChannelConfig::validate`] error text if
-    /// `config.channel` has a zero channel, plane or queue-depth count.
+    /// `config.channel` has a zero count or a queue depth above
+    /// [`ChannelConfig::MAX_QUEUE_DEPTH`].
     pub fn new(config: FlashConfig) -> Self {
         let geometry = config.geometry;
         let wear_model = WearModel::new(config.wear);
@@ -525,7 +526,7 @@ impl FlashDevice {
         self.stats.reads += 1;
         self.stats.bit_errors += raw_bit_errors as u64;
         self.stats.busy_us += latency_us;
-        self.stats.wait_us += t.wait_us;
+        self.stats.wait_us += t.wait_us + self.model.take_pushed_us();
         self.stats.energy_mj += energy_mj;
         let data = self
             .payloads
@@ -812,6 +813,35 @@ mod tests {
         assert!(s.energy_mj > 0.0);
         d.reset_stats();
         assert_eq!(d.stats(), FlashStats::default());
+    }
+
+    /// A read that overtakes a booked program charges the program's
+    /// later start to `wait_us`: the total stays start − arrival.
+    #[test]
+    fn wait_counts_the_delay_an_overtaking_read_pushes() {
+        let mut d = FlashDevice::new(FlashConfig {
+            geometry: FlashGeometry {
+                blocks: 1,
+                pages_per_block: 2,
+            },
+            channel: ChannelConfig {
+                queue_depth: 8,
+                ..ChannelConfig::default()
+            },
+            ..FlashConfig::default()
+        });
+        let bg = OpContext::background();
+        let first = PageAddr::new(BlockId(0), 0);
+        d.program_page_with(first, CellMode::Mlc, None, bg).unwrap();
+        let booked = d
+            .program_page_with(PageAddr::new(BlockId(0), 1), CellMode::Mlc, None, bg)
+            .unwrap();
+        assert_eq!(booked.wait_us, 680.0);
+        // The read waits out the running program and pushes the booked
+        // one from 680 to 730.
+        assert_eq!(d.read_page(first).unwrap().wait_us, 680.0);
+        assert_eq!(d.stats().wait_us, 680.0 + 680.0 + 50.0);
+        assert_eq!(d.drain_timing(), 730.0 + 680.0);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! [`EventDriven`] is the only modeled clock, and the device's
 //! [`ChannelConfig`] is its only input besides the Table 2/3 latency
-//! table. It places every operation, at submission, on a per-plane cell
-//! free-time array behind a bounded per-channel admission window, in
-//! the spirit of the multi-channel interleaving literature. There is no
-//! event queue: an op starts when it is admitted and its plane falls
-//! idle, and nothing is deferred. The scheduler is RNG-free and
-//! allocates nothing after construction, so the same op stream always
-//! yields the same timings.
+//! table. It places every operation, at submission, on a per-plane
+//! timeline behind a bounded per-channel admission window, in the
+//! spirit of the multi-channel interleaving literature. There is no
+//! event queue: only a foreground read moves what is already booked.
+//! The scheduler is RNG-free and allocates nothing past each plane's
+//! high-water mark, so the same op stream always yields the same
+//! timings.
 //!
 //! # Closed-form contract
 //!
@@ -42,12 +42,18 @@
 //! * Reads, programs and erases each occupy their plane for the table
 //!   latency. Cell phases on different planes overlap; the model has no
 //!   bus, so a page transfer costs nothing and orders nothing.
-//! * At most `queue_depth` ops may be outstanding per channel; excess
-//!   submissions stall until a slot frees (FIFO admission).
-//! * Background ops (GC traffic, fills) consume plane time without
-//!   advancing the foreground clock, so later foreground ops observe
-//!   genuine queue wait.
+//! * All ops but foreground reads are admitted FIFO, at most
+//!   `queue_depth` outstanding per channel, then wait for their plane.
+//!   Background ops (GC, fills) do not advance the foreground clock, so
+//!   later foreground ops observe genuine queue wait.
+//! * A foreground read goes first: it takes no slot and starts when
+//!   the op running on its plane ends, ahead of every op booked there
+//!   that has not started, which moves later, slot and all, by what the
+//!   read occupies ([`EventDriven::take_pushed_us`]). Nothing running is
+//!   preempted, so a read waits for at most one op (unless over 4 096
+//!   ops were booked on its plane meanwhile: the oldest are committed).
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -71,7 +77,8 @@ pub struct ChannelConfig {
     pub channels: u32,
     /// Planes per channel (cell ops on different planes overlap).
     pub planes: u32,
-    /// Outstanding ops admitted per channel before submissions stall.
+    /// Outstanding ops (all but foreground reads) admitted per channel
+    /// before submissions stall.
     pub queue_depth: u32,
 }
 
@@ -98,6 +105,9 @@ impl fmt::Display for ChannelConfigError {
 impl Error for ChannelConfigError {}
 
 impl ChannelConfig {
+    /// The deepest window a channel may have: the NVMe queue limit.
+    pub const MAX_QUEUE_DEPTH: u32 = 65_536;
+
     /// Starts a fluent builder seeded with the serial default; call
     /// [`ChannelConfigBuilder::build`] to validate and obtain the
     /// finished config.
@@ -136,6 +146,9 @@ impl ChannelConfig {
         if self.queue_depth == 0 {
             return Err(ChannelConfigError("queue_depth must be >= 1"));
         }
+        if self.queue_depth > Self::MAX_QUEUE_DEPTH {
+            return Err(ChannelConfigError("queue_depth must be <= 65536"));
+        }
         Ok(())
     }
 
@@ -169,7 +182,8 @@ impl ChannelConfigBuilder {
         self
     }
 
-    /// Sets the per-channel outstanding-op limit.
+    /// Sets the per-channel limit on outstanding ops other than
+    /// foreground reads.
     pub fn queue_depth(mut self, queue_depth: u32) -> Self {
         self.config.queue_depth = queue_depth;
         self
@@ -179,7 +193,7 @@ impl ChannelConfigBuilder {
     ///
     /// # Errors
     ///
-    /// [`ChannelConfigError`] for a zero channel, plane or depth count.
+    /// [`ChannelConfigError`] for a config [`ChannelConfig::validate`] rejects.
     pub fn build(self) -> Result<ChannelConfig, ChannelConfigError> {
         self.config.validate()?;
         Ok(self.config)
@@ -245,25 +259,50 @@ fn plane_of(cfg: &ChannelConfig, block: u32) -> usize {
     ch * cfg.planes as usize + ((block / cfg.channels) % cfg.planes) as usize
 }
 
+/// Most ops one plane's timeline remembers; past it the oldest is
+/// committed. This bounds it when the foreground clock stands still.
+const BOOKED_CAP: usize = 4096;
+
+/// An op as booked on its plane's timeline and its channel's window.
+#[derive(Debug, Clone, Copy, Default)]
+struct Booked {
+    start_us: f64,
+    end_us: f64,
+    id: u64,
+}
+
+/// One cell array's booked work.
+#[derive(Debug, Clone, Default)]
+struct Plane {
+    /// Time at which the cell array falls idle.
+    free_us: f64,
+    /// Background ops booked here and not yet seen to end, in order.
+    booked: VecDeque<Booked>,
+    /// End of the ops committed past [`BOOKED_CAP`].
+    committed_us: f64,
+}
+
 /// NAND scheduler with channel/plane parallelism over per-plane
-/// free-time arrays.
+/// timelines.
 ///
 /// See the module docs for the scheduling disciplines and the
-/// closed-form contract. The scheduler is RNG-free: determinism is
-/// structural. Scheduling allocates nothing.
+/// closed-form contract. RNG-free: determinism is structural.
 #[derive(Debug)]
 pub struct EventDriven {
     cfg: ChannelConfig,
     serial: bool,
     now_us: f64,
-    /// Per-plane (channel-major) time at which the cell array falls idle.
-    plane_free_us: Vec<f64>,
-    /// Flat admission windows: `queue_depth` completion-time slots per
-    /// channel, linearly scanned (the window is small and contiguous —
-    /// no per-op heap churn).
-    out_ends: Vec<f64>,
+    /// Per-plane (channel-major) timelines.
+    planes: Vec<Plane>,
+    /// Flat admission windows: `queue_depth` slots per channel,
+    /// linearly scanned (the window is small and contiguous — no per-op
+    /// heap churn).
+    out: Vec<Booked>,
     out_len: Vec<u32>,
-    depth: usize,
+    /// Id of the next op admitted to a window.
+    next_id: u64,
+    /// Delay reads pushed onto booked ops, until taken.
+    pushed_us: f64,
 }
 
 impl EventDriven {
@@ -273,21 +312,21 @@ impl EventDriven {
     /// # Panics
     ///
     /// Panics with the [`ChannelConfigError`] text if `cfg` fails
-    /// [`ChannelConfig::validate`] (a zero channel, plane or depth
-    /// count would otherwise reach a remainder by zero at the first op).
+    /// [`ChannelConfig::validate`] (a zero count would reach a remainder
+    /// by zero at the first op, an unbounded depth an allocation failure).
     pub fn new(cfg: ChannelConfig) -> Self {
         if let Err(e) = cfg.validate() {
             panic!("{e}");
         }
         let channels = cfg.channels as usize;
-        let depth = cfg.queue_depth as usize;
         EventDriven {
             serial: cfg.is_serial(),
             now_us: 0.0,
-            plane_free_us: vec![0.0; channels * cfg.planes as usize],
-            out_ends: vec![0.0; channels * depth],
+            planes: vec![Plane::default(); channels * cfg.planes as usize],
+            out: vec![Booked::default(); channels * cfg.queue_depth as usize],
             out_len: vec![0; channels],
-            depth,
+            next_id: 0,
+            pushed_us: 0.0,
             cfg,
         }
     }
@@ -295,7 +334,7 @@ impl EventDriven {
     /// Number of lanes: cell arrays (planes, across all channels) whose
     /// phases overlap. One under a serial configuration.
     pub fn lanes(&self) -> usize {
-        self.plane_free_us.len()
+        self.planes.len()
     }
 
     /// The lane (channel-major plane index, `< lanes()`) on which ops to
@@ -311,27 +350,27 @@ impl EventDriven {
     #[inline]
     fn admit(&mut self, ch: usize, arrival_us: f64) -> f64 {
         let n = self.out_len[ch] as usize;
-        let base = ch * self.depth;
-        let slots = &mut self.out_ends[base..base + n];
+        let base = ch * self.cfg.queue_depth as usize;
+        let slots = &mut self.out[base..base + n];
         let mut kept = 0;
         for i in 0..n {
-            let t = slots[i];
-            if t > arrival_us {
-                slots[kept] = t;
+            let slot = slots[i];
+            if slot.end_us > arrival_us {
+                slots[kept] = slot;
                 kept += 1;
             }
         }
         let mut admit_us = arrival_us;
-        while kept >= self.depth {
+        while kept >= self.cfg.queue_depth as usize {
             // Remove the earliest completion; admission stalls to it.
-            let slots = &mut self.out_ends[base..base + kept];
+            let slots = &mut self.out[base..base + kept];
             let mut min_i = 0;
             for i in 1..kept {
-                if slots[i] < slots[min_i] {
+                if slots[i].end_us < slots[min_i].end_us {
                     min_i = i;
                 }
             }
-            let t = slots[min_i];
+            let t = slots[min_i].end_us;
             slots[min_i] = slots[kept - 1];
             kept -= 1;
             if t > admit_us {
@@ -342,32 +381,91 @@ impl EventDriven {
         admit_us
     }
 
-    /// Prices one operation and advances internal state: the op is
-    /// admitted to its channel's window no earlier than the clock, then
-    /// starts once its plane falls idle. Each stall term is a
-    /// `max(ready, free) - ready`, never `end - arrival - service`,
-    /// which is what keeps serial-mode waits exactly `0.0`.
-    /// Deterministic: the same op sequence yields the same timings and
-    /// clock.
+    /// Prices one operation and advances internal state. A foreground
+    /// read on a parallel shape goes first (see the module docs).
+    /// Every other op is admitted to its channel's window no earlier
+    /// than the clock, then starts once its plane falls idle. Each
+    /// stall term is a `max(ready, free) - ready`, never
+    /// `end - arrival - service`, which is what keeps serial-mode waits
+    /// exactly `0.0`. Deterministic: the same op sequence yields the
+    /// same timings and clock.
     pub fn op(&mut self, req: &OpRequest) -> OpTiming {
         let ch = channel_of(&self.cfg, req.block);
         let plane = plane_of(&self.cfg, req.block);
+        let service_us = cell_us(req.class, req.mode);
+        if !self.serial && !req.background && req.class == OpClass::Read {
+            return self.read_first(ch, plane, service_us);
+        }
         let arrival_us = self.now_us;
         let admit_us = self.admit(ch, arrival_us);
-        let start_us = self.plane_free_us[plane].max(admit_us);
-        let service_us = cell_us(req.class, req.mode);
-        let end_us = start_us + service_us;
-        self.plane_free_us[plane] = end_us;
-        let n = self.out_len[ch] as usize;
-        self.out_ends[ch * self.depth + n] = end_us;
-        self.out_len[ch] = (n + 1) as u32;
+        let lane = &mut self.planes[plane];
+        let start_us = lane.free_us.max(admit_us);
+        let op = Booked {
+            start_us,
+            end_us: start_us + service_us,
+            id: self.next_id,
+        };
+        self.next_id += 1;
+        lane.free_us = op.end_us;
         if self.serial || !req.background {
-            self.now_us = end_us;
+            self.now_us = op.end_us;
+        } else {
+            while lane.booked.front().is_some_and(|b| b.end_us <= arrival_us) {
+                lane.booked.pop_front();
+            }
+            if lane.booked.len() == BOOKED_CAP {
+                lane.committed_us = lane.booked.pop_front().map_or(0.0, |b| b.end_us);
+            }
+            lane.booked.push_back(op);
         }
+        let n = self.out_len[ch] as usize;
+        self.out[ch * self.cfg.queue_depth as usize + n] = op;
+        self.out_len[ch] = (n + 1) as u32;
         OpTiming {
             wait_us: (admit_us - arrival_us) + (start_us - admit_us),
             service_us,
         }
+    }
+
+    /// Places a foreground read on a parallel shape: after the op
+    /// running on its plane, ahead of the ops booked behind that one.
+    fn read_first(&mut self, ch: usize, plane: usize, service_us: f64) -> OpTiming {
+        let arrival_us = self.now_us;
+        let lane = &mut self.planes[plane];
+        while lane.booked.front().is_some_and(|b| b.end_us <= arrival_us) {
+            lane.booked.pop_front();
+        }
+        let running = lane.booked.front().filter(|b| b.start_us <= arrival_us);
+        let pending = usize::from(running.is_some());
+        let start_us = running.map_or(arrival_us.max(lane.committed_us), |b| b.end_us);
+        let end_us = start_us + service_us;
+        let mut ready_us = end_us;
+        let base = ch * self.cfg.queue_depth as usize;
+        let window = &mut self.out[base..base + self.out_len[ch] as usize];
+        for b in lane.booked.range_mut(pending..) {
+            if b.start_us >= ready_us {
+                break;
+            }
+            let delay_us = ready_us - b.start_us;
+            b.start_us = ready_us;
+            b.end_us += delay_us;
+            self.pushed_us += delay_us;
+            ready_us = b.end_us;
+            if let Some(slot) = window.iter_mut().find(|s| s.id == b.id) {
+                *slot = *b;
+            }
+        }
+        lane.free_us = lane.free_us.max(ready_us);
+        self.now_us = end_us;
+        OpTiming {
+            wait_us: start_us - arrival_us,
+            service_us,
+        }
+    }
+
+    /// Takes the delay reads pushed onto the ops they overtook, µs.
+    pub fn take_pushed_us(&mut self) -> f64 {
+        std::mem::take(&mut self.pushed_us)
     }
 
     /// Current modeled clock, µs: the foreground completion time.
@@ -379,9 +477,9 @@ impl EventDriven {
     /// Advances the clock to it.
     pub fn drain(&mut self) -> f64 {
         self.now_us = self
-            .plane_free_us
+            .planes
             .iter()
-            .fold(self.now_us, |latest, &t| latest.max(t));
+            .fold(self.now_us, |latest, p| latest.max(p.free_us));
         self.now_us
     }
 }
@@ -411,6 +509,16 @@ mod tests {
         assert!(ChannelConfig::builder().channels(0).build().is_err());
         assert!(ChannelConfig::builder().planes(0).build().is_err());
         assert!(ChannelConfig::builder().queue_depth(0).build().is_err());
+        let deepest = ChannelConfig::MAX_QUEUE_DEPTH;
+        assert!(ChannelConfig::builder()
+            .queue_depth(deepest)
+            .build()
+            .is_ok());
+        let err = ChannelConfig::builder()
+            .queue_depth(deepest + 1)
+            .build()
+            .unwrap_err();
+        assert!(err.to_string().contains("queue_depth"), "{err}");
         let cfg = ChannelConfig::builder()
             .channels(4)
             .planes(2)
@@ -483,6 +591,64 @@ mod tests {
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
         assert_eq!(t.wait_us, 3300.0);
         assert_eq!(t.service_us, 25.0);
+    }
+
+    /// A foreground read waits for the program running on its plane but
+    /// goes ahead of the one booked behind it, which moves later by the
+    /// read's 25 µs.
+    #[test]
+    fn foreground_read_overtakes_a_booked_program() {
+        let cfg = ChannelConfig::builder().queue_depth(8).build().unwrap();
+        let mut event = EventDriven::new(cfg);
+        event.op(&bg(OpClass::Program, CellMode::Slc, 0));
+        let booked = event.op(&bg(OpClass::Program, CellMode::Slc, 0));
+        assert_eq!(booked.wait_us, 200.0);
+        let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
+        assert_eq!((t.wait_us, event.take_pushed_us()), (200.0, 25.0));
+        assert_eq!(event.now_us(), 225.0);
+        assert_eq!(event.drain(), 425.0);
+    }
+
+    /// The read takes no window slot, and the overtaken op's slot moves
+    /// with it: a depth-1 window holding a booked program neither stalls
+    /// the read nor admits the next op before the program, pushed, ends.
+    #[test]
+    fn overtaken_op_keeps_its_window_slot_and_the_read_takes_none() {
+        let cfg = ChannelConfig::builder()
+            .planes(2)
+            .queue_depth(1)
+            .build()
+            .unwrap();
+        let mut event = EventDriven::new(cfg);
+        assert_eq!(event.lane_of(0), event.lane_of(2));
+        assert_ne!(event.lane_of(0), event.lane_of(1));
+        event.op(&bg(OpClass::Program, CellMode::Slc, 0));
+        // Window full: the second program is admitted at 200.
+        let booked = event.op(&bg(OpClass::Program, CellMode::Slc, 0));
+        assert_eq!(booked.wait_us, 200.0);
+        // The read is not held to that slot, and pushes the program to
+        // 225..425.
+        let t = event.op(&fg(OpClass::Read, CellMode::Slc, 2));
+        assert_eq!((t.wait_us, event.take_pushed_us()), (200.0, 25.0));
+        // An op on the idle sibling plane is admitted at 425, not 400.
+        let next = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
+        assert_eq!(next.wait_us, 425.0 - 225.0);
+        assert_eq!(event.drain(), 450.0);
+    }
+
+    /// Past [`BOOKED_CAP`] booked ops a plane commits its oldest: a read
+    /// waits out the two committed programs, then overtakes the rest.
+    #[test]
+    fn a_plane_commits_what_it_cannot_remember() {
+        let cfg = ChannelConfig::builder().queue_depth(8).build().unwrap();
+        let mut event = EventDriven::new(cfg);
+        for _ in 0..BOOKED_CAP + 2 {
+            event.op(&bg(OpClass::Program, CellMode::Slc, 0));
+        }
+        let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
+        assert_eq!(t.wait_us, 2.0 * 200.0);
+        assert_eq!(event.take_pushed_us(), BOOKED_CAP as f64 * 25.0);
+        assert_eq!(event.drain(), (BOOKED_CAP + 2) as f64 * 200.0 + 25.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests of the device scheduler (`nand_flash::sched`).
 //!
-//! Three contracts are pinned here:
+//! Four contracts are pinned here:
 //!
 //! 1. **Closed form**: for *any* operation sequence, the scheduler
 //!    under a serial config reports `(wait, service)` pairs, clock, and
@@ -11,6 +11,8 @@
 //! 3. **No double-booking**: the drained makespan is at least every
 //!    lane's sum of cell-phase times, and an unthrottled background
 //!    burst costs exactly its busiest lane.
+//! 4. **Reads go first**: a foreground read waits for at most the one
+//!    op running on its plane.
 
 use proptest::prelude::*;
 
@@ -138,6 +140,26 @@ proptest! {
         let makespan = model.drain();
         prop_assert!(makespan >= before);
         prop_assert_eq!(model.now_us().to_bits(), makespan.to_bits());
+    }
+
+    /// Foreground reads go first: a read waits only for the one op
+    /// running on its plane, never for a window slot or a booked op, so
+    /// its wait is at most the longest cell time, an MLC erase.
+    #[test]
+    fn foreground_read_waits_for_at_most_one_op(
+        ops in prop::collection::vec(op_strategy(), 1..200),
+        cfg in channel_strategy(),
+    ) {
+        let mut model = EventDriven::new(cfg);
+        for op in &ops {
+            let t = model.op(op);
+            if op.class == OpClass::Read && !op.background {
+                prop_assert!(
+                    t.wait_us <= FlashTiming::MLC_ERASE_US,
+                    "read waited {} on {:?}", t.wait_us, cfg
+                );
+            }
+        }
     }
 
     /// No lane is double-booked and no op is dropped: whatever the op

@@ -1,18 +1,20 @@
 //! Hierarchy-level behaviour of the NAND scheduler.
 //!
-//! Pins the two observable contracts it gives the simulator:
+//! Pins the three observable contracts it gives the simulator:
 //!
 //! * the flash latency histogram is split into queue wait and service
 //!   (`flash.queue_wait_us` / `flash.service_us`), and on the serial
 //!   channel shape the wait component is identically zero;
 //! * on a parallel channel shape, write-storm bursts create real
 //!   contention: tail flash latency rises versus the same read traffic
-//!   without the storm, and the queue-wait histogram records it.
+//!   without the storm, and the queue-wait histogram records it;
+//! * a flash hit, a foreground read, waits for at most the one op
+//!   running on its plane.
 
 use disk_trace::{DiskRequest, WorkloadSpec};
 use flashcache_core::FlashCacheConfig;
 use flashcache_sim::hierarchy::{Hierarchy, HierarchyConfig};
-use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry};
+use nand_flash::{ChannelConfig, FlashConfig, FlashGeometry, FlashTiming};
 
 fn flash_config(channel: ChannelConfig) -> FlashCacheConfig {
     FlashCacheConfig::builder()
@@ -112,5 +114,27 @@ fn write_storm_raises_tail_flash_latency() {
     assert!(
         storm.report().flash_queue_wait.max_us() > 0.0,
         "storm bursts must produce visible queue wait"
+    );
+}
+
+/// Foreground reads go first: a flash hit waits for at most the one op
+/// running on its plane, so even under the write storm no hit waits
+/// longer than an MLC erase.
+#[test]
+fn flash_hits_wait_for_at_most_one_op() {
+    let channel = ChannelConfig::builder()
+        .channels(8)
+        .planes(2)
+        .queue_depth(8)
+        .build()
+        .expect("valid channel config");
+    let mut h = hierarchy(channel);
+    drive(&mut h, true);
+    let wait = &h.report().flash_queue_wait;
+    assert!(wait.max_us() > 0.0, "the storm must produce queue wait");
+    assert!(
+        wait.max_us() <= FlashTiming::MLC_ERASE_US,
+        "max wait {} µs",
+        wait.max_us()
     );
 }
