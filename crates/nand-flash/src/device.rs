@@ -272,9 +272,8 @@ impl FlashDevice {
     ///
     /// # Panics
     ///
-    /// Panics with the [`ChannelConfig::validate`] error text if
-    /// `config.channel` has a zero count or a queue depth above
-    /// [`ChannelConfig::MAX_QUEUE_DEPTH`].
+    /// Panics with the error text if [`ChannelConfig::validate`]
+    /// rejects `config.channel`.
     pub fn new(config: FlashConfig) -> Self {
         let geometry = config.geometry;
         let wear_model = WearModel::new(config.wear);

@@ -50,8 +50,10 @@
 //!   the op running on its plane ends, ahead of every op booked there
 //!   that has not started, which moves later, slot and all, by what the
 //!   read occupies ([`EventDriven::take_pushed_us`]). Nothing running is
-//!   preempted, so a read waits for at most one op (unless over 4 096
-//!   ops were booked on its plane meanwhile: the oldest are committed).
+//!   preempted, so a read waits for at most one op (or for what its
+//!   plane committed past 4 096 booked ops). A slot an admission stall
+//!   freed before its op ended stays freed: the op admitted on it keeps
+//!   its time, so a channel may briefly hold more than `queue_depth`.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -77,8 +79,7 @@ pub struct ChannelConfig {
     pub channels: u32,
     /// Planes per channel (cell ops on different planes overlap).
     pub planes: u32,
-    /// Outstanding ops (all but foreground reads) admitted per channel
-    /// before submissions stall.
+    /// Outstanding ops per channel, foreground reads aside.
     pub queue_depth: u32,
 }
 
@@ -182,8 +183,7 @@ impl ChannelConfigBuilder {
         self
     }
 
-    /// Sets the per-channel limit on outstanding ops other than
-    /// foreground reads.
+    /// Sets the per-channel window for all ops but foreground reads.
     pub fn queue_depth(mut self, queue_depth: u32) -> Self {
         self.config.queue_depth = queue_depth;
         self
@@ -260,7 +260,9 @@ fn plane_of(cfg: &ChannelConfig, block: u32) -> usize {
 }
 
 /// Most ops one plane's timeline remembers; past it the oldest is
-/// committed. This bounds it when the foreground clock stands still.
+/// committed, and reads wait for it. Uncapped, a timeline grows with the
+/// run: `channels8` peaks at 780 ops a plane, but `flashcache simulate
+/// --channels 8 --planes 2 --requests 200000` would book 18 483.
 const BOOKED_CAP: usize = 4096;
 
 /// An op as booked on its plane's timeline and its channel's window.
@@ -382,7 +384,7 @@ impl EventDriven {
     }
 
     /// Prices one operation and advances internal state. A foreground
-    /// read on a parallel shape goes first (see the module docs).
+    /// read goes first (see the module docs).
     /// Every other op is admitted to its channel's window no earlier
     /// than the clock, then starts once its plane falls idle. Each
     /// stall term is a `max(ready, free) - ready`, never
@@ -393,7 +395,7 @@ impl EventDriven {
         let ch = channel_of(&self.cfg, req.block);
         let plane = plane_of(&self.cfg, req.block);
         let service_us = cell_us(req.class, req.mode);
-        if !self.serial && !req.background && req.class == OpClass::Read {
+        if !req.background && req.class == OpClass::Read {
             return self.read_first(ch, plane, service_us);
         }
         let arrival_us = self.now_us;
@@ -427,8 +429,8 @@ impl EventDriven {
         }
     }
 
-    /// Places a foreground read on a parallel shape: after the op
-    /// running on its plane, ahead of the ops booked behind that one.
+    /// Places a foreground read after the op running on its plane,
+    /// ahead of the ops booked behind it (none on a serial shape).
     fn read_first(&mut self, ch: usize, plane: usize, service_us: f64) -> OpTiming {
         let arrival_us = self.now_us;
         let lane = &mut self.planes[plane];
@@ -633,6 +635,33 @@ mod tests {
         // An op on the idle sibling plane is admitted at 425, not 400.
         let next = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
         assert_eq!(next.wait_us, 425.0 - 225.0);
+        assert_eq!(event.drain(), 450.0);
+    }
+
+    /// An admission stall evicts a booked program's slot before the
+    /// program ends; a read then pushes the program, but the op
+    /// admitted on that slot keeps its time. Depth 1 on 1 × 2: C is
+    /// booked 200..400 behind A, D is admitted at 400, the read pushes
+    /// C to 250..450, and C and D overlap from 400.
+    #[test]
+    fn an_op_admitted_on_an_evicted_slot_keeps_its_admission_time() {
+        let cfg = ChannelConfig::builder()
+            .planes(2)
+            .queue_depth(1)
+            .build()
+            .unwrap();
+        let mut event = EventDriven::new(cfg);
+        event.op(&bg(OpClass::Program, CellMode::Slc, 0));
+        let c = event.op(&bg(OpClass::Program, CellMode::Slc, 0));
+        assert_eq!(c.wait_us, 200.0);
+        let d = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
+        assert_eq!(d.wait_us, 400.0);
+        let t = event.op(&fg(OpClass::Read, CellMode::Mlc, 0));
+        assert_eq!((t.wait_us, event.take_pushed_us()), (200.0, 50.0));
+        // The window holds D alone: E is admitted at D's end, 425, not
+        // at C's pushed end, 450.
+        let e = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
+        assert_eq!(e.wait_us, 425.0 - 250.0);
         assert_eq!(event.drain(), 450.0);
     }
 
