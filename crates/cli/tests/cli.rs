@@ -140,10 +140,10 @@ fn lifetime_controller_ablation_is_pinned() {
     assert_eq!(
         accesses,
         [
-            ("bch1", 2_322),
-            ("ecc-only", 7_942),
-            ("density-only", 12_443),
-            ("programmable", 44_608),
+            ("bch1", 2_081),
+            ("ecc-only", 8_178),
+            ("density-only", 10_481),
+            ("programmable", 48_579),
         ],
         "{stdout}"
     );

@@ -300,6 +300,7 @@ impl FlashCache {
             ("flash.erases", s.erases),
             ("flash.gc_runs", s.gc_runs),
             ("flash.gc_moved_pages", s.gc_moved_pages),
+            ("flash.gc_graduated_pages", s.gc_graduated_pages),
             ("flash.gc_dropped_pages", s.gc_dropped_pages),
             ("flash.evictions", s.evictions),
             ("flash.flushed_dirty_pages", s.flushed_dirty_pages),

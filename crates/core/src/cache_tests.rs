@@ -127,23 +127,35 @@ fn write_churn_triggers_gc() {
     c.check_invariants().unwrap();
 }
 
-/// One write-region victim holding read and unread dirty pages: the
-/// compaction relocates the read ones and flushes the rest.
-#[test]
-fn write_region_compaction_relocates_only_read_pages() {
-    // Two write-region blocks of 16 slots: one to write into, one spare.
+/// A cache whose write region is two 16-slot blocks, one to write into
+/// and one spare, and whose open block holds pages 0..12, then 0..4
+/// again: four invalid slots, exactly the 25% floor that makes it a GC
+/// victim, which the next write compacts.
+fn one_victim_cache(admission: AdmissionPolicyConfig) -> FlashCache {
     let mut c = FlashCache::new(FlashCacheConfig {
         split: SplitPolicy::Split {
             write_fraction: 0.125,
         },
+        admission,
         ..small_config()
     })
     .unwrap();
-    // Fill the block: pages 0..12, then 0..4 again, which leaves four
-    // invalid slots — exactly the 25% floor that makes it a GC victim.
     for p in (0..12u64).chain(0..4) {
         c.op(CacheOp::write(p));
     }
+    c
+}
+
+/// The region the cached copy of `page` sits in.
+fn region_of(c: &FlashCache, page: u64) -> RegionKind {
+    c.fbst.get(c.fcht.lookup(page).unwrap().block).region
+}
+
+/// One write-region victim holding read and unread dirty pages: the
+/// compaction relocates the read ones and flushes the rest.
+#[test]
+fn write_region_compaction_relocates_only_read_pages() {
+    let mut c = one_victim_cache(AdmissionPolicyConfig::ReReference);
     let read = [0u64, 4, 5];
     for &p in &read {
         assert!(c.op(CacheOp::read(p)).access.hit);
@@ -155,6 +167,7 @@ fn write_region_compaction_relocates_only_read_pages() {
     let stats = c.stats();
     assert_eq!((stats.gc_runs, stats.evictions), (1, 0));
     assert_eq!((stats.gc_moved_pages, stats.gc_dropped_pages), (3, 9));
+    assert_eq!(stats.gc_graduated_pages, 3, "each cleared the bar of 0");
     for p in 0..12u64 {
         assert_eq!(c.contains(p), read.contains(&p), "page {p}");
     }
@@ -168,6 +181,84 @@ fn write_region_compaction_relocates_only_read_pages() {
     assert_eq!(stats.flushed_dirty_pages, 9);
     // The survivors moved with their dirty bit; page 100 is the fourth.
     assert_eq!(c.flush_writes(), 4);
+    c.check_invariants().unwrap();
+}
+
+/// A dirty page read once since it was written leaves its write-region
+/// victim for the read region with its dirty bit, hits there, and owes
+/// its disk write exactly once: when read-region replacement evicts it.
+#[test]
+fn a_read_dirty_page_graduates_to_the_read_region() {
+    let mut c = one_victim_cache(AdmissionPolicyConfig::AdmitAll);
+    assert!(c.op(CacheOp::read(0)).access.hit);
+    c.op(CacheOp::write(100));
+    let stats = c.stats();
+    assert_eq!((stats.gc_runs, stats.gc_moved_pages), (1, 1));
+    assert_eq!(stats.gc_graduated_pages, 1);
+    assert_eq!(region_of(&c, 0), RegionKind::Read);
+    assert!(c.fpst.get(c.fcht.lookup(0).unwrap()).dirty, "still dirty");
+    assert!(c.op(CacheOp::read(0)).access.hit);
+    c.check_invariants().unwrap();
+
+    // Read misses fill the read region until its LRU block, the one
+    // page 0 graduated into, is evicted. Nothing else there is dirty.
+    let flushed_before = c.stats().flushed_dirty_pages;
+    let mut flushed = 0;
+    for page in 1_000..3_000u64 {
+        flushed += c.op(CacheOp::read(page)).access.flushed_dirty;
+        if !c.contains(0) {
+            break;
+        }
+    }
+    assert!(!c.contains(0), "the read region evicted page 0");
+    assert!(c.stats().evictions > 0);
+    assert_eq!(flushed, 1, "page 0 is flushed once, on eviction");
+    assert_eq!(c.stats().flushed_dirty_pages, flushed_before + 1);
+    c.check_invariants().unwrap();
+}
+
+/// A read page whose sketch estimate does not clear the fill bar is
+/// relocated inside the write region, as a read-miss fill of it would
+/// be refused; one that clears it graduates.
+#[test]
+fn a_read_page_below_the_fill_bar_does_not_graduate() {
+    let mut c = one_victim_cache(AdmissionPolicyConfig::ReReference);
+    let sketch = c.admission.as_mut().unwrap();
+    for _ in 0..3 {
+        sketch.count_read(500);
+    }
+    sketch.observe_eviction([500u64].into_iter());
+    assert_eq!(c.admission_bar(), 3);
+    assert!(c.op(CacheOp::read(0)).access.hit);
+    for _ in 0..4 {
+        assert!(c.op(CacheOp::read(4)).access.hit);
+    }
+    c.op(CacheOp::write(100));
+    let stats = c.stats();
+    assert_eq!((stats.gc_moved_pages, stats.gc_graduated_pages), (2, 1));
+    assert_eq!(region_of(&c, 0), RegionKind::Write);
+    assert_eq!(region_of(&c, 4), RegionKind::Read);
+    c.check_invariants().unwrap();
+}
+
+/// Graduation never takes the read region's compaction spare: with the
+/// read region's free list empty, the read page is relocated inside the
+/// write region and the spare stays reserved.
+#[test]
+fn graduation_leaves_the_read_spare_alone() {
+    let mut c = one_victim_cache(AdmissionPolicyConfig::AdmitAll);
+    assert!(c.op(CacheOp::read(0)).access.hit);
+    // 13 free read blocks of 16 slots: 208 fills use every one.
+    for page in 1_000..1_208u64 {
+        c.op(CacheOp::read(page));
+    }
+    assert!(c.read_region.free.is_empty());
+    assert_eq!(c.stats().evictions, 0);
+    c.op(CacheOp::write(100));
+    let stats = c.stats();
+    assert_eq!((stats.gc_moved_pages, stats.gc_graduated_pages), (1, 0));
+    assert_eq!(region_of(&c, 0), RegionKind::Write);
+    assert!(c.read_region.spare.is_some());
     c.check_invariants().unwrap();
 }
 
@@ -891,10 +982,11 @@ fn pinned_trace() -> impl Iterator<Item = CacheOp> {
 }
 
 /// The default admission's hooks sit where they did behind the `dyn`
-/// seam: these are the counters of commit ab77b8d (PR 22) on this trace.
-/// A dropped or reordered `count_read` / `admit_fill` /
-/// `observe_eviction` call moves the rejected fills, the bar, and every
-/// reclaim counter downstream of them.
+/// seam: these are the counters of commit ab77b8d on this trace, as
+/// moved by write-region graduation (a compaction's read pages that
+/// clear the fill bar go to the read region). A dropped or reordered
+/// `count_read` / `admit_fill` / `observe_eviction` call moves the
+/// rejected fills, the bar, and every reclaim counter downstream of them.
 #[test]
 fn rereference_counters_are_pinned_on_a_fixed_trace() {
     let mut config = small_config();
@@ -909,25 +1001,26 @@ fn rereference_counters_are_pinned_on_a_fixed_trace() {
     c.check_invariants().unwrap();
     let pinned = CacheStats {
         reads: 34_959,
-        read_hits: 11_694,
+        read_hits: 11_851,
         writes: 15_041,
-        write_hits: 5_074,
-        flash_reads: 23_069,
-        flash_programs: 31_092,
-        erases: 1_915,
-        gc_runs: 986,
-        gc_moved_pages: 11_375,
-        gc_dropped_pages: 517,
-        gc_time_us: 15095881.249999784,
-        evictions: 920,
-        flushed_dirty_pages: 13_777,
-        wear_migrations: 9,
-        foreground_us: 1052460.0,
-        background_us: 13438121.350003902,
-        ecc_us: 467760.0,
-        reclaim_index_queries: 11_195,
-        reclaim_index_hits: 2_877,
-        admission_rejected_fills: 18_589,
+        write_hits: 5_082,
+        flash_reads: 23_335,
+        flash_programs: 31_158,
+        erases: 1_922,
+        gc_runs: 996,
+        gc_moved_pages: 11_484,
+        gc_graduated_pages: 59,
+        gc_dropped_pages: 492,
+        gc_time_us: 15203080.199999798,
+        evictions: 919,
+        flushed_dirty_pages: 13_767,
+        wear_migrations: 7,
+        foreground_us: 1066590.0,
+        background_us: 13408814.70000387,
+        ecc_us: 474040.0,
+        reclaim_index_queries: 10_647,
+        reclaim_index_hits: 2_884,
+        admission_rejected_fills: 18_475,
         admission_sketch_halvings: 6,
         ..CacheStats::default()
     };
@@ -969,7 +1062,7 @@ fn end_of_life_run(admission: AdmissionPolicyConfig) -> CacheStats {
 }
 
 /// The rare arms of the page lifecycle, pinned on the end-of-life trace
-/// by commit b0b400b's counters (the parent of the one-lifecycle PR):
+/// by commit b0b400b's counters as moved by write-region graduation:
 /// lost copies on the read-hit path and in both relocations (compaction
 /// and §3.6 migration), hot promotion, ECC and density reconfiguration,
 /// retirement on erase inside a wear swap and on every reclaim path.
@@ -979,62 +1072,64 @@ fn end_of_life_run(admission: AdmissionPolicyConfig) -> CacheStats {
 fn end_of_life_counters_are_pinned_on_a_fixed_trace() {
     let stats = end_of_life_run(AdmissionPolicyConfig::AdmitAll);
     let pinned = CacheStats {
-        reads: 25_093,
-        read_hits: 2_976,
-        writes: 10_640,
-        write_hits: 1_343,
-        flash_reads: 8_810,
-        flash_programs: 27_667,
-        erases: 6_207,
-        gc_runs: 226,
-        gc_moved_pages: 4_959,
+        reads: 22_358,
+        read_hits: 2_698,
+        writes: 9_506,
+        write_hits: 1_275,
+        flash_reads: 12_431,
+        flash_programs: 29_370,
+        erases: 6_694,
+        gc_runs: 198,
+        gc_moved_pages: 8_627,
+        gc_graduated_pages: 9,
         gc_dropped_pages: 308,
-        gc_time_us: 14014722.94999985,
-        evictions: 4_908,
-        flushed_dirty_pages: 10_264,
-        wear_migrations: 1_072,
-        reconfig_ecc: 257,
+        gc_time_us: 16569632.84999945,
+        evictions: 4_434,
+        flushed_dirty_pages: 8_721,
+        wear_migrations: 2_061,
+        reconfig_ecc: 263,
         reconfig_density: 32,
         hot_promotions: 3,
-        uncorrectable_reads: 841,
+        uncorrectable_reads: 1_051,
         retired_blocks: 8,
-        foreground_us: 583263.0,
-        background_us: 7325439.399996454,
-        ecc_us: 477188.0,
-        reclaim_index_queries: 38_147,
-        reclaim_index_hits: 8_796,
+        foreground_us: 526491.0,
+        background_us: 6881914.149996819,
+        ecc_us: 427916.0,
+        reclaim_index_queries: 32_983,
+        reclaim_index_hits: 8_079,
         ..CacheStats::default()
     };
     assert_eq!(stats, pinned);
 
     let stats = end_of_life_run(AdmissionPolicyConfig::ReReference);
     let pinned = CacheStats {
-        reads: 101_161,
-        read_hits: 9_122,
-        writes: 42_972,
-        write_hits: 4_087,
-        flash_reads: 14_561,
-        flash_programs: 26_683,
-        erases: 6_055,
-        gc_runs: 1_332,
-        gc_moved_pages: 4_989,
-        gc_dropped_pages: 344,
-        gc_time_us: 13754072.44999983,
-        evictions: 4_240,
-        flushed_dirty_pages: 14_701,
-        wear_migrations: 466,
-        reconfig_ecc: 299,
+        reads: 96_657,
+        read_hits: 12_583,
+        writes: 41_038,
+        write_hits: 5_494,
+        flash_reads: 19_861,
+        flash_programs: 29_588,
+        erases: 6_779,
+        gc_runs: 2_072,
+        gc_moved_pages: 6_850,
+        gc_graduated_pages: 5,
+        gc_dropped_pages: 343,
+        gc_time_us: 15513284.499999532,
+        evictions: 4_079,
+        flushed_dirty_pages: 14_342,
+        wear_migrations: 609,
+        reconfig_ecc: 303,
         reconfig_density: 37,
         hot_promotions: 13,
-        uncorrectable_reads: 441,
+        uncorrectable_reads: 421,
         retired_blocks: 8,
-        foreground_us: 1659368.0,
-        background_us: 6528339.699996674,
-        ecc_us: 1384668.0,
-        reclaim_index_queries: 126_806,
-        reclaim_index_hits: 9_314,
-        admission_rejected_fills: 85_554,
-        admission_sketch_halvings: 158,
+        foreground_us: 2326694.0,
+        background_us: 6886134.399996516,
+        ecc_us: 1967594.0,
+        reclaim_index_queries: 122_019,
+        reclaim_index_hits: 10_025,
+        admission_rejected_fills: 76_194,
+        admission_sketch_halvings: 151,
         ..CacheStats::default()
     };
     assert_eq!(stats, pinned);

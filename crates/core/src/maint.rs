@@ -316,8 +316,11 @@ impl FlashCache {
     /// program and a unit of wear to defer one batched disk write, which
     /// costs less than the program alone; only a later read hit repays
     /// it, and the FPST's decayed access counter (§5.2.2) says whether
-    /// the page has had one. The read region and unified mode relocate
-    /// every valid page, as in Figure 8.
+    /// the page has had one. A kept page that also clears the fill bar
+    /// graduates to the read region (see [`Self::relocate_pages`]), a
+    /// departure from Figure 8, which moves a page within its own region.
+    /// The read region and unified mode relocate every valid page, as in
+    /// Figure 8.
     fn keeps_referenced_only(&self, kind: RegionKind) -> bool {
         self.storage_kind(kind) == RegionKind::Write
     }
@@ -353,9 +356,12 @@ impl FlashCache {
     /// background and programmed into a fresh slot whose FCHT entry is
     /// re-pointed in place. A compaction that
     /// [keeps referenced pages only](Self::keeps_referenced_only) evicts
-    /// the unread ones instead (dirty ones flushed); a page read back
-    /// uncorrectable is lost, and one with no destination slot is
-    /// evicted. Returns the number of pages moved.
+    /// the unread ones instead (dirty ones flushed), and graduates a read
+    /// page that clears the sketch's fill bar into the read region, dirty
+    /// bit and all, when a read-region open or free block has a slot
+    /// (never the read region's spare); otherwise the page stays in the
+    /// write region. A page read back uncorrectable is lost, and one with
+    /// no destination slot is evicted. Returns the number of pages moved.
     fn relocate_pages(
         &mut self,
         src: BlockId,
@@ -391,8 +397,15 @@ impl FlashCache {
             let access = self.fpst.access_count(addr);
             let want_slc =
                 access >= self.config.hot_threshold && self.config.controller.switches_density();
+            let mut graduated = false;
             let dst = match dest {
-                Dest::Stream(kind) => self.gc_dest_slot(kind, want_slc),
+                Dest::Stream(kind) => {
+                    let up = (referenced_only && self.clears_fill_bar(addr))
+                        .then(|| self.gc_dest_slot(RegionKind::Read, want_slc, false))
+                        .flatten();
+                    graduated = up.is_some();
+                    up.or_else(|| self.gc_dest_slot(kind, want_slc, true))
+                }
                 Dest::Block(b) => self.advance_slot(b, &mut next_slot, want_slc),
             };
             let Some(dst) = dst else {
@@ -404,19 +417,35 @@ impl FlashCache {
                 .ok_or(CacheError::MappingMissing { addr })?;
             *gc_us += self.program_slot(dst, disk_page, st.dirty, access)?;
             self.stats.gc_moved_pages += 1;
+            self.stats.gc_graduated_pages += graduated as u64;
             moved += 1;
         }
         Ok(moved)
     }
 
+    /// Whether the page at `addr` passes the gate a read-miss fill of it
+    /// would: always under the paper's rule, which holds no sketch.
+    fn clears_fill_bar(&self, addr: PageAddr) -> bool {
+        let page = self.fpst.disk_page(addr);
+        self.admission
+            .as_ref()
+            .is_none_or(|s| page.is_some_and(|p| s.admit_fill(p)))
+    }
+
     /// A destination slot for relocation: never recurses into
-    /// `make_space`; falls back to consuming the spare block.
-    fn gc_dest_slot(&mut self, kind: RegionKind, want_slc: bool) -> Option<PageAddr> {
+    /// `make_space`; falls back to consuming the spare block only with
+    /// `allow_spare`.
+    fn gc_dest_slot(
+        &mut self,
+        kind: RegionKind,
+        want_slc: bool,
+        allow_spare: bool,
+    ) -> Option<PageAddr> {
         loop {
             if let Some(a) = self.take_from_open(kind, want_slc) {
                 return Some(a);
             }
-            if !self.open_next_block(kind, true) {
+            if !self.open_next_block(kind, allow_spare) {
                 return None;
             }
         }

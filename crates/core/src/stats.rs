@@ -23,6 +23,9 @@ pub struct CacheStats {
     pub gc_runs: u64,
     /// Valid pages relocated by GC.
     pub gc_moved_pages: u64,
+    /// The subset of `gc_moved_pages` a write-region compaction moved
+    /// into the read region (graduated read pages).
+    pub gc_graduated_pages: u64,
     /// Valid pages a compaction evicted instead of relocating (dirty
     /// ones flushed): write-region pages never read since they were
     /// written, and pages that were unreadable or found no destination.
@@ -113,6 +116,7 @@ impl CacheStats {
         self.erases += other.erases;
         self.gc_runs += other.gc_runs;
         self.gc_moved_pages += other.gc_moved_pages;
+        self.gc_graduated_pages += other.gc_graduated_pages;
         self.gc_dropped_pages += other.gc_dropped_pages;
         self.gc_time_us += other.gc_time_us;
         self.evictions += other.evictions;

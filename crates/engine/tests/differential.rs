@@ -259,7 +259,8 @@ proptest! {
         sums!(
             reads: u64, read_hits: u64, writes: u64, write_hits: u64,
             flash_reads: u64, flash_programs: u64, erases: u64,
-            gc_runs: u64, gc_moved_pages: u64, gc_dropped_pages: u64,
+            gc_runs: u64, gc_moved_pages: u64, gc_graduated_pages: u64,
+            gc_dropped_pages: u64,
             evictions: u64,
             flushed_dirty_pages: u64, wear_migrations: u64,
             reconfig_ecc: u64, reconfig_density: u64, hot_promotions: u64,
