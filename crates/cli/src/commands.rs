@@ -94,8 +94,8 @@ ADMISSION (simulate, sweep, lifetime):
                       every miss fills until the first eviction)
                       | all (the paper's rule: every miss fills)
 
-DEVICE PARALLELISM (simulate, sweep, lifetime — any of these flags
-switches flash timing to the event-driven backend):
+DEVICE PARALLELISM (simulate, sweep, lifetime — these flags shape the
+flash scheduler; with none of them it runs one serial channel):
   --channels N        independent NAND channels (default 1)
   --planes N          planes per channel (default 1)
   --queue-depth N     outstanding background ops per channel, at most

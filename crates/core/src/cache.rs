@@ -98,8 +98,8 @@ pub struct AccessOutcome {
     /// Includes `queue_wait_us`.
     pub latency_us: f64,
     /// Device queueing delay inside `latency_us`, µs. Exactly zero
-    /// under the closed-form timing backend; under the event-driven
-    /// backend it is the time the flash read spent waiting out
+    /// under a serial channel shape (one channel, one plane, depth
+    /// one); otherwise it is the time the flash read spent waiting out
     /// in-flight channel traffic.
     pub queue_wait_us: f64,
     /// Off-critical-path flash work this access triggered (fills,
@@ -184,9 +184,6 @@ pub struct FlashCache {
     /// Incremental victim-selection index over the FBST (GC, eviction,
     /// wear levelling), kept in lock-step by [`FlashCache::reclaim_sync`].
     pub(crate) reclaim: ReclaimIndex,
-    /// ECC strength the *current content* of each slot was encoded with
-    /// (configured strength applies from the next program, §5.2).
-    pub(crate) live_strength: Vec<u8>,
     pub(crate) read_region: Region,
     pub(crate) write_region: Region,
     pub(crate) unified: bool,
@@ -257,7 +254,6 @@ impl FlashCache {
         // One mapping per slot at most: sized so lookups never rehash.
         let fcht = Fcht::with_capacity(usable_slots as usize);
         Ok(FlashCache {
-            live_strength: vec![initial_strength; usable_slots as usize],
             device,
             fcht,
             fpst,
@@ -465,11 +461,6 @@ impl FlashCache {
         }
     }
 
-    pub(crate) fn gidx(&self, addr: PageAddr) -> usize {
-        addr.block.0 as usize * self.device.geometry().slots_per_block() as usize
-            + addr.slot as usize
-    }
-
     fn region_kind_of(&self, addr: PageAddr) -> RegionKind {
         self.fbst.get(addr.block).region
     }
@@ -522,8 +513,7 @@ impl FlashCache {
         self.decay_countdown -= 1;
         if self.decay_countdown == 0 {
             self.decay_countdown = self.device.geometry().total_slots().max(1);
-            // O(1): pages fold the pending halving lazily on next touch.
-            self.fpst.advance_decay_epoch();
+            self.fpst.halve_access_counts();
         }
     }
 
@@ -630,19 +620,19 @@ impl FlashCache {
         // What an uncorrectable hit spent on the lost copy: latency, wait.
         let mut lost = None;
         if let Some(addr) = self.fcht.lookup(disk_page) {
-            let live_t = self.live_strength[self.gidx(addr)];
+            let st = *self.fpst.get(addr);
             let out = self
                 .device
                 .read_page_with(addr, OpContext::foreground())
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
             self.stats.flash_reads += 1;
             self.stamp_access(addr.block);
-            let ecc_us = EccLatencyModel::decode_us(live_t as usize);
+            let ecc_us = EccLatencyModel::decode_us(st.live_strength as usize);
             self.stats.ecc_us += ecc_us;
             // Adding the wait term last keeps the closed-form sum
             // bit-identical (wait is exactly 0.0 there).
             let latency = out.latency_us + ecc_us + out.wait_us;
-            if out.raw_bit_errors > live_t as u32 {
+            if out.raw_bit_errors > st.live_strength as u32 {
                 // Cached copy lost: detected by CRC after failed BCH.
                 self.raise_lost_copy();
                 self.respond_to_errors(addr, out.raw_bit_errors);
@@ -654,7 +644,7 @@ impl FlashCache {
                 // two consecutive reads at the strength boundary — so a
                 // transient soft error cannot cause a permanent
                 // reconfiguration.
-                if out.raw_bit_errors >= self.fpst.get(addr).ecc_strength as u32 {
+                if out.raw_bit_errors >= st.ecc_strength as u32 {
                     let streak = {
                         let st = self.fpst.get_mut(addr);
                         st.error_streak = st.error_streak.saturating_add(1);
@@ -667,7 +657,7 @@ impl FlashCache {
                 } else {
                     self.fpst.get_mut(addr).error_streak = 0;
                 }
-                let count = self.fpst.bump_access(addr);
+                let count = self.fpst.get_mut(addr).bump_access();
                 self.maybe_promote_hot(addr, count)?;
                 self.stats.read_hits += 1;
                 self.fgst.record(true, latency);
@@ -794,17 +784,16 @@ impl FlashCache {
             .program_page_with(addr, mode, None, OpContext::background())
             .map_err(|source| CacheError::ProgramRejected { addr, source })?;
         self.stats.flash_programs += 1;
-        let gi = self.gidx(addr);
-        self.live_strength[gi] = strength;
         let region = self.region_kind_of(addr);
         {
             let st = self.fpst.get_mut(addr);
             st.valid = true;
             st.dirty = dirty;
+            st.live_strength = strength;
+            st.access_count = access;
             st.error_streak = 0;
         }
         self.fpst.set_disk_page(addr, disk_page);
-        self.fpst.set_access_count(addr, access);
         let bs = self.fbst.get_mut(addr.block);
         bs.valid_pages += 1;
         self.region_mut(region).valid_pages += 1;
@@ -917,7 +906,8 @@ impl FlashCache {
             (true, false) => true,
             (false, true) => false,
             (true, true) => {
-                let freq = (self.fpst.access_count(addr) as f64 / self.config.hot_threshold as f64)
+                let freq = (self.fpst.get(addr).access_count as f64
+                    / self.config.hot_threshold as f64)
                     .min(1.0);
                 let d_code = EccLatencyModel::decode_us(cfg_t as usize + 1)
                     - EccLatencyModel::decode_us(cfg_t as usize);

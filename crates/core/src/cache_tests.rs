@@ -2,7 +2,8 @@
 //! writes, GC, eviction, wear levelling, controller reconfiguration, and
 //! full structural invariants after heavy churn.
 
-use nand_flash::{FlashConfig, FlashGeometry, WearConfig};
+use flash_ecc::EccLatencyModel;
+use nand_flash::{FlashConfig, FlashGeometry, PageAddr, WearConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -132,12 +133,19 @@ fn write_churn_triggers_gc() {
 /// again: four invalid slots, exactly the 25% floor that makes it a GC
 /// victim, which the next write compacts.
 fn one_victim_cache(admission: AdmissionPolicyConfig) -> FlashCache {
+    one_victim_cache_with(FlashCacheConfig {
+        admission,
+        ..small_config()
+    })
+}
+
+/// [`one_victim_cache`] over `config`'s other settings.
+fn one_victim_cache_with(config: FlashCacheConfig) -> FlashCache {
     let mut c = FlashCache::new(FlashCacheConfig {
         split: SplitPolicy::Split {
             write_fraction: 0.125,
         },
-        admission,
-        ..small_config()
+        ..config
     })
     .unwrap();
     for p in (0..12u64).chain(0..4) {
@@ -173,7 +181,11 @@ fn write_region_compaction_relocates_only_read_pages() {
     }
     for &p in &read {
         let addr = c.fcht.lookup(p).unwrap();
-        assert_eq!(c.fpst.access_count(addr), 1, "page {p} keeps its counter");
+        assert_eq!(
+            c.fpst.get(addr).access_count,
+            1,
+            "page {p} keeps its counter"
+        );
     }
     // The nine unread pages were all dirty: each is reported exactly
     // once, in this op's outcome.
@@ -783,6 +795,45 @@ fn error_response_saturates_past_u8() {
         assert_eq!(c.stats().reconfig_ecc, 1);
         c.check_invariants().unwrap();
     }
+}
+
+/// A raised configured strength applies from the slot's next program
+/// (§5.2): a page keeps decoding at the strength it was encoded with
+/// until a compaction re-programs it.
+#[test]
+fn a_hit_decodes_at_the_live_strength_until_the_page_is_reprogrammed() {
+    let mut c = one_victim_cache_with(FlashCacheConfig {
+        controller: ControllerPolicy::EccOnly,
+        admission: AdmissionPolicyConfig::AdmitAll,
+        ..small_config()
+    });
+    let old = c.fcht.lookup(0).unwrap();
+    // Raise every slot's configured strength to 4, so wherever the
+    // compaction puts page 0, its new slot encodes at 4.
+    let geometry = *c.device().geometry();
+    for b in geometry.iter_blocks() {
+        for slot in 0..geometry.slots_per_block() {
+            c.respond_to_errors(PageAddr::new(b, slot), 3);
+        }
+    }
+    let st = *c.fpst.get(old);
+    assert_eq!((st.ecc_strength, st.live_strength), (4, 1));
+
+    c.reset_stats();
+    assert!(c.op(CacheOp::read(0)).access.hit);
+    assert_eq!(c.stats().ecc_us, EccLatencyModel::decode_us(1));
+
+    // The seventeenth write compacts the victim; the read page moves.
+    c.op(CacheOp::write(100));
+    assert_eq!(c.stats().gc_moved_pages, 1);
+    let new = c.fcht.lookup(0).unwrap();
+    assert_ne!(new, old);
+    assert_eq!(c.fpst.get(new).live_strength, 4);
+
+    c.reset_stats();
+    assert!(c.op(CacheOp::read(0)).access.hit);
+    assert_eq!(c.stats().ecc_us, EccLatencyModel::decode_us(4));
+    c.check_invariants().unwrap();
 }
 
 /// The bar of the default admission starts at 0: until an eviction has

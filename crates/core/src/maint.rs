@@ -378,11 +378,11 @@ impl FlashCache {
             if !st.valid {
                 continue;
             }
-            if referenced_only && self.fpst.access_count(addr) == 0 {
+            if referenced_only && st.access_count == 0 {
                 self.drop_valid_page(addr, true);
                 continue;
             }
-            let live_t = self.live_strength[self.gidx(addr)];
+            let live_t = st.live_strength;
             let out = self
                 .device
                 .read_page_with(addr, OpContext::background())
@@ -394,7 +394,7 @@ impl FlashCache {
                 self.drop_valid_page(addr, false);
                 continue;
             }
-            let access = self.fpst.access_count(addr);
+            let access = st.access_count;
             let want_slc =
                 access >= self.config.hot_threshold && self.config.controller.switches_density();
             let mut graduated = false;

@@ -382,24 +382,26 @@ pub(crate) fn prefetch_read(p: *const u8) {
     let _ = p;
 }
 
-/// Per-flash-page entry of the Flash page status table (§3.2).
+/// Per-flash-page entry of the Flash page status table (§3.2): the
+/// controller's one record per slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageState {
     /// Valid bit: the page holds live cached data.
     pub valid: bool,
     /// Dirty: content newer than the disk copy (write-cache pages).
     pub dirty: bool,
-    /// Configured ECC strength for this flash page.
+    /// Configured ECC strength for this flash page: what the next
+    /// program encodes with.
     pub ecc_strength: u8,
+    /// ECC strength the slot's current content was encoded with, which
+    /// its reads decode at (a raised configured strength applies from
+    /// the next program, §5.2).
+    pub live_strength: u8,
     /// Mode this flash page is (or will next be) programmed in.
     pub mode: CellMode,
-    /// Saturating read-access counter (§5.2.2). This is the *raw*
-    /// stored value; pending epoch decay may still apply — read through
-    /// [`Fpst::access_count`] for the effective value.
+    /// Saturating read-access counter (§5.2.2), halved in place by
+    /// [`Fpst::halve_access_counts`].
     pub access_count: u8,
-    /// Decay epoch `access_count` was last folded at (see
-    /// [`Fpst::advance_decay_epoch`]).
-    pub access_epoch: u32,
     /// Consecutive reads whose error count reached the configured
     /// strength — reconfiguration waits for errors that "fail
     /// consistently" (§5.2.1) so a transient soft error cannot trigger a
@@ -413,9 +415,9 @@ impl PageState {
             valid: false,
             dirty: false,
             ecc_strength,
+            live_strength: ecc_strength,
             mode: CellMode::Mlc,
             access_count: 0,
-            access_epoch: 0,
             error_streak: 0,
         }
     }
@@ -434,8 +436,8 @@ const NO_DISK_PAGE: u64 = u64::MAX;
 ///
 /// The reverse mapping (flash slot → disk page) lives in a separate
 /// side-array rather than inside [`PageState`]: the hot paths (hit
-/// servicing, access-count decay, descriptor checks) only touch the
-/// small status fields, while the reverse map is consulted on GC and
+/// servicing, access-count halving, descriptor checks) only touch the
+/// 7-byte status entry, while the reverse map is consulted on GC and
 /// invalidation. Splitting it keeps the per-slot status stride small so
 /// table walks stream fewer cache lines.
 #[derive(Debug)]
@@ -444,28 +446,22 @@ pub struct Fpst {
     pages: Vec<PageState>,
     /// Per-slot reverse mapping; [`NO_DISK_PAGE`] when empty.
     disk_pages: Vec<u64>,
-    /// Current decay epoch: each page owes `decay_epoch - access_epoch`
-    /// halvings of its access counter, applied lazily on the next
-    /// touch. Advancing the epoch is O(1), replacing the old
-    /// full-table decay walk on the access path.
-    decay_epoch: u32,
 }
 
 impl Fpst {
-    /// Builds the table for a device geometry, every page MLC at ECC
-    /// strength `ecc_strength`.
+    /// Builds the table for a device geometry, every page MLC with
+    /// configured and live ECC strength `ecc_strength`.
     pub fn new(geometry: FlashGeometry, ecc_strength: u8) -> Self {
         let slots = geometry.total_slots() as usize;
         Fpst {
             geometry,
             pages: vec![PageState::fresh(ecc_strength); slots],
             disk_pages: vec![NO_DISK_PAGE; slots],
-            decay_epoch: 0,
         }
     }
 
     fn idx(&self, addr: PageAddr) -> usize {
-        addr.block.0 as usize * self.geometry.slots_per_block() as usize + addr.slot as usize
+        self.geometry.slot_index(addr)
     }
 
     /// Immutable page state.
@@ -526,56 +522,13 @@ impl Fpst {
         })
     }
 
-    /// Starts a new decay epoch: every access counter is halved once,
-    /// *lazily*. O(1) — pages fold the pending halvings the next time
-    /// their counter is read or written, so steady-state accesses never
-    /// pay a full-table walk. A `u8` counter is dead after 8 halvings,
-    /// so the fold caps the shift and epoch wrap-around is harmless.
-    pub fn advance_decay_epoch(&mut self) {
-        self.decay_epoch = self.decay_epoch.wrapping_add(1);
-    }
-
-    /// The current decay epoch (stamp for direct `access_count` writes).
-    pub fn decay_epoch(&self) -> u32 {
-        self.decay_epoch
-    }
-
-    /// Effective access counter of `addr`, with pending decay applied.
-    pub fn access_count(&self, addr: PageAddr) -> u8 {
-        let p = self.get(addr);
-        let owed = self.decay_epoch.wrapping_sub(p.access_epoch);
-        if owed >= 8 {
-            0
-        } else {
-            p.access_count >> owed
+    /// Halves every access counter (§5.2.2) in one sequential pass. The
+    /// cache calls it once per device's worth of slots of ops, so the
+    /// pass costs a few bytes of table walk per op.
+    pub fn halve_access_counts(&mut self) {
+        for p in &mut self.pages {
+            p.access_count >>= 1;
         }
-    }
-
-    /// Folds pending decay into the stored counter and stamps the page
-    /// current. Returns the folded value.
-    fn fold_decay(&mut self, addr: PageAddr) -> u8 {
-        let epoch = self.decay_epoch;
-        let folded = self.access_count(addr);
-        let p = self.get_mut(addr);
-        p.access_count = folded;
-        p.access_epoch = epoch;
-        folded
-    }
-
-    /// Saturating increment of `addr`'s access counter (folding pending
-    /// decay first); returns the new effective value.
-    pub fn bump_access(&mut self, addr: PageAddr) -> u8 {
-        self.fold_decay(addr);
-        self.get_mut(addr).bump_access()
-    }
-
-    /// Overwrites `addr`'s access counter with `value`, stamped at the
-    /// current epoch (no decay owed until the next epoch).
-    pub fn set_access_count(&mut self, addr: PageAddr, value: u8) {
-        let epoch = self.decay_epoch;
-        let p = self.get_mut(addr);
-        p.access_count = value;
-        p.access_epoch = epoch;
     }
 
     /// Sum of configured ECC strengths across a block (`TotalECC` in the
@@ -951,39 +904,48 @@ mod tests {
     }
 
     #[test]
-    fn lazy_decay_matches_eager_halving() {
-        let mut t = Fpst::new(geom(), 1);
-        let a = PageAddr::new(BlockId(0), 0);
-        t.set_access_count(a, 200);
-        // One epoch: 200 -> 100; bump folds then increments.
-        t.advance_decay_epoch();
-        assert_eq!(t.access_count(a), 100);
-        assert_eq!(t.bump_access(a), 101);
-        // Three more epochs: 101 >> 3 = 12.
-        for _ in 0..3 {
-            t.advance_decay_epoch();
-        }
-        assert_eq!(t.access_count(a), 12);
-        // A counter is dead after 8 epochs regardless of magnitude.
-        t.set_access_count(a, 255);
-        for _ in 0..8 {
-            t.advance_decay_epoch();
-        }
-        assert_eq!(t.access_count(a), 0);
-        assert_eq!(t.bump_access(a), 1);
+    fn page_state_is_one_seven_byte_record() {
+        // One per slot: seven `u8`-sized fields, no padding.
+        assert_eq!(std::mem::size_of::<PageState>(), 7);
+        let p = Fpst::new(geom(), 3);
+        let st = p.get(PageAddr::new(BlockId(3), 7));
+        assert_eq!((st.ecc_strength, st.live_strength), (3, 3));
     }
 
     #[test]
-    fn set_access_count_stamps_current_epoch() {
+    fn halving_composes_into_shifts_and_kills_a_counter_in_eight() {
+        let mut t = Fpst::new(geom(), 1);
+        let a = PageAddr::new(BlockId(0), 0);
+        t.get_mut(a).access_count = 200;
+        // One pass: 200 -> 100; a bump increments the halved value.
+        t.halve_access_counts();
+        assert_eq!(t.get(a).access_count, 100);
+        assert_eq!(t.get_mut(a).bump_access(), 101);
+        // Three more passes: 101 >> 3 = 12.
+        for _ in 0..3 {
+            t.halve_access_counts();
+        }
+        assert_eq!(t.get(a).access_count, 12);
+        // A counter is dead after 8 passes regardless of magnitude.
+        t.get_mut(a).access_count = 255;
+        for _ in 0..8 {
+            t.halve_access_counts();
+        }
+        assert_eq!(t.get(a).access_count, 0);
+        assert_eq!(t.get_mut(a).bump_access(), 1);
+    }
+
+    #[test]
+    fn a_written_counter_halves_from_the_next_pass_only() {
         let mut t = Fpst::new(geom(), 1);
         let a = PageAddr::new(BlockId(1), 2);
-        t.advance_decay_epoch();
-        t.advance_decay_epoch();
-        t.set_access_count(a, 40);
-        // No decay owed until the *next* epoch.
-        assert_eq!(t.access_count(a), 40);
-        t.advance_decay_epoch();
-        assert_eq!(t.access_count(a), 20);
+        t.halve_access_counts();
+        t.halve_access_counts();
+        t.get_mut(a).access_count = 40;
+        // Passes before the write do not reach it.
+        assert_eq!(t.get(a).access_count, 40);
+        t.halve_access_counts();
+        assert_eq!(t.get(a).access_count, 20);
     }
 
     #[test]

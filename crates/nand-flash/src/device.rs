@@ -365,7 +365,7 @@ impl FlashDevice {
     }
 
     fn slot_index(&self, addr: PageAddr) -> usize {
-        addr.block.0 as usize * self.config.geometry.slots_per_block() as usize + addr.slot as usize
+        self.config.geometry.slot_index(addr)
     }
 
     fn check_addr(&self, addr: PageAddr) -> Result<(), FlashOpError> {

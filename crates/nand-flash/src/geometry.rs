@@ -167,6 +167,12 @@ impl FlashGeometry {
         (0..self.blocks).map(BlockId)
     }
 
+    /// Flat index of a slot, for dense per-slot side tables.
+    #[inline]
+    pub fn slot_index(&self, addr: PageAddr) -> usize {
+        addr.block.0 as usize * self.slots_per_block() as usize + addr.slot as usize
+    }
+
     /// Flat index of a physical page, for dense side tables.
     pub fn physical_index(&self, addr: PageAddr) -> usize {
         addr.block.0 as usize * self.pages_per_block as usize + addr.physical_page() as usize
@@ -242,6 +248,24 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 2 * g.total_physical_pages() as usize);
+    }
+
+    #[test]
+    fn slot_index_is_dense_and_pairs_onto_physical_index() {
+        let g = FlashGeometry {
+            blocks: 4,
+            pages_per_block: 8,
+        };
+        let mut seen = vec![false; g.total_slots() as usize];
+        for b in g.iter_blocks() {
+            for slot in 0..g.slots_per_block() {
+                let a = PageAddr::new(b, slot);
+                let idx = g.slot_index(a);
+                assert!(!std::mem::replace(&mut seen[idx], true), "{a:?} collides");
+                assert_eq!(idx / 2, g.physical_index(a));
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -129,8 +129,7 @@ impl VerifiedFlash {
     }
 
     fn slot_index(&self, addr: PageAddr) -> usize {
-        addr.block.0 as usize * self.device.geometry().slots_per_block() as usize
-            + addr.slot as usize
+        self.device.geometry().slot_index(addr)
     }
 
     /// Encodes and programs one page at the given BCH strength.
