@@ -253,24 +253,8 @@ impl FlashCacheConfig {
                 "flash.geometry.pages_per_block must be at least 1".to_string(),
             ));
         }
-        // A bad shape would otherwise panic in the scheduler at the
-        // first op.
-        let channel = &self.flash.channel;
-        channel
-            .validate()
-            .map_err(|e| ConfigError::new(e.to_string()))?;
-        let blocks = self.flash.geometry.blocks;
-        if channel
-            .channels
-            .checked_mul(channel.planes)
-            .is_none_or(|lanes| lanes > blocks)
-        {
-            return Err(ConfigError::new(format!(
-                "{} channels x {} planes exceed the device's {blocks} blocks \
-                 (a lane without a block can never be used)",
-                channel.channels, channel.planes
-            )));
-        }
+        // A bad shape would otherwise panic in `FlashDevice::new`.
+        self.flash.validate().map_err(ConfigError::new)?;
         self.flash
             .wear
             .validate()

@@ -15,7 +15,7 @@ use flash_ecc::page::{PAGE_DATA_BYTES, PAGE_SPARE_BYTES};
 
 use crate::geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 use crate::sampling::NormalSource;
-use crate::sched::{ChannelConfig, EventDriven, OpClass, OpRequest, TimingBackend};
+use crate::sched::{ChannelConfig, EventDriven, OpClass, OpRequest, OpTiming, TimingBackend};
 use crate::timing::FlashPower;
 use crate::wear::{PageWearState, WearConfig, WearModel};
 
@@ -99,8 +99,8 @@ enum SlotState {
 
 /// Caller context for a device operation, threaded into the
 /// scheduler: foreground ops block and advance the modeled clock, while
-/// background work (GC traffic, cache fills) consumes device time that
-/// later foreground ops wait out.
+/// background work (GC traffic, cache fills) is booked on its plane
+/// and blocks only past the plane's depth ([`sched`](crate::sched)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpContext {
     /// Whether the op is background work.
@@ -113,7 +113,7 @@ impl OpContext {
         OpContext { background: false }
     }
 
-    /// A background (non-blocking) operation.
+    /// A background operation: it blocks only past its plane's depth.
     pub fn background() -> Self {
         OpContext { background: true }
     }
@@ -124,8 +124,7 @@ impl OpContext {
 pub struct ReadOutcome {
     /// Raw latency of the array access, µs (ECC time is the controller's).
     pub latency_us: f64,
-    /// Queueing delay before service, µs (zero under a serial channel
-    /// shape).
+    /// Queueing delay before service, µs (0 on a serial channel shape).
     pub wait_us: f64,
     /// Energy consumed, millijoules.
     pub energy_mj: f64,
@@ -143,8 +142,7 @@ pub struct ReadOutcome {
 pub struct ProgramOutcome {
     /// Program latency, µs.
     pub latency_us: f64,
-    /// Queueing delay before service, µs (zero under a serial channel
-    /// shape).
+    /// Queueing delay before service, µs (0 on a serial channel shape).
     pub wait_us: f64,
     /// Energy consumed, millijoules.
     pub energy_mj: f64,
@@ -155,8 +153,7 @@ pub struct ProgramOutcome {
 pub struct EraseOutcome {
     /// Erase latency, µs.
     pub latency_us: f64,
-    /// Queueing delay before service, µs (zero under a serial channel
-    /// shape).
+    /// Queueing delay before service, µs (0 on a serial channel shape).
     pub wait_us: f64,
     /// Energy consumed, millijoules.
     pub energy_mj: f64,
@@ -211,6 +208,25 @@ impl Default for FlashConfig {
             timing_backend: TimingBackend::default(),
             channel: ChannelConfig::default(),
         }
+    }
+}
+
+impl FlashConfig {
+    /// Validates the channel shape, then that no lane (`channels ×
+    /// planes`) is left without a block.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        let (channels, planes) = (self.channel.channels, self.channel.planes);
+        self.channel.validate().map_err(|e| e.to_string())?;
+        let blocks = self.geometry.blocks;
+        if u64::from(channels) * u64::from(planes) > u64::from(blocks) {
+            let lanes = format!("{channels} channels x {planes} planes");
+            return Err(format!("{lanes} exceed the device's {blocks} blocks"));
+        }
+        Ok(())
     }
 }
 
@@ -272,9 +288,10 @@ impl FlashDevice {
     ///
     /// # Panics
     ///
-    /// Panics with the error text if [`ChannelConfig::validate`]
-    /// rejects `config.channel`.
+    /// Panics with the error text if [`FlashConfig::validate`] rejects
+    /// `config`, before anything is allocated.
     pub fn new(config: FlashConfig) -> Self {
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
         let geometry = config.geometry;
         let wear_model = WearModel::new(config.wear);
         let mut rng = SmallRng::seed_from_u64(config.seed);
@@ -357,13 +374,6 @@ impl FlashDevice {
         self.modes[self.config.geometry.physical_index(addr)]
     }
 
-    /// Permanent failed-cell counts `(slc, mlc)` of the physical page
-    /// under `addr`, as currently materialized.
-    pub fn permanent_failures(&self, addr: PageAddr) -> (u32, u32) {
-        let w = &self.wear[self.config.geometry.physical_index(addr)];
-        (w.fail_slc, w.fail_mlc)
-    }
-
     fn slot_index(&self, addr: PageAddr) -> usize {
         self.config.geometry.slot_index(addr)
     }
@@ -380,6 +390,32 @@ impl FlashDevice {
     pub fn is_programmed(&self, addr: PageAddr) -> bool {
         self.config.geometry.contains(addr)
             && self.slots[self.slot_index(addr)] == SlotState::Programmed
+    }
+
+    /// Prices and charges one op (a read's pushed delay as wait); returns its timing and mJ.
+    fn charge(
+        &mut self,
+        class: OpClass,
+        mode: CellMode,
+        block: BlockId,
+        ctx: OpContext,
+    ) -> (OpTiming, f64) {
+        let t = self.model.op(&OpRequest {
+            class,
+            mode,
+            block: block.0,
+            background: ctx.background,
+        });
+        let energy_mj = FlashPower::op_energy_mj(t.service_us);
+        *match class {
+            OpClass::Read => &mut self.stats.reads,
+            OpClass::Program => &mut self.stats.programs,
+            OpClass::Erase => &mut self.stats.erases,
+        } += 1;
+        self.stats.busy_us += t.service_us;
+        self.stats.wait_us += t.wait_us + self.model.take_pushed_us();
+        self.stats.energy_mj += energy_mj;
+        (t, energy_mj)
     }
 
     /// Programs one 2KB slot in the given mode.
@@ -463,20 +499,9 @@ impl FlashDevice {
         if let Some(stored) = self.payloads.get_mut(si) {
             *stored = data.map(Box::from);
         }
-        let t = self.model.op(&OpRequest {
-            class: OpClass::Program,
-            mode,
-            block: addr.block.0,
-            background: ctx.background,
-        });
-        let latency_us = t.service_us;
-        let energy_mj = FlashPower::op_energy_mj(latency_us);
-        self.stats.programs += 1;
-        self.stats.busy_us += latency_us;
-        self.stats.wait_us += t.wait_us;
-        self.stats.energy_mj += energy_mj;
+        let (t, energy_mj) = self.charge(OpClass::Program, mode, addr.block, ctx);
         Ok(ProgramOutcome {
-            latency_us,
+            latency_us: t.service_us,
             wait_us: t.wait_us,
             energy_mj,
         })
@@ -514,25 +539,14 @@ impl FlashDevice {
         let erases = self.erase_counts[addr.block.0 as usize];
         let raw_bit_errors =
             self.wear[pi].observe_read_errors(&self.wear_model, mode, erases, &mut self.rng);
-        let t = self.model.op(&OpRequest {
-            class: OpClass::Read,
-            mode,
-            block: addr.block.0,
-            background: ctx.background,
-        });
-        let latency_us = t.service_us;
-        let energy_mj = FlashPower::op_energy_mj(latency_us);
-        self.stats.reads += 1;
+        let (t, energy_mj) = self.charge(OpClass::Read, mode, addr.block, ctx);
         self.stats.bit_errors += raw_bit_errors as u64;
-        self.stats.busy_us += latency_us;
-        self.stats.wait_us += t.wait_us + self.model.take_pushed_us();
-        self.stats.energy_mj += energy_mj;
         let data = self
             .payloads
             .get(si)
             .and_then(|p| p.as_deref().map(<[u8]>::to_vec));
         Ok(ReadOutcome {
-            latency_us,
+            latency_us: t.service_us,
             wait_us: t.wait_us,
             energy_mj,
             raw_bit_errors,
@@ -603,20 +617,9 @@ impl FlashDevice {
             bytes.fill_with(|| None);
         }
         self.erase_counts[b] += 1;
-        let t = self.model.op(&OpRequest {
-            class: OpClass::Erase,
-            mode: worst,
-            block: block.0,
-            background: ctx.background,
-        });
-        let latency_us = t.service_us;
-        let energy_mj = FlashPower::op_energy_mj(latency_us);
-        self.stats.erases += 1;
-        self.stats.busy_us += latency_us;
-        self.stats.wait_us += t.wait_us;
-        self.stats.energy_mj += energy_mj;
+        let (t, energy_mj) = self.charge(OpClass::Erase, worst, block, ctx);
         Ok(EraseOutcome {
-            latency_us,
+            latency_us: t.service_us,
             wait_us: t.wait_us,
             energy_mj,
             erase_count: self.erase_counts[b],
@@ -879,6 +882,27 @@ mod tests {
             },
             ..FlashConfig::default()
         });
+    }
+
+    #[test]
+    fn flash_config_validates_the_shape_then_the_lanes() {
+        let shape = |channels, planes| FlashConfig {
+            channel: ChannelConfig {
+                channels,
+                planes,
+                ..ChannelConfig::default()
+            },
+            ..FlashConfig::default()
+        };
+        let blocks = FlashConfig::default().geometry.blocks;
+        assert_eq!(shape(1, 1).validate(), Ok(()));
+        assert_eq!(shape(blocks, 1).validate(), Ok(()));
+        let err = shape(0, 1).validate().unwrap_err();
+        assert!(err.contains("channels must be >= 1"), "{err}");
+        let err = shape(65_536, 65_536).validate().unwrap_err();
+        assert!(err.contains("exceed the device's"), "{err}");
+        // The product is checked, not wrapped.
+        assert!(shape(u32::MAX, 2).validate().is_err());
     }
 
     #[test]

@@ -10,13 +10,13 @@
 //! high-water mark, so the same op stream always yields the same
 //! timings.
 //!
-//! # Closed-form contract
+//! # Closed-form contract: a serial device books nothing ahead
 //!
 //! A serial config ([`ChannelConfig::is_serial`], the default: 1
-//! channel, 1 plane, queue depth 1) makes every operation — fore- or
-//! background — block and advance the clock, and makes every stall term
-//! exactly `0.0`, so the one path *is* the running sum of table
-//! latencies: the paper's closed-form model. `sched_props`'
+//! channel, 1 plane, queue depth 1) has depth 0 (see the next section),
+//! so every op blocks, nothing is booked ahead of an arrival and every
+//! stall term is exactly `0.0`: the one path *is* the running sum of
+//! table latencies, the paper's closed-form model. `sched_props`'
 //! `serial_event_backend_is_the_closed_form_oracle` pins waits,
 //! services, the clock after every op and the drained makespan against
 //! an in-test running sum, bit for bit.
@@ -44,16 +44,17 @@
 //!   bus, so a page transfer costs nothing and orders nothing.
 //! * All ops but foreground reads are admitted FIFO, at most
 //!   `queue_depth` outstanding per channel, then wait for their plane.
-//!   Background ops (GC, fills) do not advance the foreground clock, so
-//!   later foreground ops observe genuine queue wait.
+//!   A background op (GC, a fill) is booked on its plane. While the
+//!   plane holds more than its depth (`BOOKED_CAP`, 0 when serial) the
+//!   clock advances to the end of the oldest, which leaves the timeline.
 //! * A foreground read goes first: it takes no slot and starts when
 //!   the op running on its plane ends, ahead of every op booked there
 //!   that has not started, which moves later, slot and all, by what the
 //!   read occupies ([`EventDriven::take_pushed_us`]). Nothing running is
-//!   preempted, so a read waits for at most one op (or for what its
-//!   plane committed past 4 096 booked ops). A slot an admission stall
-//!   freed before its op ended stays freed: the op admitted on it keeps
-//!   its time, so a channel may briefly hold more than `queue_depth`.
+//!   preempted, so a read waits for at most one op. A slot an admission
+//!   stall freed before its op ended stays freed: the op admitted on it
+//!   keeps its time, so a channel may briefly hold more than
+//!   `queue_depth`.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -220,16 +221,15 @@ pub struct OpRequest {
     pub mode: CellMode,
     /// Target block, used for channel/plane placement.
     pub block: u32,
-    /// Background ops (GC, fills) consume device time without
-    /// advancing the foreground clock.
+    /// Background ops (GC, fills) are booked on their plane and hold
+    /// the foreground clock only past its depth (module docs).
     pub background: bool,
 }
 
 /// The timing verdict for one operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpTiming {
-    /// Queueing delay before service began, µs. Exactly `0.0` under a
-    /// serial [`ChannelConfig`].
+    /// Queueing delay before service began, µs; exactly `0.0` if serial.
     pub wait_us: f64,
     /// Device service time (the cell phase), µs.
     pub service_us: f64,
@@ -259,10 +259,10 @@ fn plane_of(cfg: &ChannelConfig, block: u32) -> usize {
     ch * cfg.planes as usize + ((block / cfg.channels) % cfg.planes) as usize
 }
 
-/// Most ops one plane's timeline remembers; past it the oldest is
-/// committed, and reads wait for it. Uncapped, a timeline grows with the
-/// run: `channels8` peaks at 780 ops a plane, but `flashcache simulate
-/// --channels 8 --planes 2 --requests 200000` would book 18 483.
+/// Booked ops past which a parallel plane makes the host wait. Unbounded,
+/// `flashcache simulate --channels 8 --planes 2 --requests 200000` books
+/// 18 483 on a plane; `channels8` peaks at 767 and never waits, and a
+/// higher depth lengthens every read's push walk.
 const BOOKED_CAP: usize = 4096;
 
 /// An op as booked on its plane's timeline and its channel's window.
@@ -280,8 +280,6 @@ struct Plane {
     free_us: f64,
     /// Background ops booked here and not yet seen to end, in order.
     booked: VecDeque<Booked>,
-    /// End of the ops committed past [`BOOKED_CAP`].
-    committed_us: f64,
 }
 
 /// NAND scheduler with channel/plane parallelism over per-plane
@@ -292,7 +290,7 @@ struct Plane {
 #[derive(Debug)]
 pub struct EventDriven {
     cfg: ChannelConfig,
-    serial: bool,
+    depth: usize,
     now_us: f64,
     /// Per-plane (channel-major) timelines.
     planes: Vec<Plane>,
@@ -317,12 +315,10 @@ impl EventDriven {
     /// [`ChannelConfig::validate`] (a zero count would reach a remainder
     /// by zero at the first op, an unbounded depth an allocation failure).
     pub fn new(cfg: ChannelConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("{e}");
-        }
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let channels = cfg.channels as usize;
         EventDriven {
-            serial: cfg.is_serial(),
+            depth: if cfg.is_serial() { 0 } else { BOOKED_CAP },
             now_us: 0.0,
             planes: vec![Plane::default(); channels * cfg.planes as usize],
             out: vec![Booked::default(); channels * cfg.queue_depth as usize],
@@ -409,16 +405,16 @@ impl EventDriven {
         };
         self.next_id += 1;
         lane.free_us = op.end_us;
-        if self.serial || !req.background {
-            self.now_us = op.end_us;
-        } else {
+        if req.background {
             while lane.booked.front().is_some_and(|b| b.end_us <= arrival_us) {
                 lane.booked.pop_front();
             }
-            if lane.booked.len() == BOOKED_CAP {
-                lane.committed_us = lane.booked.pop_front().map_or(0.0, |b| b.end_us);
-            }
             lane.booked.push_back(op);
+            if lane.booked.len() > self.depth {
+                self.now_us = lane.booked.pop_front().map_or(arrival_us, |b| b.end_us);
+            }
+        } else {
+            self.now_us = op.end_us;
         }
         let n = self.out_len[ch] as usize;
         self.out[ch * self.cfg.queue_depth as usize + n] = op;
@@ -439,7 +435,7 @@ impl EventDriven {
         }
         let running = lane.booked.front().filter(|b| b.start_us <= arrival_us);
         let pending = usize::from(running.is_some());
-        let start_us = running.map_or(arrival_us.max(lane.committed_us), |b| b.end_us);
+        let start_us = running.map_or(arrival_us, |b| b.end_us);
         let end_us = start_us + service_us;
         let mut ready_us = end_us;
         let base = ch * self.cfg.queue_depth as usize;
@@ -665,19 +661,51 @@ mod tests {
         assert_eq!(event.drain(), 450.0);
     }
 
-    /// Past [`BOOKED_CAP`] booked ops a plane commits its oldest: a read
-    /// waits out the two committed programs, then overtakes the rest.
+    /// Past [`BOOKED_CAP`] booked ops a plane makes the host wait for
+    /// its oldest: two programs over the depth hold the clock to the
+    /// second one's end, and a read then waits for the one running
+    /// program and pushes the rest.
     #[test]
-    fn a_plane_commits_what_it_cannot_remember() {
+    fn a_plane_past_its_depth_holds_the_host() {
         let cfg = ChannelConfig::builder().queue_depth(8).build().unwrap();
         let mut event = EventDriven::new(cfg);
         for _ in 0..BOOKED_CAP + 2 {
             event.op(&bg(OpClass::Program, CellMode::Slc, 0));
         }
+        assert_eq!(event.now_us(), 2.0 * 200.0);
+        assert_eq!(event.planes[0].booked.len(), BOOKED_CAP);
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
-        assert_eq!(t.wait_us, 2.0 * 200.0);
-        assert_eq!(event.take_pushed_us(), BOOKED_CAP as f64 * 25.0);
+        assert_eq!(t.wait_us, 200.0);
+        assert_eq!(event.now_us(), 3.0 * 200.0 + 25.0);
+        assert_eq!(event.take_pushed_us(), (BOOKED_CAP - 1) as f64 * 25.0);
         assert_eq!(event.drain(), (BOOKED_CAP + 2) as f64 * 200.0 + 25.0);
+    }
+
+    /// A serial plane's depth is 0: after any op, fore- or background,
+    /// nothing is left booked ahead of the next arrival.
+    #[test]
+    fn a_serial_plane_holds_no_booked_op() {
+        let mut event = EventDriven::new(ChannelConfig::default());
+        for (i, class) in [OpClass::Program, OpClass::Read, OpClass::Erase]
+            .into_iter()
+            .cycle()
+            .take(12)
+            .enumerate()
+        {
+            let req = OpRequest {
+                class,
+                mode: if i % 2 == 0 {
+                    CellMode::Slc
+                } else {
+                    CellMode::Mlc
+                },
+                block: i as u32,
+                background: i % 4 != 1,
+            };
+            event.op(&req);
+            assert!(event.planes.iter().all(|p| p.booked.is_empty()), "{req:?}");
+            assert_eq!(event.take_pushed_us(), 0.0);
+        }
     }
 
     #[test]
