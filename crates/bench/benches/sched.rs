@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the NAND scheduler: schedule + drain
 //! cycles at queue depths 1, 8, and 64, the serial configuration, and
-//! foreground reads overtaking booked background programs — the
+//! foreground reads suspending and overtaking background programs — the
 //! scheduler hot path itself, isolated from the cache layers above it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -49,8 +49,8 @@ fn cycle(cfg: ChannelConfig, burst: u32) -> f64 {
 
 /// One overtaking cycle on a long-lived model: bursts of three
 /// background programs on one of four lanes, each followed by a
-/// foreground read there that goes ahead of every program on that lane
-/// not yet started, then a drain. The model is reused, so its timelines
+/// foreground read there that suspends the running program and goes
+/// ahead of every program on that lane not yet started, then a drain. The model is reused, so its timelines
 /// stay at their high-water mark and nothing is allocated.
 fn overtake_cycle(model: &mut EventDriven, burst: u32) -> f64 {
     const LANES: [u32; 4] = [0, 1, CHANNELS, CHANNELS + 1];

@@ -340,13 +340,23 @@ pub fn simulate(args: &Args) -> Result<(), String> {
         "disk traffic      : {} page reads, {} page writes ({:.2}s busy)",
         report.disk_read_pages, report.disk_write_pages, report.disk.busy_s
     );
-    if let Some(makespan_us) = device_makespan_us {
+    if let (Some(makespan_us), Some(engine)) = (device_makespan_us, hierarchy.flash_engine()) {
+        let (mut suspensions, mut stalls, mut stall_us) = (0, 0, 0.0);
+        for shard in engine.shards() {
+            let d = shard.device().stats();
+            suspensions += d.suspensions;
+            stalls += d.host_stalls;
+            stall_us += d.host_stall_us;
+        }
         println!(
-            "flash device time : makespan {:.0} us | {:.1} pages per sim-second | queue wait mean {:.1} us, p99 {:.1} us",
+            "flash device time : makespan {:.0} us | {:.1} pages per sim-second | queue wait mean {:.1} us, p99 {:.1} us | {} suspensions | host stalls {} ({:.0} us)",
             makespan_us,
             report.pages as f64 / (makespan_us / 1e6),
             report.flash_queue_wait.mean_us(),
             report.flash_queue_wait.percentile_us(0.99),
+            suspensions,
+            stalls,
+            stall_us,
         );
     }
     if let Some(engine) = hierarchy.flash_engine() {

@@ -332,6 +332,9 @@ impl FlashCache {
             ("nand.bit_errors", d.bit_errors),
             ("nand.busy_us", d.busy_us.round() as u64),
             ("nand.wait_us", d.wait_us.round() as u64),
+            ("nand.suspensions", d.suspensions),
+            ("nand.host_stalls", d.host_stalls),
+            ("nand.host_stall_us", d.host_stall_us.round() as u64),
             ("nand.energy_uj", (d.energy_mj * 1000.0).round() as u64),
         ];
         for (name, v) in n {
@@ -521,6 +524,7 @@ impl FlashCache {
         outcome.flushed_dirty = self.op_flushed;
         outcome.background_us = self.op_background_us;
         self.stats.foreground_us += outcome.latency_us;
+        self.stats.queue_wait_us += outcome.queue_wait_us;
         self.stats.background_us += outcome.background_us;
         outcome
     }

@@ -53,6 +53,9 @@ pub struct CacheStats {
     /// Foreground latency accumulated by cache operations, µs
     /// (flash + ECC; disk time is accounted by the caller).
     pub foreground_us: f64,
+    /// Device queueing delay included in `foreground_us`, µs (zero
+    /// under a serial channel shape).
+    pub queue_wait_us: f64,
     /// Off-critical-path fill/migration time, µs (excludes GC time,
     /// which is tracked in `gc_time_us`).
     pub background_us: f64,
@@ -128,6 +131,7 @@ impl CacheStats {
         self.uncorrectable_reads += other.uncorrectable_reads;
         self.retired_blocks += other.retired_blocks;
         self.foreground_us += other.foreground_us;
+        self.queue_wait_us += other.queue_wait_us;
         self.background_us += other.background_us;
         self.ecc_us += other.ecc_us;
         self.reclaim_index_queries += other.reclaim_index_queries;
@@ -138,9 +142,11 @@ impl CacheStats {
     }
 
     /// GC overhead: GC time relative to all time the cache spent working
-    /// (the Figure 1(b) metric).
+    /// (the Figure 1(b) metric). Work is service time: foreground queue
+    /// wait is left out, as it already is from GC and background time.
     pub fn gc_overhead(&self) -> f64 {
-        let total = self.foreground_us + self.background_us + self.gc_time_us;
+        let foreground_us = self.foreground_us - self.queue_wait_us;
+        let total = foreground_us + self.background_us + self.gc_time_us;
         if total == 0.0 {
             0.0
         } else {
@@ -229,6 +235,25 @@ mod tests {
             ..CacheStats::default()
         };
         assert!((s.gc_overhead() - 0.1).abs() < 1e-12);
+    }
+
+    /// Queue wait is not work: two runs that differ only in how long
+    /// their foreground reads queued have the same GC overhead.
+    #[test]
+    fn gc_overhead_leaves_out_queue_wait() {
+        let calm = CacheStats {
+            foreground_us: 900.0,
+            background_us: 400.0,
+            gc_time_us: 300.0,
+            ..CacheStats::default()
+        };
+        let queued = CacheStats {
+            foreground_us: 900.0 + 250.0,
+            queue_wait_us: 250.0,
+            ..calm
+        };
+        assert_eq!(calm.gc_overhead(), 300.0 / 1600.0);
+        assert_eq!(queued.gc_overhead().to_bits(), calm.gc_overhead().to_bits());
     }
 
     #[test]

@@ -271,6 +271,7 @@ proptest! {
         for (m, sum) in [
             (merged.gc_time_us, parts.iter().map(|s| s.gc_time_us).sum::<f64>()),
             (merged.foreground_us, parts.iter().map(|s| s.foreground_us).sum::<f64>()),
+            (merged.queue_wait_us, parts.iter().map(|s| s.queue_wait_us).sum::<f64>()),
             (merged.background_us, parts.iter().map(|s| s.background_us).sum::<f64>()),
             (merged.ecc_us, parts.iter().map(|s| s.ecc_us).sum::<f64>()),
         ] {

@@ -177,6 +177,12 @@ pub struct FlashStats {
     /// Total µs spent queued, start − arrival over all ops (zero under
     /// a serial channel shape).
     pub wait_us: f64,
+    /// Background programs and erases a foreground read suspended.
+    pub suspensions: u64,
+    /// Times a parallel plane past its booked depth held the host clock.
+    pub host_stalls: u64,
+    /// Host-clock µs those holds cost.
+    pub host_stall_us: f64,
     /// Total energy in millijoules.
     pub energy_mj: f64,
 }
@@ -327,7 +333,13 @@ impl FlashDevice {
 
     /// Aggregate operation statistics.
     pub fn stats(&self) -> FlashStats {
-        self.stats
+        let counts = self.model.counts();
+        FlashStats {
+            suspensions: counts.suspensions,
+            host_stalls: counts.host_stalls,
+            host_stall_us: counts.host_stall_us,
+            ..self.stats
+        }
     }
 
     /// Current modeled device clock, µs: the foreground completion
@@ -358,6 +370,7 @@ impl FlashDevice {
     /// Resets the operation statistics (wear state is untouched).
     pub fn reset_stats(&mut self) {
         self.stats = FlashStats::default();
+        self.model.reset_counts();
     }
 
     /// Number of erases performed on `block`.
@@ -818,7 +831,8 @@ mod tests {
     }
 
     /// A read that overtakes a booked program charges the program's
-    /// later start to `wait_us`: the total stays start − arrival.
+    /// later start to `wait_us`: the total stays start − arrival. The
+    /// read suspends the running program, which keeps its start.
     #[test]
     fn wait_counts_the_delay_an_overtaking_read_pushes() {
         let mut d = FlashDevice::new(FlashConfig {
@@ -839,11 +853,14 @@ mod tests {
             .program_page_with(PageAddr::new(BlockId(0), 1), CellMode::Mlc, None, bg)
             .unwrap();
         assert_eq!(booked.wait_us, 680.0);
-        // The read waits out the running program and pushes the booked
-        // one from 680 to 730.
-        assert_eq!(d.read_page(first).unwrap().wait_us, 680.0);
-        assert_eq!(d.stats().wait_us, 680.0 + 680.0 + 50.0);
-        assert_eq!(d.drain_timing(), 730.0 + 680.0);
+        // The read suspends the running program (20..70, the program
+        // now ending at 750) and pushes the booked one from 680 to 750.
+        assert_eq!(d.read_page(first).unwrap().wait_us, 20.0);
+        assert_eq!(d.stats().wait_us, 680.0 + 20.0 + 70.0);
+        assert_eq!(d.stats().suspensions, 1);
+        assert_eq!(d.drain_timing(), 750.0 + 680.0);
+        d.reset_stats();
+        assert_eq!(d.stats(), FlashStats::default());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use device::{
 pub use geometry::{BlockId, CellMode, FlashGeometry, PageAddr};
 pub use sched::{
     ChannelConfig, ChannelConfigBuilder, ChannelConfigError, EventDriven, OpClass, OpRequest,
-    OpTiming, TimingBackend,
+    OpTiming, SchedCounts, TimingBackend,
 };
 pub use timing::{FlashPower, FlashTiming};
 pub use verified::{VerifiedError, VerifiedFlash, VerifiedRead};

@@ -46,15 +46,20 @@
 //!   `queue_depth` outstanding per channel, then wait for their plane.
 //!   A background op (GC, a fill) is booked on its plane. While the
 //!   plane holds more than its depth (`BOOKED_CAP`, 0 when serial) the
-//!   clock advances to the end of the oldest, which leaves the timeline.
-//! * A foreground read goes first: it takes no slot and starts when
-//!   the op running on its plane ends, ahead of every op booked there
-//!   that has not started, which moves later, slot and all, by what the
-//!   read occupies ([`EventDriven::take_pushed_us`]). Nothing running is
-//!   preempted, so a read waits for at most one op. A slot an admission
-//!   stall freed before its op ended stays freed: the op admitted on it
-//!   keeps its time, so a channel may briefly hold more than
-//!   `queue_depth`.
+//!   clock advances to the end of the oldest, which leaves the timeline
+//!   (on a parallel plane, a host stall: [`SchedCounts::host_stalls`]).
+//! * A foreground read goes first: it takes no slot and starts ahead of
+//!   every op booked on its plane that has not started, which moves
+//!   later, slot and all, by what the read occupies
+//!   ([`EventDriven::take_pushed_us`]). A program or erase running there
+//!   with more than [`FlashTiming::SUSPEND_US`] left is suspended: the
+//!   read starts `SUSPEND_US` after it arrives, and the op, slot and
+//!   all, ends later by `SUSPEND_US` plus the read (a later read may
+//!   suspend it again). A running read, or an op at most `SUSPEND_US`
+//!   from its end, is waited out. So a read waits at most
+//!   `max(SUSPEND_US, MLC read)`. A slot an admission stall freed
+//!   before its op ended stays freed: the op admitted on it keeps its
+//!   time, so a channel may briefly hold more than `queue_depth`.
 
 use std::collections::VecDeque;
 use std::error::Error;
@@ -261,7 +266,7 @@ fn plane_of(cfg: &ChannelConfig, block: u32) -> usize {
 
 /// Booked ops past which a parallel plane makes the host wait. Unbounded,
 /// `flashcache simulate --channels 8 --planes 2 --requests 200000` books
-/// 18 483 on a plane; `channels8` peaks at 767 and never waits, and a
+/// 23 214 on a plane; `channels8` peaks at 2 128 and never waits, and a
 /// higher depth lengthens every read's push walk.
 const BOOKED_CAP: usize = 4096;
 
@@ -270,7 +275,37 @@ const BOOKED_CAP: usize = 4096;
 struct Booked {
     start_us: f64,
     end_us: f64,
-    id: u64,
+    /// Admission number shifted left once; the low bit marks a program
+    /// or erase, which a foreground read may suspend. A bit, not a
+    /// field: a plane keeps up to `BOOKED_CAP` of these, at 24 bytes.
+    tag: u64,
+}
+
+impl Booked {
+    fn suspendable(&self) -> bool {
+        self.tag & 1 == 1
+    }
+}
+
+/// Moves `op`'s window slot, if it still holds one, to its new times.
+fn move_slot(window: &mut [Booked], op: &Booked) {
+    if let Some(slot) = window.iter_mut().find(|s| s.tag == op.tag) {
+        *slot = *op;
+    }
+}
+
+/// What the scheduler did to running ops and to the host clock, beyond
+/// pricing each op, since it was built or its counts were last reset.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct SchedCounts {
+    /// Background programs and erases a foreground read suspended.
+    pub suspensions: u64,
+    /// Background ops that found their plane past its depth and held
+    /// the host clock to the end of the plane's oldest booked op (never
+    /// on a serial shape, whose depth-0 plane holds only the op itself).
+    pub host_stalls: u64,
+    /// Host-clock time those holds cost, µs.
+    pub host_stall_us: f64,
 }
 
 /// One cell array's booked work.
@@ -303,6 +338,7 @@ pub struct EventDriven {
     next_id: u64,
     /// Delay reads pushed onto booked ops, until taken.
     pushed_us: f64,
+    counts: SchedCounts,
 }
 
 impl EventDriven {
@@ -325,6 +361,7 @@ impl EventDriven {
             out_len: vec![0; channels],
             next_id: 0,
             pushed_us: 0.0,
+            counts: SchedCounts::default(),
             cfg,
         }
     }
@@ -401,7 +438,7 @@ impl EventDriven {
         let op = Booked {
             start_us,
             end_us: start_us + service_us,
-            id: self.next_id,
+            tag: self.next_id << 1 | u64::from(req.class != OpClass::Read),
         };
         self.next_id += 1;
         lane.free_us = op.end_us;
@@ -409,9 +446,19 @@ impl EventDriven {
             while lane.booked.front().is_some_and(|b| b.end_us <= arrival_us) {
                 lane.booked.pop_front();
             }
+            if lane.booked.len() == lane.booked.capacity() {
+                // Grow by a quarter, not double: with reads suspending
+                // its work a plane books thousands of ops, and doubling
+                // would leave up to half of that peak allocated unused.
+                lane.booked.reserve_exact(lane.booked.len() / 4 + 1);
+            }
             lane.booked.push_back(op);
             if lane.booked.len() > self.depth {
                 self.now_us = lane.booked.pop_front().map_or(arrival_us, |b| b.end_us);
+                if self.depth > 0 {
+                    self.counts.host_stalls += 1;
+                    self.counts.host_stall_us += self.now_us - arrival_us;
+                }
             }
         } else {
             self.now_us = op.end_us;
@@ -425,21 +472,38 @@ impl EventDriven {
         }
     }
 
-    /// Places a foreground read after the op running on its plane,
-    /// ahead of the ops booked behind it (none on a serial shape).
+    /// Places a foreground read on its plane ahead of every booked op
+    /// that has not started (none on a serial shape). A running program
+    /// or erase with more than [`FlashTiming::SUSPEND_US`] left is
+    /// suspended for it; any other running op is waited out.
     fn read_first(&mut self, ch: usize, plane: usize, service_us: f64) -> OpTiming {
         let arrival_us = self.now_us;
         let lane = &mut self.planes[plane];
         while lane.booked.front().is_some_and(|b| b.end_us <= arrival_us) {
             lane.booked.pop_front();
         }
-        let running = lane.booked.front().filter(|b| b.start_us <= arrival_us);
-        let pending = usize::from(running.is_some());
-        let start_us = running.map_or(arrival_us, |b| b.end_us);
-        let end_us = start_us + service_us;
-        let mut ready_us = end_us;
         let base = ch * self.cfg.queue_depth as usize;
         let window = &mut self.out[base..base + self.out_len[ch] as usize];
+        let mut pending = 0;
+        let mut start_us = arrival_us;
+        let mut ready_us = arrival_us + service_us;
+        if let Some(running) = lane.booked.front_mut().filter(|b| b.start_us <= arrival_us) {
+            pending = 1;
+            if running.suspendable() && running.end_us - arrival_us > FlashTiming::SUSPEND_US {
+                start_us = arrival_us + FlashTiming::SUSPEND_US;
+                running.end_us += FlashTiming::SUSPEND_US + service_us;
+                ready_us = running.end_us;
+                move_slot(window, running);
+                self.counts.suspensions += 1;
+            } else {
+                start_us = running.end_us;
+                ready_us = start_us + service_us;
+            }
+        }
+        let end_us = start_us + service_us;
+        // Tags rise along the plane, so an op older than every slot
+        // holder holds none.
+        let oldest_slot = window.iter().map(|s| s.tag).min().unwrap_or(u64::MAX);
         for b in lane.booked.range_mut(pending..) {
             if b.start_us >= ready_us {
                 break;
@@ -449,8 +513,8 @@ impl EventDriven {
             b.end_us += delay_us;
             self.pushed_us += delay_us;
             ready_us = b.end_us;
-            if let Some(slot) = window.iter_mut().find(|s| s.id == b.id) {
-                *slot = *b;
+            if b.tag >= oldest_slot {
+                move_slot(window, b);
             }
         }
         lane.free_us = lane.free_us.max(ready_us);
@@ -464,6 +528,17 @@ impl EventDriven {
     /// Takes the delay reads pushed onto the ops they overtook, µs.
     pub fn take_pushed_us(&mut self) -> f64 {
         std::mem::take(&mut self.pushed_us)
+    }
+
+    /// Suspensions and host stalls since construction or the device's
+    /// last statistics reset.
+    pub fn counts(&self) -> SchedCounts {
+        self.counts
+    }
+
+    /// Zeroes [`counts`](Self::counts).
+    pub(crate) fn reset_counts(&mut self) {
+        self.counts = SchedCounts::default();
     }
 
     /// Current modeled clock, µs: the foreground completion time.
@@ -575,6 +650,9 @@ mod tests {
         assert_eq!(serial.drain(), 800.0);
     }
 
+    /// A 1 × 1 plane of depth 8 running a background MLC erase: a read
+    /// that arrives with it suspends it and is delayed by the suspend
+    /// cost alone; the erase ends later by that cost plus the read.
     #[test]
     fn background_traffic_delays_foreground_reads() {
         let cfg = ChannelConfig::builder()
@@ -583,17 +661,20 @@ mod tests {
             .build()
             .unwrap();
         let mut event = EventDriven::new(cfg);
-        // A background erase occupies the sole plane...
         event.op(&bg(OpClass::Erase, CellMode::Mlc, 0));
-        // ...so a foreground read on the same plane waits out the erase.
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
-        assert_eq!(t.wait_us, 3300.0);
-        assert_eq!(t.service_us, 25.0);
+        assert_eq!(t.wait_us, FlashTiming::SUSPEND_US);
+        assert_eq!((t.wait_us, t.service_us), (20.0, 25.0));
+        assert_eq!(event.now_us(), 45.0);
+        assert_eq!(event.take_pushed_us(), 0.0);
+        assert_eq!(event.counts().suspensions, 1);
+        assert_eq!(event.drain(), 3300.0 + 45.0);
     }
 
-    /// A foreground read waits for the program running on its plane but
-    /// goes ahead of the one booked behind it, which moves later by the
-    /// read's 25 µs.
+    /// A foreground read suspends the program running on its plane and
+    /// goes ahead of the one booked behind it: the running program ends
+    /// at 200 + 20 + 25 = 245, and the booked one moves from 200..400 to
+    /// 245..445.
     #[test]
     fn foreground_read_overtakes_a_booked_program() {
         let cfg = ChannelConfig::builder().queue_depth(8).build().unwrap();
@@ -602,9 +683,9 @@ mod tests {
         let booked = event.op(&bg(OpClass::Program, CellMode::Slc, 0));
         assert_eq!(booked.wait_us, 200.0);
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
-        assert_eq!((t.wait_us, event.take_pushed_us()), (200.0, 25.0));
-        assert_eq!(event.now_us(), 225.0);
-        assert_eq!(event.drain(), 425.0);
+        assert_eq!((t.wait_us, event.take_pushed_us()), (20.0, 45.0));
+        assert_eq!(event.now_us(), 45.0);
+        assert_eq!(event.drain(), 445.0);
     }
 
     /// The read takes no window slot, and the overtaken op's slot moves
@@ -624,21 +705,22 @@ mod tests {
         // Window full: the second program is admitted at 200.
         let booked = event.op(&bg(OpClass::Program, CellMode::Slc, 0));
         assert_eq!(booked.wait_us, 200.0);
-        // The read is not held to that slot, and pushes the program to
-        // 225..425.
+        // The read is not held to that slot: it suspends the first
+        // program (to 245) and pushes the second to 245..445.
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 2));
-        assert_eq!((t.wait_us, event.take_pushed_us()), (200.0, 25.0));
-        // An op on the idle sibling plane is admitted at 425, not 400.
+        assert_eq!((t.wait_us, event.take_pushed_us()), (20.0, 45.0));
+        // An op on the idle sibling plane is admitted at 445, not 400.
         let next = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
-        assert_eq!(next.wait_us, 425.0 - 225.0);
-        assert_eq!(event.drain(), 450.0);
+        assert_eq!(next.wait_us, 445.0 - 45.0);
+        assert_eq!(event.drain(), 470.0);
     }
 
     /// An admission stall evicts a booked program's slot before the
     /// program ends; a read then pushes the program, but the op
     /// admitted on that slot keeps its time. Depth 1 on 1 × 2: C is
-    /// booked 200..400 behind A, D is admitted at 400, the read pushes
-    /// C to 250..450, and C and D overlap from 400.
+    /// booked 200..400 behind A, D is admitted at 400, the read
+    /// suspends A (to 270) and pushes C to 270..470, and C and D
+    /// overlap from 400.
     #[test]
     fn an_op_admitted_on_an_evicted_slot_keeps_its_admission_time() {
         let cfg = ChannelConfig::builder()
@@ -653,18 +735,19 @@ mod tests {
         let d = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
         assert_eq!(d.wait_us, 400.0);
         let t = event.op(&fg(OpClass::Read, CellMode::Mlc, 0));
-        assert_eq!((t.wait_us, event.take_pushed_us()), (200.0, 50.0));
+        assert_eq!((t.wait_us, event.take_pushed_us()), (20.0, 70.0));
+        assert_eq!(event.now_us(), 70.0);
         // The window holds D alone: E is admitted at D's end, 425, not
-        // at C's pushed end, 450.
+        // at C's pushed end, 470.
         let e = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
-        assert_eq!(e.wait_us, 425.0 - 250.0);
-        assert_eq!(event.drain(), 450.0);
+        assert_eq!(e.wait_us, 425.0 - 70.0);
+        assert_eq!(event.drain(), 470.0);
     }
 
     /// Past [`BOOKED_CAP`] booked ops a plane makes the host wait for
     /// its oldest: two programs over the depth hold the clock to the
-    /// second one's end, and a read then waits for the one running
-    /// program and pushes the rest.
+    /// second one's end, two host stalls of 200 µs each. A read then
+    /// suspends the one running program and pushes the rest.
     #[test]
     fn a_plane_past_its_depth_holds_the_host() {
         let cfg = ChannelConfig::builder().queue_depth(8).build().unwrap();
@@ -674,15 +757,108 @@ mod tests {
         }
         assert_eq!(event.now_us(), 2.0 * 200.0);
         assert_eq!(event.planes[0].booked.len(), BOOKED_CAP);
+        let counts = event.counts();
+        assert_eq!((counts.host_stalls, counts.host_stall_us), (2, 400.0));
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
-        assert_eq!(t.wait_us, 200.0);
-        assert_eq!(event.now_us(), 3.0 * 200.0 + 25.0);
-        assert_eq!(event.take_pushed_us(), (BOOKED_CAP - 1) as f64 * 25.0);
-        assert_eq!(event.drain(), (BOOKED_CAP + 2) as f64 * 200.0 + 25.0);
+        assert_eq!(t.wait_us, 20.0);
+        assert_eq!(event.now_us(), 2.0 * 200.0 + 45.0);
+        assert_eq!(event.take_pushed_us(), (BOOKED_CAP - 1) as f64 * 45.0);
+        assert_eq!(event.counts().suspensions, 1);
+        assert_eq!(event.drain(), (BOOKED_CAP + 2) as f64 * 200.0 + 45.0);
+    }
+
+    /// A 1 × 2 device books `running` on plane 0, runs the foreground
+    /// ops `at` on plane 1 to move the clock into it, then reads a page
+    /// on plane 0. Returns the read's timing and the scheduler.
+    fn read_at(running: OpRequest, at: &[OpRequest], read: CellMode) -> (OpTiming, EventDriven) {
+        let cfg = ChannelConfig::builder()
+            .planes(2)
+            .queue_depth(8)
+            .build()
+            .unwrap();
+        let mut event = EventDriven::new(cfg);
+        event.op(&running);
+        for op in at {
+            event.op(op);
+        }
+        let t = event.op(&fg(OpClass::Read, read, 0));
+        (t, event)
+    }
+
+    /// A read 680 µs into an MLC erase suspends it: the read runs
+    /// 700..725 and the erase ends at 3 300 + 45.
+    #[test]
+    fn a_read_mid_erase_suspends_it() {
+        let (t, mut event) = read_at(
+            bg(OpClass::Erase, CellMode::Mlc, 0),
+            &[fg(OpClass::Program, CellMode::Mlc, 1)],
+            CellMode::Slc,
+        );
+        assert_eq!((t.wait_us, t.service_us), (20.0, 25.0));
+        assert_eq!(event.now_us(), 725.0);
+        assert_eq!(event.take_pushed_us(), 0.0);
+        assert_eq!(event.counts().suspensions, 1);
+        assert_eq!(event.drain(), 3345.0);
+    }
+
+    /// A read 100 µs into an MLC program suspends it: the read runs
+    /// 120..170 and the program ends at 680 + 70.
+    #[test]
+    fn a_read_mid_program_suspends_it() {
+        let (t, mut event) = read_at(
+            bg(OpClass::Program, CellMode::Mlc, 0),
+            &[fg(OpClass::Read, CellMode::Mlc, 1); 2],
+            CellMode::Mlc,
+        );
+        assert_eq!((t.wait_us, t.service_us), (20.0, 50.0));
+        assert_eq!(event.now_us(), 170.0);
+        assert_eq!(event.counts().suspensions, 1);
+        assert_eq!(event.drain(), 750.0);
+    }
+
+    /// A running background read is never suspended: a read that
+    /// arrives with it waits its 50 µs out.
+    #[test]
+    fn a_running_read_is_waited_out() {
+        let (t, mut event) = read_at(bg(OpClass::Read, CellMode::Mlc, 0), &[], CellMode::Slc);
+        assert_eq!((t.wait_us, t.service_us), (50.0, 25.0));
+        assert_eq!(event.now_us(), 75.0);
+        assert_eq!(event.counts().suspensions, 0);
+        assert_eq!(event.drain(), 75.0);
+    }
+
+    /// An erase with exactly [`FlashTiming::SUSPEND_US`] left (the clock
+    /// at 680 + 4 × 200 = 1 480 of 1 500) is waited out, not suspended.
+    #[test]
+    fn an_op_within_the_suspend_cost_of_its_end_is_waited_out() {
+        let mut at = vec![fg(OpClass::Program, CellMode::Mlc, 1)];
+        at.extend([fg(OpClass::Program, CellMode::Slc, 1); 4]);
+        let (t, mut event) = read_at(bg(OpClass::Erase, CellMode::Slc, 0), &at, CellMode::Slc);
+        assert_eq!(t.wait_us, FlashTiming::SUSPEND_US);
+        assert_eq!(event.now_us(), 1525.0);
+        assert_eq!(event.counts().suspensions, 0);
+        assert_eq!(event.drain(), 1525.0);
+    }
+
+    /// An op can be suspended again: two reads in a row each suspend
+    /// one MLC erase, which ends later by 45 µs per read.
+    #[test]
+    fn two_reads_suspend_one_erase() {
+        let cfg = ChannelConfig::builder().queue_depth(8).build().unwrap();
+        let mut event = EventDriven::new(cfg);
+        event.op(&bg(OpClass::Erase, CellMode::Mlc, 0));
+        let first = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
+        let second = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
+        assert_eq!((first.wait_us, second.wait_us), (20.0, 20.0));
+        assert_eq!(event.now_us(), 90.0);
+        assert_eq!(event.counts().suspensions, 2);
+        assert_eq!(event.take_pushed_us(), 0.0);
+        assert_eq!(event.drain(), 3300.0 + 2.0 * 45.0);
     }
 
     /// A serial plane's depth is 0: after any op, fore- or background,
-    /// nothing is left booked ahead of the next arrival.
+    /// nothing is left booked ahead of the next arrival, so no read
+    /// suspends anything and no host stall is counted.
     #[test]
     fn a_serial_plane_holds_no_booked_op() {
         let mut event = EventDriven::new(ChannelConfig::default());
@@ -706,6 +882,18 @@ mod tests {
             assert!(event.planes.iter().all(|p| p.booked.is_empty()), "{req:?}");
             assert_eq!(event.take_pushed_us(), 0.0);
         }
+        assert_eq!(event.counts(), SchedCounts::default());
+    }
+
+    /// On a serial shape the host waits out every background op, so a
+    /// read never finds one running: nothing is suspended.
+    #[test]
+    fn a_serial_shape_never_suspends() {
+        let mut event = EventDriven::new(ChannelConfig::default());
+        event.op(&bg(OpClass::Erase, CellMode::Mlc, 0));
+        let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
+        assert_eq!((t.wait_us, event.now_us()), (0.0, 3325.0));
+        assert_eq!(event.counts().suspensions, 0);
     }
 
     #[test]

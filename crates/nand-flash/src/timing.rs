@@ -18,6 +18,14 @@ impl FlashTiming {
     pub const SLC_ERASE_US: f64 = 1500.0;
     /// MLC block erase latency, µs.
     pub const MLC_ERASE_US: f64 = 3300.0;
+    /// Cost of suspending a running program or erase for a foreground
+    /// read, µs: 20. Not in the paper's tables: program/erase
+    /// suspension (Wu & He, FAST 2012) lets a read in for a fixed
+    /// suspend cost, here below one page read in either cell mode, so a
+    /// read waits less for a suspension than for one more read. The
+    /// read starts this long after it arrives; the suspended op ends
+    /// later by this plus the read.
+    pub const SUSPEND_US: f64 = 20.0;
 }
 
 /// Flash power constants (Table 2: 1Gb NAND-SLC at 27mW active, 6µW idle).
@@ -52,6 +60,14 @@ mod tests {
         assert_eq!((T::SLC_READ_US, T::MLC_READ_US), (25.0, 50.0));
         assert_eq!((T::SLC_PROGRAM_US, T::MLC_PROGRAM_US), (200.0, 680.0));
         assert_eq!((T::SLC_ERASE_US, T::MLC_ERASE_US), (1500.0, 3300.0));
+    }
+
+    /// A suspension costs a read less than one more page read would.
+    #[test]
+    fn suspend_cost_is_below_one_read() {
+        type T = FlashTiming;
+        assert_eq!(T::SUSPEND_US, 20.0);
+        assert!(T::SUSPEND_US < T::SLC_READ_US.min(T::MLC_READ_US));
     }
 
     #[test]

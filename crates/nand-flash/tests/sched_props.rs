@@ -11,12 +11,15 @@
 //! 3. **No double-booking**: the drained makespan is at least every
 //!    lane's sum of cell-phase times, and an unthrottled background
 //!    burst costs exactly its busiest lane.
-//! 4. **Reads go first**: a foreground read waits for at most the one
-//!    op running on its plane.
+//! 4. **Reads go first**: a foreground read suspends the program or
+//!    erase running on its plane, or waits out a running read, so it
+//!    waits at most `max(SUSPEND_US, MLC read)`.
 
 use proptest::prelude::*;
 
-use nand_flash::{CellMode, ChannelConfig, EventDriven, FlashTiming, OpClass, OpRequest};
+use nand_flash::{
+    CellMode, ChannelConfig, EventDriven, FlashTiming, OpClass, OpRequest, SchedCounts,
+};
 
 /// The paper's closed-form model as a reference: service is the Table
 /// 2/3 latency (wait is zero, the clock is the running sum of these).
@@ -91,6 +94,7 @@ proptest! {
         }
         prop_assert_eq!(clock_us.to_bits(), event.drain().to_bits());
         prop_assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
+        prop_assert_eq!(event.counts(), SchedCounts::default());
     }
 
     /// Determinism contract: same config + same ops ⇒ byte-identical
@@ -142,20 +146,21 @@ proptest! {
         prop_assert_eq!(model.now_us().to_bits(), makespan.to_bits());
     }
 
-    /// Foreground reads go first: a read waits only for the one op
-    /// running on its plane, never for a window slot or a booked op, so
-    /// its wait is at most the longest cell time, an MLC erase.
+    /// Foreground reads go first: a read never waits for a window slot
+    /// or a booked op, and it suspends a running program or erase, so
+    /// it waits at most the suspend cost or one running read.
     #[test]
     fn foreground_read_waits_for_at_most_one_op(
         ops in prop::collection::vec(op_strategy(), 1..200),
         cfg in channel_strategy(),
     ) {
         let mut model = EventDriven::new(cfg);
+        let bound_us = FlashTiming::SUSPEND_US.max(FlashTiming::MLC_READ_US);
         for op in &ops {
             let t = model.op(op);
             if op.class == OpClass::Read && !op.background {
                 prop_assert!(
-                    t.wait_us <= FlashTiming::MLC_ERASE_US,
+                    t.wait_us <= bound_us,
                     "read waited {} on {:?}", t.wait_us, cfg
                 );
             }
