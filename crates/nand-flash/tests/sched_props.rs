@@ -14,6 +14,9 @@
 //! 4. **Reads go first**: a foreground read suspends the program or
 //!    erase running on its plane, or waits out a running read, so it
 //!    waits at most `max(SUSPEND_US, MLC read)`.
+//! 5. **Parity**: a fixed, seeded mixed stream prices every op, counts
+//!    and drains to pinned values on three shapes, so a refactor of the
+//!    scheduler's bookkeeping cannot move a number unnoticed.
 
 use proptest::prelude::*;
 
@@ -212,5 +215,91 @@ proptest! {
         }
         let busiest_us = lane_us.iter().fold(0.0f64, |m, &t| m.max(t));
         prop_assert_eq!(model.drain().to_bits(), busiest_us.to_bits());
+    }
+}
+
+/// SplitMix64: the parity stream's only source of variety.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut x = *state;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Replays 2 000 seeded ops (reads, programs and erases, each in the
+/// foreground or background) on `cfg`. Returns an FNV-1a checksum of
+/// every op's `(wait_us, service_us)` bits, the counts and the drained
+/// makespan.
+fn parity_run(cfg: ChannelConfig) -> (u64, SchedCounts, f64) {
+    let mut state = 20_080_621u64;
+    let mut model = EventDriven::new(cfg);
+    let mut sum = 0xCBF2_9CE4_8422_2325u64;
+    for _ in 0..2_000 {
+        let r = splitmix(&mut state);
+        let class = match r % 9 {
+            0..=3 => OpClass::Read,
+            4..=7 => OpClass::Program,
+            _ => OpClass::Erase,
+        };
+        let op = OpRequest {
+            class,
+            mode: if r >> 8 & 1 == 0 {
+                CellMode::Slc
+            } else {
+                CellMode::Mlc
+            },
+            block: (r >> 16) as u32 % 64,
+            background: r >> 32 & 3 != 0,
+        };
+        let t = model.op(&op);
+        for bits in [t.wait_us.to_bits(), t.service_us.to_bits()] {
+            for byte in bits.to_le_bytes() {
+                sum = (sum ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+    }
+    let makespan_us = model.drain();
+    (sum, model.counts(), makespan_us)
+}
+
+/// Parity tripwire: the seeded stream's timings, counts and makespan
+/// on a serial, a shallow and a deep parallel shape are pinned bit for
+/// bit. A change that means to move them restates this test on purpose.
+#[test]
+fn a_seeded_mixed_stream_keeps_its_pinned_timings() {
+    let shape = |channels, planes, queue_depth| {
+        ChannelConfig::builder()
+            .channels(channels)
+            .planes(planes)
+            .queue_depth(queue_depth)
+            .build()
+            .unwrap()
+    };
+    let pinned: [(ChannelConfig, u64, u64, u64, f64, f64); 3] = [
+        (shape(1, 1, 1), 0x1872_a556_cfdd_a055, 0, 0, 0.0, 981_525.0),
+        (shape(2, 4, 2), 0xcfcd_bfb9_b12f_6f60, 40, 0, 0.0, 499_870.0),
+        (shape(8, 2, 8), 0x33ec_b251_c7bb_7934, 47, 0, 0.0, 316_330.0),
+    ];
+    for (cfg, sum, suspensions, host_stalls, host_stall_us, makespan_us) in pinned {
+        let (got_sum, counts, got_makespan_us) = parity_run(cfg);
+        let got = (
+            got_sum,
+            counts.suspensions,
+            counts.host_stalls,
+            counts.host_stall_us.to_bits(),
+            got_makespan_us.to_bits(),
+        );
+        let want = (
+            sum,
+            suspensions,
+            host_stalls,
+            host_stall_us.to_bits(),
+            makespan_us.to_bits(),
+        );
+        assert_eq!(
+            got, want,
+            "{cfg:?}: {got_sum:#x} {counts:?} {got_makespan_us}"
+        );
     }
 }
