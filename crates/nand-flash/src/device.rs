@@ -126,12 +126,8 @@ pub struct ReadOutcome {
     pub latency_us: f64,
     /// Queueing delay before service, µs (0 on a serial channel shape).
     pub wait_us: f64,
-    /// Energy consumed, millijoules.
-    pub energy_mj: f64,
     /// Raw bit errors present in the page as read.
     pub raw_bit_errors: u32,
-    /// Mode the page was read in.
-    pub mode: CellMode,
     /// The raw page (data ‖ spare) as programmed, when the program
     /// carried bytes.
     pub data: Option<Vec<u8>>,
@@ -144,8 +140,6 @@ pub struct ProgramOutcome {
     pub latency_us: f64,
     /// Queueing delay before service, µs (0 on a serial channel shape).
     pub wait_us: f64,
-    /// Energy consumed, millijoules.
-    pub energy_mj: f64,
 }
 
 /// Result of a block erase.
@@ -155,10 +149,6 @@ pub struct EraseOutcome {
     pub latency_us: f64,
     /// Queueing delay before service, µs (0 on a serial channel shape).
     pub wait_us: f64,
-    /// Energy consumed, millijoules.
-    pub energy_mj: f64,
-    /// The block's total erase count after this erase.
-    pub erase_count: u64,
 }
 
 /// Aggregate operation counters and busy time.
@@ -174,8 +164,9 @@ pub struct FlashStats {
     pub bit_errors: u64,
     /// Total µs spent in operations.
     pub busy_us: f64,
-    /// Total µs spent queued, start − arrival over all ops (zero under
-    /// a serial channel shape).
+    /// Total µs spent queued, start − arrival over all ops, with the
+    /// delay foreground reads pushed onto booked ops (zero under a
+    /// serial channel shape).
     pub wait_us: f64,
     /// Background programs and erases a foreground read suspended.
     pub suspensions: u64,
@@ -248,8 +239,8 @@ impl FlashConfig {
 /// let mut flash = FlashDevice::new(FlashConfig::default());
 /// let addr = PageAddr::new(BlockId(0), 0);
 /// flash.program_page(addr, CellMode::Slc, None)?;
-/// let read = flash.read_page(addr)?;
-/// assert_eq!(read.mode, CellMode::Slc);
+/// flash.read_page(addr)?;
+/// assert_eq!(flash.physical_mode(addr), Some(CellMode::Slc));
 /// // A second write to the same slot must be preceded by an erase.
 /// assert!(flash.program_page(addr, CellMode::Slc, None).is_err());
 /// flash.erase_block(BlockId(0))?;
@@ -331,10 +322,12 @@ impl FlashDevice {
         &self.config
     }
 
-    /// Aggregate operation statistics.
+    /// Aggregate operation statistics: the device's own, joined with
+    /// the scheduler's counts.
     pub fn stats(&self) -> FlashStats {
         let counts = self.model.counts();
         FlashStats {
+            wait_us: self.stats.wait_us + counts.pushed_us,
             suspensions: counts.suspensions,
             host_stalls: counts.host_stalls,
             host_stall_us: counts.host_stall_us,
@@ -405,30 +398,29 @@ impl FlashDevice {
             && self.slots[self.slot_index(addr)] == SlotState::Programmed
     }
 
-    /// Prices and charges one op (a read's pushed delay as wait); returns its timing and mJ.
+    /// Prices and charges one op; returns its timing.
     fn charge(
         &mut self,
         class: OpClass,
         mode: CellMode,
         block: BlockId,
         ctx: OpContext,
-    ) -> (OpTiming, f64) {
+    ) -> OpTiming {
         let t = self.model.op(&OpRequest {
             class,
             mode,
             block: block.0,
             background: ctx.background,
         });
-        let energy_mj = FlashPower::op_energy_mj(t.service_us);
         *match class {
             OpClass::Read => &mut self.stats.reads,
             OpClass::Program => &mut self.stats.programs,
             OpClass::Erase => &mut self.stats.erases,
         } += 1;
         self.stats.busy_us += t.service_us;
-        self.stats.wait_us += t.wait_us + self.model.take_pushed_us();
-        self.stats.energy_mj += energy_mj;
-        (t, energy_mj)
+        self.stats.wait_us += t.wait_us;
+        self.stats.energy_mj += FlashPower::op_energy_mj(t.service_us);
+        t
     }
 
     /// Programs one 2KB slot in the given mode.
@@ -512,11 +504,10 @@ impl FlashDevice {
         if let Some(stored) = self.payloads.get_mut(si) {
             *stored = data.map(Box::from);
         }
-        let (t, energy_mj) = self.charge(OpClass::Program, mode, addr.block, ctx);
+        let t = self.charge(OpClass::Program, mode, addr.block, ctx);
         Ok(ProgramOutcome {
             latency_us: t.service_us,
             wait_us: t.wait_us,
-            energy_mj,
         })
     }
 
@@ -552,7 +543,7 @@ impl FlashDevice {
         let erases = self.erase_counts[addr.block.0 as usize];
         let raw_bit_errors =
             self.wear[pi].observe_read_errors(&self.wear_model, mode, erases, &mut self.rng);
-        let (t, energy_mj) = self.charge(OpClass::Read, mode, addr.block, ctx);
+        let t = self.charge(OpClass::Read, mode, addr.block, ctx);
         self.stats.bit_errors += raw_bit_errors as u64;
         let data = self
             .payloads
@@ -561,9 +552,7 @@ impl FlashDevice {
         Ok(ReadOutcome {
             latency_us: t.service_us,
             wait_us: t.wait_us,
-            energy_mj,
             raw_bit_errors,
-            mode,
             data,
         })
     }
@@ -630,12 +619,10 @@ impl FlashDevice {
             bytes.fill_with(|| None);
         }
         self.erase_counts[b] += 1;
-        let (t, energy_mj) = self.charge(OpClass::Erase, worst, block, ctx);
+        let t = self.charge(OpClass::Erase, worst, block, ctx);
         Ok(EraseOutcome {
             latency_us: t.service_us,
             wait_us: t.wait_us,
-            energy_mj,
-            erase_count: self.erase_counts[b],
         })
     }
 }
@@ -680,7 +667,7 @@ mod tests {
         d.program_page(addr, CellMode::Mlc, Some(&data)).unwrap();
         let out = d.read_page(addr).unwrap();
         assert_eq!(out.data.as_deref(), Some(&data[..]));
-        assert_eq!(out.mode, CellMode::Mlc);
+        assert_eq!(d.physical_mode(addr), Some(CellMode::Mlc));
         assert_eq!(out.latency_us, 50.0);
         // A reprogram after an erase replaces the bytes; one without
         // bytes leaves none behind.
@@ -861,6 +848,43 @@ mod tests {
         assert_eq!(d.drain_timing(), 750.0 + 680.0);
         d.reset_stats();
         assert_eq!(d.stats(), FlashStats::default());
+    }
+
+    /// The pushed delay lives with the scheduler's counts, and
+    /// `reset_stats` zeroes it with them: after the reset, a read that
+    /// pushes nothing charges its own wait alone.
+    #[test]
+    fn reset_stats_zeroes_a_pushed_delay_with_the_scheduler_counts() {
+        let mut d = FlashDevice::new(FlashConfig {
+            geometry: FlashGeometry {
+                blocks: 1,
+                pages_per_block: 2,
+            },
+            channel: ChannelConfig {
+                queue_depth: 8,
+                ..ChannelConfig::default()
+            },
+            ..FlashConfig::default()
+        });
+        let bg = OpContext::background();
+        let first = PageAddr::new(BlockId(0), 0);
+        d.program_page_with(first, CellMode::Slc, None, bg).unwrap();
+        d.program_page_with(PageAddr::new(BlockId(0), 2), CellMode::Slc, None, bg)
+            .unwrap();
+        // Waits 200 + 20; pushes the booked program 45.
+        d.read_page(first).unwrap();
+        let s = d.stats();
+        assert_eq!((s.wait_us, s.suspensions), (200.0 + 20.0 + 45.0, 1));
+        d.reset_stats();
+        assert_eq!(d.stats(), FlashStats::default());
+        // The clock is at 45, inside the suspended program (to 245): a
+        // second read suspends it again and pushes the booked one 45.
+        assert_eq!(d.read_page(first).unwrap().wait_us, 20.0);
+        assert_eq!(d.stats().wait_us, 20.0 + 45.0);
+        d.drain_timing();
+        d.reset_stats();
+        d.read_page(first).unwrap();
+        assert_eq!(d.stats().wait_us, 0.0);
     }
 
     #[test]

@@ -44,14 +44,20 @@
 //!   bus, so a page transfer costs nothing and orders nothing.
 //! * All ops but foreground reads are admitted FIFO, at most
 //!   `queue_depth` outstanding per channel, then wait for their plane.
-//!   A background op (GC, a fill) is booked on its plane. While the
-//!   plane holds more than its depth (`BOOKED_CAP`, 0 when serial) the
-//!   clock advances to the end of the oldest, which leaves the timeline
-//!   (on a parallel plane, a host stall: [`SchedCounts::host_stalls`]).
+//!   A background op (GC, a fill) is booked on its plane, and its slot
+//!   in the channel's window refers to that booking (plane, sequence
+//!   number): the plane's booked deque is the one record of an op's
+//!   times, and an op that has left it has ended by the clock, so its
+//!   slot is free. While the plane holds more than its depth
+//!   (`BOOKED_CAP`, 0 when serial) the clock advances to the end of the
+//!   oldest, which leaves the timeline (on a parallel plane, a host
+//!   stall: [`SchedCounts::host_stalls`]). A foreground program or
+//!   erase takes no slot: the host waits it out, so it has ended before
+//!   any later admission.
 //! * A foreground read goes first: it takes no slot and starts ahead of
 //!   every op booked on its plane that has not started, which moves
 //!   later, slot and all, by what the read occupies
-//!   ([`EventDriven::take_pushed_us`]). A program or erase running there
+//!   ([`SchedCounts::pushed_us`]). A program or erase running there
 //!   with more than [`FlashTiming::SUSPEND_US`] left is suspended: the
 //!   read starts `SUSPEND_US` after it arrives, and the op, slot and
 //!   all, ends later by `SUSPEND_US` plus the read (a later read may
@@ -270,28 +276,20 @@ fn plane_of(cfg: &ChannelConfig, block: u32) -> usize {
 /// higher depth lengthens every read's push walk.
 const BOOKED_CAP: usize = 4096;
 
-/// An op as booked on its plane's timeline and its channel's window.
-#[derive(Debug, Clone, Copy, Default)]
+/// An op as booked on its plane's timeline: the one record of its times.
+#[derive(Debug, Clone, Copy)]
 struct Booked {
     start_us: f64,
     end_us: f64,
-    /// Admission number shifted left once; the low bit marks a program
-    /// or erase, which a foreground read may suspend. A bit, not a
-    /// field: a plane keeps up to `BOOKED_CAP` of these, at 24 bytes.
-    tag: u64,
+    /// A program or erase, which a foreground read may suspend.
+    suspendable: bool,
 }
 
-impl Booked {
-    fn suspendable(&self) -> bool {
-        self.tag & 1 == 1
-    }
-}
-
-/// Moves `op`'s window slot, if it still holds one, to its new times.
-fn move_slot(window: &mut [Booked], op: &Booked) {
-    if let Some(slot) = window.iter_mut().find(|s| s.tag == op.tag) {
-        *slot = *op;
-    }
+/// A window slot: the op booked `seq`-th on lane `plane`.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    plane: usize,
+    seq: u64,
 }
 
 /// What the scheduler did to running ops and to the host clock, beyond
@@ -306,6 +304,9 @@ pub struct SchedCounts {
     pub host_stalls: u64,
     /// Host-clock time those holds cost, µs.
     pub host_stall_us: f64,
+    /// Delay foreground reads pushed onto the starts of the booked ops
+    /// they overtook, µs.
+    pub pushed_us: f64,
 }
 
 /// One cell array's booked work.
@@ -315,6 +316,33 @@ struct Plane {
     free_us: f64,
     /// Background ops booked here and not yet seen to end, in order.
     booked: VecDeque<Booked>,
+    /// Sequence number of `booked`'s front: the ops booked here that
+    /// have left it.
+    retired: u64,
+}
+
+impl Plane {
+    /// End of the op booked `seq`-th here; an op that has left the
+    /// timeline ended by the clock, so it reads as ended long ago.
+    fn end_us(&self, seq: u64) -> f64 {
+        seq.checked_sub(self.retired)
+            .and_then(|i| self.booked.get(i as usize))
+            .map_or(f64::NEG_INFINITY, |b| b.end_us)
+    }
+
+    /// Removes the oldest booked op.
+    fn retire(&mut self) -> Option<Booked> {
+        let oldest = self.booked.pop_front()?;
+        self.retired += 1;
+        Some(oldest)
+    }
+
+    /// Removes the booked ops that end at or before `now_us`.
+    fn retire_ended(&mut self, now_us: f64) {
+        while self.booked.front().is_some_and(|b| b.end_us <= now_us) {
+            self.retire();
+        }
+    }
 }
 
 /// NAND scheduler with channel/plane parallelism over per-plane
@@ -329,15 +357,10 @@ pub struct EventDriven {
     now_us: f64,
     /// Per-plane (channel-major) timelines.
     planes: Vec<Plane>,
-    /// Flat admission windows: `queue_depth` slots per channel,
-    /// linearly scanned (the window is small and contiguous — no per-op
-    /// heap churn).
-    out: Vec<Booked>,
-    out_len: Vec<u32>,
-    /// Id of the next op admitted to a window.
-    next_id: u64,
-    /// Delay reads pushed onto booked ops, until taken.
-    pushed_us: f64,
+    /// Per-channel admission windows, at most `queue_depth` slots each,
+    /// in admission order but for stalls, which move the last slot into
+    /// the one they free.
+    windows: Vec<Vec<Slot>>,
     counts: SchedCounts,
 }
 
@@ -357,10 +380,7 @@ impl EventDriven {
             depth: if cfg.is_serial() { 0 } else { BOOKED_CAP },
             now_us: 0.0,
             planes: vec![Plane::default(); channels * cfg.planes as usize],
-            out: vec![Booked::default(); channels * cfg.queue_depth as usize],
-            out_len: vec![0; channels],
-            next_id: 0,
-            pushed_us: 0.0,
+            windows: vec![Vec::new(); channels],
             counts: SchedCounts::default(),
             cfg,
         }
@@ -379,40 +399,26 @@ impl EventDriven {
         plane_of(&self.cfg, block)
     }
 
-    /// FIFO queue-depth admission over the flat window: drop
-    /// completions at or before `arrival_us`, then, while the window is
-    /// still full, free the earliest completion and stall to it.
+    /// FIFO queue-depth admission: drop the slots whose ops end at or
+    /// before `arrival_us`, then, while the window is still full, free
+    /// the earliest completion and stall to it.
     #[inline]
     fn admit(&mut self, ch: usize, arrival_us: f64) -> f64 {
-        let n = self.out_len[ch] as usize;
-        let base = ch * self.cfg.queue_depth as usize;
-        let slots = &mut self.out[base..base + n];
-        let mut kept = 0;
-        for i in 0..n {
-            let slot = slots[i];
-            if slot.end_us > arrival_us {
-                slots[kept] = slot;
-                kept += 1;
-            }
-        }
+        let planes = &self.planes;
+        let end_us = |s: &Slot| planes[s.plane].end_us(s.seq);
+        let window = &mut self.windows[ch];
+        window.retain(|s| end_us(s) > arrival_us);
         let mut admit_us = arrival_us;
-        while kept >= self.cfg.queue_depth as usize {
-            // Remove the earliest completion; admission stalls to it.
-            let slots = &mut self.out[base..base + kept];
-            let mut min_i = 0;
-            for i in 1..kept {
-                if slots[i].end_us < slots[min_i].end_us {
-                    min_i = i;
-                }
-            }
-            let t = slots[min_i].end_us;
-            slots[min_i] = slots[kept - 1];
-            kept -= 1;
-            if t > admit_us {
-                admit_us = t;
-            }
+        while window.len() >= self.cfg.queue_depth as usize {
+            let (first, t) = window
+                .iter()
+                .map(end_us)
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("a full window holds a slot");
+            window.swap_remove(first);
+            admit_us = admit_us.max(t);
         }
-        self.out_len[ch] = kept as u32;
         admit_us
     }
 
@@ -429,7 +435,7 @@ impl EventDriven {
         let plane = plane_of(&self.cfg, req.block);
         let service_us = cell_us(req.class, req.mode);
         if !req.background && req.class == OpClass::Read {
-            return self.read_first(ch, plane, service_us);
+            return self.read_first(plane, service_us);
         }
         let arrival_us = self.now_us;
         let admit_us = self.admit(ch, arrival_us);
@@ -438,34 +444,32 @@ impl EventDriven {
         let op = Booked {
             start_us,
             end_us: start_us + service_us,
-            tag: self.next_id << 1 | u64::from(req.class != OpClass::Read),
+            suspendable: req.class != OpClass::Read,
         };
-        self.next_id += 1;
         lane.free_us = op.end_us;
         if req.background {
-            while lane.booked.front().is_some_and(|b| b.end_us <= arrival_us) {
-                lane.booked.pop_front();
-            }
+            lane.retire_ended(arrival_us);
             if lane.booked.len() == lane.booked.capacity() {
                 // Grow by a quarter, not double: with reads suspending
                 // its work a plane books thousands of ops, and doubling
                 // would leave up to half of that peak allocated unused.
                 lane.booked.reserve_exact(lane.booked.len() / 4 + 1);
             }
+            let seq = lane.retired + lane.booked.len() as u64;
             lane.booked.push_back(op);
             if lane.booked.len() > self.depth {
-                self.now_us = lane.booked.pop_front().map_or(arrival_us, |b| b.end_us);
+                self.now_us = lane.retire().map_or(arrival_us, |b| b.end_us);
                 if self.depth > 0 {
                     self.counts.host_stalls += 1;
                     self.counts.host_stall_us += self.now_us - arrival_us;
                 }
             }
+            self.windows[ch].push(Slot { plane, seq });
         } else {
+            // The host waits this op out, so it has ended before any
+            // later admission: it takes no slot.
             self.now_us = op.end_us;
         }
-        let n = self.out_len[ch] as usize;
-        self.out[ch * self.cfg.queue_depth as usize + n] = op;
-        self.out_len[ch] = (n + 1) as u32;
         OpTiming {
             wait_us: (admit_us - arrival_us) + (start_us - admit_us),
             service_us,
@@ -476,24 +480,19 @@ impl EventDriven {
     /// that has not started (none on a serial shape). A running program
     /// or erase with more than [`FlashTiming::SUSPEND_US`] left is
     /// suspended for it; any other running op is waited out.
-    fn read_first(&mut self, ch: usize, plane: usize, service_us: f64) -> OpTiming {
+    fn read_first(&mut self, plane: usize, service_us: f64) -> OpTiming {
         let arrival_us = self.now_us;
         let lane = &mut self.planes[plane];
-        while lane.booked.front().is_some_and(|b| b.end_us <= arrival_us) {
-            lane.booked.pop_front();
-        }
-        let base = ch * self.cfg.queue_depth as usize;
-        let window = &mut self.out[base..base + self.out_len[ch] as usize];
+        lane.retire_ended(arrival_us);
         let mut pending = 0;
         let mut start_us = arrival_us;
         let mut ready_us = arrival_us + service_us;
         if let Some(running) = lane.booked.front_mut().filter(|b| b.start_us <= arrival_us) {
             pending = 1;
-            if running.suspendable() && running.end_us - arrival_us > FlashTiming::SUSPEND_US {
+            if running.suspendable && running.end_us - arrival_us > FlashTiming::SUSPEND_US {
                 start_us = arrival_us + FlashTiming::SUSPEND_US;
                 running.end_us += FlashTiming::SUSPEND_US + service_us;
                 ready_us = running.end_us;
-                move_slot(window, running);
                 self.counts.suspensions += 1;
             } else {
                 start_us = running.end_us;
@@ -501,9 +500,6 @@ impl EventDriven {
             }
         }
         let end_us = start_us + service_us;
-        // Tags rise along the plane, so an op older than every slot
-        // holder holds none.
-        let oldest_slot = window.iter().map(|s| s.tag).min().unwrap_or(u64::MAX);
         for b in lane.booked.range_mut(pending..) {
             if b.start_us >= ready_us {
                 break;
@@ -511,11 +507,8 @@ impl EventDriven {
             let delay_us = ready_us - b.start_us;
             b.start_us = ready_us;
             b.end_us += delay_us;
-            self.pushed_us += delay_us;
+            self.counts.pushed_us += delay_us;
             ready_us = b.end_us;
-            if b.tag >= oldest_slot {
-                move_slot(window, b);
-            }
         }
         lane.free_us = lane.free_us.max(ready_us);
         self.now_us = end_us;
@@ -525,13 +518,8 @@ impl EventDriven {
         }
     }
 
-    /// Takes the delay reads pushed onto the ops they overtook, µs.
-    pub fn take_pushed_us(&mut self) -> f64 {
-        std::mem::take(&mut self.pushed_us)
-    }
-
-    /// Suspensions and host stalls since construction or the device's
-    /// last statistics reset.
+    /// Suspensions, host stalls and pushed delay since construction or
+    /// the device's last statistics reset.
     pub fn counts(&self) -> SchedCounts {
         self.counts
     }
@@ -666,7 +654,7 @@ mod tests {
         assert_eq!(t.wait_us, FlashTiming::SUSPEND_US);
         assert_eq!((t.wait_us, t.service_us), (20.0, 25.0));
         assert_eq!(event.now_us(), 45.0);
-        assert_eq!(event.take_pushed_us(), 0.0);
+        assert_eq!(event.counts().pushed_us, 0.0);
         assert_eq!(event.counts().suspensions, 1);
         assert_eq!(event.drain(), 3300.0 + 45.0);
     }
@@ -683,7 +671,7 @@ mod tests {
         let booked = event.op(&bg(OpClass::Program, CellMode::Slc, 0));
         assert_eq!(booked.wait_us, 200.0);
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
-        assert_eq!((t.wait_us, event.take_pushed_us()), (20.0, 45.0));
+        assert_eq!((t.wait_us, event.counts().pushed_us), (20.0, 45.0));
         assert_eq!(event.now_us(), 45.0);
         assert_eq!(event.drain(), 445.0);
     }
@@ -708,11 +696,36 @@ mod tests {
         // The read is not held to that slot: it suspends the first
         // program (to 245) and pushes the second to 245..445.
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 2));
-        assert_eq!((t.wait_us, event.take_pushed_us()), (20.0, 45.0));
+        assert_eq!((t.wait_us, event.counts().pushed_us), (20.0, 45.0));
         // An op on the idle sibling plane is admitted at 445, not 400.
         let next = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
         assert_eq!(next.wait_us, 445.0 - 45.0);
         assert_eq!(event.drain(), 470.0);
+    }
+
+    /// A foreground program or erase takes no window slot: the host
+    /// waits it out, so it has ended before any later admission. On a
+    /// depth-1 channel of two planes, a background op on the sibling
+    /// plane issued right after one waits only for its own plane, while
+    /// a background op does hold the slot a foreground op then waits for.
+    #[test]
+    fn a_foreground_program_or_erase_leaves_the_window_free() {
+        let cfg = ChannelConfig::builder()
+            .planes(2)
+            .queue_depth(1)
+            .build()
+            .unwrap();
+        let mut event = EventDriven::new(cfg);
+        assert_ne!(event.lane_of(0), event.lane_of(1));
+        event.op(&fg(OpClass::Program, CellMode::Slc, 0));
+        let erase = event.op(&bg(OpClass::Erase, CellMode::Slc, 1));
+        assert_eq!((erase.wait_us, event.now_us()), (0.0, 200.0));
+        // The background erase holds the slot until 1 700.
+        let held = event.op(&fg(OpClass::Erase, CellMode::Slc, 0));
+        assert_eq!((held.wait_us, event.now_us()), (1500.0, 3200.0));
+        let next = event.op(&bg(OpClass::Program, CellMode::Slc, 1));
+        assert_eq!(next.wait_us, 0.0);
+        assert_eq!(event.drain(), 3400.0);
     }
 
     /// An admission stall evicts a booked program's slot before the
@@ -735,7 +748,7 @@ mod tests {
         let d = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
         assert_eq!(d.wait_us, 400.0);
         let t = event.op(&fg(OpClass::Read, CellMode::Mlc, 0));
-        assert_eq!((t.wait_us, event.take_pushed_us()), (20.0, 70.0));
+        assert_eq!((t.wait_us, event.counts().pushed_us), (20.0, 70.0));
         assert_eq!(event.now_us(), 70.0);
         // The window holds D alone: E is admitted at D's end, 425, not
         // at C's pushed end, 470.
@@ -762,7 +775,7 @@ mod tests {
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
         assert_eq!(t.wait_us, 20.0);
         assert_eq!(event.now_us(), 2.0 * 200.0 + 45.0);
-        assert_eq!(event.take_pushed_us(), (BOOKED_CAP - 1) as f64 * 45.0);
+        assert_eq!(event.counts().pushed_us, (BOOKED_CAP - 1) as f64 * 45.0);
         assert_eq!(event.counts().suspensions, 1);
         assert_eq!(event.drain(), (BOOKED_CAP + 2) as f64 * 200.0 + 45.0);
     }
@@ -796,7 +809,7 @@ mod tests {
         );
         assert_eq!((t.wait_us, t.service_us), (20.0, 25.0));
         assert_eq!(event.now_us(), 725.0);
-        assert_eq!(event.take_pushed_us(), 0.0);
+        assert_eq!(event.counts().pushed_us, 0.0);
         assert_eq!(event.counts().suspensions, 1);
         assert_eq!(event.drain(), 3345.0);
     }
@@ -852,7 +865,7 @@ mod tests {
         assert_eq!((first.wait_us, second.wait_us), (20.0, 20.0));
         assert_eq!(event.now_us(), 90.0);
         assert_eq!(event.counts().suspensions, 2);
-        assert_eq!(event.take_pushed_us(), 0.0);
+        assert_eq!(event.counts().pushed_us, 0.0);
         assert_eq!(event.drain(), 3300.0 + 2.0 * 45.0);
     }
 
@@ -880,7 +893,7 @@ mod tests {
             };
             event.op(&req);
             assert!(event.planes.iter().all(|p| p.booked.is_empty()), "{req:?}");
-            assert_eq!(event.take_pushed_us(), 0.0);
+            assert_eq!(event.counts().pushed_us, 0.0);
         }
         assert_eq!(event.counts(), SchedCounts::default());
     }

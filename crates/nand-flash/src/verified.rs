@@ -80,8 +80,6 @@ pub struct VerifiedRead {
     pub raw_bit_errors: u32,
     /// Array latency plus nothing — ECC time is the caller's model.
     pub latency_us: f64,
-    /// Mode the page was stored in.
-    pub mode: CellMode,
 }
 
 /// A flash device with a real software ECC pipeline attached.
@@ -195,14 +193,12 @@ impl VerifiedFlash {
                 corrected: 0,
                 raw_bit_errors: out.raw_bit_errors,
                 latency_us: out.latency_us,
-                mode: out.mode,
             }),
             Ok(PageDecodeOutcome::Corrected { corrected }) => Ok(VerifiedRead {
                 data,
                 corrected,
                 raw_bit_errors: out.raw_bit_errors,
                 latency_us: out.latency_us,
-                mode: out.mode,
             }),
             Err(PageDecodeError::Uncorrectable | PageDecodeError::CrcMismatch) => {
                 Err(VerifiedError::Uncorrectable {

@@ -68,16 +68,16 @@ proptest! {
                     let result = dev.read_page(addr);
                     match shadow[block as usize][slot as usize] {
                         Some(mode) => {
-                            let out = result.expect("programmed slot must read");
-                            prop_assert_eq!(out.mode, mode);
+                            result.expect("programmed slot must read");
+                            prop_assert_eq!(dev.physical_mode(addr), Some(mode));
                         }
                         None => prop_assert!(result.is_err(), "unwritten slot must not read"),
                     }
                 }
                 DevOp::Erase { block } => {
                     let before = dev.erase_count(BlockId(block));
-                    let out = dev.erase_block(BlockId(block)).unwrap();
-                    prop_assert_eq!(out.erase_count, before + 1);
+                    dev.erase_block(BlockId(block)).unwrap();
+                    prop_assert_eq!(dev.erase_count(BlockId(block)), before + 1);
                     for s in &mut shadow[block as usize] {
                         *s = None;
                     }

@@ -526,7 +526,7 @@ impl Hierarchy {
             let bytes = out.disk_pages as u64 * PAGE_BYTES;
             let t = self.config.hdd.access_latency_us(bytes);
             out.latency_us += t;
-            self.report.disk.record(t / 1e6, bytes, false);
+            self.report.disk.record(t / 1e6);
             self.report.disk_latency.record(t);
             self.report.disk_read_pages += out.disk_pages as u64;
         }
@@ -605,11 +605,10 @@ impl Hierarchy {
             return;
         }
         const WRITE_BATCH: f64 = 32.0;
-        let bytes = pages as u64 * PAGE_BYTES;
         let t = pages as f64
             * (self.config.hdd.avg_access_latency_us / WRITE_BATCH
                 + PAGE_BYTES as f64 / self.config.hdd.transfer_bytes_per_s * 1e6);
-        self.report.disk.record(t / 1e6, bytes, true);
+        self.report.disk.record(t / 1e6);
         self.report.disk_write_pages += pages as u64;
     }
 

@@ -128,7 +128,7 @@ impl Scalar {
             let t = self.config.hdd.access_latency_us(bytes);
             out.latency_us += t;
             out.disk_pages = disk_read_pages;
-            self.report.disk.record(t / 1e6, bytes, false);
+            self.report.disk.record(t / 1e6);
             self.report.disk_latency.record(t);
             self.report.disk_read_pages += disk_read_pages as u64;
         }
@@ -201,9 +201,7 @@ impl Scalar {
         let t = pages as f64
             * (hdd.avg_access_latency_us / 32.0
                 + PAGE_BYTES as f64 / hdd.transfer_bytes_per_s * 1e6);
-        self.report
-            .disk
-            .record(t / 1e6, pages as u64 * PAGE_BYTES, true);
+        self.report.disk.record(t / 1e6);
         self.report.disk_write_pages += pages as u64;
     }
 
