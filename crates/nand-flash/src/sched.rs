@@ -400,26 +400,32 @@ impl EventDriven {
     }
 
     /// FIFO queue-depth admission: drop the slots whose ops end at or
-    /// before `arrival_us`, then, while the window is still full, free
-    /// the earliest completion and stall to it.
+    /// before `arrival_us`, then, if the window is still full, free the
+    /// earliest completion and stall to it. A window holds at most
+    /// `queue_depth` slots, so one freed slot admits the op.
     #[inline]
     fn admit(&mut self, ch: usize, arrival_us: f64) -> f64 {
         let planes = &self.planes;
-        let end_us = |s: &Slot| planes[s.plane].end_us(s.seq);
         let window = &mut self.windows[ch];
-        window.retain(|s| end_us(s) > arrival_us);
-        let mut admit_us = arrival_us;
-        while window.len() >= self.cfg.queue_depth as usize {
-            let (first, t) = window
-                .iter()
-                .map(end_us)
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("a full window holds a slot");
-            window.swap_remove(first);
-            admit_us = admit_us.max(t);
+        // One pass: each op's end is read once, and the first earliest
+        // kept slot is found where it lands.
+        let (mut kept, mut earliest, mut earliest_us) = (0, 0, f64::INFINITY);
+        window.retain(|s| {
+            let end_us = planes[s.plane].end_us(s.seq);
+            if end_us <= arrival_us {
+                return false;
+            }
+            if end_us < earliest_us {
+                (earliest, earliest_us) = (kept, end_us);
+            }
+            kept += 1;
+            true
+        });
+        if kept < self.cfg.queue_depth as usize {
+            return arrival_us;
         }
-        admit_us
+        window.swap_remove(earliest);
+        earliest_us
     }
 
     /// Prices one operation and advances internal state. A foreground

@@ -303,3 +303,20 @@ fn a_seeded_mixed_stream_keeps_its_pinned_timings() {
         );
     }
 }
+
+/// The delay the seeded stream's reads push onto booked ops, µs: the
+/// sums the device took op by op before the delay became a
+/// `SchedCounts` field.
+#[test]
+fn a_seeded_mixed_stream_pushes_its_pinned_delay() {
+    for (channels, planes, queue_depth, pushed_us) in
+        [(1, 1, 1, 0.0), (2, 4, 2, 1_250.0), (8, 2, 8, 1_630.0)]
+    {
+        let cfg = ChannelConfig {
+            channels,
+            planes,
+            queue_depth,
+        };
+        assert_eq!(parity_run(cfg).1.pushed_us, pushed_us, "{cfg:?}");
+    }
+}
