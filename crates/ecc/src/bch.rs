@@ -9,7 +9,9 @@
 //!
 //! The code is a *shortened* binary BCH code over GF(2^m): data bits that
 //! the page does not use are implicitly zero, which keeps the parity size
-//! at `m·t` bits regardless of shortening.
+//! at `m·t` bits regardless of shortening. Encode and decode share one
+//! division kernel: two table-driven chains, interleaved word by word over
+//! the two halves of the message and joined once.
 
 use std::error::Error;
 use std::fmt;
@@ -17,6 +19,7 @@ use std::fmt;
 use crate::bitpoly::BitPoly;
 use crate::crc;
 use crate::gf::GfField;
+use crate::page::MAX_PAGE_STRENGTH;
 
 /// Error constructing a [`BchCode`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,10 +133,6 @@ pub struct BchCode {
     parity_bits: usize,
     /// Generator polynomial over GF(2).
     generator: BitPoly,
-    /// Generator with the leading `x^r` term cleared, pre-split into words
-    /// for the bit-serial encoding LFSR (kept as the differential-test
-    /// oracle for the table-driven encoder).
-    feedback: Vec<u64>,
     /// Number of 64-bit words in the left-aligned remainder register.
     enc_words: usize,
     /// Remainder-update tables of the division LFSR, eight slices of 256
@@ -141,6 +140,15 @@ pub struct BchCode {
     /// entering the register contributes after `k` further zero bytes.
     /// Slice 0 alone drives the byte step; all eight, the 8-byte step.
     enc_table: Vec<u64>,
+    /// Bytes the second division chain takes off the end of a message:
+    /// half of `data_bytes`, rounded down to a whole word (0: one chain).
+    lane_bytes: usize,
+    /// The join's shift table: row `(i, v)` is register nibble `i`
+    /// holding `v` times `x^(8·lane_bytes)` mod `g`, for every nibble that
+    /// holds remainder bits, `enc_words` words a row.
+    lane_table: Vec<u64>,
+    /// `x^(8·lane_bytes) mod P`, the CRC32 join's factor.
+    lane_crc: u32,
     /// `syn_alpha[p·t + k] = α^(p·(2k+1))`: what remainder coefficient
     /// `x^p` adds to the odd syndrome `S_(2k+1)`.
     syn_alpha: Vec<u32>,
@@ -174,15 +182,11 @@ impl BchCode {
                 block_bits,
             });
         }
-        // feedback = generator without the x^r term, packed LSB-first.
-        let mut feedback = vec![0u64; parity_bits.div_ceil(64)];
-        for e in generator.iter_exponents() {
-            if e < parity_bits {
-                feedback[e / 64] |= 1 << (e % 64);
-            }
-        }
         let enc_words = parity_bits.div_ceil(64);
-        let enc_table = build_enc_table(&generator, parity_bits, enc_words);
+        let fb = left_aligned_feedback(&generator, parity_bits, enc_words);
+        let enc_table = build_enc_table(&fb);
+        let lane_bytes = data_bytes / 16 * 8;
+        let lane_table = build_lane_table(&fb, &enc_table, parity_bits, lane_bytes);
         let syn_alpha = (0..parity_bits)
             .flat_map(|p| (0..t).map(move |k| (p * (2 * k + 1)) as i64))
             .map(|e| field.alpha_pow(e))
@@ -194,9 +198,11 @@ impl BchCode {
             data_bits,
             parity_bits,
             generator,
-            feedback,
             enc_words,
             enc_table,
+            lane_bytes,
+            lane_table,
+            lane_crc: crc::x_pow(8 * lane_bytes),
             syn_alpha,
         })
     }
@@ -255,10 +261,10 @@ impl BchCode {
     /// Encodes `data` into a caller-provided parity buffer, avoiding the
     /// per-call allocation of [`Self::encode`].
     ///
-    /// Uses the table-driven division LFSR (CRC-style, slicing-by-8): the
-    /// remainder register is kept left-aligned in 64-bit words and
-    /// advanced eight input bytes per step through remainder-update
-    /// tables built at construction time.
+    /// Uses the table-driven division LFSR (slicing-by-8, two chains over
+    /// the two halves of `data`): the remainder register is kept
+    /// left-aligned in 64-bit words and advanced eight input bytes per
+    /// step through tables built at construction time.
     ///
     /// # Panics
     ///
@@ -280,32 +286,66 @@ impl BchCode {
         self.with_remainder::<false, _>(data, |reg, _| Self::write_parity(reg, parity_out))
     }
 
-    /// Runs the division LFSR over `data` and hands `f` the left-aligned
-    /// register holding `data(x)·x^r mod g(x)` — the one kernel encode
-    /// and decode share — and, when `CRC`, the CRC32 of `data`, computed
-    /// from the same loads in the same pass (0 otherwise). `f` may
-    /// [`Self::feed`] the register the rest of a longer message.
+    /// Divides `data` ([`Self::divide`]: two interleaved chains, joined
+    /// once) and hands `f` the left-aligned register holding `data(x)·x^r
+    /// mod g(x)` — the one kernel encode and decode share — and, when
+    /// `CRC`, the CRC32 of `data`, computed from the same loads in the
+    /// same pass (0 otherwise). `f` may [`Self::feed`] the register the
+    /// rest of a longer message.
     pub(crate) fn with_remainder<const CRC: bool, R>(
         &self,
         data: &[u8],
         f: impl FnOnce(&mut [u64], u32) -> R,
     ) -> R {
-        // A register on the stack, its width known to the inlined kernel,
-        // covers every practical code (flash-page codes at t <= 12 need at
+        // Registers on the stack, their width known to the inlined kernel,
+        // cover every practical code (flash-page codes at t <= 12 need at
         // most 3 words).
         macro_rules! run {
-            ($reg:expr) => {{
-                let reg = $reg;
-                let crc = lfsr::<CRC>(reg, &self.enc_table, data);
+            ($reg:expr, $lane:expr) => {{
+                let (reg, lane) = ($reg, $lane);
+                let crc = self.divide::<CRC>(reg, lane, data);
                 f(reg, crc)
             }};
         }
         match self.enc_words {
-            1 => run!(&mut [0; 1]),
-            2 => run!(&mut [0; 2]),
-            3 => run!(&mut [0; 3]),
-            4 => run!(&mut [0; 4]),
-            w => run!(&mut vec![0; w]),
+            1 => run!(&mut [0; 1], &mut [0; 1]),
+            2 => run!(&mut [0; 2], &mut [0; 2]),
+            3 => run!(&mut [0; 3], &mut [0; 3]),
+            4 => run!(&mut [0; 4], &mut [0; 4]),
+            w => run!(&mut vec![0; w], &mut vec![0; w]),
+        }
+    }
+
+    /// The division of `data` into the zeroed `reg`, in two chains when
+    /// `data` holds at least two lanes: the head runs in `reg` and the
+    /// last `lane_bytes` in the zeroed `lane`, word by word side by side,
+    /// so the two chains of table loads overlap. The head's remainder is
+    /// then moved past the lane (times `x^(8·lane_bytes)` mod `g`, one
+    /// shift-table row per register nibble) and the lane's added; the
+    /// CRC32s join as in zlib's `crc32_combine`. Returns the CRC32 of
+    /// `data` when `CRC`, 0 otherwise.
+    #[inline(always)]
+    fn divide<const CRC: bool>(&self, reg: &mut [u64], lane: &mut [u64], data: &[u8]) -> u32 {
+        let l = self.lane_bytes;
+        if l == 0 || data.len() < 2 * l {
+            return lfsr::<CRC>(reg, &self.enc_table, data);
+        }
+        let (head, tail) = data.split_at(data.len() - l);
+        let (crc_head, crc_tail) = lfsr2::<CRC>(reg, lane, &self.enc_table, head, tail);
+        let w = reg.len();
+        // The table's rows run to the register's top nibble.
+        let rows = self.lane_table.chunks_exact(16 * w).rev();
+        for (i, rows) in (0..w * 16).rev().zip(rows) {
+            let v = (reg[i / 16] >> (4 * (i % 16))) as usize & 15;
+            for (lk, rk) in lane.iter_mut().zip(&rows[v * w..][..w]) {
+                *lk ^= rk;
+            }
+        }
+        reg.copy_from_slice(lane);
+        if CRC {
+            crc::mul_mod_p(self.lane_crc, !crc_head) ^ !crc_tail
+        } else {
+            0
         }
     }
 
@@ -325,59 +365,6 @@ impl BchCode {
         for (k, byte) in parity_out.iter_mut().enumerate() {
             *byte = (reg[w - 1 - k / 8] >> (56 - 8 * (k % 8))) as u8;
         }
-    }
-
-    /// Reference bit-serial encoder: one LFSR step per data bit.
-    ///
-    /// Retained as the differential-test oracle for the table-driven
-    /// [`Self::encode_into`].
-    #[doc(hidden)]
-    pub fn encode_bitserial(&self, data: &[u8]) -> Vec<u8> {
-        assert_eq!(
-            data.len(),
-            self.data_bytes,
-            "encode: data must be exactly {} bytes",
-            self.data_bytes
-        );
-        let r = self.parity_bits;
-        let words = r.div_ceil(64);
-        let top_word = (r - 1) / 64;
-        let top_bit = (r - 1) % 64;
-        let mut reg = vec![0u64; words];
-        // Shift data bits in MSB-first order through the division LFSR.
-        for &byte in data {
-            for bit in (0..8).rev() {
-                let din = (byte >> bit) & 1 == 1;
-                let feedback = din ^ ((reg[top_word] >> top_bit) & 1 == 1);
-                // reg <<= 1 (multi-word).
-                for w in (1..words).rev() {
-                    reg[w] = (reg[w] << 1) | (reg[w - 1] >> 63);
-                }
-                reg[0] <<= 1;
-                if feedback {
-                    for (r, f) in reg.iter_mut().zip(&self.feedback) {
-                        *r ^= f;
-                    }
-                }
-            }
-        }
-        // Mask off bits above r-1 in the top word.
-        if !r.is_multiple_of(64) {
-            let keep = r % 64;
-            reg[words - 1] &= (1u64 << keep) - 1;
-        }
-        // Serialize: parity byte 0 carries the highest-power coefficients
-        // (MSB-first), mirroring how the data was shifted in.
-        let nbytes = self.parity_bytes();
-        let mut out = vec![0u8; nbytes];
-        for i in 0..r {
-            // Coefficient of x^(r-1-i) becomes bit i (MSB-first stream).
-            let power = r - 1 - i;
-            if (reg[power / 64] >> (power % 64)) & 1 == 1 {
-                out[i / 8] |= 1 << (7 - i % 8);
-            }
-        }
-        out
     }
 
     /// Decodes in place: corrects up to `t` bit errors across `data` and
@@ -431,15 +418,29 @@ impl BchCode {
     /// detectably uncorrectable (a locator of degree above `t`, or one
     /// with fewer roots inside the shortened length than its degree).
     pub(crate) fn locate(&self, reg: &mut [u64], parity: &[u8]) -> Option<Vec<usize>> {
-        let Some(syndromes) = self.syndromes_of(reg, parity) else {
+        if !self.add_parity(reg, parity) {
             return Some(Vec::new());
+        }
+        // The syndromes and Berlekamp–Massey's three rows, 2t + 2 each,
+        // live on the stack for every page code.
+        let row = 2 * self.t + 2;
+        let mut stack = [0u32; 4 * (2 * MAX_PAGE_STRENGTH + 2)];
+        let mut heap = Vec::new();
+        let work = if 4 * row <= stack.len() {
+            &mut stack[..4 * row]
+        } else {
+            heap.resize(4 * row, 0);
+            &mut heap[..]
         };
-        let sigma = self.berlekamp_massey(&syndromes);
+        let (syn, bm) = work.split_at_mut(row);
+        let syn = &mut syn[..2 * self.t];
+        self.syndromes_of(reg, syn);
+        let sigma = self.berlekamp_massey(syn, bm);
         let num_errors = sigma.len() - 1;
         if num_errors > self.t {
             return None;
         }
-        let roots = self.locator_roots(&sigma);
+        let roots = self.locator_roots(sigma);
         (roots.len() == num_errors).then_some(roots)
     }
 
@@ -450,24 +451,11 @@ impl BchCode {
         (power >= r).then(|| r + self.data_bits - 1 - power)
     }
 
-    /// Syndromes S_1..S_2t of the received word, or `None` when it is a
-    /// codeword (every syndrome zero).
-    ///
-    /// Remainder-first: re-encode the received data, XOR the received
-    /// parity in — that is `r(x) = c'(x) mod g(x)`, zero exactly for a
-    /// codeword, found without a field operation or an allocation. Every
-    /// `α^i` is a root of `g`, so otherwise `S_i = c'(α^i) = r(α^i)` is
-    /// evaluated over the at most `m·t` bits of `r`; even syndromes come
-    /// from squaring (S_2i = S_i² for binary codes). The buffers must have
-    /// the code's lengths ([`Self::decode`] checks them).
-    #[doc(hidden)]
-    pub fn remainder_syndromes(&self, data: &[u8], parity: &[u8]) -> Option<Vec<u32>> {
-        self.with_remainder::<false, _>(data, |reg, _| self.syndromes_of(reg, parity))
-    }
-
-    /// [`Self::remainder_syndromes`] from the message remainder in `reg`.
-    fn syndromes_of(&self, reg: &mut [u64], parity: &[u8]) -> Option<Vec<u32>> {
-        let t = self.t;
+    /// XORs the received `parity` into `reg`, which holds the received
+    /// message's remainder, leaving `r(x) = c'(x) mod g(x)`: zero exactly
+    /// for a codeword, found without a field operation or an allocation.
+    /// Returns whether it is nonzero.
+    fn add_parity(&self, reg: &mut [u64], parity: &[u8]) -> bool {
         let w = reg.len();
         for (k, &byte) in parity.iter().enumerate() {
             reg[w - 1 - k / 8] ^= u64::from(byte) << (56 - 8 * (k % 8));
@@ -475,12 +463,18 @@ impl BchCode {
         // The remainder has no bits below the register's alignment
         // shift: what is there now is the received padding of the last
         // parity byte, ignored as the reference ignores positions >= r.
-        let shift = w * 64 - self.parity_bits;
-        reg[0] &= !0u64 << shift;
-        if reg.iter().all(|&word| word == 0) {
-            return None;
-        }
-        let mut syn = vec![0u32; 2 * t];
+        reg[0] &= !0u64 << (w * 64 - self.parity_bits);
+        reg.iter().any(|&word| word != 0)
+    }
+
+    /// The syndromes S_1..S_2t, into `syn`, of a received word whose
+    /// remainder [`Self::add_parity`] left in `reg`. Every `α^i` is a
+    /// root of `g`, so `S_i = c'(α^i) = r(α^i)` is evaluated over the at
+    /// most `m·t` bits of `r`; even syndromes come from squaring (S_2i =
+    /// S_i² for binary codes).
+    fn syndromes_of(&self, reg: &[u64], syn: &mut [u32]) {
+        let t = self.t;
+        let shift = reg.len() * 64 - self.parity_bits;
         for (wi, &word) in reg.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
@@ -495,111 +489,57 @@ impl BchCode {
         for i in 1..=t {
             syn[2 * i - 1] = self.field.mul(syn[i - 1], syn[i - 1]);
         }
-        Some(syn)
     }
 
-    /// Reference syndrome computation: per-bit modular exponent products.
-    ///
-    /// Retained as the differential-test oracle for
-    /// [`Self::remainder_syndromes`].
-    #[doc(hidden)]
-    pub fn syndromes_reference(&self, data: &[u8], parity: &[u8]) -> Vec<u32> {
-        let f = &self.field;
-        let n = f.group_order() as i64;
-        let r = self.parity_bits as i64;
-        let two_t = 2 * self.t;
-        let mut syn = vec![0u32; two_t];
-        // Odd syndromes by direct evaluation over set bits; even ones by
-        // squaring (S_2i = S_i^2 for binary codes).
-        let add_position = |syn: &mut Vec<u32>, power: i64| {
-            for i in (1..=two_t).step_by(2) {
-                let e = (power * i as i64) % n;
-                syn[i - 1] ^= f.alpha_pow(e);
-            }
-        };
-        for (byte_idx, &byte) in data.iter().enumerate() {
-            if byte == 0 {
-                continue;
-            }
-            for bit in 0..8 {
-                if (byte >> (7 - bit)) & 1 == 1 {
-                    let j = (byte_idx * 8 + bit) as i64;
-                    let power = r + self.data_bits as i64 - 1 - j;
-                    add_position(&mut syn, power);
-                }
-            }
-        }
-        for i in 0..self.parity_bits {
-            if (parity[i / 8] >> (7 - i % 8)) & 1 == 1 {
-                let power = r - 1 - i as i64;
-                add_position(&mut syn, power);
-            }
-        }
-        for i in 1..=self.t {
-            syn[2 * i - 1] = f.mul(syn[i - 1], syn[i - 1]);
-        }
-        syn
-    }
-
-    /// Berlekamp–Massey: returns the error-locator polynomial
+    /// Berlekamp–Massey over `syndromes` (S_1..S_2t), in `work`: three
+    /// zeroed rows of `2t + 2`. Returns the error-locator polynomial
     /// `sigma(x) = 1 + sigma_1 x + ... + sigma_L x^L` (index = degree),
     /// trimmed so `sigma.len() - 1` is its degree.
-    #[doc(hidden)]
-    pub fn berlekamp_massey(&self, syndromes: &[u32]) -> Vec<u32> {
+    ///
+    /// The syndromes of a binary word obey S_2i = S_i², which makes the
+    /// discrepancy of every second step zero (Berlekamp 1968): only the
+    /// steps at odd syndromes run, and each skipped one only lengthens
+    /// the shift of the previous locator.
+    pub(crate) fn berlekamp_massey<'w>(&self, syndromes: &[u32], work: &'w mut [u32]) -> &'w [u32] {
         let f = &self.field;
         let two_t = syndromes.len();
-        let mut sigma = vec![0u32; two_t + 2];
-        let mut prev = vec![0u32; two_t + 2];
-        // Scratch for the length-change branch; allocated once, reused.
-        let mut scratch = vec![0u32; two_t + 2];
+        let (sigma, rest) = work.split_at_mut(two_t + 2);
+        let (mut prev, mut scratch) = rest.split_at_mut(two_t + 2);
         sigma[0] = 1;
         prev[0] = 1;
         let mut l = 0usize; // current LFSR length
         let mut shift = 1usize; // x^shift multiplier for prev
         let mut b = 1u32; // last nonzero discrepancy
-        for n_iter in 0..two_t {
+        for n_iter in (0..two_t).step_by(2) {
             // Discrepancy d = S_n + sum_{i=1..L} sigma_i * S_{n-i}.
             let mut d = syndromes[n_iter];
             for i in 1..=l {
                 d ^= f.mul(sigma[i], syndromes[n_iter - i]);
             }
-            if d == 0 {
-                shift += 1;
-            } else if 2 * l <= n_iter {
-                scratch.copy_from_slice(&sigma);
+            if d != 0 {
+                let grows = 2 * l <= n_iter;
+                if grows {
+                    scratch.copy_from_slice(sigma);
+                }
                 let coef = f.div(d, b);
                 for (i, &p) in prev.iter().enumerate() {
                     if p != 0 && i + shift < sigma.len() {
                         sigma[i + shift] ^= f.mul(coef, p);
                     }
                 }
-                l = n_iter + 1 - l;
-                // Old sigma (in scratch) becomes the new prev; the stale
-                // prev buffer becomes next iteration's scratch.
-                std::mem::swap(&mut prev, &mut scratch);
-                b = d;
-                shift = 1;
-            } else {
-                // sigma and prev are distinct buffers, so prev can be read
-                // directly while sigma is updated.
-                let coef = f.div(d, b);
-                for (i, &p) in prev.iter().enumerate() {
-                    if p != 0 && i + shift < sigma.len() {
-                        sigma[i + shift] ^= f.mul(coef, p);
-                    }
+                if grows {
+                    l = n_iter + 1 - l;
+                    // Old sigma (in scratch) becomes the new prev; the
+                    // stale prev row becomes the next scratch.
+                    std::mem::swap(&mut prev, &mut scratch);
+                    b = d;
+                    shift = 0;
                 }
-                shift += 1;
             }
+            shift += 2;
         }
-        // Trim to the actual degree.
-        let mut deg = 0;
-        for (i, &c) in sigma.iter().enumerate() {
-            if c != 0 {
-                deg = i;
-            }
-        }
-        sigma.truncate(deg + 1);
-        sigma
+        let deg = sigma.iter().rposition(|&c| c != 0).unwrap_or(0);
+        &sigma[..=deg]
     }
 
     /// Codeword powers `p` with `sigma(α^(−p)) = 0` inside the shortened
@@ -607,8 +547,7 @@ impl BchCode {
     /// locator of degree up to 4 (at Poisson(0.5) raw errors per read, all
     /// but two reads in ten thousand) the roots are found in closed form,
     /// with no scan. `sigma` must be trimmed: its last coefficient nonzero.
-    #[doc(hidden)]
-    pub fn locator_roots(&self, sigma: &[u32]) -> Vec<usize> {
+    pub(crate) fn locator_roots(&self, sigma: &[u32]) -> Vec<usize> {
         let f = &self.field;
         // x = 0 is no codeword position: the factors of x drop out.
         let low = sigma.iter().position(|&c| c != 0);
@@ -704,8 +643,7 @@ impl BchCode {
     /// `alpha^(-j·4)` jump exponents, and the scan exits early once
     /// deg(sigma) roots are found — a degree-L polynomial has at most L
     /// roots, so no later position can be a root.
-    #[doc(hidden)]
-    pub fn chien_search(&self, sigma: &[u32]) -> Vec<usize> {
+    pub(crate) fn chien_search(&self, sigma: &[u32]) -> Vec<usize> {
         let f = &self.field;
         let n = f.group_order();
         let used_bits = self.data_bits + self.parity_bits;
@@ -789,75 +727,93 @@ impl BchCode {
         }
         roots
     }
+}
 
-    /// Reference Chien search: one field multiply per term per position.
-    ///
-    /// Retained as the differential-test oracle for the batched
-    /// [`Self::chien_search`] kernel.
-    #[doc(hidden)]
-    pub fn chien_search_reference(&self, sigma: &[u32]) -> Vec<usize> {
-        let f = &self.field;
-        let used_bits = self.data_bits + self.parity_bits;
-        let mut roots = Vec::new();
-        // terms[j] = sigma_j * alpha^(-j*p), updated incrementally over p.
-        let mut terms: Vec<u32> = sigma.to_vec();
-        let steps: Vec<u32> = (0..sigma.len()).map(|j| f.alpha_pow(-(j as i64))).collect();
-        for p in 0..used_bits {
-            if p > 0 {
-                for j in 1..terms.len() {
-                    terms[j] = f.mul(terms[j], steps[j]);
-                }
-            }
-            let sum = terms.iter().fold(0u32, |acc, &t| acc ^ t);
-            if sum == 0 {
-                roots.push(p);
-            }
+/// The generator without its `x^r` term as a left-aligned `words`-word
+/// register: coefficient `x^e` lands at register bit `words·64 − r + e`.
+fn left_aligned_feedback(generator: &BitPoly, r: usize, words: usize) -> Vec<u64> {
+    let shift = words * 64 - r;
+    let mut fb = vec![0u64; words];
+    for e in generator.iter_exponents().filter(|&e| e < r) {
+        fb[(shift + e) / 64] |= 1 << ((shift + e) % 64);
+    }
+    fb
+}
+
+/// One bit of zero input through the left-aligned LFSR `reg` with
+/// feedback `fb`: the register times `x`, mod `g`.
+fn bit_step(reg: &mut [u64], fb: &[u64]) {
+    let msb = reg[reg.len() - 1] >> 63 == 1;
+    for k in (1..reg.len()).rev() {
+        reg[k] = (reg[k] << 1) | (reg[k - 1] >> 63);
+    }
+    reg[0] <<= 1;
+    if msb {
+        for (rk, fk) in reg.iter_mut().zip(fb) {
+            *rk ^= fk;
         }
-        roots
     }
 }
 
 /// Builds the eight remainder-update tables of the division LFSR.
 /// Slice 0 row `b` is the remainder contribution of byte value `b`
-/// entering the top of a left-aligned `words`-word register, computed by
-/// eight exact bit-serial steps; slice `k` is slice `k − 1` advanced by one
-/// zero byte. Linearity of the LFSR over GF(2) makes one row XOR per input
-/// byte equivalent to eight serial steps, for any `r >= 1`: a register
-/// narrower than a byte sits wholly inside the top byte.
-fn build_enc_table(generator: &BitPoly, r: usize, words: usize) -> Vec<u64> {
-    // Left-aligned feedback: coefficient x^e of (g − x^r) lands at
-    // register bit (words·64 − r) + e.
-    let shift = words * 64 - r;
-    let mut fb = vec![0u64; words];
-    for e in generator.iter_exponents() {
-        if e < r {
-            let b = shift + e;
-            fb[b / 64] |= 1 << (b % 64);
-        }
-    }
+/// entering the top of the left-aligned register with feedback `fb`,
+/// computed by eight exact bit-serial steps; slice `k` is slice `k − 1`
+/// advanced by one zero byte. Linearity of the LFSR over GF(2) makes one
+/// row XOR per input byte equivalent to eight serial steps, for any
+/// `r >= 1`: a register narrower than a byte sits wholly inside the top
+/// byte.
+fn build_enc_table(fb: &[u64]) -> Vec<u64> {
+    let words = fb.len();
     let mut table = vec![0u64; 8 * 256 * words];
-    let mut reg = vec![0u64; words];
-    for b in 0..256u64 {
-        reg.fill(0);
-        reg[words - 1] = b << 56;
+    for (b, row) in table.chunks_exact_mut(words).take(256).enumerate() {
+        row[words - 1] = (b as u64) << 56;
         for _ in 0..8 {
-            let msb = reg[words - 1] >> 63 == 1;
-            for k in (1..words).rev() {
-                reg[k] = (reg[k] << 1) | (reg[k - 1] >> 63);
-            }
-            reg[0] <<= 1;
-            if msb {
-                for (rk, fk) in reg.iter_mut().zip(&fb) {
-                    *rk ^= fk;
-                }
-            }
+            bit_step(row, fb);
         }
-        table[b as usize * words..][..words].copy_from_slice(&reg);
     }
     for row in 256..8 * 256 {
         let (done, rest) = table.split_at_mut(row * words);
         rest[..words].copy_from_slice(&done[(row - 256) * words..][..words]);
         byte_step(&mut rest[..words], done, 0);
+    }
+    table
+}
+
+/// Builds the join's shift table for an `r`-bit code: what each value of
+/// each register nibble becomes after `lane` zero bytes, i.e. times
+/// `x^(8·lane) mod g`. By linearity each row is the XOR of the images of
+/// its set bits. Only the image of `x^0` replays the lane, a word step
+/// per eight zero bytes; each higher bit's image is the one below it
+/// times `x`, one bit step.
+fn build_lane_table(fb: &[u64], enc_table: &[u64], r: usize, lane: usize) -> Vec<u64> {
+    let words = fb.len();
+    if lane == 0 {
+        return Vec::new();
+    }
+    let shift = words * 64 - r;
+    let mut image = vec![0u64; words];
+    image[shift / 64] = 1 << (shift % 64);
+    for _ in 0..lane / 8 {
+        word_step(&mut image, enc_table, 0);
+    }
+    // images[k]: register bit k times x^(8·lane); bits below the
+    // alignment shift hold no remainder and map to zero.
+    let mut images = vec![0u64; shift * words];
+    for _ in 0..r {
+        images.extend_from_slice(&image);
+        bit_step(&mut image, fb);
+    }
+    let first = shift / 4;
+    let mut table = vec![0u64; (words * 16 - first) * 16 * words];
+    for (i, rows) in (first..words * 16).zip(table.chunks_exact_mut(16 * words)) {
+        for v in 1..16usize {
+            let low = v & v.wrapping_neg();
+            let bit = 4 * i + low.trailing_zeros() as usize;
+            for k in 0..words {
+                rows[v * words + k] = rows[(v ^ low) * words + k] ^ images[bit * words + k];
+            }
+        }
     }
     table
 }
@@ -877,34 +833,38 @@ fn byte_step(reg: &mut [u64], table: &[u64], byte: u8) {
     }
 }
 
-/// The division LFSR over the zeroed register `reg`, eight input bytes per
-/// step (slicing-by-8): the top word XOR the input word leaves the
+/// Eight input bytes, `word` read big-endian, through the left-aligned
+/// LFSR `reg` (slicing-by-8): the top word XOR the input word leaves the
 /// register as eight bytes, byte `j` of which still has `7 − j` bytes of
-/// shifting ahead of it, so it takes its row from slice `7 − j`. The byte
-/// step finishes a tail shorter than a word.
-///
-/// When `CRC`, the same loaded word also advances a CRC32 state, whose
-/// chain is independent of the register's, so the two overlap; returns
-/// the CRC32 of `data` then, 0 otherwise.
+/// shifting ahead of it, so it takes its row from slice `7 − j`.
 #[inline(always)]
-fn lfsr<const CRC: bool>(reg: &mut [u64], table: &[u64], data: &[u8]) -> u32 {
+fn word_step(reg: &mut [u64], table: &[u64], word: u64) {
     let w = reg.len();
-    let mut crc = !0u32;
+    let out = (reg[w - 1] ^ word).to_be_bytes();
+    reg.copy_within(..w - 1, 1);
+    reg[0] = 0;
+    for (j, &b) in out.iter().enumerate() {
+        let row = &table[((7 - j) * 256 + b as usize) * w..][..w];
+        for (rk, tk) in reg.iter_mut().zip(row) {
+            *rk ^= tk;
+        }
+    }
+}
+
+/// One division chain: `data` through the register `reg`, a word step
+/// per eight bytes and a byte step per byte of the tail. When `CRC`, the
+/// same loaded word also advances the CRC32 state `crc` (not finalised),
+/// whose chain is independent of the register's, so the two overlap;
+/// returns that state.
+#[inline(always)]
+fn chain<const CRC: bool>(reg: &mut [u64], table: &[u64], data: &[u8], mut crc: u32) -> u32 {
     let (words, tail) = data.as_chunks::<8>();
     for word in words {
         let word = u64::from_be_bytes(*word);
         if CRC {
             crc = crc::step8(crc, word.swap_bytes());
         }
-        let out = (reg[w - 1] ^ word).to_be_bytes();
-        reg.copy_within(..w - 1, 1);
-        reg[0] = 0;
-        for (j, &b) in out.iter().enumerate() {
-            let row = &table[((7 - j) * 256 + b as usize) * w..][..w];
-            for (rk, tk) in reg.iter_mut().zip(row) {
-                *rk ^= tk;
-            }
-        }
+        word_step(reg, table, word);
     }
     for &byte in tail {
         if CRC {
@@ -912,7 +872,41 @@ fn lfsr<const CRC: bool>(reg: &mut [u64], table: &[u64], data: &[u8]) -> u32 {
         }
         byte_step(reg, table, byte);
     }
-    !crc
+    crc
+}
+
+/// Two division chains side by side: `head` into `reg` and `tail`, whole
+/// words no longer than `head`, into `lane`, one word of each per step,
+/// each with its own CRC32 state; the rest of `head` then runs alone.
+/// Returns the two CRC32 states (not finalised), zero unless `CRC`.
+#[inline(always)]
+fn lfsr2<const CRC: bool>(
+    reg: &mut [u64],
+    lane: &mut [u64],
+    table: &[u64],
+    head: &[u8],
+    tail: &[u8],
+) -> (u32, u32) {
+    let (mut crc_head, mut crc_tail) = (!0u32, !0u32);
+    for (a, b) in head.as_chunks::<8>().0.iter().zip(tail.as_chunks::<8>().0) {
+        let (a, b) = (u64::from_be_bytes(*a), u64::from_be_bytes(*b));
+        if CRC {
+            crc_head = crc::step8(crc_head, a.swap_bytes());
+            crc_tail = crc::step8(crc_tail, b.swap_bytes());
+        }
+        word_step(reg, table, a);
+        word_step(lane, table, b);
+    }
+    let crc_head = chain::<CRC>(reg, table, &head[tail.len()..], crc_head);
+    (crc_head, crc_tail)
+}
+
+/// The division LFSR over the zeroed register `reg` in one chain: the
+/// remainder `data(x)·x^r mod g(x)`, and the CRC32 of `data` when `CRC`
+/// (0 otherwise).
+#[inline(always)]
+fn lfsr<const CRC: bool>(reg: &mut [u64], table: &[u64], data: &[u8]) -> u32 {
+    !chain::<CRC>(reg, table, data, !0)
 }
 
 /// Computes the generator polynomial of a `t`-error-correcting binary BCH
@@ -966,6 +960,9 @@ fn minimal_poly(field: &GfField, coset: &[usize]) -> BitPoly {
         }
     }))
 }
+
+#[cfg(test)]
+mod differential_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1180,7 +1177,7 @@ mod tests {
         // S1 = 1, S3 = 1 + c makes Berlekamp–Massey return exactly that
         // locator; a word with those syndromes is the remainder itself.
         let c = rootless[0];
-        let sigma = code.berlekamp_massey(&[1, 1, 1 ^ c, 1]);
+        let sigma = code.berlekamp_massey_owned(&[1, 1, 1 ^ c, 1]);
         assert_eq!(sigma, [1, 1, c]);
         let mut hit = false;
         for pattern in 1..=u16::MAX {

@@ -1,23 +1,181 @@
-//! Differential tests for the optimized ECC kernels.
+//! Differential tests of the ECC kernels against their oracles.
 //!
-//! The sliced table-driven encoder, the remainder-first syndromes, the
+//! The sliced table-driven encoder, the two-chain division, the
+//! remainder-first syndromes, the step-skipping Berlekamp–Massey, the
 //! closed-form locator roots and the batched Chien search must be
-//! bit-identical to the straightforward reference implementations
-//! (`encode_bitserial`, `syndromes_reference`, `chien_search_reference`),
-//! across the field sizes the crate ships codes for (m ∈ {8, 13, 15}),
-//! the paper's strength range (t ∈ {1, 4, 12}) and the tiny (15, 11)
-//! code; the sliced CRC32 must equal the bit-at-a-time recurrence, and
-//! its bit-flip difference a recomputation. The one-pass page codec must
-//! equal the same oracles composed by hand.
+//! bit-identical to the straightforward reference implementations below
+//! (`encode_bitserial`, one-chain `lfsr`, `syndromes_reference`,
+//! `berlekamp_massey_reference`, `chien_search_reference`), across the
+//! field sizes the crate ships codes for (m ∈ {8, 13, 15}), the paper's
+//! strength range (t ∈ {1, 4, 12}) and the tiny (15, 11) code; the sliced
+//! CRC32 must equal the bit-at-a-time recurrence, and its bit-flip
+//! difference a recomputation. The one-pass page codec must equal the
+//! same oracles composed by hand.
 
 use proptest::prelude::*;
 
-use flash_ecc::bch::{BchCode, DecodeError};
-use flash_ecc::crc::{crc32, flip_difference, Crc32};
-use flash_ecc::gf::GfField;
-use flash_ecc::page::{
+use super::{byte_step, lfsr, BchCode, DecodeError};
+use crate::crc::{crc32, flip_difference, Crc32};
+use crate::gf::GfField;
+use crate::page::{
     PageCodec, PageDecodeError, PageDecodeOutcome, CRC_BYTES, PAGE_DATA_BYTES, PAGE_SPARE_BYTES,
 };
+
+/// The reference kernels, each the textbook form of one the decoder
+/// runs.
+impl BchCode {
+    /// Bit-serial encoder: one LFSR step per data bit.
+    pub(crate) fn encode_bitserial(&self, data: &[u8]) -> Vec<u8> {
+        assert_eq!(data.len(), self.data_bytes);
+        let r = self.parity_bits;
+        let words = r.div_ceil(64);
+        let top_word = (r - 1) / 64;
+        let top_bit = (r - 1) % 64;
+        // The generator without its x^r term, packed LSB-first.
+        let mut feedback = vec![0u64; words];
+        for e in self.generator.iter_exponents().filter(|&e| e < r) {
+            feedback[e / 64] |= 1 << (e % 64);
+        }
+        let mut reg = vec![0u64; words];
+        // Shift data bits in MSB-first order through the division LFSR.
+        for &byte in data {
+            for bit in (0..8).rev() {
+                let din = (byte >> bit) & 1 == 1;
+                let fb = din ^ ((reg[top_word] >> top_bit) & 1 == 1);
+                for w in (1..words).rev() {
+                    reg[w] = (reg[w] << 1) | (reg[w - 1] >> 63);
+                }
+                reg[0] <<= 1;
+                if fb {
+                    for (r, f) in reg.iter_mut().zip(&feedback) {
+                        *r ^= f;
+                    }
+                }
+            }
+        }
+        if !r.is_multiple_of(64) {
+            reg[words - 1] &= (1u64 << (r % 64)) - 1;
+        }
+        // Parity byte 0 carries the highest-power coefficients
+        // (MSB-first), mirroring how the data was shifted in.
+        let mut out = vec![0u8; self.parity_bytes()];
+        for i in 0..r {
+            let power = r - 1 - i;
+            if (reg[power / 64] >> (power % 64)) & 1 == 1 {
+                out[i / 8] |= 1 << (7 - i % 8);
+            }
+        }
+        out
+    }
+
+    /// The syndromes `decode` computes, from the remainder of `data` and
+    /// the received `parity`, or `None` for a codeword. The buffers must
+    /// have the code's lengths.
+    pub(crate) fn remainder_syndromes(&self, data: &[u8], parity: &[u8]) -> Option<Vec<u32>> {
+        self.with_remainder::<false, _>(data, |reg, _| {
+            self.add_parity(reg, parity).then(|| {
+                let mut syn = vec![0; 2 * self.t];
+                self.syndromes_of(reg, &mut syn);
+                syn
+            })
+        })
+    }
+
+    /// Syndromes by per-bit modular exponent products over the whole
+    /// received word.
+    pub(crate) fn syndromes_reference(&self, data: &[u8], parity: &[u8]) -> Vec<u32> {
+        let f = &self.field;
+        let n = f.group_order() as i64;
+        let r = self.parity_bits as i64;
+        let two_t = 2 * self.t;
+        let mut syn = vec![0u32; two_t];
+        let add_position = |syn: &mut Vec<u32>, power: i64| {
+            for i in (1..=two_t).step_by(2) {
+                syn[i - 1] ^= f.alpha_pow((power * i as i64) % n);
+            }
+        };
+        for j in 0..data.len() * 8 {
+            if (data[j / 8] >> (7 - j % 8)) & 1 == 1 {
+                add_position(&mut syn, r + self.data_bits as i64 - 1 - j as i64);
+            }
+        }
+        for i in 0..self.parity_bits {
+            if (parity[i / 8] >> (7 - i % 8)) & 1 == 1 {
+                add_position(&mut syn, r - 1 - i as i64);
+            }
+        }
+        for i in 1..=self.t {
+            syn[2 * i - 1] = f.mul(syn[i - 1], syn[i - 1]);
+        }
+        syn
+    }
+
+    /// [`BchCode::berlekamp_massey`] into fresh rows, the locator owned.
+    pub(crate) fn berlekamp_massey_owned(&self, syndromes: &[u32]) -> Vec<u32> {
+        let mut work = vec![0; 3 * (syndromes.len() + 2)];
+        self.berlekamp_massey(syndromes, &mut work).to_vec()
+    }
+
+    /// Berlekamp–Massey taking every step, odd syndromes' and even
+    /// syndromes' alike.
+    pub(crate) fn berlekamp_massey_reference(&self, syndromes: &[u32]) -> Vec<u32> {
+        let f = &self.field;
+        let two_t = syndromes.len();
+        let mut sigma = vec![0u32; two_t + 2];
+        let mut prev = vec![0u32; two_t + 2];
+        sigma[0] = 1;
+        prev[0] = 1;
+        let (mut l, mut shift, mut b) = (0usize, 1usize, 1u32);
+        for n_iter in 0..two_t {
+            let mut d = syndromes[n_iter];
+            for i in 1..=l {
+                d ^= f.mul(sigma[i], syndromes[n_iter - i]);
+            }
+            if d == 0 {
+                shift += 1;
+                continue;
+            }
+            let old = sigma.clone();
+            let coef = f.div(d, b);
+            for (i, &p) in prev.iter().enumerate() {
+                if i + shift < sigma.len() {
+                    sigma[i + shift] ^= f.mul(coef, p);
+                }
+            }
+            if 2 * l <= n_iter {
+                l = n_iter + 1 - l;
+                prev = old;
+                b = d;
+                shift = 1;
+            } else {
+                shift += 1;
+            }
+        }
+        let deg = sigma.iter().rposition(|&c| c != 0).unwrap_or(0);
+        sigma.truncate(deg + 1);
+        sigma
+    }
+
+    /// Chien search with one field multiply per term per position.
+    pub(crate) fn chien_search_reference(&self, sigma: &[u32]) -> Vec<usize> {
+        let f = &self.field;
+        let mut roots = Vec::new();
+        // terms[j] = sigma_j * alpha^(-j*p), updated incrementally over p.
+        let mut terms: Vec<u32> = sigma.to_vec();
+        let steps: Vec<u32> = (0..sigma.len()).map(|j| f.alpha_pow(-(j as i64))).collect();
+        for p in 0..self.data_bits + self.parity_bits {
+            if p > 0 {
+                for j in 1..terms.len() {
+                    terms[j] = f.mul(terms[j], steps[j]);
+                }
+            }
+            if terms.iter().fold(0u32, |acc, &t| acc ^ t) == 0 {
+                roots.push(p);
+            }
+        }
+        roots
+    }
+}
 
 /// Largest payload (bytes) that fits the block length for (m, t), capped
 /// so reference-kernel scans stay fast inside property tests.
@@ -91,7 +249,7 @@ fn assert_corrects(code: &BchCode, data: &[u8], parity: &[u8], flips: &[usize]) 
     }
     let syn = syndromes(code, &bad, &bad_parity);
     assert_eq!(syn, code.syndromes_reference(&bad, &bad_parity));
-    let sigma = code.berlekamp_massey(&syn);
+    let sigma = code.berlekamp_massey_owned(&syn);
     let roots = code.chien_search_reference(&sigma);
     assert_eq!(code.locator_roots(&sigma), roots, "flips {flips:?}");
     assert_eq!(code.chien_search(&sigma), roots, "flips {flips:?}");
@@ -162,7 +320,7 @@ proptest! {
         }
         let syn = syndromes(&code, &corrupted, &parity);
         prop_assume!(syn.iter().any(|&s| s != 0));
-        let sigma = code.berlekamp_massey(&syn);
+        let sigma = code.berlekamp_massey_owned(&syn);
         let roots = code.chien_search_reference(&sigma);
         prop_assert_eq!(code.chien_search(&sigma), roots.clone());
         prop_assert_eq!(code.locator_roots(&sigma), roots);
@@ -189,7 +347,7 @@ proptest! {
         for &pos in &error_positions(seed, nerrors, stream_bits) {
             flip_stream_bit(&mut data, &mut parity, pos);
         }
-        let sigma = code.berlekamp_massey(&syndromes(&code, &data, &parity));
+        let sigma = code.berlekamp_massey_owned(&syndromes(&code, &data, &parity));
         let roots = code.chien_search_reference(&sigma);
         prop_assert_eq!(code.locator_roots(&sigma), roots.clone());
         if roots.len() != sigma.len() - 1 {
@@ -247,7 +405,7 @@ fn reference_page_decode(
     let syn = code.syndromes_reference(&message, parity);
     let mut corrected = 0;
     if syn.iter().any(|&s| s != 0) {
-        let sigma = code.berlekamp_massey(&syn);
+        let sigma = code.berlekamp_massey_owned(&syn);
         let degree = sigma.len() - 1;
         if degree > code.strength() {
             return Err(PageDecodeError::Uncorrectable);
@@ -572,4 +730,153 @@ fn flash_page_t12_full_differential() {
     }
     assert_syndromes_match(&code, &corrupted, &mut bad_parity);
     assert_corrects(&code, &data, &parity, &flips);
+}
+
+/// Codes whose registers are 1 to 5 words wide, the 270-bit one
+/// included, and the payload cap of each.
+fn lane_code(width: usize, data_bytes: usize) -> BchCode {
+    let (m, t) = [(16u32, 4usize), (16, 8), (16, 12), (16, 16), (15, 18)][width];
+    BchCode::new(m, t, data_bytes.min(payload_cap_uncapped(m, t))).unwrap()
+}
+
+/// Largest payload (bytes) that fits the block length for (m, t).
+fn payload_cap_uncapped(m: u32, t: usize) -> usize {
+    ((1usize << m) - 1 - m as usize * t) / 8
+}
+
+/// A message of `len` bytes drawn from `seed`.
+fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed;
+    (0..len)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 56) as u8
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The two-chain division (head and lane side by side, joined by the
+    /// shift table and `crc32_combine`) leaves the register and CRC32 of
+    /// one chain, `lfsr` and `crc32`, at every message length from 1 to
+    /// 4 100 bytes: a message of two lanes or more splits, its head with
+    /// a byte tail when the length is not a whole word, and a shorter one
+    /// keeps one chain. Registers 1 to 5 words wide, the 270-bit one
+    /// included, through the stack widths and the heap width alike.
+    #[test]
+    fn two_chain_division_matches_one_chain(
+        width in 0usize..5,
+        data_bytes in 1usize..=4100,
+        len in prop_oneof![Just(0usize), Just(4), 1usize..=4100],
+        seed in any::<u64>(),
+    ) {
+        let code = lane_code(width, data_bytes);
+        prop_assert_eq!(code.enc_words, width + 1);
+        // 0: the code's own length; 4: a page's data without its CRC.
+        let len = match len {
+            0 => code.data_bytes,
+            4 => code.data_bytes.saturating_sub(4).max(1),
+            len => len,
+        };
+        let message = seeded_bytes(seed, len);
+        let mut one = vec![0u64; code.enc_words];
+        let crc = lfsr::<true>(&mut one, &code.enc_table, &message);
+        prop_assert_eq!(crc, crc32(&message));
+        let (two, two_crc) = code.with_remainder::<true, _>(&message, |reg, crc| (reg.to_vec(), crc));
+        prop_assert_eq!(&two, &one);
+        prop_assert_eq!(two_crc, crc);
+        let (plain, plain_crc) = code.with_remainder::<false, _>(&message, |reg, crc| (reg.to_vec(), crc));
+        prop_assert_eq!(&plain, &one);
+        prop_assert_eq!(plain_crc, 0);
+    }
+
+    /// Berlekamp–Massey skipping the steps at even syndromes returns the
+    /// locator of the full iteration, for received words with 0..=t+3
+    /// errors: past the strength too, where the locator is arbitrary.
+    #[test]
+    fn berlekamp_massey_matches_full_iteration(
+        (m, t) in param_strategy(),
+        raw in prop::collection::vec(any::<u8>(), 1..=192),
+        nerrors in 0usize..=15,
+        seed in any::<u64>(),
+    ) {
+        let len = raw.len().min(payload_cap(m, t)).max(1);
+        let mut data = raw[..len].to_vec();
+        let code = BchCode::new(m, t, len).unwrap();
+        let mut parity = code.encode(&data);
+        let stream_bits = len * 8 + code.parity_bits();
+        for &pos in &error_positions(seed, nerrors.min(t + 3), stream_bits) {
+            flip_stream_bit(&mut data, &mut parity, pos);
+        }
+        let syn = syndromes(&code, &data, &parity);
+        prop_assert_eq!(code.berlekamp_massey_owned(&syn), code.berlekamp_massey_reference(&syn));
+    }
+}
+
+/// Each shift-table row is its register nibble's value moved past one
+/// lane by replaying `lane_bytes` zero byte steps, for every nibble and
+/// value at register widths 1 to 5 words and on a page's lane.
+#[test]
+fn lane_table_rows_equal_zero_byte_replays() {
+    let codes = [
+        BchCode::new(15, 18, 40).unwrap(),
+        BchCode::new(9, 1, 60).unwrap(),
+        BchCode::new(15, 1, PAGE_DATA_BYTES).unwrap(),
+        BchCode::new(15, 8, PAGE_DATA_BYTES + CRC_BYTES).unwrap(),
+        BchCode::new(15, 12, PAGE_DATA_BYTES).unwrap(),
+        BchCode::new(16, 16, 64).unwrap(),
+    ];
+    for code in &codes {
+        let w = code.enc_words;
+        let first = (w * 64 - code.parity_bits) / 4;
+        assert!(code.lane_bytes > 0 && code.lane_bytes.is_multiple_of(8));
+        assert_eq!(code.lane_table.len(), (w * 16 - first) * 16 * w);
+        for (i, rows) in (first..w * 16).zip(code.lane_table.chunks_exact(16 * w)) {
+            for v in 0..16 {
+                let mut reg = vec![0u64; w];
+                reg[i / 16] = (v as u64) << (4 * (i % 16));
+                // A bit below the alignment shift is never set in a
+                // remainder, and its row drops it.
+                reg[0] &= !0u64 << (w * 64 - code.parity_bits);
+                for _ in 0..code.lane_bytes {
+                    byte_step(&mut reg, &code.enc_table, 0);
+                }
+                assert_eq!(&rows[v * w..][..w], &reg[..], "nibble {i} value {v:#x}");
+            }
+        }
+        assert_eq!(code.lane_crc, crate::crc::x_pow(8 * code.lane_bytes));
+    }
+    // Below two words of payload there is no lane and no table.
+    let short = BchCode::new(8, 2, 15).unwrap();
+    assert_eq!((short.lane_bytes, short.lane_table.len()), (0, 0));
+}
+
+/// The page codec's division: 2 048 data bytes in two chains, then the
+/// CRC fed into the register byte by byte, is one chain over data ‖ CRC,
+/// and the CRC it returns is the page's.
+#[test]
+fn page_division_is_one_chain_over_data_and_crc() {
+    for t in [1usize, 8, 12] {
+        let code = BchCode::new(15, t, PAGE_DATA_BYTES + CRC_BYTES).unwrap();
+        assert_eq!(code.lane_bytes, 1024);
+        for seed in 0..4 {
+            let page = seeded_page(seed);
+            let (reg, crc) = code.with_remainder::<true, _>(&page, |reg, crc| {
+                code.feed(reg, &crc.to_be_bytes());
+                (reg.to_vec(), crc)
+            });
+            assert_eq!(crc, crc32(&page));
+            let mut one = vec![0u64; code.enc_words];
+            lfsr::<false>(
+                &mut one,
+                &code.enc_table,
+                &[&page[..], &crc.to_be_bytes()].concat(),
+            );
+            assert_eq!(reg, one, "t={t} seed {seed}");
+        }
+    }
 }

@@ -58,7 +58,7 @@ pub(crate) fn step1(c: u32, byte: u8) -> u32 {
 }
 
 /// `a·b mod P` for two reflected polynomials (zlib's `multmodp`).
-const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+pub(crate) const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
     let mut p = 0;
     let mut m = 1u32 << 31;
     while m != 0 {
@@ -119,7 +119,13 @@ static X_POW: [[u32; 16]; 16] = {
 /// ```
 pub fn flip_difference(len: usize, bit: usize) -> u32 {
     assert!(bit < len * 8, "bit {bit} is outside a {len}-byte message");
-    let mut n = 32 + bit % 8 + 8 * (len - 1 - bit / 8);
+    x_pow(32 + bit % 8 + 8 * (len - 1 - bit / 8))
+}
+
+/// `x^n mod P`, one multiplication per nonzero hex digit of `n`. With
+/// `n = 8·len` it is zlib's `crc32_combine` factor: the CRC32 of `a ‖ b`
+/// is `mul_mod_p(x_pow(8·b.len()), crc32(a)) ^ crc32(b)`.
+pub(crate) fn x_pow(mut n: usize) -> u32 {
     let mut p = 1u32 << 31;
     let mut k = 0;
     while n != 0 {
