@@ -140,7 +140,7 @@ fn bench_engine_submit(c: &mut Criterion) {
     const BATCH: usize = 512;
     let mut spec = WorkloadSpec::alpha1();
     spec.write_fraction = 0.05;
-    let trace = spec.generator(24301).take_requests(BATCH * 1024);
+    let trace: Vec<_> = spec.generator(24301).take(BATCH * 1024).collect();
     let mut g = c.benchmark_group("engine_submit");
     for workers in [1usize, 2] {
         let config = FlashCacheConfig::builder()

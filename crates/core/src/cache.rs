@@ -429,17 +429,6 @@ impl FlashCache {
         }
     }
 
-    /// Number of invalidated-but-not-yet-erased pages in `block`
-    /// (Figure 3's GC-candidate criterion).
-    pub fn block_invalid_pages(&self, block: nand_flash::BlockId) -> u32 {
-        self.fbst.get(block).invalid_pages
-    }
-
-    /// The region `block` currently serves.
-    pub fn block_region(&self, block: nand_flash::BlockId) -> RegionKind {
-        self.fbst.get(block).region
-    }
-
     /// Erase-count spread `(min, max, mean)` over non-retired blocks —
     /// the wear-levelling quality metric used by the ablation benches.
     pub fn erase_spread(&self) -> (u64, u64, f64) {
@@ -560,15 +549,16 @@ impl FlashCache {
         })
     }
 
-    /// Services a batch of ops, returning one outcome per op in order.
+    /// Services a batch of ops, appending one outcome per op, in order,
+    /// to `out` (not cleared), so hot loops can reuse one allocation.
     ///
-    /// Semantically this is exactly `ops.iter().map(|&op| self.op(op))`:
-    /// ops execute sequentially in their original order, so outcomes,
-    /// snapshots, stats, and exported metrics are byte-identical to the
-    /// scalar loop for every batch size. What the batch adds is a
-    /// software-pipelined *lookup front*: while op `j` executes, the
-    /// FCHT lines of op `j + K` (and a read's sketch word) are
-    /// prefetched (a pure hint — see DESIGN.md), overlapping the LLC
+    /// Semantically this is exactly `out.extend(ops.iter().map(|&op|
+    /// self.op(op)))`: ops execute sequentially in their original order,
+    /// so outcomes, snapshots, stats, and exported metrics are
+    /// byte-identical to the scalar loop for every batch size. What the
+    /// batch adds is a software-pipelined *lookup front*: while op `j`
+    /// executes, the FCHT lines of op `j + K` (and a read's sketch word)
+    /// are prefetched (a pure hint — see DESIGN.md), overlapping the LLC
     /// misses of independent requests.
     ///
     /// # Examples
@@ -578,18 +568,11 @@ impl FlashCache {
     ///
     /// let mut cache = FlashCache::new(FlashCacheConfig::default()).unwrap();
     /// let ops = [CacheOp::write(7), CacheOp::read(7), CacheOp::read(9)];
-    /// let outs = cache.op_batch(&ops);
+    /// let mut outs = Vec::new();
+    /// cache.op_batch_into(&ops, &mut outs);
     /// assert_eq!(outs.len(), 3);
     /// assert!(outs[1].access.hit); // the write cached page 7
     /// ```
-    pub fn op_batch(&mut self, ops: &[CacheOp]) -> Vec<CacheOutcome> {
-        let mut out = Vec::with_capacity(ops.len());
-        self.op_batch_into(ops, &mut out);
-        out
-    }
-
-    /// [`FlashCache::op_batch`] into a caller-owned buffer (appended;
-    /// not cleared), so hot loops can reuse one allocation.
     pub fn op_batch_into(&mut self, ops: &[CacheOp], out: &mut Vec<CacheOutcome>) {
         out.reserve(ops.len());
         // Pipeline window: far enough ahead to cover an LLC miss at

@@ -128,9 +128,9 @@ fn write_only_workload_never_touches_read_region_blocks() {
     }
     // Read-region blocks must have zero erases: all churn is contained.
     let mut read_region_erases = 0u64;
-    for b in c.device().geometry().iter_blocks() {
-        if c.block_region(b) == crate::tables::RegionKind::Read {
-            read_region_erases += c.device().erase_count(b);
+    for b in c.snapshot().blocks {
+        if b.region == crate::tables::RegionKind::Read {
+            read_region_erases += c.device().erase_count(nand_flash::BlockId(b.block));
         }
     }
     assert_eq!(

@@ -266,7 +266,7 @@ impl Fcht {
     /// Issues a best-effort prefetch of the cache lines a probe of
     /// `disk_page` touches first: the home bucket's control group and
     /// its key/location words. A pure hint — no architectural effect —
-    /// which is what lets `FlashCache::op_batch` overlap the probe
+    /// which is what lets `FlashCache::op_batch_into` overlap the probe
     /// misses of independent ops without perturbing results.
     #[inline]
     pub fn prefetch(&self, disk_page: u64) {

@@ -25,10 +25,11 @@ fn config(channel: ChannelConfig) -> FlashCacheConfig {
 
 /// The page-granular op stream of `n` requests of the scaled alpha1 trace.
 fn ops(seed: u64, n: usize) -> Vec<CacheOp> {
-    let reqs = WorkloadSpec::alpha1()
+    let reqs: Vec<_> = WorkloadSpec::alpha1()
         .scaled(64)
         .generator(seed)
-        .take_requests(n);
+        .take(n)
+        .collect();
     let mut ops = Vec::new();
     for req in &reqs {
         for page in req.pages() {

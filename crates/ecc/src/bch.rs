@@ -125,7 +125,7 @@ pub struct DecodeReport {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BchCode {
-    field: GfField,
+    field: &'static GfField,
     t: usize,
     data_bytes: usize,
     data_bits: usize,
@@ -169,8 +169,8 @@ impl BchCode {
         if data_bytes == 0 {
             return Err(CodeConstructionError::EmptyData);
         }
-        let field = GfField::new(m);
-        let generator = generator_poly(&field, t);
+        let field = GfField::shared(m);
+        let generator = generator_poly(field, t);
         let parity_bits = generator
             .degree()
             .expect("generator polynomial is never zero");
@@ -501,7 +501,7 @@ impl BchCode {
     /// steps at odd syndromes run, and each skipped one only lengthens
     /// the shift of the previous locator.
     pub(crate) fn berlekamp_massey<'w>(&self, syndromes: &[u32], work: &'w mut [u32]) -> &'w [u32] {
-        let f = &self.field;
+        let f = self.field;
         let two_t = syndromes.len();
         let (sigma, rest) = work.split_at_mut(two_t + 2);
         let (mut prev, mut scratch) = rest.split_at_mut(two_t + 2);
@@ -548,7 +548,7 @@ impl BchCode {
     /// but two reads in ten thousand) the roots are found in closed form,
     /// with no scan. `sigma` must be trimmed: its last coefficient nonzero.
     pub(crate) fn locator_roots(&self, sigma: &[u32]) -> Vec<usize> {
-        let f = &self.field;
+        let f = self.field;
         // x = 0 is no codeword position: the factors of x drop out.
         let low = sigma.iter().position(|&c| c != 0);
         let roots = match low {
@@ -588,7 +588,7 @@ impl BchCode {
     /// but gives up on repeated roots; these return exactly the roots a
     /// scan of the field would find.
     fn field_roots(&self, s: &[u32]) -> Option<Vec<u32>> {
-        let f = &self.field;
+        let f = self.field;
         let lead = s[s.len() - 1];
         let c = |i: usize| f.div(s[i], lead);
         Some(match s.len() - 1 {
@@ -644,7 +644,7 @@ impl BchCode {
     /// deg(sigma) roots are found — a degree-L polynomial has at most L
     /// roots, so no later position can be a root.
     pub(crate) fn chien_search(&self, sigma: &[u32]) -> Vec<usize> {
-        let f = &self.field;
+        let f = self.field;
         let n = f.group_order();
         let used_bits = self.data_bits + self.parity_bits;
         let deg = sigma.len() - 1;
@@ -1236,6 +1236,15 @@ mod tests {
         let report = code.decode(&mut received, &parity).unwrap();
         assert_eq!(report.corrected, 3);
         assert_eq!(received, data);
+    }
+
+    #[test]
+    fn codes_of_one_degree_share_one_field() {
+        let (t1, t8) = (BchCode::for_flash_page(1), BchCode::for_flash_page(8));
+        assert!(std::ptr::eq(t1.field, t8.field));
+        let sector = BchCode::new(13, 3, 512).unwrap();
+        assert!(!std::ptr::eq(sector.field, t8.field));
+        assert_eq!(sector.field.group_order(), (1 << 13) - 1);
     }
 
     #[test]

@@ -84,7 +84,7 @@ impl BchCode {
     /// Syndromes by per-bit modular exponent products over the whole
     /// received word.
     pub(crate) fn syndromes_reference(&self, data: &[u8], parity: &[u8]) -> Vec<u32> {
-        let f = &self.field;
+        let f = self.field;
         let n = f.group_order() as i64;
         let r = self.parity_bits as i64;
         let two_t = 2 * self.t;
@@ -119,7 +119,7 @@ impl BchCode {
     /// Berlekamp–Massey taking every step, odd syndromes' and even
     /// syndromes' alike.
     pub(crate) fn berlekamp_massey_reference(&self, syndromes: &[u32]) -> Vec<u32> {
-        let f = &self.field;
+        let f = self.field;
         let two_t = syndromes.len();
         let mut sigma = vec![0u32; two_t + 2];
         let mut prev = vec![0u32; two_t + 2];
@@ -158,7 +158,7 @@ impl BchCode {
 
     /// Chien search with one field multiply per term per position.
     pub(crate) fn chien_search_reference(&self, sigma: &[u32]) -> Vec<usize> {
-        let f = &self.field;
+        let f = self.field;
         let mut roots = Vec::new();
         // terms[j] = sigma_j * alpha^(-j*p), updated incrementally over p.
         let mut terms: Vec<u32> = sigma.to_vec();

@@ -9,6 +9,8 @@
 //! element is `0` and the multiplicative generator is `alpha = 2`
 //! (the polynomial `x`).
 
+use std::sync::OnceLock;
+
 /// Primitive polynomials (including the `x^m` term) indexed by `m`.
 ///
 /// Entry `PRIMITIVE_POLYS[m]` is a degree-`m` polynomial over GF(2),
@@ -71,10 +73,7 @@ impl GfField {
     ///
     /// Panics if `m` is outside `2..=16`.
     pub fn new(m: u32) -> Self {
-        assert!(
-            (2..=16).contains(&m),
-            "GF(2^m) supported only for 2 <= m <= 16, got m={m}"
-        );
+        check_degree(m);
         let poly = PRIMITIVE_POLYS[m as usize];
         let size = 1u32 << m;
         let group_order = size - 1;
@@ -116,20 +115,21 @@ impl GfField {
         field
     }
 
-    /// The extension degree `m`.
-    pub fn m(&self) -> u32 {
-        self.m
+    /// The process's one GF(2^m), built on first use: every code over
+    /// GF(2^m) shares its tables (384 KB at m = 15).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is outside `2..=16`.
+    pub(crate) fn shared(m: u32) -> &'static GfField {
+        static FIELDS: [OnceLock<GfField>; 17] = [const { OnceLock::new() }; 17];
+        check_degree(m);
+        FIELDS[m as usize].get_or_init(|| GfField::new(m))
     }
 
     /// The order of the multiplicative group, `2^m - 1`.
     pub fn group_order(&self) -> u32 {
         self.group_order
-    }
-
-    /// Field addition (= subtraction): bitwise XOR.
-    #[inline]
-    pub fn add(&self, a: u32, b: u32) -> u32 {
-        a ^ b
     }
 
     /// Field multiplication.
@@ -199,19 +199,6 @@ impl GfField {
         } else {
             self.exp[(self.log[a as usize] + self.group_order - self.log[b as usize]) as usize]
         }
-    }
-
-    /// `a` raised to the integer power `e`.
-    pub fn pow(&self, a: u32, e: i64) -> u32 {
-        if a == 0 {
-            return if e == 0 { 1 } else { 0 };
-        }
-        let n = self.group_order as i64;
-        let mut r = (self.log[a as usize] as i64 * e) % n;
-        if r < 0 {
-            r += n;
-        }
-        self.exp[r as usize]
     }
 
     /// A solution `y` of `y² + y = u` (the other is `y + 1`), or `None`
@@ -291,16 +278,13 @@ impl GfField {
         }
         roots
     }
+}
 
-    /// Evaluates a polynomial with coefficients `coeffs` (index = degree,
-    /// `coeffs[0]` is the constant term) at point `x`, via Horner's rule.
-    pub fn poly_eval(&self, coeffs: &[u32], x: u32) -> u32 {
-        let mut acc = 0u32;
-        for &c in coeffs.iter().rev() {
-            acc = self.mul(acc, x) ^ c;
-        }
-        acc
-    }
+fn check_degree(m: u32) {
+    assert!(
+        (2..=16).contains(&m),
+        "GF(2^m) supported only for 2 <= m <= 16, got m={m}"
+    );
 }
 
 #[cfg(test)]
@@ -371,18 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn pow_agrees_with_repeated_mul() {
-        let f = GfField::new(6);
-        for a in 1u32..64 {
-            let mut acc = 1u32;
-            for e in 0..10i64 {
-                assert_eq!(f.pow(a, e), acc);
-                acc = f.mul(acc, a);
-            }
-        }
-    }
-
-    #[test]
     fn negative_alpha_powers_wrap() {
         let f = GfField::new(5);
         assert_eq!(f.alpha_pow(-1), f.inv(f.alpha_pow(1)));
@@ -434,16 +406,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn poly_eval_horner() {
-        let f = GfField::new(8);
-        // p(x) = 3 + 5x + x^2 evaluated at alpha.
-        let a = f.alpha_pow(1);
-        let expected = 3 ^ f.mul(5, a) ^ f.mul(a, a);
-        assert_eq!(f.poly_eval(&[3, 5, 1], a), expected);
-        // Zero polynomial is identically zero.
-        assert_eq!(f.poly_eval(&[], a), 0);
     }
 }

@@ -275,13 +275,11 @@ impl ShardedCache {
     }
 
     /// Submits a batch of requests and returns one merged
-    /// [`AccessOutcome`] per request, in batch order.
-    ///
-    /// The requests' pages become one op stream, in batch and page
-    /// order, run by [`submit_ops`](ShardedCache::submit_ops); a
-    /// multi-page request then folds its pages' outcomes in page order:
-    /// latencies sum, `hit` requires every page to hit, and the tier
-    /// degrades to [`ServiceTier::Disk`] if any page needs the disk.
+    /// [`AccessOutcome`] per request, in batch order: the pages run as
+    /// one op stream through [`submit_ops`](ShardedCache::submit_ops),
+    /// and `merge_outcome` folds each request's pages in page order. The
+    /// hierarchy runs `submit_ops`; `submit` and `merge_outcome` stay
+    /// because `benchmark/src/replay.rs` calls `submit`.
     pub fn submit(&mut self, batch: &[DiskRequest]) -> Vec<AccessOutcome> {
         let ops: Vec<CacheOp> = batch
             .iter()

@@ -33,10 +33,11 @@ fn config(channels: u32) -> FlashCacheConfig {
 /// makespan (µs of modeled NAND time until every resource idles).
 fn makespan(cfg: FlashCacheConfig, n: usize) -> f64 {
     let mut engine = ShardedCache::new(cfg, 1).expect("single shard");
-    let reqs = WorkloadSpec::alpha1()
+    let reqs: Vec<_> = WorkloadSpec::alpha1()
         .scaled(64)
         .generator(0x0401_2026)
-        .take_requests(n);
+        .take(n)
+        .collect();
     for req in &reqs {
         for page in req.pages() {
             engine.op(match req.op {
@@ -70,7 +71,7 @@ fn four_channels_beat_one_channel_on_modeled_throughput() {
 fn scaling_trace() -> Vec<DiskRequest> {
     let mut spec = WorkloadSpec::alpha1().scaled(8);
     spec.write_fraction = 0.05;
-    spec.generator(0x5EED).take_requests(20_000)
+    spec.generator(0x5EED).take(20_000).collect()
 }
 
 /// Replays [`scaling_trace`] in 512-request batches over a 512-block

@@ -77,7 +77,8 @@ fn trace(seed: u64, n: usize) -> Vec<DiskRequest> {
     WorkloadSpec::alpha1()
         .scaled(64)
         .generator(seed)
-        .take_requests(n)
+        .take(n)
+        .collect()
 }
 
 #[test]

@@ -30,12 +30,6 @@ pub fn decode_latency_point(t: usize) -> DecodeLatencyPoint {
     }
 }
 
-/// Figure 6(a): decode latency for `t` in `range` on the paper's 100MHz
-/// accelerator model.
-pub fn decode_latency_curve(range: std::ops::RangeInclusive<usize>) -> Vec<DecodeLatencyPoint> {
-    range.map(decode_latency_point).collect()
-}
-
 /// One row of Figure 6(b): max tolerable W/E cycles per spatial-stdev
 /// series at a given code strength.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,19 +57,13 @@ pub fn lifetime_point(t: usize) -> LifetimePoint {
     LifetimePoint { t, cycles_by_stdev }
 }
 
-/// Figure 6(b): maximum tolerable write/erase cycles versus ECC code
-/// strength for each spatial-variation series.
-pub fn lifetime_curve(max_t: usize) -> Vec<LifetimePoint> {
-    (0..=max_t).map(lifetime_point).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn fig6a_shape() {
-        let points = decode_latency_curve(2..=11);
+        let points: Vec<_> = (2..=11).map(decode_latency_point).collect();
         assert_eq!(points.len(), 10);
         for w in points.windows(2) {
             assert!(w[1].total_us > w[0].total_us);
@@ -90,7 +78,7 @@ mod tests {
 
     #[test]
     fn fig6b_shape() {
-        let points = lifetime_curve(10);
+        let points: Vec<_> = (0..=10).map(lifetime_point).collect();
         assert_eq!(points.len(), 11);
         // Anchors: ~1e5 at t=0, ~8e6 at t=10 for the stdev=0 series.
         assert!((0.4e5..2.5e5).contains(&points[0].cycles_by_stdev[0]));

@@ -14,8 +14,8 @@
 //! ```
 //! use disk_trace::{TraceStats, WorkloadSpec};
 //!
-//! let mut gen = WorkloadSpec::dbt2().scaled(16).generator(42);
-//! let stats = TraceStats::from_iter(gen.take_requests(5_000));
+//! let gen = WorkloadSpec::dbt2().scaled(16).generator(42);
+//! let stats: TraceStats = gen.take(5_000).collect();
 //! // OLTP is write-heavy.
 //! assert!(stats.write_fraction() > 0.3);
 //! ```

@@ -109,11 +109,11 @@ impl PopularitySampler {
 
     /// Draws one page number in O(1) via the Walker alias table.
     ///
-    /// Consumes exactly one uniform per draw — the same as
-    /// [`RankCdf::sample_cdf`] — but replaces the O(log n) binary
-    /// search over the (cache-hostile, multi-MB) CDF with a single
-    /// indexed load of one packed alias row: the uniform is split into a
-    /// table row and an acceptance fraction.
+    /// Consumes exactly one uniform per draw — the same as the
+    /// inverse-CDF draw it is tested against — but replaces the O(log n)
+    /// binary search over the (cache-hostile, multi-MB) CDF with a
+    /// single indexed load of one packed alias row: the uniform is split
+    /// into a table row and an acceptance fraction.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match self.law {
@@ -179,21 +179,6 @@ impl RankCdf {
             0 => 0.0,
             r => self.cdf[(r as usize).min(self.cdf.len()) - 1],
         }
-    }
-
-    /// Draws one page number by inverse-CDF binary search, ranks mapped
-    /// to pages through `permutation` — with a sampler's seed's
-    /// [`permutation`], the reference its alias draw is tested against.
-    pub fn sample_cdf<R: Rng + ?Sized>(&self, permutation: &[u32], rng: &mut R) -> u64 {
-        let u: f64 = rng.gen();
-        let rank = match self
-            .cdf
-            .binary_search_by(|w| w.partial_cmp(&u).expect("weights are finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
-        };
-        permutation[rank] as u64
     }
 }
 
@@ -264,7 +249,7 @@ fn build_alias(law: Popularity, footprint: u64) -> Vec<AliasSlot> {
 
 /// The rank→page permutation of a sampler built with `seed`: a
 /// deterministic Fisher–Yates shuffle of `0..footprint`.
-pub fn permutation(footprint: u64, seed: u64) -> Vec<u32> {
+fn permutation(footprint: u64, seed: u64) -> Vec<u32> {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     let mut perm: Vec<u32> = (0..footprint as u32).collect();
@@ -279,6 +264,24 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashMap;
+
+    impl RankCdf {
+        /// Draws one page number by inverse-CDF binary search, ranks
+        /// mapped to pages through `permutation` — with a sampler's
+        /// seed's [`permutation`], the reference its alias draw is tested
+        /// against.
+        fn sample_cdf<R: Rng + ?Sized>(&self, permutation: &[u32], rng: &mut R) -> u64 {
+            let u: f64 = rng.gen();
+            let rank = match self
+                .cdf
+                .binary_search_by(|w| w.partial_cmp(&u).expect("weights are finite"))
+            {
+                Ok(i) => i,
+                Err(i) => i.min(self.cdf.len() - 1),
+            };
+            permutation[rank] as u64
+        }
+    }
 
     fn histogram(s: &PopularitySampler, n: usize, seed: u64) -> HashMap<u64, u64> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -392,6 +395,55 @@ mod tests {
         }
         assert!(*h.values().max().unwrap() > 2_000);
         assert!(h.keys().all(|&p| p < 10_000));
+    }
+
+    /// Two-sample chi-square between the alias sampler and the CDF oracle.
+    /// Pages are partitioned into fixed id-range buckets; under the null
+    /// hypothesis (same law) the statistic is ~chi-square(buckets-1), mean
+    /// 63 for 64 buckets. The seeds are fixed, so this is deterministic —
+    /// the generous bound guards the distribution, not the noise.
+    fn chi_square(law: Popularity) -> f64 {
+        const FOOTPRINT: u64 = 4096;
+        const BUCKETS: usize = 64;
+        const DRAWS: usize = 200_000;
+        let sampler = PopularitySampler::new(law, FOOTPRINT, 11);
+        let (cdf, permutation) = (RankCdf::new(law, FOOTPRINT), permutation(FOOTPRINT, 11));
+        let mut alias_rng = StdRng::seed_from_u64(101);
+        let mut cdf_rng = StdRng::seed_from_u64(202);
+        let per_bucket = FOOTPRINT as usize / BUCKETS;
+        let mut alias_counts = [0u64; BUCKETS];
+        let mut cdf_counts = [0u64; BUCKETS];
+        for _ in 0..DRAWS {
+            alias_counts[sampler.sample(&mut alias_rng) as usize / per_bucket] += 1;
+            cdf_counts[cdf.sample_cdf(&permutation, &mut cdf_rng) as usize / per_bucket] += 1;
+        }
+        let mut stat = 0.0;
+        for (&a, &b) in alias_counts.iter().zip(&cdf_counts) {
+            let total = (a + b) as f64;
+            if total > 0.0 {
+                let d = a as f64 - b as f64;
+                stat += d * d / total;
+            }
+        }
+        stat
+    }
+
+    #[test]
+    fn alias_sampler_matches_cdf_oracle_zipf() {
+        let stat = chi_square(Popularity::Zipf { alpha: 1.2 });
+        assert!(
+            stat < 150.0,
+            "zipf alias vs cdf chi-square too large: {stat}"
+        );
+    }
+
+    #[test]
+    fn alias_sampler_matches_cdf_oracle_exponential() {
+        let stat = chi_square(Popularity::Exponential { lambda: 0.01 });
+        assert!(
+            stat < 150.0,
+            "exp alias vs cdf chi-square too large: {stat}"
+        );
     }
 
     #[test]

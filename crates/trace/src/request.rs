@@ -116,14 +116,6 @@ impl TraceStats {
             self.writes as f64 / self.requests as f64
         }
     }
-
-    /// Collects statistics from an iterator of requests — a convenience
-    /// alias for the [`FromIterator`] impl so call sites can write
-    /// `TraceStats::from_iter(reqs)` without importing the trait.
-    #[allow(clippy::should_implement_trait)]
-    pub fn from_iter<I: IntoIterator<Item = DiskRequest>>(iter: I) -> Self {
-        iter.into_iter().collect()
-    }
 }
 
 impl FromIterator<DiskRequest> for TraceStats {
@@ -163,7 +155,7 @@ mod tests {
             DiskRequest::new(100, 4, OpKind::Write),
             DiskRequest::read(50),
         ];
-        let s = TraceStats::from_iter(reqs);
+        let s: TraceStats = reqs.into_iter().collect();
         assert_eq!(s.requests, 3);
         assert_eq!(s.pages, 6);
         assert_eq!(s.writes, 1);

@@ -320,13 +320,6 @@ impl TraceGenerator {
         req
     }
 
-    /// Collects `n` requests into a vector.
-    pub fn take_requests(&mut self, n: usize) -> Vec<DiskRequest> {
-        let mut out = Vec::with_capacity(n);
-        self.fill(n, &mut out);
-        out
-    }
-
     /// Appends `n` requests to `out` (not cleared) so replay loops
     /// refill their reusable buffer. Draw order is identical to `n`
     /// calls of [`TraceGenerator::next_request`], so the generated
@@ -382,23 +375,23 @@ mod tests {
 
     #[test]
     fn generated_mix_matches_spec() {
-        let mut g = WorkloadSpec::dbt2().scaled(16).generator(1);
-        let stats = TraceStats::from_iter(g.take_requests(20_000));
+        let g = WorkloadSpec::dbt2().scaled(16).generator(1);
+        let stats: TraceStats = g.take(20_000).collect();
         assert!((stats.write_fraction() - 0.40).abs() < 0.02);
         assert!(stats.max_page < WorkloadSpec::dbt2().footprint_pages / 16);
     }
 
     #[test]
     fn financial1_is_write_dominated() {
-        let mut g = WorkloadSpec::financial1().scaled(8).generator(2);
-        let stats = TraceStats::from_iter(g.take_requests(10_000));
+        let g = WorkloadSpec::financial1().scaled(8).generator(2);
+        let stats: TraceStats = g.take(10_000).collect();
         assert!(stats.write_fraction() > 0.7);
     }
 
     #[test]
     fn websearch_is_read_dominated_with_runs() {
-        let mut g = WorkloadSpec::websearch1().scaled(64).generator(3);
-        let stats = TraceStats::from_iter(g.take_requests(10_000));
+        let g = WorkloadSpec::websearch1().scaled(64).generator(3);
+        let stats: TraceStats = g.take(10_000).collect();
         assert!(stats.write_fraction() < 0.03);
         // Mean run length near 8 pages.
         let mean_len = stats.pages as f64 / stats.requests as f64;
@@ -451,7 +444,7 @@ mod tests {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for r in spec.generator(seed).take_requests(4096) {
+        for r in spec.generator(seed).take(4096) {
             eat(&r.page.to_le_bytes());
             eat(&r.len.to_le_bytes());
             eat(&[u8::from(r.is_write())]);
@@ -480,10 +473,10 @@ mod tests {
     #[test]
     fn same_seed_reproduces_trace() {
         let spec = WorkloadSpec::exp2();
-        let a = spec.generator(9).take_requests(500);
-        let b = spec.generator(9).take_requests(500);
+        let a: Vec<_> = spec.generator(9).take(500).collect();
+        let b: Vec<_> = spec.generator(9).take(500).collect();
         assert_eq!(a, b);
-        let c = spec.generator(10).take_requests(500);
+        let c: Vec<_> = spec.generator(10).take(500).collect();
         assert_ne!(a, c);
     }
 

@@ -75,13 +75,12 @@ proptest! {
     #[test]
     fn generator_respects_spec(seed in any::<u64>(), which in 0usize..12) {
         let spec = WorkloadSpec::all().remove(which).scaled(512);
-        let mut generator = spec.generator(seed);
-        let reqs = generator.take_requests(2_000);
+        let reqs: Vec<_> = spec.generator(seed).take(2_000).collect();
         for r in &reqs {
             prop_assert!(r.page + r.len as u64 <= spec.footprint_pages);
             prop_assert!(r.len >= 1);
         }
-        let stats = TraceStats::from_iter(reqs);
+        let stats: TraceStats = reqs.into_iter().collect();
         prop_assert!(
             (stats.write_fraction() - spec.write_fraction).abs() < 0.06,
             "{}: write fraction {} vs spec {}",
@@ -96,10 +95,10 @@ proptest! {
     #[test]
     fn determinism(seed in any::<u64>(), which in 0usize..12) {
         let spec = WorkloadSpec::all().remove(which).scaled(1024);
-        let a = spec.generator(seed).take_requests(100);
-        let b = spec.generator(seed).take_requests(100);
+        let a: Vec<_> = spec.generator(seed).take(100).collect();
+        let b: Vec<_> = spec.generator(seed).take(100).collect();
         prop_assert_eq!(&a, &b);
-        let c = spec.generator(seed.wrapping_add(1)).take_requests(100);
+        let c: Vec<_> = spec.generator(seed.wrapping_add(1)).take(100).collect();
         prop_assert_ne!(&a, &c);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based byte-identity tests for the batched cache-op path.
 //!
-//! **Batch = scalar.** [`FlashCache::op_batch`] must be byte-identical
+//! **Batch = scalar.** [`FlashCache::op_batch_into`] must be byte-identical
 //! to looping [`FlashCache::op`] — same outcomes in the same order,
 //! same snapshot, same stats, same exported metrics — for *every* batch
 //! size and every admission policy. The pipeline only issues prefetch
@@ -57,7 +57,7 @@ fn assert_observably_equal(a: &FlashCache, b: &FlashCache) -> Result<(), TestCas
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `op_batch` is byte-identical to the scalar `op` loop for every
+    /// `op_batch_into` is byte-identical to the scalar `op` loop for every
     /// chunking of the op stream, under every admission policy.
     #[test]
     fn op_batch_matches_scalar_for_all_batch_sizes(

@@ -4,7 +4,7 @@
 //! EXPERIMENTS.md.)
 
 use flashcache::sim::experiments::admission::{run_ablation, AblationParams};
-use flashcache::sim::experiments::curves::{decode_latency_curve, lifetime_curve};
+use flashcache::sim::experiments::curves::{decode_latency_point, lifetime_point};
 use flashcache::sim::experiments::density_partition::{density_partition_curve, MLC_BYTES_PER_MM2};
 use flashcache::sim::experiments::driver::{cache_config_for_bytes, half_working_set_bytes};
 use flashcache::sim::experiments::ecc_throughput::{ecc_throughput_curve, EccThroughputParams};
@@ -39,9 +39,9 @@ fn fig4_smoke() {
 
 #[test]
 fn fig6_smoke() {
-    let lat = decode_latency_curve(2..=11);
+    let lat: Vec<_> = (2..=11).map(decode_latency_point).collect();
     assert!(lat.last().unwrap().total_us > lat[0].total_us);
-    let life = lifetime_curve(10);
+    let life: Vec<_> = (0..=10).map(lifetime_point).collect();
     assert!(life[10].cycles_by_stdev[0] > life[0].cycles_by_stdev[0]);
 }
 

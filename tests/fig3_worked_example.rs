@@ -30,11 +30,11 @@ fn config(split: SplitPolicy) -> FlashCacheConfig {
 
 /// Counts blocks containing at least one invalid (GC-candidate) page.
 fn gc_candidate_blocks(cache: &FlashCache) -> usize {
-    let device = cache.device();
-    device
-        .geometry()
-        .iter_blocks()
-        .filter(|&b| cache.block_invalid_pages(b) > 0)
+    let snapshot = cache.snapshot();
+    snapshot
+        .blocks
+        .iter()
+        .filter(|b| b.invalid_pages > 0)
         .count()
 }
 
@@ -80,10 +80,10 @@ fn unified_spreads_gc_damage_split_contains_it() {
     // pages, not from write churn.
     let mut write_region_invalid = 0u64;
     let mut read_region_invalid = 0u64;
-    for b in split.device().geometry().iter_blocks() {
-        match split.block_region(b) {
-            RegionKind::Write => write_region_invalid += split.block_invalid_pages(b) as u64,
-            RegionKind::Read => read_region_invalid += split.block_invalid_pages(b) as u64,
+    for b in split.snapshot().blocks {
+        match b.region {
+            RegionKind::Write => write_region_invalid += b.invalid_pages as u64,
+            RegionKind::Read => read_region_invalid += b.invalid_pages as u64,
         }
     }
     assert!(
@@ -132,10 +132,10 @@ fn out_of_place_write_invalidates_and_appends() {
     assert!(cache.contains(3), "the page written last is cached");
     assert_eq!(flushed, stats.flushed_dirty_pages);
     let total_invalid: u64 = cache
-        .device()
-        .geometry()
-        .iter_blocks()
-        .map(|b| cache.block_invalid_pages(b) as u64)
+        .snapshot()
+        .blocks
+        .iter()
+        .map(|b| b.invalid_pages as u64)
         .sum();
     assert!(
         total_invalid == 6 || stats.gc_runs + stats.erases > 0,

@@ -2,8 +2,6 @@
 //!
 //! * fixed-seed determinism — two identical runs produce byte-identical
 //!   metric snapshots and identical hierarchy reports;
-//! * the O(1) alias sampler draws from the same distribution as the
-//!   binary-search CDF reference (two-sample chi-square);
 //! * the wear memo contract — a re-read at an unchanged erase count
 //!   draws nothing from the RNG and changes nothing; crossing an erase
 //!   count re-evaluates.
@@ -13,8 +11,6 @@ use rand::{Rng, SeedableRng};
 
 use flashcache::nand::{FlashConfig, FlashGeometry, PageWearState, WearConfig, WearModel};
 use flashcache::sim::hierarchy::{Hierarchy, HierarchyConfig};
-use flashcache::trace::popularity::permutation;
-use flashcache::trace::{Popularity, PopularitySampler, RankCdf};
 use flashcache::{FlashCacheConfig, WorkloadSpec};
 
 const REQUESTS: u64 = 20_000;
@@ -61,55 +57,6 @@ fn fast_path_replay_is_deterministic() {
     // Different seeds must not collapse onto the same trajectory.
     let (metrics_c, _) = replay(8);
     assert_ne!(metrics_a, metrics_c, "seed must steer the run");
-}
-
-/// Two-sample chi-square between the alias sampler and the CDF oracle.
-/// Pages are partitioned into fixed id-range buckets; under the null
-/// hypothesis (same law) the statistic is ~chi-square(buckets-1), mean
-/// 63 for 64 buckets. The seeds are fixed, so this is deterministic —
-/// the generous bound guards the distribution, not the noise.
-fn chi_square(law: Popularity) -> f64 {
-    const FOOTPRINT: u64 = 4096;
-    const BUCKETS: usize = 64;
-    const DRAWS: usize = 200_000;
-    let sampler = PopularitySampler::new(law, FOOTPRINT, 11);
-    let (cdf, permutation) = (RankCdf::new(law, FOOTPRINT), permutation(FOOTPRINT, 11));
-    let mut alias_rng = StdRng::seed_from_u64(101);
-    let mut cdf_rng = StdRng::seed_from_u64(202);
-    let per_bucket = FOOTPRINT as usize / BUCKETS;
-    let mut alias_counts = [0u64; BUCKETS];
-    let mut cdf_counts = [0u64; BUCKETS];
-    for _ in 0..DRAWS {
-        alias_counts[sampler.sample(&mut alias_rng) as usize / per_bucket] += 1;
-        cdf_counts[cdf.sample_cdf(&permutation, &mut cdf_rng) as usize / per_bucket] += 1;
-    }
-    let mut stat = 0.0;
-    for (&a, &b) in alias_counts.iter().zip(&cdf_counts) {
-        let total = (a + b) as f64;
-        if total > 0.0 {
-            let d = a as f64 - b as f64;
-            stat += d * d / total;
-        }
-    }
-    stat
-}
-
-#[test]
-fn alias_sampler_matches_cdf_oracle_zipf() {
-    let stat = chi_square(Popularity::Zipf { alpha: 1.2 });
-    assert!(
-        stat < 150.0,
-        "zipf alias vs cdf chi-square too large: {stat}"
-    );
-}
-
-#[test]
-fn alias_sampler_matches_cdf_oracle_exponential() {
-    let stat = chi_square(Popularity::Exponential { lambda: 0.01 });
-    assert!(
-        stat < 150.0,
-        "exp alias vs cdf chi-square too large: {stat}"
-    );
 }
 
 /// The wear memo contract. A re-read at an unchanged (or lower) erase
