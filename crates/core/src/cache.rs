@@ -62,27 +62,12 @@ impl CacheOp {
     }
 }
 
-/// What the admission stage decided about one [`CacheOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionDecision {
-    /// The op never reached the admission stage (flash read hit, or a
-    /// degraded internal-error outcome).
-    #[default]
-    NotApplicable,
-    /// The fill or write was admitted into flash.
-    Admitted,
-    /// The sketch kept the fill out; the caller serves it from disk.
-    Rejected,
-}
-
-/// Result of one [`CacheOp`]: the access outcome plus what the
-/// admission stage decided.
+/// Result of one [`CacheOp`]: its [`AccessOutcome`]. The wrapper stays
+/// because `benchmark/src/traced.rs` names the type and reads `.access`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheOutcome {
     /// The access outcome (hit/tier/latency/disk obligations).
     pub access: AccessOutcome,
-    /// The admission stage's decision for this op.
-    pub admission: AdmissionDecision,
 }
 
 /// Result of one cache access.
@@ -102,10 +87,6 @@ pub struct AccessOutcome {
     /// one); otherwise it is the time the flash read spent waiting out
     /// in-flight channel traffic.
     pub queue_wait_us: f64,
-    /// Off-critical-path flash work this access triggered (fills,
-    /// migrations), µs. GC/eviction work is tracked separately in
-    /// [`CacheStats::gc_time_us`].
-    pub background_us: f64,
     /// The caller must fetch the page from disk.
     pub needs_disk_read: bool,
     /// Dirty pages this access forced out; the caller owes these disk
@@ -117,6 +98,21 @@ pub struct AccessOutcome {
     /// The cache could not allocate space (device worn out); the access
     /// went straight to disk.
     pub bypassed: bool,
+}
+
+impl AccessOutcome {
+    /// The outcome of an op the flash did not serve: a miss on tier
+    /// [`ServiceTier::Disk`] that bypassed the cache, where a read must
+    /// fetch its page from disk. Every layer that sends an op straight to
+    /// disk (an internal error, a poisoned shard, a hierarchy without
+    /// flash) builds it here.
+    pub fn to_disk(kind: CacheOpKind) -> Self {
+        AccessOutcome {
+            needs_disk_read: kind == CacheOpKind::Read,
+            bypassed: true,
+            ..AccessOutcome::default()
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -509,13 +505,12 @@ impl FlashCache {
         }
     }
 
-    fn finish(&mut self, mut outcome: AccessOutcome) -> AccessOutcome {
+    fn finish(&mut self, mut outcome: AccessOutcome) -> CacheOutcome {
         outcome.flushed_dirty = self.op_flushed;
-        outcome.background_us = self.op_background_us;
         self.stats.foreground_us += outcome.latency_us;
         self.stats.queue_wait_us += outcome.queue_wait_us;
-        self.stats.background_us += outcome.background_us;
-        outcome
+        self.stats.background_us += self.op_background_us;
+        CacheOutcome { access: outcome }
     }
 
     /// Services `op` through the unified pipeline (§5.1 read/write
@@ -535,17 +530,11 @@ impl FlashCache {
         };
         result.unwrap_or_else(|e| {
             self.stats.internal_errors += 1;
-            CacheOutcome {
-                access: AccessOutcome {
-                    hit: false,
-                    tier: ServiceTier::Disk,
-                    needs_disk_read: op.kind == CacheOpKind::Read,
-                    uncorrectable: e.is_corruption(),
-                    bypassed: true,
-                    ..AccessOutcome::default()
-                },
-                admission: AdmissionDecision::NotApplicable,
-            }
+            let access = AccessOutcome {
+                uncorrectable: e.is_corruption(),
+                ..AccessOutcome::to_disk(op.kind)
+            };
+            CacheOutcome { access }
         })
     }
 
@@ -648,48 +637,45 @@ impl FlashCache {
                 self.maybe_promote_hot(addr, count)?;
                 self.stats.read_hits += 1;
                 self.fgst.record(true, latency);
-                let access = self.finish(AccessOutcome {
+                return Ok(self.finish(AccessOutcome {
                     hit: true,
                     tier: ServiceTier::Flash,
                     latency_us: latency,
                     queue_wait_us: out.wait_us,
                     ..AccessOutcome::default()
-                });
-                return Ok(CacheOutcome {
-                    access,
-                    admission: AdmissionDecision::NotApplicable,
-                });
+                }));
             }
         }
         // Miss: fetch from disk, fill the read cache.
         self.fgst.record(false, 0.0);
-        let (filled, admission) = self.admitted_fill(disk_page)?;
+        let filled = self.admitted_fill(disk_page)?;
         let (latency_us, queue_wait_us) = lost.unwrap_or_default();
-        let access = self.finish(AccessOutcome {
+        Ok(self.finish(AccessOutcome {
             latency_us,
             queue_wait_us,
             needs_disk_read: true,
             uncorrectable: lost.is_some(),
             bypassed: !filled,
             ..AccessOutcome::default()
-        });
-        Ok(CacheOutcome { access, admission })
+        }))
     }
 
     /// Runs the admission gate in front of a read-miss fill into the read
-    /// region. Returns whether a copy was cached (an admitted page is not
-    /// if the worn-out device has no space) and the decision taken.
-    fn admitted_fill(&mut self, disk_page: u64) -> Result<(bool, AdmissionDecision), CacheError> {
+    /// region. Returns whether a copy was cached: not when the gate
+    /// rejects the fill (counted in
+    /// [`CacheStats::admission_rejected_fills`]), nor when the worn-out
+    /// device has no space.
+    fn admitted_fill(&mut self, disk_page: u64) -> Result<bool, CacheError> {
         let sketch = self.admission.as_ref();
         if sketch.is_some_and(|s| !s.admit_fill(disk_page)) {
             self.stats.admission_rejected_fills += 1;
-            return Ok((false, AdmissionDecision::Rejected));
+            return Ok(false);
         }
         let slot = self.allocate_slot(RegionKind::Read, false)?;
         if let Some(addr) = slot {
             self.op_background_us += self.program_slot(addr, disk_page, false, 0)?;
         }
-        Ok((slot.is_some(), AdmissionDecision::Admitted))
+        Ok(slot.is_some())
     }
 
     /// §5.1 write path — always an out-of-place write into the write
@@ -713,7 +699,7 @@ impl FlashCache {
         let programmed = slot.is_some();
         self.fgst.record(hit, 0.0);
         self.maybe_background_read_gc()?;
-        let access = self.finish(AccessOutcome {
+        Ok(self.finish(AccessOutcome {
             hit,
             tier: if programmed {
                 ServiceTier::Flash
@@ -722,11 +708,7 @@ impl FlashCache {
             },
             bypassed: !programmed,
             ..AccessOutcome::default()
-        });
-        Ok(CacheOutcome {
-            access,
-            admission: AdmissionDecision::Admitted,
-        })
+        }))
     }
 
     /// Marks every dirty page clean and returns how many disk writes the

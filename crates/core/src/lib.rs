@@ -50,7 +50,7 @@ pub mod stats;
 pub mod tables;
 
 pub use admission::FrequencySketch;
-pub use cache::{AccessOutcome, AdmissionDecision, CacheOp, CacheOpKind, CacheOutcome, FlashCache};
+pub use cache::{AccessOutcome, CacheOp, CacheOpKind, CacheOutcome, FlashCache};
 pub use config::{
     AdmissionPolicyConfig, ConfigError, ControllerPolicy, FlashCacheConfig,
     FlashCacheConfigBuilder, SplitPolicy,

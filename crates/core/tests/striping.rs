@@ -67,11 +67,10 @@ fn placement_follows_lane_topology_not_modeled_time() {
 
     let a = drive(&mut lean, 0x0811_2026, 6_000);
     let b = drive(&mut deep, 0x0811_2026, 6_000);
-    // Everything in an outcome but its three time sums.
+    // Everything in an outcome but its two time sums.
     let functional = |o: &AccessOutcome| AccessOutcome {
         latency_us: 0.0,
         queue_wait_us: 0.0,
-        background_us: 0.0,
         ..*o
     };
     for (i, (x, y)) in a.iter().zip(&b).enumerate() {

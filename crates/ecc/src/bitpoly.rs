@@ -66,11 +66,6 @@ impl BitPoly {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Number of nonzero coefficients.
-    pub fn weight(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Carry-less polynomial product over GF(2).
     pub fn mul(&self, other: &BitPoly) -> BitPoly {
         let (da, db) = match (self.degree(), other.degree()) {
@@ -151,7 +146,7 @@ mod tests {
         assert!(BitPoly::zero().is_zero());
         assert_eq!(BitPoly::zero().degree(), None);
         assert_eq!(BitPoly::one().degree(), Some(0));
-        assert_eq!(BitPoly::one().weight(), 1);
+        assert_eq!(BitPoly::one(), BitPoly::from_exponents([0]));
     }
 
     #[test]

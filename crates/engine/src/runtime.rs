@@ -28,10 +28,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
-use flash_obs::ServiceTier;
-use flashcache_core::{
-    AccessOutcome, AdmissionDecision, CacheOp, CacheOpKind, CacheOutcome, FlashCache,
-};
+use flashcache_core::{AccessOutcome, CacheOp, CacheOutcome, FlashCache};
 
 /// One shard's share of a batch plus the panic state that outlives it.
 #[derive(Debug, Default)]
@@ -53,20 +50,12 @@ pub(crate) struct Group {
 /// A shard and its group, travelling together.
 pub(crate) type Job = (FlashCache, Group);
 
-/// Outcome reported for an operation whose shard panicked: the access
-/// bypasses the cache and the caller goes to disk, mirroring the
-/// degraded outcome `FlashCache::op` produces for an internal error.
+/// Outcome reported for an operation whose shard panicked: the
+/// disk-bound outcome `FlashCache::op` also reports for an internal
+/// error.
 fn degraded(op: &CacheOp) -> CacheOutcome {
-    let access = AccessOutcome {
-        hit: false,
-        tier: ServiceTier::Disk,
-        needs_disk_read: op.kind == CacheOpKind::Read,
-        bypassed: true,
-        ..AccessOutcome::default()
-    };
     CacheOutcome {
-        access,
-        admission: AdmissionDecision::NotApplicable,
+        access: AccessOutcome::to_disk(op.kind),
     }
 }
 
@@ -157,7 +146,7 @@ impl Helper {
 
 #[cfg(test)]
 mod tests {
-    use flashcache_core::{CacheOp, FlashCacheConfig};
+    use flashcache_core::{AccessOutcome, CacheOp, CacheOpKind, FlashCacheConfig};
     use nand_flash::{FlashConfig, FlashGeometry};
 
     use crate::sharded::MIN_FORK_OPS;
@@ -259,5 +248,43 @@ mod tests {
         e.submit_ops(&ops, &mut Vec::new());
         assert_eq!(e.workers(), 2);
         drop(e);
+    }
+
+    /// Each layer that sends a read to disk without the flash serving
+    /// it reports the same disk-bound outcome: an internal error in the
+    /// cache (which also reports the lost copy), a poisoned shard, and a
+    /// hierarchy without flash, whose op stream is
+    /// `AccessOutcome::to_disk` itself.
+    #[test]
+    fn disk_bound_reads_agree_across_layers() {
+        let to_disk = AccessOutcome::to_disk(CacheOpKind::Read);
+        assert!(to_disk.needs_disk_read && to_disk.bypassed && !to_disk.hit);
+
+        // An internal error: page 0 is cached, then its shard's device
+        // is erased under the cache's tables.
+        let mut e = engine(1);
+        e.op(CacheOp::read(0));
+        let shard = e.shard_of(0);
+        let cache = &mut e.shards_mut()[shard];
+        let blocks: Vec<_> = cache.device().geometry().iter_blocks().collect();
+        for b in blocks {
+            cache
+                .device_mut()
+                .erase_block(b)
+                .expect("a fresh block erases");
+        }
+        let lost = e.op(CacheOp::read(0)).access;
+        assert_eq!(e.stats().internal_errors, 1);
+        let reported = AccessOutcome {
+            uncorrectable: true,
+            ..to_disk
+        };
+        assert_eq!(lost, reported);
+
+        // A poisoned shard.
+        let mut outs = Vec::new();
+        e.submit_ops(&[CacheOp::read(PANIC_FLOOR)], &mut outs);
+        assert_eq!(outs, [to_disk]);
+        assert_eq!(e.stats().internal_errors, 2);
     }
 }

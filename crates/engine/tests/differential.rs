@@ -59,7 +59,6 @@ fn drive_bare(cache: &mut FlashCache, req: &DiskRequest) -> AccessOutcome {
         } else {
             merged.hit &= out.hit;
             merged.latency_us += out.latency_us;
-            merged.background_us += out.background_us;
             merged.needs_disk_read |= out.needs_disk_read;
             merged.flushed_dirty += out.flushed_dirty;
             merged.uncorrectable |= out.uncorrectable;

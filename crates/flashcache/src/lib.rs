@@ -53,8 +53,8 @@ pub use storage_model as storage;
 pub use disk_trace::{DiskRequest, OpKind, WorkloadSpec};
 pub use flash_obs::ServiceTier;
 pub use flashcache_core::{
-    AccessOutcome, AdmissionDecision, AdmissionPolicyConfig, CacheOp, CacheOpKind, CacheOutcome,
-    CacheSnapshot, CacheStats, ConfigError, ControllerPolicy, FlashCache, FlashCacheConfig,
+    AccessOutcome, AdmissionPolicyConfig, CacheOp, CacheOpKind, CacheOutcome, CacheSnapshot,
+    CacheStats, ConfigError, ControllerPolicy, FlashCache, FlashCacheConfig,
     FlashCacheConfigBuilder, PrimaryDiskCache, SplitPolicy,
 };
 pub use flashcache_engine::{EngineConfig, EngineError, ShardedCache};

@@ -236,13 +236,18 @@ fn codec(codecs: &mut [Option<PageCodec>], strength: u8) -> Result<&PageCodec, V
 /// same bit positions, and growing error counts extend the same
 /// sequence.
 fn page_corruption_seed(device_seed: u64, addr: PageAddr) -> u64 {
-    let mut x = device_seed
-        ^ (addr.block.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ ((addr.physical_page() as u64) << 32);
-    // SplitMix64 finalizer.
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    splitmix64_finalize(
+        device_seed
+            ^ (addr.block.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ ((addr.physical_page() as u64) << 32),
+    )
+}
+
+/// The SplitMix64 finalizer.
+fn splitmix64_finalize(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Flips `count` distinct bits across data and spare, positions drawn
@@ -262,11 +267,7 @@ fn corrupt_bits(data: &mut [u8], spare: &mut [u8], count: u32, seed: u64) {
     let mut state = seed;
     while flipped < target {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        let bit = (z as usize) % total_bits;
+        let bit = (splitmix64_finalize(state) as usize) % total_bits;
         let (w, mask) = (bit / 64, 1u64 << (bit % 64));
         if seen[w] & mask != 0 {
             continue;

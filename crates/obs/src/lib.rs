@@ -44,9 +44,8 @@ pub use snapshot::Snapshot;
 
 /// The storage tier that serviced (or must service) a request.
 ///
-/// Shared by `flashcache-core::AccessOutcome` and
-/// `flashcache-sim::RequestOutcome` so callers see one vocabulary for
-/// "where did this request land" across the whole stack.
+/// `flashcache-core::AccessOutcome` reports `Flash` or `Disk`; `Dram`
+/// completes the vocabulary with the hierarchy's primary disk cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ServiceTier {
     /// Served from the DRAM primary disk cache.

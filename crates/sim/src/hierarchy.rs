@@ -88,17 +88,10 @@ impl PowerInputs {
     }
 }
 
-/// Per-request result.
-///
-/// Shares its vocabulary with `flashcache_core::AccessOutcome`: both
-/// report `hit`, `tier` ([`ServiceTier`]) and `latency_us`.
+/// Per-request result: its latency and where its pages were served. The
+/// request hit when `disk_pages` is 0.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestOutcome {
-    /// Every page was served without touching the disk.
-    pub hit: bool,
-    /// The slowest tier the request touched ([`ServiceTier::Disk`] if
-    /// any page missed both caches).
-    pub tier: ServiceTier,
     /// Foreground latency of the request, µs.
     pub latency_us: f64,
     /// Pages served from DRAM.
@@ -134,12 +127,9 @@ pub struct HierarchyReport {
     pub flash_latency: LatencyHistogram,
     /// Device queueing delay of flash-served page accesses — zero under
     /// a serial channel shape, real contention under a parallel one.
-    /// Recorded separately from service so the serial path demonstrably
-    /// reports wait = 0.
+    /// Recorded apart from `flash_latency`, which includes it, so the
+    /// serial path demonstrably reports wait = 0.
     pub flash_queue_wait: LatencyHistogram,
-    /// Service component (probe + array + ECC, no queueing) of
-    /// flash-served page accesses.
-    pub flash_service: LatencyHistogram,
     /// Latency of batched disk accesses (one sample per request that
     /// reached the disk).
     pub disk_latency: LatencyHistogram,
@@ -221,11 +211,9 @@ impl Stream {
         match flash {
             Some(flash) if !self.ops.is_empty() => flash.submit_ops(&self.ops, &mut self.outs),
             Some(_) => {}
-            None => self.outs.extend(self.ops.iter().map(|op| AccessOutcome {
-                needs_disk_read: op.kind == CacheOpKind::Read,
-                bypassed: true,
-                ..AccessOutcome::default()
-            })),
+            None => self
+                .outs
+                .extend(self.ops.iter().map(|op| AccessOutcome::to_disk(op.kind))),
         }
     }
 }
@@ -291,10 +279,9 @@ impl Hierarchy {
         }
         reg.histogram_merge("hierarchy.request_latency", &r.latency);
         reg.histogram_merge("hierarchy.flash_latency", &r.flash_latency);
-        // Wait vs. service split of the flash tier, exported without the
-        // hierarchy prefix as the canonical flash-obs contention metrics.
+        // The flash tier's queue wait, exported without the hierarchy
+        // prefix as the canonical flash-obs contention metric.
         reg.histogram_merge("flash.queue_wait_us", &r.flash_queue_wait);
-        reg.histogram_merge("flash.service_us", &r.flash_service);
         reg.histogram_merge("hierarchy.disk_latency", &r.disk_latency);
         reg
     }
@@ -513,14 +500,13 @@ impl Hierarchy {
             out.flash_hits += 1;
             self.report.flash_latency.record(lat);
             self.report.flash_queue_wait.record(fo.queue_wait_us);
-            self.report.flash_service.record(lat - fo.queue_wait_us);
         } else {
             out.disk_pages += 1;
         }
     }
 
     /// Closes out one request: one disk access covers its `disk_pages`
-    /// missed pages, then its tier is set and it is added to the report.
+    /// missed pages, then it is added to the report.
     fn close_out(&mut self, req: &DiskRequest, out: &mut RequestOutcome) {
         if out.disk_pages > 0 {
             let bytes = out.disk_pages as u64 * PAGE_BYTES;
@@ -530,14 +516,6 @@ impl Hierarchy {
             self.report.disk_latency.record(t);
             self.report.disk_read_pages += out.disk_pages as u64;
         }
-        out.hit = out.disk_pages == 0;
-        out.tier = if out.disk_pages > 0 {
-            ServiceTier::Disk
-        } else if out.flash_hits > 0 {
-            ServiceTier::Flash
-        } else {
-            ServiceTier::Dram
-        };
         self.report.requests += 1;
         self.report.pages += req.len as u64;
         self.report.total_latency_us += out.latency_us;

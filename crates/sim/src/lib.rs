@@ -32,6 +32,5 @@ pub mod experiments;
 pub mod hierarchy;
 pub mod server;
 
-pub use flash_obs::ServiceTier;
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyReport, RequestOutcome};
 pub use server::{run_server, Bottleneck, ServerReport};

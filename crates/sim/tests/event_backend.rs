@@ -2,9 +2,8 @@
 //!
 //! Pins the three observable contracts it gives the simulator:
 //!
-//! * the flash latency histogram is split into queue wait and service
-//!   (`flash.queue_wait_us` / `flash.service_us`), and on the serial
-//!   channel shape the wait component is identically zero;
+//! * every flash hit records its queue wait (`flash.queue_wait_us`),
+//!   and on the serial channel shape the wait is identically zero;
 //! * on a parallel channel shape, write-storm bursts create real
 //!   contention, which the queue-wait histogram records, but a flash
 //!   hit suspends the storm's programs and erases, so tail flash
@@ -74,22 +73,16 @@ fn oracle_path_reports_zero_queue_wait() {
         0.0,
         "the serial shape never queues, so recorded wait must be exactly zero"
     );
-    // Wait + service partition the flash latency histogram.
+    // One wait sample per flash hit.
     assert_eq!(r.flash_queue_wait.count(), r.flash_latency.count());
-    assert_eq!(r.flash_service.count(), r.flash_latency.count());
-    assert_eq!(r.flash_service.max_us(), r.flash_latency.max_us());
 
-    // And the registry exports the two histograms under their canonical
-    // names.
+    // And the registry exports the wait histogram under its canonical
+    // name.
     let reg = h.export_metrics();
     let dump = format!("{reg:?}");
     assert!(
         dump.contains("flash.queue_wait_us"),
         "missing wait histogram: {dump}"
-    );
-    assert!(
-        dump.contains("flash.service_us"),
-        "missing service histogram: {dump}"
     );
 }
 

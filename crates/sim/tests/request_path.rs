@@ -101,7 +101,6 @@ impl Scalar {
                             out.flash_hits += 1;
                             self.report.flash_latency.record(lat);
                             self.report.flash_queue_wait.record(wait);
-                            self.report.flash_service.record(lat - wait);
                         }
                         ServiceTier::Disk => disk_read_pages += 1,
                     }
@@ -132,14 +131,6 @@ impl Scalar {
             self.report.disk_latency.record(t);
             self.report.disk_read_pages += disk_read_pages as u64;
         }
-        out.hit = out.disk_pages == 0;
-        out.tier = if out.disk_pages > 0 {
-            ServiceTier::Disk
-        } else if out.flash_hits > 0 {
-            ServiceTier::Flash
-        } else {
-            ServiceTier::Dram
-        };
         self.report.requests += 1;
         self.report.pages += req.len as u64;
         self.report.total_latency_us += out.latency_us;
@@ -244,7 +235,6 @@ fn same_state(h: &Hierarchy, s: &Scalar) -> Result<(), TestCaseError> {
             r.latency.clone(),
             r.flash_latency.clone(),
             r.flash_queue_wait.clone(),
-            r.flash_service.clone(),
             r.disk_latency.clone(),
         ]
     };

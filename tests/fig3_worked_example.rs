@@ -90,12 +90,15 @@ fn unified_spreads_gc_damage_split_contains_it() {
         write_region_invalid > 0,
         "write churn must leave invalid pages in the write region"
     );
+    assert!(
+        read_region_invalid < write_region_invalid,
+        "read-region damage {read_region_invalid} must stay below write-region {write_region_invalid}"
+    );
     // GC work in the split configuration is bounded by the write region
     // plus watermark compaction; the unified configuration mixes write
     // damage into every block it allocates.
     split.check_invariants().unwrap();
     unified.check_invariants().unwrap();
-    let _ = read_region_invalid;
 }
 
 #[test]
