@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 
 use flash_ecc::EccLatencyModel;
-use flash_obs::{Registry, ServiceTier};
+use flash_obs::Registry;
 use nand_flash::{BlockId, CellMode, FlashDevice, FlashTiming, OpContext, PageAddr};
 
 use crate::admission::FrequencySketch;
@@ -66,18 +66,16 @@ impl CacheOp {
 /// because `benchmark/src/traced.rs` names the type and reads `.access`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CacheOutcome {
-    /// The access outcome (hit/tier/latency/disk obligations).
+    /// The access outcome (hit/latency/disk obligations).
     pub access: AccessOutcome,
 }
 
 /// Result of one cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AccessOutcome {
-    /// The request hit in flash.
+    /// The request hit in flash. A read that missed must fetch its page
+    /// from disk.
     pub hit: bool,
-    /// The tier that serviced the access: [`ServiceTier::Flash`] on a
-    /// hit, [`ServiceTier::Disk`] when the caller must go to disk.
-    pub tier: ServiceTier,
     /// Critical-path latency contributed by flash + ECC, µs. On a miss
     /// this is near zero; the caller adds its disk model's penalty.
     /// Includes `queue_wait_us`.
@@ -87,8 +85,6 @@ pub struct AccessOutcome {
     /// one); otherwise it is the time the flash read spent waiting out
     /// in-flight channel traffic.
     pub queue_wait_us: f64,
-    /// The caller must fetch the page from disk.
-    pub needs_disk_read: bool,
     /// Dirty pages this access forced out; the caller owes these disk
     /// writes.
     pub flushed_dirty: u32,
@@ -101,14 +97,12 @@ pub struct AccessOutcome {
 }
 
 impl AccessOutcome {
-    /// The outcome of an op the flash did not serve: a miss on tier
-    /// [`ServiceTier::Disk`] that bypassed the cache, where a read must
-    /// fetch its page from disk. Every layer that sends an op straight to
-    /// disk (an internal error, a poisoned shard, a hierarchy without
-    /// flash) builds it here.
-    pub fn to_disk(kind: CacheOpKind) -> Self {
+    /// The outcome of an op the flash did not serve: a miss that bypassed
+    /// the cache, where a read must fetch its page from disk. Every layer
+    /// that sends an op straight to disk (an internal error, a poisoned
+    /// shard, a hierarchy without flash) builds it here.
+    pub fn to_disk() -> Self {
         AccessOutcome {
-            needs_disk_read: kind == CacheOpKind::Read,
             bypassed: true,
             ..AccessOutcome::default()
         }
@@ -165,7 +159,7 @@ impl Region {
 ///
 /// let mut cache = FlashCache::new(FlashCacheConfig::default()).unwrap();
 /// let first = cache.op(CacheOp::read(42));
-/// assert!(!first.access.hit && first.access.needs_disk_read);
+/// assert!(!first.access.hit);
 /// let second = cache.op(CacheOp::read(42));
 /// assert!(second.access.hit);
 /// ```
@@ -280,7 +274,7 @@ impl FlashCache {
     /// so that registries from successive caches merge additively.
     pub fn export_metrics(&self) -> Registry {
         let mut reg = Registry::new();
-        let s = &self.stats;
+        let s = self.stats();
         let c: &[(&str, u64)] = &[
             ("flash.reads", s.reads),
             ("flash.read_hits", s.read_hits),
@@ -353,9 +347,16 @@ impl FlashCache {
         &self.config
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics. The device op counts (`flash_reads`,
+    /// `flash_programs`, `erases`) are the device's own.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        let d = self.device.stats();
+        CacheStats {
+            flash_reads: d.reads,
+            flash_programs: d.programs,
+            erases: d.erases,
+            ..self.stats
+        }
     }
 
     /// Clears statistics (cache contents and wear are untouched).
@@ -532,7 +533,7 @@ impl FlashCache {
             self.stats.internal_errors += 1;
             let access = AccessOutcome {
                 uncorrectable: e.is_corruption(),
-                ..AccessOutcome::to_disk(op.kind)
+                ..AccessOutcome::to_disk()
             };
             CacheOutcome { access }
         })
@@ -601,7 +602,6 @@ impl FlashCache {
                 .device
                 .read_page_with(addr, OpContext::foreground())
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
-            self.stats.flash_reads += 1;
             self.stamp_access(addr.block);
             let ecc_us = EccLatencyModel::decode_us(st.live_strength as usize);
             self.stats.ecc_us += ecc_us;
@@ -639,7 +639,6 @@ impl FlashCache {
                 self.fgst.record(true, latency);
                 return Ok(self.finish(AccessOutcome {
                     hit: true,
-                    tier: ServiceTier::Flash,
                     latency_us: latency,
                     queue_wait_us: out.wait_us,
                     ..AccessOutcome::default()
@@ -653,7 +652,6 @@ impl FlashCache {
         Ok(self.finish(AccessOutcome {
             latency_us,
             queue_wait_us,
-            needs_disk_read: true,
             uncorrectable: lost.is_some(),
             bypassed: !filled,
             ..AccessOutcome::default()
@@ -701,11 +699,6 @@ impl FlashCache {
         self.maybe_background_read_gc()?;
         Ok(self.finish(AccessOutcome {
             hit,
-            tier: if programmed {
-                ServiceTier::Flash
-            } else {
-                ServiceTier::Disk
-            },
             bypassed: !programmed,
             ..AccessOutcome::default()
         }))
@@ -752,7 +745,6 @@ impl FlashCache {
             .device
             .program_page_with(addr, mode, None, OpContext::background())
             .map_err(|source| CacheError::ProgramRejected { addr, source })?;
-        self.stats.flash_programs += 1;
         let region = self.region_kind_of(addr);
         {
             let st = self.fpst.get_mut(addr);

@@ -35,10 +35,8 @@ fn read_miss_then_hit() {
     let mut c = small_cache();
     let first = c.op(CacheOp::read(100)).access;
     assert!(!first.hit);
-    assert!(first.needs_disk_read);
     let second = c.op(CacheOp::read(100)).access;
     assert!(second.hit);
-    assert!(!second.needs_disk_read);
     // MLC read (50µs) plus ECC decode at t=1.
     assert!(second.latency_us > 50.0);
     assert_eq!(c.stats().reads, 2);
@@ -51,7 +49,7 @@ fn write_then_read_hits() {
     let mut c = small_cache();
     let w = c.op(CacheOp::write(55)).access;
     assert!(!w.hit);
-    assert!(!w.needs_disk_read, "writes never need a disk fetch");
+    assert!(!w.bypassed, "the write is programmed into flash");
     assert!(c.op(CacheOp::read(55)).access.hit);
     c.check_invariants().unwrap();
 }
@@ -864,7 +862,7 @@ fn first_touch_fills_until_the_first_eviction_sets_the_bar() {
 
     let before = c.stats();
     let cold = c.op(CacheOp::read(5_000));
-    assert!(cold.access.needs_disk_read && cold.access.bypassed && !cold.access.hit);
+    assert!(cold.access.bypassed && !cold.access.hit);
     assert_eq!(cold.access.flushed_dirty, 0);
     assert!(!c.contains(5_000));
     let after = c.stats();

@@ -41,7 +41,7 @@ fn minimum_viable_geometry_works() {
     let rejected = c.stats().admission_rejected_fills;
     let reread = c.op(CacheOp::read(49));
     assert_eq!(c.stats().admission_rejected_fills, rejected);
-    assert!(reread.access.needs_disk_read);
+    assert!(!reread.access.hit);
     assert!(c.op(CacheOp::read(49)).access.hit);
 }
 
@@ -81,7 +81,8 @@ fn soft_error_storm_is_survivable() {
     assert_eq!(s.retired_blocks, 0);
     c.check_invariants().unwrap();
     // And the data is re-fetchable: reads still succeed afterwards.
-    assert!(c.op(CacheOp::read(1)).access.hit || c.op(CacheOp::read(1)).access.needs_disk_read);
+    let out = c.op(CacheOp::read(1)).access;
+    assert!(out.hit || out.bypassed || c.contains(1));
 }
 
 #[test]
@@ -210,7 +211,7 @@ fn wear_migration_across_regions_keeps_data_reachable() {
     // All write-set pages still readable (hit or honest miss, no panic).
     for p in 40..50u64 {
         let out = c.op(CacheOp::read(p)).access;
-        assert!(out.hit || out.needs_disk_read);
+        assert!(out.hit || out.bypassed || c.contains(p));
     }
 }
 

@@ -21,7 +21,7 @@
 //!
 //! let mut cache = FlashCache::new(FlashCacheConfig::default()).unwrap();
 //! // Miss, fill, hit.
-//! assert!(cache.op(CacheOp::read(7)).access.needs_disk_read);
+//! assert!(!cache.op(CacheOp::read(7)).access.hit);
 //! assert!(cache.op(CacheOp::read(7)).access.hit);
 //! // Writes go to the write region out-of-place.
 //! let w = cache.op(CacheOp::write(7));
@@ -41,7 +41,7 @@ pub mod config;
 mod edge_tests;
 mod error;
 mod fxhash;
-pub mod lru;
+mod lru;
 mod maint;
 pub mod pdc;
 mod reclaim;
@@ -55,7 +55,6 @@ pub use config::{
     AdmissionPolicyConfig, ConfigError, ControllerPolicy, FlashCacheConfig,
     FlashCacheConfigBuilder, SplitPolicy,
 };
-pub use flash_obs::ServiceTier;
 pub use pdc::PrimaryDiskCache;
 pub use snapshot::{BlockSummary, CacheSnapshot, RegionSnapshot, WearSummary};
 pub use stats::CacheStats;

@@ -18,10 +18,10 @@ struct DenseNode {
 /// LRU order tracker over dense `u32` keys `0..capacity`.
 ///
 /// The key doubles as the link-array index, so every operation is a
-/// couple of direct loads/stores with no hashing. Grows automatically
-/// if touched with a key at or past the current capacity.
-#[derive(Debug, Default)]
-pub struct DenseLru {
+/// couple of direct loads/stores with no hashing. Every key must be
+/// below the capacity the tracker was built with; a larger key panics.
+#[derive(Debug)]
+pub(crate) struct DenseLru {
     nodes: Vec<DenseNode>,
     head: u32, // most recent
     tail: u32, // least recent
@@ -30,7 +30,7 @@ pub struct DenseLru {
 
 impl DenseLru {
     /// Creates a tracker covering keys `0..capacity`.
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         DenseLru {
             nodes: vec![
                 DenseNode {
@@ -47,33 +47,13 @@ impl DenseLru {
     }
 
     /// Number of tracked keys.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` when nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// `true` if `key` is tracked.
-    pub fn contains(&self, key: u32) -> bool {
-        self.nodes
-            .get(key as usize)
-            .is_some_and(|node| node.present)
-    }
-
-    fn ensure(&mut self, key: u32) {
-        if key as usize >= self.nodes.len() {
-            self.nodes.resize(
-                key as usize + 1,
-                DenseNode {
-                    prev: DNIL,
-                    next: DNIL,
-                    present: false,
-                },
-            );
-        }
+    pub(crate) fn contains(&self, key: u32) -> bool {
+        self.nodes[key as usize].present
     }
 
     fn unlink(&mut self, key: u32) {
@@ -108,8 +88,7 @@ impl DenseLru {
 
     /// Marks `key` as most recently used, inserting it if absent.
     /// Returns `true` if the key was already present.
-    pub fn touch(&mut self, key: u32) -> bool {
-        self.ensure(key);
+    pub(crate) fn touch(&mut self, key: u32) -> bool {
         let was_present = self.nodes[key as usize].present;
         if was_present {
             if self.head == key {
@@ -125,7 +104,7 @@ impl DenseLru {
     }
 
     /// Removes `key`; returns `true` if it was present.
-    pub fn remove(&mut self, key: u32) -> bool {
+    pub(crate) fn remove(&mut self, key: u32) -> bool {
         if !self.contains(key) {
             return false;
         }
@@ -138,13 +117,8 @@ impl DenseLru {
         true
     }
 
-    /// The least recently used key, if any.
-    pub fn lru(&self) -> Option<u32> {
-        (self.tail != DNIL).then_some(self.tail)
-    }
-
     /// Iterates keys from least to most recently used.
-    pub fn iter_lru_first(&self) -> impl Iterator<Item = u32> + '_ {
+    pub(crate) fn iter_lru_first(&self) -> impl Iterator<Item = u32> + '_ {
         let mut cur = self.tail;
         std::iter::from_fn(move || {
             if cur == DNIL {
@@ -161,8 +135,12 @@ impl DenseLru {
 mod tests {
     use super::*;
 
+    fn lru(t: &DenseLru) -> Option<u32> {
+        t.iter_lru_first().next()
+    }
+
     fn pop_lru(t: &mut DenseLru) -> Option<u32> {
-        let key = t.lru()?;
+        let key = lru(t)?;
         t.remove(key);
         Some(key)
     }
@@ -170,8 +148,8 @@ mod tests {
     #[test]
     fn empty_tracker() {
         let mut t = DenseLru::with_capacity(4);
-        assert!(t.is_empty());
-        assert_eq!(t.lru(), None);
+        assert_eq!(t.len(), 0);
+        assert_eq!(lru(&t), None);
         assert_eq!(pop_lru(&mut t), None);
         assert!(!t.remove(1));
     }
@@ -182,9 +160,9 @@ mod tests {
         for k in [1, 2, 3] {
             assert!(!t.touch(k));
         }
-        assert_eq!(t.lru(), Some(1));
+        assert_eq!(lru(&t), Some(1));
         assert!(t.touch(1)); // now most recent
-        assert_eq!(t.lru(), Some(2));
+        assert_eq!(lru(&t), Some(2));
         assert_eq!(t.iter_lru_first().collect::<Vec<_>>(), vec![2, 3, 1]);
     }
 
@@ -197,7 +175,7 @@ mod tests {
         t.touch(0);
         let order: Vec<u32> = std::iter::from_fn(|| pop_lru(&mut t)).collect();
         assert_eq!(order, vec![1, 2, 3, 4, 0]);
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
@@ -209,10 +187,7 @@ mod tests {
         assert!(t.remove(2));
         assert_eq!(t.iter_lru_first().collect::<Vec<_>>(), vec![0, 1, 3]);
         assert!(!t.contains(2));
-        // A key past the initial capacity grows the link array.
-        t.touch(9);
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.lru(), Some(0));
+        assert_eq!(t.len(), 3);
     }
 
     #[test]

@@ -387,7 +387,6 @@ impl FlashCache {
                 .device
                 .read_page_with(addr, OpContext::background())
                 .map_err(|source| CacheError::TableCorruption { addr, source })?;
-            self.stats.flash_reads += 1;
             *gc_us += out.latency_us + EccLatencyModel::decode_us(live_t as usize);
             if out.raw_bit_errors > live_t as u32 {
                 self.raise_lost_copy();
@@ -563,7 +562,6 @@ impl FlashCache {
             .device
             .erase_block_with(b, OpContext::background())
             .map_err(|source| CacheError::BlockOp { block: b, source })?;
-        self.stats.erases += 1;
         *gc_us += out.latency_us;
         // Retirement probe (§5.2): a page past the strongest reachable
         // configuration kills the whole block.

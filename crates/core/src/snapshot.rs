@@ -151,7 +151,7 @@ impl FlashCache {
                 retired_blocks,
             },
             fgst: self.fgst,
-            stats: self.stats,
+            stats: self.stats(),
         }
     }
 }

@@ -13,11 +13,14 @@ pub struct CacheStats {
     pub writes: u64,
     /// Writes that updated a page already cached (in either region).
     pub write_hits: u64,
-    /// Flash page reads issued to the device.
+    /// Flash page reads issued to the device, read from the device's
+    /// own count ([`nand_flash::FlashStats::reads`]).
     pub flash_reads: u64,
-    /// Flash page programs issued to the device.
+    /// Flash page programs issued to the device, read from the device's
+    /// own count ([`nand_flash::FlashStats::programs`]).
     pub flash_programs: u64,
-    /// Block erases issued to the device.
+    /// Block erases issued to the device, read from the device's own
+    /// count ([`nand_flash::FlashStats::erases`]).
     pub erases: u64,
     /// Garbage-collection passes.
     pub gc_runs: u64,

@@ -109,11 +109,7 @@ fn multi_lane_cache_agrees_with_serial_until_the_first_eviction() {
         let (x, y) = (serial.op(op).access, striped.op(op).access);
         if first_eviction.is_none() {
             assert_eq!(x.hit, y.hit, "hit/miss diverged at access {i}");
-            assert_eq!(x.tier, y.tier, "service tier diverged at access {i}");
-            assert_eq!(
-                x.needs_disk_read, y.needs_disk_read,
-                "disk routing diverged at access {i}"
-            );
+            assert_eq!(x.bypassed, y.bypassed, "bypass diverged at access {i}");
             let left = |c: &FlashCache| c.stats().evictions + c.stats().gc_dropped_pages;
             if left(&serial) + left(&striped) > 0 {
                 first_eviction = Some(i);

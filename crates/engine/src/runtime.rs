@@ -50,19 +50,11 @@ pub(crate) struct Group {
 /// A shard and its group, travelling together.
 pub(crate) type Job = (FlashCache, Group);
 
-/// Outcome reported for an operation whose shard panicked: the
-/// disk-bound outcome `FlashCache::op` also reports for an internal
-/// error.
-fn degraded(op: &CacheOp) -> CacheOutcome {
-    CacheOutcome {
-        access: AccessOutcome::to_disk(op.kind),
-    }
-}
-
 /// Runs `group.ops` through `cache` in order as one pipelined batch into
 /// `group.outs`. The batch executes sequentially, so a panic at op `k`
 /// leaves exactly `k` outcomes; those are reported as-is and the rest
-/// degrade.
+/// degrade to the disk-bound outcome `FlashCache::op` also reports for
+/// an internal error.
 pub(crate) fn service(cache: &mut FlashCache, group: &mut Group) {
     let Group {
         ops,
@@ -83,9 +75,9 @@ pub(crate) fn service(cache: &mut FlashCache, group: &mut Group) {
         }))
         .is_err();
     }
-    let lost = &ops[outs.len()..];
-    *lost_ops += lost.len() as u64;
-    outs.extend(lost.iter().map(degraded));
+    *lost_ops += (ops.len() - outs.len()) as u64;
+    let access = AccessOutcome::to_disk();
+    outs.resize(ops.len(), CacheOutcome { access });
 }
 
 /// A long-lived helper thread and the two channels its jobs travel on.
@@ -146,7 +138,7 @@ impl Helper {
 
 #[cfg(test)]
 mod tests {
-    use flashcache_core::{AccessOutcome, CacheOp, CacheOpKind, FlashCacheConfig};
+    use flashcache_core::{AccessOutcome, CacheOp, FlashCacheConfig};
     use nand_flash::{FlashConfig, FlashGeometry};
 
     use crate::sharded::MIN_FORK_OPS;
@@ -210,13 +202,13 @@ mod tests {
             e.submit_ops(&interleaved(&healthy, &hurt), &mut outs);
             assert_eq!(outs.len(), 2 * PER_SHARD, "every op completes");
             for (i, pair) in outs.chunks_exact(2).enumerate() {
-                assert!(!pair[0].bypassed && pair[0].needs_disk_read);
+                assert!(!pair[0].bypassed && !pair[0].hit);
                 assert_eq!(
                     pair[1].bypassed,
                     i >= k,
                     "op {i}: real before the panic, degraded after"
                 );
-                assert!(pair[1].needs_disk_read && !pair[1].hit);
+                assert!(!pair[1].hit);
             }
             let lost = (hurt.len() - k) as u64;
             assert_eq!(e.stats().internal_errors, lost);
@@ -257,8 +249,8 @@ mod tests {
     /// `AccessOutcome::to_disk` itself.
     #[test]
     fn disk_bound_reads_agree_across_layers() {
-        let to_disk = AccessOutcome::to_disk(CacheOpKind::Read);
-        assert!(to_disk.needs_disk_read && to_disk.bypassed && !to_disk.hit);
+        let to_disk = AccessOutcome::to_disk();
+        assert!(to_disk.bypassed && !to_disk.hit);
 
         // An internal error: page 0 is cached, then its shard's device
         // is erased under the cache's tables.

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use disk_trace::{DiskRequest, OpKind};
-use flash_obs::{Metric, Registry, ServiceTier};
+use flash_obs::{Metric, Registry};
 use flashcache_core::tables::Fgst;
 use flashcache_core::{
     AccessOutcome, CacheOp, CacheOutcome, CacheStats, ConfigError, FlashCache, FlashCacheConfig,
@@ -94,19 +94,14 @@ impl From<ConfigError> for EngineError {
 }
 
 /// Folds a later page's outcome into a multi-page request's merged
-/// outcome: latencies sum, `hit` requires every page to hit, and the
-/// tier degrades to [`ServiceTier::Disk`] if any page needs the disk.
+/// outcome: latencies sum and `hit` requires every page to hit.
 fn merge_outcome(mut slot: AccessOutcome, out: AccessOutcome) -> AccessOutcome {
     slot.hit &= out.hit;
     slot.latency_us += out.latency_us;
     slot.queue_wait_us += out.queue_wait_us;
-    slot.needs_disk_read |= out.needs_disk_read;
     slot.flushed_dirty += out.flushed_dirty;
     slot.uncorrectable |= out.uncorrectable;
     slot.bypassed |= out.bypassed;
-    if out.tier == ServiceTier::Disk {
-        slot.tier = ServiceTier::Disk;
-    }
     slot
 }
 
@@ -619,7 +614,7 @@ mod tests {
         let rejected = merged.admission_rejected_fills + 1;
         let cold = e.op(CacheOp::read(5000));
         assert_eq!(e.stats().admission_rejected_fills, rejected);
-        assert!(cold.access.needs_disk_read && !cold.access.hit);
+        assert!(!cold.access.hit);
         e.op(CacheOp::read(5000));
         assert_eq!(e.stats().admission_rejected_fills, rejected);
         assert!(e.op(CacheOp::read(5000)).access.hit);
@@ -651,7 +646,7 @@ mod tests {
         let batch: Vec<DiskRequest> = (0..100).map(DiskRequest::read).collect();
         let first = e.submit(&batch);
         assert_eq!(first.len(), 100);
-        assert!(first.iter().all(|o| o.needs_disk_read));
+        assert!(first.iter().all(|o| !o.hit));
         let second = e.submit(&batch);
         assert!(second.iter().all(|o| o.hit), "refetch hits every shard");
         let st = e.stats();
@@ -667,7 +662,6 @@ mod tests {
         let cold = e.submit(std::slice::from_ref(&req));
         assert_eq!(cold.len(), 1);
         assert!(!cold[0].hit);
-        assert!(cold[0].needs_disk_read);
         let warm = e.submit(std::slice::from_ref(&req));
         assert!(warm[0].hit, "all 16 pages cached across shards");
         assert_eq!(e.stats().reads, 32);

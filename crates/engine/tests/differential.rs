@@ -22,7 +22,7 @@
 //! seeds and shard counts.
 
 use disk_trace::{DiskRequest, OpKind, WorkloadSpec};
-use flashcache_core::{AccessOutcome, CacheOp, FlashCache, FlashCacheConfig, ServiceTier};
+use flashcache_core::{AccessOutcome, CacheOp, FlashCache, FlashCacheConfig};
 use flashcache_engine::{EngineConfig, ShardedCache};
 use nand_flash::{FlashConfig, FlashGeometry};
 use proptest::prelude::*;
@@ -59,13 +59,9 @@ fn drive_bare(cache: &mut FlashCache, req: &DiskRequest) -> AccessOutcome {
         } else {
             merged.hit &= out.hit;
             merged.latency_us += out.latency_us;
-            merged.needs_disk_read |= out.needs_disk_read;
             merged.flushed_dirty += out.flushed_dirty;
             merged.uncorrectable |= out.uncorrectable;
             merged.bypassed |= out.bypassed;
-            if out.tier == ServiceTier::Disk {
-                merged.tier = ServiceTier::Disk;
-            }
         }
     }
     merged

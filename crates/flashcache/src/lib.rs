@@ -27,7 +27,7 @@
 //! let config = FlashCacheConfig::builder().build()?;
 //! let mut cache = FlashCache::new(config)?;
 //! // Cold miss fills the cache; the refetch is served from flash.
-//! assert!(cache.op(CacheOp::read(7)).access.needs_disk_read);
+//! assert!(!cache.op(CacheOp::read(7)).access.hit);
 //! assert!(cache.op(CacheOp::read(7)).access.hit);
 //! println!("{}", cache.stats());
 //! # Ok(())
@@ -51,7 +51,6 @@ pub use nand_flash as nand;
 pub use storage_model as storage;
 
 pub use disk_trace::{DiskRequest, OpKind, WorkloadSpec};
-pub use flash_obs::ServiceTier;
 pub use flashcache_core::{
     AccessOutcome, AdmissionPolicyConfig, CacheOp, CacheOpKind, CacheOutcome, CacheSnapshot,
     CacheStats, ConfigError, ControllerPolicy, FlashCache, FlashCacheConfig,

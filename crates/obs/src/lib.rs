@@ -41,47 +41,3 @@ pub use hist::LatencyHistogram;
 pub use json::{JsonError, JsonValue};
 pub use registry::{Metric, Registry};
 pub use snapshot::Snapshot;
-
-/// The storage tier that serviced (or must service) a request.
-///
-/// `flashcache-core::AccessOutcome` reports `Flash` or `Disk`; `Dram`
-/// completes the vocabulary with the hierarchy's primary disk cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ServiceTier {
-    /// Served from the DRAM primary disk cache.
-    Dram,
-    /// Served from the flash secondary disk cache.
-    Flash,
-    /// Had to reach the hard disk.
-    #[default]
-    Disk,
-}
-
-impl ServiceTier {
-    /// The snake_case name used in metrics and JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServiceTier::Dram => "dram",
-            ServiceTier::Flash => "flash",
-            ServiceTier::Disk => "disk",
-        }
-    }
-}
-
-impl std::fmt::Display for ServiceTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tier_names_and_default() {
-        assert_eq!(ServiceTier::default(), ServiceTier::Disk);
-        assert_eq!(ServiceTier::Dram.to_string(), "dram");
-        assert_eq!(ServiceTier::Flash.name(), "flash");
-    }
-}

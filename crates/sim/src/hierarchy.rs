@@ -8,7 +8,7 @@
 //! raw material for the power/throughput analyses of §7.
 
 use disk_trace::{DiskRequest, OpKind, PAGE_BYTES};
-use flash_obs::{LatencyHistogram, Registry, ServiceTier, Snapshot};
+use flash_obs::{LatencyHistogram, Registry, Snapshot};
 use flashcache_core::{
     AccessOutcome, CacheOp, CacheOpKind, FlashCache, FlashCacheConfig, PrimaryDiskCache,
 };
@@ -211,9 +211,7 @@ impl Stream {
         match flash {
             Some(flash) if !self.ops.is_empty() => flash.submit_ops(&self.ops, &mut self.outs),
             Some(_) => {}
-            None => self
-                .outs
-                .extend(self.ops.iter().map(|op| AccessOutcome::to_disk(op.kind))),
+            None => self.outs.resize(self.ops.len(), AccessOutcome::to_disk()),
         }
     }
 }
@@ -408,6 +406,7 @@ impl Hierarchy {
             self.flush_if_due(1, &mut stream.ops);
             if stream.ops.is_empty() {
                 // Nothing issued so far waits on the flash: close now.
+                // Priced (DESIGN §9.2): closing it later costs `dram_fit` 11%.
                 self.close_out(req, out);
             } else {
                 stream.marks.push((pages_end, stream.ops.len()));
@@ -496,7 +495,7 @@ impl Hierarchy {
     /// whole latency, DRAM probe included.
     fn read_from_flash(&mut self, fo: &AccessOutcome, lat: f64, out: &mut RequestOutcome) {
         self.flush_to_disk(fo.flushed_dirty);
-        if fo.tier == ServiceTier::Flash {
+        if fo.hit {
             out.flash_hits += 1;
             self.report.flash_latency.record(lat);
             self.report.flash_queue_wait.record(fo.queue_wait_us);

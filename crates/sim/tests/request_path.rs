@@ -16,7 +16,6 @@
 //!   engine, must end with the hierarchy's `CacheStats`.
 
 use disk_trace::{DiskRequest, OpKind, PAGE_BYTES};
-use flash_obs::ServiceTier;
 use flashcache_core::{CacheOp, FlashCacheConfig, PrimaryDiskCache};
 use flashcache_engine::ShardedCache;
 use flashcache_sim::{Hierarchy, HierarchyConfig, HierarchyReport, RequestOutcome};
@@ -54,6 +53,13 @@ fn trace() -> impl Strategy<Value = Vec<DiskRequest>> {
         DiskRequest::new(page, len, op)
     });
     prop::collection::vec(req, 1..300)
+}
+
+/// The tier that served one page of a read.
+enum Tier {
+    Dram,
+    Flash,
+    Disk,
 }
 
 /// The per-page request loop, one `ShardedCache::op` per flash access.
@@ -96,13 +102,13 @@ impl Scalar {
                     let (lat, wait, tier) = self.read_page(page);
                     out.latency_us += lat;
                     match tier {
-                        ServiceTier::Dram => out.dram_hits += 1,
-                        ServiceTier::Flash => {
+                        Tier::Dram => out.dram_hits += 1,
+                        Tier::Flash => {
                             out.flash_hits += 1;
                             self.report.flash_latency.record(lat);
                             self.report.flash_queue_wait.record(wait);
                         }
-                        ServiceTier::Disk => disk_read_pages += 1,
+                        Tier::Disk => disk_read_pages += 1,
                     }
                 }
                 OpKind::Write => {
@@ -148,10 +154,10 @@ impl Scalar {
         self.dram_page_us
     }
 
-    fn read_page(&mut self, page: u64) -> (f64, f64, ServiceTier) {
+    fn read_page(&mut self, page: u64) -> (f64, f64, Tier) {
         let mut latency = self.dram_access(false);
         if self.pdc.access(page) {
-            return (latency, 0.0, ServiceTier::Dram);
+            return (latency, 0.0, Tier::Dram);
         }
         let mut queue_wait = 0.0;
         let tier = if let Some(flash) = &mut self.flash {
@@ -159,9 +165,13 @@ impl Scalar {
             latency += out.latency_us;
             queue_wait = out.queue_wait_us;
             self.flush_to_disk(out.flushed_dirty);
-            out.tier
+            if out.hit {
+                Tier::Flash
+            } else {
+                Tier::Disk
+            }
         } else {
-            ServiceTier::Disk
+            Tier::Disk
         };
         self.install_in_pdc(page, false);
         (latency, queue_wait, tier)
@@ -349,7 +359,9 @@ proptest! {
     }
 
     /// A staged batch issues the flash ops the mirror issues, in the
-    /// same order per shard, at two and four shards.
+    /// same order per shard, at two and four shards, and counts a page
+    /// as a flash hit (with one flash latency sample) exactly when its
+    /// flash read hit.
     #[test]
     fn staged_body_matches_its_pdc_mirror(reqs in trace()) {
         for shards in [2, 4] {
@@ -373,6 +385,8 @@ proptest! {
                     .map(|r| u64::from(r.len))
                     .sum();
                 prop_assert_eq!(r.dram_hit_pages + r.flash_hit_pages + r.disk_read_pages, read_pages);
+                prop_assert_eq!(r.flash_hit_pages, engine.stats().read_hits);
+                prop_assert_eq!(r.flash_latency.count(), r.flash_hit_pages);
             }
         }
     }

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let first = cache.op(CacheOp::read(1000)).access;
     println!(
         "first read : hit={} needs_disk={} latency={:.0}us",
-        first.hit, first.needs_disk_read, first.latency_us
+        first.hit, !first.hit, first.latency_us
     );
 
     // Warm read: served from flash at MLC read latency + ECC decode.

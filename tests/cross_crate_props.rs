@@ -66,7 +66,7 @@ proptest! {
         })?;
         // A read after the sequence always succeeds (hit or clean miss).
         let out = cache.op(CacheOp::read(0)).access;
-        prop_assert!(out.hit || out.needs_disk_read);
+        prop_assert!(out.hit || out.bypassed || cache.contains(0));
     }
 
     /// Reading back immediately after a successful write always hits:

@@ -81,10 +81,9 @@ fn snapshot_parses_and_reconciles() {
         assert!(counter(&doc, "flash.erases") > 0, "no GC in a worn cache?");
         assert!(counter(&doc, "flash.reconfig_ecc") > 0, "no §5.2 response?");
 
-        // Cache and device count the same operations: each device
-        // operation has exactly one call site in the cache (the read hit
-        // and `relocate_pages` for reads, `program_slot` for programs,
-        // `erase_block_internal` for erases), and that site counts it.
+        // Cache and device count the same operations by construction:
+        // `FlashCache::stats` reads the three counts from the device.
+        // The assertion stays as a tripwire for a second writer.
         for (cache, device) in [
             ("flash.flash_reads", "nand.reads"),
             ("flash.flash_programs", "nand.programs"),
