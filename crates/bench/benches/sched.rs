@@ -1,7 +1,8 @@
-//! Criterion micro-benchmarks of the NAND scheduler: schedule + drain
-//! cycles at queue depths 1, 8, and 64, the serial configuration, and
-//! foreground reads suspending and overtaking background programs — the
-//! scheduler hot path itself, isolated from the cache layers above it.
+//! Criterion micro-benchmarks of the NAND scheduler: schedule cycles,
+//! each read out by its makespan, at queue depths 1, 8, and 64, the
+//! serial configuration, and foreground reads suspending and overtaking
+//! background programs — the scheduler hot path itself, isolated from
+//! the cache layers above it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -20,8 +21,8 @@ fn config(queue_depth: u32) -> ChannelConfig {
         .expect("bench channel config is valid")
 }
 
-/// One schedule/drain cycle: a burst of mixed fore/background ops (the
-/// read-heavy 8:2 mix the replay path produces) followed by a drain, on
+/// One schedule cycle: a burst of mixed fore/background ops (the
+/// read-heavy 8:2 mix the replay path produces) and its makespan, on
 /// a model constructed per-iteration so queue state never accumulates
 /// across cycles.
 fn cycle(cfg: ChannelConfig, burst: u32) -> f64 {
@@ -44,14 +45,16 @@ fn cycle(cfg: ChannelConfig, burst: u32) -> f64 {
         };
         std::hint::black_box(model.op(&req));
     }
-    model.drain()
+    model.makespan_us()
 }
 
 /// One overtaking cycle on a long-lived model: bursts of three
 /// background programs on one of four lanes, each followed by a
 /// foreground read there that suspends the running program and goes
-/// ahead of every program on that lane not yet started, then a drain. The model is reused, so its timelines
-/// stay at their high-water mark and nothing is allocated.
+/// ahead of every program on that lane not yet started. A foreground
+/// program on each lane then waits its backlog out, so the next cycle
+/// starts on idle lanes. The model is reused, so its timelines stay at
+/// their high-water mark and nothing is allocated.
 fn overtake_cycle(model: &mut EventDriven, burst: u32) -> f64 {
     const LANES: [u32; 4] = [0, 1, CHANNELS, CHANNELS + 1];
     for i in 0..burst {
@@ -68,7 +71,15 @@ fn overtake_cycle(model: &mut EventDriven, burst: u32) -> f64 {
         };
         std::hint::black_box(model.op(&req));
     }
-    model.drain()
+    for block in LANES {
+        std::hint::black_box(model.op(&OpRequest {
+            class: OpClass::Program,
+            mode: CellMode::Mlc,
+            block,
+            background: false,
+        }));
+    }
+    model.makespan_us()
 }
 
 fn bench_sched(c: &mut Criterion) {

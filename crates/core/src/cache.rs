@@ -370,12 +370,6 @@ impl FlashCache {
         &self.device
     }
 
-    /// Mutable access to the underlying device (for its end-of-run
-    /// makespan: the max over its per-channel and per-plane free times).
-    pub fn device_mut(&mut self) -> &mut FlashDevice {
-        &mut self.device
-    }
-
     /// Global status table snapshot.
     pub fn fgst(&self) -> Fgst {
         self.fgst

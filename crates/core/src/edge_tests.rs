@@ -7,7 +7,7 @@ use nand_flash::{FlashConfig, FlashGeometry, WearConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::cache::{CacheOp, FlashCache};
+use crate::cache::{AccessOutcome, CacheOp, FlashCache};
 use crate::config::{ControllerPolicy, FlashCacheConfig, SplitPolicy};
 
 fn geometry(blocks: u32, pages_per_block: u32) -> FlashGeometry {
@@ -110,6 +110,34 @@ fn uncorrectable_dirty_page_is_counted_as_lost_not_flushed() {
         assert_eq!(c.stats().flushed_dirty_pages, before_flush);
     }
     c.check_invariants().unwrap();
+}
+
+/// An internal error sends the read to disk with the disk-bound
+/// outcome every layer reports (the engine's poisoned shard, a
+/// hierarchy without flash), plus the lost copy: page 0 is cached, then
+/// the device is erased under the cache's tables.
+#[test]
+fn a_page_erased_under_the_tables_is_an_internal_error() {
+    let mut c = FlashCache::new(FlashCacheConfig {
+        flash: FlashConfig {
+            geometry: geometry(16, 8),
+            ..FlashConfig::default()
+        },
+        ..FlashCacheConfig::default()
+    })
+    .unwrap();
+    c.op(CacheOp::read(0));
+    let blocks: Vec<_> = c.device.geometry().iter_blocks().collect();
+    for b in blocks {
+        c.device.erase_block(b).expect("a fresh block erases");
+    }
+    let lost = c.op(CacheOp::read(0)).access;
+    assert_eq!(c.stats().internal_errors, 1);
+    let reported = AccessOutcome {
+        uncorrectable: true,
+        ..AccessOutcome::to_disk()
+    };
+    assert_eq!(lost, reported);
 }
 
 #[test]

@@ -29,9 +29,10 @@
 //! and the device, garbage collection, wear levelling and controller
 //! reconfiguration run per shard. The engine keeps no clock of its
 //! own: modeled time is each shard device's per-channel and per-plane
-//! free times, and [`ShardedCache::device_makespan_us`] reports the
-//! largest of their maxima — the shards are concurrently operating
-//! flash devices — so scaling results are machine-independent.
+//! free times, and [`ShardedCache::device_makespan_us`] reads the
+//! largest of their maxima without moving any clock — the shards are
+//! concurrently operating flash devices — so scaling results are
+//! machine-independent.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -257,12 +257,6 @@ impl ShardedCache {
         &self.shards
     }
 
-    /// Mutable access to the shards (e.g. to drive one shard directly
-    /// in a test).
-    pub fn shards_mut(&mut self) -> &mut [FlashCache] {
-        &mut self.shards
-    }
-
     /// The shard that owns `disk_page`.
     pub fn shard_of(&self, disk_page: u64) -> usize {
         route(disk_page, self.shards.len())
@@ -376,13 +370,13 @@ impl ShardedCache {
     /// Services one typed operation through its owning shard.
     pub fn op(&mut self, op: CacheOp) -> CacheOutcome {
         let s = self.shard_of(op.lba);
-        self.shards_mut()[s].op(op)
+        self.shards[s].op(op)
     }
 
     /// Marks every dirty page clean across all shards and returns the
     /// total disk writes owed (the periodic write-back flush of §5.1).
     pub fn flush_writes(&mut self) -> u64 {
-        self.shards_mut().iter_mut().map(|s| s.flush_writes()).sum()
+        self.shards.iter_mut().map(|s| s.flush_writes()).sum()
     }
 
     /// Merged statistics: the field-wise sum of every shard's counters,
@@ -396,6 +390,14 @@ impl ShardedCache {
         }
         total.internal_errors += self.groups.iter().map(|g| g.degraded).sum::<u64>();
         total
+    }
+
+    /// Clears every shard's statistics and the degraded-op counts that
+    /// [`stats`](ShardedCache::stats) adds to `internal_errors` (cache
+    /// contents and wear are untouched).
+    pub fn reset_stats(&mut self) {
+        self.shards.iter_mut().for_each(FlashCache::reset_stats);
+        self.groups.iter_mut().for_each(|g| g.degraded = 0);
     }
 
     /// Per-shard statistics, in partition order.
@@ -427,17 +429,14 @@ impl ShardedCache {
 
     /// The engine's only modeled time: each shard device's makespan is
     /// the max over its per-channel and per-plane free times; returns
-    /// the largest, µs — the shards are concurrently operating
-    /// devices, so the busiest one bounds the run. Under a serial
-    /// channel configuration that is the busiest shard's sum of service
-    /// times; with more channels, overlap shows up as a shorter makespan
-    /// for the same op mix.
-    pub fn device_makespan_us(&mut self) -> f64 {
-        let mut makespan: f64 = 0.0;
-        for s in self.shards_mut() {
-            makespan = makespan.max(s.device_mut().drain_timing());
-        }
-        makespan
+    /// the largest, µs, and moves no clock — the shards are
+    /// concurrently operating devices, so the busiest one bounds the
+    /// run. Under a serial channel configuration that is the busiest
+    /// shard's sum of service times; with more channels, overlap shows
+    /// up as a shorter makespan for the same op mix.
+    pub fn device_makespan_us(&self) -> f64 {
+        let makespans = self.shards.iter().map(|s| s.device().makespan_us());
+        makespans.fold(0.0, f64::max)
     }
 
     /// Batches submitted so far.

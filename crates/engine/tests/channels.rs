@@ -29,8 +29,8 @@ fn config(channels: u32) -> FlashCacheConfig {
         .expect("test geometry is valid")
 }
 
-/// Replays a Zipf-popularity trace and returns the drained device
-/// makespan (µs of modeled NAND time until every resource idles).
+/// Replays a Zipf-popularity trace and returns the device makespan (µs
+/// of modeled NAND time until every resource idles).
 fn makespan(cfg: FlashCacheConfig, n: usize) -> f64 {
     let mut engine = ShardedCache::new(cfg, 1).expect("single shard");
     let reqs: Vec<_> = WorkloadSpec::alpha1()
@@ -75,7 +75,7 @@ fn scaling_trace() -> Vec<DiskRequest> {
 }
 
 /// Replays [`scaling_trace`] in 512-request batches over a 512-block
-/// device and returns the drained device makespan.
+/// device and returns the device makespan.
 fn scaling_makespan(flash: FlashConfig, shards: usize) -> f64 {
     let cfg = FlashCacheConfig::builder()
         .flash(FlashConfig {
@@ -95,7 +95,7 @@ fn scaling_makespan(flash: FlashConfig, shards: usize) -> f64 {
 }
 
 /// Shard-scaling floor: shards are concurrently operating devices, so
-/// the busiest of four must drain in at most 1/2.5 of the single
+/// the busiest of four must idle in at most 1/2.5 of the single
 /// device's time. Hash imbalance and per-shard GC keep it short of the
 /// ideal 4x.
 #[test]

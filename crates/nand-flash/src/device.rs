@@ -342,10 +342,9 @@ impl FlashDevice {
         self.model.now_us()
     }
 
-    /// Returns the makespan at which all planes fall idle, µs, and
-    /// advances the modeled clock to it.
-    pub fn drain_timing(&mut self) -> f64 {
-        self.model.drain()
+    /// The makespan at which all planes fall idle, µs; moves nothing.
+    pub fn makespan_us(&self) -> f64 {
+        self.model.makespan_us()
     }
 
     /// Number of lanes (cell arrays whose ops overlap) the scheduler
@@ -845,7 +844,7 @@ mod tests {
         assert_eq!(d.read_page(first).unwrap().wait_us, 20.0);
         assert_eq!(d.stats().wait_us, 680.0 + 20.0 + 70.0);
         assert_eq!(d.stats().suspensions, 1);
-        assert_eq!(d.drain_timing(), 750.0 + 680.0);
+        assert_eq!(d.makespan_us(), 750.0 + 680.0);
         d.reset_stats();
         assert_eq!(d.stats(), FlashStats::default());
     }
@@ -858,7 +857,7 @@ mod tests {
         let mut d = FlashDevice::new(FlashConfig {
             geometry: FlashGeometry {
                 blocks: 1,
-                pages_per_block: 2,
+                pages_per_block: 3,
             },
             channel: ChannelConfig {
                 queue_depth: 8,
@@ -881,7 +880,12 @@ mod tests {
         // second read suspends it again and pushes the booked one 45.
         assert_eq!(d.read_page(first).unwrap().wait_us, 20.0);
         assert_eq!(d.stats().wait_us, 20.0 + 45.0);
-        d.drain_timing();
+        // A foreground program waits out the booked work (to 290 and
+        // 290..490) and the host waits it out (to 690): nothing is left
+        // booked, so a read pushes nothing and waits for nothing.
+        let program = d.program_page(PageAddr::new(BlockId(0), 4), CellMode::Slc, None);
+        assert_eq!(program.unwrap().wait_us, 490.0 - 90.0);
+        assert_eq!(d.makespan_us(), 690.0);
         d.reset_stats();
         d.read_page(first).unwrap();
         assert_eq!(d.stats().wait_us, 0.0);

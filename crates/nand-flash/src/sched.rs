@@ -5,10 +5,11 @@
 //! table. It places every operation, at submission, on a per-plane
 //! timeline behind a bounded per-channel admission window, in the
 //! spirit of the multi-channel interleaving literature. There is no
-//! event queue: only a foreground read moves what is already booked.
-//! The scheduler is RNG-free and allocates nothing past each plane's
-//! high-water mark, so the same op stream always yields the same
-//! timings.
+//! event queue: only a foreground read moves what is already booked,
+//! only an op advances the clock, and [`EventDriven::makespan_us`] is a
+//! query. The scheduler is RNG-free and allocates nothing past each
+//! plane's high-water mark, so the same op stream always yields the
+//! same timings.
 //!
 //! # Closed-form contract: a serial device books nothing ahead
 //!
@@ -18,7 +19,7 @@
 //! stall term is exactly `0.0`: the one path *is* the running sum of
 //! table latencies, the paper's closed-form model. `sched_props`'
 //! `serial_event_backend_is_the_closed_form_oracle` pins waits,
-//! services, the clock after every op and the drained makespan against
+//! services, the clock after every op and the makespan against
 //! an in-test running sum, bit for bit.
 //!
 //! # Scheduling disciplines
@@ -540,14 +541,12 @@ impl EventDriven {
         self.now_us
     }
 
-    /// Returns the makespan: the time at which every plane falls idle.
-    /// Advances the clock to it.
-    pub fn drain(&mut self) -> f64 {
-        self.now_us = self
-            .planes
+    /// The makespan, µs: the time at which every plane falls idle.
+    /// Reading it moves nothing; only ops advance the clock.
+    pub fn makespan_us(&self) -> f64 {
+        self.planes
             .iter()
-            .fold(self.now_us, |latest, p| latest.max(p.free_us));
-        self.now_us
+            .fold(self.now_us, |latest, p| latest.max(p.free_us))
     }
 }
 
@@ -617,7 +616,7 @@ mod tests {
             assert_eq!(got.service_us.to_bits(), service_us.to_bits());
             assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
         }
-        assert_eq!(clock_us.to_bits(), event.drain().to_bits());
+        assert_eq!(clock_us.to_bits(), event.makespan_us().to_bits());
         assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
     }
 
@@ -634,14 +633,14 @@ mod tests {
         for block in 0..4 {
             event.op(&bg(OpClass::Program, CellMode::Slc, block));
         }
-        let makespan = event.drain();
+        let makespan = event.makespan_us();
         assert_eq!(makespan, 200.0, "four channels run four programs in one");
 
         let mut serial = EventDriven::new(ChannelConfig::default());
         for block in 0..4 {
             serial.op(&bg(OpClass::Program, CellMode::Slc, block));
         }
-        assert_eq!(serial.drain(), 800.0);
+        assert_eq!(serial.makespan_us(), 800.0);
     }
 
     /// A 1 × 1 plane of depth 8 running a background MLC erase: a read
@@ -662,7 +661,7 @@ mod tests {
         assert_eq!(event.now_us(), 45.0);
         assert_eq!(event.counts().pushed_us, 0.0);
         assert_eq!(event.counts().suspensions, 1);
-        assert_eq!(event.drain(), 3300.0 + 45.0);
+        assert_eq!(event.makespan_us(), 3300.0 + 45.0);
     }
 
     /// A foreground read suspends the program running on its plane and
@@ -679,7 +678,7 @@ mod tests {
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 0));
         assert_eq!((t.wait_us, event.counts().pushed_us), (20.0, 45.0));
         assert_eq!(event.now_us(), 45.0);
-        assert_eq!(event.drain(), 445.0);
+        assert_eq!(event.makespan_us(), 445.0);
     }
 
     /// The read takes no window slot, and the overtaken op's slot moves
@@ -706,7 +705,7 @@ mod tests {
         // An op on the idle sibling plane is admitted at 445, not 400.
         let next = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
         assert_eq!(next.wait_us, 445.0 - 45.0);
-        assert_eq!(event.drain(), 470.0);
+        assert_eq!(event.makespan_us(), 470.0);
     }
 
     /// A foreground program or erase takes no window slot: the host
@@ -731,7 +730,7 @@ mod tests {
         assert_eq!((held.wait_us, event.now_us()), (1500.0, 3200.0));
         let next = event.op(&bg(OpClass::Program, CellMode::Slc, 1));
         assert_eq!(next.wait_us, 0.0);
-        assert_eq!(event.drain(), 3400.0);
+        assert_eq!(event.makespan_us(), 3400.0);
     }
 
     /// An admission stall evicts a booked program's slot before the
@@ -760,7 +759,7 @@ mod tests {
         // at C's pushed end, 470.
         let e = event.op(&bg(OpClass::Read, CellMode::Slc, 1));
         assert_eq!(e.wait_us, 425.0 - 70.0);
-        assert_eq!(event.drain(), 470.0);
+        assert_eq!(event.makespan_us(), 470.0);
     }
 
     /// Past [`BOOKED_CAP`] booked ops a plane makes the host wait for
@@ -783,7 +782,7 @@ mod tests {
         assert_eq!(event.now_us(), 2.0 * 200.0 + 45.0);
         assert_eq!(event.counts().pushed_us, (BOOKED_CAP - 1) as f64 * 45.0);
         assert_eq!(event.counts().suspensions, 1);
-        assert_eq!(event.drain(), (BOOKED_CAP + 2) as f64 * 200.0 + 45.0);
+        assert_eq!(event.makespan_us(), (BOOKED_CAP + 2) as f64 * 200.0 + 45.0);
     }
 
     /// A 1 × 2 device books `running` on plane 0, runs the foreground
@@ -808,7 +807,7 @@ mod tests {
     /// 700..725 and the erase ends at 3 300 + 45.
     #[test]
     fn a_read_mid_erase_suspends_it() {
-        let (t, mut event) = read_at(
+        let (t, event) = read_at(
             bg(OpClass::Erase, CellMode::Mlc, 0),
             &[fg(OpClass::Program, CellMode::Mlc, 1)],
             CellMode::Slc,
@@ -817,14 +816,14 @@ mod tests {
         assert_eq!(event.now_us(), 725.0);
         assert_eq!(event.counts().pushed_us, 0.0);
         assert_eq!(event.counts().suspensions, 1);
-        assert_eq!(event.drain(), 3345.0);
+        assert_eq!(event.makespan_us(), 3345.0);
     }
 
     /// A read 100 µs into an MLC program suspends it: the read runs
     /// 120..170 and the program ends at 680 + 70.
     #[test]
     fn a_read_mid_program_suspends_it() {
-        let (t, mut event) = read_at(
+        let (t, event) = read_at(
             bg(OpClass::Program, CellMode::Mlc, 0),
             &[fg(OpClass::Read, CellMode::Mlc, 1); 2],
             CellMode::Mlc,
@@ -832,18 +831,18 @@ mod tests {
         assert_eq!((t.wait_us, t.service_us), (20.0, 50.0));
         assert_eq!(event.now_us(), 170.0);
         assert_eq!(event.counts().suspensions, 1);
-        assert_eq!(event.drain(), 750.0);
+        assert_eq!(event.makespan_us(), 750.0);
     }
 
     /// A running background read is never suspended: a read that
     /// arrives with it waits its 50 µs out.
     #[test]
     fn a_running_read_is_waited_out() {
-        let (t, mut event) = read_at(bg(OpClass::Read, CellMode::Mlc, 0), &[], CellMode::Slc);
+        let (t, event) = read_at(bg(OpClass::Read, CellMode::Mlc, 0), &[], CellMode::Slc);
         assert_eq!((t.wait_us, t.service_us), (50.0, 25.0));
         assert_eq!(event.now_us(), 75.0);
         assert_eq!(event.counts().suspensions, 0);
-        assert_eq!(event.drain(), 75.0);
+        assert_eq!(event.makespan_us(), 75.0);
     }
 
     /// An erase with exactly [`FlashTiming::SUSPEND_US`] left (the clock
@@ -852,11 +851,11 @@ mod tests {
     fn an_op_within_the_suspend_cost_of_its_end_is_waited_out() {
         let mut at = vec![fg(OpClass::Program, CellMode::Mlc, 1)];
         at.extend([fg(OpClass::Program, CellMode::Slc, 1); 4]);
-        let (t, mut event) = read_at(bg(OpClass::Erase, CellMode::Slc, 0), &at, CellMode::Slc);
+        let (t, event) = read_at(bg(OpClass::Erase, CellMode::Slc, 0), &at, CellMode::Slc);
         assert_eq!(t.wait_us, FlashTiming::SUSPEND_US);
         assert_eq!(event.now_us(), 1525.0);
         assert_eq!(event.counts().suspensions, 0);
-        assert_eq!(event.drain(), 1525.0);
+        assert_eq!(event.makespan_us(), 1525.0);
     }
 
     /// An op can be suspended again: two reads in a row each suspend
@@ -872,7 +871,7 @@ mod tests {
         assert_eq!(event.now_us(), 90.0);
         assert_eq!(event.counts().suspensions, 2);
         assert_eq!(event.counts().pushed_us, 0.0);
-        assert_eq!(event.drain(), 3300.0 + 2.0 * 45.0);
+        assert_eq!(event.makespan_us(), 3300.0 + 2.0 * 45.0);
     }
 
     /// A serial plane's depth is 0: after any op, fore- or background,
@@ -937,8 +936,8 @@ mod tests {
             a.op(&bg(OpClass::Erase, CellMode::Slc, block));
             b.op(&bg(OpClass::Erase, CellMode::Slc, block));
         }
-        assert_eq!(a.drain(), 1500.0);
-        assert_eq!(b.drain(), 4.0 * 1500.0);
+        assert_eq!(a.makespan_us(), 1500.0);
+        assert_eq!(b.makespan_us(), 4.0 * 1500.0);
     }
 
     /// Two reads on the two planes of one channel overlap: each ends at
@@ -956,7 +955,7 @@ mod tests {
         let t = event.op(&fg(OpClass::Read, CellMode::Slc, 1));
         assert_eq!((t.wait_us, t.service_us), (0.0, FlashTiming::SLC_READ_US));
         assert_eq!(event.now_us(), FlashTiming::SLC_READ_US);
-        assert_eq!(event.drain(), FlashTiming::MLC_READ_US);
+        assert_eq!(event.makespan_us(), FlashTiming::MLC_READ_US);
     }
 
     #[test]
@@ -965,6 +964,6 @@ mod tests {
         model.op(&fg(OpClass::Read, CellMode::Slc, 0));
         model.op(&fg(OpClass::Program, CellMode::Mlc, 0));
         assert_eq!(model.now_us(), 25.0 + 680.0);
-        assert_eq!(model.drain(), 25.0 + 680.0);
+        assert_eq!(model.makespan_us(), 25.0 + 680.0);
     }
 }

@@ -8,14 +8,14 @@
 //! 2. **Determinism**: for *any* operation sequence and *any* valid
 //!    channel configuration, replaying the run yields byte-identical
 //!    timings and makespan — the scheduler is RNG-free.
-//! 3. **No double-booking**: the drained makespan is at least every
+//! 3. **No double-booking**: the makespan is at least every
 //!    lane's sum of cell-phase times, and an unthrottled background
 //!    burst costs exactly its busiest lane.
 //! 4. **Reads go first**: a foreground read suspends the program or
 //!    erase running on its plane, or waits out a running read, so it
 //!    waits at most `max(SUSPEND_US, MLC read)`.
 //! 5. **Parity**: a fixed, seeded mixed stream prices every op, counts
-//!    and drains to pinned values on three shapes, so a refactor of the
+//!    and makespan to pinned values on three shapes, so a refactor of the
 //!    scheduler's bookkeeping cannot move a number unnoticed.
 
 use proptest::prelude::*;
@@ -95,7 +95,7 @@ proptest! {
             );
             prop_assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
         }
-        prop_assert_eq!(clock_us.to_bits(), event.drain().to_bits());
+        prop_assert_eq!(clock_us.to_bits(), event.makespan_us().to_bits());
         prop_assert_eq!(clock_us.to_bits(), event.now_us().to_bits());
         prop_assert_eq!(event.counts(), SchedCounts::default());
     }
@@ -116,7 +116,7 @@ proptest! {
                     (t.wait_us.to_bits(), t.service_us.to_bits())
                 })
                 .collect();
-            let makespan = model.drain().to_bits();
+            let makespan = model.makespan_us().to_bits();
             (timings, makespan)
         };
         let a = run();
@@ -127,7 +127,8 @@ proptest! {
 
     /// Sanity envelope for every backend/config: waits are non-negative
     /// and finite, service times are positive table sums, the clock
-    /// never runs backwards, and the drained makespan bounds the clock.
+    /// never runs backwards, and the makespan bounds the clock without
+    /// moving it.
     #[test]
     fn timings_stay_in_the_physical_envelope(
         ops in prop::collection::vec(op_strategy(), 1..200),
@@ -143,10 +144,9 @@ proptest! {
             prop_assert!(now >= last_now, "clock ran backwards: {} -> {}", last_now, now);
             last_now = now;
         }
-        let before = model.now_us();
-        let makespan = model.drain();
-        prop_assert!(makespan >= before);
-        prop_assert_eq!(model.now_us().to_bits(), makespan.to_bits());
+        let makespan = model.makespan_us();
+        prop_assert!(makespan >= last_now);
+        prop_assert_eq!(model.now_us().to_bits(), last_now.to_bits(), "reading the makespan moved the clock");
     }
 
     /// Foreground reads go first: a read never waits for a window slot
@@ -171,7 +171,7 @@ proptest! {
     }
 
     /// No lane is double-booked and no op is dropped: whatever the op
-    /// mix and channel shape, the drained makespan covers every lane's
+    /// mix and channel shape, the makespan covers every lane's
     /// cell-phase total.
     #[test]
     fn makespan_covers_every_lane(
@@ -184,7 +184,7 @@ proptest! {
             model.op(op);
             lane_us[model.lane_of(op.block)] += table_us(op);
         }
-        let makespan = model.drain();
+        let makespan = model.makespan_us();
         for (lane, &busy_us) in lane_us.iter().enumerate() {
             prop_assert!(makespan >= busy_us, "lane {}: {} < {}", lane, makespan, busy_us);
         }
@@ -214,7 +214,7 @@ proptest! {
             lane_us[model.lane_of(op.block)] += table_us(&op);
         }
         let busiest_us = lane_us.iter().fold(0.0f64, |m, &t| m.max(t));
-        prop_assert_eq!(model.drain().to_bits(), busiest_us.to_bits());
+        prop_assert_eq!(model.makespan_us().to_bits(), busiest_us.to_bits());
     }
 }
 
@@ -229,7 +229,7 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// Replays 2 000 seeded ops (reads, programs and erases, each in the
 /// foreground or background) on `cfg`. Returns an FNV-1a checksum of
-/// every op's `(wait_us, service_us)` bits, the counts and the drained
+/// every op's `(wait_us, service_us)` bits, the counts and the
 /// makespan.
 fn parity_run(cfg: ChannelConfig) -> (u64, SchedCounts, f64) {
     let mut state = 20_080_621u64;
@@ -259,7 +259,7 @@ fn parity_run(cfg: ChannelConfig) -> (u64, SchedCounts, f64) {
             }
         }
     }
-    let makespan_us = model.drain();
+    let makespan_us = model.makespan_us();
     (sum, model.counts(), makespan_us)
 }
 

@@ -315,8 +315,8 @@ impl Hierarchy {
     /// Modeled flash device time, µs: the busiest shard's makespan, the
     /// max over its per-channel and per-plane free times
     /// ([`ShardedCache::device_makespan_us`]). `None` without flash.
-    pub fn device_makespan_us(&mut self) -> Option<f64> {
-        self.flash.as_mut().map(ShardedCache::device_makespan_us)
+    pub fn device_makespan_us(&self) -> Option<f64> {
+        self.flash.as_ref().map(ShardedCache::device_makespan_us)
     }
 
     /// The accumulated report.
@@ -324,15 +324,14 @@ impl Hierarchy {
         &self.report
     }
 
-    /// Clears all measurements (report, flash statistics) while keeping
-    /// cache contents and wear state — used to exclude warm-up from
-    /// steady-state measurements.
+    /// Clears all measurements (report, flash statistics, the engine's
+    /// degraded-op count) while keeping cache contents, wear state and
+    /// the device clock — used to exclude warm-up from steady-state
+    /// measurements.
     pub fn reset_measurements(&mut self) {
         self.report = HierarchyReport::default();
         if let Some(f) = &mut self.flash {
-            for shard in f.shards_mut() {
-                shard.reset_stats();
-            }
+            f.reset_stats();
         }
     }
 
