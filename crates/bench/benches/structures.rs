@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the supporting data structures: the
 //! DRAM page cache (hits and evicting inserts), the latency histogram,
-//! popularity sampling, trace generation, and full hierarchy submission.
+//! popularity sampling, trace generation, full hierarchy submission, and
+//! the erase-time wear probe.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -10,6 +11,7 @@ use disk_trace::{DiskRequest, Popularity, PopularitySampler, WorkloadSpec};
 use flash_obs::LatencyHistogram;
 use flashcache_core::PrimaryDiskCache;
 use flashcache_sim::hierarchy::{Hierarchy, HierarchyConfig};
+use nand_flash::{BlockId, FlashConfig, FlashDevice, FlashGeometry, PageAddr};
 
 fn bench_pdc_hit(c: &mut Criterion) {
     let mut pdc = PrimaryDiskCache::new(10_000);
@@ -116,6 +118,37 @@ fn bench_hierarchy_submit_batch(c: &mut Criterion) {
     });
 }
 
+/// The cache's retirement probe after an erase: erase one block of a
+/// real-endurance device and advance the wear of its 64 physical pages.
+/// Blocks are erased in turn from 100 erases each, past nearly every
+/// page's wear onset, so a run stays at the wear levels a cache replay
+/// reaches.
+fn bench_erase_probe(c: &mut Criterion) {
+    let geometry = FlashGeometry {
+        blocks: 1_024,
+        pages_per_block: 64,
+    };
+    let mut dev = FlashDevice::new(FlashConfig {
+        geometry,
+        ..FlashConfig::default()
+    });
+    for b in 0..geometry.blocks {
+        for _ in 0..100 {
+            dev.erase_block(BlockId(b)).expect("block in range");
+        }
+    }
+    let mut b = 0;
+    c.bench_function("erase_probe", |bench| {
+        bench.iter(|| {
+            b = (b + 1) % geometry.blocks;
+            dev.erase_block(BlockId(b)).expect("block in range");
+            (0..geometry.pages_per_block)
+                .map(|phys| dev.probe_page_health(PageAddr::new(BlockId(b), phys * 2)).1)
+                .max()
+        })
+    });
+}
+
 criterion_group!(
     benches,
     bench_pdc_hit,
@@ -124,6 +157,7 @@ criterion_group!(
     bench_popularity,
     bench_trace_generation,
     bench_hierarchy_submit,
-    bench_hierarchy_submit_batch
+    bench_hierarchy_submit_batch,
+    bench_erase_probe
 );
 criterion_main!(benches);

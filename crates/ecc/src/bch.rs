@@ -18,7 +18,7 @@ use std::fmt;
 
 use crate::bitpoly::BitPoly;
 use crate::crc;
-use crate::gf::GfField;
+use crate::gf::{GfField, Roots};
 use crate::page::MAX_PAGE_STRENGTH;
 
 /// Error constructing a [`BchCode`].
@@ -400,7 +400,7 @@ impl BchCode {
             corrected: powers.len(),
             data_bit_positions: Vec::with_capacity(powers.len()),
         };
-        for power in powers {
+        for &power in powers.iter() {
             // Parity-area errors need no fix: the caller's data is already
             // correct once data-area flips are applied.
             if let Some(j) = self.message_bit(power) {
@@ -417,9 +417,9 @@ impl BchCode {
     /// received parity. Empty for a codeword; `None` when the pattern is
     /// detectably uncorrectable (a locator of degree above `t`, or one
     /// with fewer roots inside the shortened length than its degree).
-    pub(crate) fn locate(&self, reg: &mut [u64], parity: &[u8]) -> Option<Vec<usize>> {
+    pub(crate) fn locate(&self, reg: &mut [u64], parity: &[u8]) -> Option<ErrorPowers> {
         if !self.add_parity(reg, parity) {
-            return Some(Vec::new());
+            return Some(ErrorPowers::Few(Roots::default()));
         }
         // The syndromes and Berlekamp–Massey's three rows, 2t + 2 each,
         // live on the stack for every page code.
@@ -547,7 +547,7 @@ impl BchCode {
     /// locator of degree up to 4 (at Poisson(0.5) raw errors per read, all
     /// but two reads in ten thousand) the roots are found in closed form,
     /// with no scan. `sigma` must be trimmed: its last coefficient nonzero.
-    pub(crate) fn locator_roots(&self, sigma: &[u32]) -> Vec<usize> {
+    pub(crate) fn locator_roots(&self, sigma: &[u32]) -> ErrorPowers {
         let f = self.field;
         // x = 0 is no codeword position: the factors of x drop out.
         let low = sigma.iter().position(|&c| c != 0);
@@ -556,16 +556,19 @@ impl BchCode {
             _ => None,
         };
         let Some(roots) = roots else {
-            return self.chien_search(sigma);
+            return ErrorPowers::Many(self.chien_search(sigma));
         };
         // x = α^(−p)  =>  p = −log x (mod n).
         let n = f.group_order();
-        let mut powers: Vec<usize> = (roots.into_iter())
-            .map(|x| ((n - f.log(x)) % n) as usize)
-            .filter(|&p| p < self.data_bits + self.parity_bits)
-            .collect();
+        let mut powers = Roots::default();
+        for &x in roots.iter() {
+            let p = ((n - f.log(x)) % n) as usize;
+            if p < self.data_bits + self.parity_bits {
+                powers.push(p);
+            }
+        }
         powers.sort_unstable();
-        powers
+        ErrorPowers::Few(powers)
     }
 
     /// The distinct roots in GF(2^m) of `s`, whose constant and leading
@@ -587,13 +590,13 @@ impl BchCode {
     /// Linux `lib/bch.c` (`find_poly_deg{1,2,3,4}_roots`) does the same
     /// but gives up on repeated roots; these return exactly the roots a
     /// scan of the field would find.
-    fn field_roots(&self, s: &[u32]) -> Option<Vec<u32>> {
+    fn field_roots(&self, s: &[u32]) -> Option<Roots<u32>> {
         let f = self.field;
         let lead = s[s.len() - 1];
         let c = |i: usize| f.div(s[i], lead);
         Some(match s.len() - 1 {
-            0 => Vec::new(),
-            1 => vec![c(0)],
+            0 => Roots::default(),
+            1 => Roots::from_slice(&[c(0)]),
             2 => f.quadratic_roots(c(1), c(0)),
             3 => {
                 let (a, b, c) = (c(2), c(1), c(0));
@@ -619,10 +622,13 @@ impl BchCode {
                     }
                     zs
                 } else {
-                    let ys = f.affine4_roots(f.div(b1, d1), f.div(a, d1), f.inv(d1));
-                    ys.into_iter().map(|y| f.inv(y)).collect()
+                    let mut ys = f.affine4_roots(f.div(b1, d1), f.div(a, d1), f.inv(d1));
+                    for y in ys.iter_mut() {
+                        *y = f.inv(*y);
+                    }
+                    ys
                 };
-                for z in &mut zs {
+                for z in zs.iter_mut() {
                     *z ^= e;
                 }
                 zs
@@ -726,6 +732,39 @@ impl BchCode {
             }
         }
         roots
+    }
+}
+
+/// The codeword powers of a received word's errors, ascending, as
+/// [`BchCode::locate`] finds them: inline when the closed forms found
+/// them (up to four errors), from [`BchCode::chien_search`] beyond.
+pub(crate) enum ErrorPowers {
+    Few(Roots<usize>),
+    Many(Vec<usize>),
+}
+
+impl std::ops::Deref for ErrorPowers {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        match self {
+            ErrorPowers::Few(roots) => roots,
+            ErrorPowers::Many(powers) => powers,
+        }
+    }
+}
+
+#[cfg(test)]
+impl PartialEq<Vec<usize>> for ErrorPowers {
+    fn eq(&self, other: &Vec<usize>) -> bool {
+        **self == other[..]
+    }
+}
+
+#[cfg(test)]
+impl fmt::Debug for ErrorPowers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 

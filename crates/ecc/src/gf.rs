@@ -9,6 +9,7 @@
 //! element is `0` and the multiplicative generator is `alpha = 2`
 //! (the polynomial `x`).
 
+use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
 
 /// Primitive polynomials (including the `x^m` term) indexed by `m`.
@@ -225,13 +226,13 @@ impl GfField {
     /// The distinct roots of `x² + b·x + c`: `x = b·y` turns it into
     /// `y² + y = c/b²`, whose solutions, if the field has any, are `y` and
     /// `y + 1`; at `b = 0` the one root is `√c`.
-    pub(crate) fn quadratic_roots(&self, b: u32, c: u32) -> Vec<u32> {
+    pub(crate) fn quadratic_roots(&self, b: u32, c: u32) -> Roots<u32> {
         if b == 0 {
-            return vec![self.sqrt(c)];
+            return Roots::from_slice(&[self.sqrt(c)]);
         }
         match self.solve_quadratic(self.div(c, self.mul(b, b))) {
-            Some(y) => vec![self.mul(b, y), self.mul(b, y ^ 1)],
-            None => Vec::new(),
+            Some(y) => Roots::from_slice(&[self.mul(b, y), self.mul(b, y ^ 1)]),
+            None => Roots::default(),
         }
     }
 
@@ -240,11 +241,12 @@ impl GfField {
     /// kernel: eliminate over the images of the `m` basis elements,
     /// keeping with each reduced image the `x` it is the image of (Linux
     /// `lib/bch.c`'s `find_affine4_roots`, after Berlekamp, Rumsey &
-    /// Solomon 1967). The kernel has at most four elements, the degree.
-    pub(crate) fn affine4_roots(&self, a: u32, b: u32, c: u32) -> Vec<u32> {
+    /// Solomon 1967). The kernel has at most four elements, the degree,
+    /// so a basis of at most two.
+    pub(crate) fn affine4_roots(&self, a: u32, b: u32, c: u32) -> Roots<u32> {
         // pivot[k] = (image with top bit k, its preimage).
         let mut pivot = [(0u32, 0u32); 16];
-        let mut kernel = Vec::new();
+        let mut kernel = Roots::default();
         let top = |v: u32| (31 - v.leading_zeros()) as usize;
         for i in 0..self.m {
             let x = 1 << i;
@@ -265,18 +267,69 @@ impl GfField {
         while rest != 0 {
             let (pi, pp) = pivot[top(rest)];
             if pi == 0 {
-                return Vec::new();
+                return Roots::default();
             }
             rest ^= pi;
             x0 ^= pp;
         }
-        let mut roots = vec![x0];
-        for k in kernel {
+        let mut roots = Roots::from_slice(&[x0]);
+        for &k in kernel.iter() {
             for i in 0..roots.len() {
                 roots.push(roots[i] ^ k);
             }
         }
         roots
+    }
+}
+
+/// At most four roots, held inline: what the closed-form root finders
+/// return, so a decode of up to four errors allocates nothing.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Roots<T> {
+    len: usize,
+    slots: [T; 4],
+}
+
+impl<T: Copy + Default> Roots<T> {
+    pub(crate) fn from_slice(xs: &[T]) -> Self {
+        let mut roots = Roots::default();
+        for &x in xs {
+            roots.push(x);
+        }
+        roots
+    }
+
+    /// Appends `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past four roots.
+    pub(crate) fn push(&mut self, x: T) {
+        self.slots[self.len] = x;
+        self.len += 1;
+    }
+
+    /// Keeps the roots for which `keep` holds, in order.
+    pub(crate) fn retain(&mut self, keep: impl Fn(&T) -> bool) {
+        let all = *self;
+        self.len = 0;
+        for x in all.iter().filter(|x| keep(x)) {
+            self.push(*x);
+        }
+    }
+}
+
+impl<T> Deref for Roots<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.slots[..self.len]
+    }
+}
+
+impl<T> DerefMut for Roots<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.slots[..self.len]
     }
 }
 
@@ -393,7 +446,7 @@ mod tests {
                     let mut got = f.quadratic_roots(a, b);
                     got.sort_unstable();
                     let want: Vec<u32> = roots_of(&|x| f.mul(x, x) ^ f.mul(a, x) ^ b);
-                    assert_eq!(got, want, "m={m} x²+{a}x+{b}");
+                    assert_eq!(got[..], want, "m={m} x²+{a}x+{b}");
                     for c in 0..size {
                         let mut got = f.affine4_roots(a, b, c);
                         got.sort_unstable();
@@ -401,7 +454,7 @@ mod tests {
                             let x2 = f.mul(x, x);
                             f.mul(x2, x2) ^ f.mul(a, x2) ^ f.mul(b, x) ^ c
                         });
-                        assert_eq!(got, want, "m={m} x⁴+{a}x²+{b}x+{c}");
+                        assert_eq!(got[..], want, "m={m} x⁴+{a}x²+{b}x+{c}");
                     }
                 }
             }

@@ -216,7 +216,7 @@ impl PageCodec {
         });
         let powers = powers.ok_or(PageDecodeError::Uncorrectable)?;
         let mut stored_crc = u32::from_be_bytes(stored.try_into().expect("four CRC bytes"));
-        for &power in &powers {
+        for &power in powers.iter() {
             match self.bch.message_bit(power) {
                 Some(j) if j < PAGE_DATA_BYTES * 8 => {
                     data[j / 8] ^= 0x80 >> (j % 8);

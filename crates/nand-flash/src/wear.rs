@@ -147,22 +147,23 @@ impl WearModel {
 
 /// Per-physical-page wear state.
 ///
-/// Lambdas are held in `f64` so that the expected-failure budget a
-/// page has consumed is compared against later evaluations without
-/// round-off (with `f32` storage, round-off manufactured spurious
-/// tiny-λ Poisson draws).
+/// The consumed expected-failure budgets are held in `f64` so that they
+/// compare against later evaluations without round-off (with `f32`
+/// storage, round-off manufactured spurious tiny-λ Poisson draws).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageWearState {
     /// `10^-delta` for the page's quality offset `delta` in decades
     /// (positive = better than average), precomputed so the per-read
     /// path avoids `powf`.
     quality_factor: f64,
-    /// Erase count the lambdas were last evaluated at.
+    /// Erase count the page was last advanced to.
     last_erases: u64,
     /// Expected-failure budget already consumed, MLC curve.
     lambda_mlc: f64,
-    /// Expected-failure budget already consumed, SLC curve.
-    lambda_slc: f64,
+    /// Expected-failure budget already consumed, SLC curve (`>= 0`), or
+    /// minus the effective count of the last growth step, which drew no
+    /// MLC failure and so left the SLC curve unevaluated.
+    slc_budget: f64,
     /// Permanent cell failures visible in MLC mode.
     pub fail_mlc: u32,
     /// Permanent cell failures visible in SLC mode (subset of MLC).
@@ -185,7 +186,7 @@ impl PageWearState {
             quality_factor: 10f64.powf(-(delta as f64)),
             last_erases: 0,
             lambda_mlc: 0.0,
-            lambda_slc: 0.0,
+            slc_budget: 0.0,
             fail_mlc: 0,
             fail_slc: 0,
         }
@@ -238,25 +239,24 @@ impl PageWearState {
     /// [`PageWearState::advance`].
     fn grow<R: Rng + ?Sized>(&mut self, model: &WearModel, effective: f64, rng: &mut R) {
         let lm_new = model.expected_failures_effective(CellMode::Mlc, effective);
-        let ls_new = model.expected_failures_effective(CellMode::Slc, effective);
         let lm_old = self.lambda_mlc;
-        let ls_old = self.lambda_slc;
         if lm_new > lm_old {
             let d_mlc = poisson(rng, lm_new - lm_old);
+            let budget = std::mem::replace(&mut self.slc_budget, -effective);
             if d_mlc > 0 {
                 // Of the newly MLC-failed cells, the fraction that also
-                // fail in SLC mode follows the ratio of increments.
-                let ratio = if lm_new - lm_old > 0.0 {
-                    ((ls_new - ls_old) / (lm_new - lm_old)).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
+                // fail in SLC mode follows the ratio of increments (the
+                // SLC budget is the curve at the last growth step).
+                let slc = |e| model.expected_failures_effective(CellMode::Slc, e);
+                let ls_new = slc(effective);
+                let ls_old = if budget < 0.0 { slc(-budget) } else { budget };
+                let ratio = ((ls_new - ls_old) / (lm_new - lm_old)).clamp(0.0, 1.0);
                 let d_slc = binomial(rng, d_mlc, ratio);
                 self.fail_mlc = (self.fail_mlc + d_mlc as u32).min(PAGE_CELLS);
                 self.fail_slc = (self.fail_slc + d_slc as u32).min(self.fail_mlc);
+                self.slc_budget = ls_new;
             }
             self.lambda_mlc = lm_new;
-            self.lambda_slc = ls_new.max(ls_old);
         }
     }
 }
@@ -279,6 +279,87 @@ mod tests {
         let page = PageWearState::with_quality(0.1);
         assert_eq!(page.quality_factor, 10f64.powf(-(0.1f32 as f64)));
         assert_ne!(page.quality_factor, 10f64.powf(-0.1));
+    }
+
+    /// A page under the growth step that evaluated both curves on every
+    /// step and held the SLC budget as a running maximum.
+    struct EagerPage {
+        page: PageWearState,
+        lambda_slc: f64,
+    }
+
+    impl EagerPage {
+        fn advance<R: Rng + ?Sized>(&mut self, model: &WearModel, erases: u64, rng: &mut R) {
+            let p = &mut self.page;
+            if erases <= p.last_erases {
+                return;
+            }
+            p.last_erases = erases;
+            let effective = erases as f64 * p.quality_factor;
+            if effective < model.onset_effective {
+                return;
+            }
+            let lm_new = model.expected_failures_effective(CellMode::Mlc, effective);
+            let ls_new = model.expected_failures_effective(CellMode::Slc, effective);
+            let (lm_old, ls_old) = (p.lambda_mlc, self.lambda_slc);
+            if lm_new > lm_old {
+                let d_mlc = poisson(rng, lm_new - lm_old);
+                if d_mlc > 0 {
+                    let ratio = ((ls_new - ls_old) / (lm_new - lm_old)).clamp(0.0, 1.0);
+                    let d_slc = binomial(rng, d_mlc, ratio);
+                    p.fail_mlc = (p.fail_mlc + d_mlc as u32).min(PAGE_CELLS);
+                    p.fail_slc = (p.fail_slc + d_slc as u32).min(p.fail_mlc);
+                }
+                p.lambda_mlc = lm_new;
+                self.lambda_slc = ls_new.max(ls_old);
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_slc_growth_matches_the_eager_step() {
+        // Unit steps at 1e3× acceleration (a dozen MLC failures by
+        // 2 000 erases), and 1e6× in 2% steps from the first failures
+        // through binomial thinning to CDF saturation.
+        for (acceleration, geometric) in [(1e3, false), (1e6, true)] {
+            let model = WearModel::new(WearConfig::default().accelerated(acceleration));
+            let mut normals = NormalSource::new();
+            let mut qualities = StdRng::seed_from_u64(7);
+            let (mut failed, mut thinned, mut saturated) = (false, false, 0);
+            for seed in 0..16 {
+                let page =
+                    PageWearState::with_quality(model.sample_quality(&mut normals, &mut qualities));
+                let mut eager = EagerPage {
+                    page,
+                    lambda_slc: 0.0,
+                };
+                let mut lazy = page;
+                let mut rng_eager = StdRng::seed_from_u64(seed);
+                let mut rng_lazy = StdRng::seed_from_u64(seed);
+                let mut erases = 0u64;
+                while erases < if geometric { 1_000_000_000_000 } else { 2_000 } {
+                    erases = if geometric {
+                        (erases + 1).max(erases * 51 / 50)
+                    } else {
+                        erases + 1
+                    };
+                    eager.advance(&model, erases, &mut rng_eager);
+                    lazy.advance(&model, erases, &mut rng_lazy);
+                    let at = format!("seed {seed} erases {erases}");
+                    assert_eq!(lazy.fail_mlc, eager.page.fail_mlc, "{at}");
+                    assert_eq!(lazy.fail_slc, eager.page.fail_slc, "{at}");
+                    assert_eq!(rng_lazy.gen::<u64>(), rng_eager.gen::<u64>(), "{at}");
+                    failed |= lazy.fail_mlc > 0;
+                    thinned |= 0 < lazy.fail_slc && lazy.fail_slc < lazy.fail_mlc;
+                }
+                saturated += usize::from(lazy.lambda_mlc == CELLS_PER_PAGE as f64);
+            }
+            assert!(failed, "no MLC failure drawn at {acceleration}×");
+            if geometric {
+                assert!(thinned, "no binomial draw split MLC and SLC failures");
+                assert_eq!(saturated, 16, "the MLC curve did not saturate");
+            }
+        }
     }
 
     #[test]
